@@ -21,6 +21,11 @@ The census of the associated singular foliation is immediate from the
 graph: two maximal-dimension leaves (the complement of the critical
 surface), one two-dimensional leaf per region, one one-dimensional leaf
 per curve.
+
+So only a bare cycle's record depends on the slope.  The batch table is
+built per graph class and expanded by slope: each graph class is
+classified once and its regimes are reused at every slope, and a bare
+cycle alone is classified again at each slope for its tight count.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 from .admissibility import is_admissible, is_tight_candidate
 from .counting import TightCountResult, tight_count_solid_torus
-from .enumeration import enum_equicolored_trees, enum_torus_classes
+from .enumeration import check_tree_request, enum_equicolored_trees, enum_torus_classes
 from .region_graph import canonical_code
 from .surfaces import DividingSetClass, ManifoldSpec, Surface
 
@@ -132,16 +137,39 @@ def classification_table(
     max_p: int | None = None,
     modulo_swap: bool = False,
 ) -> list[ClassificationRecord]:
-    """One record per enumerated admissible class, sorted by canonical code."""
+    """One record per enumerated admissible class, sorted by canonical code
+    and then slope; ``max_p`` defaults to 1 on the torus.
+
+    ``classify`` runs once per graph class, and the record's regimes are
+    reused for the class's other slopes.  Only a bare cycle is classified
+    again at every slope, because its tight count depends on the slope.
+    """
+    if max_curves < 1 or (max_p is not None and max_p < 1):
+        raise ValueError("max_curves and max_p must be >= 1")
     if m.critical is Surface.SPHERE:
-        classes = [
-            DividingSetClass(Surface.SPHERE, g)
-            for n in range(1, (max_curves + 1) // 2 + 1)
-            for g in enum_equicolored_trees(n, modulo_swap)
+        largest = (max_curves + 1) // 2
+        check_tree_request(largest)
+        graphs = [
+            g for n in range(1, largest + 1) for g in enum_equicolored_trees(n, modulo_swap)
         ]
+        graphs.sort(key=lambda g: canonical_code(g, modulo_swap))
+        classes = [DividingSetClass(Surface.SPHERE, g) for g in graphs]
     else:
-        classes = enum_torus_classes(max_curves, max_p or 1, modulo_swap)
-    classes.sort(
-        key=lambda d: (canonical_code(d.graph, modulo_swap), d.slope or (0, 0))
-    )
-    return [classify(m, d) for d in classes]
+        classes = enum_torus_classes(max_curves, 1 if max_p is None else max_p, modulo_swap)
+
+    records: list[ClassificationRecord] = []
+    previous: ClassificationRecord | None = None
+    for d in classes:
+        if (
+            previous is not None
+            and d.graph is previous.dividing_set.graph
+            and previous.tight_count_detail is None
+        ):
+            record = ClassificationRecord(
+                m, d, previous.tight, previous.mixed, previous.fully_overtwisted
+            )
+        else:
+            record = classify(m, d)
+        records.append(record)
+        previous = record
+    return records

@@ -27,6 +27,7 @@ from .formats import (
     render_table_jsonl,
     serialize_class_text,
     serialize_graph_text,
+    tight_count_to_json_dict,
 )
 from .region_graph import InvalidRegionGraphError, canonical_code
 from .surfaces import S3_S2, S3_T2, DividingSetClass, ManifoldSpec, Surface
@@ -196,19 +197,7 @@ def _record_json(record) -> dict:
         ],
     }
     detail = record.tight_count_detail
-    out["tight_count_detail"] = (
-        None
-        if detail is None
-        else {
-            "n": detail.n,
-            "p": detail.p,
-            "q": detail.q,
-            "r": detail.r,
-            "s": detail.s,
-            "count": detail.count,
-            "expansion": list(detail.expansion.coefficients),
-        }
-    )
+    out["tight_count_detail"] = None if detail is None else tight_count_to_json_dict(detail)
     return out
 
 
@@ -238,11 +227,7 @@ def _cmd_classify(args, out) -> int:
 def _cmd_tight_count(args, out) -> int:
     result = tight_count_solid_torus(args.n, args.p, args.q)
     if args.format == "json":
-        _emit(out, json.dumps({
-            "n": result.n, "p": result.p, "q": result.q,
-            "r": result.r, "s": result.s, "count": result.count,
-            "expansion": list(result.expansion.coefficients),
-        }))
+        _emit(out, json.dumps(tight_count_to_json_dict(result)))
     else:
         _emit(out, str(result.count))
     return 0

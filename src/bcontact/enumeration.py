@@ -9,9 +9,12 @@ according to the sign mode.
 Torus classes compose three shapes and filter uniformly afterwards:
 trees carrying one genus-1 region (all curves contractible), and
 unicyclic graphs (a ring of essential curves, possibly with contractible
-trees attached) built as tree-plus-one-edge, paired with every normalized
-slope up to the bound.  Admissibility (the Euler pairing balance) is the
-only filter beyond embeddability; it is cheap and applied last.
+trees attached) built as tree-plus-one-edge.  Admissibility (the Euler
+pairing balance) is the only filter beyond embeddability; it is cheap and
+depends on the graph alone.  So each torus graph class is built, checked
+and coded once, and only then expanded by slope: a unicyclic class is
+paired with every normalized slope up to the bound, all the resulting
+classes sharing one graph object.
 
 All output is deterministically ordered by canonical code, so repeated
 runs are byte-identical.
@@ -62,6 +65,14 @@ def _colored_graph(
     return RegionGraph(verts, tuple(tree.edges()))
 
 
+def check_tree_request(n: int, max_n: int = DEFAULT_TREE_CAP) -> None:
+    """Reject a tree enumeration of 2n vertices out of range, before any work."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > max_n:
+        raise ResourceLimitError(f"tree enumeration capped at n={max_n}, got {n}")
+
+
 def enum_equicolored_trees(
     n: int, modulo_swap: bool = False, max_n: int = DEFAULT_TREE_CAP
 ) -> list[RegionGraph]:
@@ -72,10 +83,7 @@ def enum_equicolored_trees(
     automorphism exchanges the color classes.  Deterministically sorted
     by canonical code.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise ResourceLimitError(f"tree enumeration capped at n={max_n}, got {n}")
+    check_tree_request(n, max_n)
     out: dict[str, RegionGraph] = {}
     for tree in nx.nonisomorphic_trees(2 * n):
         color = _bipartition(tree)
@@ -107,6 +115,10 @@ def enum_torus_classes(
 ) -> list[DividingSetClass]:
     """All admissible torus dividing-set classes with at most ``max_curves``
     curves and slopes bounded by ``max_p``, one per isomorphism class.
+
+    Sorted by (canonical code, slope).  Each graph class is built, checked
+    and coded once; a unicyclic one is then paired with every normalized
+    slope, all its classes sharing the one graph object.
     """
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
@@ -119,8 +131,7 @@ def enum_torus_classes(
             f"slope bound capped at {max_p_cap}, got {max_p}"
         )
 
-    slopes = _normalized_slopes(max_p)
-    out: dict[tuple[str, tuple[int, int] | None], DividingSetClass] = {}
+    out: dict[str, RegionGraph] = {}
 
     # Trees of contractible curves around one genus-carrying region.
     for nv in range(2, max_curves + 2):
@@ -129,9 +140,8 @@ def enum_torus_classes(
             for positive in (0,) if modulo_swap else (0, 1):
                 for genus_vertex in range(nv):
                     g = _colored_graph(tree, color, positive, genus_vertex)
-                    d = DividingSetClass(Surface.TORUS, g, None)
-                    if _admissible(d):
-                        out.setdefault((canonical_code(g, modulo_swap), None), d)
+                    if _admissible(DividingSetClass(Surface.TORUS, g, None)):
+                        out.setdefault(canonical_code(g, modulo_swap), g)
 
     # One essential cycle, possibly with contractible trees attached:
     # every unicyclic graph is a spanning tree plus one closing edge, and
@@ -154,15 +164,14 @@ def enum_torus_classes(
                             ),
                             tuple((a, b) for a, b, _ in closed.edges(keys=True)),
                         )
-                        base = DividingSetClass(Surface.TORUS, g, (1, 1))
-                        if not _admissible(base):
-                            continue
-                        code = canonical_code(g, modulo_swap)
-                        for slope in slopes:
-                            out.setdefault(
-                                (code, slope),
-                                DividingSetClass(Surface.TORUS, g, slope),
-                            )
+                        if _admissible(DividingSetClass(Surface.TORUS, g, (1, 1))):
+                            out.setdefault(canonical_code(g, modulo_swap), g)
 
-    ordered = sorted(out, key=lambda key: (key[0], key[1] or (0, 0)))
-    return [out[key] for key in ordered]
+    # Admissibility depends on the graph alone (unicyclic graphs are tested
+    # with the placeholder slope (1, 1)), so slopes are paired last.
+    slopes = _normalized_slopes(max_p)
+    return [
+        DividingSetClass(Surface.TORUS, g, slope)
+        for g in (out[code] for code in sorted(out))
+        for slope in (slopes if g.edge_count == g.vertex_count else (None,))
+    ]

@@ -21,6 +21,7 @@ import io
 import json
 
 from .classify import ClassificationRecord, leaf_census
+from .counting import TightCountResult
 from .region_graph import InvalidRegionGraphError, RegionGraph, RegionVertex, canonical_code, validate
 from .surfaces import DividingSetClass, Surface, check_embeddable
 
@@ -67,8 +68,20 @@ def class_to_json_dict(d: DividingSetClass) -> dict:
     return out
 
 
+def tight_count_to_json_dict(result: TightCountResult) -> dict:
+    return {
+        "n": result.n,
+        "p": result.p,
+        "q": result.q,
+        "r": result.r,
+        "s": result.s,
+        "count": result.count,
+        "expansion": list(result.expansion.coefficients),
+    }
+
+
 def _validated(d: DividingSetClass) -> DividingSetClass:
-    violation = validate(d.graph) or check_embeddable(d)
+    violation = check_embeddable(d)
     if violation is not None:
         raise InvalidRegionGraphError(str(violation))
     return d
@@ -153,15 +166,32 @@ def _parse_json(text: str) -> DividingSetClass:
     try:
         surface = Surface(data["surface"])
         vertices = tuple(
-            RegionVertex(int(v["id"]), int(v["sign"]), int(v.get("genus", 0)))
+            RegionVertex(
+                _json_int(v["id"], "vertex id"),
+                _json_int(v["sign"], "sign"),
+                _json_int(v.get("genus", 0), "genus"),
+            )
             for v in data["vertices"]
         )
-        edges = tuple((int(a), int(b)) for a, b in data["edges"])
+        edges = tuple(_json_pair(e, "edge") for e in data["edges"])
         raw_slope = data.get("slope")
-        slope = (int(raw_slope[0]), int(raw_slope[1])) if raw_slope else None
+        slope = None if raw_slope is None else _json_pair(raw_slope, "slope")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON class: {exc}") from None
     return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false is not a number.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+
+
+def _json_pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be a list of two integers, got {json.dumps(value)}")
+    return _json_int(value[0], what), _json_int(value[1], what)
 
 
 def parse_dividing_set(text: str) -> DividingSetClass:
@@ -238,40 +268,48 @@ TABLE_COLUMNS = [
 ]
 
 
-def _record_row(record: ClassificationRecord, modulo_swap: bool) -> dict:
-    d = record.dividing_set
-    census = leaf_census(record.manifold, d)
-    return {
-        "canonical_code": canonical_code(d.graph, modulo_swap),
-        "surface": d.surface.value,
-        "V": d.graph.vertex_count,
-        "E": d.graph.edge_count,
-        "slope_p": d.slope[0] if d.slope else "",
-        "slope_q": d.slope[1] if d.slope else "",
-        "tight_count": record.tight.finite_factor,
-        "mixed_finite": record.mixed.finite_factor,
-        "mixed_rank": record.mixed.free_rank,
-        "ot_finite": record.fully_overtwisted.finite_factor,
-        "ot_rank": record.fully_overtwisted.free_rank,
-        "leaves_3": census.leaves_dim3,
-        "leaves_2": census.leaves_dim2,
-        "leaves_1": census.leaves_dim1,
-    }
+def _record_rows(records: list[ClassificationRecord], modulo_swap: bool):
+    """Table rows as tuples in ``TABLE_COLUMNS`` order, one per record.
+
+    The code, shape and census columns depend on the graph alone, so they
+    are computed once for each run of records sharing a graph object.
+    """
+    graph = manifold = None
+    for record in records:
+        d = record.dividing_set
+        if d.graph is not graph or record.manifold is not manifold:
+            graph, manifold = d.graph, record.manifold
+            census = leaf_census(manifold, d)
+            head = (
+                canonical_code(graph, modulo_swap),
+                d.surface.value,
+                graph.vertex_count,
+                graph.edge_count,
+            )
+            tail = (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1)
+        yield head + (
+            d.slope[0] if d.slope else "",
+            d.slope[1] if d.slope else "",
+            record.tight.finite_factor,
+            record.mixed.finite_factor,
+            record.mixed.free_rank,
+            record.fully_overtwisted.finite_factor,
+            record.fully_overtwisted.free_rank,
+        ) + tail
 
 
 def render_table_csv(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=TABLE_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow(_record_row(record, modulo_swap))
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TABLE_COLUMNS)
+    writer.writerows(_record_rows(records, modulo_swap))
     return buffer.getvalue()
 
 
 def render_table_jsonl(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
     lines = []
-    for record in records:
-        row = _record_row(record, modulo_swap)
+    for values in _record_rows(records, modulo_swap):
+        row = dict(zip(TABLE_COLUMNS, values))
         row["slope_p"] = row["slope_p"] or None
         row["slope_q"] = row["slope_q"] or None
         lines.append(json.dumps(row))

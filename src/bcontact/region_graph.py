@@ -128,14 +128,34 @@ class RegionGraph:
             tuple((mapping[a], mapping[b]) for a, b in self.edges),
         )
 
+    # The graph is immutable, so its verdict and canonical codes are
+    # computed on first use and kept.
+
+    @cached_property
+    def _violation(self) -> Violation | None:
+        return _first_violation(self)
+
+    @cached_property
+    def _code(self) -> str:
+        return _plain_code(self)
+
+    @cached_property
+    def _swap_code(self) -> str:
+        return min(self._code, _plain_code(self.with_swapped_signs()))
+
 
 def validate(g: RegionGraph) -> Violation | None:
     """Check all region-graph invariants; ``None`` means the graph is valid.
 
     Invariants, in the order reported: well-formed vertex/edge data,
     connectivity, proper 2-coloring by sign, no self-loops, edge count in
-    {V-1, V}, and total genus at most 1.
+    {V-1, V}, and total genus at most 1.  The verdict is computed once per
+    graph object.
     """
+    return g._violation
+
+
+def _first_violation(g: RegionGraph) -> Violation | None:
     ids = [v.id for v in g.vertices]
     if not ids:
         return Violation("malformed", "graph has no vertices")
@@ -310,13 +330,10 @@ def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
     genus-respecting multigraph isomorphism exists between them; with
     ``modulo_swap`` the code is additionally invariant under negating
     every sign.  The code is deterministic across runs and independent of
-    vertex labeling.
+    vertex labeling.  Both codes are computed once per graph object.
     """
     _require_valid(g)
-    code = _plain_code(g)
-    if modulo_swap:
-        code = min(code, _plain_code(g.with_swapped_signs()))
-    return code
+    return g._swap_code if modulo_swap else g._code
 
 
 def are_isomorphic(g1: RegionGraph, g2: RegionGraph, modulo_swap: bool = False) -> bool:

@@ -1,5 +1,6 @@
 """Classification records, leaf census, and the batch table."""
 
+import importlib
 from fractions import Fraction
 from math import comb, floor
 
@@ -13,9 +14,12 @@ from bcontact.classify import (
     classify,
     leaf_census,
 )
-from bcontact.enumeration import enum_torus_classes
+from bcontact.enumeration import ResourceLimitError, enum_torus_classes
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
+
+# The package re-exports ``classify``, which hides the submodule's name.
+CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
 
 
 def sphere_class(signs, edges):
@@ -169,3 +173,42 @@ class TestClassificationTable:
             assert record.fully_overtwisted == RegimeDescriptor(1, 2)
         for record in classification_table(S3_T2, 4, 2):
             assert record.fully_overtwisted == RegimeDescriptor(1, 4)
+
+
+class TestFactoredTable:
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_torus_table_equals_per_class_classification(self, modulo_swap):
+        classes = enum_torus_classes(6, 12, modulo_swap)
+        expected = [classify(S3_T2, d) for d in classes]
+        assert classification_table(S3_T2, 6, 12, modulo_swap) == expected
+
+    def test_classify_runs_once_per_graph_and_per_slope_on_bare_cycles(self, monkeypatch):
+        calls = []
+
+        def counting_classify(m, d):
+            calls.append(d)
+            return classify(m, d)
+
+        monkeypatch.setattr(CLASSIFY_MODULE, "classify", counting_classify)
+        records = classification_table(S3_T2, 6, 12)
+        graphs = {id(r.dividing_set.graph) for r in records}
+        bare_rows = [r for r in records if is_tight_candidate(S3_T2, r.dividing_set)]
+        bare_graphs = {id(r.dividing_set.graph) for r in bare_rows}
+        assert bare_rows
+        assert len(calls) == len(graphs) - len(bare_graphs) + len(bare_rows)
+
+
+class TestTableArguments:
+    @pytest.mark.parametrize("max_curves,max_p", [(0, 2), (4, 0), (4, -3)])
+    def test_out_of_range_bounds_are_rejected(self, max_curves, max_p):
+        for manifold in (S3_S2, S3_T2):
+            with pytest.raises(ValueError, match=">= 1"):
+                classification_table(manifold, max_curves, max_p)
+
+    def test_tree_cap_fires_before_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration ran before the cap check")
+
+        monkeypatch.setattr(CLASSIFY_MODULE, "enum_equicolored_trees", never)
+        with pytest.raises(ResourceLimitError):
+            classification_table(S3_S2, 30)

@@ -1,9 +1,13 @@
 """Command-line behavior: outputs and the exit-status contract."""
 
+import hashlib
+import importlib
 import io
 import json
 import subprocess
 import sys
+
+import pytest
 
 from bcontact.cli import run_cli
 
@@ -11,6 +15,7 @@ EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
+TORUS_TABLE_6_8_SHA256 = "99a7611afb4aba5f7d54bfd627ea462e1723977121e3a3fc439349b004fe95df"
 
 
 def run(argv):
@@ -161,6 +166,44 @@ class TestTable:
         assert all(row["surface"] == "sphere" for row in rows)
 
 
+class TestStrictJsonInput:
+    @pytest.mark.parametrize(
+        "field,value", [("slope", [3]), ("sign", 1.7), ("id", 1.5), ("genus", 1.5)]
+    )
+    def test_malformed_number_is_a_parse_error(self, monkeypatch, capsys, field, value):
+        payload = {
+            "surface": "torus",
+            "vertices": [{"id": 0, "sign": 1, "genus": 0}, {"id": 1, "sign": -1, "genus": 0}],
+            "edges": [[0, 1], [0, 1]],
+            "slope": [3, 2],
+        }
+        (payload if field == "slope" else payload["vertices"][0])[field] = value
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        status, output = run(["check", "--gamma", "-"])
+        err = capsys.readouterr().err
+        assert status == 2 and output == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestTableArguments:
+    def test_zero_slope_bound_is_an_error(self, capsys):
+        status, output = run(["table", "--manifold", "s3-t2", "--max-slope", "0"])
+        err = capsys.readouterr().err
+        assert status == 1 and output == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_sphere_tree_cap_fires_before_enumeration(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration ran before the cap check")
+
+        classify_module = importlib.import_module("bcontact.classify")
+        monkeypatch.setattr(classify_module, "enum_equicolored_trees", never)
+        status, _ = run(["table", "--manifold", "s3-s2", "--max-curves", "30"])
+        assert status == 1
+        assert "capped" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"])[0] == 2
@@ -183,6 +226,14 @@ class TestDeterminism:
         assert run(args) == run(args)
         args = ["table", "--manifold", "s3-s2", "--max-curves", "5"]
         assert run(args) == run(args)
+
+    def test_torus_table_matches_recorded_digest(self):
+        # sha256 of this table's stdout before the table was built per
+        # graph class; the rows must not change.
+        status, output = run(["table", "--manifold", "s3-t2", "--max-curves", "6",
+                              "--max-slope", "8", "--format", "csv"])
+        assert status == 0
+        assert hashlib.sha256(output.encode()).hexdigest() == TORUS_TABLE_6_8_SHA256
 
     def test_separate_processes_are_byte_identical(self):
         # Fresh interpreters get fresh hash seeds; output must not care.

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from bcontact.classify import classification_table
+from bcontact.classify import (
+    ClassificationRecord,
+    InadmissibleError,
+    classification_table,
+    leaf_census,
+)
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.formats import (
     ParseError,
@@ -16,12 +21,24 @@ from bcontact.formats import (
     render_table_csv,
     render_table_jsonl,
     serialize_class_text,
+    TABLE_COLUMNS,
     serialize_graph_text,
 )
 from bcontact.region_graph import InvalidRegionGraphError, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
+EQUATOR_JSON = json.dumps({
+    "surface": "sphere",
+    "vertices": [{"id": 0, "sign": 1, "genus": 0}, {"id": 1, "sign": -1, "genus": 0}],
+    "edges": [[0, 1]],
+})
+TWO_CYCLE_JSON = json.dumps({
+    "surface": "torus",
+    "vertices": [{"id": 0, "sign": 1, "genus": 0}, {"id": 1, "sign": -1, "genus": 0}],
+    "edges": [[0, 1], [0, 1]],
+    "slope": [3, 2],
+})
 
 
 class TestParse:
@@ -80,6 +97,30 @@ class TestParse:
     def test_json_syntax_error(self):
         with pytest.raises(ParseError):
             parse_dividing_set('{"surface": "sphere",}')
+
+    def test_json_slope_of_one_number(self):
+        payload = json.loads(TWO_CYCLE_JSON)
+        payload["slope"] = [3]
+        with pytest.raises(ParseError, match="slope"):
+            parse_dividing_set(json.dumps(payload))
+
+    def test_json_fractional_sign(self):
+        payload = json.loads(EQUATOR_JSON)
+        payload["vertices"][0]["sign"] = 1.7
+        with pytest.raises(ParseError, match="sign"):
+            parse_dividing_set(json.dumps(payload))
+
+    def test_json_fractional_id(self):
+        payload = json.loads(EQUATOR_JSON)
+        payload["vertices"][0]["id"] = 1.5
+        with pytest.raises(ParseError, match="vertex id"):
+            parse_dividing_set(json.dumps(payload))
+
+    def test_json_fractional_genus(self):
+        payload = json.loads(EQUATOR_JSON)
+        payload["vertices"][0]["genus"] = 1.5
+        with pytest.raises(ParseError, match="genus"):
+            parse_dividing_set(json.dumps(payload))
 
 
 class TestRoundTrips:
@@ -156,3 +197,62 @@ class TestTables:
         assert render_table_csv(records) == render_table_csv(
             classification_table(S3_T2, 5, 2)
         )
+
+
+def expected_rows(records, modulo_swap=False):
+    """Table rows built field by field from each record, as dicts."""
+    rows = []
+    for record in records:
+        d = record.dividing_set
+        census = leaf_census(record.manifold, d)
+        rows.append({
+            "canonical_code": canonical_code(d.graph, modulo_swap),
+            "surface": d.surface.value,
+            "V": d.graph.vertex_count,
+            "E": d.graph.edge_count,
+            "slope_p": d.slope[0] if d.slope else None,
+            "slope_q": d.slope[1] if d.slope else None,
+            "tight_count": record.tight.finite_factor,
+            "mixed_finite": record.mixed.finite_factor,
+            "mixed_rank": record.mixed.free_rank,
+            "ot_finite": record.fully_overtwisted.finite_factor,
+            "ot_rank": record.fully_overtwisted.free_rank,
+            "leaves_3": census.leaves_dim3,
+            "leaves_2": census.leaves_dim2,
+            "leaves_1": census.leaves_dim1,
+        })
+    return rows
+
+
+class TestTableRowsFieldByField:
+    CASES = [(S3_T2, 6, 5, False), (S3_T2, 6, 5, True), (S3_S2, 7, None, False), (S3_S2, 7, None, True)]
+
+    @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
+    def test_csv(self, manifold, max_curves, max_p, modulo_swap):
+        records = classification_table(manifold, max_curves, max_p, modulo_swap)
+        lines = render_table_csv(records, modulo_swap).splitlines()
+        assert lines[0] == ",".join(TABLE_COLUMNS)
+        expected = [
+            ",".join("" if row[c] is None else str(row[c]) for c in TABLE_COLUMNS)
+            for row in expected_rows(records, modulo_swap)
+        ]
+        assert lines[1:] == expected
+
+    @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
+    def test_jsonl(self, manifold, max_curves, max_p, modulo_swap):
+        records = classification_table(manifold, max_curves, max_p, modulo_swap)
+        text = render_table_jsonl(records, modulo_swap)
+        assert text == "".join(
+            json.dumps(row) + "\n" for row in expected_rows(records, modulo_swap)
+        )
+
+    def test_graph_shared_across_slopes_with_other_manifold(self):
+        # Rows are built per graph, but a record of another manifold on the
+        # same graph object still gets its own census check.
+        records = classification_table(S3_T2, 2, 2)
+        foreign = ClassificationRecord(
+            S3_S2, records[1].dividing_set, records[1].tight, records[1].mixed,
+            records[1].fully_overtwisted,
+        )
+        with pytest.raises(InadmissibleError):
+            render_table_csv([records[0], foreign])
