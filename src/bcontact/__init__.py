@@ -37,7 +37,6 @@ from .formats import (
     parse_region_graph,
     serialize_class_text,
 )
-from .oracle import brute_force_isomorphic, oracle_count_trees
 from .region_graph import (
     InvalidRegionGraphError,
     RegionGraph,
@@ -80,7 +79,6 @@ __all__ = [
     "Verdict",
     "Violation",
     "are_isomorphic",
-    "brute_force_isomorphic",
     "canonical_code",
     "catalan",
     "check_embeddable",
@@ -95,7 +93,6 @@ __all__ = [
     "is_tight_candidate",
     "leaf_census",
     "negative_continued_fraction",
-    "oracle_count_trees",
     "parse_dividing_set",
     "parse_region_graph",
     "region_euler",

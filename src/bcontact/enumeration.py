@@ -1,10 +1,15 @@
 """Generation of admissible dividing-set classes up to isomorphism.
 
-Sphere classes are equicolored trees: the unlabeled tree skeletons come
-from networkx's level-sequence enumerator (one representative per
-isomorphism class, no filtering), each balanced skeleton is colored by
-its unique bipartition, and the two sign orientations are kept or merged
-according to the sign mode.
+Sphere classes are equicolored trees.  The unlabeled tree skeletons are
+free trees given as level sequences, one per isomorphism class, from the
+Wright-Richmond-Odlyzko-McKay generator (WROM: "Constant time generation
+of free trees", SIAM J. Comput. 15, 1986), which steps through rooted
+level sequences with the Beyer-Hedetniemi successor (1980).  Vertex i of
+a skeleton is the i-th entry of its sequence and hangs from the nearest
+earlier vertex one level up, so vertex 0 is the root and a vertex's
+level parity is its side of the unique bipartition.  Each balanced
+skeleton is colored by that bipartition, and the two sign orientations
+are kept or merged according to the sign mode.
 
 Torus classes compose three shapes and filter uniformly afterwards:
 trees carrying one genus-1 region (all curves contractible), and
@@ -22,9 +27,8 @@ runs are byte-identical.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
-
-import networkx as nx
 
 from .admissibility import is_admissible
 from .region_graph import RegionGraph, RegionVertex, canonical_code
@@ -39,30 +43,105 @@ class ResourceLimitError(ValueError):
     """Raised when an enumeration request exceeds its configured cap."""
 
 
-def _bipartition(tree: nx.Graph) -> dict[int, int]:
-    color = {0: 0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in tree[u]:
-            if w not in color:
-                color[w] = 1 - color[u]
-                stack.append(w)
-    return color
+# ---------------------------------------------------------------------------
+# Free trees by level sequences (WROM).  A level sequence lists each
+# vertex's depth in preorder; the generator walks rooted trees in reverse
+# lexicographic order and jumps over every sequence that is not the
+# canonical rooting of a free tree: the root's first subtree is no taller
+# than the rest of the tree, on equal heights no larger, and on equal
+# sizes not lexicographically later.
+# ---------------------------------------------------------------------------
+
+
+def _next_rooted_tree(predecessor: list[int], p: int | None = None) -> list[int] | None:
+    """The Beyer-Hedetniemi successor of a rooted level sequence."""
+    if p is None:
+        p = len(predecessor) - 1
+        while predecessor[p] == 1:
+            p -= 1
+    if p == 0:
+        return None
+    q = p - 1
+    while predecessor[q] != predecessor[p] - 1:
+        q -= 1
+    result = list(predecessor)
+    for i in range(p, len(result)):
+        result[i] = result[i - p + q]
+    return result
+
+
+def _split_tree(layout: list[int]) -> tuple[list[int], list[int]]:
+    """The root's first subtree, and the tree with that subtree removed."""
+    m = len(layout)
+    for i in range(2, len(layout)):
+        if layout[i] == 1:
+            m = i
+            break
+    left = [level - 1 for level in layout[1:m]]
+    rest = [0] + layout[m:]
+    return left, rest
+
+
+def _next_tree(candidate: list[int]) -> list[int] | None:
+    """``candidate`` if it is a canonical free tree, else the next one."""
+    left, rest = _split_tree(candidate)
+    left_height = max(left)
+    rest_height = max(rest)
+    valid = rest_height >= left_height
+    if valid and rest_height == left_height:
+        if len(left) > len(rest) or (len(left) == len(rest) and left > rest):
+            valid = False
+    if valid:
+        return candidate
+    p = len(left)
+    new_candidate = _next_rooted_tree(candidate, p)
+    if candidate[p] > 2:
+        new_left, _ = _split_tree(new_candidate)
+        suffix = range(1, max(new_left) + 2)
+        new_candidate[-len(suffix):] = suffix
+    return new_candidate
+
+
+def _free_trees(order: int) -> Iterator[list[int]]:
+    """Level sequences of the free trees on ``order`` >= 2 vertices, one
+    per isomorphism class, starting from the path rooted at its center."""
+    layout = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
+    while layout is not None:
+        layout = _next_tree(layout)
+        if layout is not None:
+            yield layout
+            layout = _next_rooted_tree(layout)
+
+
+def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
+    """Edges of a level sequence: each vertex joins the nearest earlier
+    vertex one level up."""
+    edges = []
+    stack: list[int] = []
+    for i, level in enumerate(layout):
+        while stack and layout[stack[-1]] >= level:
+            stack.pop()
+        if stack:
+            edges.append((stack[-1], i))
+        stack.append(i)
+    return edges
 
 
 def _colored_graph(
-    tree: nx.Graph, color: dict[int, int], positive_color: int, genus_vertex: int | None = None
+    layout: list[int],
+    edges: list[tuple[int, int]],
+    positive_color: int,
+    genus_vertex: int | None = None,
 ) -> RegionGraph:
     verts = tuple(
         RegionVertex(
             v,
-            1 if color[v] == positive_color else -1,
+            1 if level & 1 == positive_color else -1,
             1 if v == genus_vertex else 0,
         )
-        for v in sorted(tree)
+        for v, level in enumerate(layout)
     )
-    return RegionGraph(verts, tuple(tree.edges()))
+    return RegionGraph(verts, edges)
 
 
 def check_tree_request(n: int, max_n: int = DEFAULT_TREE_CAP) -> None:
@@ -85,13 +164,13 @@ def enum_equicolored_trees(
     """
     check_tree_request(n, max_n)
     out: dict[str, RegionGraph] = {}
-    for tree in nx.nonisomorphic_trees(2 * n):
-        color = _bipartition(tree)
-        if sum(color.values()) != n:
+    for layout in _free_trees(2 * n):
+        if sum(level & 1 for level in layout) != n:
             continue
+        edges = _tree_edges(layout)
         orientations = (0,) if modulo_swap else (0, 1)
         for positive in orientations:
-            g = _colored_graph(tree, color, positive)
+            g = _colored_graph(layout, edges, positive)
             out.setdefault(canonical_code(g, modulo_swap), g)
     return [out[code] for code in sorted(out)]
 
@@ -135,35 +214,29 @@ def enum_torus_classes(
 
     # Trees of contractible curves around one genus-carrying region.
     for nv in range(2, max_curves + 2):
-        for tree in nx.nonisomorphic_trees(nv):
-            color = _bipartition(tree)
+        for layout in _free_trees(nv):
+            edges = _tree_edges(layout)
             for positive in (0,) if modulo_swap else (0, 1):
                 for genus_vertex in range(nv):
-                    g = _colored_graph(tree, color, positive, genus_vertex)
+                    g = _colored_graph(layout, edges, positive, genus_vertex)
                     if _admissible(DividingSetClass(Surface.TORUS, g, None)):
                         out.setdefault(canonical_code(g, modulo_swap), g)
 
     # One essential cycle, possibly with contractible trees attached:
     # every unicyclic graph is a spanning tree plus one closing edge, and
-    # a proper 2-coloring survives exactly when the closed cycle is even.
+    # a proper 2-coloring survives exactly when the closed cycle is even,
+    # i.e. when the tree path between the ends has odd length: when the
+    # ends lie on different levels mod 2.
     for nv in range(2, max_curves + 1):
-        for tree in nx.nonisomorphic_trees(nv):
-            color = _bipartition(tree)
-            dist = dict(nx.all_pairs_shortest_path_length(tree))
+        for layout in _free_trees(nv):
+            edges = _tree_edges(layout)
             for u in range(nv):
                 for v in range(u + 1, nv):
-                    if dist[u][v] % 2 == 0:
+                    if layout[u] & 1 == layout[v] & 1:
                         continue
-                    closed = nx.MultiGraph(tree)
-                    closed.add_edge(u, v)
+                    closed = edges + [(u, v)]
                     for positive in (0,) if modulo_swap else (0, 1):
-                        g = RegionGraph(
-                            tuple(
-                                RegionVertex(w, 1 if color[w] == positive else -1, 0)
-                                for w in sorted(closed)
-                            ),
-                            tuple((a, b) for a, b, _ in closed.edges(keys=True)),
-                        )
+                        g = _colored_graph(layout, closed, positive)
                         if _admissible(DividingSetClass(Surface.TORUS, g, (1, 1))):
                             out.setdefault(canonical_code(g, modulo_swap), g)
 

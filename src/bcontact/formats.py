@@ -88,10 +88,15 @@ def _validated(d: DividingSetClass) -> DividingSetClass:
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"expected an integer {what}", line, raw) from None
+    # Only ASCII -?[0-9]+: int() alone would also take "1_0", "+1" and
+    # non-ASCII digits.
+    digits = raw[1:] if raw.startswith("-") else raw
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    raise ParseError(f"expected an integer {what}", line, raw)
 
 
 def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int] | None]:

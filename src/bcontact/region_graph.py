@@ -233,10 +233,24 @@ def _vertex_tag(g: RegionGraph, vid: int) -> str:
 
 
 def _rooted_code(g: RegionGraph, root: int, parent: int | None) -> str:
-    children = sorted(
-        _rooted_code(g, w, root) for w in g.adjacency[root] if w != parent
-    )
-    return "(" + _vertex_tag(g, root) + "".join(children) + ")"
+    """AHU encoding of the subtree at ``root`` that hangs away from
+    ``parent``: a vertex's code is its tag followed by its children's codes
+    in sorted order, all in parentheses.  Built bottom-up without
+    recursion, so deep trees cannot exhaust the stack."""
+    adj = g.adjacency
+    # Breadth-first order with parents; reversed, it puts every child
+    # before its parent, and the root last.
+    order = [(root, parent)]
+    for v, p in order:
+        order.extend((w, v) for w in adj[v] if w != p)
+    children: dict[int, list[str]] = {}
+    code = ""
+    for v, p in reversed(order):
+        kids = children.pop(v, [])
+        kids.sort()
+        code = "".join(["(", _vertex_tag(g, v), *kids, ")"])
+        children.setdefault(p, []).append(code)
+    return code
 
 
 def _tree_code(g: RegionGraph) -> str:

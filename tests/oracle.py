@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .region_graph import RegionGraph
+from bcontact.region_graph import RegionGraph
 
 ORACLE_MAX_VERTICES = 10
 _BATCH = 1 << 20

@@ -17,7 +17,6 @@ from bcontact.classify import classification_table, classify, leaf_census
 from bcontact.cli import run_cli
 from bcontact.counting import catalan, negative_continued_fraction, tight_count_solid_torus
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
-from bcontact.oracle import oracle_count_trees
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import (
     S3_S2,
@@ -27,6 +26,8 @@ from bcontact.surfaces import (
     check_embeddable,
     total_euler,
 )
+
+from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
 

@@ -16,6 +16,10 @@ TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
 TORUS_TABLE_6_8_SHA256 = "99a7611afb4aba5f7d54bfd627ea462e1723977121e3a3fc439349b004fe95df"
+# sha256 of these listings' stdout while the tree skeletons came from
+# networkx; they pin the representative vertex labels that reach stdout.
+ENUM_TREES_6_SHA256 = "74e545f80e82a51f798d6f75757bca2f75a7a589745a42712be2c877221dac68"
+ENUM_TORUS_7_2_SHA256 = "7cc9c54a2deb99653834adc0a73e3fe19536f52a285d4675575112934657a01b"
 
 
 def run(argv):
@@ -143,6 +147,16 @@ class TestGammaCommands:
         status, _ = run(["check", "--gamma", str(tmp_path / "absent.txt")])
         assert status == 2
 
+    def test_check_deep_sphere_path(self, tmp_path, capsys):
+        # 4,000 regions in a row: the canonical code must not recurse per level.
+        n = 4000
+        lines = ["surface sphere"]
+        lines += [f"v {i} {'+-'[i % 2]} 0" for i in range(n)]
+        lines += [f"e {i} {i + 1}" for i in range(n - 1)]
+        status, output = run(["check", "--gamma", gamma_file(tmp_path, "\n".join(lines))])
+        assert status == 0 and "admissible yes" in output
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestTable:
     def test_sphere_table_row_count(self):
@@ -235,6 +249,19 @@ class TestDeterminism:
         assert status == 0
         assert hashlib.sha256(output.encode()).hexdigest() == TORUS_TABLE_6_8_SHA256
 
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            (["enum-trees", "--n", "6"], ENUM_TREES_6_SHA256),
+            (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
+        ],
+        ids=["enum-trees", "enum-torus"],
+    )
+    def test_enumeration_matches_recorded_digest(self, args, digest):
+        status, output = run(args + ["--format", "json"])
+        assert status == 0
+        assert hashlib.sha256(output.encode()).hexdigest() == digest
+
     def test_separate_processes_are_byte_identical(self):
         # Fresh interpreters get fresh hash seeds; output must not care.
         args = [sys.executable, "-m", "bcontact", "table", "--manifold", "s3-t2",
@@ -242,3 +269,27 @@ class TestDeterminism:
         first = subprocess.run(args, capture_output=True, check=True)
         second = subprocess.run(args, capture_output=True, check=True)
         assert first.stdout == second.stdout and first.stdout
+
+
+RUN_TIGHT_COUNT = """\
+import runpy, sys
+sys.argv = ["bcontact", "tight-count", "--n", "3", "--p", "5", "--q", "2"]
+try:
+    runpy.run_module("bcontact", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "code", ["import bcontact\n", RUN_TIGHT_COUNT], ids=["import", "tight-count"]
+    )
+    def test_no_networkx_or_numpy_at_runtime(self, code):
+        # A fresh interpreter, so modules another test imported do not count.
+        code += "print(sorted({'networkx', 'numpy'} & set(sys.modules)))\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys\n" + code],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "[]"

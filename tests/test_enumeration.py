@@ -5,12 +5,15 @@ import pytest
 from bcontact.admissibility import is_admissible
 from bcontact.enumeration import (
     ResourceLimitError,
+    _free_trees,
+    _tree_edges,
     enum_equicolored_trees,
     enum_torus_classes,
 )
-from bcontact.oracle import oracle_count_trees
 from bcontact.region_graph import canonical_code, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface, check_embeddable
+
+from oracle import oracle_count_trees
 
 
 class TestTreeCounts:
@@ -25,6 +28,23 @@ class TestTreeCounts:
         for n in (1, 2, 3, 4):
             for mode in (False, True):
                 assert len(enum_equicolored_trees(n, mode)) == oracle_count_trees(n, mode)
+
+    def test_free_tree_skeletons_match_oeis_a000055(self):
+        # Unlabeled free trees on 2..14 vertices.
+        expected = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
+        assert [sum(1 for _ in _free_trees(order)) for order in range(2, 15)] == expected
+
+    def test_free_trees_number_vertices_like_networkx(self):
+        # The first graph per class is the printed representative, so the
+        # skeletons must keep networkx's order and vertex numbering.
+        nx = pytest.importorskip("networkx")
+        for order in range(2, 13):
+            ours = [sorted(_tree_edges(layout)) for layout in _free_trees(order)]
+            theirs = [
+                sorted(tuple(sorted(e)) for e in tree.edges())
+                for tree in nx.nonisomorphic_trees(order)
+            ]
+            assert ours == theirs, order
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):

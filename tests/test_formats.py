@@ -76,6 +76,14 @@ class TestParse:
         with pytest.raises(ParseError, match="surface"):
             parse_dividing_set("v 0 + 0\nv 1 - 0\ne 0 1\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "+1"])
+    def test_integer_must_be_ascii_decimal(self, token):
+        # int() would read these as 10, 1 and 1.
+        with pytest.raises(ParseError) as excinfo:
+            parse_dividing_set(f"surface sphere\nv {token} + 0\nv 0 - 0\ne 0 {token}\n")
+        assert excinfo.value.line == 2
+        assert excinfo.value.token == token
+
     def test_duplicate_vertex_id(self):
         with pytest.raises(ParseError, match="duplicate"):
             parse_dividing_set("surface sphere\nv 0 + 0\nv 0 - 0\ne 0 0\n")

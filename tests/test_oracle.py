@@ -6,13 +6,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bcontact.oracle import (
+from bcontact.region_graph import RegionGraph
+
+from oracle import (
     _decode_batch,
     _split_trees,
     brute_force_isomorphic,
     oracle_count_trees,
 )
-from bcontact.region_graph import RegionGraph
 
 
 def prufer_decode_reference(seq, nv):

@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
-from bcontact.oracle import brute_force_isomorphic
 from bcontact.region_graph import (
     InvalidRegionGraphError,
     RegionGraph,
@@ -14,6 +13,8 @@ from bcontact.region_graph import (
     canonical_code,
     validate,
 )
+
+from oracle import brute_force_isomorphic
 
 
 def graph(signs, edges, genera=None):

@@ -10,9 +10,10 @@ from itertools import combinations_with_replacement
 
 from bcontact.admissibility import is_admissible
 from bcontact.enumeration import enum_torus_classes
-from bcontact.oracle import brute_force_isomorphic
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import S3_T2, DividingSetClass, Surface, check_embeddable
+
+from oracle import brute_force_isomorphic
 
 
 def connected(nv, edges):
