@@ -11,15 +11,27 @@ level parity is its side of the unique bipartition.  Each balanced
 skeleton is colored by that bipartition, and the two sign orientations
 are kept or merged according to the sign mode.
 
-Torus classes compose three shapes and filter uniformly afterwards:
-trees carrying one genus-1 region (all curves contractible), and
-unicyclic graphs (a ring of essential curves, possibly with contractible
-trees attached) built as tree-plus-one-edge.  Admissibility (the Euler
-pairing balance) is the only filter beyond embeddability; it is cheap and
-depends on the graph alone.  So each torus graph class is built, checked
-and coded once, and only then expanded by slope: a unicyclic class is
-paired with every normalized slope up to the bound, all the resulting
-classes sharing one graph object.
+Torus classes come in two shapes: trees carrying one genus-1 region
+(all curves contractible), and unicyclic graphs (a ring of essential
+curves, possibly with contractible trees attached) built as
+tree-plus-one-edge.  Admissibility (the Euler pairing balance) is decided
+on the level sequence, before any graph is built.  On a properly
+2-colored graph with P positive and N negative regions,
+
+    chi(Z+) - chi(Z-) = sum sign * (2 - 2 genus - deg)
+                      = 2 (P - N) - 2 sum sign * genus,
+
+because each edge joins a positive and a negative region and so adds +1
+and -1 to sum sign * deg.  A genus-1 tree is therefore admissible exactly
+when P - N is the sign of its genus region: the color classes differ in
+size by one and the genus region lies in the larger one, whichever class
+is positive.  A unicyclic graph is admissible exactly when P = N.
+Layouts and genus regions that fail this are skipped; every candidate
+still built also passes the full embeddability and admissibility check.
+Each torus graph class is built, checked and coded once, and only then
+expanded by slope: a unicyclic class is paired with every normalized
+slope up to the bound, all the resulting classes sharing one graph
+object.
 
 All output is deterministically ordered by canonical code, so repeated
 runs are byte-identical.
@@ -212,12 +224,19 @@ def enum_torus_classes(
 
     out: dict[str, RegionGraph] = {}
 
-    # Trees of contractible curves around one genus-carrying region.
+    # Trees of contractible curves around one genus-carrying region.  The
+    # balance P - N = sign(genus region) needs color classes one apart in
+    # size, with the genus region in the larger one.
     for nv in range(2, max_curves + 2):
         for layout in _free_trees(nv):
+            odd = sum(level & 1 for level in layout)
+            if abs(nv - 2 * odd) != 1:
+                continue
+            larger = int(2 * odd > nv)
+            genus_vertices = [v for v in range(nv) if layout[v] & 1 == larger]
             edges = _tree_edges(layout)
             for positive in (0,) if modulo_swap else (0, 1):
-                for genus_vertex in range(nv):
+                for genus_vertex in genus_vertices:
                     g = _colored_graph(layout, edges, positive, genus_vertex)
                     if _admissible(DividingSetClass(Surface.TORUS, g, None)):
                         out.setdefault(canonical_code(g, modulo_swap), g)
@@ -226,9 +245,11 @@ def enum_torus_classes(
     # every unicyclic graph is a spanning tree plus one closing edge, and
     # a proper 2-coloring survives exactly when the closed cycle is even,
     # i.e. when the tree path between the ends has odd length: when the
-    # ends lie on different levels mod 2.
+    # ends lie on different levels mod 2.  Balance needs P = N.
     for nv in range(2, max_curves + 1):
         for layout in _free_trees(nv):
+            if 2 * sum(level & 1 for level in layout) != nv:
+                continue
             edges = _tree_edges(layout)
             for u in range(nv):
                 for v in range(u + 1, nv):

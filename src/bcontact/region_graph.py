@@ -313,14 +313,39 @@ def _pendant_code(g: RegionGraph, vid: int, on_cycle: set[int]) -> str:
     return "(" + _vertex_tag(g, vid) + "".join(children) + ")"
 
 
+def _least_rotation(seq: list[str]) -> int:
+    """Start of the lexicographically least rotation of ``seq``, in linear
+    time (Booth, "Lexicographically least circular substrings", 1980):
+    a Knuth-Morris-Pratt failure function over the doubled sequence,
+    restarted whenever a smaller candidate start turns up."""
+    doubled = seq + seq
+    failure = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = failure[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if x != doubled[k + i + 1]:
+            # Here i == -1: x is compared with the candidate's first entry.
+            if x < doubled[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return k
+
+
 def _min_rotation(seq: list[str]) -> tuple[str, ...]:
+    """The least of all rotations of ``seq`` and of its reverse."""
     best = None
-    n = len(seq)
     for candidate in (seq, seq[::-1]):
-        for shift in range(n):
-            rotated = tuple(candidate[shift:] + candidate[:shift])
-            if best is None or rotated < best:
-                best = rotated
+        k = _least_rotation(candidate)
+        rotated = tuple(candidate[k:] + candidate[:k])
+        if best is None or rotated < best:
+            best = rotated
     return best
 
 

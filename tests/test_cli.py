@@ -20,6 +20,11 @@ TORUS_TABLE_6_8_SHA256 = "99a7611afb4aba5f7d54bfd627ea462e1723977121e3a3fc439349
 # networkx; they pin the representative vertex labels that reach stdout.
 ENUM_TREES_6_SHA256 = "74e545f80e82a51f798d6f75757bca2f75a7a589745a42712be2c877221dac68"
 ENUM_TORUS_7_2_SHA256 = "7cc9c54a2deb99653834adc0a73e3fe19536f52a285d4675575112934657a01b"
+# sha256 of this swap-identified listing before torus candidates were
+# gated on color balance; the gate must not change the representatives.
+ENUM_TORUS_9_3_SWAP_SHA256 = (
+    "064438713e705ac8f841406edcd5a6047162f54a6b7f56f6ddb9b4564ae2fe0a"
+)
 
 
 def run(argv):
@@ -157,6 +162,17 @@ class TestGammaCommands:
         assert status == 0 and "admissible yes" in output
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_check_long_essential_ring(self, tmp_path):
+        # 16,000 essential curves in one ring: the cycle's canonical rotation
+        # must be found in linear time.
+        n = 16000
+        lines = ["surface torus"]
+        lines += [f"v {i} {'+-'[i % 2]} 0" for i in range(n)]
+        lines += [f"e {i} {(i + 1) % n}" for i in range(n)]
+        lines += ["slope 3 2"]
+        status, output = run(["check", "--gamma", gamma_file(tmp_path, "\n".join(lines))])
+        assert status == 0 and "admissible yes" in output
+
 
 class TestTable:
     def test_sphere_table_row_count(self):
@@ -254,8 +270,10 @@ class TestDeterminism:
         [
             (["enum-trees", "--n", "6"], ENUM_TREES_6_SHA256),
             (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
+            (["enum-torus", "--max-curves", "9", "--max-slope", "3",
+              "--no-distinguish-signs"], ENUM_TORUS_9_3_SWAP_SHA256),
         ],
-        ids=["enum-trees", "enum-torus"],
+        ids=["enum-trees", "enum-torus", "enum-torus-swap"],
     )
     def test_enumeration_matches_recorded_digest(self, args, digest):
         status, output = run(args + ["--format", "json"])

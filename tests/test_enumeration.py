@@ -2,9 +2,11 @@
 
 import pytest
 
-from bcontact.admissibility import is_admissible
+from bcontact.admissibility import euler_pairing, is_admissible
 from bcontact.enumeration import (
     ResourceLimitError,
+    _admissible,
+    _colored_graph,
     _free_trees,
     _tree_edges,
     enum_equicolored_trees,
@@ -125,3 +127,43 @@ class TestTorusClasses:
             enum_torus_classes(2, 10**6)
         with pytest.raises(ValueError):
             enum_torus_classes(0, 1)
+
+
+def _counted_balance(g):
+    """2 (P - N) - 2 sum sign * genus, counted from the vertices."""
+    positive = sum(1 for v in g.vertices if v.sign > 0)
+    negative = g.vertex_count - positive
+    return 2 * (positive - negative) - 2 * sum(v.sign * v.genus for v in g.vertices)
+
+
+class TestTorusBalanceGate:
+    def test_layout_condition_is_exactly_admissibility(self):
+        # Every ungated torus candidate on up to nine regions: the Euler
+        # pairing is the counted balance, and the level-sequence condition
+        # that gates enumeration accepts exactly the admissible candidates.
+        checked = 0
+        for nv in range(2, 10):
+            for layout in _free_trees(nv):
+                odd = sum(level & 1 for level in layout)
+                edges = _tree_edges(layout)
+                for positive in (0, 1):
+                    for genus_vertex in range(nv):
+                        g = _colored_graph(layout, edges, positive, genus_vertex)
+                        d = DividingSetClass(Surface.TORUS, g, None)
+                        gated_in = (
+                            abs(nv - 2 * odd) == 1
+                            and layout[genus_vertex] & 1 == int(2 * odd > nv)
+                        )
+                        assert euler_pairing(d) == _counted_balance(g)
+                        assert _admissible(d) == gated_in, (layout, positive, genus_vertex)
+                        checked += 1
+                    for u in range(nv):
+                        for v in range(u + 1, nv):
+                            if layout[u] & 1 == layout[v] & 1:
+                                continue
+                            g = _colored_graph(layout, edges + [(u, v)], positive)
+                            d = DividingSetClass(Surface.TORUS, g, (1, 1))
+                            assert euler_pairing(d) == _counted_balance(g)
+                            assert _admissible(d) == (2 * odd == nv), (layout, u, v)
+                            checked += 1
+        assert checked == 4310

@@ -9,6 +9,7 @@ from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import (
     InvalidRegionGraphError,
     RegionGraph,
+    _min_rotation,
     are_isomorphic,
     canonical_code,
     validate,
@@ -202,3 +203,27 @@ class TestAreIsomorphic:
                             if w in alive:
                                 degrees[w] -= 1
             assert len(alive) % 2 == 0
+
+
+class TestMinRotation:
+    @staticmethod
+    def brute_force(seq):
+        return min(
+            tuple(candidate[k:] + candidate[:k])
+            for candidate in (seq, seq[::-1])
+            for k in range(len(seq))
+        )
+
+    def test_matches_every_rotation_and_reflection(self):
+        rng = random.Random(1980)
+        alphabet = ["(+0)", "(-0)", "(+0(-0))", "(-0(+0))", "(+0(-0)(-0))"]
+        for trial in range(3000):
+            n = rng.randint(1, 12)
+            letters = alphabet[: rng.randint(1, len(alphabet))]
+            if trial % 2:
+                # Periodic: a random block repeated, so rotations tie.
+                block = [rng.choice(letters) for _ in range(rng.randint(1, n))]
+                seq = block * (n // len(block))
+            else:
+                seq = [rng.choice(letters) for _ in range(n)]
+            assert _min_rotation(seq) == self.brute_force(seq), seq
