@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .region_graph import InvalidRegionGraphError
-from .surfaces import DividingSetClass, ManifoldSpec, Surface, check_embeddable, region_euler
+from .surfaces import DividingSetClass, ManifoldSpec, Surface, region_euler, require_embeddable
 
 
 @dataclass(frozen=True)
@@ -34,15 +33,9 @@ class Verdict:
         return self.ok
 
 
-def _require_embeddable(d: DividingSetClass) -> None:
-    violation = check_embeddable(d)
-    if violation is not None:
-        raise InvalidRegionGraphError(str(violation))
-
-
 def euler_pairing(d: DividingSetClass) -> int:
     """chi(Z+) - chi(Z-) for the positive and negative parts of the cut surface."""
-    _require_embeddable(d)
+    require_embeddable(d)
     g = d.graph
     return sum(
         v.sign * region_euler(v.genus, g.degrees[v.id]) for v in g.vertices

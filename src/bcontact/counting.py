@@ -16,7 +16,9 @@ degenerates: its expansion is the single coefficient [-1] and r = s = 1,
 which collapses the count to C_n.
 
 Everything here is exact integer arithmetic; the counts outgrow 64 bits
-quickly (C_34 already does).
+quickly (C_34 already does).  n and p are capped before any of it:
+C_n has about 0.6 n digits, and the expansion of p/(p-1) has p - 1
+coefficients.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+
+TIGHT_N_CAP = 100_000
+SLOPE_P_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -72,6 +77,8 @@ class TightCountResult:
 
 
 def _check_slope(p: int, q: int) -> None:
+    if p > SLOPE_P_CAP:
+        raise ValueError(f"slope numerator capped at p={SLOPE_P_CAP}, got {p}")
     if not (0 < q <= p):
         raise ValueError(f"slope ({p},{q}) must satisfy 0 < q <= p")
     if gcd(p, q) != 1:
@@ -127,6 +134,8 @@ def tight_count_solid_torus(n: int, p: int, q: int) -> TightCountResult:
     """N(n, -p, q) = C_n ((r - s) n + s) for 2n boundary curves of slope -p/q."""
     if n < 1:
         raise ValueError("the boundary carries 2n curves with n >= 1")
+    if n > TIGHT_N_CAP:
+        raise ValueError(f"tight count capped at n={TIGHT_N_CAP}, got {n}")
     cf = negative_continued_fraction(p, q)
     r, s = expansion_products(cf)
     count = catalan(n) * ((r - s) * n + s)

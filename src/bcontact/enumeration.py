@@ -26,8 +26,10 @@ and -1 to sum sign * deg.  A genus-1 tree is therefore admissible exactly
 when P - N is the sign of its genus region: the color classes differ in
 size by one and the genus region lies in the larger one, whichever class
 is positive.  A unicyclic graph is admissible exactly when P = N.
-Layouts and genus regions that fail this are skipped; every candidate
-still built also passes the full embeddability and admissibility check.
+Layouts and genus regions that fail this are skipped, and every
+candidate that is built is admissible; ``TestTorusBalanceGate`` in the
+test suite builds every ungated candidate on up to nine regions and
+checks that the gate accepts exactly the admissible ones.
 Each torus graph class is built, checked and coded once, and only then
 expanded by slope: a unicyclic class is paired with every normalized
 slope up to the bound, all the resulting classes sharing one graph
@@ -42,13 +44,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from math import gcd
 
-from .admissibility import is_admissible
 from .region_graph import RegionGraph, RegionVertex, canonical_code
-from .surfaces import S3_T2, DividingSetClass, Surface, check_embeddable
+from .surfaces import DividingSetClass, Surface
 
-DEFAULT_TREE_CAP = 10
-DEFAULT_CURVE_CAP = 16
-DEFAULT_SLOPE_CAP = 256
+TREE_CAP = 10
+CURVE_CAP = 16
+SLOPE_CAP = 256
 
 
 class ResourceLimitError(ValueError):
@@ -156,17 +157,15 @@ def _colored_graph(
     return RegionGraph(verts, edges)
 
 
-def check_tree_request(n: int, max_n: int = DEFAULT_TREE_CAP) -> None:
+def check_tree_request(n: int) -> None:
     """Reject a tree enumeration of 2n vertices out of range, before any work."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_n:
-        raise ResourceLimitError(f"tree enumeration capped at n={max_n}, got {n}")
+    if n > TREE_CAP:
+        raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
 
 
-def enum_equicolored_trees(
-    n: int, modulo_swap: bool = False, max_n: int = DEFAULT_TREE_CAP
-) -> list[RegionGraph]:
+def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGraph]:
     """All equicolored trees on 2n vertices, one per isomorphism class.
 
     With ``modulo_swap`` the two global sign orientations of each balanced
@@ -174,7 +173,7 @@ def enum_equicolored_trees(
     automorphism exchanges the color classes.  Deterministically sorted
     by canonical code.
     """
-    check_tree_request(n, max_n)
+    check_tree_request(n)
     out: dict[str, RegionGraph] = {}
     for layout in _free_trees(2 * n):
         if sum(level & 1 for level in layout) != n:
@@ -193,16 +192,8 @@ def _normalized_slopes(max_p: int) -> list[tuple[int, int]]:
     ]
 
 
-def _admissible(d: DividingSetClass) -> bool:
-    return check_embeddable(d) is None and bool(is_admissible(S3_T2, d))
-
-
 def enum_torus_classes(
-    max_curves: int,
-    max_p: int,
-    modulo_swap: bool = False,
-    max_curves_cap: int = DEFAULT_CURVE_CAP,
-    max_p_cap: int = DEFAULT_SLOPE_CAP,
+    max_curves: int, max_p: int, modulo_swap: bool = False
 ) -> list[DividingSetClass]:
     """All admissible torus dividing-set classes with at most ``max_curves``
     curves and slopes bounded by ``max_p``, one per isomorphism class.
@@ -213,14 +204,12 @@ def enum_torus_classes(
     """
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
-    if max_curves > max_curves_cap:
+    if max_curves > CURVE_CAP:
         raise ResourceLimitError(
-            f"torus enumeration capped at {max_curves_cap} curves, got {max_curves}"
+            f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
         )
-    if max_p > max_p_cap:
-        raise ResourceLimitError(
-            f"slope bound capped at {max_p_cap}, got {max_p}"
-        )
+    if max_p > SLOPE_CAP:
+        raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
     out: dict[str, RegionGraph] = {}
 
@@ -238,8 +227,7 @@ def enum_torus_classes(
             for positive in (0,) if modulo_swap else (0, 1):
                 for genus_vertex in genus_vertices:
                     g = _colored_graph(layout, edges, positive, genus_vertex)
-                    if _admissible(DividingSetClass(Surface.TORUS, g, None)):
-                        out.setdefault(canonical_code(g, modulo_swap), g)
+                    out.setdefault(canonical_code(g, modulo_swap), g)
 
     # One essential cycle, possibly with contractible trees attached:
     # every unicyclic graph is a spanning tree plus one closing edge, and
@@ -258,11 +246,9 @@ def enum_torus_classes(
                     closed = edges + [(u, v)]
                     for positive in (0,) if modulo_swap else (0, 1):
                         g = _colored_graph(layout, closed, positive)
-                        if _admissible(DividingSetClass(Surface.TORUS, g, (1, 1))):
-                            out.setdefault(canonical_code(g, modulo_swap), g)
+                        out.setdefault(canonical_code(g, modulo_swap), g)
 
-    # Admissibility depends on the graph alone (unicyclic graphs are tested
-    # with the placeholder slope (1, 1)), so slopes are paired last.
+    # Admissibility depends on the graph alone, so slopes are paired last.
     slopes = _normalized_slopes(max_p)
     return [
         DividingSetClass(Surface.TORUS, g, slope)

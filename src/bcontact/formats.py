@@ -23,7 +23,7 @@ import json
 from .classify import ClassificationRecord, leaf_census
 from .counting import TightCountResult
 from .region_graph import InvalidRegionGraphError, RegionGraph, RegionVertex, canonical_code, validate
-from .surfaces import DividingSetClass, Surface, check_embeddable
+from .surfaces import DividingSetClass, Surface, require_embeddable
 
 
 class ParseError(ValueError):
@@ -78,13 +78,6 @@ def tight_count_to_json_dict(result: TightCountResult) -> dict:
         "count": result.count,
         "expansion": list(result.expansion.coefficients),
     }
-
-
-def _validated(d: DividingSetClass) -> DividingSetClass:
-    violation = check_embeddable(d)
-    if violation is not None:
-        raise InvalidRegionGraphError(str(violation))
-    return d
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:
@@ -207,8 +200,8 @@ def parse_dividing_set(text: str) -> DividingSetClass:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return _validated(_parse_json(text))
-    return _validated(_parse_text(text))
+        return require_embeddable(_parse_json(text))
+    return require_embeddable(_parse_text(text))
 
 
 def parse_region_graph(text: str) -> RegionGraph:
@@ -226,7 +219,7 @@ def export_dot(d: DividingSetClass) -> str:
     """Graphviz text for a class, embedding its full serialization as
     ``//`` comments so the class can be recovered from the export alone.
     """
-    _validated(d)
+    require_embeddable(d)
     lines = ["graph dividing_set {"]
     for meta in serialize_class_text(d).splitlines():
         lines.append(f"  // {meta}")

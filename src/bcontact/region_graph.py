@@ -14,7 +14,10 @@ Isotopy classes of curve systems correspond to isomorphism classes of
 these graphs, so the module's main job is an exact canonical form:
 ``canonical_code`` assigns equal byte strings to two graphs exactly when
 a sign- and genus-respecting multigraph isomorphism exists between them
-(optionally up to negating every sign at once).
+(optionally up to negating every sign at once).  One leaf-peeling pass
+codes the stripped trees and leaves the tree's center or the graph's
+cycle to code last; the sign-swapped code is the same pass with every
+sign negated.
 """
 
 from __future__ import annotations
@@ -116,12 +119,6 @@ class RegionGraph:
     def genus_of(self, vid: int) -> int:
         return self.by_id[vid].genus
 
-    def with_swapped_signs(self) -> RegionGraph:
-        return RegionGraph(
-            tuple(RegionVertex(v.id, -v.sign, v.genus) for v in self.vertices),
-            self.edges,
-        )
-
     def relabeled(self, mapping: dict[int, int]) -> RegionGraph:
         return RegionGraph(
             tuple(RegionVertex(mapping[v.id], v.sign, v.genus) for v in self.vertices),
@@ -141,7 +138,7 @@ class RegionGraph:
 
     @cached_property
     def _swap_code(self) -> str:
-        return min(self._code, _plain_code(self.with_swapped_signs()))
+        return min(self._code, _plain_code(self, -1))
 
 
 def validate(g: RegionGraph) -> Violation | None:
@@ -221,96 +218,67 @@ def _require_valid(g: RegionGraph) -> None:
 # Canonical form.
 #
 # Validity restricts graphs to labeled trees and labeled unicyclic
-# multigraphs, and both families admit exact linear-time canonical forms:
-# rooted-subtree encodings hung from the tree center, and the minimal
-# rotation/reflection of the cycle's sequence of pendant-tree encodings.
+# multigraphs, and both admit exact canonical forms from one iterative
+# leaf-peeling pass.  It strips leaves layer by layer and gives each
+# stripped vertex its AHU code (Aho-Hopcroft-Ullman 1974): its tag, then
+# the sorted codes of the vertices stripped into it, in parentheses.  What
+# is left is the core: the one or two centers of a tree, or the cycle of a
+# unicyclic graph.  A tree's code is its sorted core codes, a unicyclic
+# graph's the least rotation or reflection of its core codes along the
+# cycle.  Swapping all signs only negates each tag, so the swapped code is
+# the same pass with the sign factor -1.
 # ---------------------------------------------------------------------------
 
 
-def _vertex_tag(g: RegionGraph, vid: int) -> str:
-    v = g.by_id[vid]
-    return ("+" if v.sign > 0 else "-") + str(v.genus)
+# Tags by (sign, genus); a valid graph has no other pairs.
+_TAGS = {(1, 0): "+0", (1, 1): "+1", (-1, 0): "-0", (-1, 1): "-1"}
 
 
-def _rooted_code(g: RegionGraph, root: int, parent: int | None) -> str:
-    """AHU encoding of the subtree at ``root`` that hangs away from
-    ``parent``: a vertex's code is its tag followed by its children's codes
-    in sorted order, all in parentheses.  Built bottom-up without
-    recursion, so deep trees cannot exhaust the stack."""
+def _peel(g: RegionGraph, flip: int) -> dict[int, str]:
+    """Code of each core vertex, after leaves are stripped layer by layer
+    while a layer exists and more than two vertices are alive.  A tag is
+    the vertex's sign times ``flip``, then its genus."""
+    tags = {v.id: _TAGS[v.sign * flip, v.genus] for v in g.vertices}
     adj = g.adjacency
-    # Breadth-first order with parents; reversed, it puts every child
-    # before its parent, and the root last.
-    order = [(root, parent)]
-    for v, p in order:
-        order.extend((w, v) for w in adj[v] if w != p)
-    children: dict[int, list[str]] = {}
-    code = ""
-    for v, p in reversed(order):
-        kids = children.pop(v, [])
-        kids.sort()
-        code = "".join(["(", _vertex_tag(g, v), *kids, ")"])
-        children.setdefault(p, []).append(code)
-    return code
-
-
-def _tree_code(g: RegionGraph) -> str:
-    # Center of the tree: strip leaves until one or two vertices remain.
     degrees = dict(g.degrees)
     alive = set(degrees)
-    layer = [v for v in alive if degrees[v] <= 1]
-    while len(alive) > 2:
+    stripped_into: dict[int, list[str]] = {v: [] for v in degrees}
+    layer = [v for v, d in degrees.items() if d <= 1]
+    while layer and len(alive) > 2:
         nxt = []
         for v in layer:
             alive.discard(v)
-            for w in g.adjacency[v]:
+            kids = stripped_into.pop(v)
+            kids.sort()
+            code = "".join(["(", tags[v], *kids, ")"])
+            # A stripped vertex has exactly one live neighbor: two adjacent
+            # leaves would be the whole live graph, and it has > 2 vertices.
+            for w in adj[v]:
                 if w in alive:
+                    stripped_into[w].append(code)
                     degrees[w] -= 1
                     if degrees[w] == 1:
                         nxt.append(w)
         layer = nxt
-    centers = sorted(alive)
-    if len(centers) == 1:
-        return "T" + _rooted_code(g, centers[0], None)
-    a, b = centers
-    halves = sorted([_rooted_code(g, a, b), _rooted_code(g, b, a)])
-    return "T" + "".join(halves)
+    return {
+        v: "".join(["(", tags[v], *sorted(stripped_into[v]), ")"]) for v in alive
+    }
 
 
-def _cycle_vertices(g: RegionGraph) -> list[int]:
-    """Vertices on the unique cycle, in cyclic walk order."""
-    degrees = dict(g.degrees)
-    alive = set(degrees)
-    layer = [v for v in alive if degrees[v] == 1]
-    while layer:
-        nxt = []
-        for v in layer:
-            alive.discard(v)
-            for w in g.adjacency[v]:
-                if w in alive:
-                    degrees[w] -= 1
-                    if degrees[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    cycle = sorted(alive)
+def _cycle_walk(g: RegionGraph, cycle: dict[int, str]) -> list[int]:
+    """The vertices of the unique cycle, in cyclic walk order."""
     if len(cycle) == 2:
-        return cycle
+        return sorted(cycle)
     # Cycles of length >= 3 are simple, so each cycle vertex has exactly two
     # cycle neighbors and the walk is forced once a direction is chosen.
-    order = [cycle[0]]
+    order = [min(cycle)]
     prev = None
     while len(order) < len(cycle):
         current = order[-1]
-        nxt = min(w for w in g.adjacency[current] if w in alive and w != prev)
+        nxt = min(w for w in g.adjacency[current] if w in cycle and w != prev)
         order.append(nxt)
         prev = current
     return order
-
-
-def _pendant_code(g: RegionGraph, vid: int, on_cycle: set[int]) -> str:
-    children = sorted(
-        _rooted_code(g, w, vid) for w in g.adjacency[vid] if w not in on_cycle
-    )
-    return "(" + _vertex_tag(g, vid) + "".join(children) + ")"
 
 
 def _least_rotation(seq: list[str]) -> int:
@@ -349,17 +317,12 @@ def _min_rotation(seq: list[str]) -> tuple[str, ...]:
     return best
 
 
-def _unicyclic_code(g: RegionGraph) -> str:
-    cycle = _cycle_vertices(g)
-    on_cycle = set(cycle)
-    codes = [_pendant_code(g, v, on_cycle) for v in cycle]
-    return f"C{len(cycle)}" + "".join(_min_rotation(codes))
-
-
-def _plain_code(g: RegionGraph) -> str:
+def _plain_code(g: RegionGraph, flip: int = 1) -> str:
+    core = _peel(g, flip)
     if g.edge_count == g.vertex_count - 1:
-        return _tree_code(g)
-    return _unicyclic_code(g)
+        return "T" + "".join(sorted(core.values()))
+    cycle = _cycle_walk(g, core)
+    return f"C{len(cycle)}" + "".join(_min_rotation([core[v] for v in cycle]))
 
 
 def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
@@ -379,6 +342,4 @@ def are_isomorphic(g1: RegionGraph, g2: RegionGraph, modulo_swap: bool = False) 
     """Whether a sign-preserving (or, with ``modulo_swap``, possibly
     globally sign-negating) genus-preserving multigraph isomorphism exists.
     """
-    _require_valid(g1)
-    _require_valid(g2)
     return canonical_code(g1, modulo_swap) == canonical_code(g2, modulo_swap)

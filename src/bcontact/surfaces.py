@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .region_graph import RegionGraph, Violation, validate
+from .region_graph import InvalidRegionGraphError, RegionGraph, Violation, validate
 
 
 class Surface(enum.Enum):
@@ -135,6 +135,14 @@ def check_embeddable(d: DividingSetClass) -> Violation | None:
     if d.slope is None:
         return Violation("slope", "essential torus curves require a slope (p, q)")
     return _slope_violation(d.slope)
+
+
+def require_embeddable(d: DividingSetClass) -> DividingSetClass:
+    """``d`` itself, or ``InvalidRegionGraphError`` naming its first violation."""
+    violation = check_embeddable(d)
+    if violation is not None:
+        raise InvalidRegionGraphError(str(violation))
+    return d
 
 
 def total_euler(d: DividingSetClass) -> int:

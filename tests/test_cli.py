@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from bcontact import counting
 from bcontact.cli import run_cli
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
@@ -16,6 +17,16 @@ TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
 TORUS_TABLE_6_8_SHA256 = "99a7611afb4aba5f7d54bfd627ea462e1723977121e3a3fc439349b004fe95df"
+# sha256 of these tables' stdout while canonical codes were built by one
+# AHU walk per root and a sign-swapped copy of each graph; they pin the
+# sphere code strings and the swap-identified codes.
+SPHERE_TABLE_13_SHA256 = "33e8cc67ca2562232ad315fe9ba5903348c553cf97405526908d8fd9e82e9464"
+SPHERE_TABLE_13_SWAP_SHA256 = (
+    "944af6722d63ac45c8aa9aaa663372cd456eb173cef8d008c661138cbccc1edf"
+)
+TORUS_TABLE_8_4_SWAP_SHA256 = (
+    "dc174aef44c000ad8a6c6a2a67440b29b9c84171e2be2c43c22cb5eea6a1f0dd"
+)
 # sha256 of these listings' stdout while the tree skeletons came from
 # networkx; they pin the representative vertex labels that reach stdout.
 ENUM_TREES_6_SHA256 = "74e545f80e82a51f798d6f75757bca2f75a7a589745a42712be2c877221dac68"
@@ -96,6 +107,37 @@ class TestArithmeticCommands:
     def test_non_coprime_is_domain_error(self):
         status, _ = run(["cf", "--p", "4", "--q", "2"])
         assert status == 1
+
+    def test_tight_count_n_cap_fires_before_arithmetic(self, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("arithmetic ran past the cap")
+
+        monkeypatch.setattr(counting, "catalan", never)
+        monkeypatch.setattr(counting, "negative_continued_fraction", never)
+        status, output = run(["tight-count", "--n", "1000000", "--p", "3", "--q", "2"])
+        assert status == 1 and output == ""
+        assert capsys.readouterr().err == (
+            "error: tight count capped at n=100000, got 1000000\n"
+        )
+
+    def test_cf_p_cap(self, capsys):
+        status, output = run(["cf", "--p", "1000001", "--q", "2"])
+        assert status == 1 and output == ""
+        assert capsys.readouterr().err == (
+            "error: slope numerator capped at p=1000000, got 1000001\n"
+        )
+
+    def test_cf_at_the_p_cap(self):
+        status, output = run(["cf", "--p", "1000000", "--q", "999999"])
+        assert status == 0 and output.split() == ["-2"] * 999999
+
+    def test_gamma_slope_p_cap(self, tmp_path, capsys):
+        ring = TWO_CYCLE_32.replace("slope 3 2", "slope 1000001 2")
+        status, _ = run(["classify", "--gamma", gamma_file(tmp_path, ring)])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            "error: slope numerator capped at p=1000000, got 1000001\n"
+        )
 
 
 class TestGammaCommands:
@@ -257,13 +299,24 @@ class TestDeterminism:
         args = ["table", "--manifold", "s3-s2", "--max-curves", "5"]
         assert run(args) == run(args)
 
-    def test_torus_table_matches_recorded_digest(self):
-        # sha256 of this table's stdout before the table was built per
-        # graph class; the rows must not change.
-        status, output = run(["table", "--manifold", "s3-t2", "--max-curves", "6",
-                              "--max-slope", "8", "--format", "csv"])
+    @pytest.mark.parametrize(
+        "args,digest",
+        [
+            # Recorded before the torus table was built per graph class.
+            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"],
+             TORUS_TABLE_6_8_SHA256),
+            (["--manifold", "s3-s2", "--max-curves", "13"], SPHERE_TABLE_13_SHA256),
+            (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"],
+             SPHERE_TABLE_13_SWAP_SHA256),
+            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
+              "--no-distinguish-signs"], TORUS_TABLE_8_4_SWAP_SHA256),
+        ],
+        ids=["s3-t2-6-8", "s3-s2-13", "s3-s2-13-swap", "s3-t2-8-4-swap"],
+    )
+    def test_table_matches_recorded_digest(self, args, digest):
+        status, output = run(["table", *args, "--format", "csv"])
         assert status == 0
-        assert hashlib.sha256(output.encode()).hexdigest() == TORUS_TABLE_6_8_SHA256
+        assert hashlib.sha256(output.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "args,digest",

@@ -4,6 +4,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import (
@@ -227,3 +229,70 @@ class TestMinRotation:
             else:
                 seq = [rng.choice(letters) for _ in range(n)]
             assert _min_rotation(seq) == self.brute_force(seq), seq
+
+
+@st.composite
+def small_graphs(draw):
+    """A valid graph on at most nine vertices: a tree, or an even cycle
+    (a 2-cycle is a doubled edge) with pendant trees; at most one region
+    carries genus.  Each vertex after the core hangs from an earlier one,
+    and colors alternate along every edge."""
+    nv = draw(st.integers(1, 9))
+    cycle = draw(st.sampled_from([0] + [k for k in (2, 4, 6, 8) if k <= nv]))
+    color = [i & 1 for i in range(max(cycle, 1))]
+    edges = [(i, (i + 1) % cycle) for i in range(cycle)]
+    for v in range(len(color), nv):
+        parent = draw(st.integers(0, v - 1))
+        color.append(1 - color[parent])
+        edges.append((parent, v))
+    positive = draw(st.integers(0, 1))
+    genus_vertex = draw(st.none() | st.integers(0, nv - 1))
+    return RegionGraph(
+        [(v, 1 if c == positive else -1, int(v == genus_vertex)) for v, c in enumerate(color)],
+        edges,
+    )
+
+
+def swap_two_edges(g, i, j):
+    """Exchange the negative ends of two edges: degrees, signs and genera
+    stay, the shape may not; ``None`` when the result is invalid."""
+    edges = list(g.edges)
+    (a, b), (c, d) = edges[i], edges[j]
+    if g.sign_of(a) < 0:
+        a, b = b, a
+    if g.sign_of(c) < 0:
+        c, d = d, c
+    edges[i], edges[j] = (a, d), (c, b)
+    h = RegionGraph(g.vertices, edges)
+    return h if validate(h) is None else None
+
+
+@st.composite
+def graph_pairs(draw):
+    """A relabeled pair: a graph with itself, with a degree-preserving edge
+    swap of itself, or with an independent graph."""
+    a = draw(small_graphs())
+    kind = draw(st.sampled_from(["same", "swapped", "independent"]))
+    b = a
+    if kind == "independent":
+        b = draw(small_graphs())
+    elif kind == "swapped":
+        swaps = [
+            h
+            for i in range(a.edge_count)
+            for j in range(i + 1, a.edge_count)
+            if (h := swap_two_edges(a, i, j)) is not None and h.edges != a.edges
+        ]
+        if swaps:
+            b = draw(st.sampled_from(swaps))
+    images = draw(st.permutations(range(b.vertex_count)))
+    return a, b.relabeled(dict(zip(b.vertex_ids, images)))
+
+
+class TestCanonicalFormProperty:
+    @settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    @given(graph_pairs())
+    def test_agrees_with_bijection_search(self, pair):
+        a, b = pair
+        for mode in (False, True):
+            assert are_isomorphic(a, b, mode) == brute_force_isomorphic(a, b, mode)
