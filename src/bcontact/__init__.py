@@ -34,7 +34,6 @@ from .formats import (
     ParseError,
     export_dot,
     parse_dividing_set,
-    parse_region_graph,
     serialize_class_text,
 )
 from .region_graph import (
@@ -94,7 +93,6 @@ __all__ = [
     "leaf_census",
     "negative_continued_fraction",
     "parse_dividing_set",
-    "parse_region_graph",
     "region_euler",
     "serialize_class_text",
     "tight_count_solid_torus",

@@ -75,7 +75,12 @@ def is_tight_candidate(m: ManifoldSpec, d: DividingSetClass) -> Verdict:
     admissible = is_admissible(m, d)
     if not admissible:
         return Verdict(False, admissible.reason)
+    return tight_shape(d)
 
+
+def tight_shape(d: DividingSetClass) -> Verdict:
+    """The shape half of ``is_tight_candidate``, for a class already known
+    to be admissible: one edge on the sphere, a bare cycle on the torus."""
     g = d.graph
     if d.surface is Surface.SPHERE:
         if g.edge_count == 1:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .admissibility import is_admissible, is_tight_candidate
+from .admissibility import is_admissible, tight_shape
 from .counting import TightCountResult, tight_count_solid_torus
 from .enumeration import check_tree_request, enum_equicolored_trees, enum_torus_classes
 from .region_graph import canonical_code
@@ -85,7 +85,7 @@ def _require_admissible(m: ManifoldSpec, d: DividingSetClass) -> None:
 def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
     """Full classification record of b-contact structures inducing ``d``."""
     _require_admissible(m, d)
-    tight_candidate = is_tight_candidate(m, d)
+    tight_candidate = tight_shape(d)
 
     if d.surface is Surface.SPHERE:
         if tight_candidate:

@@ -30,7 +30,15 @@ Layouts and genus regions that fail this are skipped, and every
 candidate that is built is admissible; ``TestTorusBalanceGate`` in the
 test suite builds every ungated candidate on up to nine regions and
 checks that the gate accepts exactly the admissible ones.
-Each torus graph class is built, checked and coded once, and only then
+
+Candidates are coded before anything is built.  A skeleton's canonical
+codes come from its level sequence's index arrays (``code_of``), one per
+coloring; negating every sign exchanges the two colorings, so the pair
+also gives the sign-swapped code.  A ``RegionGraph`` is built only for a
+class that is emitted, by the generator-only constructor, which
+validates it once and seeds its cached codes.  ``TestArrayCodes`` in the
+test suite checks every array code on up to nine regions against the
+graph the public constructor builds.  Each torus graph class is then
 expanded by slope: a unicyclic class is paired with every normalized
 slope up to the bound, all the resulting classes sharing one graph
 object.
@@ -42,9 +50,10 @@ runs are byte-identical.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 from math import gcd
 
-from .region_graph import RegionGraph, RegionVertex, canonical_code
+from .region_graph import _TAGS, RegionGraph, RegionVertex, code_of
 from .surfaces import DividingSetClass, Surface
 
 TREE_CAP = 10
@@ -140,21 +149,59 @@ def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _colored_graph(
+def _adjacency(nv: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+@cache
+def _vertex(v: int, sign: int, genus: int) -> RegionVertex:
+    # Vertices are immutable, so emitted graphs share them.  Ids stay
+    # below the largest region count the caps allow, which bounds the cache.
+    return RegionVertex(v, sign, genus)
+
+
+def _colored_vertices(
+    layout: list[int], positive: int, genus_vertex: int | None = None
+) -> tuple[RegionVertex, ...]:
+    """Vertex i is positive when its level parity is ``positive``."""
+    return tuple([
+        _vertex(v, 1 if level & 1 == positive else -1, int(v == genus_vertex))
+        for v, level in enumerate(layout)
+    ])
+
+
+def _codes(
+    layout: list[int], edges: list[tuple[int, int]], genus_vertex: int | None
+) -> tuple[str, str]:
+    """Canonical codes of a skeleton with even, then odd, levels positive."""
+    adj = _adjacency(len(layout), edges)
+    tree = len(edges) < len(layout)
+    codes = []
+    for positive in (0, 1):
+        tags = [_TAGS[1 if level & 1 == positive else -1, 0] for level in layout]
+        if genus_vertex is not None:
+            tags[genus_vertex] = _TAGS[1 if layout[genus_vertex] & 1 == positive else -1, 1]
+        codes.append(code_of(adj, tags, tree))
+    return codes[0], codes[1]
+
+
+def _emit(
     layout: list[int],
     edges: list[tuple[int, int]],
-    positive_color: int,
-    genus_vertex: int | None = None,
+    positive: int,
+    genus_vertex: int | None,
+    codes: tuple[str, str],
 ) -> RegionGraph:
-    verts = tuple(
-        RegionVertex(
-            v,
-            1 if level & 1 == positive_color else -1,
-            1 if v == genus_vertex else 0,
-        )
-        for v, level in enumerate(layout)
+    """The one graph built for an emitted class: validated once, with both
+    codes seeded.  Coloring ``positive`` has code ``codes[positive]``, and
+    negating its signs gives the other coloring."""
+    return RegionGraph._generated(
+        _colored_vertices(layout, positive, genus_vertex), edges, codes[positive], min(codes)
     )
-    return RegionGraph(verts, edges)
 
 
 def check_tree_request(n: int) -> None:
@@ -174,16 +221,61 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     by canonical code.
     """
     check_tree_request(n)
-    out: dict[str, RegionGraph] = {}
+    # Distinct free trees are never isomorphic, so each balanced skeleton
+    # is one class per coloring, and its two colorings are one class
+    # exactly when their codes agree.  The codes only sort the output.
+    emitted = []
     for layout in _free_trees(2 * n):
         if sum(level & 1 for level in layout) != n:
             continue
         edges = _tree_edges(layout)
-        orientations = (0,) if modulo_swap else (0, 1)
-        for positive in orientations:
-            g = _colored_graph(layout, edges, positive)
-            out.setdefault(canonical_code(g, modulo_swap), g)
-    return [out[code] for code in sorted(out)]
+        codes = _codes(layout, edges, None)
+        if modulo_swap:
+            emitted.append((min(codes), layout, edges, 0, codes))
+        else:
+            emitted.append((codes[0], layout, edges, 0, codes))
+            if codes[1] != codes[0]:
+                emitted.append((codes[1], layout, edges, 1, codes))
+    emitted.sort(key=lambda entry: entry[0])
+    return [
+        _emit(layout, edges, positive, None, codes)
+        for _, layout, edges, positive, codes in emitted
+    ]
+
+
+def _torus_candidates(
+    max_curves: int,
+) -> Iterator[tuple[list[int], list[tuple[int, int]], int | None]]:
+    """Every torus skeleton the balance gate admits, as (level sequence,
+    edges, genus vertex or ``None``)."""
+    # Trees of contractible curves around one genus-carrying region.  The
+    # balance P - N = sign(genus region) needs color classes one apart in
+    # size, with the genus region in the larger one.
+    for nv in range(2, max_curves + 2):
+        for layout in _free_trees(nv):
+            odd = sum(level & 1 for level in layout)
+            if abs(nv - 2 * odd) != 1:
+                continue
+            larger = int(2 * odd > nv)
+            edges = _tree_edges(layout)
+            for genus_vertex in range(nv):
+                if layout[genus_vertex] & 1 == larger:
+                    yield layout, edges, genus_vertex
+
+    # One essential cycle, possibly with contractible trees attached:
+    # every unicyclic graph is a spanning tree plus one closing edge, and
+    # a proper 2-coloring survives exactly when the closed cycle is even,
+    # i.e. when the tree path between the ends has odd length: when the
+    # ends lie on different levels mod 2.  Balance needs P = N.
+    for nv in range(2, max_curves + 1):
+        for layout in _free_trees(nv):
+            if 2 * sum(level & 1 for level in layout) != nv:
+                continue
+            edges = _tree_edges(layout)
+            for u in range(nv):
+                for v in range(u + 1, nv):
+                    if layout[u] & 1 != layout[v] & 1:
+                        yield layout, edges + [(u, v)], None
 
 
 def _normalized_slopes(max_p: int) -> list[tuple[int, int]]:
@@ -198,9 +290,9 @@ def enum_torus_classes(
     """All admissible torus dividing-set classes with at most ``max_curves``
     curves and slopes bounded by ``max_p``, one per isomorphism class.
 
-    Sorted by (canonical code, slope).  Each graph class is built, checked
-    and coded once; a unicyclic one is then paired with every normalized
-    slope, all its classes sharing the one graph object.
+    Sorted by (canonical code, slope).  Each graph class is coded from
+    arrays, then built and validated once; a unicyclic one is paired with
+    every normalized slope, all its classes sharing the one graph object.
     """
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
@@ -211,47 +303,19 @@ def enum_torus_classes(
     if max_p > SLOPE_CAP:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
-    out: dict[str, RegionGraph] = {}
-
-    # Trees of contractible curves around one genus-carrying region.  The
-    # balance P - N = sign(genus region) needs color classes one apart in
-    # size, with the genus region in the larger one.
-    for nv in range(2, max_curves + 2):
-        for layout in _free_trees(nv):
-            odd = sum(level & 1 for level in layout)
-            if abs(nv - 2 * odd) != 1:
-                continue
-            larger = int(2 * odd > nv)
-            genus_vertices = [v for v in range(nv) if layout[v] & 1 == larger]
-            edges = _tree_edges(layout)
-            for positive in (0,) if modulo_swap else (0, 1):
-                for genus_vertex in genus_vertices:
-                    g = _colored_graph(layout, edges, positive, genus_vertex)
-                    out.setdefault(canonical_code(g, modulo_swap), g)
-
-    # One essential cycle, possibly with contractible trees attached:
-    # every unicyclic graph is a spanning tree plus one closing edge, and
-    # a proper 2-coloring survives exactly when the closed cycle is even,
-    # i.e. when the tree path between the ends has odd length: when the
-    # ends lie on different levels mod 2.  Balance needs P = N.
-    for nv in range(2, max_curves + 1):
-        for layout in _free_trees(nv):
-            if 2 * sum(level & 1 for level in layout) != nv:
-                continue
-            edges = _tree_edges(layout)
-            for u in range(nv):
-                for v in range(u + 1, nv):
-                    if layout[u] & 1 == layout[v] & 1:
-                        continue
-                    closed = edges + [(u, v)]
-                    for positive in (0,) if modulo_swap else (0, 1):
-                        g = _colored_graph(layout, closed, positive)
-                        out.setdefault(canonical_code(g, modulo_swap), g)
+    out: dict[str, tuple] = {}
+    for layout, edges, genus_vertex in _torus_candidates(max_curves):
+        codes = _codes(layout, edges, genus_vertex)
+        for positive in (0,) if modulo_swap else (0, 1):
+            key = min(codes) if modulo_swap else codes[positive]
+            if key not in out:
+                out[key] = (layout, edges, positive, genus_vertex, codes)
+    graphs = [_emit(*out[key]) for key in sorted(out)]
 
     # Admissibility depends on the graph alone, so slopes are paired last.
     slopes = _normalized_slopes(max_p)
     return [
         DividingSetClass(Surface.TORUS, g, slope)
-        for g in (out[code] for code in sorted(out))
+        for g in graphs
         for slope in (slopes if g.edge_count == g.vertex_count else (None,))
     ]

@@ -22,7 +22,7 @@ import json
 
 from .classify import ClassificationRecord, leaf_census
 from .counting import TightCountResult
-from .region_graph import InvalidRegionGraphError, RegionGraph, RegionVertex, canonical_code, validate
+from .region_graph import RegionGraph, RegionVertex, canonical_code
 from .surfaces import DividingSetClass, Surface, require_embeddable
 
 
@@ -159,6 +159,8 @@ def _parse_json(text: str) -> DividingSetClass:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
@@ -204,17 +206,6 @@ def parse_dividing_set(text: str) -> DividingSetClass:
     return require_embeddable(_parse_text(text))
 
 
-def parse_region_graph(text: str) -> RegionGraph:
-    """Parse a bare region graph (``v``/``e`` lines only) and validate it."""
-    surface, graph, slope = _parse_items(text)
-    if surface is not None or slope is not None:
-        raise ParseError("surface and slope lines belong to dividing-set classes")
-    violation = validate(graph)
-    if violation is not None:
-        raise InvalidRegionGraphError(str(violation))
-    return graph
-
-
 def export_dot(d: DividingSetClass) -> str:
     """Graphviz text for a class, embedding its full serialization as
     ``//`` comments so the class can be recovered from the export alone.
@@ -234,18 +225,6 @@ def export_dot(d: DividingSetClass) -> str:
         lines.append(f"  v{a} -- v{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dot_metadata(dot: str) -> DividingSetClass:
-    """Recover the class from the comment block ``export_dot`` embeds."""
-    meta = [
-        line.strip()[3:]
-        for line in dot.splitlines()
-        if line.strip().startswith("// ")
-    ]
-    if not meta:
-        raise ParseError("no embedded metadata comments found")
-    return parse_dividing_set("\n".join(meta) + "\n")
 
 
 TABLE_COLUMNS = [

@@ -17,7 +17,9 @@ a sign- and genus-respecting multigraph isomorphism exists between them
 (optionally up to negating every sign at once).  One leaf-peeling pass
 codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the sign-swapped code is the same pass with every
-sign negated.
+sign negated.  The pass runs on index arrays (``code_of``): the
+enumerators code their candidates from level-sequence arrays and build,
+validate and cache a graph only for a class they emit.
 """
 
 from __future__ import annotations
@@ -113,17 +115,27 @@ class RegionGraph:
     def genus_sum(self) -> int:
         return sum(v.genus for v in self.vertices)
 
-    def sign_of(self, vid: int) -> int:
-        return self.by_id[vid].sign
+    @classmethod
+    def _generated(
+        cls,
+        vertices: tuple[RegionVertex, ...],
+        edges: list[tuple[int, int]],
+        code: str,
+        swap_code: str,
+    ) -> RegionGraph:
+        """A graph the enumerators emit, with its codes already known.
 
-    def genus_of(self, vid: int) -> int:
-        return self.by_id[vid].genus
-
-    def relabeled(self, mapping: dict[int, int]) -> RegionGraph:
-        return RegionGraph(
-            tuple(RegionVertex(mapping[v.id], v.sign, v.genus) for v in self.vertices),
-            tuple((mapping[a], mapping[b]) for a, b in self.edges),
-        )
+        ``vertices`` are in id order and every edge is a (parent, child)
+        pair with parent < child, so only the edges need sorting.  The
+        graph is validated here, once, and its verdict and both canonical
+        codes are cached like those of any other graph.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", tuple(sorted(edges)))
+        g.__dict__.update(_code=code, _swap_code=swap_code)
+        _require_valid(g)
+        return g
 
     # The graph is immutable, so its verdict and canonical codes are
     # computed on first use and kept.
@@ -153,10 +165,10 @@ def validate(g: RegionGraph) -> Violation | None:
 
 
 def _first_violation(g: RegionGraph) -> Violation | None:
-    ids = [v.id for v in g.vertices]
-    if not ids:
+    if not g.vertices:
         return Violation("malformed", "graph has no vertices")
-    if len(set(ids)) != len(ids):
+    sign = {v.id: v.sign for v in g.vertices}
+    if len(sign) != len(g.vertices):
         return Violation("malformed", "duplicate vertex ids")
     if any(v.id < 0 for v in g.vertices):
         return Violation("malformed", "vertex ids must be non-negative")
@@ -165,16 +177,15 @@ def _first_violation(g: RegionGraph) -> Violation | None:
             return Violation("malformed", f"vertex {v.id} has sign {v.sign}")
         if v.genus not in (0, 1):
             return Violation("malformed", f"vertex {v.id} has genus {v.genus}")
-    known = set(ids)
     for a, b in g.edges:
-        if a not in known or b not in known:
+        if a not in sign or b not in sign:
             return Violation("malformed", f"edge ({a},{b}) uses unknown vertex id")
 
     if not _is_connected(g):
         return Violation("disconnected", "graph is not connected")
 
     for a, b in g.edges:
-        if a != b and g.sign_of(a) == g.sign_of(b):
+        if a != b and sign[a] == sign[b]:
             return Violation(
                 "improper coloring", f"edge ({a},{b}) joins two like-signed regions"
             )
@@ -194,18 +205,21 @@ def _first_violation(g: RegionGraph) -> Violation | None:
 
 
 def _is_connected(g: RegionGraph) -> bool:
-    if not g.vertices:
-        return False
-    seen = {g.vertices[0].id}
-    stack = [g.vertices[0].id]
-    adj = g.adjacency
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.vertex_count
+    # Union-find with path halving.  Every emitted graph is validated, so
+    # no neighbor lists are built here and kept on the graph.
+    root = {v.id: v.id for v in g.vertices}
+    components = len(root)
+    for a, b in g.edges:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            components -= 1
+    return components == 1
 
 
 def _require_valid(g: RegionGraph) -> None:
@@ -234,38 +248,40 @@ def _require_valid(g: RegionGraph) -> None:
 _TAGS = {(1, 0): "+0", (1, 1): "+1", (-1, 0): "-0", (-1, 1): "-1"}
 
 
-def _peel(g: RegionGraph, flip: int) -> dict[int, str]:
+def _peel(adj: list[list[int]], tags: list[str]) -> dict[int, str]:
     """Code of each core vertex, after leaves are stripped layer by layer
-    while a layer exists and more than two vertices are alive.  A tag is
-    the vertex's sign times ``flip``, then its genus."""
-    tags = {v.id: _TAGS[v.sign * flip, v.genus] for v in g.vertices}
-    adj = g.adjacency
-    degrees = dict(g.degrees)
-    alive = set(degrees)
-    stripped_into: dict[int, list[str]] = {v: [] for v in degrees}
-    layer = [v for v, d in degrees.items() if d <= 1]
-    while layer and len(alive) > 2:
+    while a layer exists and more than two vertices are alive."""
+    n = len(adj)
+    degrees = [len(neighbors) for neighbors in adj]
+    alive = [True] * n
+    live = n
+    stripped_into: list[list[str]] = [[] for _ in range(n)]
+    layer = [v for v in range(n) if degrees[v] <= 1]
+    while layer and live > 2:
         nxt = []
         for v in layer:
-            alive.discard(v)
-            kids = stripped_into.pop(v)
+            alive[v] = False
+            live -= 1
+            kids = stripped_into[v]
             kids.sort()
             code = "".join(["(", tags[v], *kids, ")"])
             # A stripped vertex has exactly one live neighbor: two adjacent
             # leaves would be the whole live graph, and it has > 2 vertices.
             for w in adj[v]:
-                if w in alive:
+                if alive[w]:
                     stripped_into[w].append(code)
                     degrees[w] -= 1
                     if degrees[w] == 1:
                         nxt.append(w)
         layer = nxt
     return {
-        v: "".join(["(", tags[v], *sorted(stripped_into[v]), ")"]) for v in alive
+        v: "".join(["(", tags[v], *sorted(stripped_into[v]), ")"])
+        for v in range(n)
+        if alive[v]
     }
 
 
-def _cycle_walk(g: RegionGraph, cycle: dict[int, str]) -> list[int]:
+def _cycle_walk(adj: list[list[int]], cycle: dict[int, str]) -> list[int]:
     """The vertices of the unique cycle, in cyclic walk order."""
     if len(cycle) == 2:
         return sorted(cycle)
@@ -275,7 +291,7 @@ def _cycle_walk(g: RegionGraph, cycle: dict[int, str]) -> list[int]:
     prev = None
     while len(order) < len(cycle):
         current = order[-1]
-        nxt = min(w for w in g.adjacency[current] if w in cycle and w != prev)
+        nxt = min(w for w in adj[current] if w in cycle and w != prev)
         order.append(nxt)
         prev = current
     return order
@@ -317,12 +333,32 @@ def _min_rotation(seq: list[str]) -> tuple[str, ...]:
     return best
 
 
-def _plain_code(g: RegionGraph, flip: int = 1) -> str:
-    core = _peel(g, flip)
-    if g.edge_count == g.vertex_count - 1:
+def code_of(adj: list[list[int]], tags: list[str], tree: bool) -> str:
+    """Canonical code of a valid region graph on vertices ``0..n-1``.
+
+    ``adj[v]`` lists v's neighbors with multiplicity, ``tags[v]`` is v's
+    entry of ``_TAGS``, and ``tree`` says whether the graph has V - 1
+    edges (else it is unicyclic).  The enumerators call this on their
+    level-sequence arrays before any graph is built; ``canonical_code``
+    reaches it through ``_plain_code``.
+    """
+    core = _peel(adj, tags)
+    if tree:
         return "T" + "".join(sorted(core.values()))
-    cycle = _cycle_walk(g, core)
+    cycle = _cycle_walk(adj, core)
     return f"C{len(cycle)}" + "".join(_min_rotation([core[v] for v in cycle]))
+
+
+def _plain_code(g: RegionGraph, flip: int = 1) -> str:
+    """``code_of`` on ``g``'s vertices indexed in id order; each tag is
+    the vertex's sign times ``flip``, then its genus."""
+    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    for a, b in g.edges:
+        adj[index[a]].append(index[b])
+        adj[index[b]].append(index[a])
+    tags = [_TAGS[v.sign * flip, v.genus] for v in g.vertices]
+    return code_of(adj, tags, g.edge_count == g.vertex_count - 1)
 
 
 def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:

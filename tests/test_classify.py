@@ -6,7 +6,8 @@ from math import comb, floor
 
 import pytest
 
-from bcontact.admissibility import is_tight_candidate
+from bcontact import admissibility
+from bcontact.admissibility import is_admissible, is_tight_candidate
 from bcontact.classify import (
     InadmissibleError,
     RegimeDescriptor,
@@ -196,6 +197,28 @@ class TestFactoredTable:
         bare_graphs = {id(r.dividing_set.graph) for r in bare_rows}
         assert bare_rows
         assert len(calls) == len(graphs) - len(bare_graphs) + len(bare_rows)
+
+
+class TestAdmissibilityOnce:
+    def test_classify_checks_admissibility_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_admissible(m, d):
+            calls.append(d)
+            return is_admissible(m, d)
+
+        monkeypatch.setattr(CLASSIFY_MODULE, "is_admissible", counting_is_admissible)
+        monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
+        classes = [(S3_T2, d) for d in enum_torus_classes(4, 2)] + [
+            (S3_S2, sphere_class([1, -1], [(0, 1)])),
+            (S3_S2, sphere_class([1, -1, 1, -1], [(0, 1), (1, 2), (2, 3)])),
+        ]
+        for m, d in classes:
+            before = len(calls)
+            record = classify(m, d)
+            assert len(calls) - before == 1
+            # The shape test alone still gives the candidate's verdict.
+            assert (record.tight.finite_factor > 0) == bool(is_tight_candidate(m, d))
 
 
 class TestTableArguments:

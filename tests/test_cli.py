@@ -1,5 +1,6 @@
 """Command-line behavior: outputs and the exit-status contract."""
 
+import contextlib
 import hashlib
 import importlib
 import io
@@ -8,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcontact import counting
 from bcontact.cli import run_cli
@@ -256,6 +259,74 @@ class TestStrictJsonInput:
         assert status == 2 and output == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestDeepJson:
+    def test_deep_nesting_is_a_parse_error(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"surface": ' + "[" * 100_000))
+        status, output = run(["check", "--gamma", "-"])
+        err = capsys.readouterr().err
+        assert status == 2 and output == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+FUZZ_SEEDS = [
+    EQUATOR,
+    TWO_CYCLE_32,
+    GENUS_TREE,
+    "surface torus\nv 0 + 1\nv 1 - 0\nv 2 - 0\ne 0 1\ne 0 2\n",
+    "surface torus\nv 0 + 0\nv 1 - 0\nv 2 + 0\nv 3 - 0\n"
+    "e 0 1\ne 1 2\ne 2 3\ne 3 0\nslope 2 1\n",
+    json.dumps({
+        "surface": "torus",
+        "vertices": [{"id": 0, "sign": 1, "genus": 0}, {"id": 1, "sign": -1, "genus": 0}],
+        "edges": [[0, 1], [0, 1]],
+        "slope": [3, 2],
+    }),
+    json.dumps({
+        "surface": "sphere",
+        "vertices": [{"id": 5, "sign": -1}, {"id": 2, "sign": 1}, {"id": 9, "sign": 1}],
+        "edges": [[5, 2], [9, 5]],
+    }),
+]
+FUZZ_TOKENS = [
+    "[", "]", "{", "}", ",", ":", '"', "-", "+", "0", "1", "2", "7", " ", "\n", "#",
+    "v", "e", "slope", "surface", "torus", "sphere", "genus", "sign", "id", "null",
+    "true", "1.5", "1e400", "NaN", "99999999999999999999", "\x00", "\u0661", "1_0",
+]
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid text or JSON class with a few spans deleted, replaced or
+    padded with tokens, some repeated many times."""
+    text = draw(st.sampled_from(FUZZ_SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        token = draw(st.sampled_from(FUZZ_TOKENS)) * draw(st.sampled_from([0, 1, 2, 5000]))
+        text = text[:start] + token + text[end:]
+    return text
+
+
+class TestCliFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(mutated_inputs(), st.sampled_from(["check", "classify", "census", "export-dot"]))
+    def test_exit_contract_on_mutated_input(self, text, command):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                status, _ = run([command, "--gamma", "-"])
+            finally:
+                sys.stdin = old_stdin
+        lines = err.getvalue().splitlines()
+        assert status in (0, 1, 2)
+        if status == 0:
+            assert lines == []
+        else:
+            prefixes = ("error: ", "inadmissible: ") if command == "check" else ("error: ",)
+            assert len(lines) == 1 and lines[0].startswith(prefixes), lines
 
 
 class TestTableArguments:

@@ -2,19 +2,26 @@
 
 import pytest
 
+from bcontact import enumeration
 from bcontact.admissibility import euler_pairing, is_admissible
 from bcontact.enumeration import (
     ResourceLimitError,
-    _colored_graph,
+    _colored_vertices,
     _free_trees,
     _tree_edges,
     enum_equicolored_trees,
     enum_torus_classes,
 )
-from bcontact.region_graph import canonical_code, validate
+from bcontact.region_graph import RegionGraph, _first_violation, canonical_code, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface, check_embeddable
 
 from oracle import oracle_count_trees
+from polya import sphere_counts, torus_counts
+
+
+def _colored_graph(layout, edges, positive, genus_vertex=None):
+    """A generator candidate built by the public constructor."""
+    return RegionGraph(_colored_vertices(layout, positive, genus_vertex), edges)
 
 
 class TestTreeCounts:
@@ -46,6 +53,15 @@ class TestTreeCounts:
                 for tree in nx.nonisomorphic_trees(order)
             ]
             assert ours == theirs, order
+
+    def test_polya_otter_counts(self):
+        # Otter's dissimilarity theorem, and Burnside for the swap.
+        assert sphere_counts(8, False) == [1, 1, 4, 14, 65, 316, 1742, 10079]
+        assert sphere_counts(8, True) == [1, 1, 3, 9, 37, 168, 895, 5097]
+        for mode in (False, True):
+            assert [
+                len(enum_equicolored_trees(n, mode)) for n in range(1, 9)
+            ] == sphere_counts(8, mode)
 
     def test_resource_guard(self):
         with pytest.raises(ResourceLimitError):
@@ -119,6 +135,22 @@ class TestTorusClasses:
             (d.graph.vertices, d.graph.edges, d.slope) for d in b
         ]
 
+    def test_polya_counts_per_size_and_shape(self):
+        # Genus-1 trees from the rooted series, unicyclic classes by Polya
+        # over the dihedral group of the cycle.
+        assert torus_counts(12, False) == (
+            [0, 2, 0, 8, 0, 36, 0, 196, 0, 1152, 0, 7280],
+            [0, 1, 0, 4, 0, 18, 0, 102, 0, 616, 0, 4034],
+        )
+        assert torus_counts(12, True)[1] == [0, 1, 0, 3, 0, 11, 0, 56, 0, 320, 0, 2049]
+        for mode in (False, True):
+            trees = [0] * 10
+            cycles = [0] * 10
+            for d in enum_torus_classes(10, 1, mode):
+                g = d.graph
+                (cycles if g.edge_count == g.vertex_count else trees)[g.edge_count - 1] += 1
+            assert (trees, cycles) == torus_counts(10, mode)
+
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):
             enum_torus_classes(99, 1)
@@ -171,3 +203,40 @@ class TestTorusBalanceGate:
                             assert _admissible(d) == (2 * odd == nv), (layout, u, v)
                             checked += 1
         assert checked == 4310
+
+
+class TestArrayCodes:
+    def test_array_codes_match_built_graphs(self, monkeypatch):
+        # Every skeleton the generators code on up to nine regions, in both
+        # shapes and sign modes: each coloring's array code is the code of
+        # the same graph built by the public constructor.
+        tried = []
+        real_codes = enumeration._codes
+
+        def recording(layout, edges, genus_vertex):
+            codes = real_codes(layout, edges, genus_vertex)
+            tried.append((layout, edges, genus_vertex, codes))
+            return codes
+
+        monkeypatch.setattr(enumeration, "_codes", recording)
+        emitted = []
+        for mode in (False, True):
+            emitted += [g for n in (1, 2, 3, 4) for g in enum_equicolored_trees(n, mode)]
+            emitted += [d.graph for d in enum_torus_classes(8, 1, mode)]
+        for layout, edges, genus_vertex, codes in tried:
+            for positive in (0, 1):
+                g = _colored_graph(layout, edges, positive, genus_vertex)
+                assert codes[positive] == canonical_code(g), (layout, edges, positive)
+                assert min(codes) == canonical_code(g, True), (layout, edges, positive)
+        # Per mode: 1 + 1 + 3 + 9 balanced trees, 352 gated torus skeletons.
+        assert len(tried) == 2 * (14 + 352)
+
+        # Graphs are built only for emitted classes, validated on the spot
+        # (checked here without the cached verdict), with codes seeded.
+        assert len(emitted) == (1 + 1 + 4 + 14) + (1 + 1 + 3 + 9) + 367 + 192
+        for g in emitted:
+            assert _first_violation(g) is None
+            fresh = RegionGraph(g.vertices, g.edges)
+            assert (fresh.vertices, fresh.edges) == (g.vertices, g.edges)
+            for mode in (False, True):
+                assert canonical_code(g, mode) == canonical_code(fresh, mode)

@@ -15,16 +15,15 @@ from bcontact.formats import (
     ParseError,
     class_to_json_dict,
     export_dot,
+    _parse_items,
     parse_dividing_set,
-    parse_dot_metadata,
-    parse_region_graph,
     render_table_csv,
     render_table_jsonl,
     serialize_class_text,
     TABLE_COLUMNS,
     serialize_graph_text,
 )
-from bcontact.region_graph import InvalidRegionGraphError, canonical_code
+from bcontact.region_graph import InvalidRegionGraphError, _require_valid, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
@@ -39,6 +38,22 @@ TWO_CYCLE_JSON = json.dumps({
     "edges": [[0, 1], [0, 1]],
     "slope": [3, 2],
 })
+
+
+def parse_region_graph(text):
+    """A bare region graph (``v``/``e`` lines only), validated."""
+    surface, graph, slope = _parse_items(text)
+    if surface is not None or slope is not None:
+        raise ParseError("surface and slope lines belong to dividing-set classes")
+    _require_valid(graph)
+    return graph
+
+
+def parse_dot_metadata(dot):
+    """The class recovered from the comment block ``export_dot`` embeds."""
+    meta = [line.strip()[3:] for line in dot.splitlines() if line.strip().startswith("// ")]
+    assert meta, "no embedded metadata comments found"
+    return parse_dividing_set("\n".join(meta) + "\n")
 
 
 class TestParse:

@@ -77,7 +77,7 @@ class TestBruteForceIsomorphic:
             ids1, ids2 = list(g1.vertex_ids), list(g2.vertex_ids)
             for perm in permutations(ids2):
                 mapping = dict(zip(ids1, perm))
-                if any(g1.sign_of(v) != g2.sign_of(mapping[v]) for v in ids1):
+                if any(g1.by_id[v].sign != g2.by_id[mapping[v]].sign for v in ids1):
                     continue
                 mapped = sorted(
                     (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
