@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .admissibility import is_admissible, tight_shape
 from .counting import TightCountResult, tight_count_solid_torus
 from .enumeration import check_tree_request, enum_equicolored_trees, enum_torus_classes
-from .region_graph import canonical_code
+from .region_graph import RegionGraph, canonical_code
 from .surfaces import DividingSetClass, ManifoldSpec, Surface
 
 
@@ -124,10 +124,16 @@ def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
 def leaf_census(m: ManifoldSpec, d: DividingSetClass) -> LeafCensus:
     """Leaves of the singular foliation by dimension: (2, regions, curves)."""
     _require_admissible(m, d)
+    return graph_census(m, d.graph)
+
+
+def graph_census(m: ManifoldSpec, g: RegionGraph) -> LeafCensus:
+    """The counting half of ``leaf_census``, for a class already known to be
+    admissible on ``m``, such as the class of a ``classify`` record."""
     return LeafCensus(
         leaves_dim3=m.complement_components,
-        leaves_dim2=d.graph.vertex_count,
-        leaves_dim1=d.graph.edge_count,
+        leaves_dim2=g.vertex_count,
+        leaves_dim1=g.edge_count,
     )
 
 

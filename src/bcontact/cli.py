@@ -19,9 +19,9 @@ from .counting import negative_continued_fraction, tight_count_solid_torus
 from .enumeration import ResourceLimitError, enum_equicolored_trees, enum_torus_classes
 from .formats import (
     ParseError,
-    class_to_json_dict,
+    class_json,
     export_dot,
-    graph_to_json_dict,
+    graph_json,
     parse_dividing_set,
     render_table_csv,
     render_table_jsonl,
@@ -125,6 +125,19 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
+def _emit_blocks(out, blocks) -> None:
+    """Write ``"\n".join(blocks)``, newline-terminated, one block at a time.
+
+    Each block ends in a newline, so a blank line separates two blocks.
+    """
+    separator = ""
+    for block in blocks:
+        out.write(separator + block)
+        separator = "\n"
+    if not separator:
+        out.write("\n")
+
+
 def _cmd_enum_trees(args, out) -> int:
     modulo_swap = not args.distinguish_signs
     graphs = enum_equicolored_trees(args.n, modulo_swap)
@@ -133,13 +146,13 @@ def _cmd_enum_trees(args, out) -> int:
         return 0
     if args.format == "json":
         for g in graphs:
-            _emit(out, json.dumps(graph_to_json_dict(g)))
+            out.write(graph_json(g) + "\n")
     elif args.format == "csv":
         _emit(out, "size,canonical_code,admissible")
         for g in graphs:
             _emit(out, f"{g.edge_count},{canonical_code(g, modulo_swap)},true")
     else:
-        _emit(out, "\n".join(serialize_graph_text(g) for g in graphs))
+        _emit_blocks(out, map(serialize_graph_text, graphs))
     return 0
 
 
@@ -151,13 +164,13 @@ def _cmd_enum_torus(args, out) -> int:
         return 0
     if args.format == "json":
         for d in classes:
-            _emit(out, json.dumps(class_to_json_dict(d)))
+            out.write(class_json(d) + "\n")
     elif args.format == "csv":
         _emit(out, "size,canonical_code,admissible")
         for d in classes:
             _emit(out, f"{d.graph.edge_count},{canonical_code(d.graph, modulo_swap)},true")
     else:
-        _emit(out, "\n".join(serialize_class_text(d) for d in classes))
+        _emit_blocks(out, map(serialize_class_text, classes))
     return 0
 
 
@@ -185,27 +198,27 @@ def _cmd_check(args, out) -> int:
     return 0
 
 
-def _record_json(record) -> dict:
-    out = {
-        "manifold": f"s3-{'s2' if record.manifold.critical is Surface.SPHERE else 't2'}",
-        "dividing_set": class_to_json_dict(record.dividing_set),
-        "tight": [record.tight.finite_factor, record.tight.free_rank],
-        "mixed": [record.mixed.finite_factor, record.mixed.free_rank],
-        "fully_overtwisted": [
-            record.fully_overtwisted.finite_factor,
-            record.fully_overtwisted.free_rank,
-        ],
-    }
+def _regime_json(regime) -> str:
+    return f"[{regime.finite_factor}, {regime.free_rank}]"
+
+
+def _record_json(record) -> str:
+    manifold = "s2" if record.manifold.critical is Surface.SPHERE else "t2"
     detail = record.tight_count_detail
-    out["tight_count_detail"] = None if detail is None else tight_count_to_json_dict(detail)
-    return out
+    detail_json = "null" if detail is None else json.dumps(tight_count_to_json_dict(detail))
+    return (
+        f'{{"manifold": "s3-{manifold}", "dividing_set": {class_json(record.dividing_set)}, '
+        f'"tight": {_regime_json(record.tight)}, "mixed": {_regime_json(record.mixed)}, '
+        f'"fully_overtwisted": {_regime_json(record.fully_overtwisted)}, '
+        f'"tight_count_detail": {detail_json}}}'
+    )
 
 
 def _cmd_classify(args, out) -> int:
     d = _read_gamma(args.gamma)
     record = classify(_manifold_for(d, args.manifold), d)
     if args.format == "json":
-        _emit(out, json.dumps(_record_json(record)))
+        _emit(out, _record_json(record))
         return 0
     _emit(out, f"tight {record.tight.finite_factor} {record.tight.free_rank}")
     _emit(out, f"mixed {record.mixed.finite_factor} {record.mixed.free_rank}")

@@ -9,9 +9,14 @@ The line format is one item per line with ``#`` comments:
 
 The JSON form mirrors it: ``{"surface": ..., "vertices": [{"id", "sign",
 "genus"}, ...], "edges": [[i, j], ...], "slope": [p, q] | null}``.
-Parsing validates the result (graph invariants, then embeddability) so a
-successfully parsed class is always usable downstream.  All emitters
-order their output deterministically.
+``graph_json`` and ``class_json`` write these lines directly, one string
+per graph or class, without building the object first.  Their bytes equal
+``json.dumps`` of the object with its default separators, because every
+id, sign, genus and slope is an ``int``: the enumerators build them so
+and both parsers accept nothing else.  Parsing validates the result
+(graph invariants, then embeddability) so a successfully parsed class is
+always usable downstream.  All emitters order their output
+deterministically.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import csv
 import io
 import json
 
-from .classify import ClassificationRecord, leaf_census
+from .classify import ClassificationRecord, graph_census
 from .counting import TightCountResult
 from .region_graph import RegionGraph, RegionVertex, canonical_code
 from .surfaces import DividingSetClass, Surface, require_embeddable
@@ -52,20 +57,26 @@ def serialize_class_text(d: DividingSetClass) -> str:
     return text
 
 
-def graph_to_json_dict(g: RegionGraph) -> dict:
-    return {
-        "vertices": [
-            {"id": v.id, "sign": v.sign, "genus": v.genus} for v in g.vertices
-        ],
-        "edges": [[a, b] for a, b in g.edges],
-    }
+def _graph_json_fields(g: RegionGraph) -> str:
+    vertices = ", ".join([
+        f'{{"id": {v.id}, "sign": {v.sign}, "genus": {v.genus}}}' for v in g.vertices
+    ])
+    edges = ", ".join([f"[{a}, {b}]" for a, b in g.edges])
+    return f'"vertices": [{vertices}], "edges": [{edges}]'
 
 
-def class_to_json_dict(d: DividingSetClass) -> dict:
-    out = {"surface": d.surface.value}
-    out.update(graph_to_json_dict(d.graph))
-    out["slope"] = list(d.slope) if d.slope is not None else None
-    return out
+def graph_json(g: RegionGraph) -> str:
+    """One JSON line ``{"vertices": [...], "edges": [...]}`` for a graph."""
+    return f"{{{_graph_json_fields(g)}}}"
+
+
+def class_json(d: DividingSetClass) -> str:
+    """One JSON line for a class, in the form the module docstring gives."""
+    slope = "null" if d.slope is None else f"[{d.slope[0]}, {d.slope[1]}]"
+    return (
+        f'{{"surface": "{d.surface.value}", {_graph_json_fields(d.graph)}, '
+        f'"slope": {slope}}}'
+    )
 
 
 def tight_count_to_json_dict(result: TightCountResult) -> dict:
@@ -250,13 +261,15 @@ def _record_rows(records: list[ClassificationRecord], modulo_swap: bool):
 
     The code, shape and census columns depend on the graph alone, so they
     are computed once for each run of records sharing a graph object.
+    ``classify`` checked each record's class when it made the record, so
+    the census is not checked again here.
     """
     graph = manifold = None
     for record in records:
         d = record.dividing_set
         if d.graph is not graph or record.manifold is not manifold:
             graph, manifold = d.graph, record.manifold
-            census = leaf_census(manifold, d)
+            census = graph_census(manifold, graph)
             head = (
                 canonical_code(graph, modulo_swap),
                 d.surface.value,

@@ -80,10 +80,6 @@ class RegionGraph:
         return tuple(v.id for v in self.vertices)
 
     @cached_property
-    def by_id(self) -> dict[int, RegionVertex]:
-        return {v.id: v for v in self.vertices}
-
-    @cached_property
     def degrees(self) -> dict[int, int]:
         deg = {v.id: 0 for v in self.vertices}
         for a, b in self.edges:
@@ -92,16 +88,6 @@ class RegionGraph:
             if b in deg and b != a:
                 deg[b] += 1
         return deg
-
-    @cached_property
-    def adjacency(self) -> dict[int, list[int]]:
-        """Neighbor lists with multiplicity (each parallel edge repeats)."""
-        adj: dict[int, list[int]] = {v.id: [] for v in self.vertices}
-        for a, b in self.edges:
-            if a in adj and b in adj:
-                adj[a].append(b)
-                adj[b].append(a)
-        return adj
 
     @property
     def vertex_count(self) -> int:

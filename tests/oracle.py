@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bcontact.region_graph import RegionGraph
+from bcontact.region_graph import RegionGraph, RegionVertex
 
 ORACLE_MAX_VERTICES = 10
 _BATCH = 1 << 20
@@ -35,12 +35,26 @@ _BATCH = 1 << 20
 _Flat = tuple[dict[int, tuple[int, int]], dict[int, list[int]], dict[tuple[int, int], int]]
 
 
+def by_id(g: RegionGraph) -> dict[int, RegionVertex]:
+    """A graph's vertices keyed by id."""
+    return {v.id: v for v in g.vertices}
+
+
+def adjacency(g: RegionGraph) -> dict[int, list[int]]:
+    """Neighbor lists with multiplicity (each parallel edge repeats)."""
+    adj: dict[int, list[int]] = {v.id: [] for v in g.vertices}
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
 def _flatten(g: RegionGraph) -> _Flat:
     labels = {v.id: (v.sign, v.genus) for v in g.vertices}
     mult: dict[tuple[int, int], int] = defaultdict(int)
     for e in g.edges:
         mult[e] += 1
-    return labels, g.adjacency, dict(mult)
+    return labels, adjacency(g), dict(mult)
 
 
 def _flat_tree(edges: tuple[tuple[int, int], ...], nv: int, low_positive: bool) -> _Flat:

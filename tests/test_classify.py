@@ -16,6 +16,7 @@ from bcontact.classify import (
     leaf_census,
 )
 from bcontact.enumeration import ResourceLimitError, enum_torus_classes
+from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -219,6 +220,22 @@ class TestAdmissibilityOnce:
             assert len(calls) - before == 1
             # The shape test alone still gives the candidate's verdict.
             assert (record.tight.finite_factor > 0) == bool(is_tight_candidate(m, d))
+
+    @pytest.mark.parametrize("manifold,max_curves,max_p", [(S3_T2, 8, 16), (S3_S2, 9, None)])
+    def test_table_renderers_do_not_check_again(self, monkeypatch, manifold, max_curves, max_p):
+        # classify checked every record when it made it.
+        records = classification_table(manifold, max_curves, max_p)
+        calls = []
+
+        def counting_is_admissible(m, d):
+            calls.append(d)
+            return is_admissible(m, d)
+
+        monkeypatch.setattr(CLASSIFY_MODULE, "is_admissible", counting_is_admissible)
+        monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
+        assert render_table_csv(records).count("\n") == 1 + len(records)
+        assert render_table_jsonl(records).count("\n") == len(records)
+        assert calls == []
 
 
 class TestTableArguments:

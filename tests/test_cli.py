@@ -39,6 +39,19 @@ ENUM_TORUS_7_2_SHA256 = "7cc9c54a2deb99653834adc0a73e3fe19536f52a285d46755751129
 ENUM_TORUS_9_3_SWAP_SHA256 = (
     "064438713e705ac8f841406edcd5a6047162f54a6b7f56f6ddb9b4564ae2fe0a"
 )
+# sha256 of these outputs while text listings were joined into one string
+# and JSON lines were dumped from dicts; they pin the bytes of the text
+# listings and of a classification record.
+ENUM_TREES_6_TEXT_SHA256 = "309b288de86c3ba412dc0058728704f3992e7a2bff7180bd7463aed5bd0e8582"
+ENUM_TORUS_7_2_TEXT_SHA256 = (
+    "0c96842d0aa69afa6e42d8056b847cf141171a3170eaf6975a4c7244425889b7"
+)
+CLASSIFY_TWO_CYCLE_32_JSON_SHA256 = (
+    "a4293d53e2e19ac55d522d91e3e076aecf838dd5b941b3926253f7f90cac1ee4"
+)
+CLASSIFY_EQUATOR_JSON_SHA256 = (
+    "39960b1343af626fd6277b5b3accfe0b56734d2d339dfbb128a0f79129cad999"
+)
 
 
 def run(argv):
@@ -403,6 +416,28 @@ class TestDeterminism:
         status, output = run(args + ["--format", "json"])
         assert status == 0
         assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args,gamma,digest",
+        [
+            (["enum-trees", "--n", "6"], None, ENUM_TREES_6_TEXT_SHA256),
+            (["enum-torus", "--max-curves", "7", "--max-slope", "2"], None,
+             ENUM_TORUS_7_2_TEXT_SHA256),
+            (["classify", "--format", "json"], TWO_CYCLE_32, CLASSIFY_TWO_CYCLE_32_JSON_SHA256),
+            (["classify", "--format", "json"], EQUATOR, CLASSIFY_EQUATOR_JSON_SHA256),
+        ],
+        ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator"],
+    )
+    def test_output_matches_recorded_digest(self, tmp_path, args, gamma, digest):
+        if gamma is not None:
+            args = args + ["--gamma", gamma_file(tmp_path, gamma)]
+        status, output = run(args)
+        assert status == 0
+        assert hashlib.sha256(output.encode()).hexdigest() == digest
+
+    def test_empty_text_listing_is_one_newline(self):
+        # One curve admits no class; the listing is still newline-terminated.
+        assert run(["enum-torus", "--max-curves", "1", "--max-slope", "1"]) == (0, "\n")
 
     def test_separate_processes_are_byte_identical(self):
         # Fresh interpreters get fresh hash seeds; output must not care.

@@ -4,17 +4,14 @@ import json
 
 import pytest
 
-from bcontact.classify import (
-    ClassificationRecord,
-    InadmissibleError,
-    classification_table,
-    leaf_census,
-)
+from bcontact.classify import classification_table, classify, leaf_census
+from bcontact.cli import _record_json
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.formats import (
     ParseError,
-    class_to_json_dict,
+    class_json,
     export_dot,
+    graph_json,
     _parse_items,
     parse_dividing_set,
     render_table_csv,
@@ -22,6 +19,7 @@ from bcontact.formats import (
     serialize_class_text,
     TABLE_COLUMNS,
     serialize_graph_text,
+    tight_count_to_json_dict,
 )
 from bcontact.region_graph import InvalidRegionGraphError, _require_valid, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
@@ -115,7 +113,7 @@ class TestParse:
         }
         d = parse_dividing_set(json.dumps(payload))
         assert d.slope == (3, 2)
-        assert class_to_json_dict(d) == payload
+        assert json.loads(class_json(d)) == payload
 
     def test_json_syntax_error(self):
         with pytest.raises(ParseError):
@@ -160,7 +158,7 @@ class TestRoundTrips:
 
     def test_json_round_trip_preserves_codes(self):
         for d in enum_torus_classes(5, 2):
-            again = parse_dividing_set(json.dumps(class_to_json_dict(d)))
+            again = parse_dividing_set(class_json(d))
             assert canonical_code(again.graph) == canonical_code(d.graph)
             assert again.slope == d.slope
 
@@ -173,6 +171,95 @@ class TestRoundTrips:
     def test_bare_graph_rejects_class_directives(self):
         with pytest.raises(ParseError):
             parse_region_graph("surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n")
+
+
+def graph_json_reference(g):
+    """The JSON object ``graph_json`` renders, built as a dict."""
+    return {
+        "vertices": [{"id": v.id, "sign": v.sign, "genus": v.genus} for v in g.vertices],
+        "edges": [[a, b] for a, b in g.edges],
+    }
+
+
+def class_json_reference(d):
+    """The JSON object ``class_json`` renders, built as a dict."""
+    out = {"surface": d.surface.value}
+    out.update(graph_json_reference(d.graph))
+    out["slope"] = list(d.slope) if d.slope is not None else None
+    return out
+
+
+def record_json_reference(record):
+    """The JSON object ``classify --format json`` prints, built as a dict."""
+    detail = record.tight_count_detail
+    return {
+        "manifold": "s3-s2" if record.manifold is S3_S2 else "s3-t2",
+        "dividing_set": class_json_reference(record.dividing_set),
+        "tight": [record.tight.finite_factor, record.tight.free_rank],
+        "mixed": [record.mixed.finite_factor, record.mixed.free_rank],
+        "fully_overtwisted": [
+            record.fully_overtwisted.finite_factor,
+            record.fully_overtwisted.free_rank,
+        ],
+        "tight_count_detail": None if detail is None else tight_count_to_json_dict(detail),
+    }
+
+
+def long_ring(n):
+    """Text of a torus class whose ``n`` essential curves form one ring."""
+    lines = ["surface torus"]
+    lines += [f"v {i} {'+-'[i % 2]} 0" for i in range(n)]
+    lines += [f"e {i} {(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines + ["slope 3 2"])
+
+
+class TestJsonRenderers:
+    """The string renderers are byte-equal to ``json.dumps`` of the dicts."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_enumerated_classes(self, modulo_swap):
+        classes = [
+            DividingSetClass(Surface.SPHERE, g)
+            for n in range(1, 7)
+            for g in enum_equicolored_trees(n, modulo_swap)
+        ] + enum_torus_classes(8, 3, modulo_swap)
+        for d in classes:
+            assert graph_json(d.graph) == json.dumps(graph_json_reference(d.graph))
+            assert class_json(d) == json.dumps(class_json_reference(d))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            EQUATOR,
+            TWO_CYCLE_JSON,
+            # Sparse ids, given out of order.
+            "surface sphere\nv 907 - 0\nv 12 + 0\nv 30000 + 0\ne 12 907\ne 907 30000\n",
+            # Ids and a slope past the 64-bit range.
+            json.dumps({
+                "surface": "torus",
+                "vertices": [{"id": 70, "sign": -1}, {"id": 9 * 10**21, "sign": 1}],
+                "edges": [[9 * 10**21, 70], [70, 9 * 10**21]],
+                "slope": [2**70 + 1, 2**69],
+            }),
+            "surface torus\nv 0 + 1\nv 5 - 0\nv 6 - 0\ne 0 5\ne 6 0\n",
+            long_ring(16000),
+        ],
+        ids=["equator", "two-cycle", "sparse", "large", "genus", "ring-16000"],
+    )
+    def test_parsed_classes(self, text):
+        d = parse_dividing_set(text)
+        assert graph_json(d.graph) == json.dumps(graph_json_reference(d.graph))
+        assert class_json(d) == json.dumps(class_json_reference(d))
+
+    def test_classification_records(self):
+        records = (
+            classification_table(S3_S2, 7)
+            + classification_table(S3_T2, 6, 5)
+            + [classify(S3_T2, parse_dividing_set(long_ring(400)))]
+        )
+        assert any(r.tight_count_detail for r in records)
+        for record in records:
+            assert _record_json(record) == json.dumps(record_json_reference(record))
 
 
 class TestDot:
@@ -268,14 +355,3 @@ class TestTableRowsFieldByField:
         assert text == "".join(
             json.dumps(row) + "\n" for row in expected_rows(records, modulo_swap)
         )
-
-    def test_graph_shared_across_slopes_with_other_manifold(self):
-        # Rows are built per graph, but a record of another manifold on the
-        # same graph object still gets its own census check.
-        records = classification_table(S3_T2, 2, 2)
-        foreign = ClassificationRecord(
-            S3_S2, records[1].dividing_set, records[1].tight, records[1].mixed,
-            records[1].fully_overtwisted,
-        )
-        with pytest.raises(InadmissibleError):
-            render_table_csv([records[0], foreign])

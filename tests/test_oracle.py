@@ -12,6 +12,7 @@ from oracle import (
     _decode_batch,
     _split_trees,
     brute_force_isomorphic,
+    by_id,
     oracle_count_trees,
 )
 
@@ -75,9 +76,10 @@ class TestBruteForceIsomorphic:
             if g1.vertex_count != g2.vertex_count:
                 return False
             ids1, ids2 = list(g1.vertex_ids), list(g2.vertex_ids)
+            vertices1, vertices2 = by_id(g1), by_id(g2)
             for perm in permutations(ids2):
                 mapping = dict(zip(ids1, perm))
-                if any(g1.by_id[v].sign != g2.by_id[mapping[v]].sign for v in ids1):
+                if any(vertices1[v].sign != vertices2[mapping[v]].sign for v in ids1):
                     continue
                 mapped = sorted(
                     (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))

@@ -17,7 +17,7 @@ from bcontact.region_graph import (
     validate,
 )
 
-from oracle import brute_force_isomorphic
+from oracle import adjacency, brute_force_isomorphic, by_id
 
 
 def graph(signs, edges, genera=None):
@@ -41,11 +41,12 @@ def permutations_isomorphic(g1, g2):
         return False
     ids1, ids2 = list(g1.vertex_ids), list(g2.vertex_ids)
     edges1 = sorted(g1.edges)
+    vertices1, vertices2 = by_id(g1), by_id(g2)
     for perm in permutations(ids2):
         mapping = dict(zip(ids1, perm))
         if any(
-            g1.by_id[v].sign != g2.by_id[mapping[v]].sign
-            or g1.by_id[v].genus != g2.by_id[mapping[v]].genus
+            vertices1[v].sign != vertices2[mapping[v]].sign
+            or vertices1[v].genus != vertices2[mapping[v]].genus
             for v in ids1
             ):
             continue
@@ -200,6 +201,7 @@ class TestAreIsomorphic:
             if g.edge_count != g.vertex_count:
                 continue
             degrees = dict(g.degrees)
+            neighbors = adjacency(g)
             alive = set(degrees)
             changed = True
             while changed:
@@ -208,7 +210,7 @@ class TestAreIsomorphic:
                     if degrees[v] == 1:
                         alive.discard(v)
                         changed = True
-                        for w in g.adjacency[v]:
+                        for w in neighbors[v]:
                             if w in alive:
                                 degrees[w] -= 1
             assert len(alive) % 2 == 0
@@ -265,9 +267,10 @@ def swap_two_edges(g, i, j):
     stay, the shape may not; ``None`` when the result is invalid."""
     edges = list(g.edges)
     (a, b), (c, d) = edges[i], edges[j]
-    if g.by_id[a].sign < 0:
+    vertices = by_id(g)
+    if vertices[a].sign < 0:
         a, b = b, a
-    if g.by_id[c].sign < 0:
+    if vertices[c].sign < 0:
         c, d = d, c
     edges[i], edges[j] = (a, d), (c, b)
     h = RegionGraph(g.vertices, edges)
