@@ -25,7 +25,7 @@ per curve.
 So only a bare cycle's record depends on the slope.  The batch table is
 built per graph class and expanded by slope: each graph class is
 classified once and its regimes are reused at every slope, and a bare
-cycle alone is classified again at each slope for its tight count.
+cycle's tight count alone is computed again at each slope.
 """
 
 from __future__ import annotations
@@ -103,21 +103,27 @@ def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
         )
 
     if tight_candidate:
-        n = d.graph.edge_count // 2
-        p, q = d.slope
-        detail = tight_count_solid_torus(n, p, q)
-        return ClassificationRecord(
-            m, d,
-            tight=RegimeDescriptor(2 * detail.count, 0),
-            mixed=RegimeDescriptor(2 * detail.count, 2),
-            fully_overtwisted=RegimeDescriptor(1, 4),
-            tight_count_detail=detail,
-        )
+        return _bare_cycle_record(m, d)
     return ClassificationRecord(
         m, d,
         tight=RegimeDescriptor(0, 0),
         mixed=RegimeDescriptor(0, 0),
         fully_overtwisted=RegimeDescriptor(1, 4),
+    )
+
+
+def _bare_cycle_record(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
+    """The record of an admissible bare cycle, whose regimes depend on the
+    slope only through the solid-torus tight count."""
+    n = d.graph.edge_count // 2
+    p, q = d.slope
+    detail = tight_count_solid_torus(n, p, q)
+    return ClassificationRecord(
+        m, d,
+        tight=RegimeDescriptor(2 * detail.count, 0),
+        mixed=RegimeDescriptor(2 * detail.count, 2),
+        fully_overtwisted=RegimeDescriptor(1, 4),
+        tight_count_detail=detail,
     )
 
 
@@ -147,8 +153,9 @@ def classification_table(
     and then slope; ``max_p`` defaults to 1 on the torus.
 
     ``classify`` runs once per graph class, and the record's regimes are
-    reused for the class's other slopes.  Only a bare cycle is classified
-    again at every slope, because its tight count depends on the slope.
+    reused for the class's other slopes.  Only a bare cycle's tight count
+    depends on the slope, so at its other slopes that count alone is
+    computed again.
     """
     if max_curves < 1 or (max_p is not None and max_p < 1):
         raise ValueError("max_curves and max_p must be >= 1")
@@ -166,16 +173,14 @@ def classification_table(
     records: list[ClassificationRecord] = []
     previous: ClassificationRecord | None = None
     for d in classes:
-        if (
-            previous is not None
-            and d.graph is previous.dividing_set.graph
-            and previous.tight_count_detail is None
-        ):
+        if previous is None or d.graph is not previous.dividing_set.graph:
+            record = classify(m, d)
+        elif previous.tight_count_detail is None:
             record = ClassificationRecord(
                 m, d, previous.tight, previous.mixed, previous.fully_overtwisted
             )
         else:
-            record = classify(m, d)
+            record = _bare_cycle_record(m, d)
         records.append(record)
         previous = record
     return records

@@ -204,6 +204,22 @@ def _emit(
     )
 
 
+def _emit_classes(
+    candidates: Iterator[tuple[list[int], list[tuple[int, int]], int | None]],
+    modulo_swap: bool,
+) -> list[RegionGraph]:
+    """One graph per class among the candidates (level sequence, edges,
+    genus vertex or ``None``), the first seen per code, sorted by code."""
+    out: dict[str, tuple] = {}
+    for layout, edges, genus_vertex in candidates:
+        codes = _codes(layout, edges, genus_vertex)
+        for positive in (0,) if modulo_swap else (0, 1):
+            key = min(codes) if modulo_swap else codes[positive]
+            if key not in out:
+                out[key] = (layout, edges, positive, genus_vertex, codes)
+    return [_emit(*out[key]) for key in sorted(out)]
+
+
 def check_tree_request(n: int) -> None:
     """Reject a tree enumeration of 2n vertices out of range, before any work."""
     if n < 1:
@@ -221,26 +237,17 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     by canonical code.
     """
     check_tree_request(n)
-    # Distinct free trees are never isomorphic, so each balanced skeleton
-    # is one class per coloring, and its two colorings are one class
-    # exactly when their codes agree.  The codes only sort the output.
-    emitted = []
-    for layout in _free_trees(2 * n):
-        if sum(level & 1 for level in layout) != n:
-            continue
-        edges = _tree_edges(layout)
-        codes = _codes(layout, edges, None)
-        if modulo_swap:
-            emitted.append((min(codes), layout, edges, 0, codes))
-        else:
-            emitted.append((codes[0], layout, edges, 0, codes))
-            if codes[1] != codes[0]:
-                emitted.append((codes[1], layout, edges, 1, codes))
-    emitted.sort(key=lambda entry: entry[0])
-    return [
-        _emit(layout, edges, positive, None, codes)
-        for _, layout, edges, positive, codes in emitted
-    ]
+    # Distinct free trees are never isomorphic, so the first class seen per
+    # code is the only one: a skeleton's two colorings are one class exactly
+    # when their codes agree.
+    return _emit_classes(
+        (
+            (layout, _tree_edges(layout), None)
+            for layout in _free_trees(2 * n)
+            if sum(level & 1 for level in layout) == n
+        ),
+        modulo_swap,
+    )
 
 
 def _torus_candidates(
@@ -303,14 +310,7 @@ def enum_torus_classes(
     if max_p > SLOPE_CAP:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
-    out: dict[str, tuple] = {}
-    for layout, edges, genus_vertex in _torus_candidates(max_curves):
-        codes = _codes(layout, edges, genus_vertex)
-        for positive in (0,) if modulo_swap else (0, 1):
-            key = min(codes) if modulo_swap else codes[positive]
-            if key not in out:
-                out[key] = (layout, edges, positive, genus_vertex, codes)
-    graphs = [_emit(*out[key]) for key in sorted(out)]
+    graphs = _emit_classes(_torus_candidates(max_curves), modulo_swap)
 
     # Admissibility depends on the graph alone, so slopes are paired last.
     slopes = _normalized_slopes(max_p)

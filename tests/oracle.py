@@ -1,33 +1,32 @@
 """Brute-force verification oracle for the tree enumerator.
 
 This module deliberately shares no machinery with the production
-enumerator or the canonical form.  Trees are generated exhaustively as
-labeled objects through their Prüfer sequences, colored by their unique
-bipartition, and counted up to isomorphism by explicit backtracking
-search over vertex bijections.  The counts must agree with the orderly
-generator; disagreement means one side is wrong.
+enumerator or the canonical form.  Trees are generated as labeled
+objects from their Prüfer codes and counted up to isomorphism
+by explicit backtracking search over vertex bijections.  The counts must
+agree with the orderly generator; disagreement means one side is wrong.
 
-The Prüfer space (2n)^(2n-2) is walked in vectorized batches.  Only
-trees whose bipartition is {0..n-1} | {n..2n-1} are retained for the
-quotient: every isomorphism class of balanced colored trees contains such
-a representative (relabel each part onto a fixed half), so the class
-count is unchanged while the quotient stage shrinks by orders of
-magnitude.  A tree is bipartite over that fixed split only if its Prüfer
-sequence contains exactly n-1 low labels (degree sums over one part count
-every edge once), which prunes most sequences before decoding.
+Only trees whose bipartition is {0..n-1} | {n..2n-1} are generated: every
+isomorphism class of balanced colored trees contains such a
+representative (relabel each part onto a fixed half).  These are the
+spanning trees of K_{n,n}, and by Scoins (1962) each is given by one
+bipartite Prüfer code: a low code in {0..n-1}^(n-1) and a high code in
+{n..2n-1}^(n-1), n^(2n-2) pairs in all.  A label's degree is one more
+than its count in its side's code.  Relabeling each part in
+non-increasing degree order gives another representative, so it suffices
+to decode the code pairs whose label counts do not increase along either
+half: 2,209 trees at n = 5, against n^(2n-2) = 390,625 split trees and
+(2n)^(2n-2) = 10^8 Prüfer sequences.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import lru_cache
-
-import numpy as np
+from itertools import product
 
 from bcontact.region_graph import RegionGraph, RegionVertex
 
 ORACLE_MAX_VERTICES = 10
-_BATCH = 1 << 20
 
 # A graph is handled internally as (labels, adjacency, edge multiset):
 # labels[v] = (sign, genus), adjacency[v] = neighbor list with multiplicity,
@@ -155,82 +154,53 @@ def brute_force_isomorphic(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive labeled-tree generation via Prüfer sequences.
+# Degree-sorted labeled trees via bipartite Prüfer codes.
 # ---------------------------------------------------------------------------
 
 
-def _decode_batch(seqs: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode Prüfer sequences to edge lists and bipartition colors.
+def _decode(low: tuple[int, ...], high: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The spanning tree of K_{h,h} over {0..h-1} | {h..2h-1} whose
+    bipartite Prüfer code is (``low``, ``high``), each of length h-1.
 
-    ``seqs`` has shape (B, nv-2); returns edges of shape (B, nv-1, 2) and
-    colors of shape (B, nv) with colors[i, v] in {0, 1} a proper
-    2-coloring of tree i.
+    The smallest leaf is removed at each step, as in Prüfer's decoding;
+    its neighbor lies on the other side, so it is the next unread label
+    of the other side's code.
     """
-    batch, m = seqs.shape
-    rows = np.arange(batch)
-    rem = (seqs[:, :, None] == np.arange(nv, dtype=seqs.dtype)).sum(
-        axis=1, dtype=np.int16
-    )
-    used = np.zeros((batch, nv), dtype=bool)
-    edges = np.empty((batch, nv - 1, 2), dtype=np.int8)
-    for i in range(m):
-        avail = (rem == 0) & ~used
-        leaf = np.argmax(avail, axis=1)
-        anchor = seqs[:, i]
-        edges[:, i, 0] = leaf
-        edges[:, i, 1] = anchor
-        used[rows, leaf] = True
-        rem[rows, anchor] -= 1
-    avail = (rem == 0) & ~used
-    first = np.argmax(avail, axis=1)
-    avail[rows, first] = False
-    second = np.argmax(avail, axis=1)
-    edges[:, m, 0] = first
-    edges[:, m, 1] = second
-
-    colors = np.zeros((batch, nv), dtype=np.int8)
-    colors[rows, second] = 1
-    # Walk the decode order backwards: each removed leaf attaches to a vertex
-    # of the remaining tree, whose color is already settled.
-    for i in range(m - 1, -1, -1):
-        leaf = edges[:, i, 0].astype(np.intp)
-        anchor = edges[:, i, 1].astype(np.intp)
-        colors[rows, leaf] = 1 - colors[rows, anchor]
-    return edges, colors
+    half = len(low) + 1
+    nv = 2 * half
+    remaining = [0] * nv
+    for v in low + high:
+        remaining[v] += 1
+    removed = [False] * nv
+    unread = (iter(high), iter(low))
+    edges = []
+    for _ in range(nv - 2):
+        leaf = next(v for v in range(nv) if not remaining[v] and not removed[v])
+        anchor = next(unread[leaf >= half])
+        edges.append((min(leaf, anchor), max(leaf, anchor)))
+        removed[leaf] = True
+        remaining[anchor] -= 1
+    edges.append(tuple(v for v in range(nv) if not removed[v]))
+    return tuple(sorted(edges))
 
 
-@lru_cache(maxsize=None)
-def _split_trees(nv: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All labeled trees on {0..nv-1} bipartite over the fixed half split."""
-    if nv == 2:
-        return (((0, 1),),)
-    m = nv - 2
+def _sorted_codes(labels: range) -> list[tuple[int, ...]]:
+    """Codes of length len(labels)-1 whose label counts do not increase
+    along ``labels``."""
+    codes = []
+    for code in product(labels, repeat=len(labels) - 1):
+        counts = [code.count(v) for v in labels]
+        if all(a >= b for a, b in zip(counts, counts[1:])):
+            codes.append(code)
+    return codes
+
+
+def _split_trees(nv: int) -> list[tuple[tuple[int, int], ...]]:
+    """Labeled trees on {0..nv-1}, bipartite over the fixed half split,
+    whose degrees do not increase along either half."""
     half = nv // 2
-    total = nv**m
-    low_mask = (1 << half) - 1
-    high_mask = low_mask << half
-    found: list[tuple[tuple[int, int], ...]] = []
-    for start in range(0, total, _BATCH):
-        stop = min(start + _BATCH, total)
-        base = np.arange(start, stop, dtype=np.int64)
-        seqs = np.empty((stop - start, m), dtype=np.int8)
-        x = base
-        for j in range(m - 1, -1, -1):
-            seqs[:, j] = x % nv
-            x = x // nv
-        # Degree sums over one part count each edge once, so a tree bipartite
-        # over the fixed split has exactly half-1 low labels in its sequence.
-        pre = (seqs < half).sum(axis=1) == half - 1
-        if not pre.any():
-            continue
-        edges, colors = _decode_batch(seqs[pre], nv)
-        mask = np.zeros(len(edges), dtype=np.int32)
-        for v in range(nv):
-            mask |= colors[:, v].astype(np.int32) << v
-        keep = (mask == low_mask) | (mask == high_mask)
-        for tree in edges[keep]:
-            found.append(tuple(sorted((min(a, b), max(a, b)) for a, b in tree)))
-    return tuple(found)
+    highs = _sorted_codes(range(half, nv))
+    return [_decode(low, high) for low in _sorted_codes(range(half)) for high in highs]
 
 
 def _profile(flat: _Flat) -> tuple:
@@ -254,9 +224,9 @@ def _negated_profile(profile: tuple) -> tuple:
 def oracle_count_trees(n: int, modulo_swap: bool = False) -> int:
     """Count equicolored-tree classes on 2n vertices by exhaustive search.
 
-    Generates every labeled tree from its Prüfer sequence, keeps the
-    balanced-bipartition representatives over the fixed half split, and
-    quotients by brute-force isomorphism in the requested sign mode.
+    Decodes the degree-sorted labeled trees over the fixed half split from
+    their bipartite Prüfer codes and quotients them by brute-force
+    isomorphism in the requested sign mode.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -1,20 +1,17 @@
 """The brute-force oracle itself: decode correctness and small counts."""
 
 import random
-from itertools import permutations
+import subprocess
+import sys
+from itertools import permutations, product
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bcontact.region_graph import RegionGraph
 
-from oracle import (
-    _decode_batch,
-    _split_trees,
-    brute_force_isomorphic,
-    by_id,
-    oracle_count_trees,
-)
+import oracle
+from oracle import _decode, brute_force_isomorphic, by_id, oracle_count_trees
 
 
 def prufer_decode_reference(seq, nv):
@@ -34,29 +31,74 @@ def prufer_decode_reference(seq, nv):
     return sorted((min(a, b), max(a, b)) for a, b in edges)
 
 
-class TestDecodeBatch:
-    def test_matches_reference_on_full_six_vertex_space(self):
-        nv = 6
-        seqs = np.array(
-            [[a, b, c, d] for a in range(6) for b in range(6) for c in range(6) for d in range(6)],
-            dtype=np.int8,
-        )
-        edges, colors = _decode_batch(seqs, nv)
-        rng = random.Random(5)
-        for idx in rng.sample(range(len(seqs)), 250):
-            got = sorted((min(a, b), max(a, b)) for a, b in edges[idx])
-            assert got == prufer_decode_reference(list(seqs[idx]), nv)
-        # Colors are proper 2-colorings everywhere.
-        for idx in rng.sample(range(len(seqs)), 250):
-            for a, b in edges[idx]:
-                assert colors[idx][a] != colors[idx][b]
+def all_code_pairs(nv):
+    half = nv // 2
+    lows = product(range(half), repeat=half - 1)
+    highs = list(product(range(half, nv), repeat=half - 1))
+    return [(low, high) for low in lows for high in highs]
 
-    def test_split_tree_counts_follow_the_bipartite_formula(self):
-        # Labeled trees bipartite over a fixed (h, h) split number h^(h-1)^2.
-        assert len(_split_trees(2)) == 1
-        assert len(_split_trees(4)) == 2 ** 1 * 2 ** 1
-        assert len(_split_trees(6)) == 3 ** 2 * 3 ** 2
-        assert len(_split_trees(8)) == 4 ** 3 * 4 ** 3
+
+def all_split_trees(nv):
+    """Every labeled tree over the fixed half split, degree-sorted or not."""
+    return [_decode(low, high) for low, high in all_code_pairs(nv)]
+
+
+class TestDecode:
+    @pytest.mark.parametrize("nv", [4, 6])
+    def test_matches_reference_on_every_code_pair(self, nv):
+        half = nv // 2
+        reference = set()
+        for seq in product(range(nv), repeat=nv - 2):
+            tree = prufer_decode_reference(seq, nv)
+            if all(a < half <= b for a, b in tree):
+                reference.add(tuple(tree))
+        decoded = all_split_trees(nv)
+        assert len(decoded) == len(reference)
+        assert set(decoded) == reference
+
+    @pytest.mark.parametrize("nv", [2, 4, 6, 8])
+    def test_code_pairs_count_follows_the_bipartite_formula(self, nv):
+        # Spanning trees of K_{h,h} number h^(2h-2) (Scoins), one per pair.
+        half = nv // 2
+        trees = set()
+        for low, high in all_code_pairs(nv):
+            tree = _decode(low, high)
+            trees.add(tree)
+            # The degree-sorted filter reads each degree off the codes.
+            ends = [v for edge in tree for v in edge]
+            assert [ends.count(v) for v in range(nv)] == [
+                1 + (low + high).count(v) for v in range(nv)
+            ]
+        assert len(trees) == half ** (2 * half - 2)
+
+
+class TestDegreeSorted:
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_quotient_equals_quotient_over_all_codes(self, monkeypatch, modulo_swap):
+        sorted_counts = [oracle_count_trees(n, modulo_swap) for n in (1, 2, 3, 4)]
+        monkeypatch.setattr(oracle, "_split_trees", all_split_trees)
+        assert [oracle_count_trees(n, modulo_swap) for n in (1, 2, 3, 4)] == sorted_counts
+
+    def test_keeps_only_sorted_codes(self):
+        # On each side, 47 codes of length 4 over 5 labels have
+        # non-increasing label counts: 1 + 4 + 6 + 12 + 24 arrangements of
+        # the partitions 4, 3+1, 2+2, 2+1+1 and 1+1+1+1.
+        assert len(oracle._split_trees(10)) == 47 ** 2
+
+
+class TestImportFootprint:
+    def test_no_numpy(self):
+        # A fresh interpreter, so modules another test imported do not count.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import oracle\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestBruteForceIsomorphic:
