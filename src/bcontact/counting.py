@@ -24,7 +24,6 @@ coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 
 TIGHT_N_CAP = 100_000
@@ -55,13 +54,6 @@ class ContinuedFractionExpansion:
     def degenerate(self) -> bool:
         return self.coefficients == (-1,)
 
-    def value(self) -> Fraction:
-        """Evaluate a0 - 1/(a1 - 1/(... - 1/ak)) exactly."""
-        acc = Fraction(self.coefficients[-1])
-        for a in reversed(self.coefficients[:-1]):
-            acc = a - Fraction(1, 1) / acc
-        return acc
-
 
 @dataclass(frozen=True)
 class TightCountResult:
@@ -76,13 +68,13 @@ class TightCountResult:
     expansion: ContinuedFractionExpansion
 
 
-def _check_slope(p: int, q: int) -> None:
-    if p > SLOPE_P_CAP:
-        raise ValueError(f"slope numerator capped at p={SLOPE_P_CAP}, got {p}")
+def slope_error(p: int, q: int) -> str | None:
+    """Why (p, q) is not a normalized slope (coprime, 0 < q <= p), or ``None``."""
     if not (0 < q <= p):
-        raise ValueError(f"slope ({p},{q}) must satisfy 0 < q <= p")
+        return f"slope ({p},{q}) must satisfy 0 < q <= p"
     if gcd(p, q) != 1:
-        raise ValueError(f"slope ({p},{q}) must be coprime")
+        return f"slope ({p},{q}) must be coprime"
+    return None
 
 
 def negative_continued_fraction(p: int, q: int) -> ContinuedFractionExpansion:
@@ -93,7 +85,11 @@ def negative_continued_fraction(p: int, q: int) -> ContinuedFractionExpansion:
     throughout: flooring floats near integers is exactly the failure mode
     this must not have.
     """
-    _check_slope(p, q)
+    if p > SLOPE_P_CAP:
+        raise ValueError(f"slope numerator capped at p={SLOPE_P_CAP}, got {p}")
+    error = slope_error(p, q)
+    if error is not None:
+        raise ValueError(error)
     coefficients = []
     num, den = -p, q
     while True:

@@ -13,17 +13,26 @@ The JSON form mirrors it: ``{"surface": ..., "vertices": [{"id", "sign",
 per graph or class, without building the object first.  Their bytes equal
 ``json.dumps`` of the object with its default separators, because every
 id, sign, genus and slope is an ``int``: the enumerators build them so
-and both parsers accept nothing else.  Parsing validates the result
-(graph invariants, then embeddability) so a successfully parsed class is
-always usable downstream.  All emitters order their output
-deterministically.
+and both parsers accept nothing else.
+
+A table row, in CSV or as a JSON line, is written the same way, from
+the head (code, surface, V, E) and tail (census) strings of its graph
+and an f-string of its slope and regime integers; the CSV form leaves
+an absent slope empty and the JSON form writes ``null``.  Every value
+is an ``int`` or an ASCII string of ``T C ( ) + -`` and digits,
+``sphere`` or ``torus``, so nothing needs quoting or escaping: the lines
+are byte-equal to ``csv.writer``'s and to ``json.dumps`` of the row
+dict.
+
+Parsing validates the result (graph invariants, then embeddability) so
+a successfully parsed class is always usable downstream.  All emitters
+order their output deterministically.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from itertools import groupby
 
 from .classify import ClassificationRecord, graph_census
 from .counting import TightCountResult
@@ -256,51 +265,49 @@ TABLE_COLUMNS = [
 ]
 
 
-def _record_rows(records: list[ClassificationRecord], modulo_swap: bool):
-    """Table rows as tuples in ``TABLE_COLUMNS`` order, one per record.
+def _table_blocks(records: list[ClassificationRecord], modulo_swap: bool, json_form: bool):
+    """CSV or JSON table lines in ``TABLE_COLUMNS`` order, one per record,
+    joined into one block per run of records sharing a graph object.
 
     The code, shape and census columns depend on the graph alone, so they
-    are computed once for each run of records sharing a graph object.
-    ``classify`` checked each record's class when it made the record, so
-    the census is not checked again here.
+    are rendered once per run, as a head and a tail string; a row formats
+    only its slope and regime columns.  ``classify`` checked each record's
+    class when it made the record, so nothing is checked again here.
     """
-    graph = manifold = None
-    for record in records:
-        d = record.dividing_set
-        if d.graph is not graph or record.manifold is not manifold:
-            graph, manifold = d.graph, record.manifold
-            census = graph_census(manifold, graph)
-            head = (
-                canonical_code(graph, modulo_swap),
-                d.surface.value,
-                graph.vertex_count,
-                graph.edge_count,
+    if json_form:
+        sep = [f', "{column}": ' for column in TABLE_COLUMNS]
+        sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
+    else:
+        sep = [","] * len(TABLE_COLUMNS)
+        sep[0], quote, null, end = "", "", "", "\n"
+    mid = sep[5:11]
+    for _, run in groupby(records, lambda r: (id(r.dividing_set.graph), id(r.manifold))):
+        run = list(run)
+        d = run[0].dividing_set
+        census = graph_census(run[0].manifold, d.graph)
+        head = (
+            f"{sep[0]}{quote}{canonical_code(d.graph, modulo_swap)}{quote}"
+            f"{sep[1]}{quote}{d.surface.value}{quote}"
+            f"{sep[2]}{d.graph.vertex_count}{sep[3]}{d.graph.edge_count}{sep[4]}"
+        )
+        tail = (
+            f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
+            f"{sep[13]}{census.leaves_dim1}{end}"
+        )
+        lines = []
+        for record in run:
+            p, q = record.dividing_set.slope or (null, null)
+            t, m, o = record.tight, record.mixed, record.fully_overtwisted
+            lines.append(
+                f"{head}{p}{mid[0]}{q}{mid[1]}{t.finite_factor}{mid[2]}{m.finite_factor}"
+                f"{mid[3]}{m.free_rank}{mid[4]}{o.finite_factor}{mid[5]}{o.free_rank}{tail}"
             )
-            tail = (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1)
-        yield head + (
-            d.slope[0] if d.slope else "",
-            d.slope[1] if d.slope else "",
-            record.tight.finite_factor,
-            record.mixed.finite_factor,
-            record.mixed.free_rank,
-            record.fully_overtwisted.finite_factor,
-            record.fully_overtwisted.free_rank,
-        ) + tail
+        yield "".join(lines)
 
 
 def render_table_csv(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TABLE_COLUMNS)
-    writer.writerows(_record_rows(records, modulo_swap))
-    return buffer.getvalue()
+    return ",".join(TABLE_COLUMNS) + "\n" + "".join(_table_blocks(records, modulo_swap, False))
 
 
 def render_table_jsonl(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
-    lines = []
-    for values in _record_rows(records, modulo_swap):
-        row = dict(zip(TABLE_COLUMNS, values))
-        row["slope_p"] = row["slope_p"] or None
-        row["slope_q"] = row["slope_q"] or None
-        lines.append(json.dumps(row))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_table_blocks(records, modulo_swap, True))

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
 
+from .counting import slope_error
 from .region_graph import InvalidRegionGraphError, RegionGraph, Violation, validate
 
 
@@ -74,25 +74,12 @@ class DividingSetClass:
     graph: RegionGraph
     slope: tuple[int, int] | None = None
 
-    def __post_init__(self) -> None:
-        if self.slope is not None:
-            object.__setattr__(self, "slope", (int(self.slope[0]), int(self.slope[1])))
-
 
 def region_euler(genus: int, boundary_count: int) -> int:
     """Euler characteristic 2 - 2*genus - boundary_count of a compact region."""
     if boundary_count < 1:
         raise ValueError("a region of a cut surface has at least one boundary curve")
     return 2 - 2 * genus - boundary_count
-
-
-def _slope_violation(slope: tuple[int, int]) -> Violation | None:
-    p, q = slope
-    if not (0 < q <= p):
-        return Violation("slope", f"slope ({p},{q}) must satisfy 0 < q <= p")
-    if gcd(p, q) != 1:
-        return Violation("slope", f"slope ({p},{q}) must be coprime")
-    return None
 
 
 def check_embeddable(d: DividingSetClass) -> Violation | None:
@@ -134,7 +121,8 @@ def check_embeddable(d: DividingSetClass) -> Violation | None:
         return Violation("genus", "torus classes with essential curves are all genus 0")
     if d.slope is None:
         return Violation("slope", "essential torus curves require a slope (p, q)")
-    return _slope_violation(d.slope)
+    error = slope_error(*d.slope)
+    return None if error is None else Violation("slope", error)
 
 
 def require_embeddable(d: DividingSetClass) -> DividingSetClass:

@@ -52,6 +52,22 @@ CLASSIFY_TWO_CYCLE_32_JSON_SHA256 = (
 CLASSIFY_EQUATOR_JSON_SHA256 = (
     "39960b1343af626fd6277b5b3accfe0b56734d2d339dfbb128a0f79129cad999"
 )
+# sha256 of these tables' stdout while JSON table rows were dumped from a
+# dict per row and CSV rows went through csv.writer; they pin the bytes of
+# both table formats, up to the 157,742-row s3-t2 8/64 table.
+TORUS_TABLE_6_8_JSON_SHA256 = (
+    "89b89e7e664b42fc92d33bf17377fc93b68ad93c621ab1aa503bf00d61b34213"
+)
+SPHERE_TABLE_13_JSON_SHA256 = (
+    "caa7cd315842fd8c8e67521dd68b089a25bee309f7c1026608fd57cb00762dd3"
+)
+TORUS_TABLE_8_4_SWAP_JSON_SHA256 = (
+    "6dad667820f3d2057a0c4d7fd52eb08d43301050c9af6c9538269cf6e5942dee"
+)
+TORUS_TABLE_8_64_SHA256 = "aa4b8a63b1e3c5c5ea82dcd93f44aa04c43059a02b7eec0fa670e9cc447e588c"
+TORUS_TABLE_8_64_JSON_SHA256 = (
+    "3633ae927c670ac6e61fd85a2c3f1e6644cd3ef9b31d4806d850a9b4d1b464be"
+)
 
 
 def run(argv):
@@ -384,21 +400,33 @@ class TestDeterminism:
         assert run(args) == run(args)
 
     @pytest.mark.parametrize(
-        "args,digest",
+        "args,fmt,digest",
         [
             # Recorded before the torus table was built per graph class.
-            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"],
+            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "csv",
              TORUS_TABLE_6_8_SHA256),
-            (["--manifold", "s3-s2", "--max-curves", "13"], SPHERE_TABLE_13_SHA256),
-            (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"],
+            (["--manifold", "s3-s2", "--max-curves", "13"], "csv", SPHERE_TABLE_13_SHA256),
+            (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"], "csv",
              SPHERE_TABLE_13_SWAP_SHA256),
             (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
-              "--no-distinguish-signs"], TORUS_TABLE_8_4_SWAP_SHA256),
+              "--no-distinguish-signs"], "csv", TORUS_TABLE_8_4_SWAP_SHA256),
+            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "json",
+             TORUS_TABLE_6_8_JSON_SHA256),
+            (["--manifold", "s3-s2", "--max-curves", "13"], "json",
+             SPHERE_TABLE_13_JSON_SHA256),
+            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
+              "--no-distinguish-signs"], "json", TORUS_TABLE_8_4_SWAP_JSON_SHA256),
+            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "csv",
+             TORUS_TABLE_8_64_SHA256),
+            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "json",
+             TORUS_TABLE_8_64_JSON_SHA256),
         ],
-        ids=["s3-t2-6-8", "s3-s2-13", "s3-s2-13-swap", "s3-t2-8-4-swap"],
+        ids=["s3-t2-6-8", "s3-s2-13", "s3-s2-13-swap", "s3-t2-8-4-swap",
+             "s3-t2-6-8-json", "s3-s2-13-json", "s3-t2-8-4-swap-json",
+             "s3-t2-8-64", "s3-t2-8-64-json"],
     )
-    def test_table_matches_recorded_digest(self, args, digest):
-        status, output = run(["table", *args, "--format", "csv"])
+    def test_table_matches_recorded_digest(self, args, fmt, digest):
+        status, output = run(["table", *args, "--format", fmt])
         assert status == 0
         assert hashlib.sha256(output.encode()).hexdigest() == digest
 
@@ -464,7 +492,10 @@ class TestImportFootprint:
     )
     def test_no_networkx_or_numpy_at_runtime(self, code):
         # A fresh interpreter, so modules another test imported do not count.
-        code += "print(sorted({'networkx', 'numpy'} & set(sys.modules)))\n"
+        # Tables are written with f-strings and continued fractions are never
+        # evaluated, so neither csv nor fractions (and what it imports) loads.
+        unwanted = {"networkx", "numpy", "fractions", "decimal", "numbers", "csv", "_csv"}
+        code += f"print(sorted({unwanted!r} & set(sys.modules)))\n"
         proc = subprocess.run(
             [sys.executable, "-c", "import sys\n" + code],
             capture_output=True, text=True, check=True,

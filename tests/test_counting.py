@@ -62,10 +62,6 @@ class TestNegativeContinuedFraction:
                 if (p, q) != (1, 1):
                     assert all(a <= -2 for a in cf.coefficients)
 
-    def test_value_matches_reconstruction(self):
-        cf = negative_continued_fraction(17, 5)
-        assert cf.value() == Fraction(-17, 5) == reconstruct(cf.coefficients)
-
 
 class TestExpansionProducts:
     @pytest.mark.parametrize(
