@@ -41,7 +41,6 @@ from .region_graph import (
     RegionGraph,
     RegionVertex,
     Violation,
-    are_isomorphic,
     canonical_code,
     validate,
 )
@@ -53,7 +52,6 @@ from .surfaces import (
     Surface,
     check_embeddable,
     region_euler,
-    total_euler,
 )
 
 __version__ = "0.1.0"
@@ -77,7 +75,6 @@ __all__ = [
     "TightCountResult",
     "Verdict",
     "Violation",
-    "are_isomorphic",
     "canonical_code",
     "catalan",
     "check_embeddable",
@@ -96,7 +93,6 @@ __all__ = [
     "region_euler",
     "serialize_class_text",
     "tight_count_solid_torus",
-    "total_euler",
     "validate",
     "__version__",
 ]

@@ -42,10 +42,6 @@ from .surfaces import DividingSetClass, ManifoldSpec, Surface
 class InadmissibleError(ValueError):
     """Raised when classifying a dividing set no b-contact structure induces."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 @dataclass(frozen=True)
 class RegimeDescriptor:

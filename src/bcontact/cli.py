@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: enum-trees, enum-torus, check, classify, tight-count, cf,
-census, table, export-dot.  Results go to stdout, diagnostics to stderr;
-exit status 0 on success, 1 on a domain error (invalid or inadmissible
-input, resource caps), 2 on usage or syntax errors.  All machine-readable
-output is deterministic and newline-terminated.
+census, table, export-dot.  The ``--gamma`` commands take the manifold from
+the input's surface: S3 with an equatorial sphere or an unknotted torus.
+``table`` writes CSV (the default) or JSON lines.  Results go to stdout,
+diagnostics to stderr; exit status 0 on success, 1 on a domain error
+(invalid or inadmissible input, resource caps), 2 on usage or syntax
+errors, input that is not UTF-8 included.  All machine-readable output is
+deterministic and newline-terminated.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def _add_sign_mode(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_format(parser: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
-    parser.add_argument("--format", choices=list(choices), default="text")
+    parser.add_argument("--format", choices=list(choices), default=choices[0])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classification record for a dividing set")
     p.add_argument("--gamma", required=True)
-    p.add_argument("--manifold", choices=sorted(_MANIFOLDS))
     _add_format(p, ("text", "json"))
 
     p = sub.add_parser("tight-count", help="tight count N(n, -p, q) on the solid torus")
@@ -92,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="leaf census of the singular foliation")
     p.add_argument("--gamma", required=True)
-    p.add_argument("--manifold", choices=sorted(_MANIFOLDS))
     _add_format(p, ("text", "json"))
 
     p = sub.add_parser("table", help="classification table over all enumerated classes")
@@ -100,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-curves", type=int, default=5)
     p.add_argument("--max-slope", type=int, default=3)
     _add_sign_mode(p)
-    _add_format(p, ("text", "csv", "json"))
+    _add_format(p, ("csv", "json"))
 
     p = sub.add_parser("export-dot", help="emit a Graphviz description of a dividing set")
     p.add_argument("--gamma", required=True)
@@ -109,16 +110,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_gamma(path: str) -> DividingSetClass:
-    if path == "-":
-        return parse_dividing_set(sys.stdin.read())
-    with open(path, encoding="utf-8") as handle:
-        return parse_dividing_set(handle.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 ({exc.reason})") from None
+    return parse_dividing_set(text)
 
 
-def _manifold_for(d: DividingSetClass, name: str | None) -> ManifoldSpec:
-    if name is None:
-        return S3_S2 if d.surface is Surface.SPHERE else S3_T2
-    return _MANIFOLDS[name]
+def _manifold_for(d: DividingSetClass) -> ManifoldSpec:
+    return S3_S2 if d.surface is Surface.SPHERE else S3_T2
 
 
 def _emit(out, text: str) -> None:
@@ -176,7 +180,7 @@ def _cmd_enum_torus(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     d = _read_gamma(args.gamma)
-    manifold = _manifold_for(d, None)
+    manifold = _manifold_for(d)
     admissible = is_admissible(manifold, d)
     tight = is_tight_candidate(manifold, d)
     code = canonical_code(d.graph)
@@ -216,7 +220,7 @@ def _record_json(record) -> str:
 
 def _cmd_classify(args, out) -> int:
     d = _read_gamma(args.gamma)
-    record = classify(_manifold_for(d, args.manifold), d)
+    record = classify(_manifold_for(d), d)
     if args.format == "json":
         _emit(out, _record_json(record))
         return 0
@@ -260,7 +264,7 @@ def _cmd_cf(args, out) -> int:
 
 def _cmd_census(args, out) -> int:
     d = _read_gamma(args.gamma)
-    census = leaf_census(_manifold_for(d, args.manifold), d)
+    census = leaf_census(_manifold_for(d), d)
     if args.format == "json":
         _emit(out, json.dumps({
             "leaves_dim3": census.leaves_dim3,

@@ -117,7 +117,6 @@ def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int
     vertices: list[RegionVertex] = []
     edges: list[tuple[int, int]] = []
     slope: tuple[int, int] | None = None
-    seen_ids: set[int] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,9 +135,6 @@ def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int
             if len(fields) != 4:
                 raise ParseError("vertex line is 'v <id> <+|-> <genus>'", lineno)
             vid = _parse_int(fields[1], lineno, "vertex id")
-            if vid in seen_ids:
-                raise ParseError(f"duplicate vertex id {vid}", lineno, fields[1])
-            seen_ids.add(vid)
             if fields[2] not in ("+", "-"):
                 raise ParseError("vertex sign must be + or -", lineno, fields[2])
             genus = _parse_int(fields[3], lineno, "genus")
@@ -162,8 +158,6 @@ def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int
         else:
             raise ParseError("unknown directive", lineno, kind)
 
-    if not vertices:
-        raise ParseError("no vertices")
     return surface, RegionGraph(tuple(vertices), tuple(edges)), slope
 
 

@@ -155,7 +155,10 @@ def _first_violation(g: RegionGraph) -> Violation | None:
         return Violation("malformed", "graph has no vertices")
     sign = {v.id: v.sign for v in g.vertices}
     if len(sign) != len(g.vertices):
-        return Violation("malformed", "duplicate vertex ids")
+        # Vertices are in id order, so a repeated id sits next to its twin.
+        ids = g.vertex_ids
+        repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+        return Violation("malformed", f"duplicate vertex id {repeated}")
     if any(v.id < 0 for v in g.vertices):
         return Violation("malformed", "vertex ids must be non-negative")
     for v in g.vertices:
@@ -359,9 +362,3 @@ def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
     _require_valid(g)
     return g._swap_code if modulo_swap else g._code
 
-
-def are_isomorphic(g1: RegionGraph, g2: RegionGraph, modulo_swap: bool = False) -> bool:
-    """Whether a sign-preserving (or, with ``modulo_swap``, possibly
-    globally sign-negating) genus-preserving multigraph isomorphism exists.
-    """
-    return canonical_code(g1, modulo_swap) == canonical_code(g2, modulo_swap)

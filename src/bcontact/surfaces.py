@@ -13,10 +13,10 @@ tori.  Embeddability is a per-surface shape constraint on the graph:
   every region is planar, and the common homology class of the essential
   curves is a normalized slope (p, q), coprime with 0 < q <= p.
 
-``total_euler`` adds up per-region Euler characteristics (chi = 2 - 2g - b
-for a genus-g region with b boundary curves) and must reproduce the Euler
-characteristic of the closed surface; the suite checks that conservation
-law on everything the enumerator produces.
+``region_euler`` gives a region's Euler characteristic (chi = 2 - 2g - b
+for a genus-g region with b boundary curves); the regions of a class add
+up to the Euler characteristic of the closed surface, a conservation law
+the suite checks on everything the enumerator produces.
 """
 
 from __future__ import annotations
@@ -32,30 +32,16 @@ class Surface(enum.Enum):
     SPHERE = "sphere"
     TORUS = "torus"
 
-    @property
-    def genus(self) -> int:
-        return 0 if self is Surface.SPHERE else 1
-
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus
-
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """An ambient three-manifold with a separating critical surface.
+    """The three-sphere with a separating critical surface.
 
-    Only the three-sphere is supported; the critical surface is either an
-    equatorial sphere or an unknotted torus, and in both cases its
-    complement has exactly two components.
+    The critical surface is either an equatorial sphere or an unknotted
+    torus, and in both cases its complement has exactly two components.
     """
 
     critical: Surface
-    ambient: str = "S3"
-
-    def __post_init__(self) -> None:
-        if self.ambient != "S3":
-            raise ValueError(f"unsupported ambient manifold {self.ambient!r}")
 
     @property
     def complement_components(self) -> int:
@@ -132,12 +118,3 @@ def require_embeddable(d: DividingSetClass) -> DividingSetClass:
         raise InvalidRegionGraphError(str(violation))
     return d
 
-
-def total_euler(d: DividingSetClass) -> int:
-    """Sum of per-region Euler characteristics over all regions.
-
-    For every embeddable class this reproduces the Euler characteristic
-    of the closed surface: 2 on the sphere, 0 on the torus.
-    """
-    g = d.graph
-    return sum(region_euler(v.genus, g.degrees[v.id]) for v in g.vertices)

@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import comb, floor, gcd
+from math import gcd
 
 from bcontact.admissibility import is_admissible
 from bcontact.classify import classification_table, classify, leaf_census
@@ -24,9 +24,9 @@ from bcontact.surfaces import (
     DividingSetClass,
     Surface,
     check_embeddable,
-    total_euler,
 )
 
+from helpers import tight_count_by_fractions, total_euler
 from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
@@ -103,28 +103,6 @@ def test_sphere_classification_fixtures():
         assert (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1) == (2, 2, 1)
 
 
-def _tight_count_by_fractions(n, p, q):
-    """Independent reimplementation of the solid-torus count via Fractions."""
-    x = Fraction(-p, q)
-    coefficients = []
-    while True:
-        a = floor(x)
-        if a == x:
-            coefficients.append(a)
-            break
-        coefficients.append(a)
-        x = 1 / (a - x)
-    if coefficients == [-1]:
-        r = s = 1
-    else:
-        prefix = 1
-        for a in coefficients[:-1]:
-            prefix *= a + 1
-        r = abs(prefix * coefficients[-1])
-        s = abs(prefix * (coefficients[-1] + 1))
-    return (comb(2 * n, n) // (n + 1)) * ((r - s) * n + s)
-
-
 def test_torus_fixture_two_implementations():
     with criterion("torus bare 2-cycle slope (3,2): tight 4, mixed (4,2), two code paths"):
         g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
@@ -132,7 +110,7 @@ def test_torus_fixture_two_implementations():
         record = classify(S3_T2, d)
         assert record.tight.finite_factor == 4
         assert (record.mixed.finite_factor, record.mixed.free_rank) == (4, 2)
-        assert record.tight.finite_factor == 2 * _tight_count_by_fractions(1, 3, 2)
+        assert record.tight.finite_factor == 2 * tight_count_by_fractions(1, 3, 2)
 
 
 def _random_embeddable_class(rng):

@@ -5,20 +5,7 @@ from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-
-def sphere_class(signs, edges):
-    g = RegionGraph([(i, s, 0) for i, s in enumerate(signs)], edges)
-    return DividingSetClass(Surface.SPHERE, g)
-
-
-def torus_cycle(length, slope=(1, 1)):
-    signs = [1 if i % 2 == 0 else -1 for i in range(length)]
-    if length == 2:
-        edges = [(0, 1), (0, 1)]
-    else:
-        edges = [(i, (i + 1) % length) for i in range(length)]
-    g = RegionGraph([(i, s, 0) for i, s in enumerate(signs)], edges)
-    return DividingSetClass(Surface.TORUS, g, slope)
+from helpers import sphere_class, torus_cycle
 
 
 class TestEulerPairing:

@@ -1,8 +1,6 @@
 """Classification records, leaf census, and the batch table."""
 
 import importlib
-from fractions import Fraction
-from math import comb, floor
 
 import pytest
 
@@ -20,45 +18,10 @@ from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
+from helpers import sphere_class, tight_count_by_fractions, torus_cycle
+
 # The package re-exports ``classify``, which hides the submodule's name.
 CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
-
-
-def sphere_class(signs, edges):
-    g = RegionGraph([(i, s, 0) for i, s in enumerate(signs)], edges)
-    return DividingSetClass(Surface.SPHERE, g)
-
-
-def torus_cycle(length, slope):
-    signs = [1 if i % 2 == 0 else -1 for i in range(length)]
-    edges = [(0, 1), (0, 1)] if length == 2 else [
-        (i, (i + 1) % length) for i in range(length)
-    ]
-    g = RegionGraph([(i, s, 0) for i, s in enumerate(signs)], edges)
-    return DividingSetClass(Surface.TORUS, g, slope)
-
-
-def tight_count_by_fractions(n, p, q):
-    """Second implementation of the solid-torus count, via Fractions."""
-    x = Fraction(-p, q)
-    coefficients = []
-    while True:
-        a = floor(x)
-        if a == x:
-            coefficients.append(a)
-            break
-        coefficients.append(a)
-        x = 1 / (a - x)
-    if coefficients == [-1]:
-        r = s = 1
-    else:
-        prefix = 1
-        for a in coefficients[:-1]:
-            prefix *= a + 1
-        r = abs(prefix * coefficients[-1])
-        s = abs(prefix * (coefficients[-1] + 1))
-    cat = comb(2 * n, n) // (n + 1)
-    return cat * ((r - s) * n + s)
 
 
 class TestRegimeDescriptor:

