@@ -13,9 +13,11 @@ from .classify import (
     InadmissibleError,
     LeafCensus,
     RegimeDescriptor,
+    TableClass,
     classification_table,
     classify,
     leaf_census,
+    table_classes,
 )
 from .counting import (
     ContinuedFractionExpansion,
@@ -29,6 +31,8 @@ from .enumeration import (
     ResourceLimitError,
     enum_equicolored_trees,
     enum_torus_classes,
+    enum_torus_graphs,
+    graph_slopes,
 )
 from .formats import (
     ParseError,
@@ -72,6 +76,7 @@ __all__ = [
     "S3_S2",
     "S3_T2",
     "Surface",
+    "TableClass",
     "TightCountResult",
     "Verdict",
     "Violation",
@@ -82,9 +87,11 @@ __all__ = [
     "classify",
     "enum_equicolored_trees",
     "enum_torus_classes",
+    "enum_torus_graphs",
     "euler_pairing",
     "expansion_products",
     "export_dot",
+    "graph_slopes",
     "is_admissible",
     "is_tight_candidate",
     "leaf_census",
@@ -92,6 +99,7 @@ __all__ = [
     "parse_dividing_set",
     "region_euler",
     "serialize_class_text",
+    "table_classes",
     "tight_count_solid_torus",
     "validate",
     "__version__",

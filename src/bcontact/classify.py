@@ -22,19 +22,30 @@ graph: two maximal-dimension leaves (the complement of the critical
 surface), one two-dimensional leaf per region, one one-dimensional leaf
 per curve.
 
-So only a bare cycle's record depends on the slope.  The batch table is
-built per graph class and expanded by slope: each graph class is
-classified once and its regimes are reused at every slope, and a bare
-cycle's tight count alone is computed again at each slope.
+So only a bare cycle's record depends on the slope, and only through its
+tight count.  The batch table is therefore built per graph class
+(``table_classes``): each graph class is classified once, at its first
+slope, and carries its code, its slope list and, for a bare cycle, the
+tight count at each slope.  ``classification_table`` is the per-row
+expansion of that form, one record per (graph class, slope).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .admissibility import is_admissible, tight_shape
 from .counting import TightCountResult, tight_count_solid_torus
-from .enumeration import check_tree_request, enum_equicolored_trees, enum_torus_classes
+from .enumeration import (
+    check_torus_request,
+    check_tree_request,
+    enum_equicolored_trees,
+    Slopes,
+    enum_torus_graphs,
+    graph_slopes,
+)
 from .region_graph import RegionGraph, canonical_code
 from .surfaces import DividingSetClass, ManifoldSpec, Surface
 
@@ -111,15 +122,20 @@ def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
 def _bare_cycle_record(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
     """The record of an admissible bare cycle, whose regimes depend on the
     slope only through the solid-torus tight count."""
-    n = d.graph.edge_count // 2
     p, q = d.slope
-    detail = tight_count_solid_torus(n, p, q)
-    return ClassificationRecord(
-        m, d,
-        tight=RegimeDescriptor(2 * detail.count, 0),
-        mixed=RegimeDescriptor(2 * detail.count, 2),
-        fully_overtwisted=RegimeDescriptor(1, 4),
-        tight_count_detail=detail,
+    detail = tight_count_solid_torus(d.graph.edge_count // 2, p, q)
+    return ClassificationRecord(m, d, *_bare_cycle_regimes(detail), detail)
+
+
+def _bare_cycle_regimes(
+    detail: TightCountResult,
+) -> tuple[RegimeDescriptor, RegimeDescriptor, RegimeDescriptor]:
+    """Tight, mixed and fully overtwisted regimes of a bare cycle whose
+    solid-torus sides have ``detail.count`` tight fillings each."""
+    return (
+        RegimeDescriptor(2 * detail.count, 0),
+        RegimeDescriptor(2 * detail.count, 2),
+        RegimeDescriptor(1, 4),
     )
 
 
@@ -139,19 +155,65 @@ def graph_census(m: ManifoldSpec, g: RegionGraph) -> LeafCensus:
     )
 
 
-def classification_table(
+class TableClass(
+    namedtuple("TableClass", ["record", "code", "slopes", "tight_counts"], defaults=[()])
+):
+    """One graph class of a classification table, with all of its slopes.
+
+    ``record`` is ``classify``'s ``ClassificationRecord`` of the class at
+    its first slope, and ``code`` its canonical code in the table's sign
+    mode.  ``slopes`` (``Slopes``) is ``(None,)`` for a tree or a sphere
+    class.  A bare cycle also carries ``tight_counts``, its solid-torus
+    ``TightCountResult`` at each slope, the first being the record's own;
+    every other class has the record's regimes at every slope.
+    """
+
+    # A named tuple, not a dataclass: every CLI call imports this module,
+    # and a named tuple class is made in a tenth of the time.
+    __slots__ = ()
+
+    @property
+    def graph(self) -> RegionGraph:
+        return self.record.dividing_set.graph
+
+    def regime_runs(
+        self,
+    ) -> Iterator[tuple[Slopes, RegimeDescriptor, RegimeDescriptor, RegimeDescriptor]]:
+        """The slopes in order, in runs sharing (tight, mixed, fully
+        overtwisted) regimes: one run of all of them when the regimes do not
+        depend on the slope, one run per slope for a bare cycle."""
+        r = self.record
+        if not self.tight_counts:
+            yield self.slopes, r.tight, r.mixed, r.fully_overtwisted
+            return
+        for slope, detail in zip(self.slopes, self.tight_counts):
+            yield ((slope,), *_bare_cycle_regimes(detail))
+
+    def records(self) -> Iterator[ClassificationRecord]:
+        """The class's per-row records, one per slope, as ``classify`` makes them."""
+        m, d = self.record.manifold, self.record.dividing_set
+        details = iter(self.tight_counts)
+        for slopes, tight, mixed, ot in self.regime_runs():
+            for slope in slopes:
+                yield ClassificationRecord(
+                    m, DividingSetClass(d.surface, d.graph, slope), tight, mixed, ot,
+                    next(details, None),
+                )
+
+
+def table_classes(
     m: ManifoldSpec,
     max_curves: int,
     max_p: int | None = None,
     modulo_swap: bool = False,
-) -> list[ClassificationRecord]:
-    """One record per enumerated admissible class, sorted by canonical code
-    and then slope; ``max_p`` defaults to 1 on the torus.
+) -> list[TableClass]:
+    """The classification table per graph class: every enumerated
+    admissible graph class with at most ``max_curves`` curves, sorted by
+    canonical code, each with its slopes up to ``max_p`` (default 1, on the
+    torus only).
 
-    ``classify`` runs once per graph class, and the record's regimes are
-    reused for the class's other slopes.  Only a bare cycle's tight count
-    depends on the slope, so at its other slopes that count alone is
-    computed again.
+    ``classify`` runs once per graph class and, for a bare cycle,
+    ``tight_count_solid_torus`` once per slope.
     """
     if max_curves < 1 or (max_p is not None and max_p < 1):
         raise ValueError("max_curves and max_p must be >= 1")
@@ -162,21 +224,39 @@ def classification_table(
             g for n in range(1, largest + 1) for g in enum_equicolored_trees(n, modulo_swap)
         ]
         graphs.sort(key=lambda g: canonical_code(g, modulo_swap))
-        classes = [DividingSetClass(Surface.SPHERE, g) for g in graphs]
-    else:
-        classes = enum_torus_classes(max_curves, 1 if max_p is None else max_p, modulo_swap)
+        return [_table_class(m, g, canonical_code(g, modulo_swap), (None,)) for g in graphs]
+    max_p = 1 if max_p is None else max_p
+    check_torus_request(max_curves, max_p)
+    return [
+        _table_class(m, g, canonical_code(g, modulo_swap), graph_slopes(g, max_p))
+        for g in enum_torus_graphs(max_curves, modulo_swap)
+    ]
 
-    records: list[ClassificationRecord] = []
-    previous: ClassificationRecord | None = None
-    for d in classes:
-        if previous is None or d.graph is not previous.dividing_set.graph:
-            record = classify(m, d)
-        elif previous.tight_count_detail is None:
-            record = ClassificationRecord(
-                m, d, previous.tight, previous.mixed, previous.fully_overtwisted
-            )
-        else:
-            record = _bare_cycle_record(m, d)
-        records.append(record)
-        previous = record
-    return records
+
+def _table_class(m: ManifoldSpec, g: RegionGraph, code: str, slopes: Slopes) -> TableClass:
+    record = classify(m, DividingSetClass(m.critical, g, slopes[0]))
+    detail = record.tight_count_detail
+    if detail is None:
+        return TableClass(record, code, slopes)
+    n = g.edge_count // 2
+    rest = [tight_count_solid_torus(n, p, q) for p, q in slopes[1:]]
+    return TableClass(record, code, slopes, (detail, *rest))
+
+
+def classification_table(
+    m: ManifoldSpec,
+    max_curves: int,
+    max_p: int | None = None,
+    modulo_swap: bool = False,
+) -> list[ClassificationRecord]:
+    """One record per enumerated admissible class, sorted by canonical code
+    and then slope; ``max_p`` defaults to 1 on the torus.
+
+    The per-row expansion of ``table_classes``, for callers that want one
+    record per (graph class, slope).
+    """
+    return [
+        record
+        for c in table_classes(m, max_curves, max_p, modulo_swap)
+        for record in c.records()
+    ]

@@ -17,18 +17,25 @@ import json
 import sys
 
 from .admissibility import is_admissible, is_tight_candidate
-from .classify import InadmissibleError, classification_table, classify, leaf_census
+from .classify import InadmissibleError, classify, leaf_census, table_classes
 from .counting import negative_continued_fraction, tight_count_solid_torus
-from .enumeration import ResourceLimitError, enum_equicolored_trees, enum_torus_classes
+from .enumeration import (
+    ResourceLimitError,
+    check_torus_request,
+    enum_equicolored_trees,
+    enum_torus_graphs,
+    graph_slopes,
+)
 from .formats import (
     ParseError,
     class_json,
     export_dot,
+    graph_class_json,
+    graph_class_text,
     graph_json,
     parse_dividing_set,
     render_table_csv,
     render_table_jsonl,
-    serialize_class_text,
     serialize_graph_text,
     tight_count_to_json_dict,
 )
@@ -112,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_gamma(path: str) -> DividingSetClass:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # The bytes, not sys.stdin's text: its decoder follows the locale
+            # and may let undecodable bytes through as surrogates.
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
@@ -162,19 +171,23 @@ def _cmd_enum_trees(args, out) -> int:
 
 def _cmd_enum_torus(args, out) -> int:
     modulo_swap = not args.distinguish_signs
-    classes = enum_torus_classes(args.max_curves, args.max_slope, modulo_swap)
+    check_torus_request(args.max_curves, args.max_slope)
+    graphs = enum_torus_graphs(args.max_curves, modulo_swap)
+    slopes = [graph_slopes(g, args.max_slope) for g in graphs]
     if args.count_only:
-        _emit(out, str(len(classes)))
+        _emit(out, str(sum(map(len, slopes))))
         return 0
     if args.format == "json":
-        for d in classes:
-            out.write(class_json(d) + "\n")
+        for g, s in zip(graphs, slopes):
+            out.write(graph_class_json(Surface.TORUS, g, s) + "\n")
     elif args.format == "csv":
         _emit(out, "size,canonical_code,admissible")
-        for d in classes:
-            _emit(out, f"{d.graph.edge_count},{canonical_code(d.graph, modulo_swap)},true")
+        for g, s in zip(graphs, slopes):
+            out.write(f"{g.edge_count},{canonical_code(g, modulo_swap)},true\n" * len(s))
     else:
-        _emit_blocks(out, map(serialize_class_text, classes))
+        _emit_blocks(
+            out, (graph_class_text(Surface.TORUS, g, s) for g, s in zip(graphs, slopes))
+        )
     return 0
 
 
@@ -277,14 +290,13 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    modulo_swap = not args.distinguish_signs
-    records = classification_table(
-        _MANIFOLDS[args.manifold], args.max_curves, args.max_slope, modulo_swap
+    classes = table_classes(
+        _MANIFOLDS[args.manifold], args.max_curves, args.max_slope, not args.distinguish_signs
     )
     if args.format == "json":
-        _emit(out, render_table_jsonl(records, modulo_swap))
+        _emit(out, render_table_jsonl(classes))
     else:
-        _emit(out, render_table_csv(records, modulo_swap))
+        _emit(out, render_table_csv(classes))
     return 0
 
 

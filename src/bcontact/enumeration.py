@@ -38,10 +38,13 @@ also gives the sign-swapped code.  A ``RegionGraph`` is built only for a
 class that is emitted, by the generator-only constructor, which
 validates it once and seeds its cached codes.  ``TestArrayCodes`` in the
 test suite checks every array code on up to nine regions against the
-graph the public constructor builds.  Each torus graph class is then
-expanded by slope: a unicyclic class is paired with every normalized
-slope up to the bound, all the resulting classes sharing one graph
-object.
+graph the public constructor builds.
+
+Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
+and ``graph_slopes`` gives each one its slopes, every normalized slope up
+to the bound for a unicyclic graph and none for a tree.  Nothing
+slope-dependent is built per graph; ``enum_torus_classes`` is the
+per-slope expansion, for callers that want one class object per slope.
 
 All output is deterministically ordered by canonical code, so repeated
 runs are byte-identical.
@@ -59,6 +62,11 @@ from .surfaces import DividingSetClass, Surface
 TREE_CAP = 10
 CURVE_CAP = 16
 SLOPE_CAP = 256
+
+
+# The slopes of one torus graph class in order: ``(None,)`` for a tree,
+# whose curves are all contractible.
+Slopes = tuple[tuple[int, int] | None, ...]
 
 
 class ResourceLimitError(ValueError):
@@ -285,22 +293,9 @@ def _torus_candidates(
                         yield layout, edges + [(u, v)], None
 
 
-def _normalized_slopes(max_p: int) -> list[tuple[int, int]]:
-    return [
-        (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
-    ]
-
-
-def enum_torus_classes(
-    max_curves: int, max_p: int, modulo_swap: bool = False
-) -> list[DividingSetClass]:
-    """All admissible torus dividing-set classes with at most ``max_curves``
-    curves and slopes bounded by ``max_p``, one per isomorphism class.
-
-    Sorted by (canonical code, slope).  Each graph class is coded from
-    arrays, then built and validated once; a unicyclic one is paired with
-    every normalized slope, all its classes sharing the one graph object.
-    """
+def check_torus_request(max_curves: int, max_p: int) -> None:
+    """Reject a torus enumeration of ``max_curves`` curves and slopes up to
+    ``max_p`` out of range, before any work."""
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
     if max_curves > CURVE_CAP:
@@ -310,12 +305,47 @@ def enum_torus_classes(
     if max_p > SLOPE_CAP:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
-    graphs = _emit_classes(_torus_candidates(max_curves), modulo_swap)
 
-    # Admissibility depends on the graph alone, so slopes are paired last.
-    slopes = _normalized_slopes(max_p)
+def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[RegionGraph]:
+    """The graph of every admissible torus class with at most ``max_curves``
+    curves, one per isomorphism class, sorted by canonical code.
+
+    Each graph is coded from arrays, then built and validated once.
+    ``graph_slopes`` gives the slopes each one is paired with.
+    """
+    check_torus_request(max_curves, 1)
+    return _emit_classes(_torus_candidates(max_curves), modulo_swap)
+
+
+@cache  # graph_slopes asks for the same bound once per graph
+def _normalized_slopes(max_p: int) -> tuple[tuple[int, int], ...]:
+    return tuple([
+        (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
+    ])
+
+
+def graph_slopes(g: RegionGraph, max_p: int) -> Slopes:
+    """The slopes a torus graph class is paired with: every normalized slope
+    (p, q) with p <= ``max_p`` for a unicyclic graph, whose ring of
+    essential curves carries one; ``(None,)`` for a tree, which has none.
+
+    Admissibility depends on the graph alone, so slopes are paired last.
+    """
+    return _normalized_slopes(max_p) if g.edge_count == g.vertex_count else (None,)
+
+
+def enum_torus_classes(
+    max_curves: int, max_p: int, modulo_swap: bool = False
+) -> list[DividingSetClass]:
+    """All admissible torus dividing-set classes with at most ``max_curves``
+    curves and slopes bounded by ``max_p``, one per isomorphism class.
+
+    The per-slope expansion of ``enum_torus_graphs``, sorted by (canonical
+    code, slope): the classes of one graph share its graph object.
+    """
+    check_torus_request(max_curves, max_p)
     return [
         DividingSetClass(Surface.TORUS, g, slope)
-        for g in graphs
-        for slope in (slopes if g.edge_count == g.vertex_count else (None,))
+        for g in enum_torus_graphs(max_curves, modulo_swap)
+        for slope in graph_slopes(g, max_p)
     ]

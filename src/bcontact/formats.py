@@ -8,21 +8,26 @@ The line format is one item per line with ``#`` comments:
     slope <p> <q>
 
 The JSON form mirrors it: ``{"surface": ..., "vertices": [{"id", "sign",
-"genus"}, ...], "edges": [[i, j], ...], "slope": [p, q] | null}``.
+"genus"}, ...], "edges": [[i, j], ...], "slope": [p, q] | null}``; any
+other key, at the top or in a vertex, is a syntax error, as an unknown
+directive is in the text form.
 ``graph_json`` and ``class_json`` write these lines directly, one string
-per graph or class, without building the object first.  Their bytes equal
-``json.dumps`` of the object with its default separators, because every
-id, sign, genus and slope is an ``int``: the enumerators build them so
-and both parsers accept nothing else.
+per graph or class, without building the object first, and
+``graph_class_json`` writes a graph class at each of its slopes, the
+graph's fields rendered once.  Their bytes equal ``json.dumps`` of the
+object with its default separators, because every id, sign, genus and
+slope is an ``int``: the enumerators build them so and both parsers
+accept nothing else.
 
-A table row, in CSV or as a JSON line, is written the same way, from
-the head (code, surface, V, E) and tail (census) strings of its graph
-and an f-string of its slope and regime integers; the CSV form leaves
-an absent slope empty and the JSON form writes ``null``.  Every value
-is an ``int`` or an ASCII string of ``T C ( ) + -`` and digits,
-``sphere`` or ``torus``, so nothing needs quoting or escaping: the lines
-are byte-equal to ``csv.writer``'s and to ``json.dumps`` of the row
-dict.
+The classification table is rendered from its per-graph form
+(``classify.table_classes``).  A row, in CSV or as a JSON line, is the
+head (code, surface, V, E) and tail (census) strings of its graph class,
+each written once per class, around an f-string of one slope and its
+regime integers; the CSV form leaves an absent slope empty and the JSON
+form writes ``null``.  Every value is an ``int`` or an ASCII string of
+``T C ( ) + -`` and digits, ``sphere`` or ``torus``, so nothing needs
+quoting or escaping: the lines are byte-equal to ``csv.writer``'s and to
+``json.dumps`` of the row dict.
 
 Parsing validates the result (graph invariants, then embeddability) so
 a successfully parsed class is always usable downstream.  All emitters
@@ -32,11 +37,11 @@ order their output deterministically.
 from __future__ import annotations
 
 import json
-from itertools import groupby
 
-from .classify import ClassificationRecord, graph_census
+from .classify import TableClass, graph_census
 from .counting import TightCountResult
-from .region_graph import RegionGraph, RegionVertex, canonical_code
+from .enumeration import Slopes
+from .region_graph import RegionGraph, RegionVertex
 from .surfaces import DividingSetClass, Surface, require_embeddable
 
 
@@ -60,10 +65,16 @@ def serialize_graph_text(g: RegionGraph) -> str:
 
 
 def serialize_class_text(d: DividingSetClass) -> str:
-    text = f"surface {d.surface.value}\n" + serialize_graph_text(d.graph)
-    if d.slope is not None:
-        text += f"slope {d.slope[0]} {d.slope[1]}\n"
-    return text
+    return graph_class_text(d.surface, d.graph, (d.slope,))
+
+
+def graph_class_text(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
+    """``serialize_class_text`` of the class of ``g`` at each of ``slopes``,
+    separated by blank lines; the graph's lines are rendered once."""
+    head = f"surface {surface.value}\n" + serialize_graph_text(g)
+    return "\n".join([
+        head if slope is None else f"{head}slope {slope[0]} {slope[1]}\n" for slope in slopes
+    ])
 
 
 def _graph_json_fields(g: RegionGraph) -> str:
@@ -81,11 +92,17 @@ def graph_json(g: RegionGraph) -> str:
 
 def class_json(d: DividingSetClass) -> str:
     """One JSON line for a class, in the form the module docstring gives."""
-    slope = "null" if d.slope is None else f"[{d.slope[0]}, {d.slope[1]}]"
-    return (
-        f'{{"surface": "{d.surface.value}", {_graph_json_fields(d.graph)}, '
-        f'"slope": {slope}}}'
-    )
+    return graph_class_json(d.surface, d.graph, (d.slope,))
+
+
+def graph_class_json(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
+    """``class_json`` of the class of ``g`` at each of ``slopes``, one per
+    line with no final newline; the graph's fields are rendered once."""
+    head = f'{{"surface": "{surface.value}", {_graph_json_fields(g)}, "slope": '
+    return "\n".join([
+        f"{head}null}}" if slope is None else f"{head}[{slope[0]}, {slope[1]}]}}"
+        for slope in slopes
+    ])
 
 
 def tight_count_to_json_dict(result: TightCountResult) -> dict:
@@ -168,6 +185,10 @@ def _parse_text(text: str) -> DividingSetClass:
     return DividingSetClass(surface, graph, slope)
 
 
+_CLASS_KEYS = frozenset({"surface", "vertices", "edges", "slope"})
+_VERTEX_KEYS = frozenset({"id", "sign", "genus"})
+
+
 def _parse_json(text: str) -> DividingSetClass:
     try:
         data = json.loads(text)
@@ -177,22 +198,35 @@ def _parse_json(text: str) -> DividingSetClass:
         raise ParseError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
+    _reject_unknown_keys(data, _CLASS_KEYS, "class")
     try:
         surface = Surface(data["surface"])
-        vertices = tuple(
-            RegionVertex(
-                _json_int(v["id"], "vertex id"),
-                _json_int(v["sign"], "sign"),
-                _json_int(v.get("genus", 0), "genus"),
-            )
-            for v in data["vertices"]
-        )
+        vertices = tuple(_json_vertex(v) for v in data["vertices"])
         edges = tuple(_json_pair(e, "edge") for e in data["edges"])
         raw_slope = data.get("slope")
         slope = None if raw_slope is None else _json_pair(raw_slope, "slope")
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON class: {exc}") from None
     return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+def _reject_unknown_keys(obj: dict, known: frozenset[str], what: str) -> None:
+    # The JSON counterpart of the text form's unknown directive.
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise ParseError(f"unknown key in JSON {what}", token=unknown[0])
+
+
+def _json_vertex(v) -> RegionVertex:
+    if isinstance(v, dict):
+        _reject_unknown_keys(v, _VERTEX_KEYS, "vertex")
+    return RegionVertex(
+        _json_int(v["id"], "vertex id"),
+        _json_int(v["sign"], "sign"),
+        _json_int(v.get("genus", 0), "genus"),
+    )
 
 
 def _json_int(value, what: str) -> int:
@@ -259,49 +293,54 @@ TABLE_COLUMNS = [
 ]
 
 
-def _table_blocks(records: list[ClassificationRecord], modulo_swap: bool, json_form: bool):
-    """CSV or JSON table lines in ``TABLE_COLUMNS`` order, one per record,
-    joined into one block per run of records sharing a graph object.
+def _render_table(classes: list[TableClass], json_form: bool) -> str:
+    """CSV or JSON table lines in ``TABLE_COLUMNS`` order, one per (graph
+    class, slope), after the CSV header.
 
     The code, shape and census columns depend on the graph alone, so they
-    are rendered once per run, as a head and a tail string; a row formats
-    only its slope and regime columns.  ``classify`` checked each record's
-    class when it made the record, so nothing is checked again here.
+    are rendered once per graph class, as a head and a tail string, and
+    the regime columns once per run of slopes sharing them; a row formats
+    only its slope.  ``classify`` checked each class when ``table_classes``
+    classified it, so nothing is checked here.
     """
     if json_form:
         sep = [f', "{column}": ' for column in TABLE_COLUMNS]
         sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
+        blocks = []
     else:
         sep = [","] * len(TABLE_COLUMNS)
         sep[0], quote, null, end = "", "", "", "\n"
-    mid = sep[5:11]
-    for _, run in groupby(records, lambda r: (id(r.dividing_set.graph), id(r.manifold))):
-        run = list(run)
-        d = run[0].dividing_set
-        census = graph_census(run[0].manifold, d.graph)
+        blocks = [",".join(TABLE_COLUMNS) + "\n"]
+    q_sep = sep[5]
+    for c in classes:
+        g, census = c.graph, graph_census(c.record.manifold, c.graph)
         head = (
-            f"{sep[0]}{quote}{canonical_code(d.graph, modulo_swap)}{quote}"
-            f"{sep[1]}{quote}{d.surface.value}{quote}"
-            f"{sep[2]}{d.graph.vertex_count}{sep[3]}{d.graph.edge_count}{sep[4]}"
+            f"{sep[0]}{quote}{c.code}{quote}"
+            f"{sep[1]}{quote}{c.record.dividing_set.surface.value}{quote}"
+            f"{sep[2]}{g.vertex_count}{sep[3]}{g.edge_count}{sep[4]}"
         )
         tail = (
             f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
             f"{sep[13]}{census.leaves_dim1}{end}"
         )
         lines = []
-        for record in run:
-            p, q = record.dividing_set.slope or (null, null)
-            t, m, o = record.tight, record.mixed, record.fully_overtwisted
-            lines.append(
-                f"{head}{p}{mid[0]}{q}{mid[1]}{t.finite_factor}{mid[2]}{m.finite_factor}"
-                f"{mid[3]}{m.free_rank}{mid[4]}{o.finite_factor}{mid[5]}{o.free_rank}{tail}"
+        for slopes, t, m, o in c.regime_runs():
+            rest = (
+                f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
+                f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"
             )
-        yield "".join(lines)
+            if slopes == (None,):
+                slopes = ((null, null),)
+            lines += [f"{head}{p}{q_sep}{q}{rest}" for p, q in slopes]
+        blocks.append("".join(lines))
+    return "".join(blocks)
 
 
-def render_table_csv(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
-    return ",".join(TABLE_COLUMNS) + "\n" + "".join(_table_blocks(records, modulo_swap, False))
+def render_table_csv(classes: list[TableClass]) -> str:
+    """The classification table as CSV, header first, from ``table_classes``."""
+    return _render_table(classes, False)
 
 
-def render_table_jsonl(records: list[ClassificationRecord], modulo_swap: bool = False) -> str:
-    return "".join(_table_blocks(records, modulo_swap, True))
+def render_table_jsonl(classes: list[TableClass]) -> str:
+    """The classification table as JSON lines, from ``table_classes``."""
+    return _render_table(classes, True)

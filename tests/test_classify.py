@@ -1,19 +1,26 @@
 """Classification records, leaf census, and the batch table."""
 
+import hashlib
 import importlib
+import io
+from math import gcd
 
 import pytest
 
 from bcontact import admissibility
 from bcontact.admissibility import is_admissible, is_tight_candidate
 from bcontact.classify import (
+    ClassificationRecord,
     InadmissibleError,
     RegimeDescriptor,
     classification_table,
     classify,
     leaf_census,
+    table_classes,
 )
-from bcontact.enumeration import ResourceLimitError, enum_torus_classes
+from bcontact.cli import run_cli
+from bcontact.counting import tight_count_solid_torus
+from bcontact.enumeration import ResourceLimitError, enum_torus_classes, enum_torus_graphs
 from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
@@ -162,6 +169,48 @@ class TestFactoredTable:
         assert len(calls) == len(graphs)
 
 
+def counting_wrapper(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestTableCommandCallCounts:
+    """The CLI's table is built and rendered per graph class, never per row."""
+
+    # The benchmark's table: 10,242 rows from 367 graph classes.
+    ARGS = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]
+    SHA256 = "a6bdfe3a9cf1330a255ff6a259f91f357ff26217c30fb8e056492152af90cfcf"
+
+    def test_classify_once_per_graph_class_and_count_once_per_ring_slope(self, monkeypatch):
+        calls = {}
+        for name, fn in (
+            ("classify", classify),
+            ("tight_count_solid_torus", tight_count_solid_torus),
+            ("ClassificationRecord", ClassificationRecord),
+        ):
+            monkeypatch.setattr(CLASSIFY_MODULE, name, counting_wrapper(calls, name, fn))
+        out = io.StringIO()
+        assert run_cli(self.ARGS, out=out) == 0
+        text = out.getvalue()
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256
+        assert text.count("\n") == 1 + 10_242
+
+        graphs = enum_torus_graphs(8)
+        bare_rings = [
+            g for g in graphs
+            if g.edge_count == g.vertex_count and set(g.degrees.values()) == {2}
+        ]
+        slopes = [(p, q) for p in range(1, 17) for q in range(1, p + 1) if gcd(p, q) == 1]
+        assert (len(graphs), len(bare_rings), len(slopes)) == (367, 4, 80)
+        assert calls["classify"] == len(graphs)
+        assert calls["tight_count_solid_torus"] == len(bare_rings) * len(slopes)
+        # classify's own record, one per graph class; none per row.
+        assert calls["ClassificationRecord"] == len(graphs)
+
+
 class TestAdmissibilityOnce:
     def test_classify_checks_admissibility_once(self, monkeypatch):
         calls = []
@@ -185,8 +234,9 @@ class TestAdmissibilityOnce:
 
     @pytest.mark.parametrize("manifold,max_curves,max_p", [(S3_T2, 8, 16), (S3_S2, 9, None)])
     def test_table_renderers_do_not_check_again(self, monkeypatch, manifold, max_curves, max_p):
-        # classify checked every record when it made it.
-        records = classification_table(manifold, max_curves, max_p)
+        # classify checked every graph class when table_classes classified it.
+        rows = len(classification_table(manifold, max_curves, max_p))
+        classes = table_classes(manifold, max_curves, max_p)
         calls = []
 
         def counting_is_admissible(m, d):
@@ -195,8 +245,8 @@ class TestAdmissibilityOnce:
 
         monkeypatch.setattr(CLASSIFY_MODULE, "is_admissible", counting_is_admissible)
         monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
-        assert render_table_csv(records).count("\n") == 1 + len(records)
-        assert render_table_jsonl(records).count("\n") == len(records)
+        assert render_table_csv(classes).count("\n") == 1 + rows
+        assert render_table_jsonl(classes).count("\n") == rows
         assert calls == []
 
 

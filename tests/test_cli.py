@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from bcontact import counting
 from bcontact.cli import run_cli
 
+ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
+
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
@@ -76,6 +78,14 @@ def run(argv):
     return status, out.getvalue()
 
 
+def set_stdin(monkeypatch, data):
+    """Make ``data`` stdin, as bytes under a text layer, as a pipe gives it;
+    text is encoded as UTF-8 first."""
+    if isinstance(data, str):
+        data = data.encode()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+
+
 def gamma_file(tmp_path, text, name="gamma.txt"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -116,6 +126,29 @@ class TestEnumCommands:
         assert any(row["slope"] == [1, 1] for row in rows)
         status, count = run(["enum-torus", "--max-curves", "2", "--max-slope", "1", "--count-only"])
         assert int(count) == len(rows)
+
+    def test_enum_torus_builds_no_class_per_slope(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a class object was built per slope")
+
+        monkeypatch.setattr(ENUMERATION_MODULE, "DividingSetClass", never)
+        for fmt in ("text", "json", "csv"):
+            status, _ = run(["enum-torus", "--max-curves", "6", "--max-slope", "5",
+                             "--format", fmt])
+            assert status == 0
+        # 4,775 rings on up to 12 curves, each with the 19,948 normalized
+        # slopes p/q with p <= 256, and 8,674 trees with none.
+        status, count = run(["enum-torus", "--max-curves", "12", "--max-slope", "256",
+                             "--count-only"])
+        assert (status, count) == (0, "95260374\n")
+
+    def test_enum_torus_count_matches_listing_length(self):
+        for args in (["--max-curves", "6", "--max-slope", "5"],
+                     ["--max-curves", "7", "--max-slope", "3", "--no-distinguish-signs"]):
+            status, listing = run(["enum-torus", *args, "--format", "json"])
+            assert status == 0
+            status, count = run(["enum-torus", *args, "--count-only"])
+            assert int(count) == len(listing.splitlines())
 
     def test_resource_guard_exit_code(self):
         status, _ = run(["enum-trees", "--n", "99", "--count-only"])
@@ -240,7 +273,7 @@ class TestGammaCommands:
     ):
         # The graph invariants are stated once, in validate, for both forms.
         if source == "stdin":
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            set_stdin(monkeypatch, text)
             gamma = "-"
         else:
             gamma = gamma_file(tmp_path, text)
@@ -252,8 +285,7 @@ class TestGammaCommands:
     def test_input_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys, source):
         data = EQUATOR.encode() + b"\xff\xfe\n"
         if source == "stdin":
-            # A strict decoder, as stdin has under a UTF-8 locale.
-            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+            set_stdin(monkeypatch, data)
             gamma = "-"
         else:
             path = tmp_path / "gamma.txt"
@@ -262,6 +294,48 @@ class TestGammaCommands:
         status, output = run(["check", "--gamma", gamma])
         assert status == 2 and output == ""
         assert capsys.readouterr().err == "error: input: not valid UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("errors", ["surrogateescape", "replace"])
+    def test_stdin_is_decoded_strictly_whatever_its_text_layer(
+        self, monkeypatch, capsys, errors
+    ):
+        # Under the C locale or UTF-8 mode sys.stdin lets undecodable bytes
+        # through; here they sit in a comment, where no token sees them.
+        data = b"surface sphere # \xff\nv 0 + 0\nv 1 - 0\ne 0 1\n"
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8", errors=errors)
+        )
+        status, output = run(["census", "--gamma", "-"])
+        assert status == 2 and output == ""
+        assert capsys.readouterr().err == "error: input: not valid UTF-8 (invalid start byte)\n"
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "where,key",
+        [("class", "slop"), ("vertex", "colour")],
+    )
+    def test_unknown_json_key_exits_two(
+        self, tmp_path, monkeypatch, capsys, source, where, key
+    ):
+        # As the text form rejects an unknown directive such as "slop 3 2".
+        payload = {
+            "surface": "torus",
+            "vertices": [{"id": 0, "sign": 1}, {"id": 1, "sign": -1}],
+            "edges": [[0, 1], [0, 1]],
+            "slope": [3, 2],
+        }
+        (payload if where == "class" else payload["vertices"][1])[key] = [3, 2]
+        text = json.dumps(payload)
+        if source == "stdin":
+            set_stdin(monkeypatch, text)
+            gamma = "-"
+        else:
+            gamma = gamma_file(tmp_path, text)
+        status, output = run(["census", "--gamma", gamma])
+        assert status == 2 and output == ""
+        assert capsys.readouterr().err == (
+            f"error: input: unknown key in JSON {where} (token {key!r})\n"
+        )
 
     def test_check_deep_sphere_path(self, tmp_path, capsys):
         # 4,000 regions in a row: the canonical code must not recurse per level.
@@ -319,7 +393,7 @@ class TestStrictJsonInput:
             "slope": [3, 2],
         }
         (payload if field == "slope" else payload["vertices"][0])[field] = value
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        set_stdin(monkeypatch, json.dumps(payload))
         status, output = run(["check", "--gamma", "-"])
         err = capsys.readouterr().err
         assert status == 2 and output == ""
@@ -329,7 +403,7 @@ class TestStrictJsonInput:
 
 class TestDeepJson:
     def test_deep_nesting_is_a_parse_error(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO('{"surface": ' + "[" * 100_000))
+        set_stdin(monkeypatch, '{"surface": ' + "[" * 100_000)
         status, output = run(["check", "--gamma", "-"])
         err = capsys.readouterr().err
         assert status == 2 and output == ""
@@ -381,7 +455,8 @@ class TestCliFuzz:
     def test_exit_contract_on_mutated_input(self, text, command):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+            stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+            old_stdin, sys.stdin = sys.stdin, stdin
             try:
                 status, _ = run([command, "--gamma", "-"])
             finally:
@@ -438,7 +513,7 @@ class TestUsageErrors:
 
 class TestDeterminism:
     def test_gamma_from_stdin(self, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(EQUATOR))
+        set_stdin(monkeypatch, EQUATOR)
         status, output = run(["census", "--gamma", "-"])
         assert status == 0 and output.strip() == "2 2 1"
 

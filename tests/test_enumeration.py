@@ -11,6 +11,8 @@ from bcontact.enumeration import (
     _tree_edges,
     enum_equicolored_trees,
     enum_torus_classes,
+    enum_torus_graphs,
+    graph_slopes,
 )
 from bcontact.region_graph import RegionGraph, _first_violation, canonical_code, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface, check_embeddable
@@ -158,6 +160,40 @@ class TestTorusClasses:
             enum_torus_classes(2, 10**6)
         with pytest.raises(ValueError):
             enum_torus_classes(0, 1)
+
+
+class TestTorusGraphs:
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_classes_are_the_per_slope_expansion_of_the_graphs(self, modulo_swap):
+        graphs = enum_torus_graphs(7, modulo_swap)
+        assert isinstance(graphs, list)
+        codes = [canonical_code(g, modulo_swap) for g in graphs]
+        assert codes == sorted(set(codes))
+        slopes = [(1, 1), (2, 1), (3, 1), (3, 2), (4, 1), (4, 3)]
+        expected = [
+            (g, slope)
+            for g in graphs
+            for slope in (slopes if g.edge_count == g.vertex_count else [None])
+        ]
+        classes = enum_torus_classes(7, 4, modulo_swap)
+        assert [(d.graph, d.slope) for d in classes] == expected
+        assert all(d.surface is Surface.TORUS for d in classes)
+
+    def test_graph_slopes(self):
+        ring = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
+        tree = RegionGraph([(0, 1, 1), (1, -1, 0), (2, -1, 0)], [(0, 1), (0, 2)])
+        assert graph_slopes(ring, 3) == ((1, 1), (2, 1), (3, 1), (3, 2))
+        assert graph_slopes(tree, 3) == (None,)
+
+    def test_slope_cap_fires_before_enumeration(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration ran before the cap check")
+
+        monkeypatch.setattr(enumeration, "_torus_candidates", never)
+        with pytest.raises(ResourceLimitError, match="slope bound"):
+            enum_torus_classes(4, 257)
+        with pytest.raises(ResourceLimitError, match="16 curves"):
+            enum_torus_graphs(17)
 
 
 def _admissible(d):

@@ -4,13 +4,15 @@ import json
 
 import pytest
 
-from bcontact.classify import classification_table, classify, leaf_census
+from bcontact.classify import classification_table, classify, leaf_census, table_classes
 from bcontact.cli import _record_json
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.formats import (
     ParseError,
     class_json,
     export_dot,
+    graph_class_json,
+    graph_class_text,
     graph_json,
     _parse_items,
     parse_dividing_set,
@@ -252,6 +254,21 @@ class TestJsonRenderers:
         assert graph_json(d.graph) == json.dumps(graph_json_reference(d.graph))
         assert class_json(d) == json.dumps(class_json_reference(d))
 
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_graph_class_lines_join_the_per_slope_lines(self, modulo_swap):
+        classes = enum_torus_classes(7, 4, modulo_swap)
+        by_graph = {}
+        for d in classes:
+            by_graph.setdefault(id(d.graph), []).append(d)
+        for members in by_graph.values():
+            g, slopes = members[0].graph, tuple(d.slope for d in members)
+            assert graph_class_json(Surface.TORUS, g, slopes) == "\n".join(
+                class_json(d) for d in members
+            )
+            assert graph_class_text(Surface.TORUS, g, slopes) == "\n".join(
+                serialize_class_text(d) for d in members
+            )
+
     def test_classification_records(self):
         records = (
             classification_table(S3_S2, 7)
@@ -287,7 +304,7 @@ class TestDot:
 class TestTables:
     def test_csv_has_fixed_header_and_row_count(self):
         records = classification_table(S3_S2, 5)
-        text = render_table_csv(records)
+        text = render_table_csv(table_classes(S3_S2, 5))
         lines = text.strip().split("\n")
         assert lines[0] == (
             "canonical_code,surface,V,E,slope_p,slope_q,tight_count,mixed_finite,"
@@ -297,17 +314,16 @@ class TestTables:
 
     def test_jsonl_rows_parse_and_match_csv_order(self):
         records = classification_table(S3_T2, 4, 2)
-        rows = [json.loads(line) for line in render_table_jsonl(records).splitlines()]
+        text = render_table_jsonl(table_classes(S3_T2, 4, 2))
+        rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == len(records)
         for row, record in zip(rows, records):
             assert row["tight_count"] == record.tight.finite_factor
             assert row["surface"] == "torus"
 
     def test_rendering_is_deterministic(self):
-        records = classification_table(S3_T2, 5, 2)
-        assert render_table_csv(records) == render_table_csv(
-            classification_table(S3_T2, 5, 2)
-        )
+        classes = table_classes(S3_T2, 5, 2)
+        assert render_table_csv(classes) == render_table_csv(table_classes(S3_T2, 5, 2))
 
 
 def expected_rows(records, modulo_swap=False):
@@ -336,12 +352,16 @@ def expected_rows(records, modulo_swap=False):
 
 
 class TestTableRowsFieldByField:
+    """The per-graph renderers against rows built field by field from the
+    per-row ``classification_table``."""
+
     CASES = [(S3_T2, 6, 5, False), (S3_T2, 6, 5, True), (S3_S2, 7, None, False), (S3_S2, 7, None, True)]
 
     @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
     def test_csv(self, manifold, max_curves, max_p, modulo_swap):
         records = classification_table(manifold, max_curves, max_p, modulo_swap)
-        lines = render_table_csv(records, modulo_swap).splitlines()
+        classes = table_classes(manifold, max_curves, max_p, modulo_swap)
+        lines = render_table_csv(classes).splitlines()
         assert lines[0] == ",".join(TABLE_COLUMNS)
         expected = [
             ",".join("" if row[c] is None else str(row[c]) for c in TABLE_COLUMNS)
@@ -352,7 +372,7 @@ class TestTableRowsFieldByField:
     @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
     def test_jsonl(self, manifold, max_curves, max_p, modulo_swap):
         records = classification_table(manifold, max_curves, max_p, modulo_swap)
-        text = render_table_jsonl(records, modulo_swap)
+        text = render_table_jsonl(table_classes(manifold, max_curves, max_p, modulo_swap))
         assert text == "".join(
             json.dumps(row) + "\n" for row in expected_rows(records, modulo_swap)
         )
