@@ -14,7 +14,6 @@ from .classify import (
     LeafCensus,
     RegimeDescriptor,
     TableClass,
-    classification_table,
     classify,
     leaf_census,
     table_classes,
@@ -83,7 +82,6 @@ __all__ = [
     "canonical_code",
     "catalan",
     "check_embeddable",
-    "classification_table",
     "classify",
     "enum_equicolored_trees",
     "enum_torus_classes",

@@ -23,17 +23,16 @@ surface), one two-dimensional leaf per region, one one-dimensional leaf
 per curve.
 
 So only a bare cycle's record depends on the slope, and only through its
-tight count.  The batch table is therefore built per graph class
-(``table_classes``): each graph class is classified once, at its first
-slope, and carries its code, its slope list and, for a bare cycle, the
-tight count at each slope.  ``classification_table`` is the per-row
-expansion of that form, one record per (graph class, slope).
+tight count.  The batch table is therefore built per graph class, and
+that is its only form (``table_classes``): each graph class is
+classified once, at its first slope, and carries its code and its slopes
+in runs sharing (tight, mixed, fully overtwisted) regimes, the tight
+count of a bare cycle computed once per slope.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .admissibility import is_admissible, tight_shape
@@ -155,17 +154,16 @@ def graph_census(m: ManifoldSpec, g: RegionGraph) -> LeafCensus:
     )
 
 
-class TableClass(
-    namedtuple("TableClass", ["record", "code", "slopes", "tight_counts"], defaults=[()])
-):
+class TableClass(namedtuple("TableClass", ["record", "code", "runs"])):
     """One graph class of a classification table, with all of its slopes.
 
     ``record`` is ``classify``'s ``ClassificationRecord`` of the class at
     its first slope, and ``code`` its canonical code in the table's sign
-    mode.  ``slopes`` (``Slopes``) is ``(None,)`` for a tree or a sphere
-    class.  A bare cycle also carries ``tight_counts``, its solid-torus
-    ``TightCountResult`` at each slope, the first being the record's own;
-    every other class has the record's regimes at every slope.
+    mode.  ``runs`` holds the class's slopes in order, grouped into runs
+    sharing regimes: tuples ``(slopes, tight, mixed, fully_overtwisted)``
+    of ``Slopes`` and three ``RegimeDescriptor``s.  A class whose regimes
+    do not depend on the slope has one run, whose slopes are ``(None,)``
+    for a tree or a sphere class; a bare cycle has one run per slope.
     """
 
     # A named tuple, not a dataclass: every CLI call imports this module,
@@ -176,46 +174,22 @@ class TableClass(
     def graph(self) -> RegionGraph:
         return self.record.dividing_set.graph
 
-    def regime_runs(
-        self,
-    ) -> Iterator[tuple[Slopes, RegimeDescriptor, RegimeDescriptor, RegimeDescriptor]]:
-        """The slopes in order, in runs sharing (tight, mixed, fully
-        overtwisted) regimes: one run of all of them when the regimes do not
-        depend on the slope, one run per slope for a bare cycle."""
-        r = self.record
-        if not self.tight_counts:
-            yield self.slopes, r.tight, r.mixed, r.fully_overtwisted
-            return
-        for slope, detail in zip(self.slopes, self.tight_counts):
-            yield ((slope,), *_bare_cycle_regimes(detail))
-
-    def records(self) -> Iterator[ClassificationRecord]:
-        """The class's per-row records, one per slope, as ``classify`` makes them."""
-        m, d = self.record.manifold, self.record.dividing_set
-        details = iter(self.tight_counts)
-        for slopes, tight, mixed, ot in self.regime_runs():
-            for slope in slopes:
-                yield ClassificationRecord(
-                    m, DividingSetClass(d.surface, d.graph, slope), tight, mixed, ot,
-                    next(details, None),
-                )
-
 
 def table_classes(
     m: ManifoldSpec,
     max_curves: int,
-    max_p: int | None = None,
+    max_p: int = 1,
     modulo_swap: bool = False,
 ) -> list[TableClass]:
     """The classification table per graph class: every enumerated
     admissible graph class with at most ``max_curves`` curves, sorted by
-    canonical code, each with its slopes up to ``max_p`` (default 1, on the
-    torus only).
+    canonical code, each with its slopes up to ``max_p`` (on the torus
+    only; the sphere has no slopes).
 
     ``classify`` runs once per graph class and, for a bare cycle,
     ``tight_count_solid_torus`` once per slope.
     """
-    if max_curves < 1 or (max_p is not None and max_p < 1):
+    if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
     if m.critical is Surface.SPHERE:
         largest = (max_curves + 1) // 2
@@ -225,7 +199,6 @@ def table_classes(
         ]
         graphs.sort(key=lambda g: canonical_code(g, modulo_swap))
         return [_table_class(m, g, canonical_code(g, modulo_swap), (None,)) for g in graphs]
-    max_p = 1 if max_p is None else max_p
     check_torus_request(max_curves, max_p)
     return [
         _table_class(m, g, canonical_code(g, modulo_swap), graph_slopes(g, max_p))
@@ -237,26 +210,11 @@ def _table_class(m: ManifoldSpec, g: RegionGraph, code: str, slopes: Slopes) -> 
     record = classify(m, DividingSetClass(m.critical, g, slopes[0]))
     detail = record.tight_count_detail
     if detail is None:
-        return TableClass(record, code, slopes)
+        return TableClass(
+            record, code, ((slopes, record.tight, record.mixed, record.fully_overtwisted),)
+        )
     n = g.edge_count // 2
     rest = [tight_count_solid_torus(n, p, q) for p, q in slopes[1:]]
-    return TableClass(record, code, slopes, (detail, *rest))
-
-
-def classification_table(
-    m: ManifoldSpec,
-    max_curves: int,
-    max_p: int | None = None,
-    modulo_swap: bool = False,
-) -> list[ClassificationRecord]:
-    """One record per enumerated admissible class, sorted by canonical code
-    and then slope; ``max_p`` defaults to 1 on the torus.
-
-    The per-row expansion of ``table_classes``, for callers that want one
-    record per (graph class, slope).
-    """
-    return [
-        record
-        for c in table_classes(m, max_curves, max_p, modulo_swap)
-        for record in c.records()
-    ]
+    return TableClass(record, code, tuple([
+        ((slope,), *_bare_cycle_regimes(count)) for slope, count in zip(slopes, (detail, *rest))
+    ]))

@@ -6,7 +6,8 @@ the input's surface: S3 with an equatorial sphere or an unknotted torus.
 ``table`` writes CSV (the default) or JSON lines.  Results go to stdout,
 diagnostics to stderr; exit status 0 on success, 1 on a domain error
 (invalid or inadmissible input, resource caps), 2 on usage or syntax
-errors, input that is not UTF-8 included.  All machine-readable output is
+errors, input that is not UTF-8 included, and on I/O errors such as a
+missing file or a closed stdin or stdout.  All machine-readable output is
 deterministic and newline-terminated.
 """
 
@@ -17,10 +18,9 @@ import json
 import sys
 
 from .admissibility import is_admissible, is_tight_candidate
-from .classify import InadmissibleError, classify, leaf_census, table_classes
+from .classify import classify, leaf_census, table_classes
 from .counting import negative_continued_fraction, tight_count_solid_torus
 from .enumeration import (
-    ResourceLimitError,
     check_torus_request,
     enum_equicolored_trees,
     enum_torus_graphs,
@@ -39,7 +39,7 @@ from .formats import (
     serialize_graph_text,
     tight_count_to_json_dict,
 )
-from .region_graph import InvalidRegionGraphError, canonical_code
+from .region_graph import canonical_code
 from .surfaces import S3_S2, S3_T2, DividingSetClass, ManifoldSpec, Surface
 
 _MANIFOLDS = {"s3-s2": S3_S2, "s3-t2": S3_T2}
@@ -119,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_gamma(path: str) -> DividingSetClass:
     try:
         if path == "-":
+            if sys.stdin is None:
+                raise OSError("stdin is closed")
             # The bytes, not sys.stdin's text: its decoder follows the locale
             # and may let undecodable bytes through as surrogates.
             text = sys.stdin.buffer.read().decode("utf-8")
@@ -326,11 +328,13 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if out is None:
+            raise OSError("stdout is closed")
         return _COMMANDS[args.command](args, out)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidRegionGraphError, InadmissibleError, ResourceLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -19,15 +19,16 @@ object with its default separators, because every id, sign, genus and
 slope is an ``int``: the enumerators build them so and both parsers
 accept nothing else.
 
-The classification table is rendered from its per-graph form
-(``classify.table_classes``).  A row, in CSV or as a JSON line, is the
-head (code, surface, V, E) and tail (census) strings of its graph class,
-each written once per class, around an f-string of one slope and its
-regime integers; the CSV form leaves an absent slope empty and the JSON
-form writes ``null``.  Every value is an ``int`` or an ASCII string of
-``T C ( ) + -`` and digits, ``sphere`` or ``torus``, so nothing needs
-quoting or escaping: the lines are byte-equal to ``csv.writer``'s and to
-``json.dumps`` of the row dict.
+The classification table is rendered from its one form, a list of graph
+classes (``classify.table_classes``), each with its slopes in runs
+sharing regimes.  A row, in CSV or as a JSON line, is the head (code,
+surface, V, E) and tail (census) strings of its graph class, each
+written once per class, the regime string of its run, written once per
+run, and an f-string of its slope; the CSV form leaves an absent slope
+empty and the JSON form writes ``null``.  Every value is an ``int`` or
+an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
+so nothing needs quoting or escaping: the lines are byte-equal to
+``csv.writer``'s and to ``json.dumps`` of the row dict.
 
 Parsing validates the result (graph invariants, then embeddability) so
 a successfully parsed class is always usable downstream.  All emitters
@@ -324,7 +325,7 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
             f"{sep[13]}{census.leaves_dim1}{end}"
         )
         lines = []
-        for slopes, t, m, o in c.regime_runs():
+        for slopes, t, m, o in c.runs:
             rest = (
                 f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
                 f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"

@@ -1,13 +1,18 @@
 """Class builders and referees shared by the test modules.
 
 ``tight_count_by_fractions`` is a second implementation of the solid-torus
-count and must not import ``bcontact.counting``, which it referees.
+count and must not call ``bcontact.counting``, which it referees.
+``enumerated_records`` and ``table_rows`` referee the classification
+table: the rows of ``classify`` of every enumerated class, built field by
+field, without ``table_classes``.
 """
 
 from fractions import Fraction
 from math import comb, floor
 
-from bcontact.region_graph import RegionGraph
+from bcontact.classify import classify, leaf_census
+from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
 
 
@@ -56,3 +61,44 @@ def tight_count_by_fractions(n, p, q):
         r = abs(prefix * coefficients[-1])
         s = abs(prefix * (coefficients[-1] + 1))
     return (comb(2 * n, n) // (n + 1)) * ((r - s) * n + s)
+
+
+def enumerated_records(m, max_curves, max_p=1, modulo_swap=False):
+    """``classify`` of every class the enumerators list with at most
+    ``max_curves`` curves (and, on the torus, slopes up to ``max_p``), in
+    the table's row order: by canonical code, then slope."""
+    if m.critical is Surface.SPHERE:
+        classes = [
+            DividingSetClass(Surface.SPHERE, g)
+            for n in range(1, (max_curves + 1) // 2 + 1)
+            for g in enum_equicolored_trees(n, modulo_swap)
+        ]
+    else:
+        classes = enum_torus_classes(max_curves, max_p, modulo_swap)
+    classes.sort(key=lambda d: (canonical_code(d.graph, modulo_swap), d.slope or ()))
+    return [classify(m, d) for d in classes]
+
+
+def table_rows(records, modulo_swap=False):
+    """Table rows built field by field from each record, as dicts."""
+    rows = []
+    for record in records:
+        d = record.dividing_set
+        census = leaf_census(record.manifold, d)
+        rows.append({
+            "canonical_code": canonical_code(d.graph, modulo_swap),
+            "surface": d.surface.value,
+            "V": d.graph.vertex_count,
+            "E": d.graph.edge_count,
+            "slope_p": d.slope[0] if d.slope else None,
+            "slope_q": d.slope[1] if d.slope else None,
+            "tight_count": record.tight.finite_factor,
+            "mixed_finite": record.mixed.finite_factor,
+            "mixed_rank": record.mixed.free_rank,
+            "ot_finite": record.fully_overtwisted.finite_factor,
+            "ot_rank": record.fully_overtwisted.free_rank,
+            "leaves_3": census.leaves_dim3,
+            "leaves_2": census.leaves_dim2,
+            "leaves_1": census.leaves_dim1,
+        })
+    return rows

@@ -6,6 +6,7 @@ tolerances are wall-clock budgets, which are part of the criteria.
 """
 
 import io
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -13,10 +14,11 @@ from fractions import Fraction
 from math import gcd
 
 from bcontact.admissibility import is_admissible
-from bcontact.classify import classification_table, classify, leaf_census
+from bcontact.classify import classify, leaf_census, table_classes
 from bcontact.cli import run_cli
 from bcontact.counting import catalan, negative_continued_fraction, tight_count_solid_torus
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.formats import render_table_jsonl
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import (
     S3_S2,
@@ -26,7 +28,7 @@ from bcontact.surfaces import (
     check_embeddable,
 )
 
-from helpers import tight_count_by_fractions, total_euler
+from helpers import enumerated_records, table_rows, tight_count_by_fractions, total_euler
 from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
@@ -88,7 +90,8 @@ def test_count_identities():
 
 def test_sphere_classification_fixtures():
     with criterion("sphere: one tight class with record (1,0)/(2,1)/(1,2) and census (2,2,1)"):
-        records = classification_table(S3_S2, 9)  # all classes with 2n <= 10
+        # classify of every enumerated class with 2n <= 10 regions.
+        records = enumerated_records(S3_S2, 9)
         tight_rows = [r for r in records if r.tight.finite_factor > 0]
         assert len(tight_rows) == 1
         record = tight_rows[0]
@@ -101,6 +104,9 @@ def test_sphere_classification_fixtures():
         ) == (1, 2)
         census = leaf_census(S3_S2, record.dividing_set)
         assert (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1) == (2, 2, 1)
+        # The table has these records' rows, and no other.
+        text = render_table_jsonl(table_classes(S3_S2, 9))
+        assert [json.loads(line) for line in text.splitlines()] == table_rows(records)
 
 
 def test_torus_fixture_two_implementations():

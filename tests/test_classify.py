@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import io
+import json
 from math import gcd
 
 import pytest
@@ -13,19 +14,29 @@ from bcontact.classify import (
     ClassificationRecord,
     InadmissibleError,
     RegimeDescriptor,
-    classification_table,
     classify,
     leaf_census,
     table_classes,
 )
 from bcontact.cli import run_cli
 from bcontact.counting import tight_count_solid_torus
-from bcontact.enumeration import ResourceLimitError, enum_torus_classes, enum_torus_graphs
+from bcontact.enumeration import (
+    ResourceLimitError,
+    enum_torus_classes,
+    enum_torus_graphs,
+    graph_slopes,
+)
 from bcontact.formats import render_table_csv, render_table_jsonl
-from bcontact.region_graph import RegionGraph
+from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import sphere_class, tight_count_by_fractions, torus_cycle
+from helpers import (
+    enumerated_records,
+    sphere_class,
+    table_rows,
+    tight_count_by_fractions,
+    torus_cycle,
+)
 
 # The package re-exports ``classify``, which hides the submodule's name.
 CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
@@ -113,46 +124,85 @@ class TestLeafCensus:
 
     def test_dimension_gap_identity(self):
         for n_curves, expected_gap in ((5, {1}),):
-            records = classification_table(S3_S2, n_curves)
+            records = enumerated_records(S3_S2, n_curves)
             for record in records:
                 census = leaf_census(S3_S2, record.dividing_set)
                 assert census.leaves_dim2 - census.leaves_dim1 in expected_gap
-        for record in classification_table(S3_T2, 5, 2):
+        for record in enumerated_records(S3_T2, 5, 2):
             census = leaf_census(S3_T2, record.dividing_set)
             assert census.leaves_dim2 - census.leaves_dim1 in {0, 1}
 
 
+def refereed_rows(m, *bounds, modulo_swap=False):
+    """The table's rows, parsed from its JSON lines, after checking them
+    against the rows of ``classify`` of every enumerated class."""
+    text = render_table_jsonl(table_classes(m, *bounds, modulo_swap=modulo_swap))
+    rows = [json.loads(line) for line in text.splitlines()]
+    records = enumerated_records(m, *bounds, modulo_swap=modulo_swap)
+    assert rows == table_rows(records, modulo_swap)
+    return rows
+
+
+def run_entries(classes):
+    """(code, slope, tight, mixed, fully overtwisted) of each row, read off
+    the table's regime runs."""
+    return [
+        (c.code, slope, tight, mixed, ot)
+        for c in classes
+        for slopes, tight, mixed, ot in c.runs
+        for slope in slopes
+    ]
+
+
+def record_entries(records, modulo_swap):
+    """The same entries, from ``classify`` records."""
+    return [
+        (canonical_code(r.dividing_set.graph, modulo_swap), r.dividing_set.slope,
+         r.tight, r.mixed, r.fully_overtwisted)
+        for r in records
+    ]
+
+
 class TestClassificationTable:
     def test_sphere_row_count_up_to_six_regions(self):
-        records = classification_table(S3_S2, 5)
-        assert len(records) == 1 + 1 + 4
+        assert len(refereed_rows(S3_S2, 5)) == 1 + 1 + 4
 
     def test_exactly_one_tight_row_on_the_sphere(self):
-        records = classification_table(S3_S2, 5)
-        tight_rows = [r for r in records if r.tight.finite_factor > 0]
+        tight_rows = [row for row in refereed_rows(S3_S2, 5) if row["tight_count"] > 0]
         assert len(tight_rows) == 1
-        assert tight_rows[0].dividing_set.graph.edge_count == 1
+        assert tight_rows[0]["E"] == 1
 
     def test_torus_two_cycle_rows_cover_requested_slopes(self):
-        records = classification_table(S3_T2, 2, 2)
+        rows = refereed_rows(S3_T2, 2, 2)
         slopes = sorted(
-            r.dividing_set.slope for r in records if r.dividing_set.slope is not None
+            (row["slope_p"], row["slope_q"]) for row in rows if row["slope_p"] is not None
         )
         assert slopes == [(1, 1), (2, 1)]
 
     def test_overtwisted_ranks_by_surface(self):
-        for record in classification_table(S3_S2, 5):
-            assert record.fully_overtwisted == RegimeDescriptor(1, 2)
-        for record in classification_table(S3_T2, 4, 2):
-            assert record.fully_overtwisted == RegimeDescriptor(1, 4)
+        for row in refereed_rows(S3_S2, 5):
+            assert (row["ot_finite"], row["ot_rank"]) == (1, 2)
+        for row in refereed_rows(S3_T2, 4, 2):
+            assert (row["ot_finite"], row["ot_rank"]) == (1, 4)
 
 
 class TestFactoredTable:
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_torus_table_equals_per_class_classification(self, modulo_swap):
-        classes = enum_torus_classes(6, 12, modulo_swap)
-        expected = [classify(S3_T2, d) for d in classes]
-        assert classification_table(S3_T2, 6, 12, modulo_swap) == expected
+        classes = table_classes(S3_T2, 6, 12, modulo_swap)
+        records = enumerated_records(S3_T2, 6, 12, modulo_swap)
+        assert run_entries(classes) == record_entries(records, modulo_swap)
+        # One run per slope for a bare ring, one run of all slopes otherwise.
+        for c in classes:
+            bare = c.record.tight_count_detail is not None
+            assert len(c.runs) == (len(graph_slopes(c.graph, 12)) if bare else 1)
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_sphere_table_equals_per_class_classification(self, modulo_swap):
+        classes = table_classes(S3_S2, 9, modulo_swap=modulo_swap)
+        records = enumerated_records(S3_S2, 9, modulo_swap=modulo_swap)
+        assert run_entries(classes) == record_entries(records, modulo_swap)
+        assert all(len(c.runs) == 1 for c in classes)
 
     def test_classify_runs_once_per_graph_class(self, monkeypatch):
         calls = []
@@ -162,11 +212,10 @@ class TestFactoredTable:
             return classify(m, d)
 
         monkeypatch.setattr(CLASSIFY_MODULE, "classify", counting_classify)
-        records = classification_table(S3_T2, 6, 12)
-        graphs = {id(r.dividing_set.graph) for r in records}
-        bare_rows = [r for r in records if is_tight_candidate(S3_T2, r.dividing_set)]
-        assert len({id(r.dividing_set.graph) for r in bare_rows}) < len(bare_rows)
-        assert len(calls) == len(graphs)
+        classes = table_classes(S3_T2, 6, 12)
+        rows = sum(len(slopes) for c in classes for slopes, *_ in c.runs)
+        assert len(calls) == len(classes) == len(enum_torus_graphs(6))
+        assert len(calls) < rows == len(enum_torus_classes(6, 12))
 
 
 def counting_wrapper(calls, name, fn):
@@ -235,8 +284,10 @@ class TestAdmissibilityOnce:
     @pytest.mark.parametrize("manifold,max_curves,max_p", [(S3_T2, 8, 16), (S3_S2, 9, None)])
     def test_table_renderers_do_not_check_again(self, monkeypatch, manifold, max_curves, max_p):
         # classify checked every graph class when table_classes classified it.
-        rows = len(classification_table(manifold, max_curves, max_p))
-        classes = table_classes(manifold, max_curves, max_p)
+        # A max_p of None passes no slope bound, as the sphere's table is asked.
+        bounds = (max_curves,) if max_p is None else (max_curves, max_p)
+        rows = len(enumerated_records(manifold, *bounds))
+        classes = table_classes(manifold, *bounds)
         calls = []
 
         def counting_is_admissible(m, d):
@@ -255,7 +306,7 @@ class TestTableArguments:
     def test_out_of_range_bounds_are_rejected(self, max_curves, max_p):
         for manifold in (S3_S2, S3_T2):
             with pytest.raises(ValueError, match=">= 1"):
-                classification_table(manifold, max_curves, max_p)
+                table_classes(manifold, max_curves, max_p)
 
     def test_tree_cap_fires_before_enumeration(self, monkeypatch):
         def never(*args, **kwargs):
@@ -263,4 +314,4 @@ class TestTableArguments:
 
         monkeypatch.setattr(CLASSIFY_MODULE, "enum_equicolored_trees", never)
         with pytest.raises(ResourceLimitError):
-            classification_table(S3_S2, 30)
+            table_classes(S3_S2, 30)

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -509,6 +510,28 @@ class TestUsageErrors:
         args = ["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"]
         assert run(args + ["--format", "text"])[0] == 2
         assert run(args) == run(args + ["--format", "csv"])
+
+
+def run_with_closed_fd(fd, argv):
+    """``python -m bcontact`` in a fresh process with descriptor ``fd`` closed,
+    so that Python starts with that standard stream set to None."""
+    return subprocess.run(
+        [sys.executable, "-m", "bcontact", *argv],
+        capture_output=True, text=True, preexec_fn=lambda: os.close(fd),
+    )
+
+
+class TestClosedStreams:
+    """A closed stdin or stdout is an I/O error, as a missing file is: one
+    error line and exit 2, not a traceback."""
+
+    def test_closed_stdin_exits_two(self):
+        proc = run_with_closed_fd(0, ["check", "--gamma", "-"])
+        assert (proc.returncode, proc.stderr) == (2, "error: stdin is closed\n")
+
+    def test_closed_stdout_exits_two(self):
+        proc = run_with_closed_fd(1, ["tight-count", "--n", "1", "--p", "3", "--q", "2"])
+        assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bcontact.classify import classification_table, classify, leaf_census, table_classes
+from bcontact.classify import classify, table_classes
 from bcontact.cli import _record_json
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.formats import (
@@ -25,6 +25,8 @@ from bcontact.formats import (
 )
 from bcontact.region_graph import InvalidRegionGraphError, _require_valid, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
+
+from helpers import enumerated_records, table_rows
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
 EQUATOR_JSON = json.dumps({
@@ -271,8 +273,8 @@ class TestJsonRenderers:
 
     def test_classification_records(self):
         records = (
-            classification_table(S3_S2, 7)
-            + classification_table(S3_T2, 6, 5)
+            enumerated_records(S3_S2, 7)
+            + enumerated_records(S3_T2, 6, 5)
             + [classify(S3_T2, parse_dividing_set(long_ring(400)))]
         )
         assert any(r.tight_count_detail for r in records)
@@ -303,7 +305,7 @@ class TestDot:
 
 class TestTables:
     def test_csv_has_fixed_header_and_row_count(self):
-        records = classification_table(S3_S2, 5)
+        records = enumerated_records(S3_S2, 5)
         text = render_table_csv(table_classes(S3_S2, 5))
         lines = text.strip().split("\n")
         assert lines[0] == (
@@ -313,7 +315,7 @@ class TestTables:
         assert len(lines) == 1 + len(records)
 
     def test_jsonl_rows_parse_and_match_csv_order(self):
-        records = classification_table(S3_T2, 4, 2)
+        records = enumerated_records(S3_T2, 4, 2)
         text = render_table_jsonl(table_classes(S3_T2, 4, 2))
         rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == len(records)
@@ -326,53 +328,31 @@ class TestTables:
         assert render_table_csv(classes) == render_table_csv(table_classes(S3_T2, 5, 2))
 
 
-def expected_rows(records, modulo_swap=False):
-    """Table rows built field by field from each record, as dicts."""
-    rows = []
-    for record in records:
-        d = record.dividing_set
-        census = leaf_census(record.manifold, d)
-        rows.append({
-            "canonical_code": canonical_code(d.graph, modulo_swap),
-            "surface": d.surface.value,
-            "V": d.graph.vertex_count,
-            "E": d.graph.edge_count,
-            "slope_p": d.slope[0] if d.slope else None,
-            "slope_q": d.slope[1] if d.slope else None,
-            "tight_count": record.tight.finite_factor,
-            "mixed_finite": record.mixed.finite_factor,
-            "mixed_rank": record.mixed.free_rank,
-            "ot_finite": record.fully_overtwisted.finite_factor,
-            "ot_rank": record.fully_overtwisted.free_rank,
-            "leaves_3": census.leaves_dim3,
-            "leaves_2": census.leaves_dim2,
-            "leaves_1": census.leaves_dim1,
-        })
-    return rows
-
-
 class TestTableRowsFieldByField:
-    """The per-graph renderers against rows built field by field from the
-    per-row ``classification_table``."""
+    """The renderers against rows built field by field from ``classify`` of
+    every enumerated class.  A ``max_p`` of None passes no slope bound,
+    the way the sphere's table is asked for."""
 
     CASES = [(S3_T2, 6, 5, False), (S3_T2, 6, 5, True), (S3_S2, 7, None, False), (S3_S2, 7, None, True)]
 
     @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
     def test_csv(self, manifold, max_curves, max_p, modulo_swap):
-        records = classification_table(manifold, max_curves, max_p, modulo_swap)
-        classes = table_classes(manifold, max_curves, max_p, modulo_swap)
+        bounds = (max_curves,) if max_p is None else (max_curves, max_p)
+        records = enumerated_records(manifold, *bounds, modulo_swap=modulo_swap)
+        classes = table_classes(manifold, *bounds, modulo_swap=modulo_swap)
         lines = render_table_csv(classes).splitlines()
         assert lines[0] == ",".join(TABLE_COLUMNS)
         expected = [
             ",".join("" if row[c] is None else str(row[c]) for c in TABLE_COLUMNS)
-            for row in expected_rows(records, modulo_swap)
+            for row in table_rows(records, modulo_swap)
         ]
         assert lines[1:] == expected
 
     @pytest.mark.parametrize("manifold,max_curves,max_p,modulo_swap", CASES)
     def test_jsonl(self, manifold, max_curves, max_p, modulo_swap):
-        records = classification_table(manifold, max_curves, max_p, modulo_swap)
-        text = render_table_jsonl(table_classes(manifold, max_curves, max_p, modulo_swap))
+        bounds = (max_curves,) if max_p is None else (max_curves, max_p)
+        records = enumerated_records(manifold, *bounds, modulo_swap=modulo_swap)
+        text = render_table_jsonl(table_classes(manifold, *bounds, modulo_swap=modulo_swap))
         assert text == "".join(
-            json.dumps(row) + "\n" for row in expected_rows(records, modulo_swap)
+            json.dumps(row) + "\n" for row in table_rows(records, modulo_swap)
         )
