@@ -17,17 +17,15 @@ Two tests gate a dividing-set class:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .surfaces import DividingSetClass, ManifoldSpec, Surface, region_euler, require_embeddable
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", ["ok", "reason"])):
     """Boolean with a witness naming why it holds or fails."""
 
-    ok: bool
-    reason: str
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.ok

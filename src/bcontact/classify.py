@@ -33,7 +33,6 @@ count of a bare cycle computed once per slope.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .admissibility import is_admissible, tight_shape
 from .counting import TightCountResult, tight_count_solid_torus
@@ -53,33 +52,26 @@ class InadmissibleError(ValueError):
     """Raised when classifying a dividing set no b-contact structure induces."""
 
 
-@dataclass(frozen=True)
-class RegimeDescriptor:
+class RegimeDescriptor(namedtuple("RegimeDescriptor", ["finite_factor", "free_rank"])):
     """Parameter-space shape of one regime: discrete choices x free rank."""
 
-    finite_factor: int
-    free_rank: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, finite_factor, free_rank):
+        self = super().__new__(cls, finite_factor, free_rank)
         if self.finite_factor == 0 and self.free_rank != 0:
             raise ValueError("an impossible regime has no free parameters")
+        return self
 
 
-@dataclass(frozen=True)
-class LeafCensus:
-    leaves_dim3: int
-    leaves_dim2: int
-    leaves_dim1: int
+class LeafCensus(namedtuple("LeafCensus", ["leaves_dim3", "leaves_dim2", "leaves_dim1"])):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationRecord:
-    manifold: ManifoldSpec
-    dividing_set: DividingSetClass
-    tight: RegimeDescriptor
-    mixed: RegimeDescriptor
-    fully_overtwisted: RegimeDescriptor
-    tight_count_detail: TightCountResult | None = None
+class ClassificationRecord(namedtuple("ClassificationRecord", [
+    "manifold", "dividing_set", "tight", "mixed", "fully_overtwisted", "tight_count_detail",
+], defaults=(None,))):
+    __slots__ = ()
 
 
 def _require_admissible(m: ManifoldSpec, d: DividingSetClass) -> None:
@@ -166,8 +158,6 @@ class TableClass(namedtuple("TableClass", ["record", "code", "runs"])):
     for a tree or a sphere class; a bare cycle has one run per slope.
     """
 
-    # A named tuple, not a dataclass: every CLI call imports this module,
-    # and a named tuple class is made in a tenth of the time.
     __slots__ = ()
 
     @property

@@ -212,7 +212,7 @@ def _cmd_check(args, out) -> int:
         _emit(out, f"admissible {'yes' if admissible else 'no'} ({admissible.reason})")
         _emit(out, f"tight-candidate {'yes' if tight else 'no'} ({tight.reason})")
     if not admissible:
-        print(f"inadmissible: {admissible.reason}", file=sys.stderr)
+        _report(f"inadmissible: {admissible.reason}")
         return 1
     return 0
 
@@ -320,6 +320,15 @@ _COMMANDS = {
 }
 
 
+def _report(message: str) -> None:
+    """Write a diagnostic line to stderr, unless stderr is missing or closed."""
+    try:
+        if sys.stderr is not None:
+            print(message, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def run_cli(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
@@ -331,15 +340,9 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
         if out is None:
             raise OSError("stdout is closed")
         return _COMMANDS[args.command](args, out)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, OSError) as exc:
+        _report(f"error: {exc}")
+        return 2 if isinstance(exc, (ParseError, OSError)) else 1
 
 
 def main() -> None:

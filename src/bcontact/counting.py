@@ -23,49 +23,44 @@ coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, gcd
 
 TIGHT_N_CAP = 100_000
 SLOPE_P_CAP = 1_000_000
 
 
-@dataclass(frozen=True)
-class ContinuedFractionExpansion:
+class ContinuedFractionExpansion(namedtuple("ContinuedFractionExpansion", ["coefficients"])):
     """Coefficients a0..ak of a negative continued fraction, all <= -2.
 
     The single-coefficient expansion [-1] only arises from p = q = 1 and
     is flagged ``degenerate``.
     """
 
-    coefficients: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
+    def __new__(cls, coefficients):
+        self = super().__new__(cls, tuple(coefficients))
         if not self.coefficients:
             raise ValueError("expansion needs at least one coefficient")
         if self.coefficients == (-1,):
-            return
+            return self
         bad = [a for a in self.coefficients if a > -2]
         if bad:
             raise ValueError(f"coefficients must be <= -2, got {bad}")
+        return self
 
     @property
     def degenerate(self) -> bool:
         return self.coefficients == (-1,)
 
 
-@dataclass(frozen=True)
-class TightCountResult:
+class TightCountResult(
+    namedtuple("TightCountResult", ["n", "p", "q", "r", "s", "count", "expansion"])
+):
     """N(n, -p, q) together with every intermediate the formula used."""
 
-    n: int
-    p: int
-    q: int
-    r: int
-    s: int
-    count: int
-    expansion: ContinuedFractionExpansion
+    __slots__ = ()
 
 
 def slope_error(p: int, q: int) -> str | None:

@@ -20,11 +20,16 @@ cycle to code last; the sign-swapped code is the same pass with every
 sign negated.  The pass runs on index arrays (``code_of``): the
 enumerators code their candidates from level-sequence arrays and build,
 validate and cache a graph only for a class they emit.
+
+Every CLI call imports the package afresh, so its value types, here and
+in the other modules, are named tuples, which are quick to make; any
+checks run in ``__new__``.  ``RegionGraph`` is the one class with cached
+state, a plain immutable class that keeps it in its ``__dict__``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 
@@ -32,27 +37,21 @@ class InvalidRegionGraphError(ValueError):
     """Raised when an operation requires a valid region graph."""
 
 
-@dataclass(frozen=True)
-class RegionVertex:
+class RegionVertex(namedtuple("RegionVertex", ["id", "sign", "genus"], defaults=(0,))):
     """A region of the cut-open surface: sign in {+1, -1}, genus in {0, 1}."""
 
-    id: int
-    sign: int
-    genus: int = 0
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", ["rule", "detail"])):
     """Names the first invariant a graph fails, with a human-readable witness."""
 
-    rule: str
-    detail: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.rule}: {self.detail}"
 
 
-@dataclass(frozen=True)
 class RegionGraph:
     """Immutable multigraph with signed, genus-labeled vertices.
 
@@ -74,6 +73,22 @@ class RegionGraph:
         )
         norm = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
         object.__setattr__(self, "edges", norm)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def vertex_ids(self) -> tuple[int, ...]:

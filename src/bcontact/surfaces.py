@@ -22,10 +22,10 @@ the suite checks on everything the enumerator produces.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .counting import slope_error
-from .region_graph import InvalidRegionGraphError, RegionGraph, Violation, validate
+from .region_graph import InvalidRegionGraphError, Violation, validate
 
 
 class Surface(enum.Enum):
@@ -33,15 +33,14 @@ class Surface(enum.Enum):
     TORUS = "torus"
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(namedtuple("ManifoldSpec", ["critical"])):
     """The three-sphere with a separating critical surface.
 
     The critical surface is either an equatorial sphere or an unknotted
     torus, and in both cases its complement has exactly two components.
     """
 
-    critical: Surface
+    __slots__ = ()
 
     @property
     def complement_components(self) -> int:
@@ -52,13 +51,12 @@ S3_S2 = ManifoldSpec(Surface.SPHERE)
 S3_T2 = ManifoldSpec(Surface.TORUS)
 
 
-@dataclass(frozen=True)
-class DividingSetClass:
+class DividingSetClass(
+    namedtuple("DividingSetClass", ["surface", "graph", "slope"], defaults=(None,))
+):
     """Isotopy class of a dividing set: surface, region graph, optional slope."""
 
-    surface: Surface
-    graph: RegionGraph
-    slope: tuple[int, int] | None = None
+    __slots__ = ()
 
 
 def region_euler(genus: int, boundary_count: int) -> int:

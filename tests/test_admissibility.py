@@ -1,11 +1,17 @@
 """Euler pairing, admissibility, and the tightness predicate."""
 
-from bcontact.admissibility import euler_pairing, is_admissible, is_tight_candidate
+from bcontact.admissibility import Verdict, euler_pairing, is_admissible, is_tight_candidate
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import RegionGraph
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 from helpers import sphere_class, torus_cycle
+
+
+class TestVerdict:
+    def test_truth_is_the_verdict_not_the_tuple(self):
+        assert not Verdict(False, "x")
+        assert Verdict(True, "x")
 
 
 class TestEulerPairing:

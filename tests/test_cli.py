@@ -533,6 +533,17 @@ class TestClosedStreams:
         proc = run_with_closed_fd(1, ["tight-count", "--n", "1", "--p", "3", "--q", "2"])
         assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
 
+    # With stderr closed the error is lost, but the exit status still tells
+    # it, and the message must not land on stdout instead.
+
+    def test_closed_stderr_keeps_io_error_status(self):
+        proc = run_with_closed_fd(2, ["check", "--gamma", "/nonexistent"])
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_closed_stderr_keeps_domain_error_status(self):
+        proc = run_with_closed_fd(2, ["tight-count", "--n", "0", "--p", "3", "--q", "2"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+
 
 class TestDeterminism:
     def test_gamma_from_stdin(self, monkeypatch):
@@ -648,3 +659,15 @@ class TestImportFootprint:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        # The value types are named tuples: dataclasses, with the inspect and
+        # ast machinery it imports, would take most of a CLI call's import.
+        code = (
+            "import sys\nbefore = set(sys.modules)\nimport bcontact.cli\n"
+            "print('dataclasses' in set(sys.modules) - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"

@@ -63,6 +63,19 @@ class TestNegativeContinuedFraction:
                     assert all(a <= -2 for a in cf.coefficients)
 
 
+class TestContinuedFractionExpansion:
+    def test_coefficients_become_a_tuple(self):
+        assert ContinuedFractionExpansion([-2, -3]).coefficients == (-2, -3)
+
+    def test_lone_minus_one_is_the_degenerate_expansion(self):
+        assert ContinuedFractionExpansion([-1]).degenerate
+
+    @pytest.mark.parametrize("coefficients", [(), (-1, -2), (-2, -1), (-3, 0)])
+    def test_rejects_empty_and_coefficients_above_minus_two(self, coefficients):
+        with pytest.raises(ValueError):
+            ContinuedFractionExpansion(coefficients)
+
+
 class TestExpansionProducts:
     @pytest.mark.parametrize(
         "coefficients,expected",

@@ -105,6 +105,42 @@ class TestValidate:
         assert violation is not None and violation.rule == "malformed"
 
 
+class TestValueSemantics:
+    """A graph is an immutable value: equal and equally hashed exactly when
+    its normalized vertices and edges are equal."""
+
+    def test_reordered_vertices_and_edges_give_an_equal_graph(self):
+        g = RegionGraph([(0, 1, 0), (1, -1, 0), (2, 1, 0)], [(0, 1), (1, 2)])
+        h = RegionGraph([(2, 1, 0), (0, 1, 0), (1, -1, 0)], [(2, 1), (1, 0)])
+        assert g == h and hash(g) == hash(h) and len({g, h}) == 1
+        assert g != path([1, -1, 1, -1])
+
+    def test_generated_graph_equals_its_rebuild(self):
+        for g in enum_equicolored_trees(4):
+            rebuilt = RegionGraph(reversed(g.vertices), reversed(g.edges))
+            assert rebuilt == g and hash(rebuilt) == hash(g)
+
+    def test_a_graph_never_equals_a_tuple(self):
+        g = path([1, -1])
+        assert g != (g.vertices, g.edges)
+        assert g.__eq__((g.vertices, g.edges)) is NotImplemented
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        g = path([1, -1])
+        with pytest.raises(AttributeError):
+            g.edges = ()
+        with pytest.raises(AttributeError):
+            del g.vertices
+        assert g.edges == ((0, 1),)
+        assert validate(g) is None and canonical_code(g) == canonical_code(path([-1, 1]))
+
+    def test_repr_names_the_fields(self):
+        assert repr(path([1, -1])) == (
+            "RegionGraph(vertices=(RegionVertex(id=0, sign=1, genus=0), "
+            "RegionVertex(id=1, sign=-1, genus=0)), edges=((0, 1),))"
+        )
+
+
 class TestCanonicalCode:
     def test_relabeling_invariance_on_reversed_path(self):
         g1 = path([1, -1, 1, -1])
