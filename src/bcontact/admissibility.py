@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .surfaces import DividingSetClass, ManifoldSpec, Surface, region_euler, require_embeddable
+from .surfaces import DividingSetClass, ManifoldSpec, Surface, region_euler
 
 
 class Verdict(namedtuple("Verdict", ["ok", "reason"])):
@@ -33,7 +33,6 @@ class Verdict(namedtuple("Verdict", ["ok", "reason"])):
 
 def euler_pairing(d: DividingSetClass) -> int:
     """chi(Z+) - chi(Z-) for the positive and negative parts of the cut surface."""
-    require_embeddable(d)
     g = d.graph
     return sum(
         v.sign * region_euler(v.genus, g.degrees[v.id]) for v in g.vertices

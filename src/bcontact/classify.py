@@ -56,6 +56,8 @@ class RegimeDescriptor(namedtuple("RegimeDescriptor", ["finite_factor", "free_ra
     """Parameter-space shape of one regime: discrete choices x free rank."""
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, finite_factor, free_rank):
         self = super().__new__(cls, finite_factor, free_rank)

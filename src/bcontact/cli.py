@@ -59,8 +59,14 @@ def _add_format(parser: argparse.ArgumentParser, choices=("text", "json", "csv")
     parser.add_argument("--format", choices=list(choices), default=choices[0])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's prints the usage on stdout if stderr is closed
+        _report(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcontact",
         description="Enumerate and classify dividing sets of b-contact "
         "structures on (S3, S2) and (S3, T2).",

@@ -38,6 +38,8 @@ class ContinuedFractionExpansion(namedtuple("ContinuedFractionExpansion", ["coef
     """
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, coefficients):
         self = super().__new__(cls, tuple(coefficients))

@@ -35,10 +35,10 @@ Candidates are coded before anything is built.  A skeleton's canonical
 codes come from its level sequence's index arrays (``code_of``), one per
 coloring; negating every sign exchanges the two colorings, so the pair
 also gives the sign-swapped code.  A ``RegionGraph`` is built only for a
-class that is emitted, by the generator-only constructor, which
-validates it once and seeds its cached codes.  ``TestArrayCodes`` in the
-test suite checks every array code on up to nine regions against the
-graph the public constructor builds.
+class that is emitted, by the generator-only constructor, which seeds
+its codes and trusts it valid.  The test suite referees every array code
+on up to nine regions (``TestArrayCodes``) and every emitted graph
+(``TestGeneratedGraphsAreValid``).
 
 Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
 and ``graph_slopes`` gives each one its slopes, every normalized slope up
@@ -204,9 +204,9 @@ def _emit(
     genus_vertex: int | None,
     codes: tuple[str, str],
 ) -> RegionGraph:
-    """The one graph built for an emitted class: validated once, with both
-    codes seeded.  Coloring ``positive`` has code ``codes[positive]``, and
-    negating its signs gives the other coloring."""
+    """The one graph built for an emitted class, with both codes seeded.
+    Coloring ``positive`` has code ``codes[positive]``, and negating its
+    signs gives the other coloring."""
     return RegionGraph._generated(
         _colored_vertices(layout, positive, genus_vertex), edges, codes[positive], min(codes)
     )
@@ -310,7 +310,7 @@ def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[Region
     """The graph of every admissible torus class with at most ``max_curves``
     curves, one per isomorphism class, sorted by canonical code.
 
-    Each graph is coded from arrays, then built and validated once.
+    Each graph is coded from arrays, then built once.
     ``graph_slopes`` gives the slopes each one is paired with.
     """
     check_torus_request(max_curves, 1)

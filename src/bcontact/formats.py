@@ -30,9 +30,9 @@ an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
 so nothing needs quoting or escaping: the lines are byte-equal to
 ``csv.writer``'s and to ``json.dumps`` of the row dict.
 
-Parsing validates the result (graph invariants, then embeddability) so
-a successfully parsed class is always usable downstream.  All emitters
-order their output deterministically.
+A parsed class is a ``DividingSetClass``, checked where it is made
+(graph invariants, then embeddability), so it is always usable
+downstream.  All emitters order their output deterministically.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .classify import TableClass, graph_census
 from .counting import TightCountResult
 from .enumeration import Slopes
 from .region_graph import RegionGraph, RegionVertex
-from .surfaces import DividingSetClass, Surface, require_embeddable
+from .surfaces import DividingSetClass, Surface
 
 
 class ParseError(ValueError):
@@ -244,22 +244,21 @@ def _json_pair(value, what: str) -> tuple[int, int]:
 
 
 def parse_dividing_set(text: str) -> DividingSetClass:
-    """Parse and validate a dividing-set class from text or JSON input.
+    """Parse a dividing-set class from text or JSON input.
 
     Raises ``ParseError`` for syntax problems (with line and token) and
     ``InvalidRegionGraphError`` naming the violated invariant otherwise.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return require_embeddable(_parse_json(text))
-    return require_embeddable(_parse_text(text))
+        return _parse_json(text)
+    return _parse_text(text)
 
 
 def export_dot(d: DividingSetClass) -> str:
     """Graphviz text for a class, embedding its full serialization as
     ``//`` comments so the class can be recovered from the export alone.
     """
-    require_embeddable(d)
     lines = ["graph dividing_set {"]
     for meta in serialize_class_text(d).splitlines():
         lines.append(f"  // {meta}")

@@ -18,8 +18,8 @@ a sign- and genus-respecting multigraph isomorphism exists between them
 codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the sign-swapped code is the same pass with every
 sign negated.  The pass runs on index arrays (``code_of``): the
-enumerators code their candidates from level-sequence arrays and build,
-validate and cache a graph only for a class they emit.
+enumerators code their candidates from level-sequence arrays and build a
+graph, its codes and verdict seeded, only for a class they emit.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -128,14 +128,13 @@ class RegionGraph:
 
         ``vertices`` are in id order and every edge is a (parent, child)
         pair with parent < child, so only the edges need sorting.  The
-        graph is validated here, once, and its verdict and both canonical
-        codes are cached like those of any other graph.
+        generator builds the graph valid, so its verdict is seeded as valid
+        beside its codes, not checked; the test suite referees it.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", tuple(sorted(edges)))
-        g.__dict__.update(_code=code, _swap_code=swap_code)
-        _require_valid(g)
+        g.__dict__.update(_violation=None, _code=code, _swap_code=swap_code)
         return g
 
     # The graph is immutable, so its verdict and canonical codes are
@@ -160,7 +159,7 @@ def validate(g: RegionGraph) -> Violation | None:
     Invariants, in the order reported: well-formed vertex/edge data,
     connectivity, proper 2-coloring by sign, no self-loops, edge count in
     {V-1, V}, and total genus at most 1.  The verdict is computed once per
-    graph object.
+    graph object, and a generated graph's is seeded (``_generated``).
     """
     return g._violation
 
@@ -209,8 +208,8 @@ def _first_violation(g: RegionGraph) -> Violation | None:
 
 
 def _is_connected(g: RegionGraph) -> bool:
-    # Union-find with path halving.  Every emitted graph is validated, so
-    # no neighbor lists are built here and kept on the graph.
+    # Union-find with path halving: a graph from input is validated once,
+    # so no neighbor lists are built here and kept on the graph.
     root = {v.id: v.id for v in g.vertices}
     components = len(root)
     for a, b in g.edges:
@@ -226,8 +225,7 @@ def _is_connected(g: RegionGraph) -> bool:
     return components == 1
 
 
-def _require_valid(g: RegionGraph) -> None:
-    violation = validate(g)
+def _raise_on(violation: Violation | None) -> None:
     if violation is not None:
         raise InvalidRegionGraphError(str(violation))
 
@@ -374,6 +372,5 @@ def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
     every sign.  The code is deterministic across runs and independent of
     vertex labeling.  Both codes are computed once per graph object.
     """
-    _require_valid(g)
+    _raise_on(validate(g))
     return g._swap_code if modulo_swap else g._code
-

@@ -25,7 +25,7 @@ import enum
 from collections import namedtuple
 
 from .counting import slope_error
-from .region_graph import InvalidRegionGraphError, Violation, validate
+from .region_graph import Violation, _raise_on, validate
 
 
 class Surface(enum.Enum):
@@ -51,12 +51,19 @@ S3_S2 = ManifoldSpec(Surface.SPHERE)
 S3_T2 = ManifoldSpec(Surface.TORUS)
 
 
-class DividingSetClass(
-    namedtuple("DividingSetClass", ["surface", "graph", "slope"], defaults=(None,))
-):
-    """Isotopy class of a dividing set: surface, region graph, optional slope."""
+class DividingSetClass(namedtuple("DividingSetClass", ["surface", "graph", "slope"])):
+    """Isotopy class of a dividing set: surface, region graph, optional
+    slope.  Making one that does not embed in its surface raises
+    ``InvalidRegionGraphError`` with ``check_embeddable``'s violation."""
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip __new__.
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    def __new__(cls, surface, graph, slope=None):
+        self = super().__new__(cls, surface, graph, slope)
+        _raise_on(check_embeddable(self))
+        return self
 
 
 def region_euler(genus: int, boundary_count: int) -> int:
@@ -67,11 +74,8 @@ def region_euler(genus: int, boundary_count: int) -> int:
 
 
 def check_embeddable(d: DividingSetClass) -> Violation | None:
-    """Check the per-surface invariants of a dividing-set class.
-
-    The underlying graph must already be valid; returns ``None`` when the
-    class can be realized on its surface.
-    """
+    """The first rule a dividing-set class breaks, a graph invariant
+    (``validate``) or a per-surface one; ``None`` if the class embeds."""
     graph_violation = validate(d.graph)
     if graph_violation is not None:
         return graph_violation
@@ -107,12 +111,3 @@ def check_embeddable(d: DividingSetClass) -> Violation | None:
         return Violation("slope", "essential torus curves require a slope (p, q)")
     error = slope_error(*d.slope)
     return None if error is None else Violation("slope", error)
-
-
-def require_embeddable(d: DividingSetClass) -> DividingSetClass:
-    """``d`` itself, or ``InvalidRegionGraphError`` naming its first violation."""
-    violation = check_embeddable(d)
-    if violation is not None:
-        raise InvalidRegionGraphError(str(violation))
-    return d
-

@@ -47,6 +47,15 @@ class TestRegimeDescriptor:
         with pytest.raises(ValueError):
             RegimeDescriptor(0, 2)
 
+    def test_replace_and_make_check_too(self):
+        # namedtuple's _replace goes through _make, which would otherwise
+        # skip __new__ and so the check.
+        with pytest.raises(ValueError, match="impossible regime"):
+            RegimeDescriptor(1, 0)._replace(finite_factor=0, free_rank=2)
+        with pytest.raises(ValueError, match="impossible regime"):
+            RegimeDescriptor._make([0, 2])
+        assert RegimeDescriptor(1, 0)._replace(free_rank=2) == (1, 2)
+
 
 class TestClassifySphere:
     def test_connected_dividing_set(self):

@@ -360,6 +360,85 @@ class TestGammaCommands:
         assert status == 0 and "admissible yes" in output
 
 
+# Classes that break one embeddability rule each, as (surface, vertices as
+# (id, sign, genus), edges, slope), with the rule and detail they report.
+NOT_EMBEDDABLE = {
+    "sphere-cycle": (
+        "sphere", [(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)], None,
+        "sphere requires tree: sphere region graphs are trees",
+    ),
+    "sphere-genus": (
+        "sphere", [(0, 1, 1), (1, -1, 0)], [(0, 1)], None,
+        "genus: sphere regions are all genus 0",
+    ),
+    "sphere-slope": (
+        "sphere", [(0, 1, 0), (1, -1, 0)], [(0, 1)], (1, 1),
+        "slope: sphere classes carry no slope",
+    ),
+    "torus-tree-genus": (
+        "torus", [(0, 1, 0), (1, -1, 0)], [(0, 1)], None,
+        "genus: a torus cut by contractible curves has one genus-1 region",
+    ),
+    "torus-tree-slope": (
+        "torus", [(0, 1, 1), (1, -1, 0)], [(0, 1)], (1, 1),
+        "slope: contractible-only torus classes carry no slope",
+    ),
+    "torus-ring-genus": (
+        "torus", [(0, 1, 1), (1, -1, 0)], [(0, 1), (0, 1)], (1, 1),
+        "genus: torus classes with essential curves are all genus 0",
+    ),
+    "torus-ring-no-slope": (
+        "torus", [(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)], None,
+        "slope: essential torus curves require a slope (p, q)",
+    ),
+    "torus-ring-slope-order": (
+        "torus", [(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)], (2, 4),
+        "slope: slope (2,4) must satisfy 0 < q <= p",
+    ),
+    "torus-ring-slope-coprime": (
+        "torus", [(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)], (4, 2),
+        "slope: slope (4,2) must be coprime",
+    ),
+    "no-curves": (
+        "torus", [(0, 1, 1)], [], None,
+        "no curves: a dividing set has at least one curve",
+    ),
+}
+
+
+def class_input(surface, vertices, edges, slope, form):
+    """The class in the text or the JSON input form."""
+    if form == "json":
+        return json.dumps({
+            "surface": surface,
+            "vertices": [{"id": i, "sign": s, "genus": g} for i, s, g in vertices],
+            "edges": [list(e) for e in edges],
+            "slope": None if slope is None else list(slope),
+        })
+    lines = [f"surface {surface}"]
+    lines += [f"v {i} {'+' if s > 0 else '-'} {g}" for i, s, g in vertices]
+    lines += [f"e {a} {b}" for a, b in edges]
+    if slope is not None:
+        lines.append(f"slope {slope[0]} {slope[1]}")
+    return "\n".join(lines) + "\n"
+
+
+class TestEmbeddabilityErrors:
+    """A class that does not embed in its surface is a domain error, exit 1
+    with one ``error: <rule>: <detail>`` line, in either input form: the
+    check runs where the class is made, after parsing, never as a syntax
+    error (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["check", "classify", "census", "export-dot"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    @pytest.mark.parametrize("case", sorted(NOT_EMBEDDABLE))
+    def test_exits_one_with_the_rule(self, tmp_path, capsys, case, form, command):
+        *fields, message = NOT_EMBEDDABLE[case]
+        gamma = gamma_file(tmp_path, class_input(*fields, form))
+        assert run([command, "--gamma", gamma]) == (1, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestTable:
     def test_sphere_table_row_count(self):
         status, output = run(["table", "--manifold", "s3-s2", "--max-curves", "5"])
@@ -493,6 +572,14 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"])[0] == 2
 
+    def test_usage_and_error_lines_on_stderr(self, capsys):
+        assert run(["tight-count", "--n", "1"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bcontact tight-count [-h] --n N --p P --q Q")
+        assert err.endswith(
+            "\nbcontact tight-count: error: the following arguments are required: --p, --q\n"
+        )
+
     def test_missing_required_flag(self):
         assert run(["enum-trees"])[0] == 2
 
@@ -543,6 +630,10 @@ class TestClosedStreams:
     def test_closed_stderr_keeps_domain_error_status(self):
         proc = run_with_closed_fd(2, ["tight-count", "--n", "0", "--p", "3", "--q", "2"])
         assert (proc.returncode, proc.stdout) == (1, "")
+
+    def test_closed_stderr_keeps_usage_error_off_stdout(self):
+        proc = run_with_closed_fd(2, ["tight-count", "--n", "1"])
+        assert (proc.returncode, proc.stdout) == (2, "")
 
 
 class TestDeterminism:

@@ -74,6 +74,15 @@ class TestContinuedFractionExpansion:
     def test_rejects_empty_and_coefficients_above_minus_two(self, coefficients):
         with pytest.raises(ValueError):
             ContinuedFractionExpansion(coefficients)
+        with pytest.raises(ValueError):
+            ContinuedFractionExpansion._make([coefficients])
+
+    def test_replace_checks_too(self):
+        # namedtuple's _replace goes through _make, which would otherwise
+        # skip __new__ and so the check.
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            ContinuedFractionExpansion([-2])._replace(coefficients=())
+        assert ContinuedFractionExpansion([-2])._replace(coefficients=[-3]) == ((-3,),)
 
 
 class TestExpansionProducts:

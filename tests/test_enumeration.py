@@ -14,7 +14,7 @@ from bcontact.enumeration import (
     enum_torus_graphs,
     graph_slopes,
 )
-from bcontact.region_graph import RegionGraph, _first_violation, canonical_code, validate
+from bcontact.region_graph import RegionGraph, _first_violation, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface, check_embeddable
 
 from oracle import oracle_count_trees
@@ -80,7 +80,7 @@ class TestTreeOutputQuality:
                 codes = [canonical_code(g, mode) for g in graphs]
                 assert len(set(codes)) == len(graphs)
                 for g in graphs:
-                    assert validate(g) is None
+                    assert _first_violation(g) is None
                     d = DividingSetClass(Surface.SPHERE, g)
                     assert check_embeddable(d) is None
                     assert is_admissible(S3_S2, d)
@@ -92,6 +92,20 @@ class TestTreeOutputQuality:
         assert codes == sorted(codes)
         assert [g.edges for g in first] == [g.edges for g in second]
         assert [g.vertices for g in first] == [g.vertices for g in second]
+
+
+class TestGeneratedGraphsAreValid:
+    """The package trusts the generators' graphs: ``RegionGraph._generated``
+    seeds a valid verdict, so ``validate`` would check nothing here and the
+    suite referees each graph with the uncached ``_first_violation``."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_every_emitted_graph_is_valid(self, modulo_swap):
+        graphs = [g for n in range(1, 9) for g in enum_equicolored_trees(n, modulo_swap)]
+        graphs += enum_torus_graphs(10, modulo_swap)
+        trees, cycles = torus_counts(10, modulo_swap)
+        assert len(graphs) == sum(sphere_counts(8, modulo_swap)) + sum(trees) + sum(cycles)
+        assert [g for g in graphs if _first_violation(g) is not None] == []
 
 
 class TestTorusClasses:
@@ -123,7 +137,7 @@ class TestTorusClasses:
         classes = enum_torus_classes(6, 2)
         keys = set()
         for d in classes:
-            assert validate(d.graph) is None
+            assert _first_violation(d.graph) is None
             assert check_embeddable(d) is None
             assert is_admissible(S3_T2, d)
             key = (canonical_code(d.graph), d.slope)
@@ -267,8 +281,8 @@ class TestArrayCodes:
         # Per mode: 1 + 1 + 3 + 9 balanced trees, 352 gated torus skeletons.
         assert len(tried) == 2 * (14 + 352)
 
-        # Graphs are built only for emitted classes, validated on the spot
-        # (checked here without the cached verdict), with codes seeded.
+        # Graphs are built only for emitted classes, trusted valid (checked
+        # here without the seeded verdict), with codes seeded.
         assert len(emitted) == (1 + 1 + 4 + 14) + (1 + 1 + 3 + 9) + 367 + 192
         for g in emitted:
             assert _first_violation(g) is None

@@ -23,7 +23,7 @@ from bcontact.formats import (
     serialize_graph_text,
     tight_count_to_json_dict,
 )
-from bcontact.region_graph import InvalidRegionGraphError, _require_valid, canonical_code
+from bcontact.region_graph import InvalidRegionGraphError, _raise_on, canonical_code, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 from helpers import enumerated_records, table_rows
@@ -47,7 +47,7 @@ def parse_region_graph(text):
     surface, graph, slope = _parse_items(text)
     if surface is not None or slope is not None:
         raise ParseError("surface and slope lines belong to dividing-set classes")
-    _require_valid(graph)
+    _raise_on(validate(graph))
     return graph
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
-from bcontact.region_graph import RegionGraph
+from bcontact.region_graph import InvalidRegionGraphError, RegionGraph
 from bcontact.surfaces import (
     DividingSetClass,
     ManifoldSpec,
@@ -12,7 +12,7 @@ from bcontact.surfaces import (
     region_euler,
 )
 
-from helpers import sphere_class, total_euler
+from helpers import sphere_class, torus_cycle, total_euler
 
 
 class TestRegionEuler:
@@ -32,14 +32,23 @@ class TestManifoldSpec:
         assert ManifoldSpec(Surface.TORUS).complement_components == 2
 
 
+def embedding_error(surface, g, slope=None):
+    """The message ``DividingSetClass`` raises for a class that does not embed."""
+    with pytest.raises(InvalidRegionGraphError) as caught:
+        DividingSetClass(surface, g, slope)
+    return str(caught.value)
+
+
 class TestCheckEmbeddable:
+    """Embeddability is checked where a class is made: the constructor
+    raises with the first rule of ``check_embeddable`` the class breaks."""
+
     def test_equator_on_sphere(self):
         assert check_embeddable(sphere_class([1, -1], [(0, 1)])) is None
 
     def test_sphere_rejects_cycles(self):
         g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
-        violation = check_embeddable(DividingSetClass(Surface.SPHERE, g))
-        assert violation is not None and violation.rule == "sphere requires tree"
+        assert embedding_error(Surface.SPHERE, g).startswith("sphere requires tree: ")
 
     def test_bare_cycle_with_slope_on_torus(self):
         g = RegionGraph(
@@ -50,26 +59,36 @@ class TestCheckEmbeddable:
 
     def test_torus_cycle_requires_slope(self):
         g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
-        violation = check_embeddable(DividingSetClass(Surface.TORUS, g))
-        assert violation is not None and violation.rule == "slope"
+        assert embedding_error(Surface.TORUS, g).startswith("slope: ")
 
     def test_torus_slope_must_be_normalized(self):
         g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
         for slope in ((2, 4), (1, 2), (0, 1)):
-            violation = check_embeddable(DividingSetClass(Surface.TORUS, g, slope))
-            assert violation is not None and violation.rule == "slope"
+            assert embedding_error(Surface.TORUS, g, slope).startswith("slope: ")
 
     def test_torus_tree_needs_exactly_one_genus_region(self):
         flat = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1)])
-        violation = check_embeddable(DividingSetClass(Surface.TORUS, flat))
-        assert violation is not None and violation.rule == "genus"
+        assert embedding_error(Surface.TORUS, flat).startswith("genus: ")
         one_genus = RegionGraph([(0, 1, 1), (1, -1, 0)], [(0, 1)])
         assert check_embeddable(DividingSetClass(Surface.TORUS, one_genus)) is None
 
     def test_empty_dividing_set_rejected(self):
         lonely = RegionGraph([(0, 1, 1)], [])
-        violation = check_embeddable(DividingSetClass(Surface.TORUS, lonely))
-        assert violation is not None and violation.rule == "no curves"
+        assert embedding_error(Surface.TORUS, lonely).startswith("no curves: ")
+
+    def test_graph_invariants_come_first(self):
+        like_signed = RegionGraph([(0, 1, 0), (1, 1, 0)], [(0, 1)])
+        assert embedding_error(Surface.SPHERE, like_signed).startswith("improper coloring: ")
+
+    def test_replace_and_make_check_too(self):
+        # namedtuple's _replace goes through _make, which would otherwise
+        # skip __new__ and so the check.
+        d = torus_cycle(2)
+        with pytest.raises(InvalidRegionGraphError, match="^slope: "):
+            d._replace(slope=(2, 4))
+        with pytest.raises(InvalidRegionGraphError, match="^slope: "):
+            DividingSetClass._make([d.surface, d.graph, None])
+        assert d._replace(slope=(3, 2)).slope == (3, 2)
 
 
 class TestTotalEuler:
