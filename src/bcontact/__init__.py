@@ -51,7 +51,6 @@ from .surfaces import (
     S3_S2,
     S3_T2,
     DividingSetClass,
-    ManifoldSpec,
     Surface,
     check_embeddable,
     region_euler,
@@ -66,7 +65,6 @@ __all__ = [
     "InadmissibleError",
     "InvalidRegionGraphError",
     "LeafCensus",
-    "ManifoldSpec",
     "ParseError",
     "RegimeDescriptor",
     "RegionGraph",

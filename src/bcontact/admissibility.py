@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .surfaces import DividingSetClass, ManifoldSpec, Surface, region_euler
+from .surfaces import DividingSetClass, Surface, region_euler
 
 
 class Verdict(namedtuple("Verdict", ["ok", "reason"])):
@@ -39,15 +39,16 @@ def euler_pairing(d: DividingSetClass) -> int:
     )
 
 
-def is_admissible(m: ManifoldSpec, d: DividingSetClass) -> Verdict:
-    """Whether the class can arise from a b-contact structure on ``m``.
+def is_admissible(m: Surface, d: DividingSetClass) -> Verdict:
+    """Whether the class can arise from a b-contact structure on the
+    b-manifold ``m``, named by its critical surface.
 
     Both supported manifolds live in the three-sphere, so the Euler-class
     target is zero and admissibility is exactly ``euler_pairing == 0``.
     """
-    if m.critical is not d.surface:
+    if m is not d.surface:
         return Verdict(False, f"class lives on {d.surface.value}, manifold critical "
-                              f"surface is {m.critical.value}")
+                              f"surface is {m.value}")
     pairing = euler_pairing(d)
     if pairing != 0:
         return Verdict(False, f"euler pairing {pairing} != 0")
@@ -61,7 +62,7 @@ def _bare_cycle(d: DividingSetClass) -> bool:
     )
 
 
-def is_tight_candidate(m: ManifoldSpec, d: DividingSetClass) -> Verdict:
+def is_tight_candidate(m: Surface, d: DividingSetClass) -> Verdict:
     """Whether the dividing set is free of contractible curves in the sense
     that permits a tight b-contact structure.
 

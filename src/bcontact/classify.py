@@ -45,7 +45,7 @@ from .enumeration import (
     graph_slopes,
 )
 from .region_graph import RegionGraph, canonical_code
-from .surfaces import DividingSetClass, ManifoldSpec, Surface
+from .surfaces import DividingSetClass, Surface
 
 
 class InadmissibleError(ValueError):
@@ -71,18 +71,18 @@ class LeafCensus(namedtuple("LeafCensus", ["leaves_dim3", "leaves_dim2", "leaves
 
 
 class ClassificationRecord(namedtuple("ClassificationRecord", [
-    "manifold", "dividing_set", "tight", "mixed", "fully_overtwisted", "tight_count_detail",
+    "dividing_set", "tight", "mixed", "fully_overtwisted", "tight_count_detail",
 ], defaults=(None,))):
     __slots__ = ()
 
 
-def _require_admissible(m: ManifoldSpec, d: DividingSetClass) -> None:
+def _require_admissible(m: Surface, d: DividingSetClass) -> None:
     verdict = is_admissible(m, d)
     if not verdict:
         raise InadmissibleError(verdict.reason)
 
 
-def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
+def classify(m: Surface, d: DividingSetClass) -> ClassificationRecord:
     """Full classification record of b-contact structures inducing ``d``."""
     _require_admissible(m, d)
     tight_candidate = tight_shape(d)
@@ -90,34 +90,34 @@ def classify(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
     if d.surface is Surface.SPHERE:
         if tight_candidate:
             return ClassificationRecord(
-                m, d,
+                d,
                 tight=RegimeDescriptor(1, 0),
                 mixed=RegimeDescriptor(2, 1),
                 fully_overtwisted=RegimeDescriptor(1, 2),
             )
         return ClassificationRecord(
-            m, d,
+            d,
             tight=RegimeDescriptor(0, 0),
             mixed=RegimeDescriptor(0, 0),
             fully_overtwisted=RegimeDescriptor(1, 2),
         )
 
     if tight_candidate:
-        return _bare_cycle_record(m, d)
+        return _bare_cycle_record(d)
     return ClassificationRecord(
-        m, d,
+        d,
         tight=RegimeDescriptor(0, 0),
         mixed=RegimeDescriptor(0, 0),
         fully_overtwisted=RegimeDescriptor(1, 4),
     )
 
 
-def _bare_cycle_record(m: ManifoldSpec, d: DividingSetClass) -> ClassificationRecord:
+def _bare_cycle_record(d: DividingSetClass) -> ClassificationRecord:
     """The record of an admissible bare cycle, whose regimes depend on the
     slope only through the solid-torus tight count."""
     p, q = d.slope
     detail = tight_count_solid_torus(d.graph.edge_count // 2, p, q)
-    return ClassificationRecord(m, d, *_bare_cycle_regimes(detail), detail)
+    return ClassificationRecord(d, *_bare_cycle_regimes(detail), detail)
 
 
 def _bare_cycle_regimes(
@@ -132,17 +132,18 @@ def _bare_cycle_regimes(
     )
 
 
-def leaf_census(m: ManifoldSpec, d: DividingSetClass) -> LeafCensus:
+def leaf_census(m: Surface, d: DividingSetClass) -> LeafCensus:
     """Leaves of the singular foliation by dimension: (2, regions, curves)."""
     _require_admissible(m, d)
-    return graph_census(m, d.graph)
+    return graph_census(d.graph)
 
 
-def graph_census(m: ManifoldSpec, g: RegionGraph) -> LeafCensus:
+def graph_census(g: RegionGraph) -> LeafCensus:
     """The counting half of ``leaf_census``, for a class already known to be
-    admissible on ``m``, such as the class of a ``classify`` record."""
+    admissible, such as the class of a ``classify`` record.  Both critical
+    surfaces cut the three-sphere in two."""
     return LeafCensus(
-        leaves_dim3=m.complement_components,
+        leaves_dim3=2,
         leaves_dim2=g.vertex_count,
         leaves_dim1=g.edge_count,
     )
@@ -168,7 +169,7 @@ class TableClass(namedtuple("TableClass", ["record", "code", "runs"])):
 
 
 def table_classes(
-    m: ManifoldSpec,
+    m: Surface,
     max_curves: int,
     max_p: int = 1,
     modulo_swap: bool = False,
@@ -183,7 +184,7 @@ def table_classes(
     """
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
-    if m.critical is Surface.SPHERE:
+    if m is Surface.SPHERE:
         largest = (max_curves + 1) // 2
         check_tree_request(largest)
         graphs = [
@@ -198,8 +199,8 @@ def table_classes(
     ]
 
 
-def _table_class(m: ManifoldSpec, g: RegionGraph, code: str, slopes: Slopes) -> TableClass:
-    record = classify(m, DividingSetClass(m.critical, g, slopes[0]))
+def _table_class(m: Surface, g: RegionGraph, code: str, slopes: Slopes) -> TableClass:
+    record = classify(m, DividingSetClass(m, g, slopes[0]))
     detail = record.tight_count_detail
     if detail is None:
         return TableClass(

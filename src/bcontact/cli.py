@@ -40,7 +40,7 @@ from .formats import (
     tight_count_to_json_dict,
 )
 from .region_graph import canonical_code
-from .surfaces import S3_S2, S3_T2, DividingSetClass, ManifoldSpec, Surface
+from .surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 _MANIFOLDS = {"s3-s2": S3_S2, "s3-t2": S3_T2}
 
@@ -138,10 +138,6 @@ def _read_gamma(path: str) -> DividingSetClass:
     return parse_dividing_set(text)
 
 
-def _manifold_for(d: DividingSetClass) -> ManifoldSpec:
-    return S3_S2 if d.surface is Surface.SPHERE else S3_T2
-
-
 def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
@@ -201,9 +197,8 @@ def _cmd_enum_torus(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     d = _read_gamma(args.gamma)
-    manifold = _manifold_for(d)
-    admissible = is_admissible(manifold, d)
-    tight = is_tight_candidate(manifold, d)
+    admissible = is_admissible(d.surface, d)
+    tight = is_tight_candidate(d.surface, d)
     code = canonical_code(d.graph)
     if args.format == "json":
         _emit(out, json.dumps({
@@ -228,7 +223,7 @@ def _regime_json(regime) -> str:
 
 
 def _record_json(record) -> str:
-    manifold = "s2" if record.manifold.critical is Surface.SPHERE else "t2"
+    manifold = "s2" if record.dividing_set.surface is Surface.SPHERE else "t2"
     detail = record.tight_count_detail
     detail_json = "null" if detail is None else json.dumps(tight_count_to_json_dict(detail))
     return (
@@ -241,7 +236,7 @@ def _record_json(record) -> str:
 
 def _cmd_classify(args, out) -> int:
     d = _read_gamma(args.gamma)
-    record = classify(_manifold_for(d), d)
+    record = classify(d.surface, d)
     if args.format == "json":
         _emit(out, _record_json(record))
         return 0
@@ -285,7 +280,7 @@ def _cmd_cf(args, out) -> int:
 
 def _cmd_census(args, out) -> int:
     d = _read_gamma(args.gamma)
-    census = leaf_census(_manifold_for(d), d)
+    census = leaf_census(d.surface, d)
     if args.format == "json":
         _emit(out, json.dumps({
             "leaves_dim3": census.leaves_dim3,

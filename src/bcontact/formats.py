@@ -30,9 +30,10 @@ an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
 so nothing needs quoting or escaping: the lines are byte-equal to
 ``csv.writer``'s and to ``json.dumps`` of the row dict.
 
-A parsed class is a ``DividingSetClass``, checked where it is made
-(graph invariants, then embeddability), so it is always usable
-downstream.  All emitters order their output deterministically.
+A parsed class is a ``DividingSetClass`` of a ``RegionGraph``, each
+checked where it is made (graph invariants, then embeddability), so it
+is always usable downstream; a syntax error is raised before the graph
+is made.  All emitters order their output deterministically.
 """
 
 from __future__ import annotations
@@ -130,7 +131,9 @@ def _parse_int(raw: str, line: int, what: str) -> int:
     raise ParseError(f"expected an integer {what}", line, raw)
 
 
-def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int] | None]:
+def _parse_items(text: str) -> tuple[
+    Surface | None, list[RegionVertex], list[tuple[int, int]], tuple[int, int] | None
+]:
     surface: Surface | None = None
     vertices: list[RegionVertex] = []
     edges: list[tuple[int, int]] = []
@@ -176,14 +179,14 @@ def _parse_items(text: str) -> tuple[Surface | None, RegionGraph, tuple[int, int
         else:
             raise ParseError("unknown directive", lineno, kind)
 
-    return surface, RegionGraph(tuple(vertices), tuple(edges)), slope
+    return surface, vertices, edges, slope
 
 
 def _parse_text(text: str) -> DividingSetClass:
-    surface, graph, slope = _parse_items(text)
+    surface, vertices, edges, slope = _parse_items(text)
     if surface is None:
         raise ParseError("missing 'surface sphere|torus' header")
-    return DividingSetClass(surface, graph, slope)
+    return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
 
 
 _CLASS_KEYS = frozenset({"surface", "vertices", "edges", "slope"})
@@ -313,7 +316,7 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
         blocks = [",".join(TABLE_COLUMNS) + "\n"]
     q_sep = sep[5]
     for c in classes:
-        g, census = c.graph, graph_census(c.record.manifold, c.graph)
+        g, census = c.graph, graph_census(c.graph)
         head = (
             f"{sep[0]}{quote}{c.code}{quote}"
             f"{sep[1]}{quote}{c.record.dividing_set.surface.value}{quote}"

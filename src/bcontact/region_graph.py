@@ -19,7 +19,9 @@ codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the sign-swapped code is the same pass with every
 sign negated.  The pass runs on index arrays (``code_of``): the
 enumerators code their candidates from level-sequence arrays and build a
-graph, its codes and verdict seeded, only for a class they emit.
+graph, its codes seeded, only for a class they emit.  Such a graph is
+built valid and trusted; any other is checked by its constructor, so a
+``RegionGraph`` that exists is valid and nothing downstream checks it.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -58,7 +60,8 @@ class RegionGraph:
     ``edges`` are unordered id pairs; parallel edges are kept as repeated
     pairs (self-loops are invalid, see ``validate``).  Construction
     normalizes vertex order and edge orientation so that equal graphs
-    compare equal structurally.
+    compare equal structurally, then raises ``InvalidRegionGraphError``
+    with the first invariant the graph breaks.
     """
 
     vertices: tuple[RegionVertex, ...]
@@ -73,6 +76,7 @@ class RegionGraph:
         )
         norm = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
         object.__setattr__(self, "edges", norm)
+        _raise_on(validate(self))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -98,10 +102,8 @@ class RegionGraph:
     def degrees(self) -> dict[int, int]:
         deg = {v.id: 0 for v in self.vertices}
         for a, b in self.edges:
-            if a in deg:
-                deg[a] += 1
-            if b in deg and b != a:
-                deg[b] += 1
+            deg[a] += 1
+            deg[b] += 1
         return deg
 
     @property
@@ -128,21 +130,17 @@ class RegionGraph:
 
         ``vertices`` are in id order and every edge is a (parent, child)
         pair with parent < child, so only the edges need sorting.  The
-        generator builds the graph valid, so its verdict is seeded as valid
-        beside its codes, not checked; the test suite referees it.
+        generator builds the graph valid, so it bypasses the constructor's
+        check; the test suite referees it with ``validate``.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", tuple(sorted(edges)))
-        g.__dict__.update(_violation=None, _code=code, _swap_code=swap_code)
+        g.__dict__.update(_code=code, _swap_code=swap_code)
         return g
 
-    # The graph is immutable, so its verdict and canonical codes are
-    # computed on first use and kept.
-
-    @cached_property
-    def _violation(self) -> Violation | None:
-        return _first_violation(self)
+    # The graph is immutable, so its canonical codes are computed on first
+    # use and kept.
 
     @cached_property
     def _code(self) -> str:
@@ -158,13 +156,10 @@ def validate(g: RegionGraph) -> Violation | None:
 
     Invariants, in the order reported: well-formed vertex/edge data,
     connectivity, proper 2-coloring by sign, no self-loops, edge count in
-    {V-1, V}, and total genus at most 1.  The verdict is computed once per
-    graph object, and a generated graph's is seeded (``_generated``).
+    {V-1, V}, and total genus at most 1.  The constructor runs it once per
+    graph; a graph that exists has passed it, unless it was generated
+    (``_generated``).
     """
-    return g._violation
-
-
-def _first_violation(g: RegionGraph) -> Violation | None:
     if not g.vertices:
         return Violation("malformed", "graph has no vertices")
     sign = {v.id: v.sign for v in g.vertices}
@@ -372,5 +367,4 @@ def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
     every sign.  The code is deterministic across runs and independent of
     vertex labeling.  Both codes are computed once per graph object.
     """
-    _raise_on(validate(g))
     return g._swap_code if modulo_swap else g._code

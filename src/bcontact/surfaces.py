@@ -3,7 +3,10 @@
 A dividing-set class binds a region graph to the closed surface it lives
 on.  The two surfaces in scope split the three-sphere into two pieces:
 the equatorial sphere into two balls, the unknotted torus into two solid
-tori.  Embeddability is a per-surface shape constraint on the graph:
+tori.  The ambient manifold is always the three-sphere, so a b-manifold
+is named by its critical surface alone: ``S3_S2`` is ``Surface.SPHERE``
+and ``S3_T2`` is ``Surface.TORUS``.  Embeddability is a per-surface
+shape constraint on the graph:
 
 * sphere: the graph is a tree and every region is planar (genus 0);
 * torus, no essential curves: still a tree, but exactly one region
@@ -25,7 +28,7 @@ import enum
 from collections import namedtuple
 
 from .counting import slope_error
-from .region_graph import Violation, _raise_on, validate
+from .region_graph import Violation, _raise_on
 
 
 class Surface(enum.Enum):
@@ -33,35 +36,23 @@ class Surface(enum.Enum):
     TORUS = "torus"
 
 
-class ManifoldSpec(namedtuple("ManifoldSpec", ["critical"])):
-    """The three-sphere with a separating critical surface.
-
-    The critical surface is either an equatorial sphere or an unknotted
-    torus, and in both cases its complement has exactly two components.
-    """
-
-    __slots__ = ()
-
-    @property
-    def complement_components(self) -> int:
-        return 2
-
-
-S3_S2 = ManifoldSpec(Surface.SPHERE)
-S3_T2 = ManifoldSpec(Surface.TORUS)
+S3_S2 = Surface.SPHERE
+S3_T2 = Surface.TORUS
 
 
 class DividingSetClass(namedtuple("DividingSetClass", ["surface", "graph", "slope"])):
     """Isotopy class of a dividing set: surface, region graph, optional
-    slope.  Making one that does not embed in its surface raises
-    ``InvalidRegionGraphError`` with ``check_embeddable``'s violation."""
+    slope.  ``surface`` is coerced to a ``Surface`` (``ValueError`` for
+    an unknown one).  Making a class that does not embed in its surface
+    raises ``InvalidRegionGraphError`` with ``check_embeddable``'s
+    violation."""
 
     __slots__ = ()
     # namedtuple's _make, which _replace calls, would skip __new__.
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def __new__(cls, surface, graph, slope=None):
-        self = super().__new__(cls, surface, graph, slope)
+        self = super().__new__(cls, Surface(surface), graph, slope)
         _raise_on(check_embeddable(self))
         return self
 
@@ -74,12 +65,8 @@ def region_euler(genus: int, boundary_count: int) -> int:
 
 
 def check_embeddable(d: DividingSetClass) -> Violation | None:
-    """The first rule a dividing-set class breaks, a graph invariant
-    (``validate``) or a per-surface one; ``None`` if the class embeds."""
-    graph_violation = validate(d.graph)
-    if graph_violation is not None:
-        return graph_violation
-
+    """The first per-surface rule a dividing-set class breaks; ``None`` if
+    the class embeds.  Its graph is valid by construction."""
     g = d.graph
     if g.edge_count == 0:
         return Violation("no curves", "a dividing set has at least one curve")

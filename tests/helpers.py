@@ -67,7 +67,7 @@ def enumerated_records(m, max_curves, max_p=1, modulo_swap=False):
     """``classify`` of every class the enumerators list with at most
     ``max_curves`` curves (and, on the torus, slopes up to ``max_p``), in
     the table's row order: by canonical code, then slope."""
-    if m.critical is Surface.SPHERE:
+    if m is Surface.SPHERE:
         classes = [
             DividingSetClass(Surface.SPHERE, g)
             for n in range(1, (max_curves + 1) // 2 + 1)
@@ -84,7 +84,7 @@ def table_rows(records, modulo_swap=False):
     rows = []
     for record in records:
         d = record.dividing_set
-        census = leaf_census(record.manifold, d)
+        census = leaf_census(d.surface, d)
         rows.append({
             "canonical_code": canonical_code(d.graph, modulo_swap),
             "surface": d.surface.value,

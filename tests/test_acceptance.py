@@ -19,14 +19,8 @@ from bcontact.cli import run_cli
 from bcontact.counting import catalan, negative_continued_fraction, tight_count_solid_torus
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.formats import render_table_jsonl
-from bcontact.region_graph import RegionGraph, _first_violation
-from bcontact.surfaces import (
-    S3_S2,
-    S3_T2,
-    DividingSetClass,
-    Surface,
-    check_embeddable,
-)
+from bcontact.region_graph import RegionGraph, validate
+from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 from helpers import enumerated_records, table_rows, tight_count_by_fractions, total_euler
 from oracle import oracle_count_trees
@@ -263,13 +257,11 @@ def test_every_enumerated_class_is_coherent():
         for n in range(1, 6):
             for g in enum_equicolored_trees(n):
                 d = DividingSetClass(Surface.SPHERE, g)
-                assert _first_violation(g) is None
-                assert check_embeddable(d) is None
+                assert validate(g) is None
                 assert is_admissible(S3_S2, d)
                 total += 1
         for d in enum_torus_classes(8, 2):
-            assert _first_violation(d.graph) is None
-            assert check_embeddable(d) is None
+            assert validate(d.graph) is None
             assert is_admissible(S3_T2, d)
             total += 1
         assert total > 100

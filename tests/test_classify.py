@@ -290,7 +290,11 @@ class TestAdmissibilityOnce:
             # The shape test alone still gives the candidate's verdict.
             assert (record.tight.finite_factor > 0) == bool(is_tight_candidate(m, d))
 
-    @pytest.mark.parametrize("manifold,max_curves,max_p", [(S3_T2, 8, 16), (S3_S2, 9, None)])
+    @pytest.mark.parametrize(
+        "manifold,max_curves,max_p",
+        [(S3_T2, 8, 16), (S3_S2, 9, None)],
+        ids=["manifold0-8-16", "manifold1-9-None"],
+    )
     def test_table_renderers_do_not_check_again(self, monkeypatch, manifold, max_curves, max_p):
         # classify checked every graph class when table_classes classified it.
         # A max_p of None passes no slope bound, as the sphere's table is asked.

@@ -282,6 +282,24 @@ class TestGammaCommands:
         assert status == 1 and output == ""
         assert capsys.readouterr().err == f"error: malformed: {defect}\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("v 0 + 0\nv 1 + 0\ne 0 1\n", "missing 'surface sphere|torus' header"),
+            (json.dumps({
+                "surface": "cylinder",
+                "vertices": [{"id": 0, "sign": 1}, {"id": 1, "sign": 1}],
+                "edges": [[0, 1]],
+            }), "malformed JSON class: 'cylinder' is not a valid Surface"),
+        ],
+        ids=["text-no-header", "json-unknown-surface"],
+    )
+    def test_syntax_error_comes_before_the_graph(self, monkeypatch, capsys, text, message):
+        # The like-signed edge would exit 1; the syntax error is found first.
+        set_stdin(monkeypatch, text)
+        assert run(["check", "--gamma", "-"]) == (2, "")
+        assert capsys.readouterr().err == f"error: input: {message}\n"
+
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_input_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys, source):
         data = EQUATOR.encode() + b"\xff\xfe\n"

@@ -14,8 +14,8 @@ from bcontact.enumeration import (
     enum_torus_graphs,
     graph_slopes,
 )
-from bcontact.region_graph import RegionGraph, _first_violation, canonical_code
-from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface, check_embeddable
+from bcontact.region_graph import RegionGraph, canonical_code, validate
+from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
@@ -80,10 +80,8 @@ class TestTreeOutputQuality:
                 codes = [canonical_code(g, mode) for g in graphs]
                 assert len(set(codes)) == len(graphs)
                 for g in graphs:
-                    assert _first_violation(g) is None
-                    d = DividingSetClass(Surface.SPHERE, g)
-                    assert check_embeddable(d) is None
-                    assert is_admissible(S3_S2, d)
+                    assert validate(g) is None
+                    assert is_admissible(S3_S2, DividingSetClass(Surface.SPHERE, g))
 
     def test_sorted_by_code_and_stable(self):
         first = enum_equicolored_trees(4)
@@ -96,8 +94,8 @@ class TestTreeOutputQuality:
 
 class TestGeneratedGraphsAreValid:
     """The package trusts the generators' graphs: ``RegionGraph._generated``
-    seeds a valid verdict, so ``validate`` would check nothing here and the
-    suite referees each graph with the uncached ``_first_violation``."""
+    bypasses the constructor's check, so the suite referees each graph
+    with ``validate``."""
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_every_emitted_graph_is_valid(self, modulo_swap):
@@ -105,7 +103,7 @@ class TestGeneratedGraphsAreValid:
         graphs += enum_torus_graphs(10, modulo_swap)
         trees, cycles = torus_counts(10, modulo_swap)
         assert len(graphs) == sum(sphere_counts(8, modulo_swap)) + sum(trees) + sum(cycles)
-        assert [g for g in graphs if _first_violation(g) is not None] == []
+        assert [g for g in graphs if validate(g) is not None] == []
 
 
 class TestTorusClasses:
@@ -137,8 +135,7 @@ class TestTorusClasses:
         classes = enum_torus_classes(6, 2)
         keys = set()
         for d in classes:
-            assert _first_violation(d.graph) is None
-            assert check_embeddable(d) is None
+            assert validate(d.graph) is None
             assert is_admissible(S3_T2, d)
             key = (canonical_code(d.graph), d.slope)
             assert key not in keys
@@ -210,11 +207,6 @@ class TestTorusGraphs:
             enum_torus_graphs(17)
 
 
-def _admissible(d):
-    """The full check the enumerator's balance gate stands in for."""
-    return check_embeddable(d) is None and bool(is_admissible(S3_T2, d))
-
-
 def _counted_balance(g):
     """2 (P - N) - 2 sum sign * genus, counted from the vertices."""
     positive = sum(1 for v in g.vertices if v.sign > 0)
@@ -241,7 +233,9 @@ class TestTorusBalanceGate:
                             and layout[genus_vertex] & 1 == int(2 * odd > nv)
                         )
                         assert euler_pairing(d) == _counted_balance(g)
-                        assert _admissible(d) == gated_in, (layout, positive, genus_vertex)
+                        assert bool(is_admissible(S3_T2, d)) == gated_in, (
+                            layout, positive, genus_vertex
+                        )
                         checked += 1
                     for u in range(nv):
                         for v in range(u + 1, nv):
@@ -250,7 +244,9 @@ class TestTorusBalanceGate:
                             g = _colored_graph(layout, edges + [(u, v)], positive)
                             d = DividingSetClass(Surface.TORUS, g, (1, 1))
                             assert euler_pairing(d) == _counted_balance(g)
-                            assert _admissible(d) == (2 * odd == nv), (layout, u, v)
+                            assert bool(is_admissible(S3_T2, d)) == (2 * odd == nv), (
+                                layout, u, v
+                            )
                             checked += 1
         assert checked == 4310
 
@@ -282,10 +278,10 @@ class TestArrayCodes:
         assert len(tried) == 2 * (14 + 352)
 
         # Graphs are built only for emitted classes, trusted valid (checked
-        # here without the seeded verdict), with codes seeded.
+        # here), with codes seeded.
         assert len(emitted) == (1 + 1 + 4 + 14) + (1 + 1 + 3 + 9) + 367 + 192
         for g in emitted:
-            assert _first_violation(g) is None
+            assert validate(g) is None
             fresh = RegionGraph(g.vertices, g.edges)
             assert (fresh.vertices, fresh.edges) == (g.vertices, g.edges)
             for mode in (False, True):

@@ -15,6 +15,7 @@ from bcontact.region_graph import (
     canonical_code,
     validate,
 )
+from bcontact.surfaces import DividingSetClass, Surface
 
 from oracle import adjacency, brute_force_isomorphic, by_id
 
@@ -72,37 +73,53 @@ def shuffled(g, rng):
 
 
 class TestValidate:
+    """A graph is checked where it is made: the constructor raises with the
+    first rule of ``validate`` the graph breaks."""
+
     def test_single_edge_is_ok(self):
         assert validate(path([1, -1])) is None
 
     def test_like_signed_edge_is_improper_coloring(self):
-        violation = validate(path([1, 1]))
-        assert violation is not None and violation.rule == "improper coloring"
+        with pytest.raises(InvalidRegionGraphError, match="^improper coloring: "):
+            path([1, 1])
 
     def test_two_independent_cycles_break_edge_count(self):
-        g = graph([1, -1, 1, -1], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)])
-        violation = validate(g)
-        assert violation is not None and violation.rule == "edge count"
+        with pytest.raises(InvalidRegionGraphError, match="^edge count: "):
+            graph([1, -1, 1, -1], [(0, 1), (1, 2), (2, 3), (3, 0), (0, 1)])
 
     def test_self_loop(self):
-        g = graph([1, -1], [(0, 1), (0, 0)])
-        violation = validate(g)
-        assert violation is not None and violation.rule == "self-loop"
+        with pytest.raises(InvalidRegionGraphError, match="^self-loop: "):
+            graph([1, -1], [(0, 1), (0, 0)])
 
     def test_disconnected(self):
-        g = RegionGraph([(0, 1, 0), (1, -1, 0), (2, 1, 0), (3, -1, 0)], [(0, 1), (2, 3)])
-        violation = validate(g)
-        assert violation is not None and violation.rule == "disconnected"
+        with pytest.raises(InvalidRegionGraphError, match="^disconnected: "):
+            RegionGraph([(0, 1, 0), (1, -1, 0), (2, 1, 0), (3, -1, 0)], [(0, 1), (2, 3)])
 
     def test_genus_sum_capped(self):
-        g = graph([1, -1], [(0, 1)], genera=[1, 1])
-        violation = validate(g)
-        assert violation is not None and violation.rule == "genus sum"
+        with pytest.raises(InvalidRegionGraphError, match="^genus sum: "):
+            graph([1, -1], [(0, 1)], genera=[1, 1])
 
     def test_unknown_edge_endpoint(self):
-        g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 5)])
-        violation = validate(g)
-        assert violation is not None and violation.rule == "malformed"
+        with pytest.raises(InvalidRegionGraphError, match="^malformed: "):
+            RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 5)])
+
+    @pytest.mark.parametrize(
+        "vertex,detail",
+        [
+            ((-1, 1, 0), "vertex ids must be non-negative"),
+            ((0, 2, 0), "vertex 0 has sign 2"),
+            ((0, 1, 2), "vertex 0 has genus 2"),
+        ],
+    )
+    def test_malformed_vertex(self, vertex, detail):
+        with pytest.raises(InvalidRegionGraphError, match=f"^malformed: {detail}$"):
+            RegionGraph([vertex, (1, -1, 0)], [(vertex[0], 1)])
+
+    def test_graph_invariants_come_first(self):
+        # No class can be made of an invalid graph: the graph's constructor
+        # raises before any surface rule is tried.
+        with pytest.raises(InvalidRegionGraphError, match="^improper coloring: "):
+            DividingSetClass(Surface.SPHERE, RegionGraph([(0, 1, 0), (1, 1, 0)], [(0, 1)]))
 
 
 class TestValueSemantics:
@@ -307,8 +324,10 @@ def swap_two_edges(g, i, j):
     if vertices[c].sign < 0:
         c, d = d, c
     edges[i], edges[j] = (a, d), (c, b)
-    h = RegionGraph(g.vertices, edges)
-    return h if validate(h) is None else None
+    try:
+        return RegionGraph(g.vertices, edges)
+    except InvalidRegionGraphError:
+        return None
 
 
 @st.composite

@@ -4,13 +4,7 @@ import pytest
 
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import InvalidRegionGraphError, RegionGraph
-from bcontact.surfaces import (
-    DividingSetClass,
-    ManifoldSpec,
-    Surface,
-    check_embeddable,
-    region_euler,
-)
+from bcontact.surfaces import DividingSetClass, Surface, check_embeddable, region_euler
 
 from helpers import sphere_class, torus_cycle, total_euler
 
@@ -25,11 +19,6 @@ class TestRegionEuler:
     def test_rejects_closed_regions(self):
         with pytest.raises(ValueError):
             region_euler(0, 0)
-
-
-class TestManifoldSpec:
-    def test_only_the_three_sphere(self):
-        assert ManifoldSpec(Surface.TORUS).complement_components == 2
 
 
 def embedding_error(surface, g, slope=None):
@@ -76,10 +65,6 @@ class TestCheckEmbeddable:
         lonely = RegionGraph([(0, 1, 1)], [])
         assert embedding_error(Surface.TORUS, lonely).startswith("no curves: ")
 
-    def test_graph_invariants_come_first(self):
-        like_signed = RegionGraph([(0, 1, 0), (1, 1, 0)], [(0, 1)])
-        assert embedding_error(Surface.SPHERE, like_signed).startswith("improper coloring: ")
-
     def test_replace_and_make_check_too(self):
         # namedtuple's _replace goes through _make, which would otherwise
         # skip __new__ and so the check.
@@ -89,6 +74,14 @@ class TestCheckEmbeddable:
         with pytest.raises(InvalidRegionGraphError, match="^slope: "):
             DividingSetClass._make([d.surface, d.graph, None])
         assert d._replace(slope=(3, 2)).slope == (3, 2)
+
+    def test_surface_is_coerced_to_a_surface(self):
+        # A surface given by its value is the Surface, so the sphere rules
+        # apply, not the torus ones.
+        d = sphere_class([1, -1], [(0, 1)])
+        assert DividingSetClass("sphere", d.graph).surface is Surface.SPHERE
+        with pytest.raises(ValueError, match="'cylinder' is not a valid Surface"):
+            DividingSetClass("cylinder", d.graph)
 
 
 class TestTotalEuler:

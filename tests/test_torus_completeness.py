@@ -10,8 +10,8 @@ from itertools import combinations_with_replacement
 
 from bcontact.admissibility import is_admissible
 from bcontact.enumeration import enum_torus_classes
-from bcontact.region_graph import RegionGraph, validate
-from bcontact.surfaces import S3_T2, DividingSetClass, Surface, check_embeddable
+from bcontact.region_graph import RegionGraph
+from bcontact.surfaces import S3_T2, DividingSetClass, Surface
 
 from oracle import brute_force_isomorphic
 
@@ -73,12 +73,7 @@ def brute_force_cycle_classes(nv):
     for edges in labeled_multigraphs(nv, nv):
         for color in two_colorings(nv, edges):
             g = RegionGraph([(v, 1 if color[v] == 0 else -1, 0) for v in range(nv)], edges)
-            d = DividingSetClass(Surface.TORUS, g, (1, 1))
-            if (
-                validate(g) is None
-                and check_embeddable(d) is None
-                and is_admissible(S3_T2, d)
-            ):
+            if is_admissible(S3_T2, DividingSetClass(Surface.TORUS, g, (1, 1))):
                 found.append(g)
     return quotient(found)
 
@@ -97,12 +92,7 @@ def brute_force_genus_tree_classes(nv):
                     ],
                     edges,
                 )
-                d = DividingSetClass(Surface.TORUS, g)
-                if (
-                    validate(g) is None
-                    and check_embeddable(d) is None
-                    and is_admissible(S3_T2, d)
-                ):
+                if is_admissible(S3_T2, DividingSetClass(Surface.TORUS, g)):
                     found.append(g)
     return quotient(found)
 
