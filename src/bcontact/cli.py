@@ -7,13 +7,15 @@ the input's surface: S3 with an equatorial sphere or an unknotted torus.
 diagnostics to stderr; exit status 0 on success, 1 on a domain error
 (invalid or inadmissible input, resource caps), 2 on usage or syntax
 errors, input that is not UTF-8 included, and on I/O errors such as a
-missing file or a closed stdin or stdout.  All machine-readable output is
-deterministic and newline-terminated.
+missing file, a closed stdin or stdout, or a reader that closes the pipe
+before the output ends.  All machine-readable output is deterministic
+and newline-terminated.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -136,6 +138,26 @@ def _read_gamma(path: str) -> DividingSetClass:
     except UnicodeDecodeError as exc:
         raise ParseError(f"not valid UTF-8 ({exc.reason})") from None
     return parse_dividing_set(text)
+
+
+class _WholeWrites:
+    """A text stream over an unbuffered file, such as stdout under
+    ``PYTHONUNBUFFERED``, that writes every byte or raises.  The stream's
+    own text layer ignores a short write of the raw file, so when a reader
+    closed the pipe in the middle of a long string, the rest of the string
+    would be dropped with no error; here each ``write`` goes to the raw
+    file until nothing is left, and a closed pipe raises."""
+
+    def __init__(self, stream) -> None:
+        stream.flush()
+        self.raw = stream.buffer
+        self.encoding = stream.encoding
+        self.errors = stream.errors
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode(self.encoding, self.errors))
+        while data:
+            data = data[self.raw.write(data) or 0:]
 
 
 def _emit(out, text: str) -> None:
@@ -340,6 +362,8 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
     try:
         if out is None:
             raise OSError("stdout is closed")
+        if isinstance(getattr(out, "buffer", None), io.RawIOBase):
+            out = _WholeWrites(out)
         return _COMMANDS[args.command](args, out)
     except (ValueError, OSError) as exc:
         _report(f"error: {exc}")

@@ -31,14 +31,14 @@ candidate that is built is admissible; ``TestTorusBalanceGate`` in the
 test suite builds every ungated candidate on up to nine regions and
 checks that the gate accepts exactly the admissible ones.
 
-Candidates are coded before anything is built.  A skeleton's canonical
-codes come from its level sequence's index arrays (``code_of``), one per
-coloring; negating every sign exchanges the two colorings, so the pair
-also gives the sign-swapped code.  A ``RegionGraph`` is built only for a
-class that is emitted, by the generator-only constructor, which seeds
-its codes and trusts it valid.  The test suite referees every array code
-on up to nine regions (``TestArrayCodes``) and every emitted graph
-(``TestGeneratedGraphsAreValid``).
+Candidates are coded before anything is built.  Negating every sign
+exchanges a skeleton's two colorings, so one leaf-peeling pass over its
+level sequence's index arrays (``codes_of``) gives the codes of both,
+and the pair gives the sign-swapped code.  A ``RegionGraph`` is built
+only for a class that is emitted, by the generator-only constructor,
+which seeds its codes and trusts it valid.  The test suite referees
+every array code on up to nine regions (``TestArrayCodes``) and every
+emitted graph (``TestGeneratedGraphsAreValid``).
 
 Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
 and ``graph_slopes`` gives each one its slopes, every normalized slope up
@@ -56,7 +56,7 @@ from collections.abc import Iterator
 from functools import cache
 from math import gcd
 
-from .region_graph import _TAGS, RegionGraph, RegionVertex, code_of
+from .region_graph import _TAGS, RegionGraph, RegionVertex, codes_of
 from .surfaces import DividingSetClass, Surface
 
 TREE_CAP = 10
@@ -145,15 +145,13 @@ def _free_trees(order: int) -> Iterator[list[int]]:
 
 def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
     """Edges of a level sequence: each vertex joins the nearest earlier
-    vertex one level up."""
+    vertex one level up, the last vertex seen on that level."""
     edges = []
-    stack: list[int] = []
+    last = [0] * len(layout)
     for i, level in enumerate(layout):
-        while stack and layout[stack[-1]] >= level:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
+        if level:
+            edges.append((last[level - 1], i))
+        last[level] = i
     return edges
 
 
@@ -165,36 +163,35 @@ def _adjacency(nv: int, edges: list[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-@cache
-def _vertex(v: int, sign: int, genus: int) -> RegionVertex:
-    # Vertices are immutable, so emitted graphs share them.  Ids stay
-    # below the largest region count the caps allow, which bounds the cache.
-    return RegionVertex(v, sign, genus)
+# Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
+# for every id the caps allow: vertices are immutable, so emitted graphs
+# share them.
+_VERTEX_ROWS = [
+    tuple(RegionVertex(v, sign, genus) for genus in (0, 1) for sign in (1, -1))
+    for v in range(max(2 * TREE_CAP, CURVE_CAP + 1))
+]
 
 
 def _colored_vertices(
     layout: list[int], positive: int, genus_vertex: int | None = None
 ) -> tuple[RegionVertex, ...]:
     """Vertex i is positive when its level parity is ``positive``."""
-    return tuple([
-        _vertex(v, 1 if level & 1 == positive else -1, int(v == genus_vertex))
-        for v, level in enumerate(layout)
-    ])
+    vertices = [rows[(level & 1) ^ positive] for rows, level in zip(_VERTEX_ROWS, layout)]
+    if genus_vertex is not None:
+        negative = (layout[genus_vertex] & 1) ^ positive
+        vertices[genus_vertex] = _VERTEX_ROWS[genus_vertex][2 + negative]
+    return tuple(vertices)
 
 
 def _codes(
     layout: list[int], edges: list[tuple[int, int]], genus_vertex: int | None
 ) -> tuple[str, str]:
-    """Canonical codes of a skeleton with even, then odd, levels positive."""
-    adj = _adjacency(len(layout), edges)
-    tree = len(edges) < len(layout)
-    codes = []
-    for positive in (0, 1):
-        tags = [_TAGS[1 if level & 1 == positive else -1, 0] for level in layout]
-        if genus_vertex is not None:
-            tags[genus_vertex] = _TAGS[1 if layout[genus_vertex] & 1 == positive else -1, 1]
-        codes.append(code_of(adj, tags, tree))
-    return codes[0], codes[1]
+    """Canonical codes of a skeleton with even, then odd, levels positive:
+    the second coloring is the first with every sign negated."""
+    tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
+    if genus_vertex is not None:
+        tags[genus_vertex] = _TAGS[1 - 2 * (layout[genus_vertex] & 1), 1]
+    return codes_of(_adjacency(len(layout), edges), tags, len(edges) < len(layout))
 
 
 def _emit(

@@ -14,10 +14,12 @@ directive is in the text form.
 ``graph_json`` and ``class_json`` write these lines directly, one string
 per graph or class, without building the object first, and
 ``graph_class_json`` writes a graph class at each of its slopes, the
-graph's fields rendered once.  Their bytes equal ``json.dumps`` of the
-object with its default separators, because every id, sign, genus and
-slope is an ``int``: the enumerators build them so and both parsers
-accept nothing else.
+graph's fields rendered once.  The fields are joined from the JSON text
+of each vertex and edge, made once per distinct one and kept.  Their
+bytes equal ``json.dumps`` of the object with its default separators,
+because every id, sign, genus and slope is an ``int``: the enumerators
+build them so, a region graph takes no other id, sign or genus, and both
+parsers take no other slope.
 
 The classification table is rendered from its one form, a list of graph
 classes (``classify.table_classes``), each with its slopes in runs
@@ -79,11 +81,32 @@ def graph_class_text(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
     ])
 
 
+_FRAGMENTS_KEPT = 4096
+
+
+class _Fragments(dict):
+    """JSON text of each vertex or edge, made on first use and kept: an
+    enumerated listing has only a few hundred distinct ones, each in many
+    graphs.  Past ``_FRAGMENTS_KEPT`` entries new ones are made, not kept."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, item):
+        text = self.render(item)
+        if len(self) < _FRAGMENTS_KEPT:
+            self[item] = text
+        return text
+
+
+_VERTEX_JSON = _Fragments(lambda v: f'{{"id": {v.id}, "sign": {v.sign}, "genus": {v.genus}}}')
+_EDGE_JSON = _Fragments(lambda e: f"[{e[0]}, {e[1]}]")
+
+
 def _graph_json_fields(g: RegionGraph) -> str:
-    vertices = ", ".join([
-        f'{{"id": {v.id}, "sign": {v.sign}, "genus": {v.genus}}}' for v in g.vertices
-    ])
-    edges = ", ".join([f"[{a}, {b}]" for a, b in g.edges])
+    vertices = ", ".join(map(_VERTEX_JSON.__getitem__, g.vertices))
+    edges = ", ".join(map(_EDGE_JSON.__getitem__, g.edges))
     return f'"vertices": [{vertices}], "edges": [{edges}]'
 
 

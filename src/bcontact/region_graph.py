@@ -16,10 +16,12 @@ these graphs, so the module's main job is an exact canonical form:
 a sign- and genus-respecting multigraph isomorphism exists between them
 (optionally up to negating every sign at once).  One leaf-peeling pass
 codes the stripped trees and leaves the tree's center or the graph's
-cycle to code last; the sign-swapped code is the same pass with every
-sign negated.  The pass runs on index arrays (``code_of``): the
-enumerators code their candidates from level-sequence arrays and build a
-graph, its codes seeded, only for a class they emit.  Such a graph is
+cycle to code last; the same pass gives the code with every sign
+negated, by exchanging ``+`` and ``-`` in the core codes and ordering
+the core again.  The pass runs on index arrays (``codes_of``): the
+enumerators code their candidates from level-sequence arrays, one pass
+per skeleton for both of its colorings, and build a graph, its codes
+seeded, only for a class they emit.  Such a graph is
 built valid and trusted; any other is checked by its constructor, so a
 ``RegionGraph`` that exists is valid and nothing downstream checks it.
 
@@ -61,7 +63,8 @@ class RegionGraph:
     pairs (self-loops are invalid, see ``validate``).  Construction
     normalizes vertex order and edge orientation so that equal graphs
     compare equal structurally, then raises ``InvalidRegionGraphError``
-    with the first invariant the graph breaks.
+    with the first invariant the graph breaks.  Ids that are not ``int``
+    are reported before the normalizing, which sorts them.
     """
 
     vertices: tuple[RegionVertex, ...]
@@ -71,10 +74,12 @@ class RegionGraph:
         verts = tuple(
             v if isinstance(v, RegionVertex) else RegionVertex(*v) for v in vertices
         )
+        pairs = [(a, b) for a, b in edges]
+        _raise_on(_non_integer_id(verts, pairs))
         object.__setattr__(
             self, "vertices", tuple(sorted(verts, key=lambda v: v.id))
         )
-        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in edges))
+        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in pairs))
         object.__setattr__(self, "edges", norm)
         _raise_on(validate(self))
 
@@ -136,19 +141,15 @@ class RegionGraph:
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
         object.__setattr__(g, "edges", tuple(sorted(edges)))
-        g.__dict__.update(_code=code, _swap_code=swap_code)
+        g.__dict__["_codes"] = (code, swap_code)
         return g
 
-    # The graph is immutable, so its canonical codes are computed on first
-    # use and kept.
-
     @cached_property
-    def _code(self) -> str:
-        return _plain_code(self)
-
-    @cached_property
-    def _swap_code(self) -> str:
-        return min(self._code, _plain_code(self, -1))
+    def _codes(self) -> tuple[str, str]:
+        # The graph is immutable, so its canonical code and its code modulo
+        # the swap come from one pass on first use and are kept.
+        code, swapped = _plain_codes(self)
+        return code, min(code, swapped)
 
 
 def validate(g: RegionGraph) -> Violation | None:
@@ -162,6 +163,9 @@ def validate(g: RegionGraph) -> Violation | None:
     """
     if not g.vertices:
         return Violation("malformed", "graph has no vertices")
+    violation = _non_integer_id(g.vertices, g.edges)
+    if violation is not None:
+        return violation
     sign = {v.id: v.sign for v in g.vertices}
     if len(sign) != len(g.vertices):
         # Vertices are in id order, so a repeated id sits next to its twin.
@@ -171,10 +175,10 @@ def validate(g: RegionGraph) -> Violation | None:
     if any(v.id < 0 for v in g.vertices):
         return Violation("malformed", "vertex ids must be non-negative")
     for v in g.vertices:
-        if v.sign not in (1, -1):
-            return Violation("malformed", f"vertex {v.id} has sign {v.sign}")
-        if v.genus not in (0, 1):
-            return Violation("malformed", f"vertex {v.id} has genus {v.genus}")
+        if type(v.sign) is not int or v.sign not in (1, -1):
+            return Violation("malformed", f"vertex {v.id} has sign {v.sign!r}")
+        if type(v.genus) is not int or v.genus not in (0, 1):
+            return Violation("malformed", f"vertex {v.id} has genus {v.genus!r}")
     for a, b in g.edges:
         if a not in sign or b not in sign:
             return Violation("malformed", f"edge ({a},{b}) uses unknown vertex id")
@@ -199,6 +203,19 @@ def validate(g: RegionGraph) -> Violation | None:
     if g.genus_sum > 1:
         return Violation("genus sum", f"total genus {g.genus_sum} exceeds 1")
 
+    return None
+
+
+def _non_integer_id(vertices, edges) -> Violation | None:
+    """The first vertex id or edge end that is not an ``int``.  A ``bool``
+    is not one, and a float equal to an id would otherwise pass for it."""
+    for v in vertices:
+        if type(v.id) is not int:
+            return Violation("malformed", f"vertex id {v.id!r} is not an integer")
+    for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            detail = f"edge ({a!r},{b!r}) has an end that is not an integer"
+            return Violation("malformed", detail)
     return None
 
 
@@ -236,13 +253,24 @@ def _raise_on(violation: Violation | None) -> None:
 # is left is the core: the one or two centers of a tree, or the cycle of a
 # unicyclic graph.  A tree's code is its sorted core codes, a unicyclic
 # graph's the least rotation or reflection of its core codes along the
-# cycle.  Swapping all signs only negates each tag, so the swapped code is
-# the same pass with the sign factor -1.
+# cycle.
+#
+# Negating every sign gives each stripped vertex its code with "+" and "-"
+# exchanged, because the exchange keeps the order of sibling codes: in a
+# properly 2-colored graph siblings share a sign, as do all vertices one
+# bracket depth below them.  Two sibling codes agree up to their first
+# difference, so there they are at one depth, where a sign (which follows
+# every "(" and nothing else) is the same in both.  They first differ at a
+# bracket or a genus digit, which the exchange keeps.  Only the core order
+# can flip, as two tree centers, or cycle neighbors, have opposite signs.
+# So one pass gives both codes: exchange the signs in the core codes, then
+# sort them again for a tree, or take the least rotation again for a cycle.
 # ---------------------------------------------------------------------------
 
 
 # Tags by (sign, genus); a valid graph has no other pairs.
 _TAGS = {(1, 0): "+0", (1, 1): "+1", (-1, 0): "-0", (-1, 1): "-1"}
+_SWAP_SIGNS = str.maketrans("+-", "-+")
 
 
 def _peel(adj: list[list[int]], tags: list[str]) -> dict[int, str]:
@@ -330,32 +358,36 @@ def _min_rotation(seq: list[str]) -> tuple[str, ...]:
     return best
 
 
-def code_of(adj: list[list[int]], tags: list[str], tree: bool) -> str:
-    """Canonical code of a valid region graph on vertices ``0..n-1``.
+def codes_of(adj: list[list[int]], tags: list[str], tree: bool) -> tuple[str, str]:
+    """Canonical codes of a valid region graph on vertices ``0..n-1``, as
+    tagged and with every sign negated, from one ``_peel``.
 
     ``adj[v]`` lists v's neighbors with multiplicity, ``tags[v]`` is v's
     entry of ``_TAGS``, and ``tree`` says whether the graph has V - 1
     edges (else it is unicyclic).  The enumerators call this on their
     level-sequence arrays before any graph is built; ``canonical_code``
-    reaches it through ``_plain_code``.
+    reaches it through ``_plain_codes``.
     """
     core = _peel(adj, tags)
     if tree:
-        return "T" + "".join(sorted(core.values()))
-    cycle = _cycle_walk(adj, core)
-    return f"C{len(cycle)}" + "".join(_min_rotation([core[v] for v in cycle]))
+        codes = sorted(core.values())
+        swapped = sorted([code.translate(_SWAP_SIGNS) for code in codes])
+        return "T" + "".join(codes), "T" + "".join(swapped)
+    cycle = [core[v] for v in _cycle_walk(adj, core)]
+    swapped = [code.translate(_SWAP_SIGNS) for code in cycle]
+    prefix = f"C{len(cycle)}"
+    return prefix + "".join(_min_rotation(cycle)), prefix + "".join(_min_rotation(swapped))
 
 
-def _plain_code(g: RegionGraph, flip: int = 1) -> str:
-    """``code_of`` on ``g``'s vertices indexed in id order; each tag is
-    the vertex's sign times ``flip``, then its genus."""
+def _plain_codes(g: RegionGraph) -> tuple[str, str]:
+    """``codes_of`` on ``g``'s vertices indexed in id order."""
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
     adj: list[list[int]] = [[] for _ in g.vertices]
     for a, b in g.edges:
         adj[index[a]].append(index[b])
         adj[index[b]].append(index[a])
-    tags = [_TAGS[v.sign * flip, v.genus] for v in g.vertices]
-    return code_of(adj, tags, g.edge_count == g.vertex_count - 1)
+    tags = [_TAGS[v.sign, v.genus] for v in g.vertices]
+    return codes_of(adj, tags, g.edge_count == g.vertex_count - 1)
 
 
 def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
@@ -365,6 +397,7 @@ def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:
     genus-respecting multigraph isomorphism exists between them; with
     ``modulo_swap`` the code is additionally invariant under negating
     every sign.  The code is deterministic across runs and independent of
-    vertex labeling.  Both codes are computed once per graph object.
+    vertex labeling.  Both codes come from one pass, once per graph object.
     """
-    return g._swap_code if modulo_swap else g._code
+    codes = g._codes
+    return codes[1] if modulo_swap else codes[0]

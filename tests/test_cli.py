@@ -654,6 +654,44 @@ class TestClosedStreams:
         assert (proc.returncode, proc.stdout) == (2, "")
 
 
+TORUS_TABLE_8_16 = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]
+TORUS_TABLE_8_16_SHA256 = "a6bdfe3a9cf1330a255ff6a259f91f357ff26217c30fb8e056492152af90cfcf"
+
+
+def piped_process(argv, unbuffered):
+    """``python -m bcontact`` in a fresh process writing to a pipe, its
+    stdout unbuffered (``PYTHONUNBUFFERED``) or not."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "bcontact", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+class TestBrokenPipe:
+    """A reader that closes the pipe early is an I/O error, exit 2, however
+    stdout is buffered.  The table is written as one long string, and the
+    text layer over an unbuffered file would drop what a short write left
+    over, with no error."""
+
+    def test_early_close_exits_two(self, unbuffered):
+        proc = piped_process(TORUS_TABLE_8_16, unbuffered)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+    def test_full_read_is_the_recorded_table(self, unbuffered):
+        proc = piped_process(TORUS_TABLE_8_16, unbuffered)
+        stdout, stderr = proc.communicate()
+        assert (proc.returncode, stderr) == (0, b"")
+        assert hashlib.sha256(stdout).hexdigest() == TORUS_TABLE_8_16_SHA256
+
+
 class TestDeterminism:
     def test_gamma_from_stdin(self, monkeypatch):
         set_stdin(monkeypatch, EQUATOR)
