@@ -9,13 +9,14 @@ diagnostics to stderr; exit status 0 on success, 1 on a domain error
 errors, input that is not UTF-8 included, and on I/O errors such as a
 missing file, a closed stdin or stdout, or a reader that closes the pipe
 before the output ends.  All machine-readable output is deterministic
-and newline-terminated.
+and newline-terminated, and goes to stdout in whole chunks of at least
+64 KiB, whether or not stdout is buffered.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import sys
 
@@ -140,24 +141,54 @@ def _read_gamma(path: str) -> DividingSetClass:
     return parse_dividing_set(text)
 
 
-class _WholeWrites:
-    """A text stream over an unbuffered file, such as stdout under
-    ``PYTHONUNBUFFERED``, that writes every byte or raises.  The stream's
-    own text layer ignores a short write of the raw file, so when a reader
-    closed the pipe in the middle of a long string, the rest of the string
-    would be dropped with no error; here each ``write`` goes to the raw
-    file until nothing is left, and a closed pipe raises."""
+class _Chunks:
+    """Collects output and writes it in whole chunks of at least ``SIZE``
+    characters, then the rest on ``flush``.
+
+    A stream with a binary file below its text layer, as ``sys.stdout``
+    has, gets each chunk encoded on the raw file at the bottom, written
+    until every byte is out, whether or not the stream is buffered.
+    Under ``PYTHONUNBUFFERED`` a listing line would otherwise be one
+    system call, and the text layer ignores what a short write leaves
+    over, so a reader that closed the pipe in the middle of a line would
+    lose the rest with no error.  A buffered file would keep what it
+    could not write and fail again at exit.  Here a closed pipe raises,
+    once.  Any other stream, such as a ``StringIO``, gets each chunk as
+    text.
+    """
+
+    SIZE = 1 << 16
 
     def __init__(self, stream) -> None:
-        stream.flush()
-        self.raw = stream.buffer
-        self.encoding = stream.encoding
-        self.errors = stream.errors
+        self.stream = stream
+        self.binary = getattr(stream, "buffer", None)
+        if self.binary is not None:
+            stream.flush()
+            self.binary = getattr(self.binary, "raw", self.binary)
+        self.parts: list[str] = []
+        self.size = 0
 
     def write(self, text: str) -> None:
-        data = memoryview(text.encode(self.encoding, self.errors))
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= self.SIZE:
+            self._write_parts()
+
+    def flush(self) -> None:
+        self._write_parts()
+        if self.binary is None:
+            self.stream.flush()
+
+    def _write_parts(self) -> None:
+        text = "".join(self.parts)
+        self.parts.clear()
+        self.size = 0
+        if self.binary is None:
+            self.stream.write(text)
+            return
+        data = memoryview(text.encode(self.stream.encoding, self.stream.errors))
         while data:
-            data = data[self.raw.write(data) or 0:]
+            data = data[self.binary.write(data) or 0:]
 
 
 def _emit(out, text: str) -> None:
@@ -240,6 +271,23 @@ def _cmd_check(args, out) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _whole_counts():
+    """CPython's int-to-str digit limit lifted, so that a tight count
+    prints whole.  A count under ``TIGHT_N_CAP`` has at most about 60,000
+    digits, which ``str`` writes in well under a second; integers read
+    from input keep the limit."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # CPython before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _regime_json(regime) -> str:
     return f"[{regime.finite_factor}, {regime.free_rank}]"
 
@@ -259,32 +307,34 @@ def _record_json(record) -> str:
 def _cmd_classify(args, out) -> int:
     d = _read_gamma(args.gamma)
     record = classify(d.surface, d)
-    if args.format == "json":
-        _emit(out, _record_json(record))
-        return 0
-    _emit(out, f"tight {record.tight.finite_factor} {record.tight.free_rank}")
-    _emit(out, f"mixed {record.mixed.finite_factor} {record.mixed.free_rank}")
-    _emit(
-        out,
-        f"fully-overtwisted {record.fully_overtwisted.finite_factor} "
-        f"{record.fully_overtwisted.free_rank}",
-    )
-    detail = record.tight_count_detail
-    if detail is not None:
+    with _whole_counts():
+        if args.format == "json":
+            _emit(out, _record_json(record))
+            return 0
+        _emit(out, f"tight {record.tight.finite_factor} {record.tight.free_rank}")
+        _emit(out, f"mixed {record.mixed.finite_factor} {record.mixed.free_rank}")
         _emit(
             out,
-            f"tight-count-detail n={detail.n} p={detail.p} q={detail.q} "
-            f"r={detail.r} s={detail.s} count={detail.count}",
+            f"fully-overtwisted {record.fully_overtwisted.finite_factor} "
+            f"{record.fully_overtwisted.free_rank}",
         )
+        detail = record.tight_count_detail
+        if detail is not None:
+            _emit(
+                out,
+                f"tight-count-detail n={detail.n} p={detail.p} q={detail.q} "
+                f"r={detail.r} s={detail.s} count={detail.count}",
+            )
     return 0
 
 
 def _cmd_tight_count(args, out) -> int:
     result = tight_count_solid_torus(args.n, args.p, args.q)
-    if args.format == "json":
-        _emit(out, json.dumps(tight_count_to_json_dict(result)))
-    else:
-        _emit(out, str(result.count))
+    with _whole_counts():
+        if args.format == "json":
+            _emit(out, json.dumps(tight_count_to_json_dict(result)))
+        else:
+            _emit(out, str(result.count))
     return 0
 
 
@@ -362,9 +412,10 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
     try:
         if out is None:
             raise OSError("stdout is closed")
-        if isinstance(getattr(out, "buffer", None), io.RawIOBase):
-            out = _WholeWrites(out)
-        return _COMMANDS[args.command](args, out)
+        chunks = _Chunks(out)
+        status = _COMMANDS[args.command](args, chunks)
+        chunks.flush()
+        return status
     except (ValueError, OSError) as exc:
         _report(f"error: {exc}")
         return 2 if isinstance(exc, (ParseError, OSError)) else 1

@@ -66,7 +66,11 @@ class TightCountResult(
 
 
 def slope_error(p: int, q: int) -> str | None:
-    """Why (p, q) is not a normalized slope (coprime, 0 < q <= p), or ``None``."""
+    """Why (p, q) is not a normalized slope (coprime integers, 0 < q <= p),
+    or ``None``.  A ``bool`` is not an integer here, nor is a float."""
+    for entry in (p, q):
+        if type(entry) is not int:
+            return f"slope entry {entry!r} is not an integer"
     if not (0 < q <= p):
         return f"slope ({p},{q}) must satisfy 0 < q <= p"
     if gcd(p, q) != 1:

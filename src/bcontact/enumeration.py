@@ -32,13 +32,27 @@ test suite builds every ungated candidate on up to nine regions and
 checks that the gate accepts exactly the admissible ones.
 
 Candidates are coded before anything is built.  Negating every sign
-exchanges a skeleton's two colorings, so one leaf-peeling pass over its
-level sequence's index arrays (``codes_of``) gives the codes of both,
-and the pair gives the sign-swapped code.  A ``RegionGraph`` is built
-only for a class that is emitted, by the generator-only constructor,
-which seeds its codes and trusts it valid.  The test suite referees
-every array code on up to nine regions (``TestArrayCodes``) and every
-emitted graph (``TestGeneratedGraphsAreValid``).
+exchanges a skeleton's two colorings, so one pass gives the codes of
+both, and the pair gives the sign-swapped code.  A tree skeleton, a
+sphere tree or a genus-1 torus tree, is coded in one reverse scan of its
+level sequence (``_level_codes``): WROM roots it at its center, so the
+AHU codes of its vertices, read off the scan, meet at the core with no
+leaf peeling.  A ring is coded by the leaf-peeling pass over index
+arrays (``codes_of``), which also codes every graph read from input.
+Both shapes go through ``_codes``.  A ``RegionGraph`` is built only for a
+class that is emitted, by the generator-only constructor, which seeds
+its codes and trusts it valid.  The test suite referees the level-sequence
+codes against the peel on every tree up to fourteen vertices, with and
+without a genus region, and on sixteen (``TestLevelCodes``), every array
+code on up to nine regions (``TestArrayCodes``) and every emitted graph
+(``TestGeneratedGraphsAreValid``).
+
+Distinct free trees are never isomorphic, so the sphere classes are
+emitted skeleton by skeleton, with no table of the codes seen: one class
+when a skeleton's two codes agree (or the sign mode identifies them),
+two otherwise, sharing the skeleton's edges.  Torus candidates still go
+through a table of first-seen codes, since one tree skeleton yields a
+candidate per genus region and one ring a candidate per closing edge.
 
 Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
 and ``graph_slopes`` gives each one its slopes, every normalized slope up
@@ -55,8 +69,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 from math import gcd
+from operator import itemgetter
 
-from .region_graph import _TAGS, RegionGraph, RegionVertex, codes_of
+from .region_graph import _SWAP_SIGNS, _TAGS, RegionGraph, RegionVertex, codes_of
 from .surfaces import DividingSetClass, Surface
 
 TREE_CAP = 10
@@ -100,35 +115,36 @@ def _next_rooted_tree(predecessor: list[int], p: int | None = None) -> list[int]
     return result
 
 
-def _split_tree(layout: list[int]) -> tuple[list[int], list[int]]:
-    """The root's first subtree, and the tree with that subtree removed."""
-    m = len(layout)
-    for i in range(2, len(layout)):
-        if layout[i] == 1:
-            m = i
-            break
-    left = [level - 1 for level in layout[1:m]]
-    rest = [0] + layout[m:]
-    return left, rest
+def _first_subtree_end(layout: list[int]) -> int:
+    """Where the root's first subtree ends: at the root's second child, or
+    at the end of the sequence."""
+    try:
+        return layout.index(1, 2)
+    except ValueError:
+        return len(layout)
 
 
 def _next_tree(candidate: list[int]) -> list[int] | None:
     """``candidate`` if it is a canonical free tree, else the next one."""
-    left, rest = _split_tree(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest) or (len(left) == len(rest) and left > rest):
-            valid = False
-    if valid:
+    m = _first_subtree_end(candidate)
+    # Heights of the root's first subtree (from its own root) and of the
+    # tree without it, and their sizes.
+    left_height = max(candidate[1:m]) - 1
+    rest_height = max(candidate[m:], default=0)
+    if rest_height > left_height:
         return candidate
-    p = len(left)
+    if rest_height == left_height:
+        size, rest_size = m - 1, len(candidate) - m + 1
+        if size < rest_size or (
+            size == rest_size
+            and [level - 1 for level in candidate[1:m]] <= [0, *candidate[m:]]
+        ):
+            return candidate
+    p = m - 1
     new_candidate = _next_rooted_tree(candidate, p)
     if candidate[p] > 2:
-        new_left, _ = _split_tree(new_candidate)
-        suffix = range(1, max(new_left) + 2)
-        new_candidate[-len(suffix):] = suffix
+        new_height = max(new_candidate[1:_first_subtree_end(new_candidate)])
+        new_candidate[-new_height:] = range(1, new_height + 1)
     return new_candidate
 
 
@@ -155,7 +171,21 @@ def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _adjacency(nv: int, edges: list[tuple[int, int]]) -> list[list[int]]:
+def _sorted_edges(layout: list[int]) -> tuple[tuple[int, int], ...]:
+    """The edges of a level sequence in the order a graph keeps them."""
+    return tuple(sorted(_tree_edges(layout)))
+
+
+# Level parities by level, as bytes: ``_odd_levels`` counts in C.
+_PARITY = bytes(level & 1 for level in range(256))
+
+
+def _odd_levels(layout: list[int]) -> int:
+    """How many vertices of a level sequence lie on odd levels."""
+    return bytes(layout).translate(_PARITY).count(1)
+
+
+def _adjacency(nv: int, edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(nv)]
     for a, b in edges:
         adj[a].append(b)
@@ -183,20 +213,62 @@ def _colored_vertices(
     return tuple(vertices)
 
 
+# The opening of a vertex's code, ``"(" + _TAGS[sign, genus]``, by its
+# genus and its level parity, with even levels positive.
+_OPENINGS = (("(+0", "(-0"), ("(+1", "(-1"))
+
+
+def _level_codes(layout: list[int], genus_vertex: int | None) -> tuple[str, str]:
+    """Canonical codes of a tree skeleton with even, then odd, levels
+    positive, from one reverse scan of its level sequence.
+
+    Each vertex's AHU code is its opening, its children's codes sorted,
+    and ``)``: the code the peel gives a stripped vertex.  WROM roots the
+    tree at its center with the deepest subtree first, so the core is the
+    root alone, or, when the root's first subtree reaches deeper than the
+    rest, the root without that subtree and vertex 1.
+    """
+    # pending[k]: codes of the scanned level-k vertices whose parent is not
+    # scanned yet.  In preorder a vertex's children are the vertices one
+    # level down between it and the next vertex on its level or above.
+    height = max(layout)
+    pending: list[list[str]] = [[] for _ in range(height + 2)]
+    for i in range(len(layout) - 1, 0, -1):
+        level = layout[i]
+        opening = _OPENINGS[i == genus_vertex][level & 1]
+        children = pending[level + 1]
+        if children:
+            children.sort()
+            pending[level].append(opening + "".join(children) + ")")
+            children.clear()
+        else:
+            pending[level].append(opening + ")")
+    children = pending[1]
+    core = []
+    if height > max(layout[_first_subtree_end(layout):], default=0):
+        core.append(children.pop())  # vertex 1, scanned last on level 1
+    children.sort()
+    core.append(_OPENINGS[genus_vertex == 0][0] + "".join(children) + ")")
+    core.sort()
+    swapped = sorted([code.translate(_SWAP_SIGNS) for code in core])
+    return "T" + "".join(core), "T" + "".join(swapped)
+
+
 def _codes(
-    layout: list[int], edges: list[tuple[int, int]], genus_vertex: int | None
+    layout: list[int], edges: tuple[tuple[int, int], ...], genus_vertex: int | None
 ) -> tuple[str, str]:
     """Canonical codes of a skeleton with even, then odd, levels positive:
-    the second coloring is the first with every sign negated."""
+    the second coloring is the first with every sign negated.  A tree is
+    coded from its level sequence, a ring by the peel over its edges."""
+    if len(edges) < len(layout):
+        return _level_codes(layout, genus_vertex)
     tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
-    if genus_vertex is not None:
-        tags[genus_vertex] = _TAGS[1 - 2 * (layout[genus_vertex] & 1), 1]
-    return codes_of(_adjacency(len(layout), edges), tags, len(edges) < len(layout))
+    return codes_of(_adjacency(len(layout), edges), tags, False)
 
 
 def _emit(
     layout: list[int],
-    edges: list[tuple[int, int]],
+    edges: tuple[tuple[int, int], ...],
     positive: int,
     genus_vertex: int | None,
     codes: tuple[str, str],
@@ -210,11 +282,12 @@ def _emit(
 
 
 def _emit_classes(
-    candidates: Iterator[tuple[list[int], list[tuple[int, int]], int | None]],
+    candidates: Iterator[tuple[list[int], tuple[tuple[int, int], ...], int | None]],
     modulo_swap: bool,
 ) -> list[RegionGraph]:
-    """One graph per class among the candidates (level sequence, edges,
-    genus vertex or ``None``), the first seen per code, sorted by code."""
+    """One graph per class among the candidates (level sequence, sorted
+    edges, genus vertex or ``None``), the first seen per code, sorted by
+    code."""
     out: dict[str, tuple] = {}
     for layout, edges, genus_vertex in candidates:
         codes = _codes(layout, edges, genus_vertex)
@@ -242,17 +315,20 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     by canonical code.
     """
     check_tree_request(n)
-    # Distinct free trees are never isomorphic, so the first class seen per
-    # code is the only one: a skeleton's two colorings are one class exactly
-    # when their codes agree.
-    return _emit_classes(
-        (
-            (layout, _tree_edges(layout), None)
-            for layout in _free_trees(2 * n)
-            if sum(level & 1 for level in layout) == n
-        ),
-        modulo_swap,
-    )
+    # Distinct free trees are never isomorphic, so each skeleton's classes
+    # are its own: one when its two colorings' codes agree (or are
+    # identified), two otherwise.
+    keyed = []
+    for layout in _free_trees(2 * n):
+        if _odd_levels(layout) != n:
+            continue
+        edges = _sorted_edges(layout)
+        codes = _codes(layout, edges, None)
+        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+            key = min(codes) if modulo_swap else codes[positive]
+            keyed.append((key, _emit(layout, edges, positive, None, codes)))
+    keyed.sort(key=itemgetter(0))
+    return [g for _, g in keyed]
 
 
 def _torus_candidates(
@@ -265,11 +341,11 @@ def _torus_candidates(
     # size, with the genus region in the larger one.
     for nv in range(2, max_curves + 2):
         for layout in _free_trees(nv):
-            odd = sum(level & 1 for level in layout)
+            odd = _odd_levels(layout)
             if abs(nv - 2 * odd) != 1:
                 continue
             larger = int(2 * odd > nv)
-            edges = _tree_edges(layout)
+            edges = _sorted_edges(layout)
             for genus_vertex in range(nv):
                 if layout[genus_vertex] & 1 == larger:
                     yield layout, edges, genus_vertex
@@ -281,13 +357,13 @@ def _torus_candidates(
     # ends lie on different levels mod 2.  Balance needs P = N.
     for nv in range(2, max_curves + 1):
         for layout in _free_trees(nv):
-            if 2 * sum(level & 1 for level in layout) != nv:
+            if 2 * _odd_levels(layout) != nv:
                 continue
             edges = _tree_edges(layout)
             for u in range(nv):
                 for v in range(u + 1, nv):
                     if layout[u] & 1 != layout[v] & 1:
-                        yield layout, edges + [(u, v)], None
+                        yield layout, tuple(sorted([*edges, (u, v)])), None
 
 
 def check_torus_request(max_curves: int, max_p: int) -> None:

@@ -18,10 +18,13 @@ a sign- and genus-respecting multigraph isomorphism exists between them
 codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the same pass gives the code with every sign
 negated, by exchanging ``+`` and ``-`` in the core codes and ordering
-the core again.  The pass runs on index arrays (``codes_of``): the
-enumerators code their candidates from level-sequence arrays, one pass
-per skeleton for both of its colorings, and build a graph, its codes
-seeded, only for a class they emit.  Such a graph is
+the core again.  The pass runs on index arrays (``codes_of``).  It codes
+every graph read from input, on first use (``_plain_codes``), and every
+ring the torus enumerator makes, from the ring's arrays.  The enumerators
+code their tree skeletons without it, from the level sequence (the
+``_level_codes`` of ``enumeration``), into the same strings.  Either way
+one pass per skeleton gives both of its colorings' codes, and a graph,
+its codes seeded, is built only for a class they emit.  Such a graph is
 built valid and trusted; any other is checked by its constructor, so a
 ``RegionGraph`` that exists is valid and nothing downstream checks it.
 
@@ -127,20 +130,21 @@ class RegionGraph:
     def _generated(
         cls,
         vertices: tuple[RegionVertex, ...],
-        edges: list[tuple[int, int]],
+        edges: tuple[tuple[int, int], ...],
         code: str,
         swap_code: str,
     ) -> RegionGraph:
         """A graph the enumerators emit, with its codes already known.
 
-        ``vertices`` are in id order and every edge is a (parent, child)
-        pair with parent < child, so only the edges need sorting.  The
-        generator builds the graph valid, so it bypasses the constructor's
-        check; the test suite referees it with ``validate``.
+        ``vertices`` are in id order and ``edges`` are sorted (smaller id
+        first) pairs, as the constructor normalizes them, so graphs of one
+        skeleton share its edges.  The generator builds the graph valid,
+        so it bypasses the constructor's check; the test suite referees it
+        with ``validate``.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", tuple(sorted(edges)))
+        object.__setattr__(g, "edges", edges)
         g.__dict__["_codes"] = (code, swap_code)
         return g
 
@@ -364,9 +368,9 @@ def codes_of(adj: list[list[int]], tags: list[str], tree: bool) -> tuple[str, st
 
     ``adj[v]`` lists v's neighbors with multiplicity, ``tags[v]`` is v's
     entry of ``_TAGS``, and ``tree`` says whether the graph has V - 1
-    edges (else it is unicyclic).  The enumerators call this on their
-    level-sequence arrays before any graph is built; ``canonical_code``
-    reaches it through ``_plain_codes``.
+    edges (else it is unicyclic).  The torus enumerator calls this on a
+    ring's arrays before any graph is built; ``canonical_code`` reaches it
+    through ``_plain_codes``.
     """
     core = _peel(adj, tags)
     if tree:

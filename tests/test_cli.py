@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,6 +161,57 @@ class TestArithmeticCommands:
     def test_tight_count(self):
         status, output = run(["tight-count", "--n", "1", "--p", "3", "--q", "2"])
         assert status == 0 and output.strip() == "2"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_tight_count_past_the_int_to_str_digit_limit(self, tmp_path, capsys, fmt):
+        # N(8000, -3, 2) has 4,815 digits, past the 4,300 that CPython's str
+        # takes by default; the limit is lifted for the count alone.
+        limit = sys.get_int_max_str_digits()
+        status, output = run(["tight-count", "--n", "8000", "--p", "3", "--q", "2",
+                              "--format", fmt])
+        assert status == 0 and sys.get_int_max_str_digits() == limit
+        if fmt == "json":
+            head, _, output = output.partition('"count": ')
+            assert head == '{"n": 8000, "p": 3, "q": 2, "r": 2, "s": 1, '
+        digits = output.partition(",")[0].strip()
+        assert len(digits) == 4815 and digits.isdigit()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert int(digits) == counting.tight_count_solid_torus(8000, 3, 2).count
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # Integers read from input keep the limit.
+        huge = "9" * (limit + 1)
+        gamma = gamma_file(tmp_path, f"surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\n"
+                                     f"slope {huge} 1\n")
+        assert run(["check", "--gamma", gamma]) == (2, "")
+        assert "expected an integer slope" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_classify_prints_a_count_past_the_int_to_str_digit_limit(self, tmp_path):
+        # A bare ring of 14,400 regions: N(7200, -3, 2) has 4,334 digits.
+        order = 14_400
+        gamma = gamma_file(tmp_path, "".join(
+            ["surface torus\n", "slope 3 2\n"]
+            + [f"v {i} {'+-'[i % 2]} 0\ne {i} {(i + 1) % order}\n" for i in range(order)]
+        ))
+        limit = sys.get_int_max_str_digits()
+        status, text = run(["classify", "--gamma", gamma])
+        assert status == 0 and sys.get_int_max_str_digits() == limit
+        status, line = run(["classify", "--gamma", gamma, "--format", "json"])
+        assert status == 0
+        sys.set_int_max_str_digits(0)
+        try:
+            count = counting.tight_count_solid_torus(7200, 3, 2).count
+            assert text.splitlines()[-1].endswith(f" count={count}")
+            assert json.loads(line)["tight_count_detail"]["count"] == count
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_cf(self):
         status, output = run(["cf", "--p", "7", "--q", "2"])
@@ -656,6 +708,10 @@ class TestClosedStreams:
 
 TORUS_TABLE_8_16 = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]
 TORUS_TABLE_8_16_SHA256 = "a6bdfe3a9cf1330a255ff6a259f91f357ff26217c30fb8e056492152af90cfcf"
+# The benchmark's sphere listing, 10,079 lines and 7.2 MB (ENUM_TREES_SHA256
+# of perfbench/workloads.py).
+ENUM_TREES_8_JSON = ["enum-trees", "--n", "8", "--format", "json"]
+ENUM_TREES_8_JSON_SHA256 = "e9cf0908bacd8fdfabffbe70f81960572aa7692fc15e696f5c985a0c4fccd499"
 
 
 def piped_process(argv, unbuffered):
@@ -670,26 +726,80 @@ def piped_process(argv, unbuffered):
     )
 
 
+def assert_early_close_exits_two(proc):
+    proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+def assert_full_read_is(proc, digest):
+    stdout, stderr = proc.communicate()
+    assert (proc.returncode, stderr) == (0, b"")
+    assert hashlib.sha256(stdout).hexdigest() == digest
+
+
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 class TestBrokenPipe:
     """A reader that closes the pipe early is an I/O error, exit 2, however
-    stdout is buffered.  The table is written as one long string, and the
-    text layer over an unbuffered file would drop what a short write left
-    over, with no error."""
+    stdout is buffered.  The table is written as one long string, the
+    listing as 10,079 lines, both in chunks; the text layer over an
+    unbuffered file would drop what a short write left over, with no
+    error."""
 
     def test_early_close_exits_two(self, unbuffered):
-        proc = piped_process(TORUS_TABLE_8_16, unbuffered)
-        proc.stdout.read(10)
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(), stderr) == (2, b"error: [Errno 32] Broken pipe\n")
+        assert_early_close_exits_two(piped_process(TORUS_TABLE_8_16, unbuffered))
 
     def test_full_read_is_the_recorded_table(self, unbuffered):
         proc = piped_process(TORUS_TABLE_8_16, unbuffered)
-        stdout, stderr = proc.communicate()
-        assert (proc.returncode, stderr) == (0, b"")
-        assert hashlib.sha256(stdout).hexdigest() == TORUS_TABLE_8_16_SHA256
+        assert_full_read_is(proc, TORUS_TABLE_8_16_SHA256)
+
+    def test_listing_early_close_exits_two(self, unbuffered):
+        assert_early_close_exits_two(piped_process(ENUM_TREES_8_JSON, unbuffered))
+
+    def test_full_read_is_the_recorded_listing(self, unbuffered):
+        proc = piped_process(ENUM_TREES_8_JSON, unbuffered)
+        assert_full_read_is(proc, ENUM_TREES_8_JSON_SHA256)
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw file that keeps what it is given, at most ``limit`` bytes a
+    write, and counts the writes."""
+
+    def __init__(self, limit=None):
+        self.data = bytearray()
+        self.writes = 0
+        self.limit = limit
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(data[:self.limit])
+        self.data += taken
+        self.writes += 1
+        return len(taken)
+
+
+class TestChunkedWrites:
+    """Output goes to stdout's binary file in whole chunks of at least
+    64 KiB, even when that file is raw, as under ``PYTHONUNBUFFERED``."""
+
+    ARGV = ["enum-trees", "--n", "6", "--format", "json"]
+
+    def test_unbuffered_stdout_gets_whole_chunks(self):
+        raw = CountingRaw()
+        status = run_cli(self.ARGV, out=io.TextIOWrapper(raw, "utf-8", write_through=True))
+        assert status == 0
+        assert hashlib.sha256(raw.data).hexdigest() == ENUM_TREES_6_SHA256
+        assert raw.writes <= math.ceil(len(raw.data) / 65_536) + 1
+
+    def test_short_writes_lose_no_byte(self):
+        raw = CountingRaw(limit=1000)
+        status = run_cli(self.ARGV, out=io.TextIOWrapper(raw, "utf-8", write_through=True))
+        assert status == 0
+        assert hashlib.sha256(raw.data).hexdigest() == ENUM_TREES_6_SHA256
 
 
 class TestDeterminism:

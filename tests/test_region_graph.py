@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcontact import enumeration
 from bcontact.enumeration import (
     _free_trees,
     _tree_edges,
@@ -374,6 +375,39 @@ class TestSwapByTranslate:
                             self.check(layout, edges + [(u, v)])
                             checked += 1
         assert checked == 3884
+
+
+class TestLevelCodes:
+    """The enumerators code a tree skeleton from its level sequence, in one
+    reverse scan; the peel over its edges referees every such code."""
+
+    @staticmethod
+    def check(layout, genus_vertex=None):
+        edges = _tree_edges(layout)
+        peeled = codes_of(
+            neighbor_lists(len(layout), edges), level_tags(layout, 0, genus_vertex), True
+        )
+        assert enumeration._codes(layout, edges, genus_vertex) == peeled, (
+            layout, genus_vertex
+        )
+
+    def test_every_tree_up_to_fourteen_vertices(self):
+        # One center or two, the genus region anywhere or nowhere.
+        checked = 0
+        for order in range(1, 15):
+            for layout in [[0]] if order == 1 else _free_trees(order):
+                for genus_vertex in (None, *range(order)):
+                    self.check(layout, genus_vertex)
+                    checked += 1
+        assert checked == 77_592
+
+    def test_every_tree_on_sixteen_vertices(self):
+        # The skeletons of the sphere classes on 16 regions, and the rest.
+        checked = 0
+        for layout in _free_trees(16):
+            self.check(layout)
+            checked += 1
+        assert checked == 19_320
 
 
 @st.composite

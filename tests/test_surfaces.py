@@ -55,6 +55,17 @@ class TestCheckEmbeddable:
         for slope in ((2, 4), (1, 2), (0, 1)):
             assert embedding_error(Surface.TORUS, g, slope).startswith("slope: ")
 
+    @pytest.mark.parametrize(
+        "slope,entry",
+        [((True, True), "True"), ((1, True), "True"), ((1.0, 1), "1.0"), ((3, 2.0), "2.0"),
+         (("3", 2), "'3'")],
+    )
+    def test_slope_entries_must_be_integers(self, slope, entry):
+        # A bool would reach JSON as true, and a float math.gcd as a TypeError.
+        g = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
+        message = embedding_error(Surface.TORUS, g, slope)
+        assert message == f"slope: slope entry {entry} is not an integer"
+
     def test_torus_tree_needs_exactly_one_genus_region(self):
         flat = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1)])
         assert embedding_error(Surface.TORUS, flat).startswith("genus: ")
