@@ -11,6 +11,12 @@ missing file, a closed stdin or stdout, or a reader that closes the pipe
 before the output ends.  All machine-readable output is deterministic
 and newline-terminated, and goes to stdout in whole chunks of at least
 64 KiB, whether or not stdout is buffered.
+
+Each command imports the layers it calls when it runs, so a call loads
+only those: ``tight-count`` and ``cf`` load ``counting`` alone (and
+``tight-count --format json`` the I/O layers too), the ``--gamma``
+commands the parser's layers and their own, and ``classify``, ``census``
+and ``table`` every layer.
 """
 
 from __future__ import annotations
@@ -20,32 +26,7 @@ import contextlib
 import json
 import sys
 
-from .admissibility import is_admissible, is_tight_candidate
-from .classify import classify, leaf_census, table_classes
-from .counting import negative_continued_fraction, tight_count_solid_torus
-from .enumeration import (
-    check_torus_request,
-    enum_equicolored_trees,
-    enum_torus_graphs,
-    graph_slopes,
-)
-from .formats import (
-    ParseError,
-    class_json,
-    export_dot,
-    graph_class_json,
-    graph_class_text,
-    graph_json,
-    parse_dividing_set,
-    render_table_csv,
-    render_table_jsonl,
-    serialize_graph_text,
-    tight_count_to_json_dict,
-)
-from .region_graph import canonical_code
-from .surfaces import S3_S2, S3_T2, DividingSetClass, Surface
-
-_MANIFOLDS = {"s3-s2": S3_S2, "s3-t2": S3_T2}
+_MANIFOLDS = ("s3-s2", "s3-t2")
 
 
 def _add_sign_mode(parser: argparse.ArgumentParser) -> None:
@@ -113,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(p, ("text", "json"))
 
     p = sub.add_parser("table", help="classification table over all enumerated classes")
-    p.add_argument("--manifold", choices=sorted(_MANIFOLDS), required=True)
+    p.add_argument("--manifold", choices=_MANIFOLDS, required=True)
     p.add_argument("--max-curves", type=int, default=5)
     p.add_argument("--max-slope", type=int, default=3)
     _add_sign_mode(p)
@@ -126,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_gamma(path: str) -> DividingSetClass:
+    from .formats import ParseError, parse_dividing_set
+
     try:
         if path == "-":
             if sys.stdin is None:
@@ -209,6 +192,10 @@ def _emit_blocks(out, blocks) -> None:
 
 
 def _cmd_enum_trees(args, out) -> int:
+    from .enumeration import enum_equicolored_trees
+    from .formats import graph_json, serialize_graph_text
+    from .region_graph import canonical_code
+
     modulo_swap = not args.distinguish_signs
     graphs = enum_equicolored_trees(args.n, modulo_swap)
     if args.count_only:
@@ -227,6 +214,11 @@ def _cmd_enum_trees(args, out) -> int:
 
 
 def _cmd_enum_torus(args, out) -> int:
+    from .enumeration import check_torus_request, enum_torus_graphs, graph_slopes
+    from .formats import graph_class_json, graph_class_text
+    from .region_graph import canonical_code
+    from .surfaces import Surface
+
     modulo_swap = not args.distinguish_signs
     check_torus_request(args.max_curves, args.max_slope)
     graphs = enum_torus_graphs(args.max_curves, modulo_swap)
@@ -249,6 +241,9 @@ def _cmd_enum_torus(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    from .admissibility import is_admissible, is_tight_candidate
+    from .region_graph import canonical_code
+
     d = _read_gamma(args.gamma)
     admissible = is_admissible(d.surface, d)
     tight = is_tight_candidate(d.surface, d)
@@ -293,6 +288,9 @@ def _regime_json(regime) -> str:
 
 
 def _record_json(record) -> str:
+    from .formats import class_json, tight_count_to_json_dict
+    from .surfaces import Surface
+
     manifold = "s2" if record.dividing_set.surface is Surface.SPHERE else "t2"
     detail = record.tight_count_detail
     detail_json = "null" if detail is None else json.dumps(tight_count_to_json_dict(detail))
@@ -305,6 +303,8 @@ def _record_json(record) -> str:
 
 
 def _cmd_classify(args, out) -> int:
+    from .classify import classify
+
     d = _read_gamma(args.gamma)
     record = classify(d.surface, d)
     with _whole_counts():
@@ -329,9 +329,13 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_tight_count(args, out) -> int:
+    from .counting import tight_count_solid_torus
+
     result = tight_count_solid_torus(args.n, args.p, args.q)
     with _whole_counts():
         if args.format == "json":
+            from .formats import tight_count_to_json_dict
+
             _emit(out, json.dumps(tight_count_to_json_dict(result)))
         else:
             _emit(out, str(result.count))
@@ -339,6 +343,8 @@ def _cmd_tight_count(args, out) -> int:
 
 
 def _cmd_cf(args, out) -> int:
+    from .counting import negative_continued_fraction
+
     cf = negative_continued_fraction(args.p, args.q)
     if args.format == "json":
         _emit(out, json.dumps({
@@ -351,6 +357,8 @@ def _cmd_cf(args, out) -> int:
 
 
 def _cmd_census(args, out) -> int:
+    from .classify import leaf_census
+
     d = _read_gamma(args.gamma)
     census = leaf_census(d.surface, d)
     if args.format == "json":
@@ -365,9 +373,12 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    classes = table_classes(
-        _MANIFOLDS[args.manifold], args.max_curves, args.max_slope, not args.distinguish_signs
-    )
+    from .classify import table_classes
+    from .formats import render_table_csv, render_table_jsonl
+    from .surfaces import S3_S2, S3_T2
+
+    manifold = S3_S2 if args.manifold == "s3-s2" else S3_T2
+    classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
     if args.format == "json":
         _emit(out, render_table_jsonl(classes))
     else:
@@ -376,6 +387,8 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_export_dot(args, out) -> int:
+    from .formats import export_dot
+
     _emit(out, export_dot(_read_gamma(args.gamma)))
     return 0
 
@@ -418,7 +431,10 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
         return status
     except (ValueError, OSError) as exc:
         _report(f"error: {exc}")
-        return 2 if isinstance(exc, (ParseError, OSError)) else 1
+        # A ParseError comes only from a loaded formats module.
+        formats = sys.modules.get(f"{__package__}.formats")
+        syntax = formats is not None and isinstance(exc, formats.ParseError)
+        return 2 if syntax or isinstance(exc, OSError) else 1
 
 
 def main() -> None:

@@ -86,7 +86,8 @@ def negative_continued_fraction(p: int, q: int) -> ContinuedFractionExpansion:
     throughout: flooring floats near integers is exactly the failure mode
     this must not have.
     """
-    if p > SLOPE_P_CAP:
+    # An entry that is not an int is named by slope_error, not compared.
+    if type(p) is int and type(q) is int and p > SLOPE_P_CAP:
         raise ValueError(f"slope numerator capped at p={SLOPE_P_CAP}, got {p}")
     error = slope_error(p, q)
     if error is not None:
@@ -129,6 +130,8 @@ def catalan(n: int) -> int:
 
 def tight_count_solid_torus(n: int, p: int, q: int) -> TightCountResult:
     """N(n, -p, q) = C_n ((r - s) n + s) for 2n boundary curves of slope -p/q."""
+    if type(n) is not int:
+        raise ValueError(f"curve pair count n={n!r} is not an integer")
     if n < 1:
         raise ValueError("the boundary carries 2n curves with n >= 1")
     if n > TIGHT_N_CAP:

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import json
 
-from .classify import TableClass, graph_census
-from .counting import TightCountResult
-from .enumeration import Slopes
 from .region_graph import RegionGraph, RegionVertex
 from .surfaces import DividingSetClass, Surface
+
+# TableClass (classify), TightCountResult (counting) and Slopes
+# (enumeration) name types in annotations only, which are never evaluated:
+# importing them would load those layers for every parse and listing.
 
 
 class ParseError(ValueError):
@@ -329,6 +330,8 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
     only its slope.  ``classify`` checked each class when ``table_classes``
     classified it, so nothing is checked here.
     """
+    from .classify import graph_census
+
     if json_form:
         sep = [f', "{column}": ' for column in TABLE_COLUMNS]
         sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"

@@ -1,14 +1,14 @@
 """Class builders and referees shared by the test modules.
 
-``tight_count_by_fractions`` is a second implementation of the solid-torus
-count and must not call ``bcontact.counting``, which it referees.
+``farey_products`` reads the products r and s of the solid-torus count
+off the Farey graph, with no continued fraction, and must not call
+``bcontact.counting``, which it referees.
 ``enumerated_records`` and ``table_rows`` referee the classification
 table: the rows of ``classify`` of every enumerated class, built field by
 field, without ``table_classes``.
 """
 
-from fractions import Fraction
-from math import comb, floor
+from itertools import groupby
 
 from bcontact.classify import classify, leaf_census
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
@@ -42,25 +42,38 @@ def total_euler(d):
     return sum(region_euler(v.genus, g.degrees[v.id]) for v in g.vertices)
 
 
-def tight_count_by_fractions(n, p, q):
-    """Second implementation of the solid-torus count N(n, -p, q), via Fractions."""
-    x = Fraction(-p, q)
-    coefficients = []
-    while True:
-        a = floor(x)
-        coefficients.append(a)
-        if a == x:
-            break
-        x = 1 / (a - x)
-    if coefficients == [-1]:
-        r = s = 1
-    else:
-        prefix = 1
-        for a in coefficients[:-1]:
-            prefix *= a + 1
-        r = abs(prefix * coefficients[-1])
-        s = abs(prefix * (coefficients[-1] + 1))
-    return (comb(2 * n, n) // (n + 1)) * ((r - s) * n + s)
+def farey_products(p, q):
+    """The pair (r, s) of the count N(n, -p, q) = C_n ((r - s) n + s), from
+    the Farey graph (Honda 2000, "On the classification of tight contact
+    structures I", Theorem 2.3): N(1, -p, q) = r.
+
+    Walk the shortest path of increasing slopes from -p/q to -1, each step
+    to the largest Farey neighbour that is at most -1, and split its edges
+    into blocks along which the step vector stays constant.  r is the
+    product of (block length + 1); s is the same product with the block at
+    -p/q contributing its length instead.  p = q = 1 gives the empty path
+    and r = s = 1.
+    """
+    path = [(q, -p)]  # each slope c/d as the vector (d, c), d > 0
+    while path[-1] != (1, -1):
+        b, a = path[-1]
+        # A Farey neighbour c/d has a d - b c = +-1; the largest one above
+        # a/b has the least denominator, so d <= b.
+        best = None
+        for d in range(1, b + 1):
+            for det in (1, -1):
+                c, rem = divmod(a * d - det, b)
+                above = a * d < b * c <= -b * d
+                if rem == 0 and above and (best is None or c * best[0] > best[1] * d):
+                    best = (d, c)
+        path.append(best)
+    steps = [(d1 - d0, c1 - c0) for (d0, c0), (d1, c1) in zip(path, path[1:])]
+    r = s = 1
+    for i, (_, block) in enumerate(groupby(steps)):
+        length = len(list(block))
+        r *= length + 1
+        s *= length if i == 0 else length + 1
+    return r, s
 
 
 def enumerated_records(m, max_curves, max_p=1, modulo_swap=False):

@@ -22,7 +22,7 @@ from bcontact.formats import render_table_jsonl
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import enumerated_records, table_rows, tight_count_by_fractions, total_euler
+from helpers import enumerated_records, farey_products, table_rows, total_euler
 from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
@@ -110,7 +110,8 @@ def test_torus_fixture_two_implementations():
         record = classify(S3_T2, d)
         assert record.tight.finite_factor == 4
         assert (record.mixed.finite_factor, record.mixed.free_rank) == (4, 2)
-        assert record.tight.finite_factor == 2 * tight_count_by_fractions(1, 3, 2)
+        # N(1, -3, 2) = r, read off the Farey graph.
+        assert record.tight.finite_factor == 2 * farey_products(3, 2)[0]
 
 
 def _random_embeddable_class(rng):

@@ -4,7 +4,7 @@ import hashlib
 import importlib
 import io
 import json
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -30,13 +30,7 @@ from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import (
-    enumerated_records,
-    sphere_class,
-    table_rows,
-    tight_count_by_fractions,
-    torus_cycle,
-)
+from helpers import enumerated_records, farey_products, sphere_class, table_rows, torus_cycle
 
 # The package re-exports ``classify``, which hides the submodule's name.
 CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
@@ -91,13 +85,15 @@ class TestClassifyTorus:
         assert (detail.r, detail.s) == (2, 1)
 
     def test_tight_factor_agrees_with_independent_formula(self):
+        # r and s come from the Farey graph; the factor C_n ((r - s) n + s)
+        # is the formula itself, for n >= 2 checked only against hand values.
         for d in enum_torus_classes(6, 3):
             record = classify(S3_T2, d)
             if record.tight.finite_factor:
                 n = d.graph.edge_count // 2
-                assert record.tight.finite_factor == 2 * tight_count_by_fractions(
-                    n, *d.slope
-                )
+                r, s = farey_products(*d.slope)
+                catalan_n = comb(2 * n, n) // (n + 1)
+                assert record.tight.finite_factor == 2 * catalan_n * ((r - s) * n + s)
 
     def test_pendant_tree_kills_tight_regime(self):
         g = RegionGraph(

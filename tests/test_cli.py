@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -901,6 +902,14 @@ except SystemExit as exc:
 """
 
 
+# The bcontact modules a CLI call loads: those of the arithmetic, those the
+# input parser and the printers need, the enumerator's, and every layer.
+ARITHMETIC = frozenset({"cli", "counting"})
+INPUT_OUTPUT = ARITHMETIC | {"formats", "region_graph", "surfaces"}
+ENUMERATING = INPUT_OUTPUT | {"enumeration"}
+EVERY_LAYER = ENUMERATING | {"admissibility", "classify"}
+
+
 class TestImportFootprint:
     @pytest.mark.parametrize(
         "code", ["import bcontact\n", RUN_TIGHT_COUNT], ids=["import", "tight-count"]
@@ -928,3 +937,74 @@ class TestImportFootprint:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv,layers",
+        [
+            pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2"], ARITHMETIC,
+                         id="tight-count"),
+            pytest.param(["cf", "--p", "5", "--q", "3"], ARITHMETIC, id="cf"),
+            pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2", "--format", "json"],
+                         INPUT_OUTPUT, id="tight-count-json"),
+            pytest.param(["export-dot", "--gamma", "GAMMA"], INPUT_OUTPUT, id="export-dot"),
+            pytest.param(["check", "--gamma", "GAMMA"], INPUT_OUTPUT | {"admissibility"},
+                         id="check"),
+            pytest.param(["enum-trees", "--n", "3"], ENUMERATING, id="enum-trees"),
+            pytest.param(["enum-torus", "--max-curves", "4", "--max-slope", "2"], ENUMERATING,
+                         id="enum-torus"),
+            pytest.param(["classify", "--gamma", "GAMMA"], EVERY_LAYER, id="classify"),
+            pytest.param(["census", "--gamma", "GAMMA"], EVERY_LAYER, id="census"),
+            pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
+                         EVERY_LAYER, id="table"),
+        ],
+    )
+    def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
+        # A fresh interpreter, so modules another test imported do not count.
+        argv = [gamma_file(tmp_path, TWO_CYCLE_32) if a == "GAMMA" else a for a in argv]
+        code = (
+            "import io, sys\nfrom bcontact.cli import run_cli\n"
+            f"status = run_cli({argv!r}, out=io.StringIO())\n"
+            "print(status, sorted(m for m in sys.modules if m.startswith('bcontact.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        modules = sorted(f"bcontact.{layer}" for layer in layers)
+        assert proc.stdout == f"0 {modules}\n"
+
+
+class TestPackageNamespace:
+    """``bcontact`` binds each public name on first use.  The names must be
+    the objects their home modules define, whatever is imported first, and
+    ``bcontact.classify`` the function although a submodule has its name."""
+
+    @pytest.mark.parametrize(
+        "first",
+        ["import bcontact", "import bcontact.classify", "from bcontact import table_classes"],
+    )
+    def test_public_names_are_their_home_objects(self, first):
+        code = first + textwrap.dedent("""
+            import sys, types
+            import bcontact
+            wrong = []
+            for name in bcontact.__all__[:-1]:
+                obj = getattr(bcontact, name)
+                home = sys.modules.get(getattr(obj, "__module__", ""))
+                if home is None or vars(home).get(name) is not obj:
+                    wrong.append(name)
+            print(bcontact.__all__[-1], wrong, type(bcontact.classify) is types.FunctionType)
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "__version__ [] True\n"
+
+    def test_import_loads_no_submodule(self):
+        code = (
+            "import sys\nimport bcontact\n"
+            "print(sorted(m for m in sys.modules if m.startswith('bcontact.')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "[]\n"

@@ -1,5 +1,6 @@
 """Exact arithmetic: continued fractions, products, Catalan, tight counts."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +13,8 @@ from bcontact.counting import (
     negative_continued_fraction,
     tight_count_solid_torus,
 )
+
+from helpers import farey_products
 
 
 def reconstruct(coefficients):
@@ -47,7 +50,8 @@ class TestNegativeContinuedFraction:
         assert negative_continued_fraction(1, 1).degenerate
         assert not negative_continued_fraction(2, 1).degenerate
 
-    @pytest.mark.parametrize("p,q", [(4, 2), (2, 3), (3, 0), (0, 1)])
+    # ("3", 2): an entry that is not an integer is named, not compared.
+    @pytest.mark.parametrize("p,q", [(4, 2), (2, 3), (3, 0), (0, 1), ("3", 2)])
     def test_rejects_bad_slopes(self, p, q):
         with pytest.raises(ValueError):
             negative_continued_fraction(p, q)
@@ -154,3 +158,38 @@ class TestTightCount:
             tight_count_solid_torus(0, 1, 1)
         with pytest.raises(ValueError):
             tight_count_solid_torus(1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "args,entry",
+        [(("1", 3, 2), "'1'"), ((1, "3", 2), "'3'"), ((True, 3, 2), "True"), ((1.0, 3, 2), "1.0")],
+        ids=["str-n", "str-p", "bool-n", "float-n"],
+    )
+    def test_entry_that_is_not_an_integer_is_named(self, args, entry):
+        # A bool or a float is not a curve count, even where it compares
+        # like one.
+        with pytest.raises(ValueError, match=f"{re.escape(entry)} is not an integer"):
+            tight_count_solid_torus(*args)
+
+
+class TestFareyReferee:
+    """The n = 1 count against Honda's Farey-graph form of it.
+
+    ``farey_products`` reads r and s off the shortest path of slopes from
+    -p/q to -1, in blocks of constant step, with no continued fraction.
+    It referees r and s, and so N(1, -p, q) = r.  The factor
+    C_n ((r - s) n + s) for n >= 2 is still checked only against hand
+    values.
+    """
+
+    def test_n1_products_follow_the_farey_path(self):
+        slopes = [(p, q) for p in range(2, 120) for q in range(1, p) if gcd(p, q) == 1]
+        assert len(slopes) == 4353
+        for p, q in slopes:
+            result = tight_count_solid_torus(1, p, q)
+            assert (result.r, result.s) == farey_products(p, q), (p, q)
+            assert result.count == result.r
+
+    @pytest.mark.parametrize("p,q,products", [(1, 1, (1, 1)), (3, 2, (2, 1)), (7, 2, (6, 3))])
+    def test_hand_checked_paths(self, p, q, products):
+        # -7/2 -> -3 -> -2 -> -1: a block of one edge, then one of two.
+        assert farey_products(p, q) == products
