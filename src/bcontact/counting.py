@@ -123,6 +123,8 @@ def expansion_products(cf: ContinuedFractionExpansion) -> tuple[int, int]:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number binom(2n, n) / (n + 1), exactly."""
+    if type(n) is not int:
+        raise ValueError(f"catalan index n={n!r} is not an integer")
     if n < 0:
         raise ValueError("catalan is defined for n >= 0")
     return comb(2 * n, n) // (n + 1)

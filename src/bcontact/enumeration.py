@@ -39,12 +39,14 @@ level sequence (``_level_codes``): WROM roots it at its center, so the
 AHU codes of its vertices, read off the scan, meet at the core with no
 leaf peeling.  A ring is coded by the leaf-peeling pass over index
 arrays (``codes_of``), which also codes every graph read from input.
-Both shapes go through ``_codes``.  A ``RegionGraph`` is built only for a
-class that is emitted, by the generator-only constructor, which seeds
-its codes and trusts it valid.  The test suite referees the level-sequence
-codes against the peel on every tree up to fourteen vertices, with and
-without a genus region, and on sixteen (``TestLevelCodes``), every array
-code on up to nine regions (``TestArrayCodes``) and every emitted graph
+Both shapes go through ``_codes`` and take the code's format from
+``region_graph``: its tags, adjacency lists and tree assembly.  A
+``RegionGraph`` is built only for a class that is emitted, by the
+generator-only constructor, which seeds its codes and trusts it valid.
+The test suite referees the level-sequence codes against the peel on
+every tree up to fourteen vertices, with and without a genus region, and
+on sixteen (``TestLevelCodes``), every array code on up to nine regions
+(``TestArrayCodes``) and every emitted graph
 (``TestGeneratedGraphsAreValid``).
 
 Distinct free trees are never isomorphic, so the sphere classes are
@@ -71,7 +73,7 @@ from functools import cache
 from math import gcd
 from operator import itemgetter
 
-from .region_graph import _SWAP_SIGNS, _TAGS, RegionGraph, RegionVertex, codes_of
+from .region_graph import _TAGS, RegionGraph, RegionVertex, _adjacency, _tree_codes, codes_of
 from .surfaces import DividingSetClass, Surface
 
 TREE_CAP = 10
@@ -185,14 +187,6 @@ def _odd_levels(layout: list[int]) -> int:
     return bytes(layout).translate(_PARITY).count(1)
 
 
-def _adjacency(nv: int, edges: tuple[tuple[int, int], ...]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(nv)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
-
-
 # Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
 # for every id the caps allow: vertices are immutable, so emitted graphs
 # share them.
@@ -215,7 +209,7 @@ def _colored_vertices(
 
 # The opening of a vertex's code, ``"(" + _TAGS[sign, genus]``, by its
 # genus and its level parity, with even levels positive.
-_OPENINGS = (("(+0", "(-0"), ("(+1", "(-1"))
+_OPENINGS = tuple(tuple("(" + _TAGS[sign, genus] for sign in (1, -1)) for genus in (0, 1))
 
 
 def _level_codes(layout: list[int], genus_vertex: int | None) -> tuple[str, str]:
@@ -249,9 +243,7 @@ def _level_codes(layout: list[int], genus_vertex: int | None) -> tuple[str, str]
         core.append(children.pop())  # vertex 1, scanned last on level 1
     children.sort()
     core.append(_OPENINGS[genus_vertex == 0][0] + "".join(children) + ")")
-    core.sort()
-    swapped = sorted([code.translate(_SWAP_SIGNS) for code in core])
-    return "T" + "".join(core), "T" + "".join(swapped)
+    return _tree_codes(core)
 
 
 def _codes(
@@ -263,7 +255,7 @@ def _codes(
     if len(edges) < len(layout):
         return _level_codes(layout, genus_vertex)
     tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
-    return codes_of(_adjacency(len(layout), edges), tags, False)
+    return codes_of(_adjacency(len(layout), edges), tags)
 
 
 def _emit(

@@ -218,14 +218,15 @@ _VERTEX_KEYS = frozenset({"id", "sign", "genus"})
 
 
 def _parse_json(text: str) -> DividingSetClass:
+    # Past its leading blanks the text is "{...": an object or no JSON.
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno) from None
     except RecursionError:
         raise ParseError("JSON nested too deeply") from None
-    if not isinstance(data, dict):
-        raise ParseError("top-level JSON value must be an object")
+    except ValueError:  # an integer past the int-to-str digit limit
+        raise ParseError("JSON integer has too many digits") from None
     _reject_unknown_keys(data, _CLASS_KEYS, "class")
     try:
         surface = Surface(data["surface"])

@@ -18,15 +18,16 @@ a sign- and genus-respecting multigraph isomorphism exists between them
 codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the same pass gives the code with every sign
 negated, by exchanging ``+`` and ``-`` in the core codes and ordering
-the core again.  The pass runs on index arrays (``codes_of``).  It codes
-every graph read from input, on first use (``_plain_codes``), and every
-ring the torus enumerator makes, from the ring's arrays.  The enumerators
-code their tree skeletons without it, from the level sequence (the
-``_level_codes`` of ``enumeration``), into the same strings.  Either way
-one pass per skeleton gives both of its colorings' codes, and a graph,
-its codes seeded, is built only for a class they emit.  Such a graph is
-built valid and trusted; any other is checked by its constructor, so a
-``RegionGraph`` that exists is valid and nothing downstream checks it.
+the core again.  The pass runs on index arrays (``codes_of``), and
+codes every graph read from input, on first use (``_plain_codes``), and
+every ring the torus enumerator makes.  The enumerators code their tree
+skeletons from the level sequence (``enumeration._level_codes``), with
+the tags (``_TAGS``) and tree assembly (``_tree_codes``) stated here
+only.  Either way one pass per skeleton gives both of its colorings'
+codes, and a graph, its codes seeded, is built only for a class they
+emit.  Such a graph is built valid and trusted; any other is checked by
+its constructor, so a ``RegionGraph`` that exists is valid and nothing
+downstream checks it.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -255,9 +256,10 @@ def _raise_on(violation: Violation | None) -> None:
 # stripped vertex its AHU code (Aho-Hopcroft-Ullman 1974): its tag, then
 # the sorted codes of the vertices stripped into it, in parentheses.  What
 # is left is the core: the one or two centers of a tree, or the cycle of a
-# unicyclic graph.  A tree's code is its sorted core codes, a unicyclic
-# graph's the least rotation or reflection of its core codes along the
-# cycle.
+# unicyclic graph.  A tree's code is "T" and its sorted core codes, a
+# unicyclic graph's "C", the cycle length, and the least rotation or
+# reflection of its core codes along the cycle, found by a two-pointer
+# scan (Shiloach 1981).
 #
 # Negating every sign gives each stripped vertex its code with "+" and "-"
 # exchanged, because the exchange keeps the order of sibling codes: in a
@@ -328,55 +330,61 @@ def _cycle_walk(adj: list[list[int]], cycle: dict[int, str]) -> list[int]:
 
 def _least_rotation(seq: list[str]) -> int:
     """Start of the lexicographically least rotation of ``seq``, in linear
-    time (Booth, "Lexicographically least circular substrings", 1980):
-    a Knuth-Morris-Pratt failure function over the doubled sequence,
-    restarted whenever a smaller candidate start turns up."""
-    doubled = seq + seq
-    failure = [-1] * len(doubled)
-    k = 0
-    for j in range(1, len(doubled)):
-        x = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and x != doubled[k + i + 1]:
-            if x < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if x != doubled[k + i + 1]:
-            # Here i == -1: x is compared with the candidate's first entry.
-            if x < doubled[k]:
-                k = j
-            failure[j - k] = -1
+    time (Shiloach, "Fast canonization of circular strings", 1981): two
+    starts are compared entry by entry; after k equal entries the one at
+    the larger entry loses, as do the k starts after it, and it moves past
+    them.  When k reaches the length, the two rotations are equal."""
+    n = len(seq)
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = seq[(i + k) % n], seq[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            failure[j - k] = i + 1
-    return k
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
 
 
 def _min_rotation(seq: list[str]) -> tuple[str, ...]:
     """The least of all rotations of ``seq`` and of its reverse."""
-    best = None
-    for candidate in (seq, seq[::-1]):
-        k = _least_rotation(candidate)
-        rotated = tuple(candidate[k:] + candidate[:k])
-        if best is None or rotated < best:
-            best = rotated
-    return best
+    reverse = seq[::-1]
+    i, j = _least_rotation(seq), _least_rotation(reverse)
+    return min(tuple(seq[i:] + seq[:i]), tuple(reverse[j:] + reverse[:j]))
 
 
-def codes_of(adj: list[list[int]], tags: list[str], tree: bool) -> tuple[str, str]:
+def _adjacency(n: int, edges) -> list[list[int]]:
+    """Neighbor lists, with multiplicity, of a graph on ``0..n-1``."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+def _tree_codes(core) -> tuple[str, str]:
+    """``T`` and a tree's sorted core codes, as tagged and with signs negated."""
+    codes = sorted(core)
+    swapped = sorted([code.translate(_SWAP_SIGNS) for code in codes])
+    return "T" + "".join(codes), "T" + "".join(swapped)
+
+
+def codes_of(adj: list[list[int]], tags: list[str]) -> tuple[str, str]:
     """Canonical codes of a valid region graph on vertices ``0..n-1``, as
     tagged and with every sign negated, from one ``_peel``.
 
-    ``adj[v]`` lists v's neighbors with multiplicity, ``tags[v]`` is v's
-    entry of ``_TAGS``, and ``tree`` says whether the graph has V - 1
-    edges (else it is unicyclic).  The torus enumerator calls this on a
-    ring's arrays before any graph is built; ``canonical_code`` reaches it
-    through ``_plain_codes``.
+    ``adj[v]`` lists v's neighbors with multiplicity and ``tags[v]`` is
+    v's entry of ``_TAGS``.  The graph is a tree exactly when its degrees
+    sum to less than 2V, as it then has V - 1 edges; else it is unicyclic.
     """
     core = _peel(adj, tags)
-    if tree:
-        codes = sorted(core.values())
-        swapped = sorted([code.translate(_SWAP_SIGNS) for code in codes])
-        return "T" + "".join(codes), "T" + "".join(swapped)
+    if sum(map(len, adj)) < 2 * len(adj):
+        return _tree_codes(core.values())
     cycle = [core[v] for v in _cycle_walk(adj, core)]
     swapped = [code.translate(_SWAP_SIGNS) for code in cycle]
     prefix = f"C{len(cycle)}"
@@ -386,12 +394,8 @@ def codes_of(adj: list[list[int]], tags: list[str], tree: bool) -> tuple[str, st
 def _plain_codes(g: RegionGraph) -> tuple[str, str]:
     """``codes_of`` on ``g``'s vertices indexed in id order."""
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    adj: list[list[int]] = [[] for _ in g.vertices]
-    for a, b in g.edges:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
     tags = [_TAGS[v.sign, v.genus] for v in g.vertices]
-    return codes_of(adj, tags, g.edge_count == g.vertex_count - 1)
+    return codes_of(_adjacency(len(tags), [(index[a], index[b]) for a, b in g.edges]), tags)
 
 
 def canonical_code(g: RegionGraph, modulo_swap: bool = False) -> str:

@@ -7,9 +7,11 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,13 @@ ENUM_TORUS_7_2_SHA256 = "7cc9c54a2deb99653834adc0a73e3fe19536f52a285d46755751129
 # gated on color balance; the gate must not change the representatives.
 ENUM_TORUS_9_3_SWAP_SHA256 = (
     "064438713e705ac8f841406edcd5a6047162f54a6b7f56f6ddb9b4564ae2fe0a"
+)
+# sha256 of these listings while cycles were rotated by Booth's algorithm
+# and the coder took a shape flag: 13,449 and 6,777 graph classes, 4,775
+# and 2,440 of them rings, pin the canonical rotation of every ring.
+ENUM_TORUS_12_1_SHA256 = "e1bbf6e7098ffe22e2a6c1e8eb7650f24eeed9bcf652080f1a3ea69e9f2aa2f8"
+ENUM_TORUS_12_1_SWAP_SHA256 = (
+    "8c59bcefcf61b40d7ea29ed575b114544b4908543226d0a96b5ca8022fe4855f"
 )
 # sha256 of these outputs while text listings were joined into one string
 # and JSON lines were dumped from dicts; they pin the bytes of the text
@@ -289,6 +298,28 @@ class TestGammaCommands:
         status, output = run(["census", "--gamma", gamma_file(tmp_path, EQUATOR)])
         assert status == 0 and output.strip() == "2 2 1"
 
+    @pytest.mark.parametrize(
+        "command,gamma,expected",
+        [
+            ("check", EQUATOR,
+             '{"canonical_code": "T(+0)(-0)", "admissible": true, '
+             '"admissible_reason": "euler pairing balances", "tight_candidate": true, '
+             '"tight_candidate_reason": "dividing set is connected"}\n'),
+            ("check", TWO_CYCLE_32,
+             '{"canonical_code": "C2(+0)(-0)", "admissible": true, '
+             '"admissible_reason": "euler pairing balances", "tight_candidate": true, '
+             '"tight_candidate_reason": "bare cycle of 2 essential curves"}\n'),
+            ("census", EQUATOR, '{"leaves_dim3": 2, "leaves_dim2": 2, "leaves_dim1": 1}\n'),
+            ("census", TWO_CYCLE_32,
+             '{"leaves_dim3": 2, "leaves_dim2": 2, "leaves_dim1": 2}\n'),
+        ],
+        ids=["check-equator", "check-two-cycle", "census-equator", "census-two-cycle"],
+    )
+    def test_json_output_bytes(self, tmp_path, command, gamma, expected):
+        gamma = gamma_file(tmp_path, gamma)
+        status, output = run([command, "--format", "json", "--gamma", gamma])
+        assert (status, output) == (0, expected)
+
     def test_export_dot_round_trip(self, tmp_path):
         status, dot = run(["export-dot", "--gamma", gamma_file(tmp_path, TWO_CYCLE_32)])
         assert status == 0
@@ -338,20 +369,48 @@ class TestGammaCommands:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("v 0 + 0\nv 1 + 0\ne 0 1\n", "missing 'surface sphere|torus' header"),
+            ("v 0 + 0\nv 1 + 0\ne 0 1\n", "input: missing 'surface sphere|torus' header"),
             (json.dumps({
                 "surface": "cylinder",
                 "vertices": [{"id": 0, "sign": 1}, {"id": 1, "sign": 1}],
                 "edges": [[0, 1]],
-            }), "malformed JSON class: 'cylinder' is not a valid Surface"),
+            }), "input: malformed JSON class: 'cylinder' is not a valid Surface"),
+            ("surface torus\nv 0 + 0\nv 1 + 0\ne 0 1\nslope 3\n",
+             "line 5: slope line is 'slope <p> <q>'"),
         ],
-        ids=["text-no-header", "json-unknown-surface"],
+        ids=["text-no-header", "json-unknown-surface", "text-short-slope"],
     )
     def test_syntax_error_comes_before_the_graph(self, monkeypatch, capsys, text, message):
         # The like-signed edge would exit 1; the syntax error is found first.
         set_stdin(monkeypatch, text)
         assert run(["check", "--gamma", "-"]) == (2, "")
-        assert capsys.readouterr().err == f"error: input: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_integer_past_the_digit_limit_exits_two(
+        self, tmp_path, monkeypatch, capsys, source, form
+    ):
+        # A 5,000-digit vertex id is past CPython's int-to-str limit; either
+        # form reports it as a syntax error on one line.
+        big = "9" * 5000
+        if form == "text":
+            text = f"surface sphere\nv {big} + 0\n"
+            expected = f"error: line 2: expected an integer vertex id (token {big!r})\n"
+        else:
+            vertex = f'{{"id": {big}, "sign": 1}}'
+            text = f'{{"surface": "sphere", "vertices": [{vertex}], "edges": []}}'
+            expected = "error: input: JSON integer has too many digits\n"
+        if source == "stdin":
+            set_stdin(monkeypatch, text)
+            gamma = "-"
+        else:
+            gamma = gamma_file(tmp_path, text)
+        assert run(["check", "--gamma", gamma]) == (2, "")
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_input_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys, source):
@@ -429,6 +488,33 @@ class TestGammaCommands:
         lines += ["slope 3 2"]
         status, output = run(["check", "--gamma", gamma_file(tmp_path, "\n".join(lines))])
         assert status == 0 and "admissible yes" in output
+
+    def test_check_long_ring_with_pendant_leaves(self, tmp_path):
+        # 16,000 curves: a ring of 15,998 essential ones, and a contractible
+        # one around each of two leaves, hung at a seeded positive and a
+        # seeded negative cycle region.  The ring is not periodic, and most
+        # of its rotations agree for thousands of entries, so a scan that
+        # moves one start at a time is quadratic here, far past the bound on
+        # CPU time below.  Written from another start and the other way
+        # round, the ring keeps its code.
+        n = 15998
+        rng = random.Random(16000)
+        hubs = [rng.randrange(0, n, 2), rng.randrange(1, n, 2)]
+
+        def code(label):
+            lines = ["surface torus"]
+            lines += [f"v {label(i)} {'+-'[i % 2]} 0" for i in range(n)]
+            lines += [f"v {n + j} {'-+'[hub % 2]} 0" for j, hub in enumerate(hubs)]
+            lines += [f"e {label(i)} {label((i + 1) % n)}" for i in range(n)]
+            lines += [f"e {label(hub)} {n + j}" for j, hub in enumerate(hubs)]
+            lines += ["slope 3 2"]
+            status, output = run(["check", "--gamma", gamma_file(tmp_path, "\n".join(lines))])
+            assert status == 0 and "admissible yes" in output
+            return output.splitlines()[0]
+
+        started = time.process_time()
+        assert code(lambda i: i) == code(lambda i: (7919 - i) % n)
+        assert time.process_time() - started < 10
 
 
 # Classes that break one embeddability rule each, as (surface, vertices as
@@ -853,8 +939,12 @@ class TestDeterminism:
             (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
             (["enum-torus", "--max-curves", "9", "--max-slope", "3",
               "--no-distinguish-signs"], ENUM_TORUS_9_3_SWAP_SHA256),
+            (["enum-torus", "--max-curves", "12", "--max-slope", "1"], ENUM_TORUS_12_1_SHA256),
+            (["enum-torus", "--max-curves", "12", "--max-slope", "1",
+              "--no-distinguish-signs"], ENUM_TORUS_12_1_SWAP_SHA256),
         ],
-        ids=["enum-trees", "enum-torus", "enum-torus-swap"],
+        ids=["enum-trees", "enum-torus", "enum-torus-swap", "enum-torus-12",
+             "enum-torus-12-swap"],
     )
     def test_enumeration_matches_recorded_digest(self, args, digest):
         status, output = run(args + ["--format", "json"])

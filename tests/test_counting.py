@@ -128,6 +128,12 @@ class TestCatalan:
         expected = catalan_by_recurrence(30)
         assert [catalan(m) for m in range(31)] == expected
 
+    @pytest.mark.parametrize("n", ["2", 2.0, True], ids=["str", "float", "bool"])
+    def test_index_that_is_not_an_int_is_rejected(self, n):
+        # A bool would pass for 0 or 1, and a str or float fail in comb.
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r}")):
+            catalan(n)
+
 
 class TestTightCount:
     def test_degenerate_slope_gives_catalan(self):

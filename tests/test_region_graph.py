@@ -308,8 +308,8 @@ class TestMinRotation:
     def test_matches_every_rotation_and_reflection(self):
         rng = random.Random(1980)
         alphabet = ["(+0)", "(-0)", "(+0(-0))", "(-0(+0))", "(+0(-0)(-0))"]
-        for trial in range(3000):
-            n = rng.randint(1, 12)
+        for trial in range(6000):
+            n = rng.randint(1, 12 if trial < 3000 else 64)
             letters = alphabet[: rng.randint(1, len(alphabet))]
             if trial % 2:
                 # Periodic: a random block repeated, so rotations tie.
@@ -343,9 +343,9 @@ class TestSwapByTranslate:
 
     @staticmethod
     def check(layout, edges, genus_vertex=None):
-        adj, tree = neighbor_lists(len(layout), edges), len(edges) < len(layout)
-        code, swapped = codes_of(adj, level_tags(layout, 0, genus_vertex), tree)
-        negated, negated_swapped = codes_of(adj, level_tags(layout, 1, genus_vertex), tree)
+        adj = neighbor_lists(len(layout), edges)
+        code, swapped = codes_of(adj, level_tags(layout, 0, genus_vertex))
+        negated, negated_swapped = codes_of(adj, level_tags(layout, 1, genus_vertex))
         assert (swapped, negated_swapped) == (negated, code), (layout, edges, genus_vertex)
 
     def test_every_tree_up_to_fourteen_vertices(self):
@@ -384,9 +384,8 @@ class TestLevelCodes:
     @staticmethod
     def check(layout, genus_vertex=None):
         edges = _tree_edges(layout)
-        peeled = codes_of(
-            neighbor_lists(len(layout), edges), level_tags(layout, 0, genus_vertex), True
-        )
+        adj = neighbor_lists(len(layout), edges)
+        peeled = codes_of(adj, level_tags(layout, 0, genus_vertex))
         assert enumeration._codes(layout, edges, genus_vertex) == peeled, (
             layout, genus_vertex
         )
