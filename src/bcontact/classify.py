@@ -36,16 +36,12 @@ from collections import namedtuple
 
 from .admissibility import is_admissible, tight_shape
 from .counting import TightCountResult, tight_count_solid_torus
-from .enumeration import (
-    check_torus_request,
-    check_tree_request,
-    enum_equicolored_trees,
-    Slopes,
-    enum_torus_graphs,
-    graph_slopes,
-)
 from .region_graph import RegionGraph, canonical_code
 from .surfaces import DividingSetClass, Surface
+
+# Slopes (enumeration) names a type in annotations only, which are never
+# evaluated; ``table_classes`` imports the enumerator when it runs, so
+# ``classify`` and ``census`` calls do not load it.
 
 
 class InadmissibleError(ValueError):
@@ -182,13 +178,28 @@ def table_classes(
     ``classify`` runs once per graph class and, for a bare cycle,
     ``tight_count_solid_torus`` once per slope.
     """
+    from .enumeration import (
+        TREE_CAP,
+        ResourceLimitError,
+        check_torus_request,
+        enum_equicolored_trees,
+        enum_torus_graphs,
+        graph_slopes,
+    )
+
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
     if m is Surface.SPHERE:
-        largest = (max_curves + 1) // 2
-        check_tree_request(largest)
+        # Equicolored trees on 2n regions have 2n - 1 curves, so the cap
+        # on n admits up to 2 * TREE_CAP curves.
+        if max_curves > 2 * TREE_CAP:
+            raise ResourceLimitError(
+                f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
+            )
         graphs = [
-            g for n in range(1, largest + 1) for g in enum_equicolored_trees(n, modulo_swap)
+            g
+            for n in range(1, (max_curves + 1) // 2 + 1)
+            for g in enum_equicolored_trees(n, modulo_swap)
         ]
         graphs.sort(key=lambda g: canonical_code(g, modulo_swap))
         return [_table_class(m, g, canonical_code(g, modulo_swap), (None,)) for g in graphs]

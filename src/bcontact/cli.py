@@ -15,8 +15,13 @@ and newline-terminated, and goes to stdout in whole chunks of at least
 Each command imports the layers it calls when it runs, so a call loads
 only those: ``tight-count`` and ``cf`` load ``counting`` alone (and
 ``tight-count --format json`` the I/O layers too), the ``--gamma``
-commands the parser's layers and their own, and ``classify``, ``census``
-and ``table`` every layer.
+commands the parser's layers and their own (``classify`` and ``census``
+every layer but ``enumeration``), and ``table`` every layer.
+
+``enum-trees`` and ``enum-torus`` write their listings straight from the
+generator's rows (``enumeration.Row``), one class's lines at a time, and
+``--count-only`` counts the rows: neither builds a graph object.  Graphs
+are built for library callers only.
 """
 
 from __future__ import annotations
@@ -191,53 +196,42 @@ def _emit_blocks(out, blocks) -> None:
         out.write("\n")
 
 
-def _cmd_enum_trees(args, out) -> int:
-    from .enumeration import enum_equicolored_trees
-    from .formats import graph_json, serialize_graph_text
-    from .region_graph import canonical_code
+def _write_rows(out, args, rows, surface=None, slopes=None) -> int:
+    """Write a listing of enumerated rows in ``args.format``, each class's
+    lines as they are made, or with ``--count-only`` its length."""
+    from .formats import row_csv, row_json, row_text
 
-    modulo_swap = not args.distinguish_signs
-    graphs = enum_equicolored_trees(args.n, modulo_swap)
+    if slopes is None:
+        slopes = [(None,)] * len(rows)
+    shared: dict = {}
     if args.count_only:
-        _emit(out, str(len(graphs)))
-        return 0
-    if args.format == "json":
-        for g in graphs:
-            out.write(graph_json(g) + "\n")
+        _emit(out, str(sum(map(len, slopes))))
     elif args.format == "csv":
         _emit(out, "size,canonical_code,admissible")
-        for g in graphs:
-            _emit(out, f"{g.edge_count},{canonical_code(g, modulo_swap)},true")
+        for row, s in zip(rows, slopes):
+            out.write(row_csv(row, s))
+    elif args.format == "json":
+        for row, s in zip(rows, slopes):
+            out.write(row_json(row, shared, surface, s) + "\n")
     else:
-        _emit_blocks(out, map(serialize_graph_text, graphs))
+        _emit_blocks(out, (row_text(row, shared, surface, s) for row, s in zip(rows, slopes)))
     return 0
+
+
+def _cmd_enum_trees(args, out) -> int:
+    from .enumeration import enum_tree_rows
+
+    return _write_rows(out, args, enum_tree_rows(args.n, not args.distinguish_signs))
 
 
 def _cmd_enum_torus(args, out) -> int:
-    from .enumeration import check_torus_request, enum_torus_graphs, graph_slopes
-    from .formats import graph_class_json, graph_class_text
-    from .region_graph import canonical_code
+    from .enumeration import check_torus_request, enum_torus_rows, row_slopes
     from .surfaces import Surface
 
-    modulo_swap = not args.distinguish_signs
     check_torus_request(args.max_curves, args.max_slope)
-    graphs = enum_torus_graphs(args.max_curves, modulo_swap)
-    slopes = [graph_slopes(g, args.max_slope) for g in graphs]
-    if args.count_only:
-        _emit(out, str(sum(map(len, slopes))))
-        return 0
-    if args.format == "json":
-        for g, s in zip(graphs, slopes):
-            out.write(graph_class_json(Surface.TORUS, g, s) + "\n")
-    elif args.format == "csv":
-        _emit(out, "size,canonical_code,admissible")
-        for g, s in zip(graphs, slopes):
-            out.write(f"{g.edge_count},{canonical_code(g, modulo_swap)},true\n" * len(s))
-    else:
-        _emit_blocks(
-            out, (graph_class_text(Surface.TORUS, g, s) for g, s in zip(graphs, slopes))
-        )
-    return 0
+    rows = enum_torus_rows(args.max_curves, not args.distinguish_signs)
+    slopes = [row_slopes(row, args.max_slope) for row in rows]
+    return _write_rows(out, args, rows, Surface.TORUS, slopes)
 
 
 def _cmd_check(args, out) -> int:

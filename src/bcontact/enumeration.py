@@ -40,10 +40,14 @@ AHU codes of its vertices, read off the scan, meet at the core with no
 leaf peeling.  A ring is coded by the leaf-peeling pass over index
 arrays (``codes_of``), which also codes every graph read from input.
 Both shapes go through ``_codes`` and take the code's format from
-``region_graph``: its tags, adjacency lists and tree assembly.  A
-``RegionGraph`` is built only for a class that is emitted, by the
-generator-only constructor, which seeds its codes and trusts it valid.
-The test suite referees the level-sequence codes against the peel on
+``region_graph``: its tags, adjacency lists and tree assembly.
+
+Each class kept is a row (``Row``): its code, its skeleton's edges, its
+coloring and both of its codes, from which the CLI writes its listings
+(``enum_tree_rows``, ``enum_torus_rows``).  A ``RegionGraph`` is built
+from a row only for a library caller (``enum_equicolored_trees``,
+``enum_torus_graphs``), by the generator-only constructor, which seeds
+its codes and trusts it valid.  The test suite referees the level-sequence codes against the peel on
 every tree up to fourteen vertices, with and without a genus region, and
 on sixteen (``TestLevelCodes``), every array code on up to nine regions
 (``TestArrayCodes``) and every emitted graph
@@ -178,13 +182,18 @@ def _sorted_edges(layout: list[int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(_tree_edges(layout)))
 
 
-# Level parities by level, as bytes: ``_odd_levels`` counts in C.
-_PARITY = bytes(level & 1 for level in range(256))
+# Level parities by level, and their complements, as bytes: a vertex's
+# sign index with even, then odd, levels positive.  ``_odd_levels`` and
+# ``_coloring`` translate in C.
+_PARITY = (
+    bytes(level & 1 for level in range(256)),
+    bytes(1 - (level & 1) for level in range(256)),
+)
 
 
 def _odd_levels(layout: list[int]) -> int:
     """How many vertices of a level sequence lie on odd levels."""
-    return bytes(layout).translate(_PARITY).count(1)
+    return bytes(layout).translate(_PARITY[0]).count(1)
 
 
 # Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
@@ -196,15 +205,21 @@ _VERTEX_ROWS = [
 ]
 
 
-def _colored_vertices(
-    layout: list[int], positive: int, genus_vertex: int | None = None
-) -> tuple[RegionVertex, ...]:
-    """Vertex i is positive when its level parity is ``positive``."""
-    vertices = [rows[(level & 1) ^ positive] for rows, level in zip(_VERTEX_ROWS, layout)]
-    if genus_vertex is not None:
-        negative = (layout[genus_vertex] & 1) ^ positive
-        vertices[genus_vertex] = _VERTEX_ROWS[genus_vertex][2 + negative]
-    return tuple(vertices)
+def _coloring(layout: list[int], positive: int, genus_vertex: int | None = None) -> bytes:
+    """Vertex i's index in ``_VERTEX_ROWS[i]``: 0 when its level parity is
+    ``positive``, so that it is positive, else 1, and 2 more on the genus
+    vertex."""
+    coloring = bytes(layout).translate(_PARITY[positive])
+    if genus_vertex is None:
+        return coloring
+    marked = bytearray(coloring)
+    marked[genus_vertex] += 2
+    return bytes(marked)
+
+
+def _vertices(coloring: bytes) -> tuple[RegionVertex, ...]:
+    """The vertices of a ``_coloring``."""
+    return tuple(map(tuple.__getitem__, _VERTEX_ROWS, coloring))
 
 
 # The opening of a vertex's code, ``"(" + _TAGS[sign, genus]``, by its
@@ -258,44 +273,77 @@ def _codes(
     return codes_of(_adjacency(len(layout), edges), tags)
 
 
-def _emit(
+# One listed class as the generator has it: (code, sorted edges,
+# coloring, code as tagged, code modulo the swap).  The first code is the
+# class's canonical code in the listing's sign mode, and the coloring is
+# ``_coloring``'s: vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The
+# colorings of one skeleton share its edges tuple.
+Row = tuple[str, tuple[tuple[int, int], ...], bytes, str, str]
+
+
+def _row(
     layout: list[int],
     edges: tuple[tuple[int, int], ...],
     positive: int,
     genus_vertex: int | None,
     codes: tuple[str, str],
-) -> RegionGraph:
-    """The one graph built for an emitted class, with both codes seeded.
-    Coloring ``positive`` has code ``codes[positive]``, and negating its
-    signs gives the other coloring."""
-    return RegionGraph._generated(
-        _colored_vertices(layout, positive, genus_vertex), edges, codes[positive], min(codes)
-    )
+    modulo_swap: bool,
+) -> Row:
+    """The row of coloring ``positive``, whose code is ``codes[positive]``:
+    negating its signs gives the other coloring."""
+    swap_code = min(codes)
+    code = swap_code if modulo_swap else codes[positive]
+    return code, edges, _coloring(layout, positive, genus_vertex), codes[positive], swap_code
 
 
-def _emit_classes(
+def _graph(row: Row) -> RegionGraph:
+    """The graph of a listed class, built by the generator-only
+    constructor with both codes seeded."""
+    _, edges, coloring, code, swap_code = row
+    return RegionGraph._generated(_vertices(coloring), edges, code, swap_code)
+
+
+def _class_rows(
     candidates: Iterator[tuple[list[int], tuple[tuple[int, int], ...], int | None]],
     modulo_swap: bool,
-) -> list[RegionGraph]:
-    """One graph per class among the candidates (level sequence, sorted
+) -> list[Row]:
+    """One row per class among the candidates (level sequence, sorted
     edges, genus vertex or ``None``), the first seen per code, sorted by
     code."""
-    out: dict[str, tuple] = {}
+    out: dict[str, Row] = {}
     for layout, edges, genus_vertex in candidates:
         codes = _codes(layout, edges, genus_vertex)
         for positive in (0,) if modulo_swap else (0, 1):
             key = min(codes) if modulo_swap else codes[positive]
             if key not in out:
-                out[key] = (layout, edges, positive, genus_vertex, codes)
-    return [_emit(*out[key]) for key in sorted(out)]
+                out[key] = _row(layout, edges, positive, genus_vertex, codes, modulo_swap)
+    return [out[key] for key in sorted(out)]
 
 
-def check_tree_request(n: int) -> None:
-    """Reject a tree enumeration of 2n vertices out of range, before any work."""
+def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
+    # Distinct free trees are never isomorphic, so each skeleton's classes
+    # are its own: one when its two colorings' codes agree (or are
+    # identified), two otherwise.
+    rows = []
+    for layout in _free_trees(2 * n):
+        if _odd_levels(layout) != n:
+            continue
+        edges = _sorted_edges(layout)
+        codes = _codes(layout, edges, None)
+        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+            rows.append(_row(layout, edges, positive, None, codes, modulo_swap))
+    rows.sort(key=itemgetter(0))
+    return rows
+
+
+def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
+    """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
+    order, with no graph built."""
+    return _tree_rows(n, modulo_swap)
 
 
 def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGraph]:
@@ -306,21 +354,7 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     automorphism exchanges the color classes.  Deterministically sorted
     by canonical code.
     """
-    check_tree_request(n)
-    # Distinct free trees are never isomorphic, so each skeleton's classes
-    # are its own: one when its two colorings' codes agree (or are
-    # identified), two otherwise.
-    keyed = []
-    for layout in _free_trees(2 * n):
-        if _odd_levels(layout) != n:
-            continue
-        edges = _sorted_edges(layout)
-        codes = _codes(layout, edges, None)
-        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            key = min(codes) if modulo_swap else codes[positive]
-            keyed.append((key, _emit(layout, edges, positive, None, codes)))
-    keyed.sort(key=itemgetter(0))
-    return [g for _, g in keyed]
+    return list(map(_graph, _tree_rows(n, modulo_swap)))
 
 
 def _torus_candidates(
@@ -371,6 +405,17 @@ def check_torus_request(max_curves: int, max_p: int) -> None:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
 
+def _torus_rows(max_curves: int, modulo_swap: bool) -> list[Row]:
+    check_torus_request(max_curves, 1)
+    return _class_rows(_torus_candidates(max_curves), modulo_swap)
+
+
+def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:
+    """The rows of ``enum_torus_graphs(max_curves, modulo_swap)``, in its
+    order, with no graph built; ``row_slopes`` gives each one's slopes."""
+    return _torus_rows(max_curves, modulo_swap)
+
+
 def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[RegionGraph]:
     """The graph of every admissible torus class with at most ``max_curves``
     curves, one per isomorphism class, sorted by canonical code.
@@ -378,8 +423,7 @@ def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[Region
     Each graph is coded from arrays, then built once.
     ``graph_slopes`` gives the slopes each one is paired with.
     """
-    check_torus_request(max_curves, 1)
-    return _emit_classes(_torus_candidates(max_curves), modulo_swap)
+    return list(map(_graph, _torus_rows(max_curves, modulo_swap)))
 
 
 @cache  # graph_slopes asks for the same bound once per graph
@@ -397,6 +441,11 @@ def graph_slopes(g: RegionGraph, max_p: int) -> Slopes:
     Admissibility depends on the graph alone, so slopes are paired last.
     """
     return _normalized_slopes(max_p) if g.edge_count == g.vertex_count else (None,)
+
+
+def row_slopes(row: Row, max_p: int) -> Slopes:
+    """``graph_slopes`` of a listed class's graph, from its row."""
+    return _normalized_slopes(max_p) if len(row[1]) == len(row[2]) else (None,)
 
 
 def enum_torus_classes(

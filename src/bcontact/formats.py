@@ -14,8 +14,12 @@ directive is in the text form.
 ``graph_json`` and ``class_json`` write these lines directly, one string
 per graph or class, without building the object first, and
 ``graph_class_json`` writes a graph class at each of its slopes, the
-graph's fields rendered once.  The fields are joined from the JSON text
-of each vertex and edge, made once per distinct one and kept.  Their
+graph's fields rendered once.  The enumerated listings are written from
+the generator's rows (``enumeration.Row``), with no graph built:
+``row_text``, ``row_json`` and ``row_csv`` write one listed class each,
+its vertex and edge fragments looked up in tables indexed by id, sign
+and genus, and shared by the rows of one listing.  Graphs and rows fill
+the same templates (``_text_blocks``, ``_json_lines``).  The JSON
 bytes equal ``json.dumps`` of the object with its default separators,
 because every id, sign, genus and slope is an ``int``: the enumerators
 build them so, a region graph takes no other id, sign or genus, and both
@@ -41,11 +45,14 @@ is made.  All emitters order their output deterministically.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from functools import cache
+from operator import getitem
 
 from .region_graph import RegionGraph, RegionVertex
 from .surfaces import DividingSetClass, Surface
 
-# TableClass (classify), TightCountResult (counting) and Slopes
+# TableClass (classify), TightCountResult (counting), Row and Slopes
 # (enumeration) name types in annotations only, which are never evaluated:
 # importing them would load those layers for every parse and listing.
 
@@ -61,12 +68,94 @@ class ParseError(ValueError):
         self.token = token
 
 
+# A format's fragment of one vertex (id, sign, genus) and of one edge, and
+# the separator between two fragments.  A graph's text is its vertices'
+# fragments and then its edges'; its JSON fields wrap each list.
+_Form = namedtuple("_Form", ["vertex", "edge", "separator"])
+
+
+_TEXT = _Form(
+    lambda vid, sign, genus: f"v {vid} {'+' if sign > 0 else '-'} {genus}\n",
+    lambda a, b: f"e {a} {b}\n",
+    "",
+)
+_JSON = _Form(
+    lambda vid, sign, genus: f'{{"id": {vid}, "sign": {sign}, "genus": {genus}}}',
+    lambda a, b: f"[{a}, {b}]",
+    ", ",
+)
+
+
+def _graph_fragments(form: _Form, g: RegionGraph) -> tuple[str, str]:
+    """The joined fragments of a graph's vertices and of its edges."""
+    return (
+        form.separator.join([form.vertex(*v) for v in g.vertices]),
+        form.separator.join([form.edge(a, b) for a, b in g.edges]),
+    )
+
+
+@cache
+def _tables(form: _Form) -> tuple[list[tuple[str, ...]], list[list[str]]]:
+    """A form's fragment of every vertex the enumerators make, indexed like
+    ``enumeration._VERTEX_ROWS``, and of every edge, by its two ids."""
+    from .enumeration import _VERTEX_ROWS
+
+    ids = range(len(_VERTEX_ROWS))
+    return (
+        [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS],
+        [[form.edge(a, b) for b in ids] for a in ids],
+    )
+
+
+def _row_fragments(form: _Form, row: Row, shared: dict) -> tuple[str, str]:
+    """``_graph_fragments`` of a listed class's graph, from its row.
+
+    ``shared`` is a dict the caller keeps for one listing, so that rows
+    share fragments: a coloring's vertex fragments under its bytes (the
+    10,079 trees on 16 regions have 1,049 colorings), and a skeleton's
+    edge fragments under the identity of its edges tuple, which the
+    colorings of the skeleton share.  That entry holds the tuple, so the
+    identity stays its own.
+    """
+    edges, coloring = row[1], row[2]
+    vertices = shared.get(coloring)
+    if vertices is None:
+        vertices = form.separator.join(map(getitem, _tables(form)[0], coloring))
+        shared[coloring] = vertices
+    skeleton = shared.get(id(edges))
+    if skeleton is None:
+        edge_table = _tables(form)[1]
+        skeleton = edges, form.separator.join([edge_table[a][b] for a, b in edges])
+        shared[id(edges)] = skeleton
+    return vertices, skeleton[1]
+
+
+def _text_blocks(surface: Surface | None, graph: str, slopes: Slopes) -> str:
+    """A graph's text alone, or its class's text on ``surface`` at each of
+    ``slopes``, separated by blank lines."""
+    if surface is None:
+        return graph
+    head = f"surface {surface.value}\n{graph}"
+    return "\n".join([
+        head if slope is None else f"{head}slope {slope[0]} {slope[1]}\n" for slope in slopes
+    ])
+
+
+def _json_lines(surface: Surface | None, vertices: str, edges: str, slopes: Slopes) -> str:
+    """A graph's JSON line, or its class's on ``surface`` at each of
+    ``slopes``, with no final newline; the graph's fields are joined once."""
+    fields = f'"vertices": [{vertices}], "edges": [{edges}]'
+    if surface is None:
+        return f"{{{fields}}}"
+    head = f'{{"surface": "{surface.value}", {fields}, "slope": '
+    return "\n".join([
+        f"{head}null}}" if slope is None else f"{head}[{slope[0]}, {slope[1]}]}}"
+        for slope in slopes
+    ])
+
+
 def serialize_graph_text(g: RegionGraph) -> str:
-    lines = [
-        f"v {v.id} {'+' if v.sign > 0 else '-'} {v.genus}" for v in g.vertices
-    ]
-    lines += [f"e {a} {b}" for a, b in g.edges]
-    return "\n".join(lines) + "\n"
+    return "".join(_graph_fragments(_TEXT, g))
 
 
 def serialize_class_text(d: DividingSetClass) -> str:
@@ -76,44 +165,12 @@ def serialize_class_text(d: DividingSetClass) -> str:
 def graph_class_text(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
     """``serialize_class_text`` of the class of ``g`` at each of ``slopes``,
     separated by blank lines; the graph's lines are rendered once."""
-    head = f"surface {surface.value}\n" + serialize_graph_text(g)
-    return "\n".join([
-        head if slope is None else f"{head}slope {slope[0]} {slope[1]}\n" for slope in slopes
-    ])
-
-
-_FRAGMENTS_KEPT = 4096
-
-
-class _Fragments(dict):
-    """JSON text of each vertex or edge, made on first use and kept: an
-    enumerated listing has only a few hundred distinct ones, each in many
-    graphs.  Past ``_FRAGMENTS_KEPT`` entries new ones are made, not kept."""
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, item):
-        text = self.render(item)
-        if len(self) < _FRAGMENTS_KEPT:
-            self[item] = text
-        return text
-
-
-_VERTEX_JSON = _Fragments(lambda v: f'{{"id": {v.id}, "sign": {v.sign}, "genus": {v.genus}}}')
-_EDGE_JSON = _Fragments(lambda e: f"[{e[0]}, {e[1]}]")
-
-
-def _graph_json_fields(g: RegionGraph) -> str:
-    vertices = ", ".join(map(_VERTEX_JSON.__getitem__, g.vertices))
-    edges = ", ".join(map(_EDGE_JSON.__getitem__, g.edges))
-    return f'"vertices": [{vertices}], "edges": [{edges}]'
+    return _text_blocks(surface, serialize_graph_text(g), slopes)
 
 
 def graph_json(g: RegionGraph) -> str:
     """One JSON line ``{"vertices": [...], "edges": [...]}`` for a graph."""
-    return f"{{{_graph_json_fields(g)}}}"
+    return _json_lines(None, *_graph_fragments(_JSON, g), (None,))
 
 
 def class_json(d: DividingSetClass) -> str:
@@ -124,11 +181,31 @@ def class_json(d: DividingSetClass) -> str:
 def graph_class_json(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
     """``class_json`` of the class of ``g`` at each of ``slopes``, one per
     line with no final newline; the graph's fields are rendered once."""
-    head = f'{{"surface": "{surface.value}", {_graph_json_fields(g)}, "slope": '
-    return "\n".join([
-        f"{head}null}}" if slope is None else f"{head}[{slope[0]}, {slope[1]}]}}"
-        for slope in slopes
-    ])
+    return _json_lines(surface, *_graph_fragments(_JSON, g), slopes)
+
+
+def row_text(
+    row: Row, shared: dict, surface: Surface | None = None, slopes: Slopes = (None,)
+) -> str:
+    """``serialize_graph_text`` of a listed class's graph, or with
+    ``surface``, ``graph_class_text`` of its class at each of ``slopes``,
+    from its row (``enumeration.Row``), with no graph built; ``shared`` is
+    the listing's, as ``_row_fragments`` keeps it."""
+    return _text_blocks(surface, "".join(_row_fragments(_TEXT, row, shared)), slopes)
+
+
+def row_json(
+    row: Row, shared: dict, surface: Surface | None = None, slopes: Slopes = (None,)
+) -> str:
+    """``graph_json`` or, with ``surface``, ``graph_class_json`` as
+    ``row_text`` gives the text."""
+    return _json_lines(surface, *_row_fragments(_JSON, row, shared), slopes)
+
+
+def row_csv(row: Row, slopes: Slopes = (None,)) -> str:
+    """A listed class's CSV line ``size,canonical_code,admissible`` once
+    per slope."""
+    return f"{len(row[1])},{row[0]},true\n" * len(slopes)
 
 
 def tight_count_to_json_dict(result: TightCountResult) -> dict:

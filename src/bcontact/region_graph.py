@@ -24,8 +24,8 @@ every ring the torus enumerator makes.  The enumerators code their tree
 skeletons from the level sequence (``enumeration._level_codes``), with
 the tags (``_TAGS``) and tree assembly (``_tree_codes``) stated here
 only.  Either way one pass per skeleton gives both of its colorings'
-codes, and a graph, its codes seeded, is built only for a class they
-emit.  Such a graph is built valid and trusted; any other is checked by
+codes, and a graph, its codes seeded, is built only for a listed class
+a library caller asks for.  Such a graph is built valid and trusted; any other is checked by
 its constructor, so a ``RegionGraph`` that exists is valid and nothing
 downstream checks it.
 

@@ -34,6 +34,7 @@ from helpers import enumerated_records, farey_products, sphere_class, table_rows
 
 # The package re-exports ``classify``, which hides the submodule's name.
 CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
+ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
 
 
 class TestRegimeDescriptor:
@@ -321,6 +322,6 @@ class TestTableArguments:
         def never(*args, **kwargs):
             raise AssertionError("enumeration ran before the cap check")
 
-        monkeypatch.setattr(CLASSIFY_MODULE, "enum_equicolored_trees", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
         with pytest.raises(ResourceLimitError):
             table_classes(S3_S2, 30)

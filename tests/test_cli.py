@@ -19,6 +19,15 @@ from hypothesis import strategies as st
 
 from bcontact import counting
 from bcontact.cli import run_cli
+from bcontact.enumeration import (
+    enum_equicolored_trees,
+    enum_torus_classes,
+    enum_torus_graphs,
+    graph_slopes,
+)
+from bcontact.formats import graph_class_json, graph_class_text, graph_json, serialize_graph_text
+from bcontact.region_graph import canonical_code
+from bcontact.surfaces import Surface
 
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
 
@@ -77,6 +86,26 @@ SPHERE_TABLE_13_JSON_SHA256 = (
 )
 TORUS_TABLE_8_4_SWAP_JSON_SHA256 = (
     "6dad667820f3d2057a0c4d7fd52eb08d43301050c9af6c9538269cf6e5942dee"
+)
+# sha256 of these listings while every listed class was built as a region
+# graph and rendered back out of it; they pin the swap-identified JSON, the
+# CSV and the swap-identified text listings.
+ENUM_TREES_8_SWAP_SHA256 = (
+    "c0ba71aa59dd4b0a651961d80bdb3c938ba9bd56ed9a675ae45fbadf08f72717"
+)
+ENUM_TREES_7_CSV_SHA256 = "c21d42ee00ac7d4787a91d8b31315f19de3d460a437544c7a8c8ac5d6ecb9d65"
+ENUM_TREES_7_CSV_SWAP_SHA256 = (
+    "25fd12b5f77a41608364d4037f9bb361a050be2b45ba1f84191eb7f67105f015"
+)
+ENUM_TREES_6_TEXT_SWAP_SHA256 = (
+    "53b4c2ca197f51c361e36d3f920065b6f2d132c03629879482b196f40502a73c"
+)
+ENUM_TORUS_8_3_CSV_SHA256 = "f4ed8a654f9b785cb8ab36f95d05e885a45e0740a28beaf789ce144fa0a1fa4c"
+ENUM_TORUS_8_3_CSV_SWAP_SHA256 = (
+    "17732a98ff8515c70dbaba30c47fe358a3ea049b67b1e7b27f3035b0df6f67e0"
+)
+ENUM_TORUS_7_2_TEXT_SWAP_SHA256 = (
+    "92d530dd32624ae9fc81a9a17a2917a978d9783a682938107340d77f7a575aba"
 )
 TORUS_TABLE_8_64_SHA256 = "aa4b8a63b1e3c5c5ea82dcd93f44aa04c43059a02b7eec0fa670e9cc447e588c"
 TORUS_TABLE_8_64_JSON_SHA256 = (
@@ -165,6 +194,59 @@ class TestEnumCommands:
     def test_resource_guard_exit_code(self):
         status, _ = run(["enum-trees", "--n", "99", "--count-only"])
         assert status == 1
+
+
+def referee_listing(graphs, fmt, modulo_swap, slopes=None):
+    """The listing of ``graphs`` rendered from the graph objects, as the CLI
+    wrote it when it built a graph per listed class; with ``slopes``, per
+    graph, a torus listing."""
+    if slopes is None:
+        blocks = [serialize_graph_text(g) for g in graphs]
+        lines = [graph_json(g) + "\n" for g in graphs]
+        slopes = [(None,)] * len(graphs)
+    else:
+        blocks = [graph_class_text(Surface.TORUS, g, s) for g, s in zip(graphs, slopes)]
+        lines = [graph_class_json(Surface.TORUS, g, s) + "\n" for g, s in zip(graphs, slopes)]
+    if fmt == "text":
+        return "\n".join(blocks) or "\n"
+    if fmt == "json":
+        return "".join(lines)
+    return "size,canonical_code,admissible\n" + "".join(
+        f"{g.edge_count},{canonical_code(g, modulo_swap)},true\n" * len(s)
+        for g, s in zip(graphs, slopes)
+    )
+
+
+class TestListingsMatchLibrary:
+    """The CLI writes listings from the generator's rows; the library's
+    graphs, rendered by the graph renderers, referee every byte."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_tree_listings(self, fmt, modulo_swap):
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for n in range(1, 8):
+            graphs = enum_equicolored_trees(n, modulo_swap)
+            args = ["enum-trees", "--n", str(n), *sign_mode]
+            assert run([*args, "--format", fmt]) == (
+                0, referee_listing(graphs, fmt, modulo_swap)
+            ), n
+            assert run([*args, "--count-only"]) == (0, f"{len(graphs)}\n")
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_torus_listings(self, fmt, modulo_swap):
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for max_curves, max_p in ((1, 1), (4, 2), (9, 3)):
+            graphs = enum_torus_graphs(max_curves, modulo_swap)
+            slopes = [graph_slopes(g, max_p) for g in graphs]
+            args = ["enum-torus", "--max-curves", str(max_curves), "--max-slope", str(max_p),
+                    *sign_mode]
+            assert run([*args, "--format", fmt]) == (
+                0, referee_listing(graphs, fmt, modulo_swap, slopes)
+            ), max_curves
+            classes = enum_torus_classes(max_curves, max_p, modulo_swap)
+            assert run([*args, "--count-only"]) == (0, f"{len(classes)}\n")
 
 
 class TestArithmeticCommands:
@@ -718,11 +800,23 @@ class TestTableArguments:
         def never(*args, **kwargs):
             raise AssertionError("enumeration ran before the cap check")
 
-        classify_module = importlib.import_module("bcontact.classify")
-        monkeypatch.setattr(classify_module, "enum_equicolored_trees", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
         status, _ = run(["table", "--manifold", "s3-s2", "--max-curves", "30"])
         assert status == 1
         assert "capped" in capsys.readouterr().err
+
+    def test_sphere_tree_cap_names_the_argument(self, monkeypatch, capsys):
+        # The cap is on --max-curves, as typed, not on the half tree size
+        # it implies; 20 curves, the largest accepted, still list.
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration ran before the cap check")
+
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
+        status, output = run(["table", "--manifold", "s3-s2", "--max-curves", "21"])
+        assert (status, output) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: sphere table capped at --max-curves 20, got 21\n"
+        )
 
 
 class TestUsageErrors:
@@ -959,8 +1053,24 @@ class TestDeterminism:
              ENUM_TORUS_7_2_TEXT_SHA256),
             (["classify", "--format", "json"], TWO_CYCLE_32, CLASSIFY_TWO_CYCLE_32_JSON_SHA256),
             (["classify", "--format", "json"], EQUATOR, CLASSIFY_EQUATOR_JSON_SHA256),
+            (["enum-trees", "--n", "8", "--format", "json", "--no-distinguish-signs"], None,
+             ENUM_TREES_8_SWAP_SHA256),
+            (["enum-trees", "--n", "7", "--format", "csv"], None, ENUM_TREES_7_CSV_SHA256),
+            (["enum-trees", "--n", "7", "--format", "csv", "--no-distinguish-signs"], None,
+             ENUM_TREES_7_CSV_SWAP_SHA256),
+            (["enum-trees", "--n", "6", "--format", "text", "--no-distinguish-signs"], None,
+             ENUM_TREES_6_TEXT_SWAP_SHA256),
+            (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv"], None,
+             ENUM_TORUS_8_3_CSV_SHA256),
+            (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv",
+              "--no-distinguish-signs"], None, ENUM_TORUS_8_3_CSV_SWAP_SHA256),
+            (["enum-torus", "--max-curves", "7", "--max-slope", "2", "--format", "text",
+              "--no-distinguish-signs"], None, ENUM_TORUS_7_2_TEXT_SWAP_SHA256),
         ],
-        ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator"],
+        ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator",
+             "enum-trees-8-swap-json", "enum-trees-7-csv", "enum-trees-7-csv-swap",
+             "enum-trees-6-text-swap", "enum-torus-8-3-csv", "enum-torus-8-3-csv-swap",
+             "enum-torus-7-2-text-swap"],
     )
     def test_output_matches_recorded_digest(self, tmp_path, args, gamma, digest):
         if gamma is not None:
@@ -1042,8 +1152,10 @@ class TestImportFootprint:
             pytest.param(["enum-trees", "--n", "3"], ENUMERATING, id="enum-trees"),
             pytest.param(["enum-torus", "--max-curves", "4", "--max-slope", "2"], ENUMERATING,
                          id="enum-torus"),
-            pytest.param(["classify", "--gamma", "GAMMA"], EVERY_LAYER, id="classify"),
-            pytest.param(["census", "--gamma", "GAMMA"], EVERY_LAYER, id="census"),
+            pytest.param(["classify", "--gamma", "GAMMA"], EVERY_LAYER - {"enumeration"},
+                         id="classify"),
+            pytest.param(["census", "--gamma", "GAMMA"], EVERY_LAYER - {"enumeration"},
+                         id="census"),
             pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
                          EVERY_LAYER, id="table"),
         ],

@@ -6,9 +6,10 @@ from bcontact import enumeration
 from bcontact.admissibility import euler_pairing, is_admissible
 from bcontact.enumeration import (
     ResourceLimitError,
-    _colored_vertices,
+    _coloring,
     _free_trees,
     _tree_edges,
+    _vertices,
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_graphs,
@@ -23,7 +24,7 @@ from polya import sphere_counts, torus_counts
 
 def _colored_graph(layout, edges, positive, genus_vertex=None):
     """A generator candidate built by the public constructor."""
-    return RegionGraph(_colored_vertices(layout, positive, genus_vertex), edges)
+    return RegionGraph(_vertices(_coloring(layout, positive, genus_vertex)), edges)
 
 
 class TestTreeCounts:
