@@ -16,7 +16,9 @@ Each command imports the layers it calls when it runs, so a call loads
 only those: ``tight-count`` and ``cf`` load ``counting`` alone (and
 ``tight-count --format json`` the I/O layers too), the ``--gamma``
 commands the parser's layers and their own (``classify`` and ``census``
-every layer but ``enumeration``), and ``table`` every layer.
+every layer but ``enumeration``), and ``table`` every layer.  ``json``
+loads only for an answer written by ``json.dumps`` (``_dumps``) or for
+JSON input, so listings and text answers skip its import.
 
 ``enum-trees`` and ``enum-torus`` write their listings straight from the
 generator's rows (``enumeration.Row``), one class's lines at a time, and
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 
 _MANIFOLDS = ("s3-s2", "s3-t2")
@@ -179,6 +180,13 @@ class _Chunks:
             data = data[self.binary.write(data) or 0:]
 
 
+def _dumps(obj) -> str:
+    """``json.dumps``, with json imported by the answers that need it."""
+    import json
+
+    return json.dumps(obj)
+
+
 def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
@@ -243,7 +251,7 @@ def _cmd_check(args, out) -> int:
     tight = is_tight_candidate(d.surface, d)
     code = canonical_code(d.graph)
     if args.format == "json":
-        _emit(out, json.dumps({
+        _emit(out, _dumps({
             "canonical_code": code,
             "admissible": admissible.ok,
             "admissible_reason": admissible.reason,
@@ -287,7 +295,7 @@ def _record_json(record) -> str:
 
     manifold = "s2" if record.dividing_set.surface is Surface.SPHERE else "t2"
     detail = record.tight_count_detail
-    detail_json = "null" if detail is None else json.dumps(tight_count_to_json_dict(detail))
+    detail_json = "null" if detail is None else _dumps(tight_count_to_json_dict(detail))
     return (
         f'{{"manifold": "s3-{manifold}", "dividing_set": {class_json(record.dividing_set)}, '
         f'"tight": {_regime_json(record.tight)}, "mixed": {_regime_json(record.mixed)}, '
@@ -330,7 +338,7 @@ def _cmd_tight_count(args, out) -> int:
         if args.format == "json":
             from .formats import tight_count_to_json_dict
 
-            _emit(out, json.dumps(tight_count_to_json_dict(result)))
+            _emit(out, _dumps(tight_count_to_json_dict(result)))
         else:
             _emit(out, str(result.count))
     return 0
@@ -341,7 +349,7 @@ def _cmd_cf(args, out) -> int:
 
     cf = negative_continued_fraction(args.p, args.q)
     if args.format == "json":
-        _emit(out, json.dumps({
+        _emit(out, _dumps({
             "coefficients": list(cf.coefficients),
             "degenerate": cf.degenerate,
         }))
@@ -356,7 +364,7 @@ def _cmd_census(args, out) -> int:
     d = _read_gamma(args.gamma)
     census = leaf_census(d.surface, d)
     if args.format == "json":
-        _emit(out, json.dumps({
+        _emit(out, _dumps({
             "leaves_dim3": census.leaves_dim3,
             "leaves_dim2": census.leaves_dim2,
             "leaves_dim1": census.leaves_dim1,

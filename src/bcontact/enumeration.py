@@ -33,32 +33,54 @@ checks that the gate accepts exactly the admissible ones.
 
 Candidates are coded before anything is built.  Negating every sign
 exchanges a skeleton's two colorings, so one pass gives the codes of
-both, and the pair gives the sign-swapped code.  A tree skeleton, a
-sphere tree or a genus-1 torus tree, is coded in one reverse scan of its
-level sequence (``_level_codes``): WROM roots it at its center, so the
-AHU codes of its vertices, read off the scan, meet at the core with no
-leaf peeling.  A ring is coded by the leaf-peeling pass over index
-arrays (``codes_of``), which also codes every graph read from input.
-Both shapes go through ``_codes`` and take the code's format from
-``region_graph``: its tags, adjacency lists and tree assembly.
+both, and the pair gives the sign-swapped code.  WROM roots a tree
+skeleton at its center, so its core is the root, or the root and vertex
+1, with no leaf peeling, and its AHU codes come off the level sequence.
 
-Each class kept is a row (``Row``): its code, its skeleton's edges, its
-coloring and both of its codes, from which the CLI writes its listings
-(``enum_tree_rows``, ``enum_torus_rows``).  A ``RegionGraph`` is built
-from a row only for a library caller (``enum_equicolored_trees``,
-``enum_torus_graphs``), by the generator-only constructor, which seeds
-its codes and trusts it valid.  The test suite referees the level-sequence codes against the peel on
-every tree up to fourteen vertices, with and without a genus region, and
-on sixteen (``TestLevelCodes``), every array code on up to nine regions
+A genus-free tree skeleton, a sphere tree, is read as brackets
+(``_bracket_codes``).  Lemma: in a canonical level sequence, where every
+vertex's children come in non-increasing order of their subtrees' level
+sequences, with each vertex tagged by its level parity, each subtree's
+AHU code is the bracket reading of its slice: vertex i writes
+``")" * (l[i-1] - l[i] + 1) + "(" + tag(l[i])``, and the last vertex
+closes everything.  Proof: the reading nests each vertex's children's
+readings, in the sequence's order, inside its own brackets; and at the
+first difference between two sibling subtrees' sequences, the one that
+goes deeper writes "(" where the other writes ")", and "(" < ")".  So
+the larger level sequence has the smaller code, the canonical order is
+AHU's sorted order, and nothing is sorted.  A bicentral tree reads as
+the slices ``[1:m]`` and ``[0] + [m:]``, m the root's second child.
+Limits: a genus region's tag can order two siblings against their
+sequences (on ``[0, 1, 1]`` with the genus region at vertex 1 the
+reading gives ``T(+0(-1)(-0))`` and the peel ``T(+0(-0)(-1))``), so a
+genus-1 torus tree is coded by a reverse scan that sorts
+(``_level_codes``); and a ring is no tree, so it is coded by the
+leaf-peeling pass over index arrays (``codes_of``), which also codes
+every graph read from input.  Every shape goes through ``_codes`` and
+takes the code's format from ``region_graph``: its tags, adjacency lists
+and tree assembly.
+
+Each class kept is a row (``Row``): its code, its skeleton's level
+sequence as ``bytes`` and a ring's closing edge, its coloring and both of
+its codes, from which the CLI writes its listings (``enum_tree_rows``,
+``enum_torus_rows``); the skeleton's edges follow from the sequence
+(``_sorted_edges``).  A ``RegionGraph`` is built from a row only for a
+library caller (``enum_equicolored_trees``, ``enum_torus_graphs``), by
+the generator-only constructor, which seeds its codes and trusts it
+valid.  The test suite referees the level-sequence codes against the
+peel on every tree up to fourteen vertices, with and without a genus
+region, on sixteen, and on every balanced tree on eighteen
+(``TestLevelCodes``), every array code on up to nine regions
 (``TestArrayCodes``) and every emitted graph
 (``TestGeneratedGraphsAreValid``).
 
 Distinct free trees are never isomorphic, so the sphere classes are
 emitted skeleton by skeleton, with no table of the codes seen: one class
 when a skeleton's two codes agree (or the sign mode identifies them),
-two otherwise, sharing the skeleton's edges.  Torus candidates still go
-through a table of first-seen codes, since one tree skeleton yields a
-candidate per genus region and one ring a candidate per closing edge.
+two otherwise, sharing the skeleton's level sequence.  Torus candidates
+still go through a table of first-seen codes, since one tree skeleton
+yields a candidate per genus region and one ring a candidate per closing
+edge.
 
 Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
 and ``graph_slopes`` gives each one its slopes, every normalized slope up
@@ -75,7 +97,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import cache
 from math import gcd
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 from .region_graph import _TAGS, RegionGraph, RegionVertex, _adjacency, _tree_codes, codes_of
 from .surfaces import DividingSetClass, Surface
@@ -100,37 +122,36 @@ class ResourceLimitError(ValueError):
 # lexicographic order and jumps over every sequence that is not the
 # canonical rooting of a free tree: the root's first subtree is no taller
 # than the rest of the tree, on equal heights no larger, and on equal
-# sizes not lexicographically later.
+# sizes not lexicographically later.  Sequences are ``bytes``, one level
+# per byte, so the walk's searches and copies run in C.
 # ---------------------------------------------------------------------------
 
+# Each level less one, and the levels from 1 up, as bytes.
+_DOWN = bytes((level - 1) & 255 for level in range(256))
+_RISE = bytes(range(1, 256))
 
-def _next_rooted_tree(predecessor: list[int], p: int | None = None) -> list[int] | None:
-    """The Beyer-Hedetniemi successor of a rooted level sequence."""
+
+def _next_rooted_tree(predecessor: bytes, p: int | None = None) -> bytes | None:
+    """The Beyer-Hedetniemi successor of a rooted level sequence: from its
+    last vertex ``p`` off level 1, the sequence repeats with the period
+    that starts at ``p``'s parent."""
     if p is None:
-        p = len(predecessor) - 1
-        while predecessor[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while predecessor[q] != predecessor[p] - 1:
-        q -= 1
-    result = list(predecessor)
-    for i in range(p, len(result)):
-        result[i] = result[i - p + q]
-    return result
+        p = len(predecessor.rstrip(b"\x01")) - 1
+        if p == 0:
+            return None
+    tail = len(predecessor) - p
+    period = predecessor[predecessor.rfind(predecessor[p] - 1, 0, p):p]
+    return predecessor[:p] + (period * tail)[:tail]
 
 
-def _first_subtree_end(layout: list[int]) -> int:
+def _first_subtree_end(layout: bytes) -> int:
     """Where the root's first subtree ends: at the root's second child, or
     at the end of the sequence."""
-    try:
-        return layout.index(1, 2)
-    except ValueError:
-        return len(layout)
+    m = layout.find(1, 2)
+    return len(layout) if m < 0 else m
 
 
-def _next_tree(candidate: list[int]) -> list[int] | None:
+def _next_tree(candidate: bytes) -> bytes:
     """``candidate`` if it is a canonical free tree, else the next one."""
     m = _first_subtree_end(candidate)
     # Heights of the root's first subtree (from its own root) and of the
@@ -142,30 +163,28 @@ def _next_tree(candidate: list[int]) -> list[int] | None:
     if rest_height == left_height:
         size, rest_size = m - 1, len(candidate) - m + 1
         if size < rest_size or (
-            size == rest_size
-            and [level - 1 for level in candidate[1:m]] <= [0, *candidate[m:]]
+            size == rest_size and candidate[1:m].translate(_DOWN) <= b"\0" + candidate[m:]
         ):
             return candidate
     p = m - 1
     new_candidate = _next_rooted_tree(candidate, p)
     if candidate[p] > 2:
         new_height = max(new_candidate[1:_first_subtree_end(new_candidate)])
-        new_candidate[-new_height:] = range(1, new_height + 1)
+        new_candidate = new_candidate[:-new_height] + _RISE[:new_height]
     return new_candidate
 
 
-def _free_trees(order: int) -> Iterator[list[int]]:
+def _free_trees(order: int) -> Iterator[bytes]:
     """Level sequences of the free trees on ``order`` >= 2 vertices, one
     per isomorphism class, starting from the path rooted at its center."""
-    layout = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
+    layout = bytes([*range(order // 2 + 1), *range(1, (order + 1) // 2)])
     while layout is not None:
         layout = _next_tree(layout)
-        if layout is not None:
-            yield layout
-            layout = _next_rooted_tree(layout)
+        yield layout
+        layout = _next_rooted_tree(layout)
 
 
-def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
+def _tree_edges(layout: bytes) -> list[tuple[int, int]]:
     """Edges of a level sequence: each vertex joins the nearest earlier
     vertex one level up, the last vertex seen on that level."""
     edges = []
@@ -177,9 +196,13 @@ def _tree_edges(layout: list[int]) -> list[tuple[int, int]]:
     return edges
 
 
-def _sorted_edges(layout: list[int]) -> tuple[tuple[int, int], ...]:
-    """The edges of a level sequence in the order a graph keeps them."""
-    return tuple(sorted(_tree_edges(layout)))
+def _sorted_edges(layout: bytes, closing: tuple[int, int] | None) -> tuple[tuple[int, int], ...]:
+    """The edges of a skeleton, a level sequence and its closing edge or
+    ``None``, in the order a graph keeps them."""
+    edges = _tree_edges(layout)
+    if closing is not None:
+        edges.append(closing)
+    return tuple(sorted(edges))
 
 
 # Level parities by level, and their complements, as bytes: a vertex's
@@ -191,25 +214,28 @@ _PARITY = (
 )
 
 
-def _odd_levels(layout: list[int]) -> int:
+def _odd_levels(layout: bytes) -> int:
     """How many vertices of a level sequence lie on odd levels."""
-    return bytes(layout).translate(_PARITY[0]).count(1)
+    return layout.translate(_PARITY[0]).count(1)
 
+
+# The most vertices, and so levels, a skeleton within the caps has.
+_ORDER_CAP = max(2 * TREE_CAP, CURVE_CAP + 1)
 
 # Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
 # for every id the caps allow: vertices are immutable, so emitted graphs
 # share them.
 _VERTEX_ROWS = [
     tuple(RegionVertex(v, sign, genus) for genus in (0, 1) for sign in (1, -1))
-    for v in range(max(2 * TREE_CAP, CURVE_CAP + 1))
+    for v in range(_ORDER_CAP)
 ]
 
 
-def _coloring(layout: list[int], positive: int, genus_vertex: int | None = None) -> bytes:
+def _coloring(layout: bytes, positive: int, genus_vertex: int | None = None) -> bytes:
     """Vertex i's index in ``_VERTEX_ROWS[i]``: 0 when its level parity is
     ``positive``, so that it is positive, else 1, and 2 more on the genus
     vertex."""
-    coloring = bytes(layout).translate(_PARITY[positive])
+    coloring = layout.translate(_PARITY[positive])
     if genus_vertex is None:
         return coloring
     marked = bytearray(coloring)
@@ -226,16 +252,50 @@ def _vertices(coloring: bytes) -> tuple[RegionVertex, ...]:
 # genus and its level parity, with even levels positive.
 _OPENINGS = tuple(tuple("(" + _TAGS[sign, genus] for sign in (1, -1)) for genus in (0, 1))
 
+# _BRACKETS[a][b]: what a genus-free vertex on level b writes after the
+# vertex before it in preorder, on level a: a ")" for each subtree that
+# ends between them, then its own opening.
+_BRACKETS = [
+    [")" * (a - b + 1) + _OPENINGS[0][b & 1] for b in range(_ORDER_CAP)]
+    for a in range(_ORDER_CAP)
+]
 
-def _level_codes(layout: list[int], genus_vertex: int | None) -> tuple[str, str]:
+
+def _bracket_code(levels: bytes) -> str:
+    """AHU code of a genus-free subtree, with even levels positive, read
+    off its canonical level sequence ``levels``, its root first: each
+    vertex's brackets in order, then a ")" for each subtree still open.
+    The module docstring proves it is the code the peel gives."""
+    return "".join([
+        _OPENINGS[0][levels[0] & 1],
+        *map(getitem, map(_BRACKETS.__getitem__, levels), levels[1:]),
+        ")" * (levels[-1] - levels[0] + 1),
+    ])
+
+
+def _bracket_codes(layout: bytes) -> tuple[str, str]:
+    """Canonical codes of a genus-free tree skeleton with even, then odd,
+    levels positive, read off its level sequence (``_bracket_code``).
+
+    WROM roots the tree at its center with the deepest subtree first, so
+    the core is the root alone, or, when the root's first subtree reaches
+    deeper than the rest, vertex 1 with its subtree and the root with the
+    rest.
+    """
+    m = _first_subtree_end(layout)
+    if max(layout) > max(layout[m:], default=0):
+        return _tree_codes([_bracket_code(layout[1:m]), _bracket_code(layout[:1] + layout[m:])])
+    return _tree_codes([_bracket_code(layout)])
+
+
+def _level_codes(layout: bytes, genus_vertex: int | None) -> tuple[str, str]:
     """Canonical codes of a tree skeleton with even, then odd, levels
     positive, from one reverse scan of its level sequence.
 
     Each vertex's AHU code is its opening, its children's codes sorted,
-    and ``)``: the code the peel gives a stripped vertex.  WROM roots the
-    tree at its center with the deepest subtree first, so the core is the
-    root alone, or, when the root's first subtree reaches deeper than the
-    rest, the root without that subtree and vertex 1.
+    and ``)``: the code the peel gives a stripped vertex.  The core is as
+    in ``_bracket_codes``.  The scan sorts, so it also codes a tree with a
+    genus region, whose tag can order siblings against the level sequence.
     """
     # pending[k]: codes of the scanned level-k vertices whose parent is not
     # scanned yet.  In preorder a vertex's children are the vertices one
@@ -262,28 +322,34 @@ def _level_codes(layout: list[int], genus_vertex: int | None) -> tuple[str, str]
 
 
 def _codes(
-    layout: list[int], edges: tuple[tuple[int, int], ...], genus_vertex: int | None
+    layout: bytes, closing: tuple[int, int] | None, genus_vertex: int | None
 ) -> tuple[str, str]:
-    """Canonical codes of a skeleton with even, then odd, levels positive:
-    the second coloring is the first with every sign negated.  A tree is
-    coded from its level sequence, a ring by the peel over its edges."""
-    if len(edges) < len(layout):
-        return _level_codes(layout, genus_vertex)
-    tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
-    return codes_of(_adjacency(len(layout), edges), tags)
+    """Canonical codes of a skeleton, a level sequence and its closing edge
+    or ``None``, with even, then odd, levels positive: the second coloring
+    is the first with every sign negated.  A genus-free tree is read off
+    its level sequence, a tree with a genus region scanned, and a ring
+    peeled."""
+    if closing is not None:
+        tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
+        return codes_of(_adjacency(len(layout), [*_tree_edges(layout), closing]), tags)
+    if genus_vertex is None:
+        return _bracket_codes(layout)
+    return _level_codes(layout, genus_vertex)
 
 
-# One listed class as the generator has it: (code, sorted edges,
-# coloring, code as tagged, code modulo the swap).  The first code is the
-# class's canonical code in the listing's sign mode, and the coloring is
-# ``_coloring``'s: vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The
-# colorings of one skeleton share its edges tuple.
-Row = tuple[str, tuple[tuple[int, int], ...], bytes, str, str]
+# One listed class as the generator has it: (code, level sequence,
+# closing edge or ``None``, coloring, code as tagged, code modulo the
+# swap).  The first code is the class's canonical code in the listing's
+# sign mode, and the coloring is ``_coloring``'s: vertex i is
+# ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the closing edge
+# are the skeleton, whose edges ``_sorted_edges`` gives; the colorings of
+# one skeleton share its sequence.
+Row = tuple[str, bytes, tuple[int, int] | None, bytes, str, str]
 
 
 def _row(
-    layout: list[int],
-    edges: tuple[tuple[int, int], ...],
+    layout: bytes,
+    closing: tuple[int, int] | None,
     positive: int,
     genus_vertex: int | None,
     codes: tuple[str, str],
@@ -293,30 +359,40 @@ def _row(
     negating its signs gives the other coloring."""
     swap_code = min(codes)
     code = swap_code if modulo_swap else codes[positive]
-    return code, edges, _coloring(layout, positive, genus_vertex), codes[positive], swap_code
+    coloring = _coloring(layout, positive, genus_vertex)
+    return code, layout, closing, coloring, codes[positive], swap_code
 
 
-def _graph(row: Row) -> RegionGraph:
-    """The graph of a listed class, built by the generator-only
-    constructor with both codes seeded."""
-    _, edges, coloring, code, swap_code = row
-    return RegionGraph._generated(_vertices(coloring), edges, code, swap_code)
+def _graphs(rows: list[Row]) -> list[RegionGraph]:
+    """The graphs of listed classes, built by the generator-only
+    constructor with both codes seeded; those of one skeleton share its
+    edges."""
+    edges: dict = {}
+    graphs = []
+    for _, layout, closing, coloring, code, swap_code in rows:
+        skeleton = layout, closing
+        if skeleton not in edges:
+            edges[skeleton] = _sorted_edges(layout, closing)
+        graphs.append(
+            RegionGraph._generated(_vertices(coloring), edges[skeleton], code, swap_code)
+        )
+    return graphs
 
 
 def _class_rows(
-    candidates: Iterator[tuple[list[int], tuple[tuple[int, int], ...], int | None]],
+    candidates: Iterator[tuple[bytes, tuple[int, int] | None, int | None]],
     modulo_swap: bool,
 ) -> list[Row]:
-    """One row per class among the candidates (level sequence, sorted
-    edges, genus vertex or ``None``), the first seen per code, sorted by
-    code."""
+    """One row per class among the candidates (level sequence, closing
+    edge or ``None``, genus vertex or ``None``), the first seen per code,
+    sorted by code."""
     out: dict[str, Row] = {}
-    for layout, edges, genus_vertex in candidates:
-        codes = _codes(layout, edges, genus_vertex)
+    for layout, closing, genus_vertex in candidates:
+        codes = _codes(layout, closing, genus_vertex)
         for positive in (0,) if modulo_swap else (0, 1):
             key = min(codes) if modulo_swap else codes[positive]
             if key not in out:
-                out[key] = _row(layout, edges, positive, genus_vertex, codes, modulo_swap)
+                out[key] = _row(layout, closing, positive, genus_vertex, codes, modulo_swap)
     return [out[key] for key in sorted(out)]
 
 
@@ -332,10 +408,9 @@ def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
     for layout in _free_trees(2 * n):
         if _odd_levels(layout) != n:
             continue
-        edges = _sorted_edges(layout)
-        codes = _codes(layout, edges, None)
+        codes = _codes(layout, None, None)
         for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            rows.append(_row(layout, edges, positive, None, codes, modulo_swap))
+            rows.append(_row(layout, None, positive, None, codes, modulo_swap))
     rows.sort(key=itemgetter(0))
     return rows
 
@@ -354,14 +429,14 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     automorphism exchanges the color classes.  Deterministically sorted
     by canonical code.
     """
-    return list(map(_graph, _tree_rows(n, modulo_swap)))
+    return _graphs(_tree_rows(n, modulo_swap))
 
 
 def _torus_candidates(
     max_curves: int,
-) -> Iterator[tuple[list[int], list[tuple[int, int]], int | None]]:
+) -> Iterator[tuple[bytes, tuple[int, int] | None, int | None]]:
     """Every torus skeleton the balance gate admits, as (level sequence,
-    edges, genus vertex or ``None``)."""
+    closing edge or ``None``, genus vertex or ``None``)."""
     # Trees of contractible curves around one genus-carrying region.  The
     # balance P - N = sign(genus region) needs color classes one apart in
     # size, with the genus region in the larger one.
@@ -371,10 +446,9 @@ def _torus_candidates(
             if abs(nv - 2 * odd) != 1:
                 continue
             larger = int(2 * odd > nv)
-            edges = _sorted_edges(layout)
             for genus_vertex in range(nv):
                 if layout[genus_vertex] & 1 == larger:
-                    yield layout, edges, genus_vertex
+                    yield layout, None, genus_vertex
 
     # One essential cycle, possibly with contractible trees attached:
     # every unicyclic graph is a spanning tree plus one closing edge, and
@@ -385,11 +459,10 @@ def _torus_candidates(
         for layout in _free_trees(nv):
             if 2 * _odd_levels(layout) != nv:
                 continue
-            edges = _tree_edges(layout)
             for u in range(nv):
                 for v in range(u + 1, nv):
                     if layout[u] & 1 != layout[v] & 1:
-                        yield layout, tuple(sorted([*edges, (u, v)])), None
+                        yield layout, (u, v), None
 
 
 def check_torus_request(max_curves: int, max_p: int) -> None:
@@ -423,7 +496,7 @@ def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[Region
     Each graph is coded from arrays, then built once.
     ``graph_slopes`` gives the slopes each one is paired with.
     """
-    return list(map(_graph, _torus_rows(max_curves, modulo_swap)))
+    return _graphs(_torus_rows(max_curves, modulo_swap))
 
 
 @cache  # graph_slopes asks for the same bound once per graph
@@ -445,7 +518,7 @@ def graph_slopes(g: RegionGraph, max_p: int) -> Slopes:
 
 def row_slopes(row: Row, max_p: int) -> Slopes:
     """``graph_slopes`` of a listed class's graph, from its row."""
-    return _normalized_slopes(max_p) if len(row[1]) == len(row[2]) else (None,)
+    return (None,) if row[2] is None else _normalized_slopes(max_p)
 
 
 def enum_torus_classes(

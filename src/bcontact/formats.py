@@ -44,7 +44,6 @@ is made.  All emitters order their output deterministically.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import cache
 from operator import getitem
@@ -53,8 +52,10 @@ from .region_graph import RegionGraph, RegionVertex
 from .surfaces import DividingSetClass, Surface
 
 # TableClass (classify), TightCountResult (counting), Row and Slopes
-# (enumeration) name types in annotations only, which are never evaluated:
-# importing them would load those layers for every parse and listing.
+# (enumeration) and Callable name types in annotations only, which are
+# never evaluated: importing them would load those layers for every parse
+# and listing.  So is json, which only JSON input needs, imported where
+# it is used.
 
 
 class ParseError(ValueError):
@@ -95,16 +96,19 @@ def _graph_fragments(form: _Form, g: RegionGraph) -> tuple[str, str]:
 
 
 @cache
-def _tables(form: _Form) -> tuple[list[tuple[str, ...]], list[list[str]]]:
+def _tables(form: _Form) -> tuple[list[tuple[str, ...]], Callable[[bytes, tuple | None], str]]:
     """A form's fragment of every vertex the enumerators make, indexed like
-    ``enumeration._VERTEX_ROWS``, and of every edge, by its two ids."""
-    from .enumeration import _VERTEX_ROWS
+    ``enumeration._VERTEX_ROWS``, and its joined edge fragments of a
+    skeleton (``enumeration.Row``)."""
+    from .enumeration import _VERTEX_ROWS, _sorted_edges
 
     ids = range(len(_VERTEX_ROWS))
-    return (
-        [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS],
-        [[form.edge(a, b) for b in ids] for a in ids],
-    )
+    edge_table = [[form.edge(a, b) for b in ids] for a in ids]
+
+    def skeleton_edges(layout: bytes, closing: tuple[int, int] | None) -> str:
+        return form.separator.join([edge_table[a][b] for a, b in _sorted_edges(layout, closing)])
+
+    return [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS], skeleton_edges
 
 
 def _row_fragments(form: _Form, row: Row, shared: dict) -> tuple[str, str]:
@@ -113,21 +117,20 @@ def _row_fragments(form: _Form, row: Row, shared: dict) -> tuple[str, str]:
     ``shared`` is a dict the caller keeps for one listing, so that rows
     share fragments: a coloring's vertex fragments under its bytes (the
     10,079 trees on 16 regions have 1,049 colorings), and a skeleton's
-    edge fragments under the identity of its edges tuple, which the
-    colorings of the skeleton share.  That entry holds the tuple, so the
-    identity stays its own.
+    edge fragments under its (level sequence, closing edge) pair, which
+    the colorings of the skeleton share.
     """
-    edges, coloring = row[1], row[2]
+    coloring = row[3]
     vertices = shared.get(coloring)
     if vertices is None:
         vertices = form.separator.join(map(getitem, _tables(form)[0], coloring))
         shared[coloring] = vertices
-    skeleton = shared.get(id(edges))
-    if skeleton is None:
-        edge_table = _tables(form)[1]
-        skeleton = edges, form.separator.join([edge_table[a][b] for a, b in edges])
-        shared[id(edges)] = skeleton
-    return vertices, skeleton[1]
+    skeleton = row[1:3]
+    edges = shared.get(skeleton)
+    if edges is None:
+        edges = _tables(form)[1](*skeleton)
+        shared[skeleton] = edges
+    return vertices, edges
 
 
 def _text_blocks(surface: Surface | None, graph: str, slopes: Slopes) -> str:
@@ -205,7 +208,8 @@ def row_json(
 def row_csv(row: Row, slopes: Slopes = (None,)) -> str:
     """A listed class's CSV line ``size,canonical_code,admissible`` once
     per slope."""
-    return f"{len(row[1])},{row[0]},true\n" * len(slopes)
+    # A tree has one edge fewer than vertices, a ring as many.
+    return f"{len(row[1]) - (row[2] is None)},{row[0]},true\n" * len(slopes)
 
 
 def tight_count_to_json_dict(result: TightCountResult) -> dict:
@@ -295,6 +299,8 @@ _VERTEX_KEYS = frozenset({"id", "sign", "genus"})
 
 
 def _parse_json(text: str) -> DividingSetClass:
+    import json
+
     # Past its leading blanks the text is "{...": an object or no JSON.
     try:
         data = json.loads(text)
@@ -339,11 +345,15 @@ def _json_int(value, what: str) -> int:
     # bool is an int subclass, but true/false is not a number.
     if isinstance(value, int) and not isinstance(value, bool):
         return value
+    import json
+
     raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
 
 
 def _json_pair(value, what: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
+        import json
+
         raise ValueError(f"{what} must be a list of two integers, got {json.dumps(value)}")
     return _json_int(value[0], what), _json_int(value[1], what)
 

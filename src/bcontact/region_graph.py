@@ -21,11 +21,19 @@ negated, by exchanging ``+`` and ``-`` in the core codes and ordering
 the core again.  The pass runs on index arrays (``codes_of``), and
 codes every graph read from input, on first use (``_plain_codes``), and
 every ring the torus enumerator makes.  The enumerators code their tree
-skeletons from the level sequence (``enumeration._level_codes``), with
-the tags (``_TAGS``) and tree assembly (``_tree_codes``) stated here
-only.  Either way one pass per skeleton gives both of its colorings'
-codes, and a graph, its codes seeded, is built only for a listed class
-a library caller asks for.  Such a graph is built valid and trusted; any other is checked by
+skeletons from the level sequence, with the tags (``_TAGS``) and tree
+assembly (``_tree_codes``) stated here only.  In a canonical level
+sequence each vertex's children come in non-increasing order of their
+subtrees' sequences, and that is AHU's sorted order of their codes: at
+the first difference the deeper subtree writes "(" where the other
+writes ")", and "(" < ")".  So a genus-free tree's code is its sequence
+read as brackets, with no sort (``enumeration._bracket_codes``).  A
+genus tag can order two siblings against their sequences, and a ring is
+no tree, so a tree with a genus region is coded by a reverse scan that
+sorts (``enumeration._level_codes``) and a ring by the peel.  Either
+way one pass per skeleton gives both of its colorings' codes, and a
+graph, its codes seeded, is built only for a listed class a library
+caller asks for.  Such a graph is built valid and trusted; any other is checked by
 its constructor, so a ``RegionGraph`` that exists is valid and nothing
 downstream checks it.
 

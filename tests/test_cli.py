@@ -107,6 +107,12 @@ ENUM_TORUS_8_3_CSV_SWAP_SHA256 = (
 ENUM_TORUS_7_2_TEXT_SWAP_SHA256 = (
     "92d530dd32624ae9fc81a9a17a2917a978d9783a682938107340d77f7a575aba"
 )
+# sha256 of these CSV listings while tree skeletons were coded by a
+# sorting scan of their level sequences; CSV prints each class's code.
+ENUM_TREES_9_CSV_SHA256 = "4e9bf9de1c5fd4db21ab108b2224647d64f7e11624dfd597c37de40b191a713a"
+ENUM_TREES_9_CSV_SWAP_SHA256 = (
+    "35f225726587c9096edf9eb719c04182c48cded5781b30c6686a3a5ce414aa8b"
+)
 TORUS_TABLE_8_64_SHA256 = "aa4b8a63b1e3c5c5ea82dcd93f44aa04c43059a02b7eec0fa670e9cc447e588c"
 TORUS_TABLE_8_64_JSON_SHA256 = (
     "3633ae927c670ac6e61fd85a2c3f1e6644cd3ef9b31d4806d850a9b4d1b464be"
@@ -1066,11 +1072,14 @@ class TestDeterminism:
               "--no-distinguish-signs"], None, ENUM_TORUS_8_3_CSV_SWAP_SHA256),
             (["enum-torus", "--max-curves", "7", "--max-slope", "2", "--format", "text",
               "--no-distinguish-signs"], None, ENUM_TORUS_7_2_TEXT_SWAP_SHA256),
+            (["enum-trees", "--n", "9", "--format", "csv"], None, ENUM_TREES_9_CSV_SHA256),
+            (["enum-trees", "--n", "9", "--format", "csv", "--no-distinguish-signs"], None,
+             ENUM_TREES_9_CSV_SWAP_SHA256),
         ],
         ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator",
              "enum-trees-8-swap-json", "enum-trees-7-csv", "enum-trees-7-csv-swap",
              "enum-trees-6-text-swap", "enum-torus-8-3-csv", "enum-torus-8-3-csv-swap",
-             "enum-torus-7-2-text-swap"],
+             "enum-torus-7-2-text-swap", "enum-trees-9-csv", "enum-trees-9-csv-swap"],
     )
     def test_output_matches_recorded_digest(self, tmp_path, args, gamma, digest):
         if gamma is not None:

@@ -260,9 +260,9 @@ class TestArrayCodes:
         tried = []
         real_codes = enumeration._codes
 
-        def recording(layout, edges, genus_vertex):
-            codes = real_codes(layout, edges, genus_vertex)
-            tried.append((layout, edges, genus_vertex, codes))
+        def recording(layout, closing, genus_vertex):
+            codes = real_codes(layout, closing, genus_vertex)
+            tried.append((layout, enumeration._sorted_edges(layout, closing), genus_vertex, codes))
             return codes
 
         monkeypatch.setattr(enumeration, "_codes", recording)

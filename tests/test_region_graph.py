@@ -378,15 +378,15 @@ class TestSwapByTranslate:
 
 
 class TestLevelCodes:
-    """The enumerators code a tree skeleton from its level sequence, in one
-    reverse scan; the peel over its edges referees every such code."""
+    """The enumerators code a tree skeleton from its level sequence: a
+    genus-free one by its bracket reading, one with a genus region by a
+    reverse scan.  The peel over its edges referees every such code."""
 
     @staticmethod
     def check(layout, genus_vertex=None):
-        edges = _tree_edges(layout)
-        adj = neighbor_lists(len(layout), edges)
+        adj = neighbor_lists(len(layout), _tree_edges(layout))
         peeled = codes_of(adj, level_tags(layout, 0, genus_vertex))
-        assert enumeration._codes(layout, edges, genus_vertex) == peeled, (
+        assert enumeration._codes(layout, None, genus_vertex) == peeled, (
             layout, genus_vertex
         )
 
@@ -394,7 +394,7 @@ class TestLevelCodes:
         # One center or two, the genus region anywhere or nowhere.
         checked = 0
         for order in range(1, 15):
-            for layout in [[0]] if order == 1 else _free_trees(order):
+            for layout in [bytes(1)] if order == 1 else _free_trees(order):
                 for genus_vertex in (None, *range(order)):
                     self.check(layout, genus_vertex)
                     checked += 1
@@ -407,6 +407,28 @@ class TestLevelCodes:
             self.check(layout)
             checked += 1
         assert checked == 19_320
+
+    def test_every_balanced_tree_on_eighteen_vertices(self):
+        # The skeletons of the sphere classes on 18 regions.
+        checked = 0
+        for layout in _free_trees(18):
+            if sum(level & 1 for level in layout) == 9:
+                self.check(layout)
+                checked += 1
+        assert checked == 30_983
+
+    def test_genus_region_breaks_the_bracket_reading(self):
+        # The two leaves of [0, 1, 1] have equal level sequences, so the
+        # canonical order lists vertex 1 first.  With the genus region on
+        # vertex 1 the reading would write its "(-1)" before vertex 2's
+        # "(-0)", but AHU sorts "(-0)" first: genus candidates are scanned.
+        layout = bytes([0, 1, 1])
+        genus_free = enumeration._codes(layout, None, None)[0]
+        assert genus_free == "T(+0(-0)(-0))"
+        read = genus_free.replace("(-0", "(-1", 1)
+        peeled = codes_of(neighbor_lists(3, _tree_edges(layout)), level_tags(layout, 0, 1))
+        assert (read, peeled[0]) == ("T(+0(-1)(-0))", "T(+0(-0)(-1))")
+        self.check(layout, 1)
 
 
 @st.composite
