@@ -22,26 +22,37 @@ graph: two maximal-dimension leaves (the complement of the critical
 surface), one two-dimensional leaf per region, one one-dimensional leaf
 per curve.
 
-So only a bare cycle's record depends on the slope, and only through its
-tight count.  The batch table is therefore built per graph class, and
-that is its only form (``table_classes``): each graph class is
-classified once, at its first slope, and carries its code and its slopes
-in runs sharing (tight, mixed, fully overtwisted) regimes, the tight
-count of a bare cycle computed once per slope.
+So a class's regimes follow from its surface and shape alone, except a
+bare cycle's, which depend on the slope through its tight count; one
+function (``_regimes``) states them for ``classify`` and for the
+batch table alike.  The table is built per graph class, and that is its
+only form (``table_classes``): it reads each class's shape off the
+generator's row (``enumeration.row_shape``), builds no graph and checks
+nothing again, since the generator makes only admissible classes, and
+keeps the class's slopes in runs sharing (tight, mixed, fully
+overtwisted) regimes.  The products (r, s) of each slope's expansion are
+taken once per table, and a bare cycle's count at each slope comes from
+them (``counting.solid_torus_count``).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
-from .admissibility import is_admissible, tight_shape
-from .counting import TightCountResult, tight_count_solid_torus
-from .region_graph import RegionGraph, canonical_code
+from .counting import (
+    expansion_products,
+    negative_continued_fraction,
+    solid_torus_count,
+    tight_count_solid_torus,
+)
 from .surfaces import DividingSetClass, Surface
 
 # Slopes (enumeration) names a type in annotations only, which are never
-# evaluated; ``table_classes`` imports the enumerator when it runs, so
-# ``classify`` and ``census`` calls do not load it.
+# evaluated; ``table_classes`` imports the enumerator when it runs,
+# so ``classify`` and ``census`` calls do not load it.  Nor does the table
+# load ``admissibility``: ``classify`` and ``leaf_census`` import it when
+# they check a class.
 
 
 class InadmissibleError(ValueError):
@@ -73,95 +84,87 @@ class ClassificationRecord(namedtuple("ClassificationRecord", [
 
 
 def _require_admissible(m: Surface, d: DividingSetClass) -> None:
+    from .admissibility import is_admissible
+
     verdict = is_admissible(m, d)
     if not verdict:
         raise InadmissibleError(verdict.reason)
 
 
+# The regimes of an admissible class with no tight structure, by surface:
+# only the fully overtwisted family, Z + Z on the sphere and Z^2 + Z^2 on
+# the torus; and of the one-curve sphere class.
+_NONE = RegimeDescriptor(0, 0)
+_SPHERE_OT, _TORUS_OT = RegimeDescriptor(1, 2), RegimeDescriptor(1, 4)
+_OVERTWISTED_ONLY = {
+    Surface.SPHERE: (_NONE, _NONE, _SPHERE_OT),
+    Surface.TORUS: (_NONE, _NONE, _TORUS_OT),
+}
+_CONNECTED_SPHERE = (RegimeDescriptor(1, 0), RegimeDescriptor(2, 1), _SPHERE_OT)
+
+
+def _regimes(
+    surface: Surface, tight: bool, fillings: int = 0
+) -> tuple[RegimeDescriptor, RegimeDescriptor, RegimeDescriptor]:
+    """Tight, mixed and fully overtwisted regimes of an admissible class on
+    ``surface``: of the one-curve sphere class or a bare cycle when
+    ``tight`` holds, else of a class with a contractible curve.  A
+    bare cycle's solid-torus sides have ``fillings`` = N(n, -p, q) tight
+    fillings each, so 2N tight structures and 2N x Z^2 mixed ones."""
+    if not tight:
+        return _OVERTWISTED_ONLY[surface]
+    if surface is Surface.SPHERE:
+        return _CONNECTED_SPHERE
+    return RegimeDescriptor(2 * fillings, 0), RegimeDescriptor(2 * fillings, 2), _TORUS_OT
+
+
 def classify(m: Surface, d: DividingSetClass) -> ClassificationRecord:
     """Full classification record of b-contact structures inducing ``d``."""
+    from .admissibility import tight_shape
+
     _require_admissible(m, d)
-    tight_candidate = tight_shape(d)
-
-    if d.surface is Surface.SPHERE:
-        if tight_candidate:
-            return ClassificationRecord(
-                d,
-                tight=RegimeDescriptor(1, 0),
-                mixed=RegimeDescriptor(2, 1),
-                fully_overtwisted=RegimeDescriptor(1, 2),
-            )
-        return ClassificationRecord(
-            d,
-            tight=RegimeDescriptor(0, 0),
-            mixed=RegimeDescriptor(0, 0),
-            fully_overtwisted=RegimeDescriptor(1, 2),
-        )
-
-    if tight_candidate:
-        return _bare_cycle_record(d)
-    return ClassificationRecord(
-        d,
-        tight=RegimeDescriptor(0, 0),
-        mixed=RegimeDescriptor(0, 0),
-        fully_overtwisted=RegimeDescriptor(1, 4),
-    )
+    tight = bool(tight_shape(d))
+    if tight and d.surface is Surface.TORUS:
+        # A bare cycle: the regimes depend on the slope only through the
+        # solid-torus tight count.
+        p, q = d.slope
+        detail = tight_count_solid_torus(d.graph.edge_count // 2, p, q)
+        return ClassificationRecord(d, *_regimes(d.surface, True, detail.count), detail)
+    return ClassificationRecord(d, *_regimes(d.surface, tight))
 
 
-def _bare_cycle_record(d: DividingSetClass) -> ClassificationRecord:
-    """The record of an admissible bare cycle, whose regimes depend on the
-    slope only through the solid-torus tight count."""
-    p, q = d.slope
-    detail = tight_count_solid_torus(d.graph.edge_count // 2, p, q)
-    return ClassificationRecord(d, *_bare_cycle_regimes(detail), detail)
-
-
-def _bare_cycle_regimes(
-    detail: TightCountResult,
-) -> tuple[RegimeDescriptor, RegimeDescriptor, RegimeDescriptor]:
-    """Tight, mixed and fully overtwisted regimes of a bare cycle whose
-    solid-torus sides have ``detail.count`` tight fillings each."""
-    return (
-        RegimeDescriptor(2 * detail.count, 0),
-        RegimeDescriptor(2 * detail.count, 2),
-        RegimeDescriptor(1, 4),
-    )
+def _census(vertex_count: int, edge_count: int) -> LeafCensus:
+    # Both critical surfaces cut the three-sphere in two.
+    return LeafCensus(leaves_dim3=2, leaves_dim2=vertex_count, leaves_dim1=edge_count)
 
 
 def leaf_census(m: Surface, d: DividingSetClass) -> LeafCensus:
     """Leaves of the singular foliation by dimension: (2, regions, curves)."""
     _require_admissible(m, d)
-    return graph_census(d.graph)
+    return _census(d.graph.vertex_count, d.graph.edge_count)
 
 
-def graph_census(g: RegionGraph) -> LeafCensus:
-    """The counting half of ``leaf_census``, for a class already known to be
-    admissible, such as the class of a ``classify`` record.  Both critical
-    surfaces cut the three-sphere in two."""
-    return LeafCensus(
-        leaves_dim3=2,
-        leaves_dim2=g.vertex_count,
-        leaves_dim1=g.edge_count,
-    )
-
-
-class TableClass(namedtuple("TableClass", ["record", "code", "runs"])):
+class TableClass(
+    namedtuple("TableClass", ["code", "surface", "vertex_count", "edge_count", "runs"])
+):
     """One graph class of a classification table, with all of its slopes.
 
-    ``record`` is ``classify``'s ``ClassificationRecord`` of the class at
-    its first slope, and ``code`` its canonical code in the table's sign
-    mode.  ``runs`` holds the class's slopes in order, grouped into runs
-    sharing regimes: tuples ``(slopes, tight, mixed, fully_overtwisted)``
-    of ``Slopes`` and three ``RegimeDescriptor``s.  A class whose regimes
-    do not depend on the slope has one run, whose slopes are ``(None,)``
-    for a tree or a sphere class; a bare cycle has one run per slope.
+    ``code`` is the class's canonical code in the table's sign mode, on
+    the critical surface ``surface``, with ``vertex_count`` regions and
+    ``edge_count`` curves.  ``runs`` holds the class's slopes in order,
+    grouped into runs sharing regimes: tuples ``(slopes, tight, mixed,
+    fully_overtwisted)`` of ``Slopes`` and three ``RegimeDescriptor``s.  A
+    class whose regimes do not depend on the slope has one run, whose
+    slopes are ``(None,)`` for a tree or a sphere class; a bare cycle has
+    one run per slope.
     """
 
     __slots__ = ()
 
     @property
-    def graph(self) -> RegionGraph:
-        return self.record.dividing_set.graph
+    def census(self) -> LeafCensus:
+        """``leaf_census`` of the class, from its counts alone."""
+        return _census(self.vertex_count, self.edge_count)
 
 
 def table_classes(
@@ -175,20 +178,24 @@ def table_classes(
     canonical code, each with its slopes up to ``max_p`` (on the torus
     only; the sphere has no slopes).
 
-    ``classify`` runs once per graph class and, for a bare cycle,
-    ``tight_count_solid_torus`` once per slope.
+    Each class is read off the generator's row, with no graph built and
+    no ``classify``: its regimes are ``_regimes`` of its shape, and a
+    bare cycle's counts come from each slope's expansion products, taken
+    once per table.
     """
     from .enumeration import (
         TREE_CAP,
         ResourceLimitError,
         check_torus_request,
-        enum_equicolored_trees,
-        enum_torus_graphs,
-        graph_slopes,
+        enum_torus_rows,
+        enum_tree_rows,
+        row_shape,
+        row_slopes,
     )
 
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
+    m = Surface(m)
     if m is Surface.SPHERE:
         # Equicolored trees on 2n regions have 2n - 1 curves, so the cap
         # on n admits up to 2 * TREE_CAP curves.
@@ -196,29 +203,38 @@ def table_classes(
             raise ResourceLimitError(
                 f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
             )
-        graphs = [
-            g
+        rows = [
+            row
             for n in range(1, (max_curves + 1) // 2 + 1)
-            for g in enum_equicolored_trees(n, modulo_swap)
+            for row in enum_tree_rows(n, modulo_swap)
         ]
-        graphs.sort(key=lambda g: canonical_code(g, modulo_swap))
-        return [_table_class(m, g, canonical_code(g, modulo_swap), (None,)) for g in graphs]
+        rows.sort(key=itemgetter(0))
+        runs = {tight: (((None,), *_regimes(m, tight)),) for tight in (False, True)}
+        classes = []
+        for row in rows:
+            v, e, _ = row_shape(row)
+            classes.append(TableClass(row[0], m, v, e, runs[e == 1]))
+        return classes
     check_torus_request(max_curves, max_p)
-    return [
-        _table_class(m, g, canonical_code(g, modulo_swap), graph_slopes(g, max_p))
-        for g in enum_torus_graphs(max_curves, modulo_swap)
-    ]
+    products = None
+    classes = []
+    for row in enum_torus_rows(max_curves, modulo_swap):
+        v, e, bare = row_shape(row)
+        slopes = row_slopes(row, max_p)
+        if bare:
+            if products is None:
+                products = [expansion_products(negative_continued_fraction(*s)) for s in slopes]
+            runs = _bare_cycle_runs(e // 2, slopes, products)
+        else:
+            runs = ((slopes, *_regimes(m, False)),)
+        classes.append(TableClass(row[0], m, v, e, runs))
+    return classes
 
 
-def _table_class(m: Surface, g: RegionGraph, code: str, slopes: Slopes) -> TableClass:
-    record = classify(m, DividingSetClass(m, g, slopes[0]))
-    detail = record.tight_count_detail
-    if detail is None:
-        return TableClass(
-            record, code, ((slopes, record.tight, record.mixed, record.fully_overtwisted),)
-        )
-    n = g.edge_count // 2
-    rest = [tight_count_solid_torus(n, p, q) for p, q in slopes[1:]]
-    return TableClass(record, code, tuple([
-        ((slope,), *_bare_cycle_regimes(count)) for slope, count in zip(slopes, (detail, *rest))
-    ]))
+def _bare_cycle_runs(n: int, slopes: Slopes, products: list[tuple[int, int]]) -> tuple:
+    """One run per slope of a bare cycle of 2n curves, each slope's count
+    from its expansion products (r, s)."""
+    return tuple([
+        ((slope,), *_regimes(Surface.TORUS, True, solid_torus_count(n, r, s)))
+        for slope, (r, s) in zip(slopes, products)
+    ])

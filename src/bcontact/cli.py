@@ -16,7 +16,9 @@ Each command imports the layers it calls when it runs, so a call loads
 only those: ``tight-count`` and ``cf`` load ``counting`` alone (and
 ``tight-count --format json`` the I/O layers too), the ``--gamma``
 commands the parser's layers and their own (``classify`` and ``census``
-every layer but ``enumeration``), and ``table`` every layer.  ``json``
+every layer but ``enumeration``), and ``table`` every layer but
+``admissibility``: it reads its classes off the generator's rows, which
+are admissible by construction, and checks none.  ``json``
 loads only for an answer written by ``json.dumps`` (``_dumps``) or for
 JSON input, so listings and text answers skip its import.
 

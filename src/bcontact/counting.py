@@ -130,6 +130,14 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
+def solid_torus_count(n: int, r: int, s: int) -> int:
+    """C_n ((r - s) n + s): N(n, -p, q) from the products (r, s) of the
+    slope's expansion (``expansion_products``), for an ``n`` already
+    checked.  A caller with many curve counts at one slope expands the
+    slope once."""
+    return catalan(n) * ((r - s) * n + s)
+
+
 def tight_count_solid_torus(n: int, p: int, q: int) -> TightCountResult:
     """N(n, -p, q) = C_n ((r - s) n + s) for 2n boundary curves of slope -p/q."""
     if type(n) is not int:
@@ -140,5 +148,5 @@ def tight_count_solid_torus(n: int, p: int, q: int) -> TightCountResult:
         raise ValueError(f"tight count capped at n={TIGHT_N_CAP}, got {n}")
     cf = negative_continued_fraction(p, q)
     r, s = expansion_products(cf)
-    count = catalan(n) * ((r - s) * n + s)
+    count = solid_torus_count(n, r, s)
     return TightCountResult(n=n, p=p, q=q, r=r, s=s, count=count, expansion=cf)

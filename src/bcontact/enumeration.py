@@ -63,7 +63,8 @@ and tree assembly.
 Each class kept is a row (``Row``): its code, its skeleton's level
 sequence as ``bytes`` and a ring's closing edge, its coloring and both of
 its codes, from which the CLI writes its listings (``enum_tree_rows``,
-``enum_torus_rows``); the skeleton's edges follow from the sequence
+``enum_torus_rows``) and the classification table reads each class's
+shape (``row_shape``); the skeleton's edges follow from the sequence
 (``_sorted_edges``).  A ``RegionGraph`` is built from a row only for a
 library caller (``enum_equicolored_trees``, ``enum_torus_graphs``), by
 the generator-only constructor, which seeds its codes and trusts it
@@ -174,10 +175,18 @@ def _next_tree(candidate: bytes) -> bytes:
     return new_candidate
 
 
+@cache
+def _path(order: int) -> bytes:
+    """The level sequence of the path on ``order`` >= 2 vertices rooted at
+    its center, the first free tree WROM gives and the only canonical
+    sequence of a path."""
+    return bytes([*range(order // 2 + 1), *range(1, (order + 1) // 2)])
+
+
 def _free_trees(order: int) -> Iterator[bytes]:
     """Level sequences of the free trees on ``order`` >= 2 vertices, one
     per isomorphism class, starting from the path rooted at its center."""
-    layout = bytes([*range(order // 2 + 1), *range(1, (order + 1) // 2)])
+    layout = _path(order)
     while layout is not None:
         layout = _next_tree(layout)
         yield layout
@@ -519,6 +528,24 @@ def graph_slopes(g: RegionGraph, max_p: int) -> Slopes:
 def row_slopes(row: Row, max_p: int) -> Slopes:
     """``graph_slopes`` of a listed class's graph, from its row."""
     return (None,) if row[2] is None else _normalized_slopes(max_p)
+
+
+def row_shape(row: Row) -> tuple[int, int, bool]:
+    """A listed class's region count V, its curve count E, and whether it
+    is a bare ring, from its row.
+
+    A tree has one edge fewer than vertices, a ring as many.  A ring is
+    bare, every region on two curves, exactly when its skeleton is a path
+    and the closing edge joins the path's two ends: the bottom of its
+    first branch, vertex ``V // 2``, and the last vertex, or the root on
+    two regions, where there is no second branch.
+    """
+    layout, closing = row[1], row[2]
+    order = len(layout)
+    if closing is None:
+        return order, order - 1, False
+    ends = (order // 2 if order > 2 else 0, order - 1)
+    return order, order, closing == ends and layout == _path(order)
 
 
 def enum_torus_classes(

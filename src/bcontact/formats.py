@@ -26,15 +26,18 @@ build them so, a region graph takes no other id, sign or genus, and both
 parsers take no other slope.
 
 The classification table is rendered from its one form, a list of graph
-classes (``classify.table_classes``), each with its slopes in runs
-sharing regimes.  A row, in CSV or as a JSON line, is the head (code,
+classes (``classify.table_classes``), each its code, surface, region and
+curve counts and its slopes in runs sharing regimes, read off the
+generator's rows with no graph built; the renderer checks nothing and
+reads no graph.  A row, in CSV or as a JSON line, is the head (code,
 surface, V, E) and tail (census) strings of its graph class, each
 written once per class, the regime string of its run, written once per
-run, and an f-string of its slope; the CSV form leaves an absent slope
-empty and the JSON form writes ``null``.  Every value is an ``int`` or
-an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
-so nothing needs quoting or escaping: the lines are byte-equal to
-``csv.writer``'s and to ``json.dumps`` of the row dict.
+run, and its slope's text, written once per distinct run of slopes; the
+CSV form leaves an absent slope empty and the JSON form writes
+``null``.  Every value is an ``int`` or an ASCII string of
+``T C ( ) + -`` and digits, ``sphere`` or ``torus``, so nothing needs
+quoting or escaping: the lines are byte-equal to ``csv.writer``'s and to
+``json.dumps`` of the row dict.
 
 A parsed class is a ``DividingSetClass`` of a ``RegionGraph``, each
 checked where it is made (graph invariants, then embeddability), so it
@@ -412,14 +415,14 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
     """CSV or JSON table lines in ``TABLE_COLUMNS`` order, one per (graph
     class, slope), after the CSV header.
 
-    The code, shape and census columns depend on the graph alone, so they
-    are rendered once per graph class, as a head and a tail string, and
-    the regime columns once per run of slopes sharing them; a row formats
-    only its slope.  ``classify`` checked each class when ``table_classes``
-    classified it, so nothing is checked here.
+    The code, shape and census columns depend on the graph class alone,
+    so they are rendered once per class, as a head and a tail string, and
+    the regime columns once per run of slopes sharing them.  The slope
+    columns are formatted once per distinct run of slopes, and a run's
+    rows are its slope texts joined between the head and the regime
+    string.  Every class came from the generator, which makes only
+    admissible ones, so nothing is checked here.
     """
-    from .classify import graph_census
-
     if json_form:
         sep = [f', "{column}": ' for column in TABLE_COLUMNS]
         sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
@@ -429,27 +432,30 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
         sep[0], quote, null, end = "", "", "", "\n"
         blocks = [",".join(TABLE_COLUMNS) + "\n"]
     q_sep = sep[5]
+    # The slope columns of each distinct run of slopes, formatted once: the
+    # ring classes of one table share the run of all slopes.
+    slope_texts: dict[Slopes, list[str]] = {}
     for c in classes:
-        g, census = c.graph, graph_census(c.graph)
+        census = c.census
         head = (
             f"{sep[0]}{quote}{c.code}{quote}"
-            f"{sep[1]}{quote}{c.record.dividing_set.surface.value}{quote}"
-            f"{sep[2]}{g.vertex_count}{sep[3]}{g.edge_count}{sep[4]}"
+            f"{sep[1]}{quote}{c.surface.value}{quote}"
+            f"{sep[2]}{c.vertex_count}{sep[3]}{c.edge_count}{sep[4]}"
         )
         tail = (
             f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
             f"{sep[13]}{census.leaves_dim1}{end}"
         )
-        lines = []
         for slopes, t, m, o in c.runs:
             rest = (
                 f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
                 f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"
             )
-            if slopes == (None,):
-                slopes = ((null, null),)
-            lines += [f"{head}{p}{q_sep}{q}{rest}" for p, q in slopes]
-        blocks.append("".join(lines))
+            texts = slope_texts.get(slopes)
+            if texts is None:
+                pairs = ((null, null),) if slopes == (None,) else slopes
+                texts = slope_texts[slopes] = [f"{p}{q_sep}{q}" for p, q in pairs]
+            blocks += (head, (rest + head).join(texts), rest)
     return "".join(blocks)
 
 

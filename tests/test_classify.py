@@ -9,7 +9,7 @@ from math import comb, gcd
 import pytest
 
 from bcontact import admissibility
-from bcontact.admissibility import is_admissible, is_tight_candidate
+from bcontact.admissibility import is_admissible, is_tight_candidate, tight_shape
 from bcontact.classify import (
     ClassificationRecord,
     InadmissibleError,
@@ -19,12 +19,16 @@ from bcontact.classify import (
     table_classes,
 )
 from bcontact.cli import run_cli
-from bcontact.counting import tight_count_solid_torus
+from bcontact.counting import expansion_products, solid_torus_count, tight_count_solid_torus
 from bcontact.enumeration import (
     ResourceLimitError,
+    enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_graphs,
+    enum_torus_rows,
+    enum_tree_rows,
     graph_slopes,
+    row_shape,
 )
 from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph, canonical_code
@@ -192,16 +196,25 @@ class TestClassificationTable:
             assert (row["ot_finite"], row["ot_rank"]) == (1, 4)
 
 
+def is_bare_ring(g):
+    return g.edge_count == g.vertex_count and set(g.degrees.values()) == {2}
+
+
 class TestFactoredTable:
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_torus_table_equals_per_class_classification(self, modulo_swap):
         classes = table_classes(S3_T2, 6, 12, modulo_swap)
         records = enumerated_records(S3_T2, 6, 12, modulo_swap)
         assert run_entries(classes) == record_entries(records, modulo_swap)
-        # One run per slope for a bare ring, one run of all slopes otherwise.
-        for c in classes:
-            bare = c.record.tight_count_detail is not None
-            assert len(c.runs) == (len(graph_slopes(c.graph, 12)) if bare else 1)
+        # One class per graph, with the graph's shape; one run per slope for
+        # a bare ring, one run of all slopes otherwise.
+        graphs = enum_torus_graphs(6, modulo_swap)
+        assert [c.code for c in classes] == [canonical_code(g, modulo_swap) for g in graphs]
+        for c, g in zip(classes, graphs):
+            assert (c.surface, c.vertex_count, c.edge_count) == (
+                Surface.TORUS, g.vertex_count, g.edge_count
+            )
+            assert len(c.runs) == (len(graph_slopes(g, 12)) if is_bare_ring(g) else 1)
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_sphere_table_equals_per_class_classification(self, modulo_swap):
@@ -209,19 +222,77 @@ class TestFactoredTable:
         records = enumerated_records(S3_S2, 9, modulo_swap=modulo_swap)
         assert run_entries(classes) == record_entries(records, modulo_swap)
         assert all(len(c.runs) == 1 for c in classes)
+        assert [(c.surface, c.vertex_count, c.edge_count) for c in classes] == [
+            (Surface.SPHERE, r.dividing_set.graph.vertex_count, r.dividing_set.graph.edge_count)
+            for r in records
+        ]
 
-    def test_classify_runs_once_per_graph_class(self, monkeypatch):
-        calls = []
+    def test_one_class_per_graph_class_and_no_classify(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the table classified a class object")
 
-        def counting_classify(m, d):
-            calls.append(d)
-            return classify(m, d)
-
-        monkeypatch.setattr(CLASSIFY_MODULE, "classify", counting_classify)
+        monkeypatch.setattr(CLASSIFY_MODULE, "classify", never)
         classes = table_classes(S3_T2, 6, 12)
         rows = sum(len(slopes) for c in classes for slopes, *_ in c.runs)
-        assert len(calls) == len(classes) == len(enum_torus_graphs(6))
-        assert len(calls) < rows == len(enum_torus_classes(6, 12))
+        assert len(classes) == len(enum_torus_graphs(6))
+        assert len(classes) < rows == len(enum_torus_classes(6, 12))
+
+
+class TestTableFromRows:
+    """The table reads each class's shape off the generator's row."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_torus_row_shapes_equal_the_graphs(self, modulo_swap):
+        rows = enum_torus_rows(10, modulo_swap)
+        graphs = enum_torus_graphs(10, modulo_swap)
+        assert len(rows) == len(graphs)
+        bare = 0
+        for row, g in zip(rows, graphs):
+            d = DividingSetClass(Surface.TORUS, g, graph_slopes(g, 1)[0])
+            shape = (g.vertex_count, g.edge_count, bool(tight_shape(d)))
+            assert row_shape(row) == shape
+            bare += shape[2]
+        # One bare ring per even curve count, in each sign mode.
+        assert bare == 5
+        classes = table_classes(S3_T2, 10, 1, modulo_swap)
+        assert len(classes) == len(graphs)
+        for c, g in zip(classes, graphs):
+            d = DividingSetClass(Surface.TORUS, g, graph_slopes(g, 1)[0])
+            assert c.census == leaf_census(S3_T2, d)
+            assert (c.vertex_count, c.edge_count) == (g.vertex_count, g.edge_count)
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_sphere_row_shapes_equal_the_graphs(self, modulo_swap):
+        for n in range(1, 7):
+            rows = enum_tree_rows(n, modulo_swap)
+            for row, g in zip(rows, enum_equicolored_trees(n, modulo_swap), strict=True):
+                d = DividingSetClass(Surface.SPHERE, g)
+                assert row_shape(row) == (g.vertex_count, g.edge_count, False)
+                assert (g.edge_count == 1) == bool(tight_shape(d))
+
+    def test_no_graph_no_class_object_no_classify_no_admissibility(self, monkeypatch):
+        expected = [
+            run_entries(table_classes(S3_T2, 6, 12)),
+            run_entries(table_classes(S3_S2, 9)),
+        ]
+
+        def never(*args, **kwargs):
+            raise AssertionError("the table built or checked a class")
+
+        monkeypatch.setattr(RegionGraph, "_generated", never)
+        monkeypatch.setattr(RegionGraph, "__init__", never)
+        monkeypatch.setattr(DividingSetClass, "__new__", never)
+        monkeypatch.setattr(CLASSIFY_MODULE, "classify", never)
+        monkeypatch.setattr(admissibility, "is_admissible", never)
+        monkeypatch.setattr(admissibility, "tight_shape", never)
+        assert [
+            run_entries(table_classes(S3_T2, 6, 12)),
+            run_entries(table_classes(S3_S2, 9)),
+        ] == expected
+        out = io.StringIO()
+        assert run_cli(TestTableCommandCallCounts.ARGS, out=out) == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == TestTableCommandCallCounts.SHA256
 
 
 def counting_wrapper(calls, name, fn):
@@ -239,12 +310,14 @@ class TestTableCommandCallCounts:
     ARGS = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]
     SHA256 = "a6bdfe3a9cf1330a255ff6a259f91f357ff26217c30fb8e056492152af90cfcf"
 
-    def test_classify_once_per_graph_class_and_count_once_per_ring_slope(self, monkeypatch):
+    def test_no_classify_and_slope_products_once_per_slope(self, monkeypatch):
         calls = {}
         for name, fn in (
             ("classify", classify),
             ("tight_count_solid_torus", tight_count_solid_torus),
             ("ClassificationRecord", ClassificationRecord),
+            ("expansion_products", expansion_products),
+            ("solid_torus_count", solid_torus_count),
         ):
             monkeypatch.setattr(CLASSIFY_MODULE, name, counting_wrapper(calls, name, fn))
         out = io.StringIO()
@@ -254,16 +327,15 @@ class TestTableCommandCallCounts:
         assert text.count("\n") == 1 + 10_242
 
         graphs = enum_torus_graphs(8)
-        bare_rings = [
-            g for g in graphs
-            if g.edge_count == g.vertex_count and set(g.degrees.values()) == {2}
-        ]
+        bare_rings = [g for g in graphs if is_bare_ring(g)]
         slopes = [(p, q) for p in range(1, 17) for q in range(1, p + 1) if gcd(p, q) == 1]
         assert (len(graphs), len(bare_rings), len(slopes)) == (367, 4, 80)
-        assert calls["classify"] == len(graphs)
-        assert calls["tight_count_solid_torus"] == len(bare_rings) * len(slopes)
-        # classify's own record, one per graph class; none per row.
-        assert calls["ClassificationRecord"] == len(graphs)
+        # No record and no class object: each slope is expanded once, and
+        # each bare ring's count at each slope comes from its products.
+        assert "classify" not in calls and "ClassificationRecord" not in calls
+        assert "tight_count_solid_torus" not in calls
+        assert calls["expansion_products"] == len(slopes)
+        assert calls["solid_torus_count"] == len(bare_rings) * len(slopes)
 
 
 class TestAdmissibilityOnce:
@@ -274,7 +346,8 @@ class TestAdmissibilityOnce:
             calls.append(d)
             return is_admissible(m, d)
 
-        monkeypatch.setattr(CLASSIFY_MODULE, "is_admissible", counting_is_admissible)
+        # classify imports the check when it runs, so this is the binding
+        # it calls.
         monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
         classes = [(S3_T2, d) for d in enum_torus_classes(4, 2)] + [
             (S3_S2, sphere_class([1, -1], [(0, 1)])),
@@ -293,7 +366,7 @@ class TestAdmissibilityOnce:
         ids=["manifold0-8-16", "manifold1-9-None"],
     )
     def test_table_renderers_do_not_check_again(self, monkeypatch, manifold, max_curves, max_p):
-        # classify checked every graph class when table_classes classified it.
+        # The generator makes only admissible classes, so nothing checks them.
         # A max_p of None passes no slope bound, as the sphere's table is asked.
         bounds = (max_curves,) if max_p is None else (max_curves, max_p)
         rows = len(enumerated_records(manifold, *bounds))
@@ -304,7 +377,6 @@ class TestAdmissibilityOnce:
             calls.append(d)
             return is_admissible(m, d)
 
-        monkeypatch.setattr(CLASSIFY_MODULE, "is_admissible", counting_is_admissible)
         monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
         assert render_table_csv(classes).count("\n") == 1 + rows
         assert render_table_jsonl(classes).count("\n") == rows
@@ -323,5 +395,6 @@ class TestTableArguments:
             raise AssertionError("enumeration ran before the cap check")
 
         monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
         with pytest.raises(ResourceLimitError):
             table_classes(S3_S2, 30)

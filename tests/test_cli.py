@@ -807,6 +807,7 @@ class TestTableArguments:
             raise AssertionError("enumeration ran before the cap check")
 
         monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
         status, _ = run(["table", "--manifold", "s3-s2", "--max-curves", "30"])
         assert status == 1
         assert "capped" in capsys.readouterr().err
@@ -818,6 +819,7 @@ class TestTableArguments:
             raise AssertionError("enumeration ran before the cap check")
 
         monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
         status, output = run(["table", "--manifold", "s3-s2", "--max-curves", "21"])
         assert (status, output) == (1, "")
         assert capsys.readouterr().err == (
@@ -1112,11 +1114,14 @@ except SystemExit as exc:
 
 
 # The bcontact modules a CLI call loads: those of the arithmetic, those the
-# input parser and the printers need, the enumerator's, and every layer.
+# input parser and the printers need, the enumerator's, the table's, and
+# every layer.  The table reads its classes off the generator's rows, all
+# admissible by construction, so it loads no admissibility check.
 ARITHMETIC = frozenset({"cli", "counting"})
 INPUT_OUTPUT = ARITHMETIC | {"formats", "region_graph", "surfaces"}
 ENUMERATING = INPUT_OUTPUT | {"enumeration"}
-EVERY_LAYER = ENUMERATING | {"admissibility", "classify"}
+TABLING = ENUMERATING | {"classify"}
+EVERY_LAYER = TABLING | {"admissibility"}
 
 
 class TestImportFootprint:
@@ -1166,7 +1171,7 @@ class TestImportFootprint:
             pytest.param(["census", "--gamma", "GAMMA"], EVERY_LAYER - {"enumeration"},
                          id="census"),
             pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
-                         EVERY_LAYER, id="table"),
+                         TABLING, id="table"),
         ],
     )
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
