@@ -23,9 +23,11 @@ loads only for an answer written by ``json.dumps`` (``_dumps``) or for
 JSON input, so listings and text answers skip its import.
 
 ``enum-trees`` and ``enum-torus`` write their listings straight from the
-generator's rows (``enumeration.Row``), one class's lines at a time, and
-``--count-only`` counts the rows: neither builds a graph object.  Graphs
-are built for library callers only.
+generator's rows (``enumeration.Row``), one class's lines at a time
+(``formats.write_listing``), and ``--count-only`` counts the rows:
+neither builds a graph object.  Graphs are built for library callers
+only.  The parser lists every subcommand but adds the arguments of the
+invoked one only (``_CommandParser``).
 """
 
 from __future__ import annotations
@@ -57,60 +59,81 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2)
 
 
+class _CommandParser(_Parser):
+    """A subcommand's parser, which adds its arguments (``_add_arguments``)
+    when it first parses: a call makes only the invoked command's."""
+
+    def __init__(self, *args, command: str, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.pending = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.pending:
+            _add_arguments(self, self.pending)
+            self.pending = ""
+        return super().parse_known_args(args, namespace)
+
+
+_HELP = {
+    "enum-trees": "enumerate equicolored trees (sphere classes)",
+    "enum-torus": "enumerate admissible torus classes",
+    "check": "validate a dividing set and report admissibility",
+    "classify": "classification record for a dividing set",
+    "tight-count": "tight count N(n, -p, q) on the solid torus",
+    "cf": "negative continued fraction of -p/q",
+    "census": "leaf census of the singular foliation",
+    "table": "classification table over all enumerated classes",
+    "export-dot": "emit a Graphviz description of a dividing set",
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """Add the arguments of ``command`` to its parser ``p``."""
+    if command == "enum-trees":
+        p.add_argument("--n", type=int, required=True, help="half the number of regions")
+        p.add_argument("--count-only", action="store_true")
+        _add_sign_mode(p)
+        _add_format(p)
+    elif command == "enum-torus":
+        p.add_argument("--max-curves", type=int, default=4)
+        p.add_argument("--max-slope", type=int, default=3)
+        p.add_argument("--count-only", action="store_true")
+        _add_sign_mode(p)
+        _add_format(p)
+    elif command == "check":
+        p.add_argument("--gamma", required=True, help="input file, or - for stdin")
+        _add_format(p, ("text", "json"))
+    elif command in ("classify", "census"):
+        p.add_argument("--gamma", required=True)
+        _add_format(p, ("text", "json"))
+    elif command == "tight-count":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        _add_format(p, ("text", "json"))
+    elif command == "cf":
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
+        _add_format(p, ("text", "json"))
+    elif command == "table":
+        p.add_argument("--manifold", choices=_MANIFOLDS, required=True)
+        p.add_argument("--max-curves", type=int, default=5)
+        p.add_argument("--max-slope", type=int, default=3)
+        _add_sign_mode(p)
+        _add_format(p, ("csv", "json"))
+    else:  # export-dot
+        p.add_argument("--gamma", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bcontact",
         description="Enumerate and classify dividing sets of b-contact "
         "structures on (S3, S2) and (S3, T2).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enum-trees", help="enumerate equicolored trees (sphere classes)")
-    p.add_argument("--n", type=int, required=True, help="half the number of regions")
-    p.add_argument("--count-only", action="store_true")
-    _add_sign_mode(p)
-    _add_format(p)
-
-    p = sub.add_parser("enum-torus", help="enumerate admissible torus classes")
-    p.add_argument("--max-curves", type=int, default=4)
-    p.add_argument("--max-slope", type=int, default=3)
-    p.add_argument("--count-only", action="store_true")
-    _add_sign_mode(p)
-    _add_format(p)
-
-    p = sub.add_parser("check", help="validate a dividing set and report admissibility")
-    p.add_argument("--gamma", required=True, help="input file, or - for stdin")
-    _add_format(p, ("text", "json"))
-
-    p = sub.add_parser("classify", help="classification record for a dividing set")
-    p.add_argument("--gamma", required=True)
-    _add_format(p, ("text", "json"))
-
-    p = sub.add_parser("tight-count", help="tight count N(n, -p, q) on the solid torus")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p, ("text", "json"))
-
-    p = sub.add_parser("cf", help="negative continued fraction of -p/q")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    _add_format(p, ("text", "json"))
-
-    p = sub.add_parser("census", help="leaf census of the singular foliation")
-    p.add_argument("--gamma", required=True)
-    _add_format(p, ("text", "json"))
-
-    p = sub.add_parser("table", help="classification table over all enumerated classes")
-    p.add_argument("--manifold", choices=_MANIFOLDS, required=True)
-    p.add_argument("--max-curves", type=int, default=5)
-    p.add_argument("--max-slope", type=int, default=3)
-    _add_sign_mode(p)
-    _add_format(p, ("csv", "json"))
-
-    p = sub.add_parser("export-dot", help="emit a Graphviz description of a dividing set")
-    p.add_argument("--gamma", required=True)
-
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for command, help in _HELP.items():
+        sub.add_parser(command, help=help, command=command)
     return parser
 
 
@@ -193,38 +216,15 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_blocks(out, blocks) -> None:
-    """Write ``"\n".join(blocks)``, newline-terminated, one block at a time.
-
-    Each block ends in a newline, so a blank line separates two blocks.
-    """
-    separator = ""
-    for block in blocks:
-        out.write(separator + block)
-        separator = "\n"
-    if not separator:
-        out.write("\n")
-
-
 def _write_rows(out, args, rows, surface=None, slopes=None) -> int:
-    """Write a listing of enumerated rows in ``args.format``, each class's
-    lines as they are made, or with ``--count-only`` its length."""
-    from .formats import row_csv, row_json, row_text
-
-    if slopes is None:
-        slopes = [(None,)] * len(rows)
-    shared: dict = {}
+    """Write a listing of enumerated rows in ``args.format``, or with
+    ``--count-only`` its length."""
     if args.count_only:
-        _emit(out, str(sum(map(len, slopes))))
-    elif args.format == "csv":
-        _emit(out, "size,canonical_code,admissible")
-        for row, s in zip(rows, slopes):
-            out.write(row_csv(row, s))
-    elif args.format == "json":
-        for row, s in zip(rows, slopes):
-            out.write(row_json(row, shared, surface, s) + "\n")
-    else:
-        _emit_blocks(out, (row_text(row, shared, surface, s) for row, s in zip(rows, slopes)))
+        _emit(out, str(len(rows) if slopes is None else sum(map(len, slopes))))
+        return 0
+    from .formats import write_listing
+
+    write_listing(out, rows, args.format, surface, slopes, not args.distinguish_signs)
     return 0
 
 

@@ -31,11 +31,13 @@ candidate that is built is admissible; ``TestTorusBalanceGate`` in the
 test suite builds every ungated candidate on up to nine regions and
 checks that the gate accepts exactly the admissible ones.
 
-Candidates are coded before anything is built.  Negating every sign
-exchanges a skeleton's two colorings, so one pass gives the codes of
-both, and the pair gives the sign-swapped code.  WROM roots a tree
-skeleton at its center, so its core is the root, or the root and vertex
-1, with no leaf peeling, and its AHU codes come off the level sequence.
+Candidates are coded before anything is built, from the level sequence
+alone; no generated class reaches the leaf peel (``codes_of``), which
+codes graphs read from input only.  Negating every sign exchanges a
+skeleton's two colorings, so one pass gives the codes of both, and the
+pair gives the sign-swapped code.  WROM roots a tree skeleton at its
+center, so its core is the root, or the root and vertex 1, with no leaf
+peeling.
 
 A genus-free tree skeleton, a sphere tree, is read as brackets
 (``_bracket_codes``).  Lemma: in a canonical level sequence, where every
@@ -50,19 +52,33 @@ goes deeper writes "(" where the other writes ")", and "(" < ")".  So
 the larger level sequence has the smaller code, the canonical order is
 AHU's sorted order, and nothing is sorted.  A bicentral tree reads as
 the slices ``[1:m]`` and ``[0] + [m:]``, m the root's second child.
-Limits: a genus region's tag can order two siblings against their
-sequences (on ``[0, 1, 1]`` with the genus region at vertex 1 the
-reading gives ``T(+0(-1)(-0))`` and the peel ``T(+0(-0)(-1))``), so a
-genus-1 torus tree is coded by a reverse scan that sorts
-(``_level_codes``); and a ring is no tree, so it is coded by the
-leaf-peeling pass over index arrays (``codes_of``), which also codes
-every graph read from input.  Every shape goes through ``_codes`` and
-takes the code's format from ``region_graph``: its tags, adjacency lists
-and tree assembly.
+
+A torus skeleton is coded once (``_skeleton_codes``): each vertex's
+subtree code, its children already in sorted order by the lemma.  Its
+candidates are put together from those codes.  A genus region's tag can
+order two siblings against their sequences (on ``[0, 1, 1]`` with the
+genus region at vertex 1 the reading gives ``T(+0(-1)(-0))`` and the peel
+``T(+0(-0)(-1))``), so a genus-1 tree recodes the genus region and its
+ancestors, sorting each code from below in among its siblings' codes
+(``_genus_codes``).  A ring's cycle is the tree path between the closing
+edge's ends; each cycle vertex is coded by its neighbors off the cycle:
+its other children and, at the ends' lowest common ancestor, the rest of
+the tree above it, re-rooted at its parent (``_ring_codes``); the least
+rotation or reflection of those codes is the ring's code, as for the peel.
+Every shape goes through ``_codes`` and takes the code's format from
+``region_graph``: its tags and its tree and cycle assembly.
+
+A swap of twin subtrees, equal subtrees of adjacent siblings, is an
+automorphism of the skeleton that keeps levels, so it maps a candidate to
+one with the same codes.  A candidate that a twin swap moves to an
+earlier candidate of its skeleton is skipped (``_twin_windows``): it
+could never be the first seen with its code.  At 14 curves that skips
+25,627 of the 88,239 candidates, a third of the rings.
 
 Each class kept is a row (``Row``): its code, its skeleton's level
-sequence as ``bytes`` and a ring's closing edge, its coloring and both of
-its codes, from which the CLI writes its listings (``enum_tree_rows``,
+sequence as ``bytes`` and a ring's closing edge, its coloring (one
+``bytes`` object per distinct coloring of a listing) and both of its
+codes, from which the CLI writes its listings (``enum_tree_rows``,
 ``enum_torus_rows``) and the classification table reads each class's
 shape (``row_shape``); the skeleton's edges follow from the sequence
 (``_sorted_edges``).  A ``RegionGraph`` is built from a row only for a
@@ -71,9 +87,10 @@ the generator-only constructor, which seeds its codes and trusts it
 valid.  The test suite referees the level-sequence codes against the
 peel on every tree up to fourteen vertices, with and without a genus
 region, on sixteen, and on every balanced tree on eighteen
-(``TestLevelCodes``), every array code on up to nine regions
-(``TestArrayCodes``) and every emitted graph
-(``TestGeneratedGraphsAreValid``).
+(``TestLevelCodes``), on every ring candidate up to twelve curves, and
+the twin skip against the full candidate stream (``TestRingCodes``),
+every array code on up to nine regions (``TestArrayCodes``) and every
+emitted graph (``TestGeneratedGraphsAreValid``).
 
 Distinct free trees are never isomorphic, so the sphere classes are
 emitted skeleton by skeleton, with no table of the codes seen: one class
@@ -95,12 +112,20 @@ runs are byte-identical.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Iterator
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd
 from operator import getitem, itemgetter
 
-from .region_graph import _TAGS, RegionGraph, RegionVertex, _adjacency, _tree_codes, codes_of
+from .region_graph import (
+    _SWAP_SIGNS,
+    _TAGS,
+    RegionGraph,
+    RegionVertex,
+    _cycle_codes,
+    _tree_codes,
+)
 from .surfaces import DividingSetClass, Surface
 
 TREE_CAP = 10
@@ -289,45 +314,152 @@ def _bracket_codes(layout: bytes) -> tuple[str, str]:
     WROM roots the tree at its center with the deepest subtree first, so
     the core is the root alone, or, when the root's first subtree reaches
     deeper than the rest, vertex 1 with its subtree and the root with the
-    rest.
+    rest.  Each vertex writes its 3-character opening and one ``)``, so
+    vertex 1's code is the ``4 (m - 1)`` characters after the root's
+    opening in the reading of the whole tree, and the root's is the
+    rest.  The core's order in ``_tree_codes`` is known without a sort:
+    the root's code opens ``(+``, which sorts before vertex 1's ``(-``,
+    and after it once the signs are negated.
     """
+    code = _bracket_code(layout)
     m = _first_subtree_end(layout)
     if max(layout) > max(layout[m:], default=0):
-        return _tree_codes([_bracket_code(layout[1:m]), _bracket_code(layout[:1] + layout[m:])])
-    return _tree_codes([_bracket_code(layout)])
+        end = 4 * m - 1
+        root, first = code[:3] + code[end:], code[3:end]
+        swapped = first.translate(_SWAP_SIGNS) + root.translate(_SWAP_SIGNS)
+        return "T" + root + first, "T" + swapped
+    return "T" + code, "T" + code.translate(_SWAP_SIGNS)
 
 
-def _level_codes(layout: bytes, genus_vertex: int | None) -> tuple[str, str]:
-    """Canonical codes of a tree skeleton with even, then odd, levels
-    positive, from one reverse scan of its level sequence.
+@lru_cache(maxsize=1)  # the candidates of one skeleton come in a run
+def _skeleton_codes(layout: bytes):
+    """Each vertex's parent (the root's is 0), children, opening and the
+    code of its subtree (``down``), with even levels positive, from one
+    pass down a tree skeleton's level sequence and one back up.
 
-    Each vertex's AHU code is its opening, its children's codes sorted,
-    and ``)``: the code the peel gives a stripped vertex.  The core is as
-    in ``_bracket_codes``.  The scan sorts, so it also codes a tree with a
-    genus region, whose tag can order siblings against the level sequence.
+    The children come in the sequence's order, which is the sorted order
+    of their ``down`` codes (the bracket lemma), so nothing is sorted.
+    The skeleton's candidates share the lists, so none of them changes one.
     """
-    # pending[k]: codes of the scanned level-k vertices whose parent is not
-    # scanned yet.  In preorder a vertex's children are the vertices one
-    # level down between it and the next vertex on its level or above.
-    height = max(layout)
-    pending: list[list[str]] = [[] for _ in range(height + 2)]
-    for i in range(len(layout) - 1, 0, -1):
+    order = len(layout)
+    parent = [0] * order
+    children: list[list[int]] = [[] for _ in range(order)]
+    last = [0] * order
+    for i in range(1, order):
         level = layout[i]
-        opening = _OPENINGS[i == genus_vertex][level & 1]
-        children = pending[level + 1]
-        if children:
-            children.sort()
-            pending[level].append(opening + "".join(children) + ")")
-            children.clear()
+        parent[i] = p = last[level - 1]
+        children[p].append(i)
+        last[level] = i
+    opening = [_OPENINGS[0][level & 1] for level in layout]
+    down = [""] * order
+    for i in range(order - 1, -1, -1):
+        down[i] = opening[i] + "".join([down[j] for j in children[i]]) + ")"
+    return parent, children, opening, down
+
+
+def _twin_windows(layout: bytes) -> tuple[list[int], list[int]]:
+    """For each vertex v, the window ``lo[v] <= u < hi[v]``: the slice of
+    the previous sibling of the innermost later twin whose subtree holds
+    v, or ``[0, order)`` when v lies in no later twin's subtree.
+
+    A later twin is a vertex c whose previous sibling s has an equal
+    subtree, so exchanging their slices of the level sequence is a
+    level-preserving automorphism that moves the indices in c's slice
+    down.  The torus generator keeps a candidate (u, v), u < v, only when
+    u lies in no later twin's subtree and in v's window, and a genus
+    region only when it lies in no later twin's subtree.  The README's
+    "Codes read off level sequences" proves that the skip keeps every
+    first-seen class.
+    """
+    order = len(layout)
+    parent, _, _, down = _skeleton_codes(layout)
+    lo, hi = [0] * order, [order] * order
+    last_child = [0] * order  # 0: no child yet
+    for c in range(1, order):
+        p = parent[c]
+        s, last_child[p] = last_child[p], c
+        lo[c], hi[c] = (s, c) if s and down[s] == down[c] else (lo[p], hi[p])
+    return lo, hi
+
+
+def _genus_codes(layout: bytes, g: int) -> tuple[str, str]:
+    """Canonical codes of a tree skeleton with even, then odd, levels
+    positive and the genus region at vertex g.
+
+    Only g and its ancestors code otherwise than in the genus-free tree:
+    g opens with its genus tag, and each ancestor's code is its opening,
+    its other children's ``down`` codes with the code from below sorted
+    in, and ``)``.  The core is as in ``_bracket_codes``: when it is two
+    vertices, the root's side leaves out vertex 1 (``cut``), and the side
+    without the genus region keeps its genus-free code.
+    """
+    parent, children, opening, down = _skeleton_codes(layout)
+    m = _first_subtree_end(layout)
+    cut = 1 if max(layout) > max(layout[m:], default=0) else 0
+    top = 1 if cut and 0 < g < m else 0
+    # The root's side past its opening; each code's opening is 3 long.
+    root_rest = "".join([down[j] for j in children[0][cut:]]) + ")"
+    code = _OPENINGS[1][layout[g] & 1] + (down[g][3:] if g else root_rest)
+    while g != top:
+        p = parent[g]
+        rest = [down[j] for j in children[p] if j != g and (p or j != cut)]
+        insort(rest, code)
+        code = opening[p] + "".join(rest) + ")"
+        g = p
+    if not cut:
+        return _tree_codes([code])
+    return _tree_codes([code, opening[0] + root_rest if top else down[1]])
+
+
+@lru_cache(maxsize=1)
+def _ring_skeleton(layout: bytes):
+    """``_skeleton_codes`` and, for each vertex, its parent's code with its
+    subtree cut off (``without``) and the code of the tree without its
+    subtree, rooted at its parent (``up``): the codes a ring's cycle
+    vertices are made of, for every closing edge of the skeleton."""
+    parent, children, opening, down = _skeleton_codes(layout)
+    order = len(layout)
+    without = [""] * order
+    up = [""] * order
+    for i in range(1, order):  # in preorder, so a parent's up code is made first
+        p = parent[i]
+        rest = [down[j] for j in children[p] if j != i]
+        without[i] = opening[p] + "".join(rest) + ")"
+        if p:
+            insort(rest, up[p])
+        up[i] = opening[p] + "".join(rest) + ")"
+    return parent, children, opening, down, without, up
+
+
+def _ring_codes(layout: bytes, u: int, v: int) -> tuple[str, str]:
+    """Canonical codes of the tree skeleton ``layout`` closed by the edge
+    (u, v), with even, then odd, levels positive.
+
+    The cycle is the tree path from u up to the ends' lowest common
+    ancestor and down to v.  A cycle vertex's code is its opening, the
+    codes of its neighbors off the cycle, sorted, and ``)``: below the
+    ancestor that is its ``without`` code on the side of its cycle child,
+    or its ``down`` code at an end; at the ancestor, its children off the
+    cycle and, unless it is the root, its ``up`` code.
+    """
+    parent, children, opening, down, without, up = _ring_skeleton(layout)
+    x, y = u, v
+    below_x = below_y = -1  # the cycle child of x, of y
+    side_x: list[str] = []
+    side_y: list[str] = []
+    while x != y:
+        if layout[x] >= layout[y]:
+            side_x.append(down[x] if below_x < 0 else without[below_x])
+            below_x, x = x, parent[x]
         else:
-            pending[level].append(opening + ")")
-    children = pending[1]
-    core = []
-    if height > max(layout[_first_subtree_end(layout):], default=0):
-        core.append(children.pop())  # vertex 1, scanned last on level 1
-    children.sort()
-    core.append(_OPENINGS[genus_vertex == 0][0] + "".join(children) + ")")
-    return _tree_codes(core)
+            side_y.append(down[y] if below_y < 0 else without[below_y])
+            below_y, y = y, parent[y]
+    rest = [down[j] for j in children[x] if j != below_x and j != below_y]
+    if x:
+        insort(rest, up[x])
+    side_x.append(opening[x] + "".join(rest) + ")")
+    side_x += reversed(side_y)
+    return _cycle_codes(side_x)
 
 
 def _codes(
@@ -336,14 +468,13 @@ def _codes(
     """Canonical codes of a skeleton, a level sequence and its closing edge
     or ``None``, with even, then odd, levels positive: the second coloring
     is the first with every sign negated.  A genus-free tree is read off
-    its level sequence, a tree with a genus region scanned, and a ring
-    peeled."""
+    its level sequence, and a tree with a genus region or a ring is put
+    together from its skeleton's codes (``_skeleton_codes``)."""
     if closing is not None:
-        tags = [_TAGS[1 - 2 * (level & 1), 0] for level in layout]
-        return codes_of(_adjacency(len(layout), [*_tree_edges(layout), closing]), tags)
+        return _ring_codes(layout, *closing)
     if genus_vertex is None:
         return _bracket_codes(layout)
-    return _level_codes(layout, genus_vertex)
+    return _genus_codes(layout, genus_vertex)
 
 
 # One listed class as the generator has it: (code, level sequence,
@@ -354,22 +485,6 @@ def _codes(
 # are the skeleton, whose edges ``_sorted_edges`` gives; the colorings of
 # one skeleton share its sequence.
 Row = tuple[str, bytes, tuple[int, int] | None, bytes, str, str]
-
-
-def _row(
-    layout: bytes,
-    closing: tuple[int, int] | None,
-    positive: int,
-    genus_vertex: int | None,
-    codes: tuple[str, str],
-    modulo_swap: bool,
-) -> Row:
-    """The row of coloring ``positive``, whose code is ``codes[positive]``:
-    negating its signs gives the other coloring."""
-    swap_code = min(codes)
-    code = swap_code if modulo_swap else codes[positive]
-    coloring = _coloring(layout, positive, genus_vertex)
-    return code, layout, closing, coloring, codes[positive], swap_code
 
 
 def _graphs(rows: list[Row]) -> list[RegionGraph]:
@@ -394,15 +509,19 @@ def _class_rows(
 ) -> list[Row]:
     """One row per class among the candidates (level sequence, closing
     edge or ``None``, genus vertex or ``None``), the first seen per code,
-    sorted by code."""
+    sorted by code; rows with one coloring share its bytes."""
     out: dict[str, Row] = {}
+    colorings: dict[bytes, bytes] = {}
     for layout, closing, genus_vertex in candidates:
         codes = _codes(layout, closing, genus_vertex)
+        swap_code = min(codes)
         for positive in (0,) if modulo_swap else (0, 1):
-            key = min(codes) if modulo_swap else codes[positive]
-            if key not in out:
-                out[key] = _row(layout, closing, positive, genus_vertex, codes, modulo_swap)
-    return [out[key] for key in sorted(out)]
+            code = swap_code if modulo_swap else codes[positive]
+            if code not in out:
+                coloring = _coloring(layout, positive, genus_vertex)
+                coloring = colorings.setdefault(coloring, coloring)
+                out[code] = code, layout, closing, coloring, codes[positive], swap_code
+    return [out[code] for code in sorted(out)]
 
 
 def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
@@ -412,14 +531,19 @@ def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
     # Distinct free trees are never isomorphic, so each skeleton's classes
     # are its own: one when its two colorings' codes agree (or are
-    # identified), two otherwise.
+    # identified), two otherwise.  Rows with one coloring share its bytes.
     rows = []
+    colorings: dict[bytes, bytes] = {}
     for layout in _free_trees(2 * n):
         if _odd_levels(layout) != n:
             continue
         codes = _codes(layout, None, None)
+        swap_code = min(codes)
         for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            rows.append(_row(layout, None, positive, None, codes, modulo_swap))
+            coloring = _coloring(layout, positive)
+            coloring = colorings.setdefault(coloring, coloring)
+            code = swap_code if modulo_swap else codes[positive]
+            rows.append((code, layout, None, coloring, codes[positive], swap_code))
     rows.sort(key=itemgetter(0))
     return rows
 
@@ -449,28 +573,35 @@ def _torus_candidates(
     # Trees of contractible curves around one genus-carrying region.  The
     # balance P - N = sign(genus region) needs color classes one apart in
     # size, with the genus region in the larger one.
+    # A genus region inside a later twin's subtree is skipped: the twin
+    # swap moves it to an earlier candidate with the same codes.
     for nv in range(2, max_curves + 2):
         for layout in _free_trees(nv):
             odd = _odd_levels(layout)
             if abs(nv - 2 * odd) != 1:
                 continue
             larger = int(2 * odd > nv)
+            hi = _twin_windows(layout)[1]
             for genus_vertex in range(nv):
-                if layout[genus_vertex] & 1 == larger:
+                if layout[genus_vertex] & 1 == larger and hi[genus_vertex] == nv:
                     yield layout, None, genus_vertex
 
     # One essential cycle, possibly with contractible trees attached:
     # every unicyclic graph is a spanning tree plus one closing edge, and
     # a proper 2-coloring survives exactly when the closed cycle is even,
     # i.e. when the tree path between the ends has odd length: when the
-    # ends lie on different levels mod 2.  Balance needs P = N.
+    # ends lie on different levels mod 2.  Balance needs P = N.  A closing
+    # edge that a twin swap moves to an earlier one is skipped.
     for nv in range(2, max_curves + 1):
         for layout in _free_trees(nv):
             if 2 * _odd_levels(layout) != nv:
                 continue
+            lo, hi = _twin_windows(layout)
             for u in range(nv):
+                if hi[u] < nv:
+                    continue
                 for v in range(u + 1, nv):
-                    if layout[u] & 1 != layout[v] & 1:
+                    if layout[u] & 1 != layout[v] & 1 and lo[v] <= u < hi[v]:
                         yield layout, (u, v), None
 
 

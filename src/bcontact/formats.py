@@ -15,11 +15,11 @@ directive is in the text form.
 per graph or class, without building the object first, and
 ``graph_class_json`` writes a graph class at each of its slopes, the
 graph's fields rendered once.  The enumerated listings are written from
-the generator's rows (``enumeration.Row``), with no graph built:
-``row_text``, ``row_json`` and ``row_csv`` write one listed class each,
-its vertex and edge fragments looked up in tables indexed by id, sign
-and genus, and shared by the rows of one listing.  Graphs and rows fill
-the same templates (``_text_blocks``, ``_json_lines``).  The JSON
+the generator's rows (``enumeration.Row``), with no graph built, in
+one loop per listing (``write_listing``): each row's vertex and edge
+fragments are looked up in tables indexed by id, sign and genus, and
+shared by the rows of one listing.  Graphs and rows fill the same
+templates (``_text_blocks``, ``_json_lines``).  The JSON
 bytes equal ``json.dumps`` of the object with its default separators,
 because every id, sign, genus and slope is an ``int``: the enumerators
 build them so, a region graph takes no other id, sign or genus, and both
@@ -114,28 +114,6 @@ def _tables(form: _Form) -> tuple[list[tuple[str, ...]], Callable[[bytes, tuple 
     return [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS], skeleton_edges
 
 
-def _row_fragments(form: _Form, row: Row, shared: dict) -> tuple[str, str]:
-    """``_graph_fragments`` of a listed class's graph, from its row.
-
-    ``shared`` is a dict the caller keeps for one listing, so that rows
-    share fragments: a coloring's vertex fragments under its bytes (the
-    10,079 trees on 16 regions have 1,049 colorings), and a skeleton's
-    edge fragments under its (level sequence, closing edge) pair, which
-    the colorings of the skeleton share.
-    """
-    coloring = row[3]
-    vertices = shared.get(coloring)
-    if vertices is None:
-        vertices = form.separator.join(map(getitem, _tables(form)[0], coloring))
-        shared[coloring] = vertices
-    skeleton = row[1:3]
-    edges = shared.get(skeleton)
-    if edges is None:
-        edges = _tables(form)[1](*skeleton)
-        shared[skeleton] = edges
-    return vertices, edges
-
-
 def _text_blocks(surface: Surface | None, graph: str, slopes: Slopes) -> str:
     """A graph's text alone, or its class's text on ``surface`` at each of
     ``slopes``, separated by blank lines."""
@@ -190,29 +168,64 @@ def graph_class_json(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
     return _json_lines(surface, *_graph_fragments(_JSON, g), slopes)
 
 
-def row_text(
-    row: Row, shared: dict, surface: Surface | None = None, slopes: Slopes = (None,)
-) -> str:
-    """``serialize_graph_text`` of a listed class's graph, or with
-    ``surface``, ``graph_class_text`` of its class at each of ``slopes``,
-    from its row (``enumeration.Row``), with no graph built; ``shared`` is
-    the listing's, as ``_row_fragments`` keeps it."""
-    return _text_blocks(surface, "".join(_row_fragments(_TEXT, row, shared)), slopes)
+def write_listing(
+    out, rows: list[Row], form: str, surface: Surface | None = None,
+    slopes: list[Slopes] | None = None, modulo_swap: bool = False,
+) -> None:
+    """Write a listing of the generator's rows (``enumeration.Row``) to
+    ``out`` in ``form``, one class's lines at a time, with no graph built.
 
+    Each row is ``serialize_graph_text`` or ``graph_json`` of its graph,
+    or with ``surface``, ``graph_class_text`` or ``graph_class_json`` of
+    its class at each of its ``slopes``; text blocks are separated by
+    blank lines, and an empty text listing is one newline.  The CSV form
+    is ``size,canonical_code,admissible`` once per slope.
 
-def row_json(
-    row: Row, shared: dict, surface: Surface | None = None, slopes: Slopes = (None,)
-) -> str:
-    """``graph_json`` or, with ``surface``, ``graph_class_json`` as
-    ``row_text`` gives the text."""
-    return _json_lines(surface, *_row_fragments(_JSON, row, shared), slopes)
-
-
-def row_csv(row: Row, slopes: Slopes = (None,)) -> str:
-    """A listed class's CSV line ``size,canonical_code,admissible`` once
-    per slope."""
-    # A tree has one edge fewer than vertices, a ring as many.
-    return f"{len(row[1]) - (row[2] is None)},{row[0]},true\n" * len(slopes)
+    Rows share fragments.  A coloring's vertex fragments are kept under
+    its bytes (the 10,079 trees on 16 regions have 1,049 colorings).  A
+    skeleton's edge fragments are kept under its level sequence and
+    closing edge.  A torus tree's skeleton keeps them for all of its
+    genus regions.  Any other skeleton has at most one row per coloring,
+    so its edge fragments are kept for its other coloring and dropped
+    when that uses them, and not kept at all when the signs are
+    identified.
+    """
+    if slopes is None:
+        slopes = [(None,)] * len(rows)
+    if form == "csv":
+        out.write("size,canonical_code,admissible\n")
+        for row, row_slopes in zip(rows, slopes):
+            # A tree has one edge fewer than vertices, a ring as many.
+            out.write(f"{len(row[1]) - (row[2] is None)},{row[0]},true\n" * len(row_slopes))
+        return
+    json_form = form == "json"
+    fragments = _JSON if json_form else _TEXT
+    vertex_table, skeleton_edges = _tables(fragments)
+    vertex_texts: dict[bytes, str] = {}
+    edge_texts: dict[tuple, str] = {}
+    separator = ""
+    for row, row_slopes in zip(rows, slopes):
+        coloring = row[3]
+        vertices = vertex_texts.get(coloring)
+        if vertices is None:
+            vertices = fragments.separator.join(map(getitem, vertex_table, coloring))
+            vertex_texts[coloring] = vertices
+        skeleton = row[1:3]
+        genus_tree = surface is not None and row[2] is None
+        edges = edge_texts.get(skeleton)
+        if edges is None:
+            edges = skeleton_edges(*skeleton)
+            if genus_tree or not modulo_swap:
+                edge_texts[skeleton] = edges
+        elif not genus_tree:
+            del edge_texts[skeleton]
+        if json_form:
+            out.write(_json_lines(surface, vertices, edges, row_slopes) + "\n")
+        else:
+            out.write(separator + _text_blocks(surface, vertices + edges, row_slopes))
+            separator = "\n"
+    if not (json_form or separator):
+        out.write("\n")
 
 
 def tight_count_to_json_dict(result: TightCountResult) -> dict:

@@ -18,24 +18,26 @@ a sign- and genus-respecting multigraph isomorphism exists between them
 codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the same pass gives the code with every sign
 negated, by exchanging ``+`` and ``-`` in the core codes and ordering
-the core again.  The pass runs on index arrays (``codes_of``), and
-codes every graph read from input, on first use (``_plain_codes``), and
-every ring the torus enumerator makes.  The enumerators code their tree
-skeletons from the level sequence, with the tags (``_TAGS``) and tree
-assembly (``_tree_codes``) stated here only.  In a canonical level
-sequence each vertex's children come in non-increasing order of their
-subtrees' sequences, and that is AHU's sorted order of their codes: at
-the first difference the deeper subtree writes "(" where the other
-writes ")", and "(" < ")".  So a genus-free tree's code is its sequence
-read as brackets, with no sort (``enumeration._bracket_codes``).  A
-genus tag can order two siblings against their sequences, and a ring is
-no tree, so a tree with a genus region is coded by a reverse scan that
-sorts (``enumeration._level_codes``) and a ring by the peel.  Either
-way one pass per skeleton gives both of its colorings' codes, and a
+the core again.  The pass runs on index arrays (``codes_of``) and codes
+every graph read from input, on first use (``_plain_codes``).  The
+enumerators code their skeletons from the level sequence instead, with
+the tags (``_TAGS``) and the tree and cycle assembly (``_tree_codes``,
+``_cycle_codes``) stated here.  In a canonical level sequence each
+vertex's children come in non-increasing order of their subtrees'
+sequences, and that is AHU's sorted order of their codes: at the first
+difference the deeper subtree writes "(" where the other writes ")",
+and "(" < ")".  So a genus-free tree's code is its sequence read as
+brackets, with no sort, its core too in ``_tree_codes``' order
+(``enumeration._bracket_codes``).  A torus skeleton's subtree codes
+come from one pass, and each of its genus-1 trees and rings is put
+together from them: the genus region and its ancestors are sorted in
+anew (``enumeration._genus_codes``), or the cycle's vertices are coded
+by their neighbors off the cycle (``enumeration._ring_codes``).  Either
+way one pass per candidate gives both of its colorings' codes, and a
 graph, its codes seeded, is built only for a listed class a library
-caller asks for.  Such a graph is built valid and trusted; any other is checked by
-its constructor, so a ``RegionGraph`` that exists is valid and nothing
-downstream checks it.
+caller asks for.  Such a graph is built valid and trusted; any other is
+checked by its constructor, so a ``RegionGraph`` that exists is valid
+and nothing downstream checks it.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -382,6 +384,15 @@ def _tree_codes(core) -> tuple[str, str]:
     return "T" + "".join(codes), "T" + "".join(swapped)
 
 
+def _cycle_codes(cycle: list[str]) -> tuple[str, str]:
+    """``C``, the cycle length and the least rotation or reflection of a
+    unicyclic graph's core codes in walk order, as tagged and with signs
+    negated."""
+    swapped = [code.translate(_SWAP_SIGNS) for code in cycle]
+    prefix = f"C{len(cycle)}"
+    return prefix + "".join(_min_rotation(cycle)), prefix + "".join(_min_rotation(swapped))
+
+
 def codes_of(adj: list[list[int]], tags: list[str]) -> tuple[str, str]:
     """Canonical codes of a valid region graph on vertices ``0..n-1``, as
     tagged and with every sign negated, from one ``_peel``.
@@ -393,10 +404,7 @@ def codes_of(adj: list[list[int]], tags: list[str]) -> tuple[str, str]:
     core = _peel(adj, tags)
     if sum(map(len, adj)) < 2 * len(adj):
         return _tree_codes(core.values())
-    cycle = [core[v] for v in _cycle_walk(adj, core)]
-    swapped = [code.translate(_SWAP_SIGNS) for code in cycle]
-    prefix = f"C{len(cycle)}"
-    return prefix + "".join(_min_rotation(cycle)), prefix + "".join(_min_rotation(swapped))
+    return _cycle_codes([core[v] for v in _cycle_walk(adj, core)])
 
 
 def _plain_codes(g: RegionGraph) -> tuple[str, str]:

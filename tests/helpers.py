@@ -6,12 +6,20 @@ off the Farey graph, with no continued fraction, and must not call
 ``enumerated_records`` and ``table_rows`` referee the classification
 table: the rows of ``classify`` of every enumerated class, built field by
 field, without ``table_classes``.
+``all_torus_candidates`` and ``twin_image`` referee the torus generator's
+twin skip: the candidate stream with no candidate skipped, and the
+earlier candidate a twin swap moves a skipped one to.
 """
 
 from itertools import groupby
 
 from bcontact.classify import classify, leaf_census
-from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.enumeration import (
+    _free_trees,
+    _tree_edges,
+    enum_equicolored_trees,
+    enum_torus_classes,
+)
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
 
@@ -115,3 +123,58 @@ def table_rows(records, modulo_swap=False):
             "leaves_1": census.leaves_dim1,
         })
     return rows
+
+
+def all_torus_candidates(max_curves):
+    """Every torus candidate the balance gate admits, in the generator's
+    order, with none skipped: (level sequence, closing edge or ``None``,
+    genus vertex or ``None``)."""
+    for nv in range(2, max_curves + 2):
+        for layout in _free_trees(nv):
+            odd = sum(level & 1 for level in layout)
+            if abs(nv - 2 * odd) == 1:
+                for g in range(nv):
+                    if layout[g] & 1 == int(2 * odd > nv):
+                        yield layout, None, g
+    for nv in range(2, max_curves + 1):
+        for layout in _free_trees(nv):
+            if 2 * sum(level & 1 for level in layout) == nv:
+                for u in range(nv):
+                    for v in range(u + 1, nv):
+                        if layout[u] & 1 != layout[v] & 1:
+                            yield layout, (u, v), None
+
+
+def _later_twins(layout):
+    """(s, c, e) for each vertex c of a level sequence whose previous
+    sibling s has a subtree equal to c's, whose slice is ``[c, e)``."""
+    parent = {b: a for a, b in _tree_edges(layout)}
+    ends = [
+        next((j for j in range(i + 1, len(layout)) if layout[j] <= layout[i]), len(layout))
+        for i in range(len(layout))
+    ]
+    twins = []
+    for c in range(1, len(layout)):
+        siblings = [s for s in range(1, c) if parent[s] == parent[c]]
+        if siblings and layout[siblings[-1]:c] == layout[c:ends[c]]:
+            twins.append((siblings[-1], c, ends[c]))
+    return twins
+
+
+def twin_image(layout, closing, genus_vertex):
+    """The candidate that a swap of twin subtrees moves a candidate to,
+    when that candidate comes earlier in the generator's order, else
+    ``None``: the swap exchanges the slices ``[s, c)`` and ``[c, e)`` of
+    twins s, c and keeps every level."""
+    for s, c, e in _later_twins(layout):
+        def swap(x):
+            return x - (c - s) if c <= x < e else x + (e - c) if s <= x < c else x
+
+        if closing is None:
+            if c <= genus_vertex < e:
+                return layout, None, swap(genus_vertex)
+        else:
+            image = tuple(sorted(map(swap, closing)))
+            if image < closing:
+                return layout, image, None
+    return None

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs and the exit-status contract."""
 
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcontact import counting
-from bcontact.cli import run_cli
+from bcontact import cli, counting, formats
+from bcontact.cli import build_parser, run_cli
 from bcontact.enumeration import (
     enum_equicolored_trees,
     enum_torus_classes,
@@ -253,6 +254,79 @@ class TestListingsMatchLibrary:
             ), max_curves
             classes = enum_torus_classes(max_curves, max_p, modulo_swap)
             assert run([*args, "--count-only"]) == (0, f"{len(classes)}\n")
+
+
+class TestListingFragments:
+    """A listing makes each skeleton's edge text once: the other coloring
+    of a skeleton, or another genus region of a torus tree, reuses it."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("argv", [
+        ["enum-trees", "--n", "6"],
+        ["enum-torus", "--max-curves", "9", "--max-slope", "2"],
+    ])
+    def test_edge_text_made_once_per_skeleton(self, monkeypatch, argv, modulo_swap):
+        made = []
+        real_tables = formats._tables
+
+        def counting_tables(form):
+            vertex_table, skeleton_edges = real_tables(form)
+
+            def counted(layout, closing):
+                made.append((layout, closing))
+                return skeleton_edges(layout, closing)
+
+            return vertex_table, counted
+
+        monkeypatch.setattr(formats, "_tables", counting_tables)
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for fmt in ("json", "text"):
+            made.clear()
+            assert run([*argv, *sign_mode, "--format", fmt])[0] == 0
+            assert len(made) == len(set(made)), (argv, fmt)
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _eager_parser():
+    """``build_parser`` with every command's arguments added up front."""
+    parser = build_parser()
+    for command, sub in _subparsers(parser).items():
+        cli._add_arguments(sub, command)
+        sub.pending = ""
+    return parser
+
+
+class TestParser:
+    """The parser adds a command's arguments only when the command runs,
+    and says the same bytes as one with every argument added up front."""
+
+    def test_only_the_invoked_command_gets_its_arguments(self):
+        parser = build_parser()
+        parser.parse_args(["cf", "--p", "3", "--q", "2"])
+        added = {command: len(sub._actions) > 1 for command, sub in _subparsers(parser).items()}
+        assert added == {command: command == "cf" for command in added}
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        *([command, "--help"] for command in cli._HELP),
+        *([command, "--bogus"] for command in cli._HELP),
+        ["tight-count", "--n", "1"],
+        ["frobnicate"],
+        [],
+    ])
+    def test_help_usage_and_errors_as_with_every_argument(self, capsys, argv):
+        status, out = run(argv)
+        lazy = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            _eager_parser().parse_args(argv)
+        eager = capsys.readouterr()
+        assert (status, out) == (exit_info.value.code, "")
+        assert (lazy.out, lazy.err) == (eager.out, eager.err)
+        assert lazy.out or lazy.err
 
 
 class TestArithmeticCommands:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from bcontact import enumeration
+from bcontact import enumeration, region_graph
 from bcontact.admissibility import euler_pairing, is_admissible
 from bcontact.enumeration import (
     ResourceLimitError,
@@ -15,9 +15,10 @@ from bcontact.enumeration import (
     enum_torus_graphs,
     graph_slopes,
 )
-from bcontact.region_graph import RegionGraph, canonical_code, validate
+from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
+from helpers import all_torus_candidates, twin_image
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
 
@@ -275,8 +276,9 @@ class TestArrayCodes:
                 g = _colored_graph(layout, edges, positive, genus_vertex)
                 assert codes[positive] == canonical_code(g), (layout, edges, positive)
                 assert min(codes) == canonical_code(g, True), (layout, edges, positive)
-        # Per mode: 1 + 1 + 3 + 9 balanced trees, 352 gated torus skeletons.
-        assert len(tried) == 2 * (14 + 352)
+        # Per mode: 1 + 1 + 3 + 9 balanced trees, and the 244 gated torus
+        # skeletons the twin skip leaves of 352.
+        assert len(tried) == 2 * (14 + 244)
 
         # Graphs are built only for emitted classes, trusted valid (checked
         # here), with codes seeded.
@@ -287,3 +289,79 @@ class TestArrayCodes:
             assert (fresh.vertices, fresh.edges) == (g.vertices, g.edges)
             for mode in (False, True):
                 assert canonical_code(g, mode) == canonical_code(fresh, mode)
+
+
+def _peeled(layout, closing, genus_vertex):
+    """``codes_of`` on a candidate's edges, with even levels positive."""
+    adj = [[] for _ in layout]
+    for a, b in _tree_edges(layout) + ([closing] if closing else []):
+        adj[a].append(b)
+        adj[b].append(a)
+    tags = [
+        ("+" if level % 2 == 0 else "-") + str(int(v == genus_vertex))
+        for v, level in enumerate(layout)
+    ]
+    return codes_of(adj, tags)
+
+
+class TestRingCodes:
+    """Generated rings are coded from their skeleton's level sequence and
+    the candidates a twin swap moves to earlier ones are skipped; the peel
+    and the full candidate stream referee both."""
+
+    def test_skeleton_coder_matches_the_peel_on_every_ring_candidate(self):
+        # Every gated ring candidate up to 12 curves, before the twin skip.
+        checked = 0
+        for layout, closing, genus_vertex in all_torus_candidates(12):
+            if closing is not None:
+                codes = enumeration._codes(layout, closing, None)
+                assert codes == _peeled(layout, closing, None), (layout, closing)
+                checked += 1
+        assert checked == 7_149
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_twin_skip_keeps_every_row(self, modulo_swap):
+        full = enumeration._class_rows(all_torus_candidates(12), modulo_swap)
+        assert enumeration._torus_rows(12, modulo_swap) == full
+
+    def test_each_skipped_candidate_codes_as_its_twin_image(self):
+        kept = set(enumeration._torus_candidates(12))
+        order = {}  # each candidate's place in the full stream
+        skipped = []
+        for candidate in all_torus_candidates(12):
+            order[candidate] = len(order)
+            if candidate not in kept:
+                skipped.append(candidate)
+        rings = sum(1 for _, closing, _ in skipped if closing is not None)
+        assert (rings, len(skipped) - rings) == (7_149 - 4_817, 5_819 - 4_337)
+        for candidate in skipped:
+            image = twin_image(*candidate)
+            # An earlier candidate of the same skeleton, with the same codes.
+            assert order[image] < order[candidate], candidate
+            assert enumeration._codes(*image) == enumeration._codes(*candidate), candidate
+
+    def test_candidate_counts(self):
+        # Ring candidates, then genus candidates, after the twin skip.
+        for max_curves, expected in [(10, (736, 697)), (14, (34_259, 28_353))]:
+            rings = trees = 0
+            for _, closing, _ in enumeration._torus_candidates(max_curves):
+                if closing is None:
+                    trees += 1
+                else:
+                    rings += 1
+            assert (rings, trees) == expected
+
+    @pytest.mark.parametrize("modulo_swap", [False, True])
+    def test_torus_rows_reach_no_peel(self, monkeypatch, modulo_swap):
+        expected = enumeration.enum_torus_rows(10, modulo_swap)
+
+        def never(*args):
+            raise AssertionError("a generated class reached the peel")
+
+        monkeypatch.setattr(region_graph, "codes_of", never)
+        monkeypatch.setattr(region_graph, "_peel", never)
+        assert enumeration.enum_torus_rows(10, modulo_swap) == expected
+        # A graph from input is still peeled.
+        ring = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
+        with pytest.raises(AssertionError, match="peel"):
+            canonical_code(ring)

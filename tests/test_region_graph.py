@@ -379,8 +379,9 @@ class TestSwapByTranslate:
 
 class TestLevelCodes:
     """The enumerators code a tree skeleton from its level sequence: a
-    genus-free one by its bracket reading, one with a genus region by a
-    reverse scan.  The peel over its edges referees every such code."""
+    genus-free one by its bracket reading, one with a genus region by
+    sorting the genus region's code in at each of its ancestors.  The peel
+    over its edges referees every such code."""
 
     @staticmethod
     def check(layout, genus_vertex=None):
@@ -421,7 +422,7 @@ class TestLevelCodes:
         # The two leaves of [0, 1, 1] have equal level sequences, so the
         # canonical order lists vertex 1 first.  With the genus region on
         # vertex 1 the reading would write its "(-1)" before vertex 2's
-        # "(-0)", but AHU sorts "(-0)" first: genus candidates are scanned.
+        # "(-0)", but AHU sorts "(-0)" first: a genus code is sorted in.
         layout = bytes([0, 1, 1])
         genus_free = enumeration._codes(layout, None, None)[0]
         assert genus_free == "T(+0(-0)(-0))"
