@@ -186,6 +186,7 @@ def table_classes(
     from .enumeration import (
         TREE_CAP,
         ResourceLimitError,
+        _check_ints,
         check_torus_request,
         enum_torus_rows,
         enum_tree_rows,
@@ -193,6 +194,7 @@ def table_classes(
         row_slopes,
     )
 
+    _check_ints(max_curves=max_curves, max_p=max_p)
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
     m = Surface(m)

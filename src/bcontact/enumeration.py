@@ -32,8 +32,8 @@ test suite builds every ungated candidate on up to nine regions and
 checks that the gate accepts exactly the admissible ones.
 
 Candidates are coded before anything is built, from the level sequence
-alone; no generated class reaches the leaf peel (``codes_of``), which
-codes graphs read from input only.  Negating every sign exchanges a
+alone; no row reaches the leaf peel (``codes_of``), which codes
+``RegionGraph`` objects only.  Negating every sign exchanges a
 skeleton's two colorings, so one pass gives the codes of both, and the
 pair gives the sign-swapped code.  WROM roots a tree skeleton at its
 center, so its core is the root, or the root and vertex 1, with no leaf
@@ -76,21 +76,21 @@ could never be the first seen with its code.  At 14 curves that skips
 25,627 of the 88,239 candidates, a third of the rings.
 
 Each class kept is a row (``Row``): its code, its skeleton's level
-sequence as ``bytes`` and a ring's closing edge, its coloring (one
-``bytes`` object per distinct coloring of a listing) and both of its
-codes, from which the CLI writes its listings (``enum_tree_rows``,
-``enum_torus_rows``) and the classification table reads each class's
-shape (``row_shape``); the skeleton's edges follow from the sequence
-(``_sorted_edges``).  A ``RegionGraph`` is built from a row only for a
-library caller (``enum_equicolored_trees``, ``enum_torus_graphs``), by
-the generator-only constructor, which seeds its codes and trusts it
-valid.  The test suite referees the level-sequence codes against the
+sequence as ``bytes`` and a ring's closing edge, and its coloring (one
+``bytes`` object per distinct coloring of a listing), from which the CLI
+writes its listings (``enum_tree_rows``, ``enum_torus_rows``) and the
+classification table reads each class's shape (``row_shape``); the
+skeleton's edges follow from the sequence (``_sorted_edges``).  A
+``RegionGraph`` is built from a row only for a library caller
+(``enum_equicolored_trees``, ``enum_torus_graphs``), by its constructor,
+which checks it; its codes come from the peel on first use, as for any
+graph.  The test suite referees the level-sequence codes against the
 peel on every tree up to fourteen vertices, with and without a genus
 region, on sixteen, and on every balanced tree on eighteen
 (``TestLevelCodes``), on every ring candidate up to twelve curves, and
 the twin skip against the full candidate stream (``TestRingCodes``),
 every array code on up to nine regions (``TestArrayCodes``) and every
-emitted graph (``TestGeneratedGraphsAreValid``).
+listed class of the library callers (``TestGeneratedGraphsAreValid``).
 
 Distinct free trees are never isomorphic, so the sphere classes are
 emitted skeleton by skeleton, with no table of the codes seen: one class
@@ -140,6 +140,14 @@ Slopes = tuple[tuple[int, int] | None, ...]
 
 class ResourceLimitError(ValueError):
     """Raised when an enumeration request exceeds its configured cap."""
+
+
+def _check_ints(**sizes: int) -> None:
+    """Reject a size that is not an ``int``: a ``bool`` is not one, nor is
+    a float, even one equal to an integer."""
+    for name, size in sizes.items():
+        if type(size) is not int:
+            raise ValueError(f"{name}={size!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +486,21 @@ def _codes(
 
 
 # One listed class as the generator has it: (code, level sequence,
-# closing edge or ``None``, coloring, code as tagged, code modulo the
-# swap).  The first code is the class's canonical code in the listing's
-# sign mode, and the coloring is ``_coloring``'s: vertex i is
-# ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the closing edge
-# are the skeleton, whose edges ``_sorted_edges`` gives; the colorings of
-# one skeleton share its sequence.
-Row = tuple[str, bytes, tuple[int, int] | None, bytes, str, str]
+# closing edge or ``None``, coloring).  The code is the class's canonical
+# code in the listing's sign mode, and the coloring is ``_coloring``'s:
+# vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the
+# closing edge are the skeleton, whose edges ``_sorted_edges`` gives; the
+# colorings of one skeleton share its sequence.
+Row = tuple[str, bytes, tuple[int, int] | None, bytes]
 
 
 def _graphs(rows: list[Row]) -> list[RegionGraph]:
-    """The graphs of listed classes, built by the generator-only
-    constructor with both codes seeded; those of one skeleton share its
-    edges."""
-    edges: dict = {}
-    graphs = []
-    for _, layout, closing, coloring, code, swap_code in rows:
-        skeleton = layout, closing
-        if skeleton not in edges:
-            edges[skeleton] = _sorted_edges(layout, closing)
-        graphs.append(
-            RegionGraph._generated(_vertices(coloring), edges[skeleton], code, swap_code)
-        )
-    return graphs
+    """The graphs of listed classes, each built and checked by its
+    constructor; their codes come from the peel on first use."""
+    return [
+        RegionGraph(_vertices(coloring), _sorted_edges(layout, closing))
+        for _, layout, closing, coloring in rows
+    ]
 
 
 def _class_rows(
@@ -514,17 +514,19 @@ def _class_rows(
     colorings: dict[bytes, bytes] = {}
     for layout, closing, genus_vertex in candidates:
         codes = _codes(layout, closing, genus_vertex)
-        swap_code = min(codes)
         for positive in (0,) if modulo_swap else (0, 1):
-            code = swap_code if modulo_swap else codes[positive]
+            code = min(codes) if modulo_swap else codes[positive]
             if code not in out:
                 coloring = _coloring(layout, positive, genus_vertex)
                 coloring = colorings.setdefault(coloring, coloring)
-                out[code] = code, layout, closing, coloring, codes[positive], swap_code
+                out[code] = code, layout, closing, coloring
     return [out[code] for code in sorted(out)]
 
 
-def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
+def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
+    """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
+    order, with no graph built."""
+    _check_ints(n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
@@ -538,20 +540,13 @@ def _tree_rows(n: int, modulo_swap: bool) -> list[Row]:
         if _odd_levels(layout) != n:
             continue
         codes = _codes(layout, None, None)
-        swap_code = min(codes)
         for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
             coloring = _coloring(layout, positive)
             coloring = colorings.setdefault(coloring, coloring)
-            code = swap_code if modulo_swap else codes[positive]
-            rows.append((code, layout, None, coloring, codes[positive], swap_code))
+            code = min(codes) if modulo_swap else codes[positive]
+            rows.append((code, layout, None, coloring))
     rows.sort(key=itemgetter(0))
     return rows
-
-
-def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
-    """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
-    order, with no graph built."""
-    return _tree_rows(n, modulo_swap)
 
 
 def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGraph]:
@@ -562,7 +557,7 @@ def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGrap
     automorphism exchanges the color classes.  Deterministically sorted
     by canonical code.
     """
-    return _graphs(_tree_rows(n, modulo_swap))
+    return _graphs(enum_tree_rows(n, modulo_swap))
 
 
 def _torus_candidates(
@@ -608,6 +603,7 @@ def _torus_candidates(
 def check_torus_request(max_curves: int, max_p: int) -> None:
     """Reject a torus enumeration of ``max_curves`` curves and slopes up to
     ``max_p`` out of range, before any work."""
+    _check_ints(max_curves=max_curves, max_p=max_p)
     if max_curves < 1 or max_p < 1:
         raise ValueError("max_curves and max_p must be >= 1")
     if max_curves > CURVE_CAP:
@@ -618,15 +614,11 @@ def check_torus_request(max_curves: int, max_p: int) -> None:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
 
-def _torus_rows(max_curves: int, modulo_swap: bool) -> list[Row]:
-    check_torus_request(max_curves, 1)
-    return _class_rows(_torus_candidates(max_curves), modulo_swap)
-
-
 def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:
     """The rows of ``enum_torus_graphs(max_curves, modulo_swap)``, in its
     order, with no graph built; ``row_slopes`` gives each one's slopes."""
-    return _torus_rows(max_curves, modulo_swap)
+    check_torus_request(max_curves, 1)
+    return _class_rows(_torus_candidates(max_curves), modulo_swap)
 
 
 def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[RegionGraph]:
@@ -636,7 +628,7 @@ def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[Region
     Each graph is coded from arrays, then built once.
     ``graph_slopes`` gives the slopes each one is paired with.
     """
-    return _graphs(_torus_rows(max_curves, modulo_swap))
+    return _graphs(enum_torus_rows(max_curves, modulo_swap))
 
 
 @cache  # graph_slopes asks for the same bound once per graph

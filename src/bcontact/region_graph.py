@@ -19,7 +19,7 @@ codes the stripped trees and leaves the tree's center or the graph's
 cycle to code last; the same pass gives the code with every sign
 negated, by exchanging ``+`` and ``-`` in the core codes and ordering
 the core again.  The pass runs on index arrays (``codes_of``) and codes
-every graph read from input, on first use (``_plain_codes``).  The
+every ``RegionGraph``, on first use (``_plain_codes``).  The
 enumerators code their skeletons from the level sequence instead, with
 the tags (``_TAGS``) and the tree and cycle assembly (``_tree_codes``,
 ``_cycle_codes``) stated here.  In a canonical level sequence each
@@ -34,10 +34,10 @@ together from them: the genus region and its ancestors are sorted in
 anew (``enumeration._genus_codes``), or the cycle's vertices are coded
 by their neighbors off the cycle (``enumeration._ring_codes``).  Either
 way one pass per candidate gives both of its colorings' codes, and a
-graph, its codes seeded, is built only for a listed class a library
-caller asks for.  Such a graph is built valid and trusted; any other is
-checked by its constructor, so a ``RegionGraph`` that exists is valid
-and nothing downstream checks it.
+graph is built only for a listed class a library caller asks for.  Every
+graph, read from input or listed, is made by its constructor, which
+checks it, so a ``RegionGraph`` that exists is valid and nothing
+downstream checks it.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -137,28 +137,6 @@ class RegionGraph:
     def genus_sum(self) -> int:
         return sum(v.genus for v in self.vertices)
 
-    @classmethod
-    def _generated(
-        cls,
-        vertices: tuple[RegionVertex, ...],
-        edges: tuple[tuple[int, int], ...],
-        code: str,
-        swap_code: str,
-    ) -> RegionGraph:
-        """A graph the enumerators emit, with its codes already known.
-
-        ``vertices`` are in id order and ``edges`` are sorted (smaller id
-        first) pairs, as the constructor normalizes them, so graphs of one
-        skeleton share its edges.  The generator builds the graph valid,
-        so it bypasses the constructor's check; the test suite referees it
-        with ``validate``.
-        """
-        g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", edges)
-        g.__dict__["_codes"] = (code, swap_code)
-        return g
-
     @cached_property
     def _codes(self) -> tuple[str, str]:
         # The graph is immutable, so its canonical code and its code modulo
@@ -173,8 +151,7 @@ def validate(g: RegionGraph) -> Violation | None:
     Invariants, in the order reported: well-formed vertex/edge data,
     connectivity, proper 2-coloring by sign, no self-loops, edge count in
     {V-1, V}, and total genus at most 1.  The constructor runs it once per
-    graph; a graph that exists has passed it, unless it was generated
-    (``_generated``).
+    graph, so a graph that exists has passed it.
     """
     if not g.vertices:
         return Violation("malformed", "graph has no vertices")
@@ -235,8 +212,8 @@ def _non_integer_id(vertices, edges) -> Violation | None:
 
 
 def _is_connected(g: RegionGraph) -> bool:
-    # Union-find with path halving: a graph from input is validated once,
-    # so no neighbor lists are built here and kept on the graph.
+    # Union-find with path halving: a graph is validated once, so no
+    # neighbor lists are built here and kept on the graph.
     root = {v.id: v.id for v in g.vertices}
     components = len(root)
     for a, b in g.edges:

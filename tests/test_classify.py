@@ -279,7 +279,6 @@ class TestTableFromRows:
         def never(*args, **kwargs):
             raise AssertionError("the table built or checked a class")
 
-        monkeypatch.setattr(RegionGraph, "_generated", never)
         monkeypatch.setattr(RegionGraph, "__init__", never)
         monkeypatch.setattr(DividingSetClass, "__new__", never)
         monkeypatch.setattr(CLASSIFY_MODULE, "classify", never)

@@ -4,6 +4,7 @@ import pytest
 
 from bcontact import enumeration, region_graph
 from bcontact.admissibility import euler_pairing, is_admissible
+from bcontact.classify import table_classes
 from bcontact.enumeration import (
     ResourceLimitError,
     _coloring,
@@ -13,6 +14,8 @@ from bcontact.enumeration import (
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_graphs,
+    enum_torus_rows,
+    enum_tree_rows,
     graph_slopes,
 )
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
@@ -74,6 +77,28 @@ class TestTreeCounts:
             enum_equicolored_trees(0)
 
 
+@pytest.mark.parametrize(
+    "enumerate_, args",
+    [
+        (enum_equicolored_trees, (2.0,)),
+        (enum_equicolored_trees, (True,)),
+        (enum_tree_rows, ("3",)),
+        (enum_torus_graphs, (3.0,)),
+        (enum_torus_rows, (True,)),
+        (enum_torus_classes, (2, 1.5)),
+        (enum_torus_classes, (True, True)),
+        (table_classes, (S3_S2, 3.0)),
+        (table_classes, (S3_T2, 4, 2.0)),
+    ],
+    ids=lambda x: repr(x) if isinstance(x, tuple) else x.__name__,
+)
+def test_sizes_that_are_not_ints_are_rejected(enumerate_, args):
+    # A float equal to an int, a string or a bool is no size: each is
+    # refused before any work, as counting refuses them.
+    with pytest.raises(ValueError, match="is not an integer"):
+        enumerate_(*args)
+
+
 class TestTreeOutputQuality:
     def test_items_valid_admissible_and_distinct(self):
         for mode in (False, True):
@@ -95,17 +120,21 @@ class TestTreeOutputQuality:
 
 
 class TestGeneratedGraphsAreValid:
-    """The package trusts the generators' graphs: ``RegionGraph._generated``
-    bypasses the constructor's check, so the suite referees each graph
-    with ``validate``."""
+    """A library graph is made by ``RegionGraph``'s constructor, which
+    checks it, and coded by the peel, as any graph is.  So building every
+    listed class refutes an invalid row, and comparing the peel's codes
+    with the rows' referees the level-sequence coders on each class."""
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_every_emitted_graph_is_valid(self, modulo_swap):
+        rows = [row for n in range(1, 9) for row in enum_tree_rows(n, modulo_swap)]
+        rows += enum_torus_rows(10, modulo_swap)
         graphs = [g for n in range(1, 9) for g in enum_equicolored_trees(n, modulo_swap)]
         graphs += enum_torus_graphs(10, modulo_swap)
         trees, cycles = torus_counts(10, modulo_swap)
         assert len(graphs) == sum(sphere_counts(8, modulo_swap)) + sum(trees) + sum(cycles)
         assert [g for g in graphs if validate(g) is not None] == []
+        assert [canonical_code(g, modulo_swap) for g in graphs] == [row[0] for row in rows]
 
 
 class TestTorusClasses:
@@ -280,8 +309,8 @@ class TestArrayCodes:
         # skeletons the twin skip leaves of 352.
         assert len(tried) == 2 * (14 + 244)
 
-        # Graphs are built only for emitted classes, trusted valid (checked
-        # here), with codes seeded.
+        # Graphs are built only for emitted classes, each by the checking
+        # constructor, and a rebuild of one equals it and codes as it does.
         assert len(emitted) == (1 + 1 + 4 + 14) + (1 + 1 + 3 + 9) + 367 + 192
         for g in emitted:
             assert validate(g) is None
@@ -322,7 +351,7 @@ class TestRingCodes:
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_twin_skip_keeps_every_row(self, modulo_swap):
         full = enumeration._class_rows(all_torus_candidates(12), modulo_swap)
-        assert enumeration._torus_rows(12, modulo_swap) == full
+        assert enum_torus_rows(12, modulo_swap) == full
 
     def test_each_skipped_candidate_codes_as_its_twin_image(self):
         kept = set(enumeration._torus_candidates(12))
