@@ -13,14 +13,14 @@ and newline-terminated, and goes to stdout in whole chunks of at least
 64 KiB, whether or not stdout is buffered.
 
 Each command imports the layers it calls when it runs, so a call loads
-only those: ``tight-count`` and ``cf`` load ``counting`` alone (and
-``tight-count --format json`` the I/O layers too), the ``--gamma``
-commands the parser's layers and their own (``classify`` and ``census``
-every layer but ``enumeration``), and ``table`` every layer but
-``admissibility``: it reads its classes off the generator's rows, which
-are admissible by construction, and checks none.  ``json``
-loads only for an answer written by ``json.dumps`` (``_dumps``) or for
-JSON input, so listings and text answers skip its import.
+only those: ``tight-count`` and ``cf`` load ``counting`` alone, in
+either format, the ``--gamma`` commands the parser's layers and their
+own (``classify`` and ``census`` every layer but ``enumeration``), and
+``table`` every layer but ``admissibility``: it reads its classes off
+the generator's rows, which are admissible by construction, and checks
+none.  A one-object JSON answer is ``json.dumps`` of a plain dict
+(``_dumps``), and ``json`` loads only for such an answer or for JSON
+input, so listings and text answers skip its import.
 
 ``enum-trees`` and ``enum-torus`` write their listings straight from the
 generator's rows (``enumeration.Row``), one class's lines at a time
@@ -287,23 +287,9 @@ def _whole_counts():
         sys.set_int_max_str_digits(limit)
 
 
-def _regime_json(regime) -> str:
-    return f"[{regime.finite_factor}, {regime.free_rank}]"
-
-
-def _record_json(record) -> str:
-    from .formats import class_json, tight_count_to_json_dict
-    from .surfaces import Surface
-
-    manifold = "s2" if record.dividing_set.surface is Surface.SPHERE else "t2"
-    detail = record.tight_count_detail
-    detail_json = "null" if detail is None else _dumps(tight_count_to_json_dict(detail))
-    return (
-        f'{{"manifold": "s3-{manifold}", "dividing_set": {class_json(record.dividing_set)}, '
-        f'"tight": {_regime_json(record.tight)}, "mixed": {_regime_json(record.mixed)}, '
-        f'"fully_overtwisted": {_regime_json(record.fully_overtwisted)}, '
-        f'"tight_count_detail": {detail_json}}}'
-    )
+def _count_dict(result) -> dict:
+    """A ``TightCountResult`` as a JSON object, its expansion a list."""
+    return {**result._asdict(), "expansion": list(result.expansion.coefficients)}
 
 
 def _cmd_classify(args, out) -> int:
@@ -311,9 +297,19 @@ def _cmd_classify(args, out) -> int:
 
     d = _read_gamma(args.gamma)
     record = classify(d.surface, d)
+    detail = record.tight_count_detail
     with _whole_counts():
         if args.format == "json":
-            _emit(out, _record_json(record))
+            from .formats import class_dict
+
+            _emit(out, _dumps({
+                "manifold": "s3-s2" if d.surface.value == "sphere" else "s3-t2",
+                "dividing_set": class_dict(d),
+                "tight": record.tight,
+                "mixed": record.mixed,
+                "fully_overtwisted": record.fully_overtwisted,
+                "tight_count_detail": None if detail is None else _count_dict(detail),
+            }))
             return 0
         _emit(out, f"tight {record.tight.finite_factor} {record.tight.free_rank}")
         _emit(out, f"mixed {record.mixed.finite_factor} {record.mixed.free_rank}")
@@ -322,7 +318,6 @@ def _cmd_classify(args, out) -> int:
             f"fully-overtwisted {record.fully_overtwisted.finite_factor} "
             f"{record.fully_overtwisted.free_rank}",
         )
-        detail = record.tight_count_detail
         if detail is not None:
             _emit(
                 out,
@@ -338,9 +333,7 @@ def _cmd_tight_count(args, out) -> int:
     result = tight_count_solid_torus(args.n, args.p, args.q)
     with _whole_counts():
         if args.format == "json":
-            from .formats import tight_count_to_json_dict
-
-            _emit(out, _dumps(tight_count_to_json_dict(result)))
+            _emit(out, _dumps(_count_dict(result)))
         else:
             _emit(out, str(result.count))
     return 0

@@ -11,18 +11,17 @@ The JSON form mirrors it: ``{"surface": ..., "vertices": [{"id", "sign",
 "genus"}, ...], "edges": [[i, j], ...], "slope": [p, q] | null}``; any
 other key, at the top or in a vertex, is a syntax error, as an unknown
 directive is in the text form.
-``graph_json`` and ``class_json`` write these lines directly, one string
-per graph or class, without building the object first, and
-``graph_class_json`` writes a graph class at each of its slopes, the
-graph's fields rendered once.  The enumerated listings are written from
-the generator's rows (``enumeration.Row``), with no graph built, in
-one loop per listing (``write_listing``): each row's vertex and edge
-fragments are looked up in tables indexed by id, sign and genus, and
-shared by the rows of one listing.  Graphs and rows fill the same
-templates (``_text_blocks``, ``_json_lines``).  The JSON
-bytes equal ``json.dumps`` of the object with its default separators,
-because every id, sign, genus and slope is an ``int``: the enumerators
-build them so, a region graph takes no other id, sign or genus, and both
+A one-class answer is ``json.dumps`` of ``class_dict``, or
+``serialize_class_text``.  The enumerated listings are bulk output,
+written from the generator's rows (``enumeration.Row``), with no graph
+built, in one loop per listing (``write_listing``): each row's vertex
+and edge fragments are looked up in tables indexed by id, sign and
+genus, shared by the rows of one listing, and filled into hand-written
+templates (``_text_blocks``, ``_json_lines``).  A listing's JSON line
+equals ``json.dumps`` of ``class_dict`` of its class (of the graph's
+two fields alone on the sphere) with its default separators, because
+every id, sign, genus and slope is an ``int``: the enumerators build
+them so, a region graph takes no other id, sign or genus, and both
 parsers take no other slope.
 
 The classification table is rendered from its one form, a list of graph
@@ -54,11 +53,10 @@ from operator import getitem
 from .region_graph import RegionGraph, RegionVertex
 from .surfaces import DividingSetClass, Surface
 
-# TableClass (classify), TightCountResult (counting), Row and Slopes
-# (enumeration) and Callable name types in annotations only, which are
-# never evaluated: importing them would load those layers for every parse
-# and listing.  So is json, which only JSON input needs, imported where
-# it is used.
+# TableClass (classify), Row and Slopes (enumeration) and Callable name
+# types in annotations only, which are never evaluated: importing them
+# would load those layers for every parse and listing.  So is json, which
+# only JSON input needs, imported where it is used.
 
 
 class ParseError(ValueError):
@@ -88,14 +86,6 @@ _JSON = _Form(
     lambda a, b: f"[{a}, {b}]",
     ", ",
 )
-
-
-def _graph_fragments(form: _Form, g: RegionGraph) -> tuple[str, str]:
-    """The joined fragments of a graph's vertices and of its edges."""
-    return (
-        form.separator.join([form.vertex(*v) for v in g.vertices]),
-        form.separator.join([form.edge(a, b) for a, b in g.edges]),
-    )
 
 
 @cache
@@ -138,34 +128,21 @@ def _json_lines(surface: Surface | None, vertices: str, edges: str, slopes: Slop
     ])
 
 
-def serialize_graph_text(g: RegionGraph) -> str:
-    return "".join(_graph_fragments(_TEXT, g))
-
-
 def serialize_class_text(d: DividingSetClass) -> str:
-    return graph_class_text(d.surface, d.graph, (d.slope,))
+    """A class in the line format the module docstring gives."""
+    g = d.graph
+    graph = "".join(
+        [_TEXT.vertex(*v) for v in g.vertices] + [_TEXT.edge(a, b) for a, b in g.edges]
+    )
+    return _text_blocks(d.surface, graph, (d.slope,))
 
 
-def graph_class_text(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
-    """``serialize_class_text`` of the class of ``g`` at each of ``slopes``,
-    separated by blank lines; the graph's lines are rendered once."""
-    return _text_blocks(surface, serialize_graph_text(g), slopes)
-
-
-def graph_json(g: RegionGraph) -> str:
-    """One JSON line ``{"vertices": [...], "edges": [...]}`` for a graph."""
-    return _json_lines(None, *_graph_fragments(_JSON, g), (None,))
-
-
-def class_json(d: DividingSetClass) -> str:
-    """One JSON line for a class, in the form the module docstring gives."""
-    return graph_class_json(d.surface, d.graph, (d.slope,))
-
-
-def graph_class_json(surface: Surface, g: RegionGraph, slopes: Slopes) -> str:
-    """``class_json`` of the class of ``g`` at each of ``slopes``, one per
-    line with no final newline; the graph's fields are rendered once."""
-    return _json_lines(surface, *_graph_fragments(_JSON, g), slopes)
+def class_dict(d: DividingSetClass) -> dict:
+    """A class as the JSON object the module docstring gives, for
+    ``json.dumps``, which writes its tuples as arrays."""
+    vertices = [v._asdict() for v in d.graph.vertices]
+    return {"surface": d.surface.value, "vertices": vertices, "edges": d.graph.edges,
+            "slope": d.slope}
 
 
 def write_listing(
@@ -175,9 +152,10 @@ def write_listing(
     """Write a listing of the generator's rows (``enumeration.Row``) to
     ``out`` in ``form``, one class's lines at a time, with no graph built.
 
-    Each row is ``serialize_graph_text`` or ``graph_json`` of its graph,
-    or with ``surface``, ``graph_class_text`` or ``graph_class_json`` of
-    its class at each of its ``slopes``; text blocks are separated by
+    Each row is its graph's ``v`` and ``e`` lines, or one JSON line of
+    its ``vertices`` and ``edges``, or with ``surface`` its class at each
+    of its ``slopes``: ``serialize_class_text`` of each, or ``json.dumps``
+    of ``class_dict`` of each on a line; text blocks are separated by
     blank lines, and an empty text listing is one newline.  The CSV form
     is ``size,canonical_code,admissible`` once per slope.
 
@@ -226,18 +204,6 @@ def write_listing(
             separator = "\n"
     if not (json_form or separator):
         out.write("\n")
-
-
-def tight_count_to_json_dict(result: TightCountResult) -> dict:
-    return {
-        "n": result.n,
-        "p": result.p,
-        "q": result.q,
-        "r": result.r,
-        "s": result.s,
-        "count": result.count,
-        "expansion": list(result.expansion.coefficients),
-    }
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:

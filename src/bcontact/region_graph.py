@@ -151,13 +151,12 @@ def validate(g: RegionGraph) -> Violation | None:
     Invariants, in the order reported: well-formed vertex/edge data,
     connectivity, proper 2-coloring by sign, no self-loops, edge count in
     {V-1, V}, and total genus at most 1.  The constructor runs it once per
-    graph, so a graph that exists has passed it.
+    graph, so a graph that exists has passed it.  It takes the ids and
+    edge ends to be ``int``s: the constructor checks that once
+    (``_non_integer_id``), before it sorts them.
     """
     if not g.vertices:
         return Violation("malformed", "graph has no vertices")
-    violation = _non_integer_id(g.vertices, g.edges)
-    if violation is not None:
-        return violation
     sign = {v.id: v.sign for v in g.vertices}
     if len(sign) != len(g.vertices):
         # Vertices are in id order, so a repeated id sits next to its twin.

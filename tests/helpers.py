@@ -9,6 +9,9 @@ field, without ``table_classes``.
 ``all_torus_candidates`` and ``twin_image`` referee the torus generator's
 twin skip: the candidate stream with no candidate skipped, and the
 earlier candidate a twin swap moves a skipped one to.
+The ``*_reference`` builders referee the writers: a graph's or a class's
+text and JSON object, and the object ``classify --format json`` prints,
+each built field by field.
 """
 
 from itertools import groupby
@@ -82,6 +85,68 @@ def farey_products(p, q):
         r *= length + 1
         s *= length if i == 0 else length + 1
     return r, s
+
+
+def graph_text_reference(g):
+    """A graph's ``v`` and ``e`` lines."""
+    return "".join(
+        [f"v {v.id} {'+' if v.sign > 0 else '-'} {v.genus}\n" for v in g.vertices]
+        + [f"e {a} {b}\n" for a, b in g.edges]
+    )
+
+
+def class_text_reference(d):
+    """A class's text: its surface line, its graph's lines, its slope line."""
+    slope = "" if d.slope is None else f"slope {d.slope[0]} {d.slope[1]}\n"
+    return f"surface {d.surface.value}\n{graph_text_reference(d.graph)}{slope}"
+
+
+def graph_json_reference(g):
+    """A graph's JSON object, as a sphere listing writes it."""
+    return {
+        "vertices": [{"id": v.id, "sign": v.sign, "genus": v.genus} for v in g.vertices],
+        "edges": [[a, b] for a, b in g.edges],
+    }
+
+
+def class_json_reference(d):
+    """A class's JSON object."""
+    out = {"surface": d.surface.value}
+    out.update(graph_json_reference(d.graph))
+    out["slope"] = list(d.slope) if d.slope is not None else None
+    return out
+
+
+def record_json_reference(record):
+    """The JSON object ``classify --format json`` prints."""
+    detail = record.tight_count_detail
+    return {
+        "manifold": "s3-s2" if record.dividing_set.surface is Surface.SPHERE else "s3-t2",
+        "dividing_set": class_json_reference(record.dividing_set),
+        "tight": [record.tight.finite_factor, record.tight.free_rank],
+        "mixed": [record.mixed.finite_factor, record.mixed.free_rank],
+        "fully_overtwisted": [
+            record.fully_overtwisted.finite_factor,
+            record.fully_overtwisted.free_rank,
+        ],
+        "tight_count_detail": None if detail is None else {
+            "n": detail.n,
+            "p": detail.p,
+            "q": detail.q,
+            "r": detail.r,
+            "s": detail.s,
+            "count": detail.count,
+            "expansion": list(detail.expansion.coefficients),
+        },
+    }
+
+
+def long_ring(n):
+    """Text of a torus class whose ``n`` essential curves form one ring."""
+    lines = ["surface torus"]
+    lines += [f"v {i} {'+-'[i % 2]} 0" for i in range(n)]
+    lines += [f"e {i} {(i + 1) % n}" for i in range(n)]
+    return "\n".join(lines + ["slope 3 2"])
 
 
 def enumerated_records(m, max_curves, max_p=1, modulo_swap=False):

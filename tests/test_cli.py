@@ -26,9 +26,16 @@ from bcontact.enumeration import (
     enum_torus_graphs,
     graph_slopes,
 )
-from bcontact.formats import graph_class_json, graph_class_text, graph_json, serialize_graph_text
 from bcontact.region_graph import canonical_code
-from bcontact.surfaces import Surface
+from bcontact.surfaces import DividingSetClass, Surface
+
+from helpers import (
+    class_json_reference,
+    class_text_reference,
+    graph_json_reference,
+    graph_text_reference,
+    long_ring,
+)
 
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
 
@@ -75,6 +82,41 @@ CLASSIFY_TWO_CYCLE_32_JSON_SHA256 = (
 )
 CLASSIFY_EQUATOR_JSON_SHA256 = (
     "39960b1343af626fd6277b5b3accfe0b56734d2d339dfbb128a0f79129cad999"
+)
+# sha256 of these answers while classify's record and tight-count's count
+# were written by hand-made JSON templates and a graph-based class writer.
+# The classify inputs are admissible classes with sparse out-of-order ids,
+# with ids past the 64-bit range, with a genus region, and a ring of 400
+# curves whose answer carries a tight-count detail; the count N(8000, -3,
+# 2) has 4,815 digits.
+CLASSIFY_SPARSE_JSON_SHA256 = (
+    "038f83ba5059de25d026c44a1ffa98ef6830278269f4d7a080c52b4f097514dd"
+)
+CLASSIFY_LARGE_IDS_JSON_SHA256 = (
+    "c5be8b94e2bc8ba7a69d308442a55604762bd1acbf73020271c2933c05dc71fd"
+)
+CLASSIFY_GENUS_JSON_SHA256 = (
+    "d7ef812b5f9692f5cf0a48895603a2b9343fcb3fd8f97814dac6ebd1c7bb3a9b"
+)
+CLASSIFY_RING_400_JSON_SHA256 = (
+    "d964a83dc84f978a6a606f52e70f8f7b2b5dc09e5187100d64b736f83434ef8d"
+)
+TIGHT_COUNT_8000_JSON_SHA256 = (
+    "17f2ffc676f1958526215665e3473452be1d4345242f0f60555ca18812a088ec"
+)
+SPARSE_SPHERE = (
+    "surface sphere\nv 907 - 0\nv 12 + 0\nv 30000 + 0\nv 5 - 0\n"
+    "e 12 907\ne 907 30000\ne 30000 5\n"
+)
+LARGE_IDS_RING = json.dumps({
+    "surface": "torus",
+    "vertices": [{"id": 70, "sign": -1}, {"id": 9 * 10**21, "sign": 1}],
+    "edges": [[9 * 10**21, 70], [70, 9 * 10**21]],
+    "slope": [5, 3],
+})
+GENUS_TREE_ADMISSIBLE = (
+    "surface torus\nv 0 + 1\nv 5 - 0\nv 6 - 0\nv 9 + 0\nv 11 + 0\n"
+    "e 0 5\ne 6 0\ne 5 9\ne 11 6\n"
 )
 # sha256 of these tables' stdout while JSON table rows were dumped from a
 # dict per row and CSV rows went through csv.writer; they pin the bytes of
@@ -204,16 +246,19 @@ class TestEnumCommands:
 
 
 def referee_listing(graphs, fmt, modulo_swap, slopes=None):
-    """The listing of ``graphs`` rendered from the graph objects, as the CLI
-    wrote it when it built a graph per listed class; with ``slopes``, per
-    graph, a torus listing."""
+    """The listing of ``graphs`` built from the graph objects by the
+    references, one listed class at a time; with ``slopes``, per graph, a
+    torus listing."""
     if slopes is None:
-        blocks = [serialize_graph_text(g) for g in graphs]
-        lines = [graph_json(g) + "\n" for g in graphs]
+        blocks = [graph_text_reference(g) for g in graphs]
+        lines = [json.dumps(graph_json_reference(g)) + "\n" for g in graphs]
         slopes = [(None,)] * len(graphs)
     else:
-        blocks = [graph_class_text(Surface.TORUS, g, s) for g, s in zip(graphs, slopes)]
-        lines = [graph_class_json(Surface.TORUS, g, s) + "\n" for g, s in zip(graphs, slopes)]
+        classes = [
+            DividingSetClass(Surface.TORUS, g, slope) for g, s in zip(graphs, slopes) for slope in s
+        ]
+        blocks = [class_text_reference(d) for d in classes]
+        lines = [json.dumps(class_json_reference(d)) + "\n" for d in classes]
     if fmt == "text":
         return "\n".join(blocks) or "\n"
     if fmt == "json":
@@ -226,7 +271,7 @@ def referee_listing(graphs, fmt, modulo_swap, slopes=None):
 
 class TestListingsMatchLibrary:
     """The CLI writes listings from the generator's rows; the library's
-    graphs, rendered by the graph renderers, referee every byte."""
+    graphs, written field by field, referee every byte."""
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
@@ -1151,11 +1196,20 @@ class TestDeterminism:
             (["enum-trees", "--n", "9", "--format", "csv"], None, ENUM_TREES_9_CSV_SHA256),
             (["enum-trees", "--n", "9", "--format", "csv", "--no-distinguish-signs"], None,
              ENUM_TREES_9_CSV_SWAP_SHA256),
+            (["classify", "--format", "json"], SPARSE_SPHERE, CLASSIFY_SPARSE_JSON_SHA256),
+            (["classify", "--format", "json"], LARGE_IDS_RING, CLASSIFY_LARGE_IDS_JSON_SHA256),
+            (["classify", "--format", "json"], GENUS_TREE_ADMISSIBLE,
+             CLASSIFY_GENUS_JSON_SHA256),
+            (["classify", "--format", "json"], long_ring(400), CLASSIFY_RING_400_JSON_SHA256),
+            (["tight-count", "--n", "8000", "--p", "3", "--q", "2", "--format", "json"], None,
+             TIGHT_COUNT_8000_JSON_SHA256),
         ],
         ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator",
              "enum-trees-8-swap-json", "enum-trees-7-csv", "enum-trees-7-csv-swap",
              "enum-trees-6-text-swap", "enum-torus-8-3-csv", "enum-torus-8-3-csv-swap",
-             "enum-torus-7-2-text-swap", "enum-trees-9-csv", "enum-trees-9-csv-swap"],
+             "enum-torus-7-2-text-swap", "enum-trees-9-csv", "enum-trees-9-csv-swap",
+             "classify-sparse", "classify-large-ids", "classify-genus", "classify-ring-400",
+             "tight-count-8000-json"],
     )
     def test_output_matches_recorded_digest(self, tmp_path, args, gamma, digest):
         if gamma is not None:
@@ -1233,7 +1287,7 @@ class TestImportFootprint:
                          id="tight-count"),
             pytest.param(["cf", "--p", "5", "--q", "3"], ARITHMETIC, id="cf"),
             pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2", "--format", "json"],
-                         INPUT_OUTPUT, id="tight-count-json"),
+                         ARITHMETIC, id="tight-count-json"),
             pytest.param(["export-dot", "--gamma", "GAMMA"], INPUT_OUTPUT, id="export-dot"),
             pytest.param(["check", "--gamma", "GAMMA"], INPUT_OUTPUT | {"admissibility"},
                          id="check"),

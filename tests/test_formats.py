@@ -1,32 +1,42 @@
 """Parsing, serialization, DOT export, and table rendering."""
 
+import io
 import json
 
 import pytest
 
 from bcontact.classify import classify, table_classes
-from bcontact.cli import _record_json
-from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.cli import run_cli
+from bcontact.enumeration import (
+    enum_equicolored_trees,
+    enum_torus_classes,
+    enum_torus_rows,
+    row_slopes,
+)
 from bcontact.formats import (
     ParseError,
-    class_json,
+    class_dict,
     export_dot,
-    graph_class_json,
-    graph_class_text,
-    graph_json,
     _parse_items,
     parse_dividing_set,
     render_table_csv,
     render_table_jsonl,
     serialize_class_text,
     TABLE_COLUMNS,
-    serialize_graph_text,
-    tight_count_to_json_dict,
+    write_listing,
 )
 from bcontact.region_graph import InvalidRegionGraphError, RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import enumerated_records, table_rows
+from helpers import (
+    class_json_reference,
+    class_text_reference,
+    enumerated_records,
+    graph_text_reference,
+    long_ring,
+    record_json_reference,
+    table_rows,
+)
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
 EQUATOR_JSON = json.dumps({
@@ -120,7 +130,7 @@ class TestParse:
         }
         d = parse_dividing_set(json.dumps(payload))
         assert d.slope == (3, 2)
-        assert json.loads(class_json(d)) == payload
+        assert json.loads(json.dumps(class_dict(d))) == payload
 
     def test_json_syntax_error(self):
         with pytest.raises(ParseError):
@@ -165,14 +175,14 @@ class TestRoundTrips:
 
     def test_json_round_trip_preserves_codes(self):
         for d in enum_torus_classes(5, 2):
-            again = parse_dividing_set(class_json(d))
+            again = parse_dividing_set(json.dumps(class_dict(d)))
             assert canonical_code(again.graph) == canonical_code(d.graph)
             assert again.slope == d.slope
 
     def test_bare_graph_round_trip(self):
         for n in (1, 2, 3):
             for g in enum_equicolored_trees(n):
-                again = parse_region_graph(serialize_graph_text(g))
+                again = parse_region_graph(graph_text_reference(g))
                 assert canonical_code(again) == canonical_code(g)
 
     def test_bare_graph_rejects_class_directives(self):
@@ -180,48 +190,14 @@ class TestRoundTrips:
             parse_region_graph("surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n")
 
 
-def graph_json_reference(g):
-    """The JSON object ``graph_json`` renders, built as a dict."""
-    return {
-        "vertices": [{"id": v.id, "sign": v.sign, "genus": v.genus} for v in g.vertices],
-        "edges": [[a, b] for a, b in g.edges],
-    }
-
-
-def class_json_reference(d):
-    """The JSON object ``class_json`` renders, built as a dict."""
-    out = {"surface": d.surface.value}
-    out.update(graph_json_reference(d.graph))
-    out["slope"] = list(d.slope) if d.slope is not None else None
-    return out
-
-
-def record_json_reference(record):
-    """The JSON object ``classify --format json`` prints, built as a dict."""
-    detail = record.tight_count_detail
-    return {
-        "manifold": "s3-s2" if record.dividing_set.surface is S3_S2 else "s3-t2",
-        "dividing_set": class_json_reference(record.dividing_set),
-        "tight": [record.tight.finite_factor, record.tight.free_rank],
-        "mixed": [record.mixed.finite_factor, record.mixed.free_rank],
-        "fully_overtwisted": [
-            record.fully_overtwisted.finite_factor,
-            record.fully_overtwisted.free_rank,
-        ],
-        "tight_count_detail": None if detail is None else tight_count_to_json_dict(detail),
-    }
-
-
-def long_ring(n):
-    """Text of a torus class whose ``n`` essential curves form one ring."""
-    lines = ["surface torus"]
-    lines += [f"v {i} {'+-'[i % 2]} 0" for i in range(n)]
-    lines += [f"e {i} {(i + 1) % n}" for i in range(n)]
-    return "\n".join(lines + ["slope 3 2"])
-
-
 class TestJsonRenderers:
-    """The string renderers are byte-equal to ``json.dumps`` of the dicts."""
+    """A class's text and JSON are byte-equal to the references built field
+    by field, ``json.dumps`` of the dicts for JSON."""
+
+    @staticmethod
+    def assert_class_matches(d):
+        assert json.dumps(class_dict(d)) == json.dumps(class_json_reference(d))
+        assert serialize_class_text(d) == class_text_reference(d)
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_enumerated_classes(self, modulo_swap):
@@ -231,8 +207,7 @@ class TestJsonRenderers:
             for g in enum_equicolored_trees(n, modulo_swap)
         ] + enum_torus_classes(8, 3, modulo_swap)
         for d in classes:
-            assert graph_json(d.graph) == json.dumps(graph_json_reference(d.graph))
-            assert class_json(d) == json.dumps(class_json_reference(d))
+            self.assert_class_matches(d)
 
     @pytest.mark.parametrize(
         "text",
@@ -254,34 +229,37 @@ class TestJsonRenderers:
         ids=["equator", "two-cycle", "sparse", "large", "genus", "ring-16000"],
     )
     def test_parsed_classes(self, text):
-        d = parse_dividing_set(text)
-        assert graph_json(d.graph) == json.dumps(graph_json_reference(d.graph))
-        assert class_json(d) == json.dumps(class_json_reference(d))
+        self.assert_class_matches(parse_dividing_set(text))
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_graph_class_lines_join_the_per_slope_lines(self, modulo_swap):
+        # A torus listing writes each graph class's fields once for all of
+        # its slopes; its lines are still those of the classes one by one.
+        rows = enum_torus_rows(7, modulo_swap)
+        slopes = [row_slopes(row, 4) for row in rows]
         classes = enum_torus_classes(7, 4, modulo_swap)
-        by_graph = {}
-        for d in classes:
-            by_graph.setdefault(id(d.graph), []).append(d)
-        for members in by_graph.values():
-            g, slopes = members[0].graph, tuple(d.slope for d in members)
-            assert graph_class_json(Surface.TORUS, g, slopes) == "\n".join(
-                class_json(d) for d in members
-            )
-            assert graph_class_text(Surface.TORUS, g, slopes) == "\n".join(
-                serialize_class_text(d) for d in members
-            )
+        expected = {
+            "json": "".join(json.dumps(class_dict(d)) + "\n" for d in classes),
+            "text": "\n".join(serialize_class_text(d) for d in classes),
+        }
+        for form, listing in expected.items():
+            out = io.StringIO()
+            write_listing(out, rows, form, Surface.TORUS, slopes, modulo_swap)
+            assert out.getvalue() == listing
 
-    def test_classification_records(self):
+    def test_classification_records(self, tmp_path):
         records = (
             enumerated_records(S3_S2, 7)
             + enumerated_records(S3_T2, 6, 5)
             + [classify(S3_T2, parse_dividing_set(long_ring(400)))]
         )
         assert any(r.tight_count_detail for r in records)
+        gamma = tmp_path / "gamma.txt"
         for record in records:
-            assert _record_json(record) == json.dumps(record_json_reference(record))
+            gamma.write_text(serialize_class_text(record.dividing_set), encoding="utf-8")
+            out = io.StringIO()
+            assert run_cli(["classify", "--format", "json", "--gamma", str(gamma)], out) == 0
+            assert out.getvalue() == json.dumps(record_json_reference(record)) + "\n"
 
 
 class TestDot:

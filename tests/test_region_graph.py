@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcontact import enumeration
+from bcontact import enumeration, region_graph
 from bcontact.enumeration import (
     _free_trees,
     _tree_edges,
@@ -139,6 +139,21 @@ class TestValidate:
         detail = f"edge (0,{shown}) has an end that is not an integer"
         with pytest.raises(InvalidRegionGraphError, match=f"^malformed: {re.escape(detail)}$"):
             RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, end)])
+
+    def test_ids_are_checked_once_per_graph(self, monkeypatch):
+        # The constructor checks the ids before it sorts them, and validate,
+        # which runs on the sorted graph, does not check them again.
+        calls = []
+
+        def counted(vertices, edges):
+            calls.append(None)
+            return check(vertices, edges)
+
+        check = region_graph._non_integer_id
+        monkeypatch.setattr(region_graph, "_non_integer_id", counted)
+        path([1, -1, 1, -1])
+        graph([1, -1], [(0, 1), (0, 1)])
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "vertex,detail",
