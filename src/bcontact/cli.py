@@ -26,8 +26,9 @@ input, so listings and text answers skip its import.
 generator's rows (``enumeration.Row``), one class's lines at a time
 (``formats.write_listing``), and ``--count-only`` counts the rows:
 neither builds a graph object.  Graphs are built for library callers
-only.  The parser lists every subcommand but adds the arguments of the
-invoked one only (``_CommandParser``).
+only.  Each command is declared once, in ``_COMMANDS``: its help line,
+its handler and its arguments.  The parser lists every command from it
+but adds the arguments of the invoked one only (``_CommandParser``).
 """
 
 from __future__ import annotations
@@ -36,21 +37,8 @@ import argparse
 import contextlib
 import sys
 
-_MANIFOLDS = ("s3-s2", "s3-t2")
-
-
-def _add_sign_mode(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--distinguish-signs",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="count the two global sign orientations separately (default); "
-        "--no-distinguish-signs identifies them",
-    )
-
-
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "json", "csv")) -> None:
-    parser.add_argument("--format", choices=list(choices), default=choices[0])
+# Each manifold's name on the command line, and its critical surface.
+_MANIFOLDS = {"s3-s2": "sphere", "s3-t2": "torus"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _CommandParser(_Parser):
-    """A subcommand's parser, which adds its arguments (``_add_arguments``)
+    """A subcommand's parser, which adds its arguments (``_COMMANDS``)
     when it first parses: a call makes only the invoked command's."""
 
     def __init__(self, *args, command: str, **kwargs) -> None:
@@ -69,60 +57,10 @@ class _CommandParser(_Parser):
 
     def parse_known_args(self, args=None, namespace=None):
         if self.pending:
-            _add_arguments(self, self.pending)
+            for flag, options in _COMMANDS[self.pending][2]:
+                self.add_argument(flag, **options)
             self.pending = ""
         return super().parse_known_args(args, namespace)
-
-
-_HELP = {
-    "enum-trees": "enumerate equicolored trees (sphere classes)",
-    "enum-torus": "enumerate admissible torus classes",
-    "check": "validate a dividing set and report admissibility",
-    "classify": "classification record for a dividing set",
-    "tight-count": "tight count N(n, -p, q) on the solid torus",
-    "cf": "negative continued fraction of -p/q",
-    "census": "leaf census of the singular foliation",
-    "table": "classification table over all enumerated classes",
-    "export-dot": "emit a Graphviz description of a dividing set",
-}
-
-
-def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
-    """Add the arguments of ``command`` to its parser ``p``."""
-    if command == "enum-trees":
-        p.add_argument("--n", type=int, required=True, help="half the number of regions")
-        p.add_argument("--count-only", action="store_true")
-        _add_sign_mode(p)
-        _add_format(p)
-    elif command == "enum-torus":
-        p.add_argument("--max-curves", type=int, default=4)
-        p.add_argument("--max-slope", type=int, default=3)
-        p.add_argument("--count-only", action="store_true")
-        _add_sign_mode(p)
-        _add_format(p)
-    elif command == "check":
-        p.add_argument("--gamma", required=True, help="input file, or - for stdin")
-        _add_format(p, ("text", "json"))
-    elif command in ("classify", "census"):
-        p.add_argument("--gamma", required=True)
-        _add_format(p, ("text", "json"))
-    elif command == "tight-count":
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        _add_format(p, ("text", "json"))
-    elif command == "cf":
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        _add_format(p, ("text", "json"))
-    elif command == "table":
-        p.add_argument("--manifold", choices=_MANIFOLDS, required=True)
-        p.add_argument("--max-curves", type=int, default=5)
-        p.add_argument("--max-slope", type=int, default=3)
-        _add_sign_mode(p)
-        _add_format(p, ("csv", "json"))
-    else:  # export-dot
-        p.add_argument("--gamma", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "structures on (S3, S2) and (S3, T2).",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command, help in _HELP.items():
+    for command, (help, _, _) in _COMMANDS.items():
         sub.add_parser(command, help=help, command=command)
     return parser
 
@@ -245,12 +183,13 @@ def _cmd_enum_torus(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    from .admissibility import is_admissible, is_tight_candidate
+    from .admissibility import is_admissible, tight_shape
     from .region_graph import canonical_code
 
     d = _read_gamma(args.gamma)
     admissible = is_admissible(d.surface, d)
-    tight = is_tight_candidate(d.surface, d)
+    # is_tight_candidate's verdict, with admissibility checked once.
+    tight = tight_shape(d) if admissible else admissible
     code = canonical_code(d.graph)
     if args.format == "json":
         _emit(out, _dumps({
@@ -303,7 +242,7 @@ def _cmd_classify(args, out) -> int:
             from .formats import class_dict
 
             _emit(out, _dumps({
-                "manifold": "s3-s2" if d.surface.value == "sphere" else "s3-t2",
+                "manifold": next(k for k, v in _MANIFOLDS.items() if v == d.surface.value),
                 "dividing_set": class_dict(d),
                 "tight": record.tight,
                 "mixed": record.mixed,
@@ -372,9 +311,9 @@ def _cmd_census(args, out) -> int:
 def _cmd_table(args, out) -> int:
     from .classify import table_classes
     from .formats import render_table_csv, render_table_jsonl
-    from .surfaces import S3_S2, S3_T2
+    from .surfaces import Surface
 
-    manifold = S3_S2 if args.manifold == "s3-s2" else S3_T2
+    manifold = Surface(_MANIFOLDS[args.manifold])
     classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
     if args.format == "json":
         _emit(out, render_table_jsonl(classes))
@@ -390,16 +329,53 @@ def _cmd_export_dot(args, out) -> int:
     return 0
 
 
+_REQUIRED_INT = {"type": int, "required": True}
+_GAMMA = ("--gamma", {"required": True})
+_SIGN_MODE = ("--distinguish-signs", {
+    "action": argparse.BooleanOptionalAction,
+    "default": True,
+    "help": "count the two global sign orientations separately (default); "
+    "--no-distinguish-signs identifies them",
+})
+
+
+def _format(*choices: str) -> tuple:
+    return "--format", {"choices": list(choices), "default": choices[0]}
+
+
+_LISTING = (("--count-only", {"action": "store_true"}), _SIGN_MODE, _format("text", "json", "csv"))
+_ANSWER = _format("text", "json")
+
+# Each command: its help line, its handler, and its arguments in the order
+# that its usage lists them, as (flag, add_argument options) pairs.
 _COMMANDS = {
-    "enum-trees": _cmd_enum_trees,
-    "enum-torus": _cmd_enum_torus,
-    "check": _cmd_check,
-    "classify": _cmd_classify,
-    "tight-count": _cmd_tight_count,
-    "cf": _cmd_cf,
-    "census": _cmd_census,
-    "table": _cmd_table,
-    "export-dot": _cmd_export_dot,
+    "enum-trees": ("enumerate equicolored trees (sphere classes)", _cmd_enum_trees, (
+        ("--n", {**_REQUIRED_INT, "help": "half the number of regions"}), *_LISTING,
+    )),
+    "enum-torus": ("enumerate admissible torus classes", _cmd_enum_torus, (
+        ("--max-curves", {"type": int, "default": 4}),
+        ("--max-slope", {"type": int, "default": 3}),
+        *_LISTING,
+    )),
+    "check": ("validate a dividing set and report admissibility", _cmd_check, (
+        ("--gamma", {"required": True, "help": "input file, or - for stdin"}), _ANSWER,
+    )),
+    "classify": ("classification record for a dividing set", _cmd_classify, (_GAMMA, _ANSWER)),
+    "tight-count": ("tight count N(n, -p, q) on the solid torus", _cmd_tight_count, (
+        ("--n", _REQUIRED_INT), ("--p", _REQUIRED_INT), ("--q", _REQUIRED_INT), _ANSWER,
+    )),
+    "cf": ("negative continued fraction of -p/q", _cmd_cf, (
+        ("--p", _REQUIRED_INT), ("--q", _REQUIRED_INT), _ANSWER,
+    )),
+    "census": ("leaf census of the singular foliation", _cmd_census, (_GAMMA, _ANSWER)),
+    "table": ("classification table over all enumerated classes", _cmd_table, (
+        ("--manifold", {"choices": tuple(_MANIFOLDS), "required": True}),
+        ("--max-curves", {"type": int, "default": 5}),
+        ("--max-slope", {"type": int, "default": 3}),
+        _SIGN_MODE,
+        _format("csv", "json"),
+    )),
+    "export-dot": ("emit a Graphviz description of a dividing set", _cmd_export_dot, (_GAMMA,)),
 }
 
 
@@ -423,7 +399,7 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
         if out is None:
             raise OSError("stdout is closed")
         chunks = _Chunks(out)
-        status = _COMMANDS[args.command](args, chunks)
+        status = _COMMANDS[args.command][1](args, chunks)
         chunks.flush()
         return status
     except (ValueError, OSError) as exc:

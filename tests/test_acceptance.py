@@ -10,7 +10,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 from math import gcd
 
 from bcontact.admissibility import is_admissible
@@ -60,10 +59,12 @@ def test_continued_fraction_soundness():
                 if gcd(p, q) != 1:
                     continue
                 cf = negative_continued_fraction(p, q)
-                acc = Fraction(cf.coefficients[-1])
+                # The value num/den of a_1 - 1/(a_2 - ... - 1/a_k), from the
+                # innermost term out: a - 1/(num/den) = (a*num - den)/num.
+                num, den = cf.coefficients[-1], 1
                 for a in reversed(cf.coefficients[:-1]):
-                    acc = a - 1 / acc
-                if acc != Fraction(-p, q):
+                    num, den = a * num - den, num
+                if num * q != -p * den:
                     failures += 1
                 if (p, q) != (1, 1) and any(a > -2 for a in cf.coefficients):
                     failures += 1

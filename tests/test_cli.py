@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcontact import cli, counting, formats
+from bcontact import admissibility, cli, counting, formats
 from bcontact.cli import build_parser, run_cli
 from bcontact.enumeration import (
     enum_equicolored_trees,
@@ -340,7 +340,8 @@ def _eager_parser():
     """``build_parser`` with every command's arguments added up front."""
     parser = build_parser()
     for command, sub in _subparsers(parser).items():
-        cli._add_arguments(sub, command)
+        for flag, options in cli._COMMANDS[command][2]:
+            sub.add_argument(flag, **options)
         sub.pending = ""
     return parser
 
@@ -357,8 +358,8 @@ class TestParser:
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
-        *([command, "--help"] for command in cli._HELP),
-        *([command, "--bogus"] for command in cli._HELP),
+        *([command, "--help"] for command in cli._COMMANDS),
+        *([command, "--bogus"] for command in cli._COMMANDS),
         ["tight-count", "--n", "1"],
         ["frobnicate"],
         [],
@@ -485,6 +486,22 @@ class TestGammaCommands:
         status, output = run(["check", "--gamma", gamma_file(tmp_path, GENUS_TREE)])
         assert status == 1
         assert "admissible no" in output
+
+    @pytest.mark.parametrize(
+        "gamma,status", [(EQUATOR, 0), (GENUS_TREE, 1)], ids=["admissible", "inadmissible"]
+    )
+    def test_check_checks_admissibility_once(self, monkeypatch, tmp_path, gamma, status):
+        calls = []
+        real = admissibility.is_admissible
+
+        def counting_is_admissible(m, d):
+            calls.append(d)
+            return real(m, d)
+
+        # check imports the test when it runs, so this is the binding it calls.
+        monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
+        assert run(["check", "--gamma", gamma_file(tmp_path, gamma)])[0] == status
+        assert len(calls) == 1
 
     def test_classify_text(self, tmp_path):
         status, output = run(["classify", "--gamma", gamma_file(tmp_path, TWO_CYCLE_32)])

@@ -343,6 +343,22 @@ def neighbor_lists(order, edges):
     return adj
 
 
+def tree_neighbors(layout):
+    """Neighbor lists of the tree with level sequence ``layout``."""
+    return neighbor_lists(len(layout), _tree_edges(layout))
+
+
+@pytest.fixture(scope="module")
+def trees_up_to_fourteen():
+    """Every free tree on 1 to 14 vertices, one center or two, as its level
+    sequence and neighbor lists: made once for the tests that walk them."""
+    return [
+        (layout, tree_neighbors(layout))
+        for order in range(1, 15)
+        for layout in ([bytes(1)] if order == 1 else _free_trees(order))
+    ]
+
+
 def level_tags(layout, positive, genus_vertex=None):
     """Tags of the coloring with the levels of parity ``positive`` positive."""
     return [
@@ -357,22 +373,19 @@ class TestSwapByTranslate:
     the code of a second pass over the negated tags."""
 
     @staticmethod
-    def check(layout, edges, genus_vertex=None):
-        adj = neighbor_lists(len(layout), edges)
+    def check(layout, adj, genus_vertex=None):
         code, swapped = codes_of(adj, level_tags(layout, 0, genus_vertex))
         negated, negated_swapped = codes_of(adj, level_tags(layout, 1, genus_vertex))
-        assert (swapped, negated_swapped) == (negated, code), (layout, edges, genus_vertex)
+        assert (swapped, negated_swapped) == (negated, code), (layout, adj, genus_vertex)
 
-    def test_every_tree_up_to_fourteen_vertices(self):
+    def test_every_tree_up_to_fourteen_vertices(self, trees_up_to_fourteen):
         # One center, or two of opposite signs; each free tree with no
         # genus region and with the genus region at each vertex.
         checked = 0
-        for order in range(1, 15):
-            for layout in [[0]] if order == 1 else _free_trees(order):
-                edges = _tree_edges(layout)
-                for genus_vertex in (None, *range(order)):
-                    self.check(layout, edges, genus_vertex)
-                    checked += 1
+        for layout, adj in trees_up_to_fourteen:
+            for genus_vertex in (None, *range(len(layout))):
+                self.check(layout, adj, genus_vertex)
+                checked += 1
         # The sum over orders k of k + 1 times the free trees on k vertices.
         assert checked == 77_592
 
@@ -387,7 +400,7 @@ class TestSwapByTranslate:
                 for u in range(order):
                     for v in range(u + 1, order):
                         if layout[u] & 1 != layout[v] & 1:
-                            self.check(layout, edges + [(u, v)])
+                            self.check(layout, neighbor_lists(order, edges + [(u, v)]))
                             checked += 1
         assert checked == 3884
 
@@ -399,28 +412,26 @@ class TestLevelCodes:
     over its edges referees every such code."""
 
     @staticmethod
-    def check(layout, genus_vertex=None):
-        adj = neighbor_lists(len(layout), _tree_edges(layout))
+    def check(layout, adj, genus_vertex=None):
         peeled = codes_of(adj, level_tags(layout, 0, genus_vertex))
         assert enumeration._codes(layout, None, genus_vertex) == peeled, (
             layout, genus_vertex
         )
 
-    def test_every_tree_up_to_fourteen_vertices(self):
+    def test_every_tree_up_to_fourteen_vertices(self, trees_up_to_fourteen):
         # One center or two, the genus region anywhere or nowhere.
         checked = 0
-        for order in range(1, 15):
-            for layout in [bytes(1)] if order == 1 else _free_trees(order):
-                for genus_vertex in (None, *range(order)):
-                    self.check(layout, genus_vertex)
-                    checked += 1
+        for layout, adj in trees_up_to_fourteen:
+            for genus_vertex in (None, *range(len(layout))):
+                self.check(layout, adj, genus_vertex)
+                checked += 1
         assert checked == 77_592
 
     def test_every_tree_on_sixteen_vertices(self):
         # The skeletons of the sphere classes on 16 regions, and the rest.
         checked = 0
         for layout in _free_trees(16):
-            self.check(layout)
+            self.check(layout, tree_neighbors(layout))
             checked += 1
         assert checked == 19_320
 
@@ -429,7 +440,7 @@ class TestLevelCodes:
         checked = 0
         for layout in _free_trees(18):
             if sum(level & 1 for level in layout) == 9:
-                self.check(layout)
+                self.check(layout, tree_neighbors(layout))
                 checked += 1
         assert checked == 30_983
 
@@ -442,9 +453,9 @@ class TestLevelCodes:
         genus_free = enumeration._codes(layout, None, None)[0]
         assert genus_free == "T(+0(-0)(-0))"
         read = genus_free.replace("(-0", "(-1", 1)
-        peeled = codes_of(neighbor_lists(3, _tree_edges(layout)), level_tags(layout, 0, 1))
+        peeled = codes_of(tree_neighbors(layout), level_tags(layout, 0, 1))
         assert (read, peeled[0]) == ("T(+0(-1)(-0))", "T(+0(-0)(-1))")
-        self.check(layout, 1)
+        self.check(layout, tree_neighbors(layout), 1)
 
 
 @st.composite
