@@ -38,13 +38,7 @@ _EXPORTS = {
         "negative_continued_fraction",
         "tight_count_solid_torus",
     ),
-    "enumeration": (
-        "ResourceLimitError",
-        "enum_equicolored_trees",
-        "enum_torus_classes",
-        "enum_torus_graphs",
-        "graph_slopes",
-    ),
+    "enumeration": ("ResourceLimitError", "enum_equicolored_trees", "enum_torus_classes"),
     "formats": ("ParseError", "export_dot", "parse_dividing_set", "serialize_class_text"),
     "region_graph": (
         "InvalidRegionGraphError",

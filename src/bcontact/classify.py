@@ -26,13 +26,16 @@ So a class's regimes follow from its surface and shape alone, except a
 bare cycle's, which depend on the slope through its tight count; one
 function (``_regimes``) states them for ``classify`` and for the
 batch table alike.  The table is built per graph class, and that is its
-only form (``table_classes``): it reads each class's shape off the
-generator's row (``enumeration.row_shape``), builds no graph and checks
-nothing again, since the generator makes only admissible classes, and
-keeps the class's slopes in runs sharing (tight, mixed, fully
-overtwisted) regimes.  The products (r, s) of each slope's expansion are
-taken once per table, and a bare cycle's count at each slope comes from
-them (``counting.solid_torus_count``).
+only form (``table_classes``): one loop over the generator's rows, on
+either surface, reads each class's region and curve counts and whether
+it has the tight shape (``enumeration.row_shape``: the one-curve sphere
+class or a bare cycle) and its slopes (``enumeration.row_slopes``).  It
+builds no graph and checks nothing again, since the generator makes only
+admissible classes, and keeps the class's slopes in runs sharing (tight,
+mixed, fully overtwisted) regimes.  Classes whose regimes take no slope
+share one run per shape.  The products (r, s) of each slope's expansion
+are taken once per table, and a bare cycle's count at each slope comes
+from them (``counting.solid_torus_count``).
 """
 
 from __future__ import annotations
@@ -179,9 +182,9 @@ def table_classes(
     only; the sphere has no slopes).
 
     Each class is read off the generator's row, with no graph built and
-    no ``classify``: its regimes are ``_regimes`` of its shape, and a
-    bare cycle's counts come from each slope's expansion products, taken
-    once per table.
+    no ``classify``: its regimes are ``_regimes`` of its shape
+    (``row_shape``), and a bare cycle's counts come from each slope's
+    expansion products, taken once per table.
     """
     from .enumeration import (
         TREE_CAP,
@@ -194,11 +197,14 @@ def table_classes(
         row_slopes,
     )
 
-    _check_ints(max_curves=max_curves, max_p=max_p)
-    if max_curves < 1 or max_p < 1:
-        raise ValueError("max_curves and max_p must be >= 1")
     m = Surface(m)
-    if m is Surface.SPHERE:
+    if m is Surface.TORUS:
+        check_torus_request(max_curves, max_p)
+        rows = enum_torus_rows(max_curves, modulo_swap)
+    else:
+        _check_ints(max_curves=max_curves, max_p=max_p)
+        if max_curves < 1 or max_p < 1:
+            raise ValueError("max_curves and max_p must be >= 1")
         # Equicolored trees on 2n regions have 2n - 1 curves, so the cap
         # on n admits up to 2 * TREE_CAP curves.
         if max_curves > 2 * TREE_CAP:
@@ -211,24 +217,24 @@ def table_classes(
             for row in enum_tree_rows(n, modulo_swap)
         ]
         rows.sort(key=itemgetter(0))
-        runs = {tight: (((None,), *_regimes(m, tight)),) for tight in (False, True)}
-        classes = []
-        for row in rows:
-            v, e, _ = row_shape(row)
-            classes.append(TableClass(row[0], m, v, e, runs[e == 1]))
-        return classes
-    check_torus_request(max_curves, max_p)
+    # One loop for both surfaces.  A bare ring's runs hold each slope's
+    # count; every other class's regimes take no slope, so the classes of
+    # one shape (tree or ring, tight or not) share one runs tuple.
+    shared: dict[tuple[bool, bool], tuple] = {}
     products = None
     classes = []
-    for row in enum_torus_rows(max_curves, modulo_swap):
-        v, e, bare = row_shape(row)
+    for row in rows:
+        v, e, tight = row_shape(row)
         slopes = row_slopes(row, max_p)
-        if bare:
+        ring = row[2] is not None
+        if ring and tight:
             if products is None:
                 products = [expansion_products(negative_continued_fraction(*s)) for s in slopes]
             runs = _bare_cycle_runs(e // 2, slopes, products)
         else:
-            runs = ((slopes, *_regimes(m, False)),)
+            runs = shared.get((ring, tight))
+            if runs is None:
+                runs = shared[ring, tight] = ((slopes, *_regimes(m, tight)),)
         classes.append(TableClass(row[0], m, v, e, runs))
     return classes
 

@@ -315,10 +315,9 @@ def _cmd_table(args, out) -> int:
 
     manifold = Surface(_MANIFOLDS[args.manifold])
     classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
-    if args.format == "json":
-        _emit(out, render_table_jsonl(classes))
-    else:
-        _emit(out, render_table_csv(classes))
+    # Every rendered line ends in a newline, and the CSV has its header, so
+    # an empty JSON table writes nothing.
+    out.write((render_table_jsonl if args.format == "json" else render_table_csv)(classes))
     return 0
 
 

@@ -77,34 +77,40 @@ could never be the first seen with its code.  At 14 curves that skips
 
 Each class kept is a row (``Row``): its code, its skeleton's level
 sequence as ``bytes`` and a ring's closing edge, and its coloring (one
-``bytes`` object per distinct coloring of a listing), from which the CLI
-writes its listings (``enum_tree_rows``, ``enum_torus_rows``) and the
-classification table reads each class's shape (``row_shape``); the
-skeleton's edges follow from the sequence (``_sorted_edges``).  A
+``bytes`` object per distinct coloring of a listing).  One generator
+makes every row (``_rows``), from which the CLI writes its listings
+(``enum_tree_rows``, ``enum_torus_rows``) and the classification table
+reads each class's shape (``row_shape``) and slopes (``row_slopes``);
+the skeleton's edges follow from the sequence (``_sorted_edges``).  A
 ``RegionGraph`` is built from a row only for a library caller
-(``enum_equicolored_trees``, ``enum_torus_graphs``), by its constructor,
-which checks it; its codes come from the peel on first use, as for any
-graph.  The test suite referees the level-sequence codes against the
-peel on every tree up to fourteen vertices, with and without a genus
-region, on sixteen, and on every balanced tree on eighteen
+(``enum_equicolored_trees``, ``enum_torus_classes``), by its
+constructor, which checks it; its codes come from the peel on first use,
+as for any graph.  The test suite referees the level-sequence codes
+against the peel on every tree up to fourteen vertices, with and without
+a genus region, on sixteen, and on every balanced tree on eighteen
 (``TestLevelCodes``), on every ring candidate up to twelve curves, and
 the twin skip against the full candidate stream (``TestRingCodes``),
 every array code on up to nine regions (``TestArrayCodes``) and every
 listed class of the library callers (``TestGeneratedGraphsAreValid``).
 
-Distinct free trees are never isomorphic, so the sphere classes are
-emitted skeleton by skeleton, with no table of the codes seen: one class
-when a skeleton's two codes agree (or the sign mode identifies them),
-two otherwise, sharing the skeleton's level sequence.  Torus candidates
-still go through a table of first-seen codes, since one tree skeleton
-yields a candidate per genus region and one ring a candidate per closing
-edge.
+``_rows`` codes each candidate once and yields one row per coloring, or
+one row when the two codes agree or the sign mode identifies them.
+Distinct free trees are never isomorphic, so the sphere rows are classes
+as they come, with no table of the codes seen.  Torus rows keep the
+first row per code (``_class_rows``), since one tree skeleton yields a
+candidate per genus region and one ring a candidate per closing edge.
+The torus candidates come from one walk of the free trees of each order
+(``_torus_candidates``): a balanced tree gives ring candidates and a
+tree whose color classes are one apart gives genus-1 candidates.  Genus
+codes open with ``T`` and ring codes with ``C``, so the two never share
+a code, and the first row per class is the same in whatever order the
+two shapes come.
 
-Torus output is per graph class: ``enum_torus_graphs`` lists the graphs,
-and ``graph_slopes`` gives each one its slopes, every normalized slope up
-to the bound for a unicyclic graph and none for a tree.  Nothing
-slope-dependent is built per graph; ``enum_torus_classes`` is the
-per-slope expansion, for callers that want one class object per slope.
+Torus output is per graph class: a listing writes each row once with
+``row_slopes``, every normalized slope up to the bound for a ring and
+none for a tree.  Nothing slope-dependent is built per class;
+``enum_torus_classes`` is the per-slope expansion, for callers that want
+one class object per slope.
 
 All output is deterministically ordered by canonical code, so repeated
 runs are byte-identical.
@@ -503,23 +509,31 @@ def _graphs(rows: list[Row]) -> list[RegionGraph]:
     ]
 
 
+def _rows(
+    candidates: Iterator[tuple[bytes, tuple[int, int] | None, int | None]],
+    modulo_swap: bool,
+) -> Iterator[Row]:
+    """The rows of the candidates (level sequence, closing edge or ``None``,
+    genus vertex or ``None``), each coded once: one row per coloring, or
+    one when the two codes agree or the signs are identified.  Rows with
+    one coloring share its bytes."""
+    colorings: dict[bytes, bytes] = {}
+    for layout, closing, genus_vertex in candidates:
+        codes = _codes(layout, closing, genus_vertex)
+        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+            coloring = _coloring(layout, positive, genus_vertex)
+            coloring = colorings.setdefault(coloring, coloring)
+            yield min(codes) if modulo_swap else codes[positive], layout, closing, coloring
+
+
 def _class_rows(
     candidates: Iterator[tuple[bytes, tuple[int, int] | None, int | None]],
     modulo_swap: bool,
 ) -> list[Row]:
-    """One row per class among the candidates (level sequence, closing
-    edge or ``None``, genus vertex or ``None``), the first seen per code,
-    sorted by code; rows with one coloring share its bytes."""
+    """The first row per code among the candidates' rows, sorted by code."""
     out: dict[str, Row] = {}
-    colorings: dict[bytes, bytes] = {}
-    for layout, closing, genus_vertex in candidates:
-        codes = _codes(layout, closing, genus_vertex)
-        for positive in (0,) if modulo_swap else (0, 1):
-            code = min(codes) if modulo_swap else codes[positive]
-            if code not in out:
-                coloring = _coloring(layout, positive, genus_vertex)
-                coloring = colorings.setdefault(coloring, coloring)
-                out[code] = code, layout, closing, coloring
+    for row in _rows(candidates, modulo_swap):
+        out.setdefault(row[0], row)
     return [out[code] for code in sorted(out)]
 
 
@@ -531,22 +545,11 @@ def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
-    # Distinct free trees are never isomorphic, so each skeleton's classes
-    # are its own: one when its two colorings' codes agree (or are
-    # identified), two otherwise.  Rows with one coloring share its bytes.
-    rows = []
-    colorings: dict[bytes, bytes] = {}
-    for layout in _free_trees(2 * n):
-        if _odd_levels(layout) != n:
-            continue
-        codes = _codes(layout, None, None)
-        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            coloring = _coloring(layout, positive)
-            coloring = colorings.setdefault(coloring, coloring)
-            code = min(codes) if modulo_swap else codes[positive]
-            rows.append((code, layout, None, coloring))
-    rows.sort(key=itemgetter(0))
-    return rows
+    # Distinct free trees are never isomorphic, so each skeleton's rows are
+    # classes of their own, and no code needs a table of those seen.
+    skeletons = (layout for layout in _free_trees(2 * n) if _odd_levels(layout) == n)
+    return sorted(_rows(((layout, None, None) for layout in skeletons), modulo_swap),
+                  key=itemgetter(0))
 
 
 def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGraph]:
@@ -564,40 +567,38 @@ def _torus_candidates(
     max_curves: int,
 ) -> Iterator[tuple[bytes, tuple[int, int] | None, int | None]]:
     """Every torus skeleton the balance gate admits, as (level sequence,
-    closing edge or ``None``, genus vertex or ``None``)."""
-    # Trees of contractible curves around one genus-carrying region.  The
-    # balance P - N = sign(genus region) needs color classes one apart in
-    # size, with the genus region in the larger one.
-    # A genus region inside a later twin's subtree is skipped: the twin
-    # swap moves it to an earlier candidate with the same codes.
+    closing edge or ``None``, genus vertex or ``None``), from one walk of
+    the free trees of each order."""
     for nv in range(2, max_curves + 2):
         for layout in _free_trees(nv):
             odd = _odd_levels(layout)
-            if abs(nv - 2 * odd) != 1:
-                continue
-            larger = int(2 * odd > nv)
-            hi = _twin_windows(layout)[1]
-            for genus_vertex in range(nv):
-                if layout[genus_vertex] & 1 == larger and hi[genus_vertex] == nv:
-                    yield layout, None, genus_vertex
-
-    # One essential cycle, possibly with contractible trees attached:
-    # every unicyclic graph is a spanning tree plus one closing edge, and
-    # a proper 2-coloring survives exactly when the closed cycle is even,
-    # i.e. when the tree path between the ends has odd length: when the
-    # ends lie on different levels mod 2.  Balance needs P = N.  A closing
-    # edge that a twin swap moves to an earlier one is skipped.
-    for nv in range(2, max_curves + 1):
-        for layout in _free_trees(nv):
-            if 2 * _odd_levels(layout) != nv:
-                continue
-            lo, hi = _twin_windows(layout)
-            for u in range(nv):
-                if hi[u] < nv:
-                    continue
-                for v in range(u + 1, nv):
-                    if layout[u] & 1 != layout[v] & 1 and lo[v] <= u < hi[v]:
-                        yield layout, (u, v), None
+            if 2 * odd == nv and nv <= max_curves:
+                # One essential cycle, possibly with contractible trees
+                # attached: every unicyclic graph is a spanning tree plus
+                # one closing edge, and a proper 2-coloring survives exactly
+                # when the closed cycle is even, i.e. when the tree path
+                # between the ends has odd length: when the ends lie on
+                # different levels mod 2.  Balance needs P = N.  A closing
+                # edge that a twin swap moves to an earlier one is skipped.
+                lo, hi = _twin_windows(layout)
+                for u in range(nv):
+                    if hi[u] < nv:
+                        continue
+                    for v in range(u + 1, nv):
+                        if layout[u] & 1 != layout[v] & 1 and lo[v] <= u < hi[v]:
+                            yield layout, (u, v), None
+            elif abs(nv - 2 * odd) == 1:
+                # Trees of contractible curves around one genus-carrying
+                # region.  The balance P - N = sign(genus region) needs
+                # color classes one apart in size, with the genus region in
+                # the larger one.  A genus region inside a later twin's
+                # subtree is skipped: the twin swap moves it to an earlier
+                # candidate with the same codes.
+                larger = int(2 * odd > nv)
+                hi = _twin_windows(layout)[1]
+                for genus_vertex in range(nv):
+                    if layout[genus_vertex] & 1 == larger and hi[genus_vertex] == nv:
+                        yield layout, None, genus_vertex
 
 
 def check_torus_request(max_curves: int, max_p: int) -> None:
@@ -615,58 +616,46 @@ def check_torus_request(max_curves: int, max_p: int) -> None:
 
 
 def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:
-    """The rows of ``enum_torus_graphs(max_curves, modulo_swap)``, in its
-    order, with no graph built; ``row_slopes`` gives each one's slopes."""
+    """The row of every admissible torus class with at most ``max_curves``
+    curves, one per isomorphism class, sorted by canonical code, with no
+    graph built; ``row_slopes`` gives each one's slopes."""
     check_torus_request(max_curves, 1)
     return _class_rows(_torus_candidates(max_curves), modulo_swap)
 
 
-def enum_torus_graphs(max_curves: int, modulo_swap: bool = False) -> list[RegionGraph]:
-    """The graph of every admissible torus class with at most ``max_curves``
-    curves, one per isomorphism class, sorted by canonical code.
-
-    Each graph is coded from arrays, then built once.
-    ``graph_slopes`` gives the slopes each one is paired with.
-    """
-    return _graphs(enum_torus_rows(max_curves, modulo_swap))
-
-
-@cache  # graph_slopes asks for the same bound once per graph
+@cache  # row_slopes asks for the same bound once per ring
 def _normalized_slopes(max_p: int) -> tuple[tuple[int, int], ...]:
     return tuple([
         (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
     ])
 
 
-def graph_slopes(g: RegionGraph, max_p: int) -> Slopes:
-    """The slopes a torus graph class is paired with: every normalized slope
-    (p, q) with p <= ``max_p`` for a unicyclic graph, whose ring of
-    essential curves carries one; ``(None,)`` for a tree, which has none.
+def row_slopes(row: Row, max_p: int) -> Slopes:
+    """The slopes a listed torus class is paired with: every normalized
+    slope (p, q) with p <= ``max_p`` for a ring, whose essential curves
+    carry one; ``(None,)`` for a tree, which has none.
 
     Admissibility depends on the graph alone, so slopes are paired last.
     """
-    return _normalized_slopes(max_p) if g.edge_count == g.vertex_count else (None,)
-
-
-def row_slopes(row: Row, max_p: int) -> Slopes:
-    """``graph_slopes`` of a listed class's graph, from its row."""
     return (None,) if row[2] is None else _normalized_slopes(max_p)
 
 
 def row_shape(row: Row) -> tuple[int, int, bool]:
     """A listed class's region count V, its curve count E, and whether it
-    is a bare ring, from its row.
+    has the tight shape (``admissibility.tight_shape``), from its row.
 
-    A tree has one edge fewer than vertices, a ring as many.  A ring is
-    bare, every region on two curves, exactly when its skeleton is a path
-    and the closing edge joins the path's two ends: the bottom of its
-    first branch, vertex ``V // 2``, and the last vertex, or the root on
-    two regions, where there is no second branch.
+    A tree has one edge fewer than vertices, a ring as many.  The only
+    tight tree listed is the one-curve sphere class, on two regions: no
+    two-region genus-1 tree is balanced.  A ring is tight when it is bare,
+    every region on two curves, exactly when its skeleton is a path and
+    the closing edge joins the path's two ends: the bottom of its first
+    branch, vertex ``V // 2``, and the last vertex, or the root on two
+    regions, where there is no second branch.
     """
     layout, closing = row[1], row[2]
     order = len(layout)
     if closing is None:
-        return order, order - 1, False
+        return order, order - 1, order == 2
     ends = (order // 2 if order > 2 else 0, order - 1)
     return order, order, closing == ends and layout == _path(order)
 
@@ -677,12 +666,14 @@ def enum_torus_classes(
     """All admissible torus dividing-set classes with at most ``max_curves``
     curves and slopes bounded by ``max_p``, one per isomorphism class.
 
-    The per-slope expansion of ``enum_torus_graphs``, sorted by (canonical
-    code, slope): the classes of one graph share its graph object.
+    Each listed class's graph, built from its row, paired with each of its
+    ``row_slopes``, sorted by (canonical code, slope): the classes of one
+    graph share its graph object.
     """
     check_torus_request(max_curves, max_p)
+    rows = enum_torus_rows(max_curves, modulo_swap)
     return [
         DividingSetClass(Surface.TORUS, g, slope)
-        for g in enum_torus_graphs(max_curves, modulo_swap)
-        for slope in graph_slopes(g, max_p)
+        for row, g in zip(rows, _graphs(rows))
+        for slope in row_slopes(row, max_p)
     ]

@@ -9,19 +9,27 @@ field, without ``table_classes``.
 ``all_torus_candidates`` and ``twin_image`` referee the torus generator's
 twin skip: the candidate stream with no candidate skipped, and the
 earlier candidate a twin swap moves a skipped one to.
+``enum_torus_graphs`` and ``graph_slopes`` referee the torus listings and
+``enum_torus_classes``: each listed class's graph, built from its row by
+the checking constructor, and the slopes a graph is paired with, counted
+from the graph.
 The ``*_reference`` builders referee the writers: a graph's or a class's
 text and JSON object, and the object ``classify --format json`` prints,
 each built field by field.
 """
 
 from itertools import groupby
+from math import gcd
 
 from bcontact.classify import classify, leaf_census
 from bcontact.enumeration import (
     _free_trees,
+    _sorted_edges,
     _tree_edges,
+    _vertices,
     enum_equicolored_trees,
     enum_torus_classes,
+    enum_torus_rows,
 )
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
@@ -188,6 +196,26 @@ def table_rows(records, modulo_swap=False):
             "leaves_1": census.leaves_dim1,
         })
     return rows
+
+
+def enum_torus_graphs(max_curves, modulo_swap=False):
+    """The graph of every torus class listed with at most ``max_curves``
+    curves, in the listing's order: by canonical code."""
+    return [
+        RegionGraph(_vertices(coloring), _sorted_edges(layout, closing))
+        for _, layout, closing, coloring in enum_torus_rows(max_curves, modulo_swap)
+    ]
+
+
+def graph_slopes(g, max_p):
+    """The slopes a torus graph is listed with: every (p, q) with
+    0 < q <= p <= ``max_p`` and gcd 1 for a ring, whose graph has as many
+    edges as vertices, and ``(None,)`` for a tree."""
+    if g.edge_count != g.vertex_count:
+        return (None,)
+    return tuple(
+        (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
+    )
 
 
 def all_torus_candidates(max_curves):

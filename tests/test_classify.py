@@ -24,17 +24,23 @@ from bcontact.enumeration import (
     ResourceLimitError,
     enum_equicolored_trees,
     enum_torus_classes,
-    enum_torus_graphs,
     enum_torus_rows,
     enum_tree_rows,
-    graph_slopes,
     row_shape,
 )
 from bcontact.formats import render_table_csv, render_table_jsonl
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import enumerated_records, farey_products, sphere_class, table_rows, torus_cycle
+from helpers import (
+    enum_torus_graphs,
+    enumerated_records,
+    farey_products,
+    graph_slopes,
+    sphere_class,
+    table_rows,
+    torus_cycle,
+)
 
 # The package re-exports ``classify``, which hides the submodule's name.
 CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
@@ -267,8 +273,7 @@ class TestTableFromRows:
             rows = enum_tree_rows(n, modulo_swap)
             for row, g in zip(rows, enum_equicolored_trees(n, modulo_swap), strict=True):
                 d = DividingSetClass(Surface.SPHERE, g)
-                assert row_shape(row) == (g.vertex_count, g.edge_count, False)
-                assert (g.edge_count == 1) == bool(tight_shape(d))
+                assert row_shape(row) == (g.vertex_count, g.edge_count, bool(tight_shape(d)))
 
     def test_no_graph_no_class_object_no_classify_no_admissibility(self, monkeypatch):
         expected = [

@@ -20,19 +20,16 @@ from hypothesis import strategies as st
 
 from bcontact import admissibility, cli, counting, formats
 from bcontact.cli import build_parser, run_cli
-from bcontact.enumeration import (
-    enum_equicolored_trees,
-    enum_torus_classes,
-    enum_torus_graphs,
-    graph_slopes,
-)
+from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import canonical_code
 from bcontact.surfaces import DividingSetClass, Surface
 
 from helpers import (
     class_json_reference,
     class_text_reference,
+    enum_torus_graphs,
     graph_json_reference,
+    graph_slopes,
     graph_text_reference,
     long_ring,
 )
@@ -840,6 +837,17 @@ class TestTable:
         rows = [json.loads(line) for line in output.strip().splitlines()]
         assert status == 0 and len(rows) == 2
         assert all(row["surface"] == "sphere" for row in rows)
+
+    def test_empty_table_is_no_json_line_and_a_csv_header(self):
+        # One curve admits no torus class: JSON lines are none at all, not
+        # one blank line, and the CSV is its header alone.
+        args = ["table", "--manifold", "s3-t2", "--max-curves", "1", "--max-slope", "1"]
+        assert run([*args, "--format", "json"]) == (0, "")
+        header = (
+            "canonical_code,surface,V,E,slope_p,slope_q,tight_count,mixed_finite,"
+            "mixed_rank,ot_finite,ot_rank,leaves_3,leaves_2,leaves_1\n"
+        )
+        assert run([*args, "--format", "csv"]) == (0, header)
 
 
 class TestStrictJsonInput:

@@ -13,15 +13,14 @@ from bcontact.enumeration import (
     _vertices,
     enum_equicolored_trees,
     enum_torus_classes,
-    enum_torus_graphs,
     enum_torus_rows,
     enum_tree_rows,
-    graph_slopes,
+    row_slopes,
 )
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import all_torus_candidates, twin_image
+from helpers import all_torus_candidates, enum_torus_graphs, twin_image
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
 
@@ -222,10 +221,11 @@ class TestTorusGraphs:
         assert all(d.surface is Surface.TORUS for d in classes)
 
     def test_graph_slopes(self):
-        ring = RegionGraph([(0, 1, 0), (1, -1, 0)], [(0, 1), (0, 1)])
-        tree = RegionGraph([(0, 1, 1), (1, -1, 0), (2, -1, 0)], [(0, 1), (0, 2)])
-        assert graph_slopes(ring, 3) == ((1, 1), (2, 1), (3, 1), (3, 2))
-        assert graph_slopes(tree, 3) == (None,)
+        # The two-curve ring and a genus-1 tree on three regions.
+        ring, tree = enum_torus_rows(2)[:2]
+        assert (ring[0], tree[0]) == ("C2(+0)(-0)", "T(+0(-0)(-1))")
+        assert row_slopes(ring, 3) == ((1, 1), (2, 1), (3, 1), (3, 2))
+        assert row_slopes(tree, 3) == (None,)
 
     def test_slope_cap_fires_before_enumeration(self, monkeypatch):
         def never(*args, **kwargs):
@@ -235,7 +235,7 @@ class TestTorusGraphs:
         with pytest.raises(ResourceLimitError, match="slope bound"):
             enum_torus_classes(4, 257)
         with pytest.raises(ResourceLimitError, match="16 curves"):
-            enum_torus_graphs(17)
+            enum_torus_classes(17, 1)
 
 
 def _counted_balance(g):
@@ -379,6 +379,20 @@ class TestRingCodes:
                 else:
                     rings += 1
             assert (rings, trees) == expected
+
+    def test_torus_walk_visits_each_order_once(self, monkeypatch):
+        # One walk of the free trees per order serves both shapes: orders 2
+        # to 11 for 10 curves.
+        orders = []
+        real_free_trees = enumeration._free_trees
+
+        def counted(order):
+            orders.append(order)
+            return real_free_trees(order)
+
+        monkeypatch.setattr(enumeration, "_free_trees", counted)
+        list(enumeration._torus_candidates(10))
+        assert orders == list(range(2, 12))
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_torus_rows_reach_no_peel(self, monkeypatch, modulo_swap):
