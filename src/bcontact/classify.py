@@ -229,8 +229,10 @@ def table_classes(
         ring = row[2] is not None
         if ring and tight:
             if products is None:
-                products = [expansion_products(negative_continued_fraction(*s)) for s in slopes]
-            runs = _bare_cycle_runs(e // 2, slopes, products)
+                products = [
+                    ((s,), *expansion_products(negative_continued_fraction(*s))) for s in slopes
+                ]
+            runs = _bare_cycle_runs(e // 2, products)
         else:
             runs = shared.get((ring, tight))
             if runs is None:
@@ -239,10 +241,12 @@ def table_classes(
     return classes
 
 
-def _bare_cycle_runs(n: int, slopes: Slopes, products: list[tuple[int, int]]) -> tuple:
+def _bare_cycle_runs(n: int, products: list[tuple[Slopes, int, int]]) -> tuple:
     """One run per slope of a bare cycle of 2n curves, each slope's count
-    from its expansion products (r, s)."""
+    from its expansion products: ``products`` holds (the slope's one-slope
+    run, r, s), made once per table, so the bare rings share their runs'
+    slope tuples as the other classes share theirs."""
     return tuple([
-        ((slope,), *_regimes(Surface.TORUS, True, solid_torus_count(n, r, s)))
-        for slope, (r, s) in zip(slopes, products)
+        (run, *_regimes(Surface.TORUS, True, solid_torus_count(n, r, s)))
+        for run, r, s in products
     ])

@@ -29,12 +29,25 @@ neither builds a graph object.  Graphs are built for library callers
 only.  Each command is declared once, in ``_COMMANDS``: its help line,
 its handler and its arguments.  The parser lists every command from it
 but adds the arguments of the invoked one only (``_CommandParser``).
+
+``main``, the entry of the ``bcontact`` script and of ``python -m
+bcontact``, calls ``gc.freeze()`` once ``run_cli`` has returned, so the
+interpreter's shutdown collections skip every object the call holds,
+the loaded modules included.  Those collections took about 8 ms of a
+fresh call's 10-13 ms shutdown on a 2-vCPU VM (CPython 3.11; a
+``tight-count`` call takes about 70 ms in all), whatever the command.
+By then the answer, any error line and the status are settled, and no
+bcontact object needs a cycle finalizer; exit handlers, the flush of
+the standard streams and reference-count teardown still run.
+``run_cli``, the entry for library callers and the tests, leaves the
+collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 
 # Each manifold's name on the command line, and its critical surface.
@@ -410,4 +423,8 @@ def run_cli(argv: list[str] | None = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    status = run_cli()
+    # The answer is written: the shutdown collections need not visit what
+    # the call made.
+    gc.freeze()
+    sys.exit(status)

@@ -411,9 +411,12 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
         sep[0], quote, null, end = "", "", "", "\n"
         blocks = [",".join(TABLE_COLUMNS) + "\n"]
     q_sep = sep[5]
-    # The slope columns of each distinct run of slopes, formatted once: the
-    # ring classes of one table share the run of all slopes.
-    slope_texts: dict[Slopes, list[str]] = {}
+    # The slope columns of each run of slopes, formatted once and keyed on
+    # the run's identity, which ``classes`` keeps alive: the classes of one
+    # table share their run objects, and a tuple does not keep its hash, so
+    # keying on its value would hash the run of all slopes again for every
+    # ring class.
+    slope_texts: dict[int, list[str]] = {}
     for c in classes:
         census = c.census
         head = (
@@ -430,10 +433,10 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
                 f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
                 f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"
             )
-            texts = slope_texts.get(slopes)
+            texts = slope_texts.get(id(slopes))
             if texts is None:
                 pairs = ((null, null),) if slopes == (None,) else slopes
-                texts = slope_texts[slopes] = [f"{p}{q_sep}{q}" for p, q in pairs]
+                texts = slope_texts[id(slopes)] = [f"{p}{q_sep}{q}" for p, q in pairs]
             blocks += (head, (rest + head).join(texts), rest)
     return "".join(blocks)
 

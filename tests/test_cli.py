@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import importlib
 import io
@@ -1037,6 +1038,50 @@ class TestClosedStreams:
     def test_closed_stderr_keeps_usage_error_off_stdout(self):
         proc = run_with_closed_fd(2, ["tight-count", "--n", "1"])
         assert (proc.returncode, proc.stdout) == (2, "")
+
+
+# Calls cli.main as the console script does, with an exit handler that
+# reports, on stderr's last line, how many objects the collector holds
+# frozen when the interpreter shuts down.
+EXIT_PROBE = """\
+import atexit, gc, sys
+from bcontact import cli
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["bcontact", *sys.argv[1:]]
+cli.main()
+"""
+
+
+class TestExitPath:
+    """``main`` freezes the collector once the answer is written, so the
+    interpreter's shutdown collections skip what the call made;
+    ``run_cli`` leaves the collector to its caller."""
+
+    @pytest.mark.parametrize(
+        "argv,status,stdout,diagnostics",
+        [
+            (["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, "40\n", 0),
+            (["tight-count", "--n", "0", "--p", "1", "--q", "1"], 1, "", 1),
+            # The usage line, then the error.
+            (["tight-count", "--n", "1"], 2, "", 2),
+        ],
+        ids=["answer", "domain-error", "usage-error"],
+    )
+    def test_main_exits_with_the_heap_frozen(self, argv, status, stdout, diagnostics):
+        proc = subprocess.run(
+            [sys.executable, "-c", EXIT_PROBE, *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (status, stdout)
+        *lines, probe = proc.stderr.splitlines()
+        assert len(lines) == diagnostics
+        assert not lines or "error: " in lines[-1]
+        assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
+
+    def test_run_cli_leaves_the_collector_alone(self):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(["tight-count", "--n", "3", "--p", "5", "--q", "2"]) == (0, "40\n")
+        assert run(["tight-count", "--n", "0", "--p", "1", "--q", "1"])[0] == 1
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 TORUS_TABLE_8_16 = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]

@@ -307,6 +307,30 @@ class TestTables:
         classes = table_classes(S3_T2, 5, 2)
         assert render_table_csv(classes) == render_table_csv(table_classes(S3_T2, 5, 2))
 
+    def test_shared_runs_of_slopes_are_not_hashed(self):
+        # A tuple does not keep its hash, so a cache keyed on a run's value
+        # would hash the run of all slopes again for every ring class.
+        class CountedSlopes(tuple):
+            hashes = 0
+
+            def __hash__(self):
+                CountedSlopes.hashes += 1
+                return super().__hash__()
+
+        classes = table_classes(S3_T2, 6, 8)
+        counted = {}
+        hand_built = [
+            c._replace(runs=tuple(
+                (counted.setdefault(id(slopes), CountedSlopes(slopes)), *regimes)
+                for slopes, *regimes in c.runs
+            ))
+            for c in classes
+        ]
+        assert any(len(slopes) > 1 for slopes in counted.values())
+        assert render_table_csv(hand_built) == render_table_csv(classes)
+        assert render_table_jsonl(hand_built) == render_table_jsonl(classes)
+        assert CountedSlopes.hashes == 0
+
 
 class TestTableRowsFieldByField:
     """The renderers against rows built field by field from ``classify`` of
