@@ -26,9 +26,18 @@ input, so listings and text answers skip its import.
 generator's rows (``enumeration.Row``), one class's lines at a time
 (``formats.write_listing``), and ``--count-only`` counts the rows:
 neither builds a graph object.  Graphs are built for library callers
-only.  Each command is declared once, in ``_COMMANDS``: its help line,
-its handler and its arguments.  The parser lists every command from it
-but adds the arguments of the invoked one only (``_CommandParser``).
+only.
+
+Each command is declared once, in ``_COMMANDS``: its help line, its
+handler and its arguments.  A call reads its command line off that table
+(``_read_args``): the command, then each of its flags at most once and
+spelled out, a value flag followed by its value.  That gives the
+namespace argparse would make, without loading ``argparse`` or the
+``gettext`` and ``locale`` modules it imports.  Anything else (help, an
+abbreviation, ``--flag=value``, a repeated or unknown flag, a missing or
+rejected value) goes to the parser that ``build_parser`` makes of the
+same table, which reads it or writes the help text, or the usage line
+and error, and the exit status.
 
 ``main``, the entry of the ``bcontact`` script and of ``python -m
 bcontact``, calls ``gc.freeze()`` once ``run_cli`` has returned, so the
@@ -45,47 +54,96 @@ collector alone.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import sys
+from types import SimpleNamespace
 
 # Each manifold's name on the command line, and its critical surface.
 _MANIFOLDS = {"s3-s2": "sphere", "s3-t2": "torus"}
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's prints the usage on stdout if stderr is closed
-        _report(f"{self.format_usage()}{self.prog}: error: {message}")
-        self.exit(2)
+def build_parser():
+    """The ``argparse`` parser of ``_COMMANDS``, every command's arguments
+    added: it reads what ``_read_args`` declines, and writes every help
+    text, usage line and usage error."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            self.register("action", "negatable", argparse.BooleanOptionalAction)
 
-class _CommandParser(_Parser):
-    """A subcommand's parser, which adds its arguments (``_COMMANDS``)
-    when it first parses: a call makes only the invoked command's."""
+        def error(self, message):  # argparse's prints the usage on stdout if stderr is closed
+            _report(f"{self.format_usage()}{self.prog}: error: {message}")
+            self.exit(2)
 
-    def __init__(self, *args, command: str, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.pending = command
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self.pending:
-            for flag, options in _COMMANDS[self.pending][2]:
-                self.add_argument(flag, **options)
-            self.pending = ""
-        return super().parse_known_args(args, namespace)
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="bcontact",
         description="Enumerate and classify dividing sets of b-contact "
         "structures on (S3, S2) and (S3, T2).",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
-    for command, (help, _, _) in _COMMANDS.items():
-        sub.add_parser(command, help=help, command=command)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help, _, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help)
+        for flag, options in arguments:
+            command_parser.add_argument(flag, **options)
     return parser
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that ``build_parser`` makes of a well-formed
+    ``argv``, read straight from ``_COMMANDS``, or None.
+
+    ``argv`` is a command, then each of its flags at most once, spelled
+    out, a value flag followed by its value: a token that does not start
+    with ``-``, or ``-`` itself (stdin).  A value goes through its
+    ``type`` and must be one of its ``choices``; every required flag must
+    be there, and every other one gets its default.  Anything else (help,
+    an abbreviation, ``--flag=value``, a repeated or unknown flag, a
+    missing or rejected value) is None, for argparse to read or report.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    values = {"command": argv[0]}
+    # Each spelling: its dest, its options, and the value it stores, or
+    # None for a flag that takes the next token.
+    spellings = {}
+    required = set()
+    for flag, options in _COMMANDS[argv[0]][2]:
+        dest = flag[2:].replace("-", "_")
+        action = options.get("action")
+        spellings[flag] = dest, options, True if action else None
+        if action == "negatable":
+            spellings["--no-" + flag[2:]] = dest, options, False
+        if options.get("required"):
+            required.add(dest)
+        else:
+            values[dest] = options.get("default", False if action else None)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token not in spellings:
+            return None
+        dest, options, value = spellings[token]
+        if dest in seen:
+            return None
+        seen.add(dest)
+        if value is None:
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and value != "-":
+                return None
+            if "type" in options:
+                try:
+                    value = options["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in options and value not in options["choices"]:
+                return None
+        values[dest] = value
+    if not required <= seen:
+        return None
+    return SimpleNamespace(**values)
 
 
 def _read_gamma(path: str) -> DividingSetClass:
@@ -323,11 +381,16 @@ def _cmd_census(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     from .classify import table_classes
+    from .enumeration import TABLE_ROW_CAP, ResourceLimitError
     from .formats import render_table_csv, render_table_jsonl
     from .surfaces import Surface
 
     manifold = Surface(_MANIFOLDS[args.manifold])
     classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
+    # The table is rendered as one string: its size is checked first.
+    rows = sum(len(run[0]) for c in classes for run in c.runs)
+    if rows > TABLE_ROW_CAP:
+        raise ResourceLimitError(f"table capped at {TABLE_ROW_CAP} rows, got {rows}")
     # Every rendered line ends in a newline, and the CSV has its header, so
     # an empty JSON table writes nothing.
     out.write((render_table_jsonl if args.format == "json" else render_table_csv)(classes))
@@ -344,7 +407,7 @@ def _cmd_export_dot(args, out) -> int:
 _REQUIRED_INT = {"type": int, "required": True}
 _GAMMA = ("--gamma", {"required": True})
 _SIGN_MODE = ("--distinguish-signs", {
-    "action": argparse.BooleanOptionalAction,
+    "action": "negatable",
     "default": True,
     "help": "count the two global sign orientations separately (default); "
     "--no-distinguish-signs identifies them",
@@ -402,11 +465,13 @@ def _report(message: str) -> None:
 
 def run_cli(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         if out is None:
             raise OSError("stdout is closed")

@@ -137,6 +137,9 @@ from .surfaces import DividingSetClass, Surface
 TREE_CAP = 10
 CURVE_CAP = 16
 SLOPE_CAP = 256
+# The rows one table may hold: the 8-curve torus table at slope 256 has
+# 2,493,742.
+TABLE_ROW_CAP = 4_000_000
 
 
 # The slopes of one torus graph class in order: ``(None,)`` for a tree,

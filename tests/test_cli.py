@@ -1,6 +1,5 @@
 """Command-line behavior: outputs and the exit-status contract."""
 
-import argparse
 import contextlib
 import gc
 import hashlib
@@ -10,10 +9,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -329,30 +330,9 @@ class TestListingFragments:
             assert len(made) == len(set(made)), (argv, fmt)
 
 
-def _subparsers(parser):
-    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return action.choices
-
-
-def _eager_parser():
-    """``build_parser`` with every command's arguments added up front."""
-    parser = build_parser()
-    for command, sub in _subparsers(parser).items():
-        for flag, options in cli._COMMANDS[command][2]:
-            sub.add_argument(flag, **options)
-        sub.pending = ""
-    return parser
-
-
 class TestParser:
-    """The parser adds a command's arguments only when the command runs,
-    and says the same bytes as one with every argument added up front."""
-
-    def test_only_the_invoked_command_gets_its_arguments(self):
-        parser = build_parser()
-        parser.parse_args(["cf", "--p", "3", "--q", "2"])
-        added = {command: len(sub._actions) > 1 for command, sub in _subparsers(parser).items()}
-        assert added == {command: command == "cf" for command in added}
+    """Help, usage lines and usage errors are argparse's, from the parser
+    that ``build_parser`` makes of the command table."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -364,13 +344,148 @@ class TestParser:
     ])
     def test_help_usage_and_errors_as_with_every_argument(self, capsys, argv):
         status, out = run(argv)
-        lazy = capsys.readouterr()
+        called = capsys.readouterr()
         with pytest.raises(SystemExit) as exit_info:
-            _eager_parser().parse_args(argv)
-        eager = capsys.readouterr()
+            build_parser().parse_args(argv)
+        parsed = capsys.readouterr()
         assert (status, out) == (exit_info.value.code, "")
-        assert (lazy.out, lazy.err) == (eager.out, eager.err)
-        assert lazy.out or lazy.err
+        assert (called.out, called.err) == (parsed.out, parsed.err)
+        assert called.out or called.err
+
+
+# What the argv reader meets: every command, every declared flag and its
+# --no- form, help, an abbreviation, a --flag=value, an unknown flag; and
+# values that ints, choices and paths take or refuse, a 4,301-digit integer
+# past CPython's int-from-str limit among them.
+DECLARED_FLAGS = sorted({
+    flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments
+})
+READER_TOKENS = [
+    *cli._COMMANDS, *DECLARED_FLAGS, *("--no-" + flag[2:] for flag in DECLARED_FLAGS),
+    "-h", "--help", "--max-c", "--n=3", "--bogus",
+]
+READER_VALUES = st.integers(-4, 12).map(str) | st.sampled_from([
+    "-", "", "json", "csv", "text", "s3-t2", "nowhere", "1_0", " 7", "\u0663", "9" * 4301,
+])
+
+
+@st.composite
+def reader_argvs(draw):
+    """An argv over the reader's vocabulary: mostly a command and most of
+    its flags in any order, a value flag mostly followed by a value that
+    fits it, and sometimes a token or value put in anywhere."""
+    def rarely():
+        return draw(st.integers(0, 4)) == 4
+
+    head = draw(st.sampled_from(READER_TOKENS if rarely() else list(cli._COMMANDS)))
+    argv = [head]
+    arguments = cli._COMMANDS[head][2] if head in cli._COMMANDS else ()
+    for flag, options in draw(st.permutations(arguments)):
+        if rarely():
+            continue
+        if "action" in options:
+            argv.append(draw(st.sampled_from([flag, "--no-" + flag[2:]])))
+            continue
+        if "choices" in options:
+            fitting = st.sampled_from(options["choices"])
+        elif "type" in options:
+            fitting = st.integers(0, 12).map(str)
+        else:
+            fitting = st.just("gamma.txt")
+        argv += [flag, draw(READER_VALUES if rarely() else fitting)]
+    while rarely():
+        argv.insert(draw(st.integers(1, len(argv))),
+                    draw(st.sampled_from(READER_TOKENS) | READER_VALUES))
+    return argv
+
+
+CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def ci_digest_argvs():
+    """The argv of every command whose stdout digest the CI workflow checks."""
+    text = CI_WORKFLOW.read_text(encoding="utf-8")
+    return [line.split() for line in re.findall(r"bin/bcontact ([^|\n]*) \| sha256sum", text)]
+
+
+def spelled_out(argv):
+    """``argv`` with each ``--flag=value`` split in two and each abbreviated
+    flag written whole, as argparse reads them."""
+    names = []
+    for flag, options in cli._COMMANDS[argv[0]][2]:
+        names.append(flag)
+        if options.get("action") == "negatable":
+            names.append("--no-" + flag[2:])
+    spelled = [argv[0]]
+    for token in argv[1:]:
+        name, equals, value = token.partition("=")
+        if name.startswith("--"):
+            if name not in names:
+                (name,) = [full for full in names if full.startswith(name)]
+            spelled += [name, value] if equals else [name]
+        else:
+            spelled.append(token)
+    return spelled
+
+
+class TestArgvReader:
+    """``cli._read_args`` reads a well-formed argv off the command table
+    into the namespace argparse would make, and declines everything else,
+    which argparse then reads or reports."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=reader_argvs())
+    def test_a_namespace_it_reads_is_argparse_s(self, argv):
+        args = cli._read_args(argv)
+        if args is not None:
+            assert vars(args) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["cf", "--help"], ["cf", "-h"], ["cf", "--p", "5", "--q", "2", "--help"],
+        ["table", "--manifold", "s3-t2", "--max-c", "4"],
+        ["cf", "--p=5", "--q", "2"],
+        ["cf", "--p", "5", "--p", "5", "--q", "2"],
+        ["enum-trees", "--n", "3", "--distinguish-signs", "--no-distinguish-signs"],
+        ["enum-trees", "--n", "3", "--count-only", "--count-only"],
+        ["cf", "--p", "5", "--q", "2", "extra"], ["cf", "--p", "5", "--q", "2", "--bogus"],
+        ["cf", "--p", "5", "--q"], ["cf", "--p", "5"], ["check"],
+        ["cf", "--p", "-5", "--q", "2"], ["check", "--gamma", "-x"],
+        ["cf", "--p", "five", "--q", "2"], ["cf", "--p", "9" * 4301, "--q", "2"],
+        ["table", "--manifold", "nowhere"], ["cf", "--p", "5", "--q", "2", "--format", "csv"],
+        ["frobnicate"], ["--help"], [],
+    ])
+    def test_declines_what_argparse_must_read_or_report(self, argv):
+        assert cli._read_args(argv) is None
+
+    def test_reads_every_recorded_command(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        queries = importlib.import_module("queries")
+        argvs = [["table", *args, "--format", fmt] for args, fmt, _ in TABLE_DIGESTS]
+        argvs += [[*args, "--format", "json"] for args, _ in ENUMERATION_DIGESTS]
+        argvs += [
+            args if gamma is None else [*args, "--gamma", "gamma.txt"]
+            for args, gamma, _ in OUTPUT_DIGESTS
+        ]
+        argvs += [TORUS_TABLE_8_16, ENUM_TREES_8_JSON, TestChunkedWrites.ARGV]
+        argvs += [workloads.ENUM_TREES, workloads.ENUM_TORUS, workloads.TORUS_TABLE]
+        argvs += [query.argv for query in queries.make_queries(1, 1, tmp_path)]
+        for argv in argvs:
+            args = cli._read_args(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+
+    def test_ci_spellings_read_as_spelled_out(self):
+        # The plain spellings are the reader's; the argparse-only ones are
+        # declined, and argparse reads them as the plain ones.
+        argvs = ci_digest_argvs()
+        assert ENUM_TREES_8_JSON in argvs
+        for argv in argvs:
+            plain = spelled_out(argv)
+            args = cli._read_args(plain)
+            assert args is not None, argv
+            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+            assert (cli._read_args(argv) is None) == (argv != plain), argv
 
 
 class TestArithmeticCommands:
@@ -971,6 +1086,26 @@ class TestTableArguments:
             "error: sphere table capped at --max-curves 20, got 21\n"
         )
 
+    def test_row_cap_fires_before_rendering(self, monkeypatch, capsys):
+        # 14,782,862 rows, within the curve and slope caps.
+        def never(*args, **kwargs):
+            raise AssertionError("the table was rendered before the row cap check")
+
+        monkeypatch.setattr(formats, "_render_table", never)
+        argv = ["table", "--manifold", "s3-t2", "--max-curves", "10", "--max-slope", "256"]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 14782862\n"
+
+    @pytest.mark.parametrize("spare,status", [(0, 0), (-1, 1)], ids=["at-cap", "one-over"])
+    def test_row_cap_counts_rows_exactly(self, monkeypatch, capsys, spare, status):
+        argv = ["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "3"]
+        table = run(argv)[1]
+        rows = table.count("\n") - 1
+        monkeypatch.setattr(ENUMERATION_MODULE, "TABLE_ROW_CAP", rows + spare)
+        assert run(argv) == (status, table if status == 0 else "")
+        refusal = f"error: table capped at {rows - 1} rows, got {rows}\n"
+        assert capsys.readouterr().err == ("" if status == 0 else refusal)
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):
@@ -1180,6 +1315,70 @@ class TestChunkedWrites:
         assert hashlib.sha256(raw.data).hexdigest() == ENUM_TREES_6_SHA256
 
 
+# The recorded tables, as (the arguments after ``table``, format, digest).
+TABLE_DIGESTS = [
+    # Recorded before the torus table was built per graph class.
+    (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "csv",
+     TORUS_TABLE_6_8_SHA256),
+    (["--manifold", "s3-s2", "--max-curves", "13"], "csv", SPHERE_TABLE_13_SHA256),
+    (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"], "csv",
+     SPHERE_TABLE_13_SWAP_SHA256),
+    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
+      "--no-distinguish-signs"], "csv", TORUS_TABLE_8_4_SWAP_SHA256),
+    (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "json",
+     TORUS_TABLE_6_8_JSON_SHA256),
+    (["--manifold", "s3-s2", "--max-curves", "13"], "json",
+     SPHERE_TABLE_13_JSON_SHA256),
+    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
+      "--no-distinguish-signs"], "json", TORUS_TABLE_8_4_SWAP_JSON_SHA256),
+    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "csv",
+     TORUS_TABLE_8_64_SHA256),
+    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "json",
+     TORUS_TABLE_8_64_JSON_SHA256),
+]
+# JSON listings, as (argv, digest).
+ENUMERATION_DIGESTS = [
+    (["enum-trees", "--n", "6"], ENUM_TREES_6_SHA256),
+    (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
+    (["enum-torus", "--max-curves", "9", "--max-slope", "3",
+      "--no-distinguish-signs"], ENUM_TORUS_9_3_SWAP_SHA256),
+    (["enum-torus", "--max-curves", "12", "--max-slope", "1"], ENUM_TORUS_12_1_SHA256),
+    (["enum-torus", "--max-curves", "12", "--max-slope", "1",
+      "--no-distinguish-signs"], ENUM_TORUS_12_1_SWAP_SHA256),
+]
+# Other outputs, as (argv, the text of its --gamma input or None, digest).
+OUTPUT_DIGESTS = [
+    (["enum-trees", "--n", "6"], None, ENUM_TREES_6_TEXT_SHA256),
+    (["enum-torus", "--max-curves", "7", "--max-slope", "2"], None,
+     ENUM_TORUS_7_2_TEXT_SHA256),
+    (["classify", "--format", "json"], TWO_CYCLE_32, CLASSIFY_TWO_CYCLE_32_JSON_SHA256),
+    (["classify", "--format", "json"], EQUATOR, CLASSIFY_EQUATOR_JSON_SHA256),
+    (["enum-trees", "--n", "8", "--format", "json", "--no-distinguish-signs"], None,
+     ENUM_TREES_8_SWAP_SHA256),
+    (["enum-trees", "--n", "7", "--format", "csv"], None, ENUM_TREES_7_CSV_SHA256),
+    (["enum-trees", "--n", "7", "--format", "csv", "--no-distinguish-signs"], None,
+     ENUM_TREES_7_CSV_SWAP_SHA256),
+    (["enum-trees", "--n", "6", "--format", "text", "--no-distinguish-signs"], None,
+     ENUM_TREES_6_TEXT_SWAP_SHA256),
+    (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv"], None,
+     ENUM_TORUS_8_3_CSV_SHA256),
+    (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv",
+      "--no-distinguish-signs"], None, ENUM_TORUS_8_3_CSV_SWAP_SHA256),
+    (["enum-torus", "--max-curves", "7", "--max-slope", "2", "--format", "text",
+      "--no-distinguish-signs"], None, ENUM_TORUS_7_2_TEXT_SWAP_SHA256),
+    (["enum-trees", "--n", "9", "--format", "csv"], None, ENUM_TREES_9_CSV_SHA256),
+    (["enum-trees", "--n", "9", "--format", "csv", "--no-distinguish-signs"], None,
+     ENUM_TREES_9_CSV_SWAP_SHA256),
+    (["classify", "--format", "json"], SPARSE_SPHERE, CLASSIFY_SPARSE_JSON_SHA256),
+    (["classify", "--format", "json"], LARGE_IDS_RING, CLASSIFY_LARGE_IDS_JSON_SHA256),
+    (["classify", "--format", "json"], GENUS_TREE_ADMISSIBLE,
+     CLASSIFY_GENUS_JSON_SHA256),
+    (["classify", "--format", "json"], long_ring(400), CLASSIFY_RING_400_JSON_SHA256),
+    (["tight-count", "--n", "8000", "--p", "3", "--q", "2", "--format", "json"], None,
+     TIGHT_COUNT_8000_JSON_SHA256),
+]
+
+
 class TestDeterminism:
     def test_gamma_from_stdin(self, monkeypatch):
         set_stdin(monkeypatch, EQUATOR)
@@ -1194,26 +1393,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "args,fmt,digest",
-        [
-            # Recorded before the torus table was built per graph class.
-            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "csv",
-             TORUS_TABLE_6_8_SHA256),
-            (["--manifold", "s3-s2", "--max-curves", "13"], "csv", SPHERE_TABLE_13_SHA256),
-            (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"], "csv",
-             SPHERE_TABLE_13_SWAP_SHA256),
-            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
-              "--no-distinguish-signs"], "csv", TORUS_TABLE_8_4_SWAP_SHA256),
-            (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "json",
-             TORUS_TABLE_6_8_JSON_SHA256),
-            (["--manifold", "s3-s2", "--max-curves", "13"], "json",
-             SPHERE_TABLE_13_JSON_SHA256),
-            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
-              "--no-distinguish-signs"], "json", TORUS_TABLE_8_4_SWAP_JSON_SHA256),
-            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "csv",
-             TORUS_TABLE_8_64_SHA256),
-            (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "json",
-             TORUS_TABLE_8_64_JSON_SHA256),
-        ],
+        TABLE_DIGESTS,
         ids=["s3-t2-6-8", "s3-s2-13", "s3-s2-13-swap", "s3-t2-8-4-swap",
              "s3-t2-6-8-json", "s3-s2-13-json", "s3-t2-8-4-swap-json",
              "s3-t2-8-64", "s3-t2-8-64-json"],
@@ -1225,15 +1405,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "args,digest",
-        [
-            (["enum-trees", "--n", "6"], ENUM_TREES_6_SHA256),
-            (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
-            (["enum-torus", "--max-curves", "9", "--max-slope", "3",
-              "--no-distinguish-signs"], ENUM_TORUS_9_3_SWAP_SHA256),
-            (["enum-torus", "--max-curves", "12", "--max-slope", "1"], ENUM_TORUS_12_1_SHA256),
-            (["enum-torus", "--max-curves", "12", "--max-slope", "1",
-              "--no-distinguish-signs"], ENUM_TORUS_12_1_SWAP_SHA256),
-        ],
+        ENUMERATION_DIGESTS,
         ids=["enum-trees", "enum-torus", "enum-torus-swap", "enum-torus-12",
              "enum-torus-12-swap"],
     )
@@ -1244,36 +1416,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize(
         "args,gamma,digest",
-        [
-            (["enum-trees", "--n", "6"], None, ENUM_TREES_6_TEXT_SHA256),
-            (["enum-torus", "--max-curves", "7", "--max-slope", "2"], None,
-             ENUM_TORUS_7_2_TEXT_SHA256),
-            (["classify", "--format", "json"], TWO_CYCLE_32, CLASSIFY_TWO_CYCLE_32_JSON_SHA256),
-            (["classify", "--format", "json"], EQUATOR, CLASSIFY_EQUATOR_JSON_SHA256),
-            (["enum-trees", "--n", "8", "--format", "json", "--no-distinguish-signs"], None,
-             ENUM_TREES_8_SWAP_SHA256),
-            (["enum-trees", "--n", "7", "--format", "csv"], None, ENUM_TREES_7_CSV_SHA256),
-            (["enum-trees", "--n", "7", "--format", "csv", "--no-distinguish-signs"], None,
-             ENUM_TREES_7_CSV_SWAP_SHA256),
-            (["enum-trees", "--n", "6", "--format", "text", "--no-distinguish-signs"], None,
-             ENUM_TREES_6_TEXT_SWAP_SHA256),
-            (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv"], None,
-             ENUM_TORUS_8_3_CSV_SHA256),
-            (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv",
-              "--no-distinguish-signs"], None, ENUM_TORUS_8_3_CSV_SWAP_SHA256),
-            (["enum-torus", "--max-curves", "7", "--max-slope", "2", "--format", "text",
-              "--no-distinguish-signs"], None, ENUM_TORUS_7_2_TEXT_SWAP_SHA256),
-            (["enum-trees", "--n", "9", "--format", "csv"], None, ENUM_TREES_9_CSV_SHA256),
-            (["enum-trees", "--n", "9", "--format", "csv", "--no-distinguish-signs"], None,
-             ENUM_TREES_9_CSV_SWAP_SHA256),
-            (["classify", "--format", "json"], SPARSE_SPHERE, CLASSIFY_SPARSE_JSON_SHA256),
-            (["classify", "--format", "json"], LARGE_IDS_RING, CLASSIFY_LARGE_IDS_JSON_SHA256),
-            (["classify", "--format", "json"], GENUS_TREE_ADMISSIBLE,
-             CLASSIFY_GENUS_JSON_SHA256),
-            (["classify", "--format", "json"], long_ring(400), CLASSIFY_RING_400_JSON_SHA256),
-            (["tight-count", "--n", "8000", "--p", "3", "--q", "2", "--format", "json"], None,
-             TIGHT_COUNT_8000_JSON_SHA256),
-        ],
+        OUTPUT_DIGESTS,
         ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator",
              "enum-trees-8-swap-json", "enum-trees-7-csv", "enum-trees-7-csv-swap",
              "enum-trees-6-text-swap", "enum-torus-8-3-csv", "enum-torus-8-3-csv-swap",
@@ -1385,6 +1528,38 @@ class TestImportFootprint:
         )
         modules = sorted(f"bcontact.{layer}" for layer in layers)
         assert proc.stdout == f"0 {modules}\n"
+
+
+    @pytest.mark.parametrize(
+        "argv,status,parser",
+        [
+            pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, False,
+                         id="tight-count"),
+            pytest.param(["cf", "--p", "5", "--q", "2", "--format", "json"], 0, False, id="cf"),
+            pytest.param(["classify", "--gamma", "GAMMA", "--format", "json"], 0, False,
+                         id="classify"),
+            pytest.param(["enum-trees", "--n", "3", "--count-only", "--no-distinguish-signs"], 0,
+                         False, id="enum-trees"),
+            pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
+                         0, False, id="table"),
+            pytest.param(["tight-count", "--help"], 0, True, id="help"),
+            pytest.param(["cf", "--p", "5"], 2, True, id="usage-error"),
+        ],
+    )
+    def test_argparse_loads_only_for_help_and_usage_errors(self, tmp_path, argv, status, parser):
+        # A fresh interpreter, so modules another test imported do not count.
+        argv = [gamma_file(tmp_path, TWO_CYCLE_32) if a == "GAMMA" else a for a in argv]
+        code = (
+            "import io, sys\nfrom bcontact.cli import run_cli\n"
+            f"status = run_cli({argv!r}, out=io.StringIO())\n"
+            "print(status, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        last, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert int(last) == status
+        assert ("argparse" in loaded) == parser and (loaded == "[]") != parser
 
 
 class TestPackageNamespace:
