@@ -39,7 +39,8 @@ _EXPORTS = {
         "tight_count_solid_torus",
     ),
     "enumeration": ("ResourceLimitError", "enum_equicolored_trees", "enum_torus_classes"),
-    "formats": ("ParseError", "export_dot", "parse_dividing_set", "serialize_class_text"),
+    "formats": ("ParseError", "parse_dividing_set"),
+    "listings": ("export_dot", "serialize_class_text"),
     "region_graph": (
         "InvalidRegionGraphError",
         "RegionGraph",

@@ -14,17 +14,20 @@ and newline-terminated, and goes to stdout in whole chunks of at least
 
 Each command imports the layers it calls when it runs, so a call loads
 only those: ``tight-count`` and ``cf`` load ``counting`` alone, in
-either format, the ``--gamma`` commands the parser's layers and their
-own (``classify`` and ``census`` every layer but ``enumeration``), and
-``table`` every layer but ``admissibility``: it reads its classes off
-the generator's rows, which are admissible by construction, and checks
-none.  A one-object JSON answer is ``json.dumps`` of a plain dict
+either format; the ``--gamma`` commands the reader (``formats`` and its
+``parsing``), the region graph it builds and their own layers, and only
+``export-dot`` the writers (``listings``); the listings the generator
+and the writers; and ``table`` the generator, ``classify`` and the
+table's renderer in ``formats``.  The listings and the table read their
+classes off the generator's rows, which are admissible by construction,
+so they load neither ``region_graph``, ``parsing`` nor
+``admissibility``, and the listings not ``formats`` either.  A one-object JSON answer is ``json.dumps`` of a plain dict
 (``_dumps``), and ``json`` loads only for such an answer or for JSON
-input, so listings and text answers skip its import.
+input, so listings, tables and text answers skip its import.
 
 ``enum-trees`` and ``enum-torus`` write their listings straight from the
 generator's rows (``enumeration.Row``), one class's lines at a time
-(``formats.write_listing``), and ``--count-only`` counts the rows:
+(``listings.write_listing``), and ``--count-only`` counts the rows:
 neither builds a graph object.  Graphs are built for library callers
 only.
 
@@ -231,7 +234,7 @@ def _write_rows(out, args, rows, surface=None, slopes=None) -> int:
     if args.count_only:
         _emit(out, str(len(rows) if slopes is None else sum(map(len, slopes))))
         return 0
-    from .formats import write_listing
+    from .listings import write_listing
 
     write_listing(out, rows, args.format, surface, slopes, not args.distinguish_signs)
     return 0
@@ -398,7 +401,7 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_export_dot(args, out) -> int:
-    from .formats import export_dot
+    from .listings import export_dot
 
     _emit(out, export_dot(_read_gamma(args.gamma)))
     return 0

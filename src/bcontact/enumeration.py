@@ -66,7 +66,9 @@ its other children and, at the ends' lowest common ancestor, the rest of
 the tree above it, re-rooted at its parent (``_ring_codes``); the least
 rotation or reflection of those codes is the ring's code, as for the peel.
 Every shape goes through ``_codes`` and takes the code's format from
-``region_graph``: its tags and its tree and cycle assembly.
+``codes``, as the peel does: its tags and its tree and cycle assembly.
+So the generator does not load ``region_graph``, which it needs only to
+build graphs for a library caller (``_graphs``).
 
 A swap of twin subtrees, equal subtrees of adjacent siblings, is an
 automorphism of the skeleton that keeps levels, so it maps a candidate to
@@ -124,15 +126,13 @@ from functools import cache, lru_cache
 from math import gcd
 from operator import getitem, itemgetter
 
-from .region_graph import (
-    _SWAP_SIGNS,
-    _TAGS,
-    RegionGraph,
-    RegionVertex,
-    _cycle_codes,
-    _tree_codes,
-)
+from .codes import _SWAP_SIGNS, _TAGS, _cycle_codes, _tree_codes
 from .surfaces import DividingSetClass, Surface
+
+# RegionGraph and RegionVertex (region_graph) name types in annotations
+# only, which are never evaluated: the CLI's listings and the table build
+# no graph, so the region graph module is imported only where a library
+# caller asks for graphs (``_graphs``).
 
 TREE_CAP = 10
 CURVE_CAP = 16
@@ -274,12 +274,20 @@ def _odd_levels(layout: bytes) -> int:
 _ORDER_CAP = max(2 * TREE_CAP, CURVE_CAP + 1)
 
 # Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
-# for every id the caps allow: vertices are immutable, so emitted graphs
-# share them.
+# as (id, sign, genus) for every id the caps allow.
 _VERTEX_ROWS = [
-    tuple(RegionVertex(v, sign, genus) for genus in (0, 1) for sign in (1, -1))
+    tuple((v, sign, genus) for genus in (0, 1) for sign in (1, -1))
     for v in range(_ORDER_CAP)
 ]
+
+
+@cache
+def _region_vertex_rows() -> list[tuple[RegionVertex, ...]]:
+    """``_VERTEX_ROWS`` as region vertices: they are immutable, so the
+    graphs built from rows share them."""
+    from .region_graph import RegionVertex
+
+    return [tuple(RegionVertex(*v) for v in row) for row in _VERTEX_ROWS]
 
 
 def _coloring(layout: bytes, positive: int, genus_vertex: int | None = None) -> bytes:
@@ -295,8 +303,8 @@ def _coloring(layout: bytes, positive: int, genus_vertex: int | None = None) -> 
 
 
 def _vertices(coloring: bytes) -> tuple[RegionVertex, ...]:
-    """The vertices of a ``_coloring``."""
-    return tuple(map(tuple.__getitem__, _VERTEX_ROWS, coloring))
+    """The region vertices of a ``_coloring``."""
+    return tuple(map(tuple.__getitem__, _region_vertex_rows(), coloring))
 
 
 # The opening of a vertex's code, ``"(" + _TAGS[sign, genus]``, by its
@@ -506,6 +514,8 @@ Row = tuple[str, bytes, tuple[int, int] | None, bytes]
 def _graphs(rows: list[Row]) -> list[RegionGraph]:
     """The graphs of listed classes, each built and checked by its
     constructor; their codes come from the peel on first use."""
+    from .region_graph import RegionGraph
+
     return [
         RegionGraph(_vertices(coloring), _sorted_edges(layout, closing))
         for _, layout, closing, coloring in rows

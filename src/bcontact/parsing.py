@@ -1,0 +1,189 @@
+"""The parsers of the line format and the JSON form of a class.
+
+``formats`` states both formats and is their entry
+(``formats.parse_dividing_set``), which imports this module on its first
+call, so that the table, which parses nothing, compiles no parser.  Each
+line or object is checked for syntax, and a ``ParseError`` raised,
+before the graph is made: ``region_graph`` is imported only to build it.
+"""
+
+from __future__ import annotations
+
+from .formats import _ECHO, ParseError
+from .surfaces import DividingSetClass, Surface
+
+# json, which only JSON input needs, is imported where it is used.
+
+
+def _echo(text: str) -> str:
+    """``text``, or its first ``_ECHO`` characters and ``...``."""
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
+
+
+def _parse_int(raw: str, line: int, what: str) -> int:
+    # Only ASCII -?[0-9]+: int() alone would also take "1_0", "+1" and
+    # non-ASCII digits.
+    digits = raw[1:] if raw.startswith("-") else raw
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    raise ParseError(f"expected an integer {what}", line, raw)
+
+
+def _parse_items(text: str) -> tuple[
+    Surface | None, list[tuple[int, int, int]], list[tuple[int, int]], tuple[int, int] | None
+]:
+    """The surface, the vertices as (id, sign, genus), the edges and the
+    slope of the line format, each line checked for syntax alone."""
+    surface: Surface | None = None
+    vertices: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    slope: tuple[int, int] | None = None
+    # The line of the surface and of the slope, each given at most once.
+    given: dict[str, int] = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind in ("surface", "slope"):
+            if kind in given:
+                raise ParseError(f"second {kind} line (the first is line {given[kind]})", lineno)
+            given[kind] = lineno
+        if kind == "surface":
+            if len(fields) != 2:
+                raise ParseError("surface line takes one value", lineno)
+            try:
+                surface = Surface(fields[1])
+            except ValueError:
+                raise ParseError("surface must be sphere or torus", lineno, fields[1]) from None
+        elif kind == "v":
+            if len(fields) != 4:
+                raise ParseError("vertex line is 'v <id> <+|-> <genus>'", lineno)
+            vid = _parse_int(fields[1], lineno, "vertex id")
+            if fields[2] not in ("+", "-"):
+                raise ParseError("vertex sign must be + or -", lineno, fields[2])
+            genus = _parse_int(fields[3], lineno, "genus")
+            vertices.append((vid, 1 if fields[2] == "+" else -1, genus))
+        elif kind == "e":
+            if len(fields) != 3:
+                raise ParseError("edge line is 'e <id1> <id2>'", lineno)
+            edges.append(
+                (
+                    _parse_int(fields[1], lineno, "vertex id"),
+                    _parse_int(fields[2], lineno, "vertex id"),
+                )
+            )
+        elif kind == "slope":
+            if len(fields) != 3:
+                raise ParseError("slope line is 'slope <p> <q>'", lineno)
+            slope = (
+                _parse_int(fields[1], lineno, "slope numerator"),
+                _parse_int(fields[2], lineno, "slope denominator"),
+            )
+        else:
+            raise ParseError("unknown directive", lineno, kind)
+
+    return surface, vertices, edges, slope
+
+
+def _parse_text(text: str) -> DividingSetClass:
+    surface, vertices, edges, slope = _parse_items(text)
+    if surface is None:
+        raise ParseError("missing 'surface sphere|torus' header")
+    from .region_graph import RegionGraph
+
+    return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+_CLASS_KEYS = frozenset({"surface", "vertices", "edges", "slope"})
+_VERTEX_KEYS = frozenset({"id", "sign", "genus"})
+
+
+def _parse_json(text: str) -> DividingSetClass:
+    import json
+
+    # Past its leading blanks the text is "{...": an object or no JSON.
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno) from None
+    except ParseError:
+        raise
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # an integer past the int-to-str digit limit
+        raise ParseError("JSON integer has too many digits") from None
+    _reject_unknown_keys(data, _CLASS_KEYS, "class")
+    try:
+        surface = _json_surface(data["surface"])
+        vertices = tuple(_json_vertex(v) for v in data["vertices"])
+        edges = tuple(_json_pair(e, "edge") for e in data["edges"])
+        raw_slope = data.get("slope")
+        slope = None if raw_slope is None else _json_pair(raw_slope, "slope")
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed JSON class: {exc}") from None
+    from .region_graph import RegionGraph
+
+    return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, unless it repeats a key, which ``json`` alone
+    would keep the last value of."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("repeated key in JSON object", token=key)
+            seen.add(key)
+    return obj
+
+
+def _reject_unknown_keys(obj: dict, known: frozenset[str], what: str) -> None:
+    # The JSON counterpart of the text form's unknown directive.
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise ParseError(f"unknown key in JSON {what}", token=unknown[0])
+
+
+def _json_surface(value) -> Surface:
+    try:
+        return Surface(value)
+    except ValueError:
+        raise ValueError(f"{_echo(repr(value))} is not a valid Surface") from None
+
+
+def _json_vertex(v) -> tuple[int, int, int]:
+    if isinstance(v, dict):
+        _reject_unknown_keys(v, _VERTEX_KEYS, "vertex")
+    return (
+        _json_int(v["id"], "vertex id"),
+        _json_int(v["sign"], "sign"),
+        _json_int(v.get("genus", 0), "genus"),
+    )
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false is not a number.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    import json
+
+    raise ValueError(f"{what} must be an integer, got {_echo(json.dumps(value))}")
+
+
+def _json_pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        import json
+
+        got = _echo(json.dumps(value))
+        raise ValueError(f"{what} must be a list of two integers, got {got}")
+    return _json_int(value[0], what), _json_int(value[1], what)

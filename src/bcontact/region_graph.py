@@ -20,9 +20,10 @@ cycle to code last; the same pass gives the code with every sign
 negated, by exchanging ``+`` and ``-`` in the core codes and ordering
 the core again.  The pass runs on index arrays (``codes_of``) and codes
 every ``RegionGraph``, on first use (``_plain_codes``).  The
-enumerators code their skeletons from the level sequence instead, with
-the tags (``_TAGS``) and the tree and cycle assembly (``_tree_codes``,
-``_cycle_codes``) stated here.  In a canonical level sequence each
+enumerators code their skeletons from the level sequence instead.  Both
+take the code's format from ``codes``: the tags (``_TAGS``) and the tree
+and cycle assembly (``_tree_codes``, ``_cycle_codes``), so the
+generator does not load this module.  In a canonical level sequence each
 vertex's children come in non-increasing order of their subtrees'
 sequences, and that is AHU's sorted order of their codes: at the first
 difference the deeper subtree writes "(" where the other writes ")",
@@ -34,10 +35,10 @@ together from them: the genus region and its ancestors are sorted in
 anew (``enumeration._genus_codes``), or the cycle's vertices are coded
 by their neighbors off the cycle (``enumeration._ring_codes``).  Either
 way one pass per candidate gives both of its colorings' codes, and a
-graph is built only for a listed class a library caller asks for.  Every
-graph, read from input or listed, is made by its constructor, which
-checks it, so a ``RegionGraph`` that exists is valid and nothing
-downstream checks it.
+graph is built, and this module loaded, only for a listed class a
+library caller asks for.  Every graph, read from input or listed, is
+made by its constructor, which checks it, so a ``RegionGraph`` that
+exists is valid and nothing downstream checks it.
 
 Every CLI call imports the package afresh, so its value types, here and
 in the other modules, are named tuples, which are quick to make; any
@@ -49,6 +50,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+
+from .codes import _TAGS, _cycle_codes, _tree_codes
 
 
 class InvalidRegionGraphError(ValueError):
@@ -245,7 +248,7 @@ def _raise_on(violation: Violation | None) -> None:
 # unicyclic graph.  A tree's code is "T" and its sorted core codes, a
 # unicyclic graph's "C", the cycle length, and the least rotation or
 # reflection of its core codes along the cycle, found by a two-pointer
-# scan (Shiloach 1981).
+# scan (Shiloach 1981); ``codes`` states the format.
 #
 # Negating every sign gives each stripped vertex its code with "+" and "-"
 # exchanged, because the exchange keeps the order of sibling codes: in a
@@ -258,11 +261,6 @@ def _raise_on(violation: Violation | None) -> None:
 # So one pass gives both codes: exchange the signs in the core codes, then
 # sort them again for a tree, or take the least rotation again for a cycle.
 # ---------------------------------------------------------------------------
-
-
-# Tags by (sign, genus); a valid graph has no other pairs.
-_TAGS = {(1, 0): "+0", (1, 1): "+1", (-1, 0): "-0", (-1, 1): "-1"}
-_SWAP_SIGNS = str.maketrans("+-", "-+")
 
 
 def _peel(adj: list[list[int]], tags: list[str]) -> dict[int, str]:
@@ -314,36 +312,6 @@ def _cycle_walk(adj: list[list[int]], cycle: dict[int, str]) -> list[int]:
     return order
 
 
-def _least_rotation(seq: list[str]) -> int:
-    """Start of the lexicographically least rotation of ``seq``, in linear
-    time (Shiloach, "Fast canonization of circular strings", 1981): two
-    starts are compared entry by entry; after k equal entries the one at
-    the larger entry loses, as do the k starts after it, and it moves past
-    them.  When k reaches the length, the two rotations are equal."""
-    n = len(seq)
-    i, j, k = 0, 1, 0
-    while i < n and j < n and k < n:
-        a, b = seq[(i + k) % n], seq[(j + k) % n]
-        if a == b:
-            k += 1
-            continue
-        if a > b:
-            i += k + 1
-        else:
-            j += k + 1
-        if i == j:
-            j += 1
-        k = 0
-    return min(i, j)
-
-
-def _min_rotation(seq: list[str]) -> tuple[str, ...]:
-    """The least of all rotations of ``seq`` and of its reverse."""
-    reverse = seq[::-1]
-    i, j = _least_rotation(seq), _least_rotation(reverse)
-    return min(tuple(seq[i:] + seq[:i]), tuple(reverse[j:] + reverse[:j]))
-
-
 def _adjacency(n: int, edges) -> list[list[int]]:
     """Neighbor lists, with multiplicity, of a graph on ``0..n-1``."""
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -351,22 +319,6 @@ def _adjacency(n: int, edges) -> list[list[int]]:
         adj[a].append(b)
         adj[b].append(a)
     return adj
-
-
-def _tree_codes(core) -> tuple[str, str]:
-    """``T`` and a tree's sorted core codes, as tagged and with signs negated."""
-    codes = sorted(core)
-    swapped = sorted([code.translate(_SWAP_SIGNS) for code in codes])
-    return "T" + "".join(codes), "T" + "".join(swapped)
-
-
-def _cycle_codes(cycle: list[str]) -> tuple[str, str]:
-    """``C``, the cycle length and the least rotation or reflection of a
-    unicyclic graph's core codes in walk order, as tagged and with signs
-    negated."""
-    swapped = [code.translate(_SWAP_SIGNS) for code in cycle]
-    prefix = f"C{len(cycle)}"
-    return prefix + "".join(_min_rotation(cycle)), prefix + "".join(_min_rotation(swapped))
 
 
 def codes_of(adj: list[list[int]], tags: list[str]) -> tuple[str, str]:

@@ -28,7 +28,10 @@ import enum
 from collections import namedtuple
 
 from .counting import slope_error
-from .region_graph import Violation, _raise_on
+
+# Violation (region_graph) names a type in annotations only, which are
+# never evaluated: a class that embeds needs no violation, so the region
+# graph module is imported only to report one.
 
 
 class Surface(enum.Enum):
@@ -53,7 +56,11 @@ class DividingSetClass(namedtuple("DividingSetClass", ["surface", "graph", "slop
 
     def __new__(cls, surface, graph, slope=None):
         self = super().__new__(cls, Surface(surface), graph, slope)
-        _raise_on(check_embeddable(self))
+        violation = check_embeddable(self)
+        if violation is not None:
+            from .region_graph import _raise_on
+
+            _raise_on(violation)
         return self
 
 
@@ -67,34 +74,42 @@ def region_euler(genus: int, boundary_count: int) -> int:
 def check_embeddable(d: DividingSetClass) -> Violation | None:
     """The first per-surface rule a dividing-set class breaks; ``None`` if
     the class embeds.  Its graph is valid by construction."""
+    broken = _broken_rule(d)
+    if broken is None:
+        return None
+    from .region_graph import Violation
+
+    return Violation(*broken)
+
+
+def _broken_rule(d: DividingSetClass) -> tuple[str, str] | None:
+    """``check_embeddable``'s rule and detail, as a pair."""
     g = d.graph
     if g.edge_count == 0:
-        return Violation("no curves", "a dividing set has at least one curve")
+        return "no curves", "a dividing set has at least one curve"
 
     is_tree = g.edge_count == g.vertex_count - 1
 
     if d.surface is Surface.SPHERE:
         if not is_tree:
-            return Violation("sphere requires tree", "sphere region graphs are trees")
+            return "sphere requires tree", "sphere region graphs are trees"
         if g.genus_sum != 0:
-            return Violation("genus", "sphere regions are all genus 0")
+            return "genus", "sphere regions are all genus 0"
         if d.slope is not None:
-            return Violation("slope", "sphere classes carry no slope")
+            return "slope", "sphere classes carry no slope"
         return None
 
     if is_tree:
         if g.genus_sum != 1:
-            return Violation(
-                "genus", "a torus cut by contractible curves has one genus-1 region"
-            )
+            return "genus", "a torus cut by contractible curves has one genus-1 region"
         if d.slope is not None:
-            return Violation("slope", "contractible-only torus classes carry no slope")
+            return "slope", "contractible-only torus classes carry no slope"
         return None
 
     # Exactly one cycle: the essential curves.
     if g.genus_sum != 0:
-        return Violation("genus", "torus classes with essential curves are all genus 0")
+        return "genus", "torus classes with essential curves are all genus 0"
     if d.slope is None:
-        return Violation("slope", "essential torus curves require a slope (p, q)")
+        return "slope", "essential torus curves require a slope (p, q)"
     error = slope_error(*d.slope)
-    return None if error is None else Violation("slope", error)
+    return None if error is None else ("slope", error)

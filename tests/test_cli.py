@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcontact import admissibility, cli, counting, formats
+from bcontact import admissibility, cli, counting, formats, listings
 from bcontact.cli import build_parser, run_cli
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import canonical_code
@@ -39,6 +39,9 @@ from helpers import (
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
+# The first 40 characters of a long list of empty lists, as an error line
+# echoes it.
+LIST_ECHO = "[" + "[], " * 9 + "[],..."
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
@@ -311,7 +314,7 @@ class TestListingFragments:
     ])
     def test_edge_text_made_once_per_skeleton(self, monkeypatch, argv, modulo_swap):
         made = []
-        real_tables = formats._tables
+        real_tables = listings._tables
 
         def counting_tables(form):
             vertex_table, skeleton_edges = real_tables(form)
@@ -322,7 +325,7 @@ class TestListingFragments:
 
             return vertex_table, counted
 
-        monkeypatch.setattr(formats, "_tables", counting_tables)
+        monkeypatch.setattr(listings, "_tables", counting_tables)
         sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
         for fmt in ("json", "text"):
             made.clear()
@@ -732,11 +735,12 @@ class TestGammaCommands:
         self, tmp_path, monkeypatch, capsys, source, form
     ):
         # A 5,000-digit vertex id is past CPython's int-to-str limit; either
-        # form reports it as a syntax error on one line.
+        # form reports it as a syntax error on one line, which echoes the
+        # token's first 40 characters.
         big = "9" * 5000
         if form == "text":
             text = f"surface sphere\nv {big} + 0\n"
-            expected = f"error: line 2: expected an integer vertex id (token {big!r})\n"
+            expected = f"error: line 2: expected an integer vertex id (token {big[:40]!r}...)\n"
         else:
             vertex = f'{{"id": {big}, "sign": 1}}'
             text = f'{{"surface": "sphere", "vertices": [{vertex}], "edges": []}}'
@@ -804,6 +808,50 @@ class TestGammaCommands:
         assert capsys.readouterr().err == (
             f"error: input: unknown key in JSON {where} (token {key!r})\n"
         )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("surface torus\nsurface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n",
+             "line 2: second surface line (the first is line 1)"),
+            ("surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n# again\nslope 5 3\n",
+             "line 8: second slope line (the first is line 6)"),
+            ('{"surface": "sphere", "surface": "torus", "vertices": [{"id": 0, "sign": 1}, '
+             '{"id": 1, "sign": -1}], "edges": [[0, 1], [0, 1]], "slope": [3, 2]}',
+             "input: repeated key in JSON object (token 'surface')"),
+            ('{"surface": "sphere", "vertices": [{"id": 0, "sign": 1}, '
+             '{"id": 1, "sign": -1, "sign": 1}], "edges": [[0, 1]]}',
+             "input: repeated key in JSON object (token 'sign')"),
+        ],
+        ids=["text-surface", "text-slope", "json-class", "json-vertex"],
+    )
+    def test_repeated_field_exits_two(self, monkeypatch, capsys, text, message):
+        # Each input would be read without the first value: a torus class
+        # read as a sphere one, or a ring at the last of two slopes.
+        set_stdin(monkeypatch, text)
+        assert run(["classify", "--gamma", "-"]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]" * 50_000, f"line 1: unknown directive (token {'[]' * 20!r}...)"),
+            (f"surface sphere\nv 0 + {'9' * 5000}\nv 1 - 0\ne 0 1\n",
+             f"line 2: expected an integer genus (token {'9' * 40!r}...)"),
+            ('{"surface": "sphere", "vertices": [{"id": 0, "sign": 1, "genus": ['
+             + ",".join(["[]"] * 30_000) + ']}], "edges": []}',
+             f"input: malformed JSON class: genus must be an integer, got {LIST_ECHO}"),
+            ('{"surface": [' + ",".join(["[]"] * 30_000) + '], "vertices": [], "edges": []}',
+             f"input: malformed JSON class: {LIST_ECHO} is not a valid Surface"),
+        ],
+        ids=["text-directive", "text-genus", "json-genus", "json-surface"],
+    )
+    def test_error_line_echoes_at_most_forty_characters(self, monkeypatch, capsys, text, message):
+        # The whole token or value would make a "one-line" error of up to
+        # twice the input's size.
+        set_stdin(monkeypatch, text)
+        assert run(["check", "--gamma", "-"]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_check_deep_sphere_path(self, tmp_path, capsys):
         # 4,000 regions in a row: the canonical code must not recurse per level.
@@ -1454,15 +1502,65 @@ except SystemExit as exc:
 """
 
 
-# The bcontact modules a CLI call loads: those of the arithmetic, those the
-# input parser and the printers need, the enumerator's, the table's, and
-# every layer.  The table reads its classes off the generator's rows, all
-# admissible by construction, so it loads no admissibility check.
+# The bcontact modules a CLI call loads: those of the arithmetic, the
+# surfaces, the reader of a dividing set (its parsers and the region graph
+# they build), the enumerator, a listing's writer and the table's.  The
+# table and the listings read their classes off the generator's rows,
+# build no graph and parse nothing, so they load neither the region graph
+# nor the parsers, and the listings not the formats module either; the
+# table, all of whose classes are admissible by construction, loads no
+# admissibility check.  The --gamma commands load the listing writers only
+# to write a class's DOT export.
 ARITHMETIC = frozenset({"cli", "counting"})
-INPUT_OUTPUT = ARITHMETIC | {"formats", "region_graph", "surfaces"}
-ENUMERATING = INPUT_OUTPUT | {"enumeration"}
-TABLING = ENUMERATING | {"classify"}
-EVERY_LAYER = TABLING | {"admissibility"}
+SURFACES = ARITHMETIC | {"surfaces"}
+READING = SURFACES | {"codes", "formats", "parsing", "region_graph"}
+ENUMERATING = SURFACES | {"codes", "enumeration"}
+LISTING = ENUMERATING | {"listings"}
+TABLING = ENUMERATING | {"classify", "formats"}
+CHECKING = READING | {"admissibility"}
+CLASSIFYING = CHECKING | {"classify"}
+
+# Each listing and table in each of its formats, the default one spelled
+# by omission.
+LISTINGS = [
+    pytest.param([*argv, *format_flag], id="-".join([argv[0], *format_flag[1:]]))
+    for argv in (["enum-trees", "--n", "3"], ["enum-torus", "--max-curves", "4", "--max-slope", "2"])
+    for format_flag in ([], ["--format", "json"], ["--format", "csv"])
+]
+TABLES = [
+    pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2",
+                  *format_flag], id="-".join(["table", *format_flag[1:]]))
+    for format_flag in ([], ["--format", "json"])
+]
+GAMMA_COMMANDS = [
+    pytest.param(["export-dot", "--gamma", "GAMMA"], READING | {"listings"}, id="export-dot"),
+    *(
+        pytest.param([command, "--gamma", "GAMMA", *format_flag], layers,
+                     id="-".join([command, *format_flag[1:]]))
+        for command, layers in (
+            ("check", CHECKING), ("classify", CLASSIFYING), ("census", CLASSIFYING),
+        )
+        for format_flag in ([], ["--format", "json"])
+    ),
+]
+
+
+def loaded_modules(tmp_path, argv):
+    """The status of ``argv`` run in a fresh interpreter, so that modules
+    another test imported do not count, the ``bcontact`` modules it
+    loaded, and whether it loaded the stdlib ``json``."""
+    argv = [gamma_file(tmp_path, TWO_CYCLE_32) if a == "GAMMA" else a for a in argv]
+    code = (
+        "import io, sys\nfrom bcontact.cli import run_cli\n"
+        f"status = run_cli({argv!r}, out=io.StringIO())\n"
+        "print(status, 'json' in sys.modules, "
+        "*sorted(m[9:] for m in sys.modules if m.startswith('bcontact.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    status, json_loaded, *layers = proc.stdout.split()
+    return int(status), set(layers), json_loaded == "True"
 
 
 class TestImportFootprint:
@@ -1501,34 +1599,28 @@ class TestImportFootprint:
             pytest.param(["cf", "--p", "5", "--q", "3"], ARITHMETIC, id="cf"),
             pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2", "--format", "json"],
                          ARITHMETIC, id="tight-count-json"),
-            pytest.param(["export-dot", "--gamma", "GAMMA"], INPUT_OUTPUT, id="export-dot"),
-            pytest.param(["check", "--gamma", "GAMMA"], INPUT_OUTPUT | {"admissibility"},
-                         id="check"),
-            pytest.param(["enum-trees", "--n", "3"], ENUMERATING, id="enum-trees"),
-            pytest.param(["enum-torus", "--max-curves", "4", "--max-slope", "2"], ENUMERATING,
-                         id="enum-torus"),
-            pytest.param(["classify", "--gamma", "GAMMA"], EVERY_LAYER - {"enumeration"},
-                         id="classify"),
-            pytest.param(["census", "--gamma", "GAMMA"], EVERY_LAYER - {"enumeration"},
-                         id="census"),
-            pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
-                         TABLING, id="table"),
+            *GAMMA_COMMANDS,
+            *(pytest.param(*p.values, LISTING, id=p.id) for p in LISTINGS),
+            *(pytest.param(*p.values, TABLING, id=p.id) for p in TABLES),
         ],
     )
     def test_each_command_loads_only_its_layers(self, tmp_path, argv, layers):
-        # A fresh interpreter, so modules another test imported do not count.
-        argv = [gamma_file(tmp_path, TWO_CYCLE_32) if a == "GAMMA" else a for a in argv]
-        code = (
-            "import io, sys\nfrom bcontact.cli import run_cli\n"
-            f"status = run_cli({argv!r}, out=io.StringIO())\n"
-            "print(status, sorted(m for m in sys.modules if m.startswith('bcontact.')))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        modules = sorted(f"bcontact.{layer}" for layer in layers)
-        assert proc.stdout == f"0 {modules}\n"
+        assert loaded_modules(tmp_path, argv)[:2] == (0, layers)
 
+    @pytest.mark.parametrize("argv", [*LISTINGS, *TABLES])
+    def test_table_and_listings_load_no_graph_and_no_json(self, tmp_path, argv):
+        # They write the generator's rows with templates: no region graph is
+        # built, no input is parsed, and json is not imported.
+        status, layers, json_loaded = loaded_modules(tmp_path, argv)
+        assert status == 0 and not json_loaded
+        assert not {"region_graph", "parsing"} & layers
+        assert ("formats" in layers) == (argv[0] == "table")
+
+    @pytest.mark.parametrize("argv,layers", GAMMA_COMMANDS)
+    def test_gamma_commands_load_a_listing_writer_only_to_write_one(
+        self, tmp_path, argv, layers
+    ):
+        assert ("listings" in loaded_modules(tmp_path, argv)[1]) == (argv[0] == "export-dot")
 
     @pytest.mark.parametrize(
         "argv,status,parser",

@@ -16,15 +16,13 @@ from bcontact.enumeration import (
 from bcontact.formats import (
     ParseError,
     class_dict,
-    export_dot,
-    _parse_items,
     parse_dividing_set,
     render_table_csv,
     render_table_jsonl,
-    serialize_class_text,
     TABLE_COLUMNS,
-    write_listing,
 )
+from bcontact.listings import export_dot, serialize_class_text, write_listing
+from bcontact.parsing import _parse_items
 from bcontact.region_graph import InvalidRegionGraphError, RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -111,6 +109,31 @@ class TestParse:
         with pytest.raises(ParseError) as excinfo:
             parse_dividing_set(f"surface sphere\nv {token} + 0\nv 0 - 0\ne 0 {token}\n")
         assert excinfo.value.line == 2
+        assert excinfo.value.token == token
+
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nsurface torus\nslope 3 2\n", 6),
+            ("surface torus\nslope 3 2\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n", 7),
+        ],
+        ids=["surface", "slope"],
+    )
+    def test_a_field_given_twice_is_an_error_even_when_the_values_agree(self, text, line):
+        with pytest.raises(ParseError) as excinfo:
+            parse_dividing_set(text)
+        assert excinfo.value.line == line
+
+    def test_json_object_with_a_repeated_key_is_an_error(self):
+        text = TWO_CYCLE_JSON.replace('"slope": [3, 2]', '"slope": [3, 2], "slope": [3, 2]')
+        with pytest.raises(ParseError, match=r"repeated key in JSON object \(token 'slope'\)"):
+            parse_dividing_set(text)
+
+    def test_error_echoes_a_long_token_cut_but_keeps_it_whole(self):
+        token = "x" * 1000
+        with pytest.raises(ParseError) as excinfo:
+            parse_dividing_set(f"surface sphere\n{token}\n")
+        assert str(excinfo.value) == f"line 2: unknown directive (token {'x' * 40!r}...)"
         assert excinfo.value.token == token
 
     def test_duplicate_vertex_id(self):

@@ -15,11 +15,10 @@ from bcontact.enumeration import (
     enum_equicolored_trees,
     enum_torus_classes,
 )
+from bcontact.codes import _TAGS, _min_rotation
 from bcontact.region_graph import (
-    _TAGS,
     InvalidRegionGraphError,
     RegionGraph,
-    _min_rotation,
     canonical_code,
     codes_of,
     validate,
