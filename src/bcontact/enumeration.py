@@ -79,15 +79,11 @@ could never be the first seen with its code.  At 14 curves that skips
 
 Each class kept is a row (``Row``): its code, its skeleton's level
 sequence as ``bytes`` and a ring's closing edge, and its coloring (one
-``bytes`` object per distinct coloring of a listing).  One generator
-makes every row (``_rows``), from which the CLI writes its listings
-(``enum_tree_rows``, ``enum_torus_rows``) and the classification table
-reads each class's shape (``row_shape``) and slopes (``row_slopes``);
-the skeleton's edges follow from the sequence (``_sorted_edges``).  A
-``RegionGraph`` is built from a row only for a library caller
-(``enum_equicolored_trees``, ``enum_torus_classes``), by its
-constructor, which checks it; its codes come from the peel on first use,
-as for any graph.  The test suite referees the level-sequence codes
+``bytes`` object per distinct coloring of a listing).  The CLI's
+listings and the table read the rows; a ``RegionGraph`` is built from a
+row only for a library caller (``enum_equicolored_trees``,
+``enum_torus_classes``), by its constructor, which checks it; its codes
+come from the peel on first use, as for any graph.  The test suite referees the level-sequence codes
 against the peel on every tree up to fourteen vertices, with and without
 a genus region, on sixteen, and on every balanced tree on eighteen
 (``TestLevelCodes``), on every ring candidate up to twelve curves, and
@@ -95,12 +91,13 @@ the twin skip against the full candidate stream (``TestRingCodes``),
 every array code on up to nine regions (``TestArrayCodes``) and every
 listed class of the library callers (``TestGeneratedGraphsAreValid``).
 
-``_rows`` codes each candidate once and yields one row per coloring, or
-one row when the two codes agree or the sign mode identifies them.
-Distinct free trees are never isomorphic, so the sphere rows are classes
-as they come, with no table of the codes seen.  Torus rows keep the
-first row per code (``_class_rows``), since one tree skeleton yields a
-candidate per genus region and one ring a candidate per closing edge.
+Each candidate is coded once and gives one row per coloring, or one
+when the two codes agree or the sign mode identifies them.  Distinct
+free trees are never isomorphic, so the sphere rows are classes as they
+come, made in one loop over the walk (``enum_tree_rows``).  Torus rows
+keep the first row per code (``_class_rows``), since one tree skeleton
+yields a candidate per genus region and one ring a candidate per closing
+edge; a coloring is made only for a new code.
 The torus candidates come from one walk of the free trees of each order
 (``_torus_candidates``): a balanced tree gives ring candidates and a
 tree whose color classes are one apart gives genus-1 candidates.  Genus
@@ -121,18 +118,16 @@ runs are byte-identical.
 from __future__ import annotations
 
 from bisect import insort
-from collections.abc import Iterator
 from functools import cache, lru_cache
 from math import gcd
 from operator import getitem, itemgetter
 
 from .codes import _SWAP_SIGNS, _TAGS, _cycle_codes, _tree_codes
-from .surfaces import DividingSetClass, Surface
 
-# RegionGraph and RegionVertex (region_graph) name types in annotations
-# only, which are never evaluated: the CLI's listings and the table build
-# no graph, so the region graph module is imported only where a library
-# caller asks for graphs (``_graphs``).
+# RegionGraph and RegionVertex (region_graph), DividingSetClass (surfaces)
+# and Iterator name types in annotations only, which are never evaluated:
+# the listings and the table build no graph, so those modules are imported
+# only where a library caller asks for graphs (``_graphs``) or classes.
 
 TREE_CAP = 10
 CURVE_CAP = 16
@@ -197,13 +192,13 @@ def _first_subtree_end(layout: bytes) -> int:
 def _next_tree(candidate: bytes) -> bytes:
     """``candidate`` if it is a canonical free tree, else the next one."""
     m = _first_subtree_end(candidate)
-    # Heights of the root's first subtree (from its own root) and of the
-    # tree without it, and their sizes.
-    left_height = max(candidate[1:m]) - 1
-    rest_height = max(candidate[m:], default=0)
-    if rest_height > left_height:
+    # The rest of the tree is taller than the root's first subtree (from
+    # vertex 1) when it reaches the deepest level, as tall when it reaches
+    # the level above, or when both are one vertex.
+    deepest = max(candidate)
+    if candidate.find(deepest, m) >= 0:
         return candidate
-    if rest_height == left_height:
+    if deepest == 1 or candidate.find(deepest - 1, m) >= 0:
         size, rest_size = m - 1, len(candidate) - m + 1
         if size < rest_size or (
             size == rest_size and candidate[1:m].translate(_DOWN) <= b"\0" + candidate[m:]
@@ -235,40 +230,35 @@ def _free_trees(order: int) -> Iterator[bytes]:
         layout = _next_rooted_tree(layout)
 
 
-def _tree_edges(layout: bytes) -> list[tuple[int, int]]:
-    """Edges of a level sequence: each vertex joins the nearest earlier
-    vertex one level up, the last vertex seen on that level."""
-    edges = []
-    last = [0] * len(layout)
-    for i, level in enumerate(layout):
-        if level:
-            edges.append((last[level - 1], i))
+# An edge (a, b), a < b, keyed as ``a * _STRIDE + b``, sorts as the pair
+# does: a skeleton within the caps has fewer than 32 vertices.
+_STRIDE = 32
+
+
+def _edge_keys(levels: bytes, start: int = 0) -> list[int]:
+    """The keys of the edges of a level sequence, its vertices numbered
+    from ``start``: each vertex after the first joins the last vertex
+    before it one level up."""
+    last = [start] * _STRIDE
+    keys = []
+    for i, level in enumerate(levels[1:], start + 1):
+        keys.append(last[level - 1] * _STRIDE + i)
         last[level] = i
-    return edges
+    return keys
 
 
-def _sorted_edges(layout: bytes, closing: tuple[int, int] | None) -> tuple[tuple[int, int], ...]:
-    """The edges of a skeleton, a level sequence and its closing edge or
-    ``None``, in the order a graph keeps them."""
-    edges = _tree_edges(layout)
-    if closing is not None:
-        edges.append(closing)
-    return tuple(sorted(edges))
+def _tree_edges(layout: bytes) -> list[tuple[int, int]]:
+    """Edges of a level sequence, as pairs."""
+    return [divmod(key, _STRIDE) for key in _edge_keys(layout)]
 
 
 # Level parities by level, and their complements, as bytes: a vertex's
-# sign index with even, then odd, levels positive.  ``_odd_levels`` and
-# ``_coloring`` translate in C.
+# sign index with even, then odd, levels positive, and by the first a 1
+# per vertex on an odd level.  The translations run in C.
 _PARITY = (
     bytes(level & 1 for level in range(256)),
     bytes(1 - (level & 1) for level in range(256)),
 )
-
-
-def _odd_levels(layout: bytes) -> int:
-    """How many vertices of a level sequence lie on odd levels."""
-    return layout.translate(_PARITY[0]).count(1)
-
 
 # The most vertices, and so levels, a skeleton within the caps has.
 _ORDER_CAP = max(2 * TREE_CAP, CURVE_CAP + 1)
@@ -348,7 +338,8 @@ def _bracket_codes(layout: bytes) -> tuple[str, str]:
     """
     code = _bracket_code(layout)
     m = _first_subtree_end(layout)
-    if max(layout) > max(layout[m:], default=0):
+    deepest = max(layout)
+    if deepest and layout.find(deepest, m) < 0:  # only the first subtree is deepest
         end = 4 * m - 1
         root, first = code[:3] + code[end:], code[3:end]
         swapped = first.translate(_SWAP_SIGNS) + root.translate(_SWAP_SIGNS)
@@ -506,8 +497,8 @@ def _codes(
 # closing edge or ``None``, coloring).  The code is the class's canonical
 # code in the listing's sign mode, and the coloring is ``_coloring``'s:
 # vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the
-# closing edge are the skeleton, whose edges ``_sorted_edges`` gives; the
-# colorings of one skeleton share its sequence.
+# closing edge are the skeleton, whose tree edges ``_tree_edges`` gives;
+# the colorings of one skeleton share its sequence.
 Row = tuple[str, bytes, tuple[int, int] | None, bytes]
 
 
@@ -516,37 +507,29 @@ def _graphs(rows: list[Row]) -> list[RegionGraph]:
     constructor; their codes come from the peel on first use."""
     from .region_graph import RegionGraph
 
+    # The constructor sorts the edges.
     return [
-        RegionGraph(_vertices(coloring), _sorted_edges(layout, closing))
+        RegionGraph(_vertices(coloring), _tree_edges(layout) + ([closing] if closing else []))
         for _, layout, closing, coloring in rows
     ]
-
-
-def _rows(
-    candidates: Iterator[tuple[bytes, tuple[int, int] | None, int | None]],
-    modulo_swap: bool,
-) -> Iterator[Row]:
-    """The rows of the candidates (level sequence, closing edge or ``None``,
-    genus vertex or ``None``), each coded once: one row per coloring, or
-    one when the two codes agree or the signs are identified.  Rows with
-    one coloring share its bytes."""
-    colorings: dict[bytes, bytes] = {}
-    for layout, closing, genus_vertex in candidates:
-        codes = _codes(layout, closing, genus_vertex)
-        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            coloring = _coloring(layout, positive, genus_vertex)
-            coloring = colorings.setdefault(coloring, coloring)
-            yield min(codes) if modulo_swap else codes[positive], layout, closing, coloring
 
 
 def _class_rows(
     candidates: Iterator[tuple[bytes, tuple[int, int] | None, int | None]],
     modulo_swap: bool,
 ) -> list[Row]:
-    """The first row per code among the candidates' rows, sorted by code."""
+    """The first row per code among the rows of the candidates (level
+    sequence, closing edge or ``None``, genus vertex or ``None``), sorted
+    by code; a coloring is made only for a new code."""
     out: dict[str, Row] = {}
-    for row in _rows(candidates, modulo_swap):
-        out.setdefault(row[0], row)
+    colorings: dict[bytes, bytes] = {}
+    for layout, closing, genus_vertex in candidates:
+        codes = _codes(layout, closing, genus_vertex)
+        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+            code = min(codes) if modulo_swap else codes[positive]
+            if code not in out:
+                coloring = _coloring(layout, positive, genus_vertex)
+                out[code] = code, layout, closing, colorings.setdefault(coloring, coloring)
     return [out[code] for code in sorted(out)]
 
 
@@ -558,11 +541,24 @@ def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
-    # Distinct free trees are never isomorphic, so each skeleton's rows are
-    # classes of their own, and no code needs a table of those seen.
-    skeletons = (layout for layout in _free_trees(2 * n) if _odd_levels(layout) == n)
-    return sorted(_rows(((layout, None, None) for layout in skeletons), modulo_swap),
-                  key=itemgetter(0))
+    # One loop over the WROM walk (``_free_trees``); the parities that the
+    # balance test counts are the first coloring.
+    rows: list[Row] = []
+    colorings: dict[bytes, bytes] = {}
+    layout = _path(2 * n)
+    while layout is not None:
+        layout = _next_tree(layout)
+        coloring = layout.translate(_PARITY[0])
+        if coloring.count(1) == n:
+            code, swapped = _codes(layout, None, None)
+            rows.append((min(code, swapped) if modulo_swap else code, layout, None,
+                         colorings.setdefault(coloring, coloring)))
+            if not modulo_swap and code != swapped:
+                coloring = layout.translate(_PARITY[1])
+                rows.append((swapped, layout, None, colorings.setdefault(coloring, coloring)))
+        layout = _next_rooted_tree(layout)
+    rows.sort(key=itemgetter(0))
+    return rows
 
 
 def enum_equicolored_trees(n: int, modulo_swap: bool = False) -> list[RegionGraph]:
@@ -584,7 +580,7 @@ def _torus_candidates(
     the free trees of each order."""
     for nv in range(2, max_curves + 2):
         for layout in _free_trees(nv):
-            odd = _odd_levels(layout)
+            odd = layout.translate(_PARITY[0]).count(1)
             if 2 * odd == nv and nv <= max_curves:
                 # One essential cycle, possibly with contractible trees
                 # attached: every unicyclic graph is a spanning tree plus
@@ -683,6 +679,8 @@ def enum_torus_classes(
     ``row_slopes``, sorted by (canonical code, slope): the classes of one
     graph share its graph object.
     """
+    from .surfaces import DividingSetClass, Surface
+
     check_torus_request(max_curves, max_p)
     rows = enum_torus_rows(max_curves, modulo_swap)
     return [

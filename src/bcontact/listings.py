@@ -4,10 +4,10 @@ A class's text is the line format that ``formats`` reads
 (``serialize_class_text``), and its DOT export embeds that text as
 comments (``export_dot``).  The enumerated listings are bulk output,
 written from the generator's rows (``enumeration.Row``), with no graph
-built, in one loop per listing (``write_listing``): each row's vertex
-and edge fragments are looked up in tables indexed by id, sign and
-genus, shared by the rows of one listing, and filled into hand-written
-templates (``_text_blocks``, ``_json_lines``).  A listing's JSON line
+built, in one loop per listing (``write_listing``): each row's text is a
+head made once per coloring and a tail made once per skeleton, of
+fragments looked up in tables indexed by id, sign and genus and by edge
+(``_tables``), and the lines go out in batches.  A listing's JSON line
 equals ``json.dumps`` of ``formats.class_dict`` of its class (of the
 graph's two fields alone on the sphere) with its default separators,
 because every id, sign, genus and slope is an ``int``: the enumerators
@@ -23,77 +23,92 @@ their output deterministically.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
 from operator import getitem
 
 # DividingSetClass and Surface (surfaces), Row and Slopes (enumeration) and
 # Callable name types in annotations only, which are never evaluated.
 
-# A format's fragment of one vertex (id, sign, genus) and of one edge, and
-# the separator between two fragments.  A graph's text is its vertices'
-# fragments and then its edges'; its JSON fields wrap each list.
-_Form = namedtuple("_Form", ["vertex", "edge", "separator"])
+# A format's fragment of one vertex (id, sign, genus) and of one edge, the
+# separator between two fragments, and a class's end from its slope or
+# ``None`` on.  A graph's text is its vertices' fragments and then its
+# edges'; its JSON fields wrap each list.
+_Form = namedtuple("_Form", ["vertex", "edge", "separator", "slope"])
 
 
 _TEXT = _Form(
     lambda vid, sign, genus: f"v {vid} {'+' if sign > 0 else '-'} {genus}\n",
     lambda a, b: f"e {a} {b}\n",
     "",
+    lambda slope: "" if slope is None else f"slope {slope[0]} {slope[1]}\n",
 )
 _JSON = _Form(
     lambda vid, sign, genus: f'{{"id": {vid}, "sign": {sign}, "genus": {genus}}}',
     lambda a, b: f"[{a}, {b}]",
     ", ",
+    lambda slope: "null}\n" if slope is None else f"[{slope[0]}, {slope[1]}]}}\n",
 )
 
 
-@cache
 def _tables(form: _Form) -> tuple[list[tuple[str, ...]], Callable[[bytes, tuple | None], str]]:
     """A form's fragment of every vertex the enumerators make, indexed like
     ``enumeration._VERTEX_ROWS``, and its joined edge fragments of a
-    skeleton (``enumeration.Row``)."""
-    from .enumeration import _VERTEX_ROWS, _sorted_edges
+    skeleton (``enumeration.Row``), in the order a graph keeps them.
+
+    A graph keeps its edges sorted by their ends, as their keys
+    (``enumeration._edge_keys``) sort, which index one flat table.  A
+    tree's edges in that order are the root's edges, then the edges within
+    each of the root's subtrees in turn, since each subtree's vertices
+    follow the ones before it.  So a tree's edge text is put together from
+    its subtrees', each made once per level sequence and first vertex and
+    kept for the listing that calls ``_tables``.  A ring's edges are keyed
+    and sorted.
+    """
+    from .enumeration import _STRIDE, _VERTEX_ROWS, _edge_keys
 
     ids = range(len(_VERTEX_ROWS))
-    edge_table = [[form.edge(a, b) for b in ids] for a in ids]
+    edge_table = [form.edge(a, b) for a in ids for b in range(_STRIDE)]
+    join = form.separator.join
+    subtree_texts: dict[tuple[bytes, int], str] = {}
 
     def skeleton_edges(layout: bytes, closing: tuple[int, int] | None) -> str:
-        return form.separator.join([edge_table[a][b] for a, b in _sorted_edges(layout, closing)])
+        if closing is not None:
+            keys = _edge_keys(layout)
+            keys.append(closing[0] * _STRIDE + closing[1])
+            keys.sort()
+            return join(map(edge_table.__getitem__, keys))
+        root_edges = []
+        subtree_edges = []
+        first = 1
+        # Each of the root's children, from vertex 1 on, and the levels of
+        # the vertices below it, up to the next child.
+        for below in layout[1:].split(b"\x01")[1:]:
+            root_edges.append(edge_table[first])
+            if below:
+                text = subtree_texts.get((below, first))
+                if text is None:
+                    keys = _edge_keys(layout[first:first + 1 + len(below)], first)
+                    keys.sort()
+                    text = subtree_texts[below, first] = join(map(edge_table.__getitem__, keys))
+                subtree_edges.append(text)
+            first += 1 + len(below)
+        return join(root_edges + subtree_edges)
 
     return [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS], skeleton_edges
-
-
-def _text_blocks(surface: Surface | None, graph: str, slopes: Slopes) -> str:
-    """A graph's text alone, or its class's text on ``surface`` at each of
-    ``slopes``, separated by blank lines."""
-    if surface is None:
-        return graph
-    head = f"surface {surface.value}\n{graph}"
-    return "\n".join([
-        head if slope is None else f"{head}slope {slope[0]} {slope[1]}\n" for slope in slopes
-    ])
-
-
-def _json_lines(surface: Surface | None, vertices: str, edges: str, slopes: Slopes) -> str:
-    """A graph's JSON line, or its class's on ``surface`` at each of
-    ``slopes``, with no final newline; the graph's fields are joined once."""
-    fields = f'"vertices": [{vertices}], "edges": [{edges}]'
-    if surface is None:
-        return f"{{{fields}}}"
-    head = f'{{"surface": "{surface.value}", {fields}, "slope": '
-    return "\n".join([
-        f"{head}null}}" if slope is None else f"{head}[{slope[0]}, {slope[1]}]}}"
-        for slope in slopes
-    ])
 
 
 def serialize_class_text(d: DividingSetClass) -> str:
     """A class in the line format that ``formats`` reads."""
     g = d.graph
-    graph = "".join(
-        [_TEXT.vertex(*v) for v in g.vertices] + [_TEXT.edge(a, b) for a, b in g.edges]
-    )
-    return _text_blocks(d.surface, graph, (d.slope,))
+    return "".join([
+        f"surface {d.surface.value}\n",
+        *[_TEXT.vertex(*v) for v in g.vertices],
+        *[_TEXT.edge(a, b) for a, b in g.edges],
+        _TEXT.slope(d.slope),
+    ])
+
+
+# The most rows a listing joins into one write.
+_BATCH = 256
 
 
 def write_listing(
@@ -101,7 +116,7 @@ def write_listing(
     slopes: list[Slopes] | None = None, modulo_swap: bool = False,
 ) -> None:
     """Write a listing of the generator's rows (``enumeration.Row``) to
-    ``out`` in ``form``, one class's lines at a time, with no graph built.
+    ``out`` in ``form``, with no graph built, ``_BATCH`` rows a write.
 
     Each row is its graph's ``v`` and ``e`` lines, or one JSON line of
     its ``vertices`` and ``edges``, or with ``surface`` its class at each
@@ -110,50 +125,82 @@ def write_listing(
     separated by blank lines, and an empty text listing is one newline.
     The CSV form is ``size,canonical_code,admissible`` once per slope.
 
-    Rows share fragments.  A coloring's vertex fragments are kept under
-    its bytes (the 10,079 trees on 16 regions have 1,049 colorings).  A
-    skeleton's edge fragments are kept under its level sequence and
-    closing edge.  A torus tree's skeleton keeps them for all of its
+    A row's text is a head, made once per coloring, and a tail, made once
+    per skeleton, then its slope's end, made once per run of slopes.  A
+    text block's head is the blank line before it, the surface line and
+    the ``v`` lines, and its tail the ``e`` lines; a JSON line's head runs
+    up to its edges, and its tail from them to its slope.  Heads are kept
+    under the coloring's bytes (the 10,079 trees on 16 regions have 1,049
+    colorings).  A torus tree's skeleton keeps its tail for all of its
     genus regions.  Any other skeleton has at most one row per coloring,
-    so its edge fragments are kept for its other coloring and dropped
-    when that uses them, and not kept at all when the signs are
-    identified.
+    so its tail is kept for its other coloring and dropped when that uses
+    it, and not kept at all when the signs are identified.
     """
-    if slopes is None:
-        slopes = [(None,)] * len(rows)
     if form == "csv":
-        out.write("size,canonical_code,admissible\n")
-        for row, row_slopes in zip(rows, slopes):
+        lines = ["size,canonical_code,admissible\n"]
+        for i, row in enumerate(rows):
             # A tree has one edge fewer than vertices, a ring as many.
-            out.write(f"{len(row[1]) - (row[2] is None)},{row[0]},true\n" * len(row_slopes))
+            line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
+            lines.append(line if slopes is None else line * len(slopes[i]))
+            if len(lines) >= _BATCH:
+                out.write("".join(lines))
+                lines.clear()
+        out.write("".join(lines))
         return
     json_form = form == "json"
     fragments = _JSON if json_form else _TEXT
     vertex_table, skeleton_edges = _tables(fragments)
-    vertex_texts: dict[bytes, str] = {}
-    edge_texts: dict[tuple, str] = {}
-    separator = ""
-    for row, row_slopes in zip(rows, slopes):
+    join = fragments.separator.join
+    if json_form:
+        fields = "{" if surface is None else f'{{"surface": "{surface.value}", '
+        opening, middle = fields + '"vertices": [', '], "edges": ['
+        closing = "]}\n" if surface is None else '], "slope": '
+    else:
+        opening = "\n" if surface is None else f"\nsurface {surface.value}\n"
+        middle = closing = ""
+    heads: dict[bytes, str] = {}
+    tails: dict[bytes | tuple, str] = {}
+    # Each run of slopes' ends, keyed on the run's identity, which
+    # ``slopes`` keeps alive: the rings of one listing share one run.
+    ends: dict[int, list[str]] = {}
+    batch: list[str] = []
+    # Every text block opens with the blank line that separates it from
+    # the one before, which the listing's first block drops.
+    skip = 0 if json_form else 1
+    for i, row in enumerate(rows):
         coloring = row[3]
-        vertices = vertex_texts.get(coloring)
-        if vertices is None:
-            vertices = fragments.separator.join(map(getitem, vertex_table, coloring))
-            vertex_texts[coloring] = vertices
-        skeleton = row[1:3]
-        genus_tree = surface is not None and row[2] is None
-        edges = edge_texts.get(skeleton)
-        if edges is None:
-            edges = skeleton_edges(*skeleton)
+        head = heads.get(coloring)
+        if head is None:
+            head = heads[coloring] = opening + join(map(getitem, vertex_table, coloring)) + middle
+        # A tree's skeleton is its level sequence, which the rows hold, so
+        # keying on it makes no key object; a ring's is a pair.
+        tree = row[2] is None
+        skeleton = row[1] if tree else row[1:3]
+        genus_tree = tree and surface is not None
+        tail = tails.get(skeleton)
+        if tail is None:
+            tail = skeleton_edges(row[1], row[2]) + closing
             if genus_tree or not modulo_swap:
-                edge_texts[skeleton] = edges
+                tails[skeleton] = tail
         elif not genus_tree:
-            del edge_texts[skeleton]
-        if json_form:
-            out.write(_json_lines(surface, vertices, edges, row_slopes) + "\n")
+            del tails[skeleton]
+        if slopes is None:
+            batch += head, tail
         else:
-            out.write(separator + _text_blocks(surface, vertices + edges, row_slopes))
-            separator = "\n"
-    if not (json_form or separator):
+            run = slopes[i]
+            run_ends = ends.get(id(run))
+            if run_ends is None:
+                run_ends = ends[id(run)] = list(map(fragments.slope, run))
+            # The class at each slope: its head and tail before each end.
+            body = head + tail
+            batch += body, body.join(run_ends)
+        if len(batch) >= 2 * _BATCH:
+            out.write("".join(batch)[skip:])
+            batch.clear()
+            skip = 0
+    if batch:
+        out.write("".join(batch)[skip:])
+    elif not (json_form or rows):
         out.write("\n")
 
 

@@ -4,20 +4,17 @@
 (``formats.parse_dividing_set``), which imports this module on its first
 call, so that the table, which parses nothing, compiles no parser.  Each
 line or object is checked for syntax, and a ``ParseError`` raised,
-before the graph is made: ``region_graph`` is imported only to build it.
+before the graph is made.  An error line echoes a value as a broken graph
+invariant echoes an id (``region_graph._echo``).
 """
 
 from __future__ import annotations
 
-from .formats import _ECHO, ParseError
+from .formats import ParseError
+from .region_graph import RegionGraph, _echo
 from .surfaces import DividingSetClass, Surface
 
 # json, which only JSON input needs, is imported where it is used.
-
-
-def _echo(text: str) -> str:
-    """``text``, or its first ``_ECHO`` characters and ``...``."""
-    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:
@@ -95,8 +92,6 @@ def _parse_text(text: str) -> DividingSetClass:
     surface, vertices, edges, slope = _parse_items(text)
     if surface is None:
         raise ParseError("missing 'surface sphere|torus' header")
-    from .region_graph import RegionGraph
-
     return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
 
 
@@ -129,8 +124,6 @@ def _parse_json(text: str) -> DividingSetClass:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed JSON class: {exc}") from None
-    from .region_graph import RegionGraph
-
     return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
 
 

@@ -165,17 +165,17 @@ def validate(g: RegionGraph) -> Violation | None:
         # Vertices are in id order, so a repeated id sits next to its twin.
         ids = g.vertex_ids
         repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-        return Violation("malformed", f"duplicate vertex id {repeated}")
+        return Violation("malformed", f"duplicate vertex id {_echo(repeated)}")
     if any(v.id < 0 for v in g.vertices):
         return Violation("malformed", "vertex ids must be non-negative")
     for v in g.vertices:
         if type(v.sign) is not int or v.sign not in (1, -1):
-            return Violation("malformed", f"vertex {v.id} has sign {v.sign!r}")
+            return Violation("malformed", f"vertex {_echo(v.id)} has sign {_echo(repr(v.sign))}")
         if type(v.genus) is not int or v.genus not in (0, 1):
-            return Violation("malformed", f"vertex {v.id} has genus {v.genus!r}")
+            return Violation("malformed", f"vertex {_echo(v.id)} has genus {_echo(repr(v.genus))}")
     for a, b in g.edges:
         if a not in sign or b not in sign:
-            return Violation("malformed", f"edge ({a},{b}) uses unknown vertex id")
+            return Violation("malformed", f"edge ({_echo(a)},{_echo(b)}) uses unknown vertex id")
 
     if not _is_connected(g):
         return Violation("disconnected", "graph is not connected")
@@ -183,12 +183,13 @@ def validate(g: RegionGraph) -> Violation | None:
     for a, b in g.edges:
         if a != b and sign[a] == sign[b]:
             return Violation(
-                "improper coloring", f"edge ({a},{b}) joins two like-signed regions"
+                "improper coloring",
+                f"edge ({_echo(a)},{_echo(b)}) joins two like-signed regions",
             )
 
     for a, b in g.edges:
         if a == b:
-            return Violation("self-loop", f"edge ({a},{a}) is a self-loop")
+            return Violation("self-loop", f"edge ({_echo(a)},{_echo(a)}) is a self-loop")
 
     v, e = g.vertex_count, g.edge_count
     if e not in (v - 1, v):
@@ -205,12 +206,22 @@ def _non_integer_id(vertices, edges) -> Violation | None:
     is not one, and a float equal to an id would otherwise pass for it."""
     for v in vertices:
         if type(v.id) is not int:
-            return Violation("malformed", f"vertex id {v.id!r} is not an integer")
+            return Violation("malformed", f"vertex id {_echo(repr(v.id))} is not an integer")
     for a, b in edges:
         if type(a) is not int or type(b) is not int:
-            detail = f"edge ({a!r},{b!r}) has an end that is not an integer"
+            detail = f"edge ({_echo(repr(a))},{_echo(repr(b))}) has an end that is not an integer"
             return Violation("malformed", detail)
     return None
+
+
+def _echo(value: object) -> str:
+    """``value`` as an error line shows it: its first ``formats._ECHO``
+    characters, and ``...`` when it is longer, as a syntax error shows a
+    token.  Only an error line loads ``formats``, for the bound."""
+    from .formats import _ECHO
+
+    text = str(value)
+    return text if len(text) <= _ECHO else text[:_ECHO] + "..."
 
 
 def _is_connected(g: RegionGraph) -> bool:

@@ -27,11 +27,9 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 
-from .counting import slope_error
-
 # Violation (region_graph) names a type in annotations only, which are
-# never evaluated: a class that embeds needs no violation, so the region
-# graph module is imported only to report one.
+# never evaluated: region_graph is imported only to report a violation,
+# and counting only to check a slope.
 
 
 class Surface(enum.Enum):
@@ -111,5 +109,7 @@ def _broken_rule(d: DividingSetClass) -> tuple[str, str] | None:
         return "genus", "torus classes with essential curves are all genus 0"
     if d.slope is None:
         return "slope", "essential torus curves require a slope (p, q)"
+    from .counting import slope_error
+
     error = slope_error(*d.slope)
     return None if error is None else ("slope", error)

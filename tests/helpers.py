@@ -24,7 +24,6 @@ from math import gcd
 from bcontact.classify import classify, leaf_census
 from bcontact.enumeration import (
     _free_trees,
-    _sorted_edges,
     _tree_edges,
     _vertices,
     enum_equicolored_trees,
@@ -198,11 +197,17 @@ def table_rows(records, modulo_swap=False):
     return rows
 
 
+def skeleton_edges(layout, closing):
+    """The edges of a generator's skeleton: its level sequence's tree
+    edges and its closing edge, if any."""
+    return _tree_edges(layout) + ([closing] if closing is not None else [])
+
+
 def enum_torus_graphs(max_curves, modulo_swap=False):
     """The graph of every torus class listed with at most ``max_curves``
     curves, in the listing's order: by canonical code."""
     return [
-        RegionGraph(_vertices(coloring), _sorted_edges(layout, closing))
+        RegionGraph(_vertices(coloring), skeleton_edges(layout, closing))
         for _, layout, closing, coloring in enum_torus_rows(max_curves, modulo_swap)
     ]
 

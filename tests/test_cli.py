@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from bcontact import admissibility, cli, counting, formats, listings
 from bcontact.cli import build_parser, run_cli
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.listings import serialize_class_text
 from bcontact.region_graph import canonical_code
 from bcontact.surfaces import DividingSetClass, Surface
 
@@ -37,11 +38,14 @@ from helpers import (
 )
 
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
+SURFACES_MODULE = importlib.import_module("bcontact.surfaces")
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
 # The first 40 characters of a long list of empty lists, as an error line
 # echoes it.
 LIST_ECHO = "[" + "[], " * 9 + "[],..."
+# A 4,000-digit id, under CPython's int-to-str digit limit.
+NINES = "9" * 4000
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
@@ -223,7 +227,9 @@ class TestEnumCommands:
         def never(*args, **kwargs):
             raise AssertionError("a class object was built per slope")
 
-        monkeypatch.setattr(ENUMERATION_MODULE, "DividingSetClass", never)
+        # The enumerator imports the class where it builds classes, so the
+        # class is replaced in its home module.
+        monkeypatch.setattr(SURFACES_MODULE, "DividingSetClass", never)
         for fmt in ("text", "json", "csv"):
             status, _ = run(["enum-torus", "--max-curves", "6", "--max-slope", "5",
                              "--format", fmt])
@@ -301,6 +307,52 @@ class TestListingsMatchLibrary:
             ), max_curves
             classes = enum_torus_classes(max_curves, max_p, modulo_swap)
             assert run([*args, "--count-only"]) == (0, f"{len(classes)}\n")
+
+
+class TestListingLinesMatchClassWriters:
+    """A listing's line, or text block, per class is a head per coloring
+    and a tail per skeleton put together; the per-class writers, run on
+    the graph the library builds from the same row, referee each one."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_sphere_listings(self, fmt, modulo_swap):
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for n in range(1, 8):
+            classes = [
+                DividingSetClass(Surface.SPHERE, g) for g in enum_equicolored_trees(n, modulo_swap)
+            ]
+            status, listing = run(["enum-trees", "--n", str(n), "--format", fmt, *sign_mode])
+            assert status == 0
+            if fmt == "json":
+                # The sphere's line is the graph's two fields alone.
+                expected = [
+                    json.dumps({k: v for k, v in formats.class_dict(d).items()
+                                if k in ("vertices", "edges")})
+                    for d in classes
+                ]
+                assert listing.splitlines() == expected, n
+            else:
+                # The sphere's block has no surface line.
+                blocks = [serialize_class_text(d).split("\n", 1)[1] for d in classes]
+                assert listing == "\n".join(blocks), n
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_torus_listings(self, fmt, modulo_swap):
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for max_curves in range(1, 9):
+            classes = enum_torus_classes(max_curves, 3, modulo_swap)
+            status, listing = run(["enum-torus", "--max-curves", str(max_curves),
+                                   "--max-slope", "3", "--format", fmt, *sign_mode])
+            assert status == 0
+            if fmt == "json":
+                expected = [json.dumps(formats.class_dict(d)) for d in classes]
+                assert listing.splitlines() == expected, max_curves
+            else:
+                # An empty text listing is one newline (one curve lists none).
+                blocks = [serialize_class_text(d) for d in classes]
+                assert listing == ("\n".join(blocks) or "\n"), max_curves
 
 
 class TestListingFragments:
@@ -851,6 +903,30 @@ class TestGammaCommands:
         # twice the input's size.
         set_stdin(monkeypatch, text)
         assert run(["check", "--gamma", "-"]) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (f"surface sphere\nv 0 + 0\nv 1 - 0\ne 0 {NINES}\n",
+             f"malformed: edge (0,{NINES[:40]}...) uses unknown vertex id"),
+            (f"surface sphere\nv {NINES} + 0\nv {NINES} - 0\n",
+             f"malformed: duplicate vertex id {NINES[:40]}..."),
+            (f"surface sphere\nv 0 + 0\nv {NINES} + 0\ne 0 {NINES}\n",
+             f"improper coloring: edge (0,{NINES[:40]}...) joins two like-signed regions"),
+            ('{"surface": "sphere", "vertices": [{"id": 0, "sign": 1}, '
+             f'{{"id": {NINES}, "sign": -1}}], "edges": [[0, {NINES}], [{NINES}, {NINES}]]}}',
+             f"self-loop: edge ({NINES[:40]}...,{NINES[:40]}...) is a self-loop"),
+        ],
+        ids=["unknown-id", "duplicate-id", "like-signed", "self-loop"],
+    )
+    def test_graph_error_line_echoes_at_most_forty_characters(
+        self, monkeypatch, capsys, text, message
+    ):
+        # A graph invariant's error line cuts each id as a syntax error cuts
+        # a token, and still exits 1.
+        set_stdin(monkeypatch, text)
+        assert run(["check", "--gamma", "-"]) == (1, "")
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_check_deep_sphere_path(self, tmp_path, capsys):
@@ -1509,14 +1585,16 @@ except SystemExit as exc:
 # build no graph and parse nothing, so they load neither the region graph
 # nor the parsers, and the listings not the formats module either; the
 # table, all of whose classes are admissible by construction, loads no
-# admissibility check.  The --gamma commands load the listing writers only
-# to write a class's DOT export.
+# admissibility check.  The listings check no class, so they load no
+# arithmetic, and the sphere listing not even the surfaces.  The --gamma
+# commands load the listing writers only to write a class's DOT export.
 ARITHMETIC = frozenset({"cli", "counting"})
 SURFACES = ARITHMETIC | {"surfaces"}
 READING = SURFACES | {"codes", "formats", "parsing", "region_graph"}
-ENUMERATING = SURFACES | {"codes", "enumeration"}
-LISTING = ENUMERATING | {"listings"}
-TABLING = ENUMERATING | {"classify", "formats"}
+ENUMERATING = frozenset({"cli", "codes", "enumeration"})
+SPHERE_LISTING = ENUMERATING | {"listings"}
+TORUS_LISTING = SPHERE_LISTING | {"surfaces"}
+TABLING = ENUMERATING | SURFACES | {"classify", "formats"}
 CHECKING = READING | {"admissibility"}
 CLASSIFYING = CHECKING | {"classify"}
 
@@ -1600,7 +1678,11 @@ class TestImportFootprint:
             pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2", "--format", "json"],
                          ARITHMETIC, id="tight-count-json"),
             *GAMMA_COMMANDS,
-            *(pytest.param(*p.values, LISTING, id=p.id) for p in LISTINGS),
+            *(
+                pytest.param(*p.values, TORUS_LISTING if "--max-curves" in p.values[0] else
+                             SPHERE_LISTING, id=p.id)
+                for p in LISTINGS
+            ),
             *(pytest.param(*p.values, TABLING, id=p.id) for p in TABLES),
         ],
     )
@@ -1615,6 +1697,14 @@ class TestImportFootprint:
         assert status == 0 and not json_loaded
         assert not {"region_graph", "parsing"} & layers
         assert ("formats" in layers) == (argv[0] == "table")
+
+    @pytest.mark.parametrize("argv", LISTINGS)
+    def test_listings_load_no_arithmetic(self, tmp_path, argv):
+        # A listing checks no class: no slope is checked, so counting stays
+        # unloaded, and the sphere listing names no surface either.
+        status, layers, _ = loaded_modules(tmp_path, argv)
+        assert status == 0 and "counting" not in layers
+        assert ("surfaces" in layers) == (argv[0] == "enum-torus")
 
     @pytest.mark.parametrize("argv,layers", GAMMA_COMMANDS)
     def test_gamma_commands_load_a_listing_writer_only_to_write_one(

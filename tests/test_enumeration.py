@@ -20,7 +20,7 @@ from bcontact.enumeration import (
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import all_torus_candidates, enum_torus_graphs, twin_image
+from helpers import all_torus_candidates, enum_torus_graphs, skeleton_edges, twin_image
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
 
@@ -292,7 +292,7 @@ class TestArrayCodes:
 
         def recording(layout, closing, genus_vertex):
             codes = real_codes(layout, closing, genus_vertex)
-            tried.append((layout, enumeration._sorted_edges(layout, closing), genus_vertex, codes))
+            tried.append((layout, skeleton_edges(layout, closing), genus_vertex, codes))
             return codes
 
         monkeypatch.setattr(enumeration, "_codes", recording)
@@ -393,6 +393,24 @@ class TestRingCodes:
         monkeypatch.setattr(enumeration, "_free_trees", counted)
         list(enumeration._torus_candidates(10))
         assert orders == list(range(2, 12))
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize("max_curves", [10, 12])
+    def test_a_coloring_is_made_only_for_a_first_seen_code(
+        self, monkeypatch, max_curves, modulo_swap
+    ):
+        # Every coloring made is a listed row's: none is made for a code
+        # that an earlier candidate already gave.
+        made = []
+        real_coloring = enumeration._coloring
+
+        def counted(*args):
+            made.append(args)
+            return real_coloring(*args)
+
+        monkeypatch.setattr(enumeration, "_coloring", counted)
+        rows = enum_torus_rows(max_curves, modulo_swap)
+        assert len(made) == len(rows) == len({row[0] for row in rows})
 
     @pytest.mark.parametrize("modulo_swap", [False, True])
     def test_torus_rows_reach_no_peel(self, monkeypatch, modulo_swap):

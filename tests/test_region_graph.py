@@ -162,6 +162,22 @@ class TestValidate:
         with pytest.raises(InvalidRegionGraphError, match=f"^malformed: {detail}$"):
             RegionGraph([vertex, (1, -1, 0)], [(0, 1)])
 
+    @pytest.mark.parametrize(
+        "vertex,end,detail",
+        [
+            (("x" * 100, -1, 0), 1, f"vertex id {'x' * 100!r:.40}... is not an integer"),
+            ((1, -1, 0), "x" * 100,
+             f"edge (0,{'x' * 100!r:.40}...) has an end that is not an integer"),
+            ((1, "s" * 100, 0), 1, f"vertex 1 has sign {'s' * 100!r:.40}..."),
+            ((1, -1, [0] * 100), 1, f"vertex 1 has genus {str([0] * 100):.40}..."),
+        ],
+        ids=["id", "edge-end", "sign", "genus"],
+    )
+    def test_malformed_data_is_echoed_at_most_forty_characters(self, vertex, end, detail):
+        with pytest.raises(InvalidRegionGraphError) as raised:
+            RegionGraph([(0, 1, 0), vertex], [(0, end)])
+        assert str(raised.value) == f"malformed: {detail}"
+
     def test_graph_invariants_come_first(self):
         # No class can be made of an invalid graph: the graph's constructor
         # raises before any surface rule is tried.
