@@ -26,7 +26,7 @@ so they load neither ``region_graph``, ``parsing`` nor
 input, so listings, tables and text answers skip its import.
 
 ``enum-trees`` and ``enum-torus`` write their listings straight from the
-generator's rows (``enumeration.Row``), 256 rows to a write
+generator's rows (``enumeration.Row``), one class's lines at a time
 (``listings.write_listing``), and ``--count-only`` counts the rows:
 neither builds a graph object.  Graphs are built for library callers
 only.

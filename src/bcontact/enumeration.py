@@ -235,13 +235,12 @@ def _free_trees(order: int) -> Iterator[bytes]:
 _STRIDE = 32
 
 
-def _edge_keys(levels: bytes, start: int = 0) -> list[int]:
-    """The keys of the edges of a level sequence, its vertices numbered
-    from ``start``: each vertex after the first joins the last vertex
-    before it one level up."""
-    last = [start] * _STRIDE
+def _edge_keys(layout: bytes) -> list[int]:
+    """The keys of the edges of a level sequence: each vertex after the
+    first joins the last vertex before it one level up."""
+    last = [0] * _STRIDE
     keys = []
-    for i, level in enumerate(levels[1:], start + 1):
+    for i, level in enumerate(layout[1:], 1):
         keys.append(last[level - 1] * _STRIDE + i)
         last[level] = i
     return keys
@@ -541,22 +540,17 @@ def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
-    # One loop over the WROM walk (``_free_trees``); the parities that the
-    # balance test counts are the first coloring.
+    # One loop over the WROM walk; the balance test counts the vertices on
+    # odd levels.
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}
-    layout = _path(2 * n)
-    while layout is not None:
-        layout = _next_tree(layout)
-        coloring = layout.translate(_PARITY[0])
-        if coloring.count(1) == n:
-            code, swapped = _codes(layout, None, None)
-            rows.append((min(code, swapped) if modulo_swap else code, layout, None,
-                         colorings.setdefault(coloring, coloring)))
-            if not modulo_swap and code != swapped:
-                coloring = layout.translate(_PARITY[1])
-                rows.append((swapped, layout, None, colorings.setdefault(coloring, coloring)))
-        layout = _next_rooted_tree(layout)
+    for layout in _free_trees(2 * n):
+        if layout.translate(_PARITY[0]).count(1) == n:
+            codes = _codes(layout, None, None)
+            for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+                coloring = layout.translate(_PARITY[positive])
+                code = min(codes) if modulo_swap else codes[positive]
+                rows.append((code, layout, None, colorings.setdefault(coloring, coloring)))
     rows.sort(key=itemgetter(0))
     return rows
 

@@ -7,12 +7,12 @@ written from the generator's rows (``enumeration.Row``), with no graph
 built, in one loop per listing (``write_listing``): each row's text is a
 head made once per coloring and a tail made once per skeleton, of
 fragments looked up in tables indexed by id, sign and genus and by edge
-(``_tables``), and the lines go out in batches.  A listing's JSON line
-equals ``json.dumps`` of ``formats.class_dict`` of its class (of the
-graph's two fields alone on the sphere) with its default separators,
-because every id, sign, genus and slope is an ``int``: the enumerators
-build them so, a region graph takes no other id, sign or genus, and
-both parsers take no other slope.
+(``_tables``), and each class's lines go out in one write.  A listing's
+JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
+(of the graph's two fields alone on the sphere) with its default
+separators, because every id, sign, genus and slope is an ``int``: the
+enumerators build them so, a region graph takes no other id, sign or
+genus, and both parsers take no other slope.
 
 This module loads neither ``formats`` and its parsers nor the region
 graph (``region_graph``): a listing writes the generator's rows, and a
@@ -23,6 +23,7 @@ their output deterministically.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from operator import getitem
 
 # DividingSetClass and Surface (surfaces), Row and Slopes (enumeration) and
@@ -49,49 +50,25 @@ _JSON = _Form(
 )
 
 
+@cache
 def _tables(form: _Form) -> tuple[list[tuple[str, ...]], Callable[[bytes, tuple | None], str]]:
     """A form's fragment of every vertex the enumerators make, indexed like
     ``enumeration._VERTEX_ROWS``, and its joined edge fragments of a
-    skeleton (``enumeration.Row``), in the order a graph keeps them.
-
-    A graph keeps its edges sorted by their ends, as their keys
-    (``enumeration._edge_keys``) sort, which index one flat table.  A
-    tree's edges in that order are the root's edges, then the edges within
-    each of the root's subtrees in turn, since each subtree's vertices
-    follow the ones before it.  So a tree's edge text is put together from
-    its subtrees', each made once per level sequence and first vertex and
-    kept for the listing that calls ``_tables``.  A ring's edges are keyed
-    and sorted.
-    """
+    skeleton (``enumeration.Row``), in the order a graph keeps them: by
+    their ends, as their keys (``enumeration._edge_keys``) sort, which
+    index one flat table."""
     from .enumeration import _STRIDE, _VERTEX_ROWS, _edge_keys
 
     ids = range(len(_VERTEX_ROWS))
     edge_table = [form.edge(a, b) for a in ids for b in range(_STRIDE)]
     join = form.separator.join
-    subtree_texts: dict[tuple[bytes, int], str] = {}
 
     def skeleton_edges(layout: bytes, closing: tuple[int, int] | None) -> str:
+        keys = _edge_keys(layout)
         if closing is not None:
-            keys = _edge_keys(layout)
             keys.append(closing[0] * _STRIDE + closing[1])
-            keys.sort()
-            return join(map(edge_table.__getitem__, keys))
-        root_edges = []
-        subtree_edges = []
-        first = 1
-        # Each of the root's children, from vertex 1 on, and the levels of
-        # the vertices below it, up to the next child.
-        for below in layout[1:].split(b"\x01")[1:]:
-            root_edges.append(edge_table[first])
-            if below:
-                text = subtree_texts.get((below, first))
-                if text is None:
-                    keys = _edge_keys(layout[first:first + 1 + len(below)], first)
-                    keys.sort()
-                    text = subtree_texts[below, first] = join(map(edge_table.__getitem__, keys))
-                subtree_edges.append(text)
-            first += 1 + len(below)
-        return join(root_edges + subtree_edges)
+        keys.sort()
+        return join(map(edge_table.__getitem__, keys))
 
     return [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS], skeleton_edges
 
@@ -107,23 +84,20 @@ def serialize_class_text(d: DividingSetClass) -> str:
     ])
 
 
-# The most rows a listing joins into one write.
-_BATCH = 256
-
-
 def write_listing(
     out, rows: list[Row], form: str, surface: Surface | None = None,
     slopes: list[Slopes] | None = None, modulo_swap: bool = False,
 ) -> None:
     """Write a listing of the generator's rows (``enumeration.Row``) to
-    ``out`` in ``form``, with no graph built, ``_BATCH`` rows a write.
+    ``out`` in ``form``, one class's lines at a time, with no graph built.
 
     Each row is its graph's ``v`` and ``e`` lines, or one JSON line of
     its ``vertices`` and ``edges``, or with ``surface`` its class at each
-    of its ``slopes``: ``serialize_class_text`` of each, or ``json.dumps``
-    of ``formats.class_dict`` of each on a line; text blocks are
-    separated by blank lines, and an empty text listing is one newline.
-    The CSV form is ``size,canonical_code,admissible`` once per slope.
+    of its ``slopes`` (with none, at no slope): ``serialize_class_text``
+    of each, or ``json.dumps`` of ``formats.class_dict`` of each on a
+    line; text blocks are separated by blank lines, and an empty text
+    listing is one newline.  The CSV form is
+    ``size,canonical_code,admissible`` once per slope.
 
     A row's text is a head, made once per coloring, and a tail, made once
     per skeleton, then its slope's end, made once per run of slopes.  A
@@ -137,16 +111,16 @@ def write_listing(
     it, and not kept at all when the signs are identified.
     """
     if form == "csv":
-        lines = ["size,canonical_code,admissible\n"]
+        out.write("size,canonical_code,admissible\n")
         for i, row in enumerate(rows):
             # A tree has one edge fewer than vertices, a ring as many.
             line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
-            lines.append(line if slopes is None else line * len(slopes[i]))
-            if len(lines) >= _BATCH:
-                out.write("".join(lines))
-                lines.clear()
-        out.write("".join(lines))
+            out.write(line if slopes is None else line * len(slopes[i]))
         return
+    if surface is None:
+        slopes = None
+    elif slopes is None:
+        slopes = [(None,)] * len(rows)
     json_form = form == "json"
     fragments = _JSON if json_form else _TEXT
     vertex_table, skeleton_edges = _tables(fragments)
@@ -163,7 +137,6 @@ def write_listing(
     # Each run of slopes' ends, keyed on the run's identity, which
     # ``slopes`` keeps alive: the rings of one listing share one run.
     ends: dict[int, list[str]] = {}
-    batch: list[str] = []
     # Every text block opens with the blank line that separates it from
     # the one before, which the listing's first block drops.
     skip = 0 if json_form else 1
@@ -184,23 +157,17 @@ def write_listing(
                 tails[skeleton] = tail
         elif not genus_tree:
             del tails[skeleton]
-        if slopes is None:
-            batch += head, tail
-        else:
+        text = head + tail
+        if slopes is not None:
             run = slopes[i]
             run_ends = ends.get(id(run))
             if run_ends is None:
-                run_ends = ends[id(run)] = list(map(fragments.slope, run))
+                run_ends = ends[id(run)] = ["", *map(fragments.slope, run)]
             # The class at each slope: its head and tail before each end.
-            body = head + tail
-            batch += body, body.join(run_ends)
-        if len(batch) >= 2 * _BATCH:
-            out.write("".join(batch)[skip:])
-            batch.clear()
-            skip = 0
-    if batch:
-        out.write("".join(batch)[skip:])
-    elif not (json_form or rows):
+            text = text.join(run_ends)
+        out.write(text[skip:])
+        skip = 0
+    if not (json_form or rows):
         out.write("\n")
 
 

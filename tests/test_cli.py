@@ -355,6 +355,49 @@ class TestListingLinesMatchClassWriters:
                 assert listing == ("\n".join(blocks) or "\n"), max_curves
 
 
+class _ClassesPerWrite:
+    """A stream that keeps, per write, how many classes it held."""
+
+    def __init__(self, marker: str) -> None:
+        self.marker = marker
+        self.counts: list[int] = []
+
+    def write(self, text: str) -> None:
+        self.counts.append(text.count(self.marker))
+
+
+class TestListingWrites:
+    """``write_listing`` hands each class's lines to ``out`` in one write
+    and holds no other row's, so a long run of slopes is never joined to
+    another; the CLI's chunked stream does the batching."""
+
+    @pytest.mark.parametrize("fmt,marker", [("json", '"surface"'), ("text", "surface ")])
+    def test_each_write_is_one_class_at_its_slopes(self, fmt, marker):
+        rows = ENUMERATION_MODULE.enum_torus_rows(5)
+        slopes = [ENUMERATION_MODULE.row_slopes(row, 256) for row in rows]
+        stream = _ClassesPerWrite(marker)
+        listings.write_listing(stream, rows, fmt, Surface.TORUS, slopes)
+        # The five rings at 256: 19,948 classes each.
+        assert stream.counts == [len(run) for run in slopes]
+        assert max(stream.counts) == 19948
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_surface_with_no_slopes_lists_each_class_at_none(self, fmt):
+        # A library caller may pass a surface with no slopes: each class is
+        # listed at no slope, as its per-class writer gives it.
+        for n in range(1, 5):
+            stream = io.StringIO()
+            listings.write_listing(
+                stream, ENUMERATION_MODULE.enum_tree_rows(n), fmt, Surface.SPHERE
+            )
+            classes = [DividingSetClass(Surface.SPHERE, g) for g in enum_equicolored_trees(n)]
+            if fmt == "json":
+                expected = [json.dumps(formats.class_dict(d)) for d in classes]
+                assert stream.getvalue().splitlines() == expected, n
+            else:
+                assert stream.getvalue() == "\n".join(map(serialize_class_text, classes)), n
+
+
 class TestListingFragments:
     """A listing makes each skeleton's edge text once: the other coloring
     of a skeleton, or another genus region of a torus tree, reuses it."""
