@@ -1,58 +1,42 @@
 """Command-line front end.
 
-Subcommands: enum-trees, enum-torus, check, classify, tight-count, cf,
-census, table, export-dot.  The ``--gamma`` commands take the manifold from
-the input's surface: S3 with an equatorial sphere or an unknotted torus.
-``table`` writes CSV (the default) or JSON lines.  Results go to stdout,
-diagnostics to stderr; exit status 0 on success, 1 on a domain error
-(invalid or inadmissible input, resource caps), 2 on usage or syntax
-errors, input that is not UTF-8 included, and on I/O errors such as a
-missing file, a closed stdin or stdout, or a reader that closes the pipe
-before the output ends.  All machine-readable output is deterministic
-and newline-terminated, and goes to stdout in whole chunks of at least
-64 KiB, whether or not stdout is buffered.
+The ``--gamma`` commands take the manifold from the input's surface: S3
+with an equatorial sphere or an unknotted torus.  ``table`` writes CSV
+(the default) or JSON lines.  Results go to stdout, diagnostics to
+stderr; exit status 0 on success, 1 on a domain error (invalid or
+inadmissible input, resource caps), 2 on usage or syntax errors, input
+that is not UTF-8 included, and on I/O errors such as a missing file, a
+closed stdin or stdout, or a reader that closes the pipe before the
+output ends.  All machine-readable output is deterministic and
+newline-terminated, and goes to stdout in whole chunks of at least 64
+KiB, whether or not stdout is buffered.
 
 Each command imports the layers it calls when it runs, so a call loads
-only those: ``tight-count`` and ``cf`` load ``counting`` alone, in
-either format; the ``--gamma`` commands the reader (``formats`` and its
-``parsing``), the region graph it builds and their own layers, and only
-``export-dot`` the writers (``listings``); the listings the generator
-and the writers; and ``table`` the generator, ``classify`` and the
-table's renderer in ``formats``.  The listings and the table read their
-classes off the generator's rows, which are admissible by construction,
-so they load neither ``region_graph``, ``parsing`` nor
-``admissibility``, and the listings not ``formats`` either.  A one-object JSON answer is ``json.dumps`` of a plain dict
-(``_dumps``), and ``json`` loads only for such an answer or for JSON
-input, so listings, tables and text answers skip its import.
+only those (README lists them): ``tight-count`` and ``cf`` load
+``counting`` alone; the listings and the table, which read their classes
+off the generator's rows, admissible by construction, load neither
+``region_graph``, ``parsing`` nor ``admissibility``, and only
+``export-dot`` of the ``--gamma`` commands loads the writers
+(``listings``).  ``json`` loads only for a one-object JSON answer
+(``_dumps``) or for JSON input.  No listing builds a graph object.
 
-``enum-trees`` and ``enum-torus`` write their listings straight from the
-generator's rows (``enumeration.Row``), one class's lines at a time
-(``listings.write_listing``), and ``--count-only`` counts the rows:
-neither builds a graph object.  Graphs are built for library callers
-only.
-
-Each command is declared once, in ``_COMMANDS``: its help line, its
-handler and its arguments.  A call reads its command line off that table
-(``_read_args``): the command, then each of its flags at most once and
-spelled out, a value flag followed by its value.  That gives the
-namespace argparse would make, without loading ``argparse`` or the
-``gettext`` and ``locale`` modules it imports.  Anything else (help, an
-abbreviation, ``--flag=value``, a repeated or unknown flag, a missing or
-rejected value) goes to the parser that ``build_parser`` makes of the
-same table, which reads it or writes the help text, or the usage line
-and error, and the exit status.
+``_COMMANDS`` declares each command once: its help line, its handler and
+its flags.  It is the only grammar: ``_read_args`` reads every call off
+it (flags in any order, spelled out or cut to a unique prefix, a value
+after ``=`` or as the next word, a negative number included, the last of
+a repeated flag counting, ``--no-<flag>`` for a negatable one), and the
+help (``-h``, ``--help``) and every usage error are written from it,
+unwrapped, so they are the same bytes on any Python and at any terminal
+width.  Help goes to stdout as any answer does; a usage error is a usage
+line and an ``error:`` line on stderr, exit 2.  No parser library loads.
 
 ``main``, the entry of the ``bcontact`` script and of ``python -m
-bcontact``, calls ``gc.freeze()`` once ``run_cli`` has returned, so the
-interpreter's shutdown collections skip every object the call holds,
-the loaded modules included.  Those collections took about 8 ms of a
-fresh call's 10-13 ms shutdown on a 2-vCPU VM (CPython 3.11; a
-``tight-count`` call takes about 70 ms in all), whatever the command.
-By then the answer, any error line and the status are settled, and no
-bcontact object needs a cycle finalizer; exit handlers, the flush of
-the standard streams and reference-count teardown still run.
-``run_cli``, the entry for library callers and the tests, leaves the
-collector alone.
+bcontact``, calls ``gc.freeze()`` once ``run_cli`` has returned and the
+answer, any error line and the status are settled, so the shutdown
+collections (8 ms of a fresh call's 10-13 ms shutdown on a 2-vCPU VM,
+CPython 3.11) skip every object the call holds; no bcontact object needs
+a cycle finalizer.  ``run_cli``, for library callers and the tests,
+leaves the collector alone.
 """
 
 from __future__ import annotations
@@ -62,90 +46,91 @@ import gc
 import sys
 from types import SimpleNamespace
 
+_ABOUT = "Enumerate and classify dividing sets of b-contact structures on (S3, S2) and (S3, T2)."
 # Each manifold's name on the command line, and its critical surface.
 _MANIFOLDS = {"s3-s2": "sphere", "s3-t2": "torus"}
 
 
-def build_parser():
-    """The ``argparse`` parser of ``_COMMANDS``, every command's arguments
-    added: it reads what ``_read_args`` declines, and writes every help
-    text, usage line and usage error."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, *args, **kwargs) -> None:
-            super().__init__(*args, **kwargs)
-            self.register("action", "negatable", argparse.BooleanOptionalAction)
-
-        def error(self, message):  # argparse's prints the usage on stdout if stderr is closed
-            _report(f"{self.format_usage()}{self.prog}: error: {message}")
-            self.exit(2)
-
-    parser = _Parser(
-        prog="bcontact",
-        description="Enumerate and classify dividing sets of b-contact "
-        "structures on (S3, S2) and (S3, T2).",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help, _, arguments) in _COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help)
-        for flag, options in arguments:
-            command_parser.add_argument(flag, **options)
-    return parser
+class _UsageError(Exception):
+    """A call that the command table does not read, and why."""
 
 
-def _read_args(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace that ``build_parser`` makes of a well-formed
-    ``argv``, read straight from ``_COMMANDS``, or None.
-
-    ``argv`` is a command, then each of its flags at most once, spelled
-    out, a value flag followed by its value: a token that does not start
-    with ``-``, or ``-`` itself (stdin).  A value goes through its
-    ``type`` and must be one of its ``choices``; every required flag must
-    be there, and every other one gets its default.  Anything else (help,
-    an abbreviation, ``--flag=value``, a repeated or unknown flag, a
-    missing or rejected value) is None, for argparse to read or report.
-    """
-    if not argv or argv[0] not in _COMMANDS:
+def _word(token: str, spellings: dict) -> tuple | None:
+    """None for a value, else the flag that ``token`` names (``token`` if
+    none) and the value after its ``=``, or None."""
+    if not token.startswith("-") or token == "-":
         return None
-    values = {"command": argv[0]}
+    name, equals, value = token.partition("=")
+    value = value if equals else None
+    if name in spellings:
+        return name, value
+    if len(name) > 2 and name.startswith("--"):
+        matches = [spelling for spelling in spellings if spelling.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value
+    import re
+
+    return None if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token else (token, None)
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace:
+    """The namespace of ``argv``, read off ``_COMMANDS`` as the module
+    docstring tells, or for help ``help`` alone: the command, or None.
+    A call that it does not read raises ``_UsageError``."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    arguments = _COMMANDS[command][2] if command else ()
+    values, extras = {"command": command}, []
     # Each spelling: its dest, its options, and the value it stores, or
-    # None for a flag that takes the next token.
-    spellings = {}
-    required = set()
-    for flag, options in _COMMANDS[argv[0]][2]:
+    # None for a flag that takes one.
+    spellings = {"-h": ("help", {}, True), "--help": ("help", {}, True)}
+    for flag, options in arguments:
         dest = flag[2:].replace("-", "_")
         action = options.get("action")
         spellings[flag] = dest, options, True if action else None
         if action == "negatable":
             spellings["--no-" + flag[2:]] = dest, options, False
-        if options.get("required"):
-            required.add(dest)
-        else:
+        if not options.get("required"):
             values[dest] = options.get("default", False if action else None)
-    seen = set()
-    tokens = iter(argv[1:])
+    tokens = iter(argv[1:] if command else argv)
     for token in tokens:
-        if token not in spellings:
-            return None
-        dest, options, value = spellings[token]
-        if dest in seen:
-            return None
-        seen.add(dest)
+        word = _word(token, spellings)
+        if word is None or word[0] not in spellings:
+            extras.append(token)
+            continue
+        flag, value = word
+        dest, options, stored = spellings[flag]
+        if stored is not None:
+            if value is not None:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if dest == "help":
+                return SimpleNamespace(help=command)
+            values[dest] = stored
+            continue
         if value is None:
             value = next(tokens, None)
-            if value is None or value.startswith("-") and value != "-":
-                return None
-            if "type" in options:
-                try:
-                    value = options["type"](value)
-                except ValueError:
-                    return None
-            if "choices" in options and value not in options["choices"]:
-                return None
+            if value is None or _word(value, spellings) is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+        try:
+            value = options.get("type", str)(value)
+        except ValueError:
+            kind = options["type"].__name__
+            raise _UsageError(f"argument {flag}: invalid {kind} value: {value!r}") from None
+        if value not in options.get("choices", (value,)):
+            listed = ", ".join(map(repr, options["choices"]))
+            raise _UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {listed})")
         values[dest] = value
-    if not required <= seen:
-        return None
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    if command is None:
+        listed = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {argv[0]!r} (choose from {listed})")
+    missing = [flag for flag, _ in arguments if flag[2:].replace("-", "_") not in values]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
     return SimpleNamespace(**values)
 
 
@@ -324,19 +309,13 @@ def _cmd_classify(args, out) -> int:
                 "tight_count_detail": None if detail is None else _count_dict(detail),
             }))
             return 0
-        _emit(out, f"tight {record.tight.finite_factor} {record.tight.free_rank}")
-        _emit(out, f"mixed {record.mixed.finite_factor} {record.mixed.free_rank}")
-        _emit(
-            out,
-            f"fully-overtwisted {record.fully_overtwisted.finite_factor} "
-            f"{record.fully_overtwisted.free_rank}",
-        )
+        for name, regime in (("tight", record.tight), ("mixed", record.mixed),
+                             ("fully-overtwisted", record.fully_overtwisted)):
+            _emit(out, f"{name} {regime.finite_factor} {regime.free_rank}")
         if detail is not None:
-            _emit(
-                out,
-                f"tight-count-detail n={detail.n} p={detail.p} q={detail.q} "
-                f"r={detail.r} s={detail.s} count={detail.count}",
-            )
+            # Every field but the expansion, as name=value.
+            fields = zip(detail._fields[:-1], detail)
+            _emit(out, "tight-count-detail " + " ".join(f"{k}={v}" for k, v in fields))
     return 0
 
 
@@ -345,10 +324,7 @@ def _cmd_tight_count(args, out) -> int:
 
     result = tight_count_solid_torus(args.n, args.p, args.q)
     with _whole_counts():
-        if args.format == "json":
-            _emit(out, _dumps(_count_dict(result)))
-        else:
-            _emit(out, str(result.count))
+        _emit(out, _dumps(_count_dict(result)) if args.format == "json" else str(result.count))
     return 0
 
 
@@ -357,12 +333,9 @@ def _cmd_cf(args, out) -> int:
 
     cf = negative_continued_fraction(args.p, args.q)
     if args.format == "json":
-        _emit(out, _dumps({
-            "coefficients": list(cf.coefficients),
-            "degenerate": cf.degenerate,
-        }))
+        _emit(out, _dumps({"coefficients": list(cf.coefficients), "degenerate": cf.degenerate}))
     else:
-        _emit(out, " ".join(str(a) for a in cf.coefficients))
+        _emit(out, " ".join(map(str, cf.coefficients)))
     return 0
 
 
@@ -371,14 +344,7 @@ def _cmd_census(args, out) -> int:
 
     d = _read_gamma(args.gamma)
     census = leaf_census(d.surface, d)
-    if args.format == "json":
-        _emit(out, _dumps({
-            "leaves_dim3": census.leaves_dim3,
-            "leaves_dim2": census.leaves_dim2,
-            "leaves_dim1": census.leaves_dim1,
-        }))
-    else:
-        _emit(out, f"{census.leaves_dim3} {census.leaves_dim2} {census.leaves_dim1}")
+    _emit(out, _dumps(census._asdict()) if args.format == "json" else " ".join(map(str, census)))
     return 0
 
 
@@ -410,10 +376,8 @@ def _cmd_export_dot(args, out) -> int:
 _REQUIRED_INT = {"type": int, "required": True}
 _GAMMA = ("--gamma", {"required": True})
 _SIGN_MODE = ("--distinguish-signs", {
-    "action": "negatable",
-    "default": True,
-    "help": "count the two global sign orientations separately (default); "
-    "--no-distinguish-signs identifies them",
+    "action": "negatable", "default": True,
+    "help": "count the two global sign orientations separately (default) or as one",
 })
 
 
@@ -431,8 +395,7 @@ _COMMANDS = {
         ("--n", {**_REQUIRED_INT, "help": "half the number of regions"}), *_LISTING,
     )),
     "enum-torus": ("enumerate admissible torus classes", _cmd_enum_torus, (
-        ("--max-curves", {"type": int, "default": 4}),
-        ("--max-slope", {"type": int, "default": 3}),
+        ("--max-curves", {"type": int, "default": 4}), ("--max-slope", {"type": int, "default": 3}),
         *_LISTING,
     )),
     "check": ("validate a dividing set and report admissibility", _cmd_check, (
@@ -448,38 +411,72 @@ _COMMANDS = {
     "census": ("leaf census of the singular foliation", _cmd_census, (_GAMMA, _ANSWER)),
     "table": ("classification table over all enumerated classes", _cmd_table, (
         ("--manifold", {"choices": tuple(_MANIFOLDS), "required": True}),
-        ("--max-curves", {"type": int, "default": 5}),
-        ("--max-slope", {"type": int, "default": 3}),
-        _SIGN_MODE,
-        _format("csv", "json"),
+        ("--max-curves", {"type": int, "default": 5}), ("--max-slope", {"type": int, "default": 3}),
+        _SIGN_MODE, _format("csv", "json"),
     )),
     "export-dot": ("emit a Graphviz description of a dividing set", _cmd_export_dot, (_GAMMA,)),
 }
 
 
+def _spelled(flag: str, options: dict, sep: str) -> str:
+    """A flag as usage lines (``sep`` " | ") and help lines (", ") write it:
+    its ``--no-`` form too, or the name of the value it takes."""
+    if "action" in options:
+        return flag + (sep + "--no-" + flag[2:] if options["action"] == "negatable" else "")
+    choices = options.get("choices")
+    value = "{%s}" % ",".join(choices) if choices else flag[2:].replace("-", "_").upper()
+    return f"{flag} {value}"
+
+
+def _usage(command: str | None) -> str:
+    """The usage line of ``command``, or of the program for None."""
+    if command is None:
+        return "usage: bcontact [-h] {%s} ..." % ",".join(_COMMANDS)
+    parts = [("%s" if options.get("required") else "[%s]") % _spelled(flag, options, " | ")
+             for flag, options in _COMMANDS[command][2]]
+    return " ".join([f"usage: bcontact {command} [-h]", *parts])
+
+
+def _write_help(args, out) -> int:
+    """Write the help of ``args.help``, a command, or the program's for None:
+    its usage line, what it does, and a line for each flag or command."""
+    command = args.help
+    if command is None:
+        about, title = _ABOUT, "commands"
+        rows = [(name, entry[0]) for name, entry in _COMMANDS.items()]
+    else:
+        (about, _, arguments), title = _COMMANDS[command], "options"
+        rows = [(_spelled(flag, o, ", "), o.get("help", "")) for flag, o in arguments]
+    # A name too long for the first column puts its line under it.
+    lines = [f"  {name}\n{'':24}{line}" if len(name) > 20 and line else
+             f"  {name:20}  {line}".rstrip() for name, line in rows]
+    out.write(f"{_usage(command)}\n\n{about}\n\n{title}:\n" + "\n".join(lines) + "\n")
+    return 0
+
+
 def _report(message: str) -> None:
     """Write a diagnostic line to stderr, unless stderr is missing or closed."""
-    try:
+    with contextlib.suppress(OSError):
         if sys.stderr is not None:
             print(message, file=sys.stderr)
-    except OSError:
-        pass
 
 
 def run_cli(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    try:
+        args = _read_args(argv)
+    except _UsageError as exc:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        prog = "bcontact" if command is None else f"bcontact {command}"
+        _report(f"{_usage(command)}\n{prog}: error: {exc}")
+        return 2
     try:
         if out is None:
             raise OSError("stdout is closed")
         chunks = _Chunks(out)
-        status = _COMMANDS[args.command][1](args, chunks)
+        handler = _write_help if "help" in vars(args) else _COMMANDS[args.command][1]
+        status = handler(args, chunks)
         chunks.flush()
         return status
     except (ValueError, OSError) as exc:

@@ -16,12 +16,19 @@ from the graph.
 The ``*_reference`` builders referee the writers: a graph's or a class's
 text and JSON object, and the object ``classify --format json`` prints,
 each built field by field.
+``reference_namespace`` referees the CLI's argv reader: the namespace
+that argparse, given the command table, reads from an argv.
 """
 
+import argparse
+import contextlib
+import io
+from functools import cache
 from itertools import groupby
 from math import gcd
 
 from bcontact.classify import classify, leaf_census
+from bcontact.cli import _COMMANDS
 from bcontact.enumeration import (
     _free_trees,
     _tree_edges,
@@ -276,3 +283,33 @@ def twin_image(layout, closing, genus_vertex):
             if image < closing:
                 return layout, image, None
     return None
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.register("action", "negatable", argparse.BooleanOptionalAction)
+
+
+@cache
+def build_parser():
+    """argparse's parser of the CLI's command table, every command's flags
+    added with their options as the table declares them."""
+    parser = _ReferenceParser(prog="bcontact")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help, _, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help)
+        for flag, options in arguments:
+            command_parser.add_argument(flag, **options)
+    return parser
+
+
+def reference_namespace(argv):
+    """The namespace, as a dict, that argparse reads from ``argv`` with the
+    parser of the command table, or None if it refuses ``argv``.  Only the
+    values count: argparse's help and usage text are not the CLI's."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None

@@ -17,11 +17,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcontact import admissibility, cli, counting, formats, listings
-from bcontact.cli import build_parser, run_cli
+from bcontact.cli import run_cli
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.listings import serialize_class_text
 from bcontact.region_graph import canonical_code
@@ -35,6 +35,7 @@ from helpers import (
     graph_slopes,
     graph_text_reference,
     long_ring,
+    reference_namespace,
 )
 
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
@@ -428,9 +429,73 @@ class TestListingFragments:
             assert len(made) == len(set(made)), (argv, fmt)
 
 
+# sha256 of each help text, the program's (None) and each command's, as
+# the command table writes it: unwrapped, on any Python and at any
+# terminal width.  The CI workflow checks the same digests.
+HELP_SHA256 = {
+    None: "f90730ed2951c2809d5f953d850b68c1e20c8fd495cd8585a273712e4674b7e5",
+    "enum-trees": "20f75da6efc8245f59d8a514a045aebc558411c2621d55dece897ff63a2268ef",
+    "enum-torus": "67ade43e5774bbbe27d8d4869664db1fd4605bbbe33a49e59fc7227d06a33fa2",
+    "check": "c58d1cce47afce507c791f6862859b2c2e0945fd8af77dc7d26674afd75c8303",
+    "classify": "80c749305aa8c558492357e73386d273769c991773150781ec9f5f604a9063df",
+    "tight-count": "ca9bd974abece6010d899fd62357917238a878363c825269068f3cdd0b7a44db",
+    "cf": "28fbbbd5ca7acf1db47a9e4ec08109c99c876b3aaca17f1b935d46652f6d77b2",
+    "census": "86a3783f8fc45bd57e7dee805846f7e9451f15f94cb3df9b408af94c3876c7e1",
+    "table": "fc168013699621f539fb95d5ed31f17adf00768f9941bb23976c4f3b0aae48f1",
+    "export-dot": "287694ff2cfefd5849bc7213dfd7859252c585322c639e5290842f1a3d68293a",
+}
+TIGHT_COUNT_HELP = """\
+usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]
+
+tight count N(n, -p, q) on the solid torus
+
+options:
+  --n N
+  --p P
+  --q Q
+  --format {text,json}
+"""
+# Each usage line, the program's (None) and each command's, on one line.
+USAGE = {
+    None: "usage: bcontact [-h] "
+    "{enum-trees,enum-torus,check,classify,tight-count,cf,census,table,export-dot} ...",
+    "enum-trees": "usage: bcontact enum-trees [-h] --n N [--count-only] "
+    "[--distinguish-signs | --no-distinguish-signs] [--format {text,json,csv}]",
+    "enum-torus": "usage: bcontact enum-torus [-h] [--max-curves MAX_CURVES] "
+    "[--max-slope MAX_SLOPE] [--count-only] [--distinguish-signs | --no-distinguish-signs] "
+    "[--format {text,json,csv}]",
+    "check": "usage: bcontact check [-h] --gamma GAMMA [--format {text,json}]",
+    "classify": "usage: bcontact classify [-h] --gamma GAMMA [--format {text,json}]",
+    "tight-count": "usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]",
+    "cf": "usage: bcontact cf [-h] --p P --q Q [--format {text,json}]",
+    "census": "usage: bcontact census [-h] --gamma GAMMA [--format {text,json}]",
+    "table": "usage: bcontact table [-h] --manifold {s3-s2,s3-t2} [--max-curves MAX_CURVES] "
+    "[--max-slope MAX_SLOPE] [--distinguish-signs | --no-distinguish-signs] "
+    "[--format {csv,json}]",
+    "export-dot": "usage: bcontact export-dot [-h] --gamma GAMMA",
+}
+# The error line's message of each usage error that TestParser pins.
+USAGE_ERRORS = {
+    **{
+        (command, "--bogus"): "the following arguments are required: " + required
+        for command, required in [
+            ("enum-trees", "--n"), ("check", "--gamma"), ("classify", "--gamma"),
+            ("tight-count", "--n, --p, --q"), ("cf", "--p, --q"), ("census", "--gamma"),
+            ("table", "--manifold"), ("export-dot", "--gamma"),
+        ]
+    },
+    ("enum-torus", "--bogus"): "unrecognized arguments: --bogus",
+    ("tight-count", "--n", "1"): "the following arguments are required: --p, --q",
+    ("frobnicate",): "argument command: invalid choice: 'frobnicate' (choose from "
+    + ", ".join(repr(command) for command in cli._COMMANDS) + ")",
+    (): "the following arguments are required: command",
+}
+
+
 class TestParser:
-    """Help, usage lines and usage errors are argparse's, from the parser
-    that ``build_parser`` makes of the command table."""
+    """Help and usage errors are written from the command table: the help
+    on ``out``, exit 0; a usage error as the usage line and an error line
+    on stderr, exit 2.  Both are pinned by their bytes."""
 
     @pytest.mark.parametrize("argv", [
         ["--help"],
@@ -443,12 +508,45 @@ class TestParser:
     def test_help_usage_and_errors_as_with_every_argument(self, capsys, argv):
         status, out = run(argv)
         called = capsys.readouterr()
-        with pytest.raises(SystemExit) as exit_info:
-            build_parser().parse_args(argv)
-        parsed = capsys.readouterr()
-        assert (status, out) == (exit_info.value.code, "")
-        assert (called.out, called.err) == (parsed.out, parsed.err)
-        assert called.out or called.err
+        if argv[-1:] == ["--help"]:
+            assert (status, called.out, called.err) == (0, "", "")
+            command = argv[0] if len(argv) == 2 else None
+            assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+            return
+        assert (status, out, called.out) == (2, "", "")
+        command = argv[0] if argv and argv[0] in cli._COMMANDS else None
+        prog = "bcontact" if command is None else f"bcontact {command}"
+        message = USAGE_ERRORS[tuple(argv)]
+        assert called.err == f"{USAGE[command]}\n{prog}: error: {message}\n"
+
+    def test_ci_pins_each_help_by_these_digests(self):
+        helps = {argv[0] if len(argv) == 2 else None: digest
+                 for argv, digest in ci_digests() if argv[-1] == "--help"}
+        assert helps == HELP_SHA256
+
+    def test_help_goes_to_out_alone(self, capsys):
+        # Written through the same chunked writer as any answer, with nothing
+        # on sys.stdout or stderr.
+        buf = io.StringIO()
+        assert run_cli(["tight-count", "--help"], out=buf) == 0
+        assert (buf.getvalue(), *capsys.readouterr()) == (TIGHT_COUNT_HELP, "", "")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["table", "--manifold", "s3-t2", "--ma", "4"],
+         "ambiguous option: --ma could match --manifold, --max-curves, --max-slope"),
+        (["cf", "--p", "5", "--q"], "argument --q: expected one argument"),
+        (["cf", "--p", "five", "--q", "2"], "argument --p: invalid int value: 'five'"),
+        (["cf", "--p", "5", "--q", "2", "--format", "csv"],
+         "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
+        (["enum-trees", "--n", "3", "--count-only=yes"],
+         "argument --count-only: ignored explicit argument 'yes'"),
+        (["cf", "--p", "5", "--q", "2", "extra", "--bogus"],
+         "unrecognized arguments: extra --bogus"),
+    ])
+    def test_each_refusal_names_its_cause(self, capsys, argv, message):
+        assert run(argv) == (2, "")
+        expected = f"{USAGE[argv[0]]}\nbcontact {argv[0]}: error: {message}\n"
+        assert capsys.readouterr().err == expected
 
 
 # What the argv reader meets: every command, every declared flag and its
@@ -500,15 +598,23 @@ def reader_argvs(draw):
 CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
 
-def ci_digest_argvs():
-    """The argv of every command whose stdout digest the CI workflow checks."""
+def ci_digests():
+    """The argv of every command whose stdout digest the CI workflow
+    checks, and the digest."""
     text = CI_WORKFLOW.read_text(encoding="utf-8")
-    return [line.split() for line in re.findall(r"bin/bcontact ([^|\n]*) \| sha256sum", text)]
+    pattern = r'bin/bcontact ([^|\n]*) \| sha256sum\)" = \\\n\s*"([0-9a-f]{64})  -"'
+    return [(line.split(), digest) for line, digest in re.findall(pattern, text)]
+
+
+def ci_digest_argvs():
+    """The argv of every answer, not help, whose stdout digest the CI
+    workflow checks."""
+    return [argv for argv, _ in ci_digests() if argv[-1] != "--help"]
 
 
 def spelled_out(argv):
     """``argv`` with each ``--flag=value`` split in two and each abbreviated
-    flag written whole, as argparse reads them."""
+    flag written whole."""
     names = []
     for flag, options in cli._COMMANDS[argv[0]][2]:
         names.append(flag)
@@ -526,18 +632,30 @@ def spelled_out(argv):
     return spelled
 
 
+def read(argv):
+    """``cli._read_args`` of ``argv`` as a dict, or None if it refuses it."""
+    try:
+        return vars(cli._read_args(argv))
+    except cli._UsageError:
+        return None
+
+
 class TestArgvReader:
-    """``cli._read_args`` reads a well-formed argv off the command table
-    into the namespace argparse would make, and declines everything else,
-    which argparse then reads or reports."""
+    """``cli._read_args``, the CLI's one grammar, reads every argv into the
+    namespace that argparse reads from the same command table, and
+    refuses every argv that argparse refuses."""
 
     @settings(max_examples=500, deadline=None)
     @given(argv=reader_argvs())
     def test_a_namespace_it_reads_is_argparse_s(self, argv):
-        args = cli._read_args(argv)
-        if args is not None:
-            assert vars(args) == vars(build_parser().parse_args(argv))
+        # And an argv it refuses, the reference refuses.
+        assume("-h" not in argv and "--help" not in argv)
+        assert read(argv) == reference_namespace(argv)
 
+    # These argvs are the ones an earlier reader declined, to have a second
+    # parser read or report them: help, abbreviations, --flag=value,
+    # repeated flags and refusals.  The one grammar now reads each of them
+    # as the reference does, and answers a call for help with help.
     @pytest.mark.parametrize("argv", [
         ["cf", "--help"], ["cf", "-h"], ["cf", "--p", "5", "--q", "2", "--help"],
         ["table", "--manifold", "s3-t2", "--max-c", "4"],
@@ -551,9 +669,13 @@ class TestArgvReader:
         ["cf", "--p", "five", "--q", "2"], ["cf", "--p", "9" * 4301, "--q", "2"],
         ["table", "--manifold", "nowhere"], ["cf", "--p", "5", "--q", "2", "--format", "csv"],
         ["frobnicate"], ["--help"], [],
+        ["cf", "--he"], ["-h"],
     ])
     def test_declines_what_argparse_must_read_or_report(self, argv):
-        assert cli._read_args(argv) is None
+        if {"-h", "--he", "--help"} & set(argv):
+            assert read(argv) == {"help": argv[0] if argv[0] in cli._COMMANDS else None}
+        else:
+            assert read(argv) == reference_namespace(argv)
 
     def test_reads_every_recorded_command(self, tmp_path, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -569,21 +691,20 @@ class TestArgvReader:
         argvs += [workloads.ENUM_TREES, workloads.ENUM_TORUS, workloads.TORUS_TABLE]
         argvs += [query.argv for query in queries.make_queries(1, 1, tmp_path)]
         for argv in argvs:
-            args = cli._read_args(argv)
+            args = read(argv)
             assert args is not None, argv
-            assert vars(args) == vars(build_parser().parse_args(argv)), argv
+            assert args == reference_namespace(argv), argv
 
     def test_ci_spellings_read_as_spelled_out(self):
-        # The plain spellings are the reader's; the argparse-only ones are
-        # declined, and argparse reads them as the plain ones.
+        # An abbreviated flag or a --flag=value reads as the spelled-out
+        # call, and as the reference reads it.
         argvs = ci_digest_argvs()
         assert ENUM_TREES_8_JSON in argvs
+        assert any(argv != spelled_out(argv) for argv in argvs)
         for argv in argvs:
-            plain = spelled_out(argv)
-            args = cli._read_args(plain)
+            args = read(argv)
             assert args is not None, argv
-            assert vars(args) == vars(build_parser().parse_args(argv)), argv
-            assert (cli._read_args(argv) is None) == (argv != plain), argv
+            assert args == read(spelled_out(argv)) == reference_namespace(argv), argv
 
 
 class TestArithmeticCommands:
@@ -716,9 +837,10 @@ class TestGammaCommands:
 
     def test_classify_text(self, tmp_path):
         status, output = run(["classify", "--gamma", gamma_file(tmp_path, TWO_CYCLE_32)])
-        assert status == 0
-        assert "tight 4 0" in output and "mixed 4 2" in output
-        assert "fully-overtwisted 1 4" in output and "count=2" in output
+        assert (status, output) == (0, (
+            "tight 4 0\nmixed 4 2\nfully-overtwisted 1 4\n"
+            "tight-count-detail n=1 p=3 q=2 r=2 s=1 count=2\n"
+        ))
 
     def test_classify_json(self, tmp_path):
         status, output = run(
@@ -1326,6 +1448,12 @@ class TestClosedStreams:
         proc = run_with_closed_fd(1, ["tight-count", "--n", "1", "--p", "3", "--q", "2"])
         assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
 
+    @pytest.mark.parametrize("argv", [["--help"], ["cf", "--help"]])
+    def test_closed_stdout_refuses_help(self, argv):
+        # Help is an answer like any other: it does not go to stderr instead.
+        proc = run_with_closed_fd(1, argv)
+        assert (proc.returncode, proc.stderr) == (2, "error: stdout is closed\n")
+
     # With stderr closed the error is lost, but the exit status still tells
     # it, and the message must not land on stdout instead.
 
@@ -1756,22 +1884,21 @@ class TestImportFootprint:
         assert ("listings" in loaded_modules(tmp_path, argv)[1]) == (argv[0] == "export-dot")
 
     @pytest.mark.parametrize(
-        "argv,status,parser",
+        "argv,status",
         [
-            pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, False,
-                         id="tight-count"),
-            pytest.param(["cf", "--p", "5", "--q", "2", "--format", "json"], 0, False, id="cf"),
-            pytest.param(["classify", "--gamma", "GAMMA", "--format", "json"], 0, False,
-                         id="classify"),
+            pytest.param(["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, id="tight-count"),
+            pytest.param(["cf", "--p", "5", "--q", "2", "--format", "json"], 0, id="cf"),
+            pytest.param(["classify", "--gamma", "GAMMA", "--format", "json"], 0, id="classify"),
             pytest.param(["enum-trees", "--n", "3", "--count-only", "--no-distinguish-signs"], 0,
-                         False, id="enum-trees"),
-            pytest.param(["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"],
-                         0, False, id="table"),
-            pytest.param(["tight-count", "--help"], 0, True, id="help"),
-            pytest.param(["cf", "--p", "5"], 2, True, id="usage-error"),
+                         id="enum-trees"),
+            pytest.param(["table", "--manifold", "s3-t2", "--max-c", "4", "--max-slope=2"], 0,
+                         id="table"),
+            pytest.param(["--help"], 0, id="program-help"),
+            pytest.param(["tight-count", "--help"], 0, id="help"),
+            pytest.param(["cf", "--p", "5"], 2, id="usage-error"),
         ],
     )
-    def test_argparse_loads_only_for_help_and_usage_errors(self, tmp_path, argv, status, parser):
+    def test_no_parser_library_loads(self, tmp_path, argv, status):
         # A fresh interpreter, so modules another test imported do not count.
         argv = [gamma_file(tmp_path, TWO_CYCLE_32) if a == "GAMMA" else a for a in argv]
         code = (
@@ -1782,9 +1909,33 @@ class TestImportFootprint:
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True
         )
-        last, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
-        assert int(last) == status
-        assert ("argparse" in loaded) == parser and (loaded == "[]") != parser
+        assert proc.stdout.splitlines()[-1] == f"{status} []"
+
+
+class TestTerminalWidth:
+    """Help, answers and usage errors are the same bytes at any terminal
+    width: nothing is wrapped to ``$COLUMNS``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["table", "--help"], ["tight-count", "--n", "1"],
+    ])
+    def test_same_bytes_at_forty_and_two_hundred_columns(self, argv):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "bcontact", *argv], capture_output=True,
+                env={**os.environ, "COLUMNS": columns},
+            )
+            for columns in ("40", "200")
+        ]
+        narrow, wide = ((proc.returncode, proc.stdout, proc.stderr) for proc in runs)
+        assert narrow == wide
+        status, stdout, stderr = narrow
+        if argv[-1] == "--help":
+            assert (status, stderr) == (0, b"")
+            command = argv[0] if len(argv) == 2 else None
+            assert hashlib.sha256(stdout).hexdigest() == HELP_SHA256[command]
+        else:
+            assert (status, stdout, stderr.count(b"\n")) == (2, b"", 2)
 
 
 class TestPackageNamespace:
