@@ -213,7 +213,7 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _write_rows(out, args, rows, surface=None, slopes=None) -> int:
+def _write_rows(out, args, rows, slopes=None) -> int:
     """Write a listing of enumerated rows in ``args.format``, or with
     ``--count-only`` its length."""
     if args.count_only:
@@ -221,7 +221,7 @@ def _write_rows(out, args, rows, surface=None, slopes=None) -> int:
         return 0
     from .listings import write_listing
 
-    write_listing(out, rows, args.format, surface, slopes, not args.distinguish_signs)
+    write_listing(out, rows, args.format, slopes, not args.distinguish_signs)
     return 0
 
 
@@ -233,12 +233,11 @@ def _cmd_enum_trees(args, out) -> int:
 
 def _cmd_enum_torus(args, out) -> int:
     from .enumeration import check_torus_request, enum_torus_rows, row_slopes
-    from .surfaces import Surface
 
     check_torus_request(args.max_curves, args.max_slope)
     rows = enum_torus_rows(args.max_curves, not args.distinguish_signs)
     slopes = [row_slopes(row, args.max_slope) for row in rows]
-    return _write_rows(out, args, rows, Surface.TORUS, slopes)
+    return _write_rows(out, args, rows, slopes)
 
 
 def _cmd_check(args, out) -> int:

@@ -26,8 +26,8 @@ from collections import namedtuple
 from functools import cache
 from operator import getitem
 
-# DividingSetClass and Surface (surfaces), Row and Slopes (enumeration) and
-# Callable name types in annotations only, which are never evaluated.
+# DividingSetClass (surfaces), Row and Slopes (enumeration) and Callable
+# name types in annotations only, which are never evaluated.
 
 # A format's fragment of one vertex (id, sign, genus) and of one edge, the
 # separator between two fragments, and a class's end from its slope or
@@ -85,30 +85,32 @@ def serialize_class_text(d: DividingSetClass) -> str:
 
 
 def write_listing(
-    out, rows: list[Row], form: str, surface: Surface | None = None,
-    slopes: list[Slopes] | None = None, modulo_swap: bool = False,
+    out, rows: list[Row], form: str, slopes: list[Slopes] | None = None,
+    modulo_swap: bool = False,
 ) -> None:
     """Write a listing of the generator's rows (``enumeration.Row``) to
     ``out`` in ``form``, one class's lines at a time, with no graph built.
 
-    Each row is its graph's ``v`` and ``e`` lines, or one JSON line of
-    its ``vertices`` and ``edges``, or with ``surface`` its class at each
-    of its ``slopes`` (with none, at no slope): ``serialize_class_text``
-    of each, or ``json.dumps`` of ``formats.class_dict`` of each on a
-    line; text blocks are separated by blank lines, and an empty text
-    listing is one newline.  The CSV form is
-    ``size,canonical_code,admissible`` once per slope.
+    With no ``slopes`` (the sphere listing) each row is its graph's ``v``
+    and ``e`` lines, or one JSON line of its ``vertices`` and ``edges``.
+    With ``slopes`` (the torus listing) each row is its torus class at
+    each of its slopes: ``serialize_class_text`` of each, or
+    ``json.dumps`` of ``formats.class_dict`` of each on a line.  Text
+    blocks are separated by blank lines, and an empty text listing is one
+    newline.  The CSV form is ``size,canonical_code,admissible`` once per
+    slope.
 
     A row's text is a head, made once per coloring, and a tail, made once
     per skeleton, then its slope's end, made once per run of slopes.  A
-    text block's head is the blank line before it, the surface line and
-    the ``v`` lines, and its tail the ``e`` lines; a JSON line's head runs
-    up to its edges, and its tail from them to its slope.  Heads are kept
-    under the coloring's bytes (the 10,079 trees on 16 regions have 1,049
-    colorings).  A torus tree's skeleton keeps its tail for all of its
-    genus regions.  Any other skeleton has at most one row per coloring,
-    so its tail is kept for its other coloring and dropped when that uses
-    it, and not kept at all when the signs are identified.
+    text block's head is the blank line before it, a torus class's
+    surface line and the ``v`` lines, and its tail the ``e`` lines; a
+    JSON line's head runs up to its edges, and its tail from them to its
+    slope.  Heads are kept under the coloring's bytes (the 10,079 trees
+    on 16 regions have 1,049 colorings).  A torus tree's skeleton keeps
+    its tail for all of its genus regions.  Any other skeleton has at most
+    one row per coloring, so its tail is kept for its other coloring and
+    dropped when that uses it, and not kept at all when the signs are
+    identified.
     """
     if form == "csv":
         out.write("size,canonical_code,admissible\n")
@@ -117,20 +119,17 @@ def write_listing(
             line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
             out.write(line if slopes is None else line * len(slopes[i]))
         return
-    if surface is None:
-        slopes = None
-    elif slopes is None:
-        slopes = [(None,)] * len(rows)
+    torus = slopes is not None
     json_form = form == "json"
     fragments = _JSON if json_form else _TEXT
     vertex_table, skeleton_edges = _tables(fragments)
     join = fragments.separator.join
     if json_form:
-        fields = "{" if surface is None else f'{{"surface": "{surface.value}", '
+        fields = '{"surface": "torus", ' if torus else "{"
         opening, middle = fields + '"vertices": [', '], "edges": ['
-        closing = "]}\n" if surface is None else '], "slope": '
+        closing = '], "slope": ' if torus else "]}\n"
     else:
-        opening = "\n" if surface is None else f"\nsurface {surface.value}\n"
+        opening = "\nsurface torus\n" if torus else "\n"
         middle = closing = ""
     heads: dict[bytes, str] = {}
     tails: dict[bytes | tuple, str] = {}
@@ -149,7 +148,7 @@ def write_listing(
         # keying on it makes no key object; a ring's is a pair.
         tree = row[2] is None
         skeleton = row[1] if tree else row[1:3]
-        genus_tree = tree and surface is not None
+        genus_tree = tree and torus
         tail = tails.get(skeleton)
         if tail is None:
             tail = skeleton_edges(row[1], row[2]) + closing
@@ -158,7 +157,7 @@ def write_listing(
         elif not genus_tree:
             del tails[skeleton]
         text = head + tail
-        if slopes is not None:
+        if torus:
             run = slopes[i]
             run_ends = ends.get(id(run))
             if run_ends is None:

@@ -18,6 +18,8 @@ text and JSON object, and the object ``classify --format json`` prints,
 each built field by field.
 ``reference_namespace`` referees the CLI's argv reader: the namespace
 that argparse, given the command table, reads from an argv.
+``DIGESTS`` holds the pinned commands of ``digests.json``, read by
+``check_digests.load``, and ``recorded`` finds the one of an argv.
 """
 
 import argparse
@@ -39,6 +41,17 @@ from bcontact.enumeration import (
 )
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
+
+from check_digests import load
+
+DIGESTS = load()
+
+
+def recorded(argv):
+    """The entry of ``digests.json`` that pins the stdout of ``argv``, run
+    with no input on stdin and no extra environment."""
+    (entry,) = [e for e in DIGESTS if e["argv"] == argv and not {"gamma", "env"} & e.keys()]
+    return entry
 
 
 def sphere_class(signs, edges):

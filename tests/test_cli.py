@@ -2,14 +2,12 @@
 
 import contextlib
 import gc
-import hashlib
 import importlib
 import io
 import json
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 import textwrap
@@ -27,14 +25,16 @@ from bcontact.listings import serialize_class_text
 from bcontact.region_graph import canonical_code
 from bcontact.surfaces import DividingSetClass, Surface
 
+from check_digests import mismatch
 from helpers import (
+    DIGESTS,
     class_json_reference,
     class_text_reference,
     enum_torus_graphs,
     graph_json_reference,
     graph_slopes,
     graph_text_reference,
-    long_ring,
+    recorded,
     reference_namespace,
 )
 
@@ -50,123 +50,6 @@ NINES = "9" * 4000
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
-TORUS_TABLE_6_8_SHA256 = "99a7611afb4aba5f7d54bfd627ea462e1723977121e3a3fc439349b004fe95df"
-# sha256 of these tables' stdout while canonical codes were built by one
-# AHU walk per root and a sign-swapped copy of each graph; they pin the
-# sphere code strings and the swap-identified codes.
-SPHERE_TABLE_13_SHA256 = "33e8cc67ca2562232ad315fe9ba5903348c553cf97405526908d8fd9e82e9464"
-SPHERE_TABLE_13_SWAP_SHA256 = (
-    "944af6722d63ac45c8aa9aaa663372cd456eb173cef8d008c661138cbccc1edf"
-)
-TORUS_TABLE_8_4_SWAP_SHA256 = (
-    "dc174aef44c000ad8a6c6a2a67440b29b9c84171e2be2c43c22cb5eea6a1f0dd"
-)
-# sha256 of these listings' stdout while the tree skeletons came from
-# networkx; they pin the representative vertex labels that reach stdout.
-ENUM_TREES_6_SHA256 = "74e545f80e82a51f798d6f75757bca2f75a7a589745a42712be2c877221dac68"
-ENUM_TORUS_7_2_SHA256 = "7cc9c54a2deb99653834adc0a73e3fe19536f52a285d4675575112934657a01b"
-# sha256 of this swap-identified listing before torus candidates were
-# gated on color balance; the gate must not change the representatives.
-ENUM_TORUS_9_3_SWAP_SHA256 = (
-    "064438713e705ac8f841406edcd5a6047162f54a6b7f56f6ddb9b4564ae2fe0a"
-)
-# sha256 of these listings while cycles were rotated by Booth's algorithm
-# and the coder took a shape flag: 13,449 and 6,777 graph classes, 4,775
-# and 2,440 of them rings, pin the canonical rotation of every ring.
-ENUM_TORUS_12_1_SHA256 = "e1bbf6e7098ffe22e2a6c1e8eb7650f24eeed9bcf652080f1a3ea69e9f2aa2f8"
-ENUM_TORUS_12_1_SWAP_SHA256 = (
-    "8c59bcefcf61b40d7ea29ed575b114544b4908543226d0a96b5ca8022fe4855f"
-)
-# sha256 of these outputs while text listings were joined into one string
-# and JSON lines were dumped from dicts; they pin the bytes of the text
-# listings and of a classification record.
-ENUM_TREES_6_TEXT_SHA256 = "309b288de86c3ba412dc0058728704f3992e7a2bff7180bd7463aed5bd0e8582"
-ENUM_TORUS_7_2_TEXT_SHA256 = (
-    "0c96842d0aa69afa6e42d8056b847cf141171a3170eaf6975a4c7244425889b7"
-)
-CLASSIFY_TWO_CYCLE_32_JSON_SHA256 = (
-    "a4293d53e2e19ac55d522d91e3e076aecf838dd5b941b3926253f7f90cac1ee4"
-)
-CLASSIFY_EQUATOR_JSON_SHA256 = (
-    "39960b1343af626fd6277b5b3accfe0b56734d2d339dfbb128a0f79129cad999"
-)
-# sha256 of these answers while classify's record and tight-count's count
-# were written by hand-made JSON templates and a graph-based class writer.
-# The classify inputs are admissible classes with sparse out-of-order ids,
-# with ids past the 64-bit range, with a genus region, and a ring of 400
-# curves whose answer carries a tight-count detail; the count N(8000, -3,
-# 2) has 4,815 digits.
-CLASSIFY_SPARSE_JSON_SHA256 = (
-    "038f83ba5059de25d026c44a1ffa98ef6830278269f4d7a080c52b4f097514dd"
-)
-CLASSIFY_LARGE_IDS_JSON_SHA256 = (
-    "c5be8b94e2bc8ba7a69d308442a55604762bd1acbf73020271c2933c05dc71fd"
-)
-CLASSIFY_GENUS_JSON_SHA256 = (
-    "d7ef812b5f9692f5cf0a48895603a2b9343fcb3fd8f97814dac6ebd1c7bb3a9b"
-)
-CLASSIFY_RING_400_JSON_SHA256 = (
-    "d964a83dc84f978a6a606f52e70f8f7b2b5dc09e5187100d64b736f83434ef8d"
-)
-TIGHT_COUNT_8000_JSON_SHA256 = (
-    "17f2ffc676f1958526215665e3473452be1d4345242f0f60555ca18812a088ec"
-)
-SPARSE_SPHERE = (
-    "surface sphere\nv 907 - 0\nv 12 + 0\nv 30000 + 0\nv 5 - 0\n"
-    "e 12 907\ne 907 30000\ne 30000 5\n"
-)
-LARGE_IDS_RING = json.dumps({
-    "surface": "torus",
-    "vertices": [{"id": 70, "sign": -1}, {"id": 9 * 10**21, "sign": 1}],
-    "edges": [[9 * 10**21, 70], [70, 9 * 10**21]],
-    "slope": [5, 3],
-})
-GENUS_TREE_ADMISSIBLE = (
-    "surface torus\nv 0 + 1\nv 5 - 0\nv 6 - 0\nv 9 + 0\nv 11 + 0\n"
-    "e 0 5\ne 6 0\ne 5 9\ne 11 6\n"
-)
-# sha256 of these tables' stdout while JSON table rows were dumped from a
-# dict per row and CSV rows went through csv.writer; they pin the bytes of
-# both table formats, up to the 157,742-row s3-t2 8/64 table.
-TORUS_TABLE_6_8_JSON_SHA256 = (
-    "89b89e7e664b42fc92d33bf17377fc93b68ad93c621ab1aa503bf00d61b34213"
-)
-SPHERE_TABLE_13_JSON_SHA256 = (
-    "caa7cd315842fd8c8e67521dd68b089a25bee309f7c1026608fd57cb00762dd3"
-)
-TORUS_TABLE_8_4_SWAP_JSON_SHA256 = (
-    "6dad667820f3d2057a0c4d7fd52eb08d43301050c9af6c9538269cf6e5942dee"
-)
-# sha256 of these listings while every listed class was built as a region
-# graph and rendered back out of it; they pin the swap-identified JSON, the
-# CSV and the swap-identified text listings.
-ENUM_TREES_8_SWAP_SHA256 = (
-    "c0ba71aa59dd4b0a651961d80bdb3c938ba9bd56ed9a675ae45fbadf08f72717"
-)
-ENUM_TREES_7_CSV_SHA256 = "c21d42ee00ac7d4787a91d8b31315f19de3d460a437544c7a8c8ac5d6ecb9d65"
-ENUM_TREES_7_CSV_SWAP_SHA256 = (
-    "25fd12b5f77a41608364d4037f9bb361a050be2b45ba1f84191eb7f67105f015"
-)
-ENUM_TREES_6_TEXT_SWAP_SHA256 = (
-    "53b4c2ca197f51c361e36d3f920065b6f2d132c03629879482b196f40502a73c"
-)
-ENUM_TORUS_8_3_CSV_SHA256 = "f4ed8a654f9b785cb8ab36f95d05e885a45e0740a28beaf789ce144fa0a1fa4c"
-ENUM_TORUS_8_3_CSV_SWAP_SHA256 = (
-    "17732a98ff8515c70dbaba30c47fe358a3ea049b67b1e7b27f3035b0df6f67e0"
-)
-ENUM_TORUS_7_2_TEXT_SWAP_SHA256 = (
-    "92d530dd32624ae9fc81a9a17a2917a978d9783a682938107340d77f7a575aba"
-)
-# sha256 of these CSV listings while tree skeletons were coded by a
-# sorting scan of their level sequences; CSV prints each class's code.
-ENUM_TREES_9_CSV_SHA256 = "4e9bf9de1c5fd4db21ab108b2224647d64f7e11624dfd597c37de40b191a713a"
-ENUM_TREES_9_CSV_SWAP_SHA256 = (
-    "35f225726587c9096edf9eb719c04182c48cded5781b30c6686a3a5ce414aa8b"
-)
-TORUS_TABLE_8_64_SHA256 = "aa4b8a63b1e3c5c5ea82dcd93f44aa04c43059a02b7eec0fa670e9cc447e588c"
-TORUS_TABLE_8_64_JSON_SHA256 = (
-    "3633ae927c670ac6e61fd85a2c3f1e6644cd3ef9b31d4806d850a9b4d1b464be"
-)
 
 
 def run(argv):
@@ -377,26 +260,10 @@ class TestListingWrites:
         rows = ENUMERATION_MODULE.enum_torus_rows(5)
         slopes = [ENUMERATION_MODULE.row_slopes(row, 256) for row in rows]
         stream = _ClassesPerWrite(marker)
-        listings.write_listing(stream, rows, fmt, Surface.TORUS, slopes)
+        listings.write_listing(stream, rows, fmt, slopes)
         # The five rings at 256: 19,948 classes each.
         assert stream.counts == [len(run) for run in slopes]
         assert max(stream.counts) == 19948
-
-    @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_surface_with_no_slopes_lists_each_class_at_none(self, fmt):
-        # A library caller may pass a surface with no slopes: each class is
-        # listed at no slope, as its per-class writer gives it.
-        for n in range(1, 5):
-            stream = io.StringIO()
-            listings.write_listing(
-                stream, ENUMERATION_MODULE.enum_tree_rows(n), fmt, Surface.SPHERE
-            )
-            classes = [DividingSetClass(Surface.SPHERE, g) for g in enum_equicolored_trees(n)]
-            if fmt == "json":
-                expected = [json.dumps(formats.class_dict(d)) for d in classes]
-                assert stream.getvalue().splitlines() == expected, n
-            else:
-                assert stream.getvalue() == "\n".join(map(serialize_class_text, classes)), n
 
 
 class TestListingFragments:
@@ -429,21 +296,6 @@ class TestListingFragments:
             assert len(made) == len(set(made)), (argv, fmt)
 
 
-# sha256 of each help text, the program's (None) and each command's, as
-# the command table writes it: unwrapped, on any Python and at any
-# terminal width.  The CI workflow checks the same digests.
-HELP_SHA256 = {
-    None: "f90730ed2951c2809d5f953d850b68c1e20c8fd495cd8585a273712e4674b7e5",
-    "enum-trees": "20f75da6efc8245f59d8a514a045aebc558411c2621d55dece897ff63a2268ef",
-    "enum-torus": "67ade43e5774bbbe27d8d4869664db1fd4605bbbe33a49e59fc7227d06a33fa2",
-    "check": "c58d1cce47afce507c791f6862859b2c2e0945fd8af77dc7d26674afd75c8303",
-    "classify": "80c749305aa8c558492357e73386d273769c991773150781ec9f5f604a9063df",
-    "tight-count": "ca9bd974abece6010d899fd62357917238a878363c825269068f3cdd0b7a44db",
-    "cf": "28fbbbd5ca7acf1db47a9e4ec08109c99c876b3aaca17f1b935d46652f6d77b2",
-    "census": "86a3783f8fc45bd57e7dee805846f7e9451f15f94cb3df9b408af94c3876c7e1",
-    "table": "fc168013699621f539fb95d5ed31f17adf00768f9941bb23976c4f3b0aae48f1",
-    "export-dot": "287694ff2cfefd5849bc7213dfd7859252c585322c639e5290842f1a3d68293a",
-}
 TIGHT_COUNT_HELP = """\
 usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]
 
@@ -510,19 +362,13 @@ class TestParser:
         called = capsys.readouterr()
         if argv[-1:] == ["--help"]:
             assert (status, called.out, called.err) == (0, "", "")
-            command = argv[0] if len(argv) == 2 else None
-            assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+            assert mismatch(recorded(argv), out.encode()) is None
             return
         assert (status, out, called.out) == (2, "", "")
         command = argv[0] if argv and argv[0] in cli._COMMANDS else None
         prog = "bcontact" if command is None else f"bcontact {command}"
         message = USAGE_ERRORS[tuple(argv)]
         assert called.err == f"{USAGE[command]}\n{prog}: error: {message}\n"
-
-    def test_ci_pins_each_help_by_these_digests(self):
-        helps = {argv[0] if len(argv) == 2 else None: digest
-                 for argv, digest in ci_digests() if argv[-1] == "--help"}
-        assert helps == HELP_SHA256
 
     def test_help_goes_to_out_alone(self, capsys):
         # Written through the same chunked writer as any answer, with nothing
@@ -595,21 +441,8 @@ def reader_argvs(draw):
     return argv
 
 
-CI_WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-
-
-def ci_digests():
-    """The argv of every command whose stdout digest the CI workflow
-    checks, and the digest."""
-    text = CI_WORKFLOW.read_text(encoding="utf-8")
-    pattern = r'bin/bcontact ([^|\n]*) \| sha256sum\)" = \\\n\s*"([0-9a-f]{64})  -"'
-    return [(line.split(), digest) for line, digest in re.findall(pattern, text)]
-
-
-def ci_digest_argvs():
-    """The argv of every answer, not help, whose stdout digest the CI
-    workflow checks."""
-    return [argv for argv, _ in ci_digests() if argv[-1] != "--help"]
+# The argv of every pinned answer, not help, of digests.json.
+RECORDED_ARGVS = [entry["argv"] for entry in DIGESTS if entry["argv"][-1] != "--help"]
 
 
 def spelled_out(argv):
@@ -678,18 +511,11 @@ class TestArgvReader:
             assert read(argv) == reference_namespace(argv)
 
     def test_reads_every_recorded_command(self, tmp_path, monkeypatch):
+        # The benchmark's listings and table are entries of digests.json
+        # (tests/test_digests.py); its queries are made from a seed.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-        workloads = importlib.import_module("workloads")
         queries = importlib.import_module("queries")
-        argvs = [["table", *args, "--format", fmt] for args, fmt, _ in TABLE_DIGESTS]
-        argvs += [[*args, "--format", "json"] for args, _ in ENUMERATION_DIGESTS]
-        argvs += [
-            args if gamma is None else [*args, "--gamma", "gamma.txt"]
-            for args, gamma, _ in OUTPUT_DIGESTS
-        ]
-        argvs += [TORUS_TABLE_8_16, ENUM_TREES_8_JSON, TestChunkedWrites.ARGV]
-        argvs += [workloads.ENUM_TREES, workloads.ENUM_TORUS, workloads.TORUS_TABLE]
-        argvs += [query.argv for query in queries.make_queries(1, 1, tmp_path)]
+        argvs = RECORDED_ARGVS + [query.argv for query in queries.make_queries(1, 1, tmp_path)]
         for argv in argvs:
             args = read(argv)
             assert args is not None, argv
@@ -698,10 +524,8 @@ class TestArgvReader:
     def test_ci_spellings_read_as_spelled_out(self):
         # An abbreviated flag or a --flag=value reads as the spelled-out
         # call, and as the reference reads it.
-        argvs = ci_digest_argvs()
-        assert ENUM_TREES_8_JSON in argvs
-        assert any(argv != spelled_out(argv) for argv in argvs)
-        for argv in argvs:
+        assert any(argv != spelled_out(argv) for argv in RECORDED_ARGVS)
+        for argv in RECORDED_ARGVS:
             args = read(argv)
             assert args is not None, argv
             assert args == read(spelled_out(argv)) == reference_namespace(argv), argv
@@ -1514,12 +1338,12 @@ class TestExitPath:
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-TORUS_TABLE_8_16 = ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16"]
-TORUS_TABLE_8_16_SHA256 = "a6bdfe3a9cf1330a255ff6a259f91f357ff26217c30fb8e056492152af90cfcf"
-# The benchmark's sphere listing, 10,079 lines and 7.2 MB (ENUM_TREES_SHA256
-# of perfbench/workloads.py).
-ENUM_TREES_8_JSON = ["enum-trees", "--n", "8", "--format", "json"]
-ENUM_TREES_8_JSON_SHA256 = "e9cf0908bacd8fdfabffbe70f81960572aa7692fc15e696f5c985a0c4fccd499"
+# The benchmark's table, 10,243 lines, and its sphere listing, 10,079 lines
+# and 7.2 MB.
+TORUS_TABLE_8_16 = recorded(
+    ["table", "--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "16", "--format", "csv"]
+)
+ENUM_TREES_8_JSON = recorded(["enum-trees", "--n", "8", "--format", "json"])
 
 
 def piped_process(argv, unbuffered):
@@ -1542,10 +1366,10 @@ def assert_early_close_exits_two(proc):
     assert (proc.wait(), stderr) == (2, b"error: [Errno 32] Broken pipe\n")
 
 
-def assert_full_read_is(proc, digest):
+def assert_full_read_is(proc, entry):
     stdout, stderr = proc.communicate()
     assert (proc.returncode, stderr) == (0, b"")
-    assert hashlib.sha256(stdout).hexdigest() == digest
+    assert mismatch(entry, stdout) is None
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
@@ -1557,18 +1381,18 @@ class TestBrokenPipe:
     error."""
 
     def test_early_close_exits_two(self, unbuffered):
-        assert_early_close_exits_two(piped_process(TORUS_TABLE_8_16, unbuffered))
+        assert_early_close_exits_two(piped_process(TORUS_TABLE_8_16["argv"], unbuffered))
 
     def test_full_read_is_the_recorded_table(self, unbuffered):
-        proc = piped_process(TORUS_TABLE_8_16, unbuffered)
-        assert_full_read_is(proc, TORUS_TABLE_8_16_SHA256)
+        proc = piped_process(TORUS_TABLE_8_16["argv"], unbuffered)
+        assert_full_read_is(proc, TORUS_TABLE_8_16)
 
     def test_listing_early_close_exits_two(self, unbuffered):
-        assert_early_close_exits_two(piped_process(ENUM_TREES_8_JSON, unbuffered))
+        assert_early_close_exits_two(piped_process(ENUM_TREES_8_JSON["argv"], unbuffered))
 
     def test_full_read_is_the_recorded_listing(self, unbuffered):
-        proc = piped_process(ENUM_TREES_8_JSON, unbuffered)
-        assert_full_read_is(proc, ENUM_TREES_8_JSON_SHA256)
+        proc = piped_process(ENUM_TREES_8_JSON["argv"], unbuffered)
+        assert_full_read_is(proc, ENUM_TREES_8_JSON)
 
 
 class CountingRaw(io.RawIOBase):
@@ -1600,78 +1424,33 @@ class TestChunkedWrites:
         raw = CountingRaw()
         status = run_cli(self.ARGV, out=io.TextIOWrapper(raw, "utf-8", write_through=True))
         assert status == 0
-        assert hashlib.sha256(raw.data).hexdigest() == ENUM_TREES_6_SHA256
+        assert mismatch(recorded(self.ARGV), bytes(raw.data)) is None
         assert raw.writes <= math.ceil(len(raw.data) / 65_536) + 1
 
     def test_short_writes_lose_no_byte(self):
         raw = CountingRaw(limit=1000)
         status = run_cli(self.ARGV, out=io.TextIOWrapper(raw, "utf-8", write_through=True))
         assert status == 0
-        assert hashlib.sha256(raw.data).hexdigest() == ENUM_TREES_6_SHA256
+        assert mismatch(recorded(self.ARGV), bytes(raw.data)) is None
 
 
-# The recorded tables, as (the arguments after ``table``, format, digest).
-TABLE_DIGESTS = [
-    # Recorded before the torus table was built per graph class.
-    (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "csv",
-     TORUS_TABLE_6_8_SHA256),
-    (["--manifold", "s3-s2", "--max-curves", "13"], "csv", SPHERE_TABLE_13_SHA256),
-    (["--manifold", "s3-s2", "--max-curves", "13", "--no-distinguish-signs"], "csv",
-     SPHERE_TABLE_13_SWAP_SHA256),
-    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
-      "--no-distinguish-signs"], "csv", TORUS_TABLE_8_4_SWAP_SHA256),
-    (["--manifold", "s3-t2", "--max-curves", "6", "--max-slope", "8"], "json",
-     TORUS_TABLE_6_8_JSON_SHA256),
-    (["--manifold", "s3-s2", "--max-curves", "13"], "json",
-     SPHERE_TABLE_13_JSON_SHA256),
-    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "4",
-      "--no-distinguish-signs"], "json", TORUS_TABLE_8_4_SWAP_JSON_SHA256),
-    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "csv",
-     TORUS_TABLE_8_64_SHA256),
-    (["--manifold", "s3-t2", "--max-curves", "8", "--max-slope", "64"], "json",
-     TORUS_TABLE_8_64_JSON_SHA256),
-]
-# JSON listings, as (argv, digest).
-ENUMERATION_DIGESTS = [
-    (["enum-trees", "--n", "6"], ENUM_TREES_6_SHA256),
-    (["enum-torus", "--max-curves", "7", "--max-slope", "2"], ENUM_TORUS_7_2_SHA256),
-    (["enum-torus", "--max-curves", "9", "--max-slope", "3",
-      "--no-distinguish-signs"], ENUM_TORUS_9_3_SWAP_SHA256),
-    (["enum-torus", "--max-curves", "12", "--max-slope", "1"], ENUM_TORUS_12_1_SHA256),
-    (["enum-torus", "--max-curves", "12", "--max-slope", "1",
-      "--no-distinguish-signs"], ENUM_TORUS_12_1_SWAP_SHA256),
-]
-# Other outputs, as (argv, the text of its --gamma input or None, digest).
-OUTPUT_DIGESTS = [
-    (["enum-trees", "--n", "6"], None, ENUM_TREES_6_TEXT_SHA256),
-    (["enum-torus", "--max-curves", "7", "--max-slope", "2"], None,
-     ENUM_TORUS_7_2_TEXT_SHA256),
-    (["classify", "--format", "json"], TWO_CYCLE_32, CLASSIFY_TWO_CYCLE_32_JSON_SHA256),
-    (["classify", "--format", "json"], EQUATOR, CLASSIFY_EQUATOR_JSON_SHA256),
-    (["enum-trees", "--n", "8", "--format", "json", "--no-distinguish-signs"], None,
-     ENUM_TREES_8_SWAP_SHA256),
-    (["enum-trees", "--n", "7", "--format", "csv"], None, ENUM_TREES_7_CSV_SHA256),
-    (["enum-trees", "--n", "7", "--format", "csv", "--no-distinguish-signs"], None,
-     ENUM_TREES_7_CSV_SWAP_SHA256),
-    (["enum-trees", "--n", "6", "--format", "text", "--no-distinguish-signs"], None,
-     ENUM_TREES_6_TEXT_SWAP_SHA256),
-    (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv"], None,
-     ENUM_TORUS_8_3_CSV_SHA256),
-    (["enum-torus", "--max-curves", "8", "--max-slope", "3", "--format", "csv",
-      "--no-distinguish-signs"], None, ENUM_TORUS_8_3_CSV_SWAP_SHA256),
-    (["enum-torus", "--max-curves", "7", "--max-slope", "2", "--format", "text",
-      "--no-distinguish-signs"], None, ENUM_TORUS_7_2_TEXT_SWAP_SHA256),
-    (["enum-trees", "--n", "9", "--format", "csv"], None, ENUM_TREES_9_CSV_SHA256),
-    (["enum-trees", "--n", "9", "--format", "csv", "--no-distinguish-signs"], None,
-     ENUM_TREES_9_CSV_SWAP_SHA256),
-    (["classify", "--format", "json"], SPARSE_SPHERE, CLASSIFY_SPARSE_JSON_SHA256),
-    (["classify", "--format", "json"], LARGE_IDS_RING, CLASSIFY_LARGE_IDS_JSON_SHA256),
-    (["classify", "--format", "json"], GENUS_TREE_ADMISSIBLE,
-     CLASSIFY_GENUS_JSON_SHA256),
-    (["classify", "--format", "json"], long_ring(400), CLASSIFY_RING_400_JSON_SHA256),
-    (["tight-count", "--n", "8000", "--p", "3", "--q", "2", "--format", "json"], None,
-     TIGHT_COUNT_8000_JSON_SHA256),
-]
+def recorded_in(test):
+    """The entries of digests.json that ``TestDeterminism``'s ``test``
+    checks, each by the id its name gives."""
+    prefix = f"tests/test_cli.py::TestDeterminism::{test}["
+    return [
+        pytest.param(entry, id=entry["name"][len(prefix):-1])
+        for entry in DIGESTS if entry["name"].startswith(prefix)
+    ]
+
+
+def assert_runs_as_recorded(monkeypatch, entry):
+    """Run ``entry`` in process, its gamma text on stdin, and compare its
+    stdout with the recorded digest and line count."""
+    set_stdin(monkeypatch, entry.get("gamma", ""))
+    status, output = run(entry["argv"])
+    assert status == 0
+    assert mismatch(entry, output.encode()) is None
 
 
 class TestDeterminism:
@@ -1686,45 +1465,17 @@ class TestDeterminism:
         args = ["table", "--manifold", "s3-s2", "--max-curves", "5"]
         assert run(args) == run(args)
 
-    @pytest.mark.parametrize(
-        "args,fmt,digest",
-        TABLE_DIGESTS,
-        ids=["s3-t2-6-8", "s3-s2-13", "s3-s2-13-swap", "s3-t2-8-4-swap",
-             "s3-t2-6-8-json", "s3-s2-13-json", "s3-t2-8-4-swap-json",
-             "s3-t2-8-64", "s3-t2-8-64-json"],
-    )
-    def test_table_matches_recorded_digest(self, args, fmt, digest):
-        status, output = run(["table", *args, "--format", fmt])
-        assert status == 0
-        assert hashlib.sha256(output.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", recorded_in("test_table_matches_recorded_digest"))
+    def test_table_matches_recorded_digest(self, monkeypatch, entry):
+        assert_runs_as_recorded(monkeypatch, entry)
 
-    @pytest.mark.parametrize(
-        "args,digest",
-        ENUMERATION_DIGESTS,
-        ids=["enum-trees", "enum-torus", "enum-torus-swap", "enum-torus-12",
-             "enum-torus-12-swap"],
-    )
-    def test_enumeration_matches_recorded_digest(self, args, digest):
-        status, output = run(args + ["--format", "json"])
-        assert status == 0
-        assert hashlib.sha256(output.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", recorded_in("test_enumeration_matches_recorded_digest"))
+    def test_enumeration_matches_recorded_digest(self, monkeypatch, entry):
+        assert_runs_as_recorded(monkeypatch, entry)
 
-    @pytest.mark.parametrize(
-        "args,gamma,digest",
-        OUTPUT_DIGESTS,
-        ids=["enum-trees-text", "enum-torus-text", "classify-two-cycle", "classify-equator",
-             "enum-trees-8-swap-json", "enum-trees-7-csv", "enum-trees-7-csv-swap",
-             "enum-trees-6-text-swap", "enum-torus-8-3-csv", "enum-torus-8-3-csv-swap",
-             "enum-torus-7-2-text-swap", "enum-trees-9-csv", "enum-trees-9-csv-swap",
-             "classify-sparse", "classify-large-ids", "classify-genus", "classify-ring-400",
-             "tight-count-8000-json"],
-    )
-    def test_output_matches_recorded_digest(self, tmp_path, args, gamma, digest):
-        if gamma is not None:
-            args = args + ["--gamma", gamma_file(tmp_path, gamma)]
-        status, output = run(args)
-        assert status == 0
-        assert hashlib.sha256(output.encode()).hexdigest() == digest
+    @pytest.mark.parametrize("entry", recorded_in("test_output_matches_recorded_digest"))
+    def test_output_matches_recorded_digest(self, monkeypatch, entry):
+        assert_runs_as_recorded(monkeypatch, entry)
 
     def test_empty_text_listing_is_one_newline(self):
         # One curve admits no class; the listing is still newline-terminated.
@@ -1757,14 +1508,14 @@ except SystemExit as exc:
 # nor the parsers, and the listings not the formats module either; the
 # table, all of whose classes are admissible by construction, loads no
 # admissibility check.  The listings check no class, so they load no
-# arithmetic, and the sphere listing not even the surfaces.  The --gamma
-# commands load the listing writers only to write a class's DOT export.
+# arithmetic, nor the surfaces, which a listing does not name.  The
+# --gamma commands load the listing writers only to write a class's DOT
+# export.
 ARITHMETIC = frozenset({"cli", "counting"})
 SURFACES = ARITHMETIC | {"surfaces"}
 READING = SURFACES | {"codes", "formats", "parsing", "region_graph"}
 ENUMERATING = frozenset({"cli", "codes", "enumeration"})
-SPHERE_LISTING = ENUMERATING | {"listings"}
-TORUS_LISTING = SPHERE_LISTING | {"surfaces"}
+LISTING = ENUMERATING | {"listings"}
 TABLING = ENUMERATING | SURFACES | {"classify", "formats"}
 CHECKING = READING | {"admissibility"}
 CLASSIFYING = CHECKING | {"classify"}
@@ -1850,8 +1601,7 @@ class TestImportFootprint:
                          ARITHMETIC, id="tight-count-json"),
             *GAMMA_COMMANDS,
             *(
-                pytest.param(*p.values, TORUS_LISTING if "--max-curves" in p.values[0] else
-                             SPHERE_LISTING, id=p.id)
+                pytest.param(*p.values, LISTING, id=p.id)
                 for p in LISTINGS
             ),
             *(pytest.param(*p.values, TABLING, id=p.id) for p in TABLES),
@@ -1872,10 +1622,9 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv", LISTINGS)
     def test_listings_load_no_arithmetic(self, tmp_path, argv):
         # A listing checks no class: no slope is checked, so counting stays
-        # unloaded, and the sphere listing names no surface either.
+        # unloaded, and no surface is named either.
         status, layers, _ = loaded_modules(tmp_path, argv)
-        assert status == 0 and "counting" not in layers
-        assert ("surfaces" in layers) == (argv[0] == "enum-torus")
+        assert status == 0 and not {"counting", "surfaces"} & layers
 
     @pytest.mark.parametrize("argv,layers", GAMMA_COMMANDS)
     def test_gamma_commands_load_a_listing_writer_only_to_write_one(
@@ -1932,8 +1681,7 @@ class TestTerminalWidth:
         status, stdout, stderr = narrow
         if argv[-1] == "--help":
             assert (status, stderr) == (0, b"")
-            command = argv[0] if len(argv) == 2 else None
-            assert hashlib.sha256(stdout).hexdigest() == HELP_SHA256[command]
+            assert mismatch(recorded(argv), stdout) is None
         else:
             assert (status, stdout, stderr.count(b"\n")) == (2, b"", 2)
 

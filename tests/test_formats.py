@@ -267,7 +267,7 @@ class TestJsonRenderers:
         }
         for form, listing in expected.items():
             out = io.StringIO()
-            write_listing(out, rows, form, Surface.TORUS, slopes, modulo_swap)
+            write_listing(out, rows, form, slopes, modulo_swap)
             assert out.getvalue() == listing
 
     def test_classification_records(self, tmp_path):
