@@ -228,7 +228,9 @@ def _write_rows(out, args, rows, slopes=None) -> int:
 def _cmd_enum_trees(args, out) -> int:
     from .enumeration import enum_tree_rows
 
-    return _write_rows(out, args, enum_tree_rows(args.n, not args.distinguish_signs))
+    # Only a listing that writes each class's edges asks for them.
+    edges = not args.count_only and args.format != "csv"
+    return _write_rows(out, args, enum_tree_rows(args.n, not args.distinguish_signs, edges))
 
 
 def _cmd_enum_torus(args, out) -> int:

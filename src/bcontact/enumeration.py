@@ -1,118 +1,97 @@
 """Generation of admissible dividing-set classes up to isomorphism.
 
-Sphere classes are equicolored trees.  The unlabeled tree skeletons are
-free trees given as level sequences, one per isomorphism class, from the
+Sphere classes are equicolored trees.  Their unlabeled skeletons are free
+trees given as level sequences, one per isomorphism class, from the
 Wright-Richmond-Odlyzko-McKay generator (WROM: "Constant time generation
 of free trees", SIAM J. Comput. 15, 1986), which steps through rooted
-level sequences with the Beyer-Hedetniemi successor (1980).  Vertex i of
-a skeleton is the i-th entry of its sequence and hangs from the nearest
+level sequences with the Beyer-Hedetniemi successor (1980) (``_walk``).
+Vertex i is the i-th entry of its sequence and hangs from the nearest
 earlier vertex one level up, so vertex 0 is the root and a vertex's
-level parity is its side of the unique bipartition.  Each balanced
-skeleton is colored by that bipartition, and the two sign orientations
-are kept or merged according to the sign mode.
+level parity is its side of the bipartition, which colors a balanced
+skeleton; the two sign orientations are kept or merged by the sign mode.
 
-Torus classes come in two shapes: trees carrying one genus-1 region
-(all curves contractible), and unicyclic graphs (a ring of essential
-curves, possibly with contractible trees attached) built as
-tree-plus-one-edge.  Admissibility (the Euler pairing balance) is decided
-on the level sequence, before any graph is built.  On a properly
-2-colored graph with P positive and N negative regions,
+Torus classes are trees carrying one genus-1 region (all curves
+contractible) and unicyclic graphs (a ring of essential curves, possibly
+with contractible trees attached) built as a tree plus one edge.  On a
+properly 2-colored graph with P positive and N negative regions,
 
     chi(Z+) - chi(Z-) = sum sign * (2 - 2 genus - deg)
                       = 2 (P - N) - 2 sum sign * genus,
 
-because each edge joins a positive and a negative region and so adds +1
-and -1 to sum sign * deg.  A genus-1 tree is therefore admissible exactly
-when P - N is the sign of its genus region: the color classes differ in
-size by one and the genus region lies in the larger one, whichever class
-is positive.  A unicyclic graph is admissible exactly when P = N.
-Layouts and genus regions that fail this are skipped, and every
-candidate that is built is admissible; ``TestTorusBalanceGate`` in the
-test suite builds every ungated candidate on up to nine regions and
-checks that the gate accepts exactly the admissible ones.
+since each edge adds +1 and -1 to sum sign * deg.  So the Euler pairing
+balance holds on a genus-1 tree exactly when its color classes differ in
+size by one with the genus region in the larger, and on a unicyclic graph
+exactly when P = N.  It is decided on the level sequence, and no
+candidate failing it is made; ``TestTorusBalanceGate`` in the test suite
+checks the gate against every ungated candidate on up to nine regions.
 
-Candidates are coded before anything is built, from the level sequence
-alone; no row reaches the leaf peel (``codes_of``), which codes
-``RegionGraph`` objects only.  Negating every sign exchanges a
-skeleton's two colorings, so one pass gives the codes of both, and the
-pair gives the sign-swapped code.  WROM roots a tree skeleton at its
-center, so its core is the root, or the root and vertex 1, with no leaf
-peeling.
+Candidates are coded from the level sequence alone: no row reaches the
+leaf peel (``codes_of``).  Negating every sign exchanges a skeleton's two
+colorings, so one pass gives both codes, and the pair the sign-swapped
+one.  WROM roots a tree at its center, so its core is the root, or the
+root and vertex 1.  Lemma (proved in the README, "Codes read off level
+sequences"): in a canonical level sequence, every vertex's children in
+non-increasing order of their subtrees' sequences and each vertex tagged
+by its level parity, each subtree's AHU code is the bracket reading of
+its slice: vertex i writes ``")" * (l[i-1] - l[i] + 1) + "(" + tag(l[i])``,
+and the last vertex closes everything.  The larger sequence has the
+smaller code, so the reading sorts nothing.
 
-A genus-free tree skeleton, a sphere tree, is read as brackets
-(``_bracket_codes``).  Lemma: in a canonical level sequence, where every
-vertex's children come in non-increasing order of their subtrees' level
-sequences, with each vertex tagged by its level parity, each subtree's
-AHU code is the bracket reading of its slice: vertex i writes
-``")" * (l[i-1] - l[i] + 1) + "(" + tag(l[i])``, and the last vertex
-closes everything.  Proof: the reading nests each vertex's children's
-readings, in the sequence's order, inside its own brackets; and at the
-first difference between two sibling subtrees' sequences, the one that
-goes deeper writes "(" where the other writes ")", and "(" < ")".  So
-the larger level sequence has the smaller code, the canonical order is
-AHU's sorted order, and nothing is sorted.  A bicentral tree reads as
-the slices ``[1:m]`` and ``[0] + [m:]``, m the root's second child.
+A sphere tree's reading is carried along the walk (``_sphere_trees``),
+and so are its edges.  What vertex i writes, and its parent, the last
+vertex before it one level up, depend on the levels up to i alone, and
+each step of the walk keeps a prefix of the sequence.  So a tree redoes
+only the vertices from the lowest one changed since the tree before; the
+others write and join what they did in that tree, which is what they
+would in this one, and the reading and the edges are those of the tree
+read afresh.  A sphere listing's rows carry the edges, one byte each
+(``_RANKS``), for the writer.
 
 A torus skeleton is coded once (``_skeleton_codes``): each vertex's
-subtree code, its children already in sorted order by the lemma.  Its
-candidates are put together from those codes.  A genus region's tag can
-order two siblings against their sequences (on ``[0, 1, 1]`` with the
-genus region at vertex 1 the reading gives ``T(+0(-1)(-0))`` and the peel
-``T(+0(-0)(-1))``), so a genus-1 tree recodes the genus region and its
-ancestors, sorting each code from below in among its siblings' codes
-(``_genus_codes``).  A ring's cycle is the tree path between the closing
-edge's ends; each cycle vertex is coded by its neighbors off the cycle:
-its other children and, at the ends' lowest common ancestor, the rest of
-the tree above it, re-rooted at its parent (``_ring_codes``); the least
-rotation or reflection of those codes is the ring's code, as for the peel.
-Every shape goes through ``_codes`` and takes the code's format from
-``codes``, as the peel does: its tags and its tree and cycle assembly.
-So the generator does not load ``region_graph``, which it needs only to
-build graphs for a library caller (``_graphs``).
-
-A swap of twin subtrees, equal subtrees of adjacent siblings, is an
-automorphism of the skeleton that keeps levels, so it maps a candidate to
-one with the same codes.  A candidate that a twin swap moves to an
-earlier candidate of its skeleton is skipped (``_twin_windows``): it
-could never be the first seen with its code.  At 14 curves that skips
-25,627 of the 88,239 candidates, a third of the rings.
+subtree code, its children already in sorted order by the lemma.  A
+genus tag can order two siblings against their sequences, so a genus-1
+tree recodes the genus region and sorts each code from below in among
+its ancestors' other children (``_genus_codes``).  A ring's cycle is the
+tree path between the closing edge's ends; each cycle vertex is coded by
+its neighbors off the cycle, at the ends' lowest common ancestor the tree
+above it too, re-rooted at its parent, and the least rotation or
+reflection of those codes is the ring's code, as for the peel
+(``_ring_codes``).  Every code takes its format from ``codes``, as the
+peel's does, so the generator loads no ``region_graph`` but to build a
+library caller's graphs (``_graphs``).  A twin swap, exchanging equal
+subtrees of adjacent siblings, keeps levels and codes, so a candidate it
+moves to an earlier one of its skeleton is skipped (``_twin_windows``):
+at 14 curves, 25,627 of 88,239 candidates, a third of the rings.
 
 Each class kept is a row (``Row``): its code, its skeleton's level
-sequence as ``bytes`` and a ring's closing edge, and its coloring (one
-``bytes`` object per distinct coloring of a listing).  The CLI's
-listings and the table read the rows; a ``RegionGraph`` is built from a
-row only for a library caller (``enum_equicolored_trees``,
-``enum_torus_classes``), by its constructor, which checks it; its codes
-come from the peel on first use, as for any graph.  The test suite referees the level-sequence codes
-against the peel on every tree up to fourteen vertices, with and without
-a genus region, on sixteen, and on every balanced tree on eighteen
-(``TestLevelCodes``), on every ring candidate up to twelve curves, and
-the twin skip against the full candidate stream (``TestRingCodes``),
-every array code on up to nine regions (``TestArrayCodes``) and every
-listed class of the library callers (``TestGeneratedGraphsAreValid``).
+sequence and a ring's closing edge, and its coloring (one ``bytes``
+object per distinct coloring of a listing).  The listings and the table
+read the rows; a ``RegionGraph`` is built from a row only for a library
+caller (``enum_equicolored_trees``, ``enum_torus_classes``), by its
+constructor, which checks it, and coded by the peel.  The test suite
+referees the level-sequence codes against the peel on every tree up to
+fourteen vertices, with and without a genus region, on sixteen, and on
+every balanced tree on eighteen (``TestLevelCodes``), on every ring
+candidate up to twelve curves, and the twin skip against the full
+candidate stream (``TestRingCodes``), every array code on up to nine
+regions (``TestArrayCodes``) and every listed class of the library
+callers (``TestGeneratedGraphsAreValid``).
 
-Each candidate is coded once and gives one row per coloring, or one
-when the two codes agree or the sign mode identifies them.  Distinct
-free trees are never isomorphic, so the sphere rows are classes as they
-come, made in one loop over the walk (``enum_tree_rows``).  Torus rows
-keep the first row per code (``_class_rows``), since one tree skeleton
-yields a candidate per genus region and one ring a candidate per closing
-edge; a coloring is made only for a new code.
-The torus candidates come from one walk of the free trees of each order
-(``_torus_candidates``): a balanced tree gives ring candidates and a
-tree whose color classes are one apart gives genus-1 candidates.  Genus
-codes open with ``T`` and ring codes with ``C``, so the two never share
-a code, and the first row per class is the same in whatever order the
-two shapes come.
+A candidate gives one row per coloring, or one when its two codes agree
+or the sign mode identifies them.  Distinct free trees are never
+isomorphic, so the sphere rows are classes as they come
+(``enum_tree_rows``).  Torus rows keep the first row per code
+(``_class_rows``): a tree skeleton yields a candidate per genus region,
+and a ring one per closing edge; a coloring is made only for a new code.
+One walk of the free trees of each order gives both shapes
+(``_torus_candidates``), and since genus codes open with ``T`` and ring
+codes with ``C``, the first row per class does not depend on their
+order.  A torus listing writes each row once with its ``row_slopes``,
+every normalized slope up to the bound for a ring and none for a tree;
+``enum_torus_classes`` expands them into one class object per slope.
 
-Torus output is per graph class: a listing writes each row once with
-``row_slopes``, every normalized slope up to the bound for a ring and
-none for a tree.  Nothing slope-dependent is built per class;
-``enum_torus_classes`` is the per-slope expansion, for callers that want
-one class object per slope.
-
-All output is deterministically ordered by canonical code, so repeated
-runs are byte-identical.
+All output is ordered by canonical code, so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -120,7 +99,7 @@ from __future__ import annotations
 from bisect import insort
 from functools import cache, lru_cache
 from math import gcd
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from .codes import _SWAP_SIGNS, _TAGS, _cycle_codes, _tree_codes
 
@@ -169,86 +148,73 @@ _DOWN = bytes((level - 1) & 255 for level in range(256))
 _RISE = bytes(range(1, 256))
 
 
-def _next_rooted_tree(predecessor: bytes, p: int | None = None) -> bytes | None:
-    """The Beyer-Hedetniemi successor of a rooted level sequence: from its
-    last vertex ``p`` off level 1, the sequence repeats with the period
-    that starts at ``p``'s parent."""
-    if p is None:
-        p = len(predecessor.rstrip(b"\x01")) - 1
-        if p == 0:
-            return None
-    tail = len(predecessor) - p
-    period = predecessor[predecessor.rfind(predecessor[p] - 1, 0, p):p]
-    return predecessor[:p] + (period * tail)[:tail]
-
-
-def _first_subtree_end(layout: bytes) -> int:
-    """Where the root's first subtree ends: at the root's second child, or
-    at the end of the sequence."""
-    m = layout.find(1, 2)
-    return len(layout) if m < 0 else m
-
-
-def _next_tree(candidate: bytes) -> bytes:
-    """``candidate`` if it is a canonical free tree, else the next one."""
-    m = _first_subtree_end(candidate)
-    # The rest of the tree is taller than the root's first subtree (from
-    # vertex 1) when it reaches the deepest level, as tall when it reaches
-    # the level above, or when both are one vertex.
-    deepest = max(candidate)
-    if candidate.find(deepest, m) >= 0:
-        return candidate
-    if deepest == 1 or candidate.find(deepest - 1, m) >= 0:
-        size, rest_size = m - 1, len(candidate) - m + 1
-        if size < rest_size or (
-            size == rest_size and candidate[1:m].translate(_DOWN) <= b"\0" + candidate[m:]
-        ):
-            return candidate
-    p = m - 1
-    new_candidate = _next_rooted_tree(candidate, p)
-    if candidate[p] > 2:
-        new_height = max(new_candidate[1:_first_subtree_end(new_candidate)])
-        new_candidate = new_candidate[:-new_height] + _RISE[:new_height]
-    return new_candidate
-
-
 @cache
 def _path(order: int) -> bytes:
-    """The level sequence of the path on ``order`` >= 2 vertices rooted at
-    its center, the first free tree WROM gives and the only canonical
-    sequence of a path."""
+    """The level sequence of the path on ``order`` vertices rooted at its
+    center, the first free tree WROM gives and the only canonical sequence
+    of a path."""
     return bytes([*range(order // 2 + 1), *range(1, (order + 1) // 2)])
 
 
-def _free_trees(order: int) -> Iterator[bytes]:
-    """Level sequences of the free trees on ``order`` >= 2 vertices, one
-    per isomorphism class, starting from the path rooted at its center."""
+def _walk(order: int, odd: int | None = None) -> Iterator[tuple[bytes, int, int, bool]]:
+    """The free trees on ``order`` vertices with ``odd`` vertices on odd
+    levels (any number when None), one per isomorphism class, from WROM:
+    each tree's level sequence, the lowest vertex a step rewrote since
+    the tree given before (1 for the first), where the root's first
+    subtree ends (at its second child, or the end) and whether the tree
+    is bicentral, its deepest level reached in that subtree alone.
+
+    Each step is a Beyer-Hedetniemi successor from a vertex ``p``, which
+    keeps ``layout[:p]``: from the last vertex off level 1, or, from a
+    sequence that is no canonical free tree, from the end of the root's
+    first subtree, then with the last vertices made a path from the root
+    as deep as that subtree.  Each sequence is a canonical rooted one, so
+    its deepest level ends its first run down one level at a time (a
+    taller sibling subtree would sort first), and a step from ``p``,
+    which copies only levels of the prefix, leaves it at most ``p - 1``.
+    """
     layout = _path(order)
-    while layout is not None:
-        layout = _next_tree(layout)
-        yield layout
-        layout = _next_rooted_tree(layout)
+    deepest = order // 2
+    low = 1
+    m = layout.find(1, 2) % (order + 1)  # -1, at no second child, is the end
+    while True:
+        # The rest of the tree is taller than the root's first subtree
+        # (from vertex 1) when it reaches the deepest level, as tall when
+        # it reaches the level above, or when both are at most one vertex.
+        bicentral = layout.find(deepest, m) < 0
+        free = not bicentral or (
+            (deepest < 2 or layout.find(deepest - 1, m) >= 0)
+            and (
+                (size := m - 1) < (rest := order - m + 1)
+                or size == rest and layout[1:m].translate(_DOWN) <= b"\0" + layout[m:]
+            )
+        )
+        if free:
+            if odd is None or layout.translate(_PARITY[0]).count(1) == odd:
+                yield layout, low, m, bicentral
+                low = order
+            p = len(layout.rstrip(b"\x01")) - 1
+            if p <= 0:
+                return
+        else:
+            p = m - 1
+        tail = order - p
+        period = layout[layout.rfind(layout[p] - 1, 0, p):p]
+        layout = layout[:p] + (period * tail)[:tail]
+        if p < low:
+            low = p
+        if p <= deepest:
+            deepest = p - 1
+        if not free and layout[p] > 1:
+            layout = layout[:-deepest] + _RISE[:deepest]
+            low = min(low, order - deepest)
+        if p <= m:  # else the root's second child stays where it was
+            m = layout.find(1, 2) % (order + 1)
 
 
-# An edge (a, b), a < b, keyed as ``a * _STRIDE + b``, sorts as the pair
-# does: a skeleton within the caps has fewer than 32 vertices.
-_STRIDE = 32
-
-
-def _edge_keys(layout: bytes) -> list[int]:
-    """The keys of the edges of a level sequence: each vertex after the
-    first joins the last vertex before it one level up."""
-    last = [0] * _STRIDE
-    keys = []
-    for i, level in enumerate(layout[1:], 1):
-        keys.append(last[level - 1] * _STRIDE + i)
-        last[level] = i
-    return keys
-
-
-def _tree_edges(layout: bytes) -> list[tuple[int, int]]:
-    """Edges of a level sequence, as pairs."""
-    return [divmod(key, _STRIDE) for key in _edge_keys(layout)]
+def _free_trees(order: int) -> Iterator[bytes]:
+    """Level sequences of the free trees on ``order`` vertices (``_walk``)."""
+    return map(itemgetter(0), _walk(order))
 
 
 # Level parities by level, and their complements, as bytes: a vertex's
@@ -261,6 +227,33 @@ _PARITY = (
 
 # The most vertices, and so levels, a skeleton within the caps has.
 _ORDER_CAP = max(2 * TREE_CAP, CURVE_CAP + 1)
+
+# An edge (a, b), a < b, of a skeleton within the caps as one byte: its
+# rank among all such pairs in lexicographic order, so the ranks of a
+# tree's edges sort as its edges do.  _RANKS[a][b] is the rank of (a, b),
+# and _EDGES[rank] the pair.
+_RANKS = [
+    [a * (2 * _ORDER_CAP - a - 3) // 2 + b - 1 for b in range(_ORDER_CAP)]
+    for a in range(_ORDER_CAP)
+]
+_EDGES = [(a, b) for a in range(_ORDER_CAP) for b in range(a + 1, _ORDER_CAP)]
+
+
+def _edge_ranks(layout: bytes) -> list[int]:
+    """The ranks of the edges of a level sequence, by vertex: each vertex
+    after the first joins the last vertex before it one level up."""
+    last = [0] * _ORDER_CAP
+    ranks = []
+    for i, level in enumerate(layout[1:], 1):
+        ranks.append(_RANKS[last[level - 1]][i])
+        last[level] = i
+    return ranks
+
+
+def _tree_edges(layout: bytes) -> list[tuple[int, int]]:
+    """Edges of a level sequence, as pairs."""
+    return list(map(_EDGES.__getitem__, _edge_ranks(layout)))
+
 
 # Vertex ``v``'s rows ``(v, +1, 0), (v, -1, 0), (v, +1, 1), (v, -1, 1)``
 # as (id, sign, genus) for every id the caps allow.
@@ -309,41 +302,43 @@ _BRACKETS = [
 ]
 
 
-def _bracket_code(levels: bytes) -> str:
-    """AHU code of a genus-free subtree, with even levels positive, read
-    off its canonical level sequence ``levels``, its root first: each
-    vertex's brackets in order, then a ")" for each subtree still open.
-    The module docstring proves it is the code the peel gives."""
-    return "".join([
-        _OPENINGS[0][levels[0] & 1],
-        *map(getitem, map(_BRACKETS.__getitem__, levels), levels[1:]),
-        ")" * (levels[-1] - levels[0] + 1),
-    ])
+def _sphere_trees(
+    order: int, odd: int | None = None, edges: bool = False
+) -> Iterator[tuple[bytes, tuple[str, str], bytes | None]]:
+    """Each free tree on ``order`` vertices with ``odd`` vertices on odd
+    levels (any number when None), in ``_walk``'s order: its level
+    sequence, its canonical codes with even, then odd, levels positive,
+    and with ``edges`` its edges' ranks in sorted order (else None).  The
+    reading and the ranks are carried from tree to tree and redone from
+    the lowest vertex changed (the module docstring).
 
-
-def _bracket_codes(layout: bytes) -> tuple[str, str]:
-    """Canonical codes of a genus-free tree skeleton with even, then odd,
-    levels positive, read off its level sequence (``_bracket_code``).
-
-    WROM roots the tree at its center with the deepest subtree first, so
-    the core is the root alone, or, when the root's first subtree reaches
-    deeper than the rest, vertex 1 with its subtree and the root with the
-    rest.  Each vertex writes its 3-character opening and one ``)``, so
-    vertex 1's code is the ``4 (m - 1)`` characters after the root's
-    opening in the reading of the whole tree, and the root's is the
-    rest.  The core's order in ``_tree_codes`` is known without a sort:
-    the root's code opens ``(+``, which sorts before vertex 1's ``(-``,
-    and after it once the signs are negated.
+    A bicentral tree's core is vertex 1 with its subtree and the root with
+    the rest: each vertex writes a 3-character opening and one ")", so
+    vertex 1's code is the ``4 (m - 1)`` characters after ``T`` and the
+    root's opening, and the root's is the rest.  The core needs no sort:
+    the root's code opens ``(+``, before vertex 1's ``(-``, and after it
+    once the signs are negated.
     """
-    code = _bracket_code(layout)
-    m = _first_subtree_end(layout)
-    deepest = max(layout)
-    if deepest and layout.find(deepest, m) < 0:  # only the first subtree is deepest
-        end = 4 * m - 1
-        root, first = code[:3] + code[end:], code[3:end]
-        swapped = first.translate(_SWAP_SIGNS) + root.translate(_SWAP_SIGNS)
-        return "T" + root + first, "T" + swapped
-    return "T" + code, "T" + code.translate(_SWAP_SIGNS)
+    # Vertex i's brackets at i, after "T" and vertex 0's opening, and the
+    # closing ")"s last; the rank of vertex i's edge to its parent at i - 1.
+    reading = ["T" + _OPENINGS[0][0]] * (order + 1)
+    ranks = bytearray(order - 1)
+    for layout, low, m, bicentral in _walk(order, odd):
+        for i in range(low, order):
+            level = layout[i]
+            reading[i] = _BRACKETS[layout[i - 1]][level]
+            if edges:
+                # Vertex i's parent is the last vertex before it one level up.
+                ranks[i - 1] = _RANKS[layout.rfind(level - 1, 0, i)][i]
+        reading[order] = ")" * (layout[-1] + 1)
+        code = "".join(reading)
+        if bicentral:
+            end = 4 * m
+            root, first = code[:4] + code[end:], code[4:end]
+            codes = root + first, "T" + (first + root[1:]).translate(_SWAP_SIGNS)
+        else:
+            codes = code, code.translate(_SWAP_SIGNS)
+        yield layout, codes, bytes(sorted(ranks)) if edges else None
 
 
 @lru_cache(maxsize=1)  # the candidates of one skeleton come in a run
@@ -404,12 +399,12 @@ def _genus_codes(layout: bytes, g: int) -> tuple[str, str]:
     Only g and its ancestors code otherwise than in the genus-free tree:
     g opens with its genus tag, and each ancestor's code is its opening,
     its other children's ``down`` codes with the code from below sorted
-    in, and ``)``.  The core is as in ``_bracket_codes``: when it is two
+    in, and ``)``.  The core is as in ``_sphere_trees``: when it is two
     vertices, the root's side leaves out vertex 1 (``cut``), and the side
     without the genus region keeps its genus-free code.
     """
     parent, children, opening, down = _skeleton_codes(layout)
-    m = _first_subtree_end(layout)
+    m = layout.find(1, 2) % (len(layout) + 1)  # -1, at no second child, is the end
     cut = 1 if max(layout) > max(layout[m:], default=0) else 0
     top = 1 if cut and 0 < g < m else 0
     # The root's side past its opening; each code's opening is 3 long.
@@ -480,15 +475,13 @@ def _ring_codes(layout: bytes, u: int, v: int) -> tuple[str, str]:
 def _codes(
     layout: bytes, closing: tuple[int, int] | None, genus_vertex: int | None
 ) -> tuple[str, str]:
-    """Canonical codes of a skeleton, a level sequence and its closing edge
-    or ``None``, with even, then odd, levels positive: the second coloring
-    is the first with every sign negated.  A genus-free tree is read off
-    its level sequence, and a tree with a genus region or a ring is put
-    together from its skeleton's codes (``_skeleton_codes``)."""
+    """Canonical codes of a torus skeleton, a level sequence and its
+    closing edge or ``None`` and its genus vertex, with even, then odd,
+    levels positive: the second coloring is the first with every sign
+    negated.  Each is put together from its skeleton's codes
+    (``_skeleton_codes``)."""
     if closing is not None:
         return _ring_codes(layout, *closing)
-    if genus_vertex is None:
-        return _bracket_codes(layout)
     return _genus_codes(layout, genus_vertex)
 
 
@@ -497,7 +490,9 @@ def _codes(
 # code in the listing's sign mode, and the coloring is ``_coloring``'s:
 # vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the
 # closing edge are the skeleton, whose tree edges ``_tree_edges`` gives;
-# the colorings of one skeleton share its sequence.
+# the colorings of one skeleton share its sequence.  The rows of a sphere
+# listing (``enum_tree_rows`` with ``edges``) carry a fifth field, the
+# ranks (``_RANKS``) of their skeleton's edges in sorted order, as bytes.
 Row = tuple[str, bytes, tuple[int, int] | None, bytes]
 
 
@@ -532,25 +527,24 @@ def _class_rows(
     return [out[code] for code in sorted(out)]
 
 
-def enum_tree_rows(n: int, modulo_swap: bool = False) -> list[Row]:
+def enum_tree_rows(n: int, modulo_swap: bool = False, edges: bool = False) -> list[Row]:
     """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
-    order, with no graph built."""
+    order, with no graph built.  With ``edges`` each row carries a fifth
+    field, its skeleton's edges as ``_sphere_trees`` gives them, which the
+    listing's writer reads."""
     _check_ints(n=n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
-    # One loop over the WROM walk; the balance test counts the vertices on
-    # odd levels.
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}
-    for layout in _free_trees(2 * n):
-        if layout.translate(_PARITY[0]).count(1) == n:
-            codes = _codes(layout, None, None)
-            for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-                coloring = layout.translate(_PARITY[positive])
-                code = min(codes) if modulo_swap else codes[positive]
-                rows.append((code, layout, None, colorings.setdefault(coloring, coloring)))
+    for layout, codes, ranks in _sphere_trees(2 * n, n, edges):
+        extra = (ranks,) if edges else ()
+        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+            coloring = layout.translate(_PARITY[positive])
+            code = min(codes) if modulo_swap else codes[positive]
+            rows.append((code, layout, None, colorings.setdefault(coloring, coloring)) + extra)
     rows.sort(key=itemgetter(0))
     return rows
 

@@ -5,9 +5,11 @@ A class's text is the line format that ``formats`` reads
 comments (``export_dot``).  The enumerated listings are bulk output,
 written from the generator's rows (``enumeration.Row``), with no graph
 built, in one loop per listing (``write_listing``): each row's text is a
-head made once per coloring and a tail made once per skeleton, of
-fragments looked up in tables indexed by id, sign and genus and by edge
-(``_tables``), and each class's lines go out in one write.  A listing's
+head made once per coloring and a tail of its edges, of fragments looked
+up in tables indexed by id, sign and genus and by edge rank
+(``_tables``).  A sphere row brings its edges' ranks from the walk and
+goes out with whole other rows; a torus row's tail is made once per
+skeleton, and each torus class's lines go out in one write.  A listing's
 JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
 (of the graph's two fields alone on the sphere) with its default
 separators, because every id, sign, genus and slope is an ``int``: the
@@ -28,6 +30,9 @@ from operator import getitem
 
 # DividingSetClass (surfaces), Row and Slopes (enumeration) and Callable
 # name types in annotations only, which are never evaluated.
+
+# The sphere rows in one write: at n = 10, up to 230 KB of JSON.
+_BATCH = 256
 
 # A format's fragment of one vertex (id, sign, genus) and of one edge, the
 # separator between two fragments, and a class's end from its slope or
@@ -51,26 +56,28 @@ _JSON = _Form(
 
 
 @cache
-def _tables(form: _Form) -> tuple[list[tuple[str, ...]], Callable[[bytes, tuple | None], str]]:
+def _tables(
+    form: _Form,
+) -> tuple[list[tuple[str, ...]], list[str], Callable[[bytes, tuple | None], str]]:
     """A form's fragment of every vertex the enumerators make, indexed like
-    ``enumeration._VERTEX_ROWS``, and its joined edge fragments of a
+    ``enumeration._VERTEX_ROWS``, of every edge, indexed by its rank
+    (``enumeration._RANKS``), and its joined edge fragments of a torus
     skeleton (``enumeration.Row``), in the order a graph keeps them: by
-    their ends, as their keys (``enumeration._edge_keys``) sort, which
-    index one flat table."""
-    from .enumeration import _STRIDE, _VERTEX_ROWS, _edge_keys
+    their ends, as their ranks sort."""
+    from .enumeration import _EDGES, _RANKS, _VERTEX_ROWS, _edge_ranks
 
-    ids = range(len(_VERTEX_ROWS))
-    edge_table = [form.edge(a, b) for a in ids for b in range(_STRIDE)]
+    edge_table = [form.edge(a, b) for a, b in _EDGES]
     join = form.separator.join
 
     def skeleton_edges(layout: bytes, closing: tuple[int, int] | None) -> str:
-        keys = _edge_keys(layout)
+        ranks = _edge_ranks(layout)
         if closing is not None:
-            keys.append(closing[0] * _STRIDE + closing[1])
-        keys.sort()
-        return join(map(edge_table.__getitem__, keys))
+            ranks.append(_RANKS[closing[0]][closing[1]])
+        ranks.sort()
+        return join(map(edge_table.__getitem__, ranks))
 
-    return [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS], skeleton_edges
+    vertex_table = [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS]
+    return vertex_table, edge_table, skeleton_edges
 
 
 def serialize_class_text(d: DividingSetClass) -> str:
@@ -100,17 +107,21 @@ def write_listing(
     newline.  The CSV form is ``size,canonical_code,admissible`` once per
     slope.
 
-    A row's text is a head, made once per coloring, and a tail, made once
-    per skeleton, then its slope's end, made once per run of slopes.  A
-    text block's head is the blank line before it, a torus class's
-    surface line and the ``v`` lines, and its tail the ``e`` lines; a
-    JSON line's head runs up to its edges, and its tail from them to its
-    slope.  Heads are kept under the coloring's bytes (the 10,079 trees
-    on 16 regions have 1,049 colorings).  A torus tree's skeleton keeps
-    its tail for all of its genus regions.  Any other skeleton has at most
-    one row per coloring, so its tail is kept for its other coloring and
+    A row's text is a head, made once per coloring, and a tail, then its
+    slope's end, made once per run of slopes.  A text block's head is the
+    blank line before it, a torus class's surface line and the ``v``
+    lines, and its tail the ``e`` lines; a JSON line's head runs up to
+    its edges, and its tail from them to its slope.  Heads are kept under
+    the coloring's bytes (the 10,079 trees on 16 regions have 1,049
+    colorings).  A sphere row's tail is its edges' fragments by the ranks
+    in its fifth field (``enumeration.enum_tree_rows`` with ``edges``),
+    made for the row and kept by none; ``_BATCH`` rows go out in one
+    write, since a sphere row is one class.  A torus tree's skeleton
+    keeps its tail for all of its genus regions; a ring has at most one
+    row per coloring, so its tail is kept for its other coloring and
     dropped when that uses it, and not kept at all when the signs are
-    identified.
+    identified.  A torus row is its class at each of its slopes, in one
+    write: a batch of rings would hold whole runs of slopes at once.
     """
     if form == "csv":
         out.write("size,canonical_code,admissible\n")
@@ -119,10 +130,13 @@ def write_listing(
             line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
             out.write(line if slopes is None else line * len(slopes[i]))
         return
-    torus = slopes is not None
     json_form = form == "json"
+    if not (json_form or rows):
+        out.write("\n")
+        return
+    torus = slopes is not None
     fragments = _JSON if json_form else _TEXT
-    vertex_table, skeleton_edges = _tables(fragments)
+    vertex_table, edge_table, skeleton_edges = _tables(fragments)
     join = fragments.separator.join
     if json_form:
         fields = '{"surface": "torus", ' if torus else "{"
@@ -132,13 +146,27 @@ def write_listing(
         opening = "\nsurface torus\n" if torus else "\n"
         middle = closing = ""
     heads: dict[bytes, str] = {}
+    # Every text block opens with the blank line that separates it from
+    # the one before, which the listing's first block drops.
+    skip = 0 if json_form else 1
+    if not torus:
+        # A sphere row is one line or one text block, so whole rows go
+        # out together, ``_BATCH`` at a time.
+        for start in range(0, len(rows), _BATCH):
+            parts = []
+            for row in rows[start:start + _BATCH]:
+                coloring = row[3]
+                head = heads.get(coloring)
+                if head is None:
+                    head = heads[coloring] = opening + join(map(getitem, vertex_table, coloring)) + middle
+                parts += head, join(map(edge_table.__getitem__, row[4])), closing
+            out.write("".join(parts)[skip:])
+            skip = 0
+        return
     tails: dict[bytes | tuple, str] = {}
     # Each run of slopes' ends, keyed on the run's identity, which
     # ``slopes`` keeps alive: the rings of one listing share one run.
     ends: dict[int, list[str]] = {}
-    # Every text block opens with the blank line that separates it from
-    # the one before, which the listing's first block drops.
-    skip = 0 if json_form else 1
     for i, row in enumerate(rows):
         coloring = row[3]
         head = heads.get(coloring)
@@ -148,26 +176,20 @@ def write_listing(
         # keying on it makes no key object; a ring's is a pair.
         tree = row[2] is None
         skeleton = row[1] if tree else row[1:3]
-        genus_tree = tree and torus
         tail = tails.get(skeleton)
         if tail is None:
             tail = skeleton_edges(row[1], row[2]) + closing
-            if genus_tree or not modulo_swap:
+            if tree or not modulo_swap:
                 tails[skeleton] = tail
-        elif not genus_tree:
+        elif not tree:
             del tails[skeleton]
-        text = head + tail
-        if torus:
-            run = slopes[i]
-            run_ends = ends.get(id(run))
-            if run_ends is None:
-                run_ends = ends[id(run)] = ["", *map(fragments.slope, run)]
-            # The class at each slope: its head and tail before each end.
-            text = text.join(run_ends)
-        out.write(text[skip:])
+        run = slopes[i]
+        run_ends = ends.get(id(run))
+        if run_ends is None:
+            run_ends = ends[id(run)] = ["", *map(fragments.slope, run)]
+        # The class at each slope: its head and tail before each end.
+        out.write((head + tail).join(run_ends)[skip:])
         skip = 0
-    if not (json_form or rows):
-        out.write("\n")
 
 
 def export_dot(d: DividingSetClass) -> str:

@@ -13,6 +13,7 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -251,9 +252,11 @@ class _ClassesPerWrite:
 
 
 class TestListingWrites:
-    """``write_listing`` hands each class's lines to ``out`` in one write
-    and holds no other row's, so a long run of slopes is never joined to
-    another; the CLI's chunked stream does the batching."""
+    """``write_listing`` hands each torus class's lines to ``out`` in one
+    write and holds no other row's, so a long run of slopes is never
+    joined to another; the CLI's chunked stream does the batching.  A
+    sphere row is one class at no slope, so whole sphere rows go out in
+    batches of ``listings._BATCH``."""
 
     @pytest.mark.parametrize("fmt,marker", [("json", '"surface"'), ("text", "surface ")])
     def test_each_write_is_one_class_at_its_slopes(self, fmt, marker):
@@ -265,10 +268,22 @@ class TestListingWrites:
         assert stream.counts == [len(run) for run in slopes]
         assert max(stream.counts) == 19948
 
+    @pytest.mark.parametrize("fmt,marker", [("json", '"vertices"'), ("text", "v 0 ")])
+    def test_sphere_writes_are_batches_of_whole_rows(self, fmt, marker):
+        rows = ENUMERATION_MODULE.enum_tree_rows(7, False, True)
+        writes = []
+        listings.write_listing(SimpleNamespace(write=writes.append), rows, fmt)
+        # The 1,742 classes on 14 regions: six full batches and 206, each
+        # write ending a line.
+        assert [text.count(marker) for text in writes] == [256] * 6 + [206]
+        assert all(text.endswith("\n") for text in writes)
+
 
 class TestListingFragments:
-    """A listing makes each skeleton's edge text once: the other coloring
-    of a skeleton, or another genus region of a torus tree, reuses it."""
+    """A torus listing makes each skeleton's edge text once: the other
+    coloring of a ring, or another genus region of a tree, reuses it.  A
+    sphere listing makes none from a level sequence: each row brings its
+    edges from the walk."""
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
     @pytest.mark.parametrize("argv", [
@@ -280,13 +295,13 @@ class TestListingFragments:
         real_tables = listings._tables
 
         def counting_tables(form):
-            vertex_table, skeleton_edges = real_tables(form)
+            vertex_table, edge_table, skeleton_edges = real_tables(form)
 
             def counted(layout, closing):
                 made.append((layout, closing))
                 return skeleton_edges(layout, closing)
 
-            return vertex_table, counted
+            return vertex_table, edge_table, counted
 
         monkeypatch.setattr(listings, "_tables", counting_tables)
         sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
@@ -294,6 +309,7 @@ class TestListingFragments:
             made.clear()
             assert run([*argv, *sign_mode, "--format", fmt])[0] == 0
             assert len(made) == len(set(made)), (argv, fmt)
+            assert bool(made) == (argv[0] == "enum-torus"), (argv, fmt)
 
 
 TIGHT_COUNT_HELP = """\

@@ -295,7 +295,15 @@ class TestArrayCodes:
             tried.append((layout, skeleton_edges(layout, closing), genus_vertex, codes))
             return codes
 
+        real_sphere_trees = enumeration._sphere_trees
+
+        def recording_trees(order, odd=None, edges=False):
+            for layout, codes, ranks in real_sphere_trees(order, odd, edges):
+                tried.append((layout, skeleton_edges(layout, None), None, codes))
+                yield layout, codes, ranks
+
         monkeypatch.setattr(enumeration, "_codes", recording)
+        monkeypatch.setattr(enumeration, "_sphere_trees", recording_trees)
         emitted = []
         for mode in (False, True):
             emitted += [g for n in (1, 2, 3, 4) for g in enum_equicolored_trees(n, mode)]

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 
 from bcontact import enumeration, region_graph
 from bcontact.enumeration import (
+    _EDGES,
+    _coloring,
     _free_trees,
+    _sphere_trees,
     _tree_edges,
     enum_equicolored_trees,
     enum_torus_classes,
+    enum_tree_rows,
 )
 from bcontact.codes import _TAGS, _min_rotation
 from bcontact.region_graph import (
@@ -422,41 +426,49 @@ class TestSwapByTranslate:
 
 class TestLevelCodes:
     """The enumerators code a tree skeleton from its level sequence: a
-    genus-free one by its bracket reading, one with a genus region by
-    sorting the genus region's code in at each of its ancestors.  The peel
-    over its edges referees every such code."""
+    genus-free one by its bracket reading, carried along the walk
+    (``_sphere_trees``), one with a genus region by sorting the genus
+    region's code in at each of its ancestors.  The peel over its edges
+    referees every such code."""
 
     @staticmethod
-    def check(layout, adj, genus_vertex=None):
+    def check(layout, adj, genus_vertex=None, read=None):
         peeled = codes_of(adj, level_tags(layout, 0, genus_vertex))
-        assert enumeration._codes(layout, None, genus_vertex) == peeled, (
-            layout, genus_vertex
-        )
+        if genus_vertex is None:
+            assert read == peeled, layout
+        else:
+            assert enumeration._codes(layout, None, genus_vertex) == peeled, (
+                layout, genus_vertex
+            )
 
     def test_every_tree_up_to_fourteen_vertices(self, trees_up_to_fourteen):
         # One center or two, the genus region anywhere or nowhere.
+        read = {
+            layout: codes for order in range(1, 15) for layout, codes, _ in _sphere_trees(order)
+        }
         checked = 0
         for layout, adj in trees_up_to_fourteen:
             for genus_vertex in (None, *range(len(layout))):
-                self.check(layout, adj, genus_vertex)
+                self.check(layout, adj, genus_vertex, read.pop(layout, None))
                 checked += 1
+        assert not read
         assert checked == 77_592
 
     def test_every_tree_on_sixteen_vertices(self):
         # The skeletons of the sphere classes on 16 regions, and the rest.
         checked = 0
-        for layout in _free_trees(16):
-            self.check(layout, tree_neighbors(layout))
+        for layout, codes, _ in _sphere_trees(16):
+            self.check(layout, tree_neighbors(layout), None, codes)
             checked += 1
         assert checked == 19_320
 
     def test_every_balanced_tree_on_eighteen_vertices(self):
         # The skeletons of the sphere classes on 18 regions.
         checked = 0
-        for layout in _free_trees(18):
-            if sum(level & 1 for level in layout) == 9:
-                self.check(layout, tree_neighbors(layout))
-                checked += 1
+        for layout, codes, _ in _sphere_trees(18, 9):
+            assert sum(level & 1 for level in layout) == 9
+            self.check(layout, tree_neighbors(layout), None, codes)
+            checked += 1
         assert checked == 30_983
 
     def test_genus_region_breaks_the_bracket_reading(self):
@@ -465,12 +477,39 @@ class TestLevelCodes:
         # vertex 1 the reading would write its "(-1)" before vertex 2's
         # "(-0)", but AHU sorts "(-0)" first: a genus code is sorted in.
         layout = bytes([0, 1, 1])
-        genus_free = enumeration._codes(layout, None, None)[0]
-        assert genus_free == "T(+0(-0)(-0))"
+        [(walked, (genus_free, _), _)] = _sphere_trees(3)
+        assert (walked, genus_free) == (layout, "T(+0(-0)(-0))")
         read = genus_free.replace("(-0", "(-1", 1)
         peeled = codes_of(tree_neighbors(layout), level_tags(layout, 0, 1))
         assert (read, peeled[0]) == ("T(+0(-1)(-0))", "T(+0(-0)(-1))")
         self.check(layout, tree_neighbors(layout), 1)
+
+
+class TestSphereRows:
+    """The sphere rows come from the walk's carried reading and edges."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_rows_and_writer_edges_match_the_peel_and_the_tree(self, modulo_swap):
+        # Up to 16 regions, the rows are the balanced free trees coded by
+        # the peel, one per coloring unless a sign swap maps it to the other.
+        for n in range(1, 9):
+            expected = []
+            for layout in _free_trees(2 * n):
+                if sum(level & 1 for level in layout) != n:
+                    continue
+                codes = codes_of(tree_neighbors(layout), level_tags(layout, 0))
+                for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+                    code = min(codes) if modulo_swap else codes[positive]
+                    expected.append((code, layout, None, _coloring(layout, positive)))
+            expected.sort()
+            assert enum_tree_rows(n, modulo_swap) == expected, n
+        # Up to 18 regions, the edges a listing's writer reads off each row
+        # are its skeleton's, in the order a graph keeps them.
+        for n in range(1, 10):
+            rows = enum_tree_rows(n, modulo_swap, edges=True)
+            assert [row[:4] for row in rows] == enum_tree_rows(n, modulo_swap)
+            for layout, ranks in {row[1]: row[4] for row in rows}.items():
+                assert [_EDGES[rank] for rank in ranks] == sorted(_tree_edges(layout)), layout
 
 
 @st.composite
