@@ -9,7 +9,10 @@ that is not UTF-8 included, and on I/O errors such as a missing file, a
 closed stdin or stdout, or a reader that closes the pipe before the
 output ends.  All machine-readable output is deterministic and
 newline-terminated, and goes to stdout in whole chunks of at least 64
-KiB, whether or not stdout is buffered.
+KiB, whether or not stdout is buffered.  The listings and the table
+hand their lines to those chunks (``_Chunks``, the one buffer) a class
+at a time, so no output is held whole; the torus listing's writer takes
+the slope bound, and each ring's slopes are made once per listing.
 
 Each command imports the layers it calls when it runs, so a call loads
 only those (README lists them): ``tight-count`` and ``cf`` load
@@ -213,15 +216,21 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _write_rows(out, args, rows, slopes=None) -> int:
-    """Write a listing of enumerated rows in ``args.format``, or with
-    ``--count-only`` its length."""
-    if args.count_only:
-        _emit(out, str(len(rows) if slopes is None else sum(map(len, slopes))))
-        return 0
-    from .listings import write_listing
+def _write_rows(out, args, rows, max_p=None) -> int:
+    """Write a listing of enumerated rows in ``args.format``, torus rows
+    at their slopes up to ``max_p``, or with ``--count-only`` its length:
+    a tree is one class, a ring one per slope."""
+    if not args.count_only:
+        from .listings import write_listing
 
-    write_listing(out, rows, args.format, slopes, not args.distinguish_signs)
+        write_listing(out, rows, args.format, max_p, not args.distinguish_signs)
+    elif max_p is None:
+        _emit(out, str(len(rows)))
+    else:
+        from .enumeration import _normalized_slopes
+
+        rings = sum(row[2] is not None for row in rows)
+        _emit(out, str(len(rows) + rings * (len(_normalized_slopes(max_p)) - 1)))
     return 0
 
 
@@ -234,12 +243,11 @@ def _cmd_enum_trees(args, out) -> int:
 
 
 def _cmd_enum_torus(args, out) -> int:
-    from .enumeration import check_torus_request, enum_torus_rows, row_slopes
+    from .enumeration import check_torus_request, enum_torus_rows
 
     check_torus_request(args.max_curves, args.max_slope)
     rows = enum_torus_rows(args.max_curves, not args.distinguish_signs)
-    slopes = [row_slopes(row, args.max_slope) for row in rows]
-    return _write_rows(out, args, rows, slopes)
+    return _write_rows(out, args, rows, args.max_slope)
 
 
 def _cmd_check(args, out) -> int:
@@ -352,18 +360,16 @@ def _cmd_census(args, out) -> int:
 def _cmd_table(args, out) -> int:
     from .classify import table_classes
     from .enumeration import TABLE_ROW_CAP, ResourceLimitError
-    from .formats import render_table_csv, render_table_jsonl
+    from .formats import write_table
     from .surfaces import Surface
 
     manifold = Surface(_MANIFOLDS[args.manifold])
     classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
-    # The table is rendered as one string: its size is checked first.
+    # A refused table writes no byte: its size is checked first.
     rows = sum(len(run[0]) for c in classes for run in c.runs)
     if rows > TABLE_ROW_CAP:
         raise ResourceLimitError(f"table capped at {TABLE_ROW_CAP} rows, got {rows}")
-    # Every rendered line ends in a newline, and the CSV has its header, so
-    # an empty JSON table writes nothing.
-    out.write((render_table_jsonl if args.format == "json" else render_table_csv)(classes))
+    write_table(out, classes, args.format)
     return 0
 
 

@@ -18,19 +18,20 @@ A one-class answer is ``json.dumps`` of ``class_dict``; the writers of a
 class's text, its DOT export and the enumerated listings are in
 ``listings``.
 
-The classification table is rendered from its one form, a list of graph
+The classification table is written from its one form, a list of graph
 classes (``classify.table_classes``), each its code, surface, region and
 curve counts and its slopes in runs sharing regimes, read off the
-generator's rows with no graph built; the renderer checks nothing and
-reads no graph.  A row, in CSV or as a JSON line, is the head (code,
-surface, V, E) and tail (census) strings of its graph class, each
-written once per class, the regime string of its run, written once per
-run, and its slope's text, written once per distinct run of slopes; the
-CSV form leaves an absent slope empty and the JSON form writes
-``null``.  Every value is an ``int`` or an ASCII string of
-``T C ( ) + -`` and digits, ``sphere`` or ``torus``, so nothing needs
-quoting or escaping: the lines are byte-equal to ``csv.writer``'s and to
-``json.dumps`` of the row dict.
+generator's rows with no graph built; the writer (``write_table``)
+checks nothing and reads no graph, and hands its stream one graph
+class's lines at a time, so the table is never held whole.  A row, in
+CSV or as a JSON line, is the head (code, surface, V, E) and tail
+(census) strings of its graph class, each made once per class, the
+regime string of its run, made once per run, and its slope's text, made
+once per distinct run of slopes; the CSV form leaves an absent slope
+empty and the JSON form writes ``null``.  Every value is an ``int`` or
+an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
+so nothing needs quoting or escaping: the lines are byte-equal to
+``csv.writer``'s and to ``json.dumps`` of the row dict.
 
 A parsed class is a ``DividingSetClass`` of a ``RegionGraph``, each
 checked where it is made (graph invariants, then embeddability), so it
@@ -42,6 +43,8 @@ table, which parses nothing and builds no graph, compiles neither.
 """
 
 from __future__ import annotations
+
+import io
 
 # DividingSetClass (surfaces) and TableClass (classify) name types in
 # annotations only, which are never evaluated.
@@ -106,26 +109,27 @@ TABLE_COLUMNS = [
 ]
 
 
-def _render_table(classes: list[TableClass], json_form: bool) -> str:
-    """CSV or JSON table lines in ``TABLE_COLUMNS`` order, one per (graph
-    class, slope), after the CSV header.
+def write_table(out, classes: list[TableClass], form: str) -> None:
+    """Write the classification table of ``classes`` (``table_classes``)
+    to ``out`` as CSV, header first, or as JSON lines (``form`` "json"),
+    one line per (graph class, slope) in ``TABLE_COLUMNS`` order, and
+    each graph class's lines in one write.
 
     The code, shape and census columns depend on the graph class alone,
-    so they are rendered once per class, as a head and a tail string, and
+    so they are written once per class, as a head and a tail string, and
     the regime columns once per run of slopes sharing them.  The slope
     columns are formatted once per distinct run of slopes, and a run's
     rows are its slope texts joined between the head and the regime
     string.  Every class came from the generator, which makes only
     admissible ones, so nothing is checked here.
     """
-    if json_form:
+    if form == "json":
         sep = [f', "{column}": ' for column in TABLE_COLUMNS]
         sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
-        blocks = []
     else:
         sep = [","] * len(TABLE_COLUMNS)
         sep[0], quote, null, end = "", "", "", "\n"
-        blocks = [",".join(TABLE_COLUMNS) + "\n"]
+        out.write(",".join(TABLE_COLUMNS) + "\n")
     q_sep = sep[5]
     # The slope columns of each run of slopes, formatted once and keyed on
     # the run's identity, which ``classes`` keeps alive: the classes of one
@@ -144,6 +148,7 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
             f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
             f"{sep[13]}{census.leaves_dim1}{end}"
         )
+        block = []
         for slopes, t, m, o in c.runs:
             rest = (
                 f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
@@ -153,15 +158,13 @@ def _render_table(classes: list[TableClass], json_form: bool) -> str:
             if texts is None:
                 pairs = ((null, null),) if slopes == (None,) else slopes
                 texts = slope_texts[id(slopes)] = [f"{p}{q_sep}{q}" for p, q in pairs]
-            blocks += (head, (rest + head).join(texts), rest)
-    return "".join(blocks)
+            block += (head, (rest + head).join(texts), rest)
+        out.write("".join(block))
 
 
 def render_table_csv(classes: list[TableClass]) -> str:
-    """The classification table as CSV, header first, from ``table_classes``."""
-    return _render_table(classes, False)
-
-
-def render_table_jsonl(classes: list[TableClass]) -> str:
-    """The classification table as JSON lines, from ``table_classes``."""
-    return _render_table(classes, True)
+    """The classification table as CSV, header first, from ``table_classes``,
+    as one string."""
+    out = io.StringIO()
+    write_table(out, classes, "csv")
+    return out.getvalue()

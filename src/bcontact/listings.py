@@ -7,9 +7,11 @@ written from the generator's rows (``enumeration.Row``), with no graph
 built, in one loop per listing (``write_listing``): each row's text is a
 head made once per coloring and a tail of its edges, of fragments looked
 up in tables indexed by id, sign and genus and by edge rank
-(``_tables``).  A sphere row brings its edges' ranks from the walk and
-goes out with whole other rows; a torus row's tail is made once per
-skeleton, and each torus class's lines go out in one write.  A listing's
+(``_tables``).  A sphere row brings its edges' ranks from the walk, or
+has them read off its level sequence, and goes out with whole other
+rows; a torus row's tail is made once per skeleton, and each torus
+class's lines go out in one write, at every slope up to the listing's
+bound for a ring, whose slopes' ends are made once per listing.  A listing's
 JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
 (of the graph's two fields alone on the sphere) with its default
 separators, because every id, sign, genus and slope is an ``int``: the
@@ -28,7 +30,7 @@ from collections import namedtuple
 from functools import cache
 from operator import getitem
 
-# DividingSetClass (surfaces), Row and Slopes (enumeration) and Callable
+# DividingSetClass (surfaces), Row (enumeration) and Callable
 # name types in annotations only, which are never evaluated.
 
 # The sphere rows in one write: at n = 10, up to 230 KB of JSON.
@@ -92,49 +94,56 @@ def serialize_class_text(d: DividingSetClass) -> str:
 
 
 def write_listing(
-    out, rows: list[Row], form: str, slopes: list[Slopes] | None = None,
-    modulo_swap: bool = False,
+    out, rows: list[Row], form: str, max_p: int | None = None, modulo_swap: bool = False,
 ) -> None:
     """Write a listing of the generator's rows (``enumeration.Row``) to
     ``out`` in ``form``, one class's lines at a time, with no graph built.
 
-    With no ``slopes`` (the sphere listing) each row is its graph's ``v``
+    With no ``max_p`` (the sphere listing) each row is its graph's ``v``
     and ``e`` lines, or one JSON line of its ``vertices`` and ``edges``.
-    With ``slopes`` (the torus listing) each row is its torus class at
-    each of its slopes: ``serialize_class_text`` of each, or
-    ``json.dumps`` of ``formats.class_dict`` of each on a line.  Text
-    blocks are separated by blank lines, and an empty text listing is one
-    newline.  The CSV form is ``size,canonical_code,admissible`` once per
-    slope.
+    With ``max_p`` (the torus listing) each row is its torus class at
+    each of its slopes (``enumeration.row_slopes``):
+    ``serialize_class_text`` of each, or ``json.dumps`` of
+    ``formats.class_dict`` of each on a line.  Text blocks are separated
+    by blank lines, and an empty text listing is one newline.  The CSV
+    form is ``size,canonical_code,admissible`` once per slope.
 
     A row's text is a head, made once per coloring, and a tail, then its
-    slope's end, made once per run of slopes.  A text block's head is the
-    blank line before it, a torus class's surface line and the ``v``
-    lines, and its tail the ``e`` lines; a JSON line's head runs up to
-    its edges, and its tail from them to its slope.  Heads are kept under
-    the coloring's bytes (the 10,079 trees on 16 regions have 1,049
-    colorings).  A sphere row's tail is its edges' fragments by the ranks
-    in its fifth field (``enumeration.enum_tree_rows`` with ``edges``),
-    made for the row and kept by none; ``_BATCH`` rows go out in one
-    write, since a sphere row is one class.  A torus tree's skeleton
-    keeps its tail for all of its genus regions; a ring has at most one
-    row per coloring, so its tail is kept for its other coloring and
-    dropped when that uses it, and not kept at all when the signs are
-    identified.  A torus row is its class at each of its slopes, in one
-    write: a batch of rings would hold whole runs of slopes at once.
+    slope's end: the ends of a tree and of a ring are each made once per
+    listing.  A text block's head is the blank line before it, a torus
+    class's surface line and the ``v`` lines, and its tail the ``e``
+    lines; a JSON line's head runs up to its edges, and its tail from
+    them to its slope.  Heads are made first, one per distinct coloring
+    (the 10,079 trees on 16 regions have 1,049 colorings).  A sphere
+    row's tail is its edges' fragments by the ranks in its fifth field
+    (``enumeration.enum_tree_rows`` with ``edges``), or, in a listing of
+    rows asked for without them, its level sequence's edges, made for the
+    row and kept by none; ``_BATCH`` rows go out in one write, since a
+    sphere row is one class.
+    A torus tree's skeleton keeps its tail for all of its genus regions;
+    a ring has at most one row per coloring, so its tail is kept for its
+    other coloring and dropped when that uses it, and not kept at all
+    when the signs are identified.  A torus row is its class at each of
+    its slopes, in one write: a batch of rings would hold whole runs of
+    slopes at once.
     """
+    from .enumeration import _normalized_slopes
+
+    torus = max_p is not None
+    # A ring's slopes: each one up to the bound on a torus listing, and on
+    # a listing of graphs one class with no slope.
+    ring_slopes = _normalized_slopes(max_p) if torus else (None,)
     if form == "csv":
         out.write("size,canonical_code,admissible\n")
-        for i, row in enumerate(rows):
+        for row in rows:
             # A tree has one edge fewer than vertices, a ring as many.
             line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
-            out.write(line if slopes is None else line * len(slopes[i]))
+            out.write(line if row[2] is None else line * len(ring_slopes))
         return
     json_form = form == "json"
     if not (json_form or rows):
         out.write("\n")
         return
-    torus = slopes is not None
     fragments = _JSON if json_form else _TEXT
     vertex_table, edge_table, skeleton_edges = _tables(fragments)
     join = fragments.separator.join
@@ -145,33 +154,30 @@ def write_listing(
     else:
         opening = "\nsurface torus\n" if torus else "\n"
         middle = closing = ""
-    heads: dict[bytes, str] = {}
+    heads = {c: opening + join(map(getitem, vertex_table, c)) + middle for c in {row[3] for row in rows}}
     # Every text block opens with the blank line that separates it from
     # the one before, which the listing's first block drops.
     skip = 0 if json_form else 1
     if not torus:
+        # The rows of one enumerator call all carry their edges or none do.
+        carried = rows and len(rows[0]) > 4
         # A sphere row is one line or one text block, so whole rows go
         # out together, ``_BATCH`` at a time.
         for start in range(0, len(rows), _BATCH):
             parts = []
             for row in rows[start:start + _BATCH]:
-                coloring = row[3]
-                head = heads.get(coloring)
-                if head is None:
-                    head = heads[coloring] = opening + join(map(getitem, vertex_table, coloring)) + middle
-                parts += head, join(map(edge_table.__getitem__, row[4])), closing
+                edges = (join(map(edge_table.__getitem__, row[4])) if carried
+                         else skeleton_edges(row[1], row[2]))
+                parts += heads[row[3]], edges, closing
             out.write("".join(parts)[skip:])
             skip = 0
         return
     tails: dict[bytes | tuple, str] = {}
-    # Each run of slopes' ends, keyed on the run's identity, which
-    # ``slopes`` keeps alive: the rings of one listing share one run.
-    ends: dict[int, list[str]] = {}
-    for i, row in enumerate(rows):
-        coloring = row[3]
-        head = heads.get(coloring)
-        if head is None:
-            head = heads[coloring] = opening + join(map(getitem, vertex_table, coloring)) + middle
+    # Each class's ends, one before each of its slopes: a tree's one, with
+    # no slope, and a ring's one per slope up to ``max_p``.
+    tree_ends = ["", fragments.slope(None)]
+    ring_ends = ["", *map(fragments.slope, ring_slopes)]
+    for row in rows:
         # A tree's skeleton is its level sequence, which the rows hold, so
         # keying on it makes no key object; a ring's is a pair.
         tree = row[2] is None
@@ -183,12 +189,8 @@ def write_listing(
                 tails[skeleton] = tail
         elif not tree:
             del tails[skeleton]
-        run = slopes[i]
-        run_ends = ends.get(id(run))
-        if run_ends is None:
-            run_ends = ends[id(run)] = ["", *map(fragments.slope, run)]
         # The class at each slope: its head and tail before each end.
-        out.write((head + tail).join(run_ends)[skip:])
+        out.write((heads[row[3]] + tail).join(tree_ends if tree else ring_ends)[skip:])
         skip = 0
 
 

@@ -18,8 +18,6 @@ Each entry of ``digests.json`` holds:
 - ``argv``, and optionally ``gamma`` (stdin) and ``env``;
 - ``sha256`` and ``lines`` (the number of newlines in stdout), or
   ``same_as``, the name of an entry whose output this one must equal;
-- ``tier1``: whether the Tier-1 suite checks it in process (the others
-  are the CI's alone);
 - ``why``: what the output pins, and when it was recorded.
 """
 

@@ -5,7 +5,8 @@ off the Farey graph, with no continued fraction, and must not call
 ``bcontact.counting``, which it referees.
 ``enumerated_records`` and ``table_rows`` referee the classification
 table: the rows of ``classify`` of every enumerated class, built field by
-field, without ``table_classes``.
+field, without ``table_classes``.  ``table_jsonl`` is the table's JSON
+lines, as ``formats.write_table`` writes them, in one string.
 ``all_torus_candidates`` and ``twin_image`` referee the torus generator's
 twin skip: the candidate stream with no candidate skipped, and the
 earlier candidate a twin swap moves a skipped one to.
@@ -39,6 +40,7 @@ from bcontact.enumeration import (
     enum_torus_classes,
     enum_torus_rows,
 )
+from bcontact.formats import write_table
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
 
@@ -215,6 +217,13 @@ def table_rows(records, modulo_swap=False):
             "leaves_1": census.leaves_dim1,
         })
     return rows
+
+
+def table_jsonl(classes):
+    """The table of ``classes`` as JSON lines, in one string."""
+    out = io.StringIO()
+    write_table(out, classes, "json")
+    return out.getvalue()
 
 
 def skeleton_edges(layout, closing):

@@ -17,11 +17,10 @@ from bcontact.classify import classify, leaf_census, table_classes
 from bcontact.cli import run_cli
 from bcontact.counting import catalan, negative_continued_fraction, tight_count_solid_torus
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
-from bcontact.formats import render_table_jsonl
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import enumerated_records, farey_products, table_rows, total_euler
+from helpers import enumerated_records, farey_products, table_jsonl, table_rows, total_euler
 from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
@@ -100,7 +99,7 @@ def test_sphere_classification_fixtures():
         census = leaf_census(S3_S2, record.dividing_set)
         assert (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1) == (2, 2, 1)
         # The table has these records' rows, and no other.
-        text = render_table_jsonl(table_classes(S3_S2, 9))
+        text = table_jsonl(table_classes(S3_S2, 9))
         assert [json.loads(line) for line in text.splitlines()] == table_rows(records)
 
 

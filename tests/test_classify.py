@@ -27,7 +27,7 @@ from bcontact.enumeration import (
     enum_tree_rows,
     row_shape,
 )
-from bcontact.formats import render_table_csv, render_table_jsonl
+from bcontact.formats import render_table_csv
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -39,6 +39,7 @@ from helpers import (
     graph_slopes,
     recorded,
     sphere_class,
+    table_jsonl,
     table_rows,
     torus_cycle,
 )
@@ -153,7 +154,7 @@ class TestLeafCensus:
 def refereed_rows(m, *bounds, modulo_swap=False):
     """The table's rows, parsed from its JSON lines, after checking them
     against the rows of ``classify`` of every enumerated class."""
-    text = render_table_jsonl(table_classes(m, *bounds, modulo_swap=modulo_swap))
+    text = table_jsonl(table_classes(m, *bounds, modulo_swap=modulo_swap))
     rows = [json.loads(line) for line in text.splitlines()]
     records = enumerated_records(m, *bounds, modulo_swap=modulo_swap)
     assert rows == table_rows(records, modulo_swap)
@@ -382,7 +383,7 @@ class TestAdmissibilityOnce:
 
         monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
         assert render_table_csv(classes).count("\n") == 1 + rows
-        assert render_table_jsonl(classes).count("\n") == rows
+        assert table_jsonl(classes).count("\n") == rows
         assert calls == []
 
 

@@ -20,11 +20,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcontact import admissibility, cli, counting, formats, listings
+from bcontact.classify import table_classes
 from bcontact.cli import run_cli
 from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.listings import serialize_class_text
 from bcontact.region_graph import canonical_code
-from bcontact.surfaces import DividingSetClass, Surface
+from bcontact.surfaces import S3_T2, DividingSetClass, Surface
 
 from check_digests import mismatch
 from helpers import (
@@ -263,7 +264,7 @@ class TestListingWrites:
         rows = ENUMERATION_MODULE.enum_torus_rows(5)
         slopes = [ENUMERATION_MODULE.row_slopes(row, 256) for row in rows]
         stream = _ClassesPerWrite(marker)
-        listings.write_listing(stream, rows, fmt, slopes)
+        listings.write_listing(stream, rows, fmt, 256)
         # The five rings at 256: 19,948 classes each.
         assert stream.counts == [len(run) for run in slopes]
         assert max(stream.counts) == 19948
@@ -277,6 +278,48 @@ class TestListingWrites:
         # write ending a line.
         assert [text.count(marker) for text in writes] == [256] * 6 + [206]
         assert all(text.endswith("\n") for text in writes)
+
+
+class TestListingRows:
+    """``write_listing`` writes every enumerator's rows as the CLI does:
+    sphere rows with or without the walk's edges, and torus rows at their
+    slopes up to a bound."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("rows,max_p,argv", [
+        (lambda: ENUMERATION_MODULE.enum_tree_rows(5), None, ["enum-trees", "--n", "5"]),
+        (lambda: ENUMERATION_MODULE.enum_tree_rows(5, edges=True), None,
+         ["enum-trees", "--n", "5"]),
+        (lambda: ENUMERATION_MODULE.enum_torus_rows(7), 3,
+         ["enum-torus", "--max-curves", "7", "--max-slope", "3"]),
+    ], ids=["trees", "trees-edges", "torus"])
+    def test_default_rows_write_the_cli_bytes(self, rows, max_p, argv, fmt):
+        out = io.StringIO()
+        listings.write_listing(out, rows(), fmt, max_p)
+        assert (0, out.getvalue()) == run([*argv, "--format", fmt])
+
+
+class TestTableWrites:
+    """``write_table`` writes the CSV header, then each graph class's rows
+    in one write, so the table is never held whole; the CLI's chunked
+    stream does the batching."""
+
+    @pytest.mark.parametrize("fmt,opening", [("csv", ""), ("json", '{"canonical_code": "')])
+    def test_each_write_is_one_graph_class(self, fmt, opening):
+        classes = table_classes(S3_T2, 5, 256)
+        writes = []
+        formats.write_table(SimpleNamespace(write=writes.append), classes, fmt)
+        if fmt == "csv":
+            assert writes.pop(0) == ",".join(formats.TABLE_COLUMNS) + "\n"
+        assert len(writes) == len(classes)
+        total = sum(len(run[0]) for c in classes for run in c.runs)
+        for text, c in zip(writes, classes):
+            lines = text.splitlines()
+            # Every row of the write is one of the class's, and all of them.
+            assert len(lines) == sum(len(run[0]) for run in c.runs), c.code
+            code = opening + c.code + ("," if fmt == "csv" else '"')
+            assert all(line.startswith(code) for line in lines), c.code
+            assert len(lines) < total
 
 
 class TestListingFragments:
@@ -1218,9 +1261,9 @@ class TestTableArguments:
     def test_row_cap_fires_before_rendering(self, monkeypatch, capsys):
         # 14,782,862 rows, within the curve and slope caps.
         def never(*args, **kwargs):
-            raise AssertionError("the table was rendered before the row cap check")
+            raise AssertionError("the table was written before the row cap check")
 
-        monkeypatch.setattr(formats, "_render_table", never)
+        monkeypatch.setattr(formats, "write_table", never)
         argv = ["table", "--manifold", "s3-t2", "--max-curves", "10", "--max-slope", "256"]
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 14782862\n"

@@ -26,10 +26,6 @@ class TestFile:
         for entry in entries:
             assert ("same_as" in entry) != ({"sha256", "lines"} <= entry.keys()), entry["name"]
 
-    def test_tier1_entries_are_named_by_the_test_that_runs_them(self):
-        for entry in DIGESTS:
-            assert entry["tier1"] == entry["name"].startswith("tests/"), entry["name"]
-
 
 def test_the_benchmark_pins_entries_of_this_file(monkeypatch):
     # perfbench keeps its own reference; it must be the file's.

@@ -11,14 +11,12 @@ from bcontact.enumeration import (
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
-    row_slopes,
 )
 from bcontact.formats import (
     ParseError,
     class_dict,
     parse_dividing_set,
     render_table_csv,
-    render_table_jsonl,
     TABLE_COLUMNS,
 )
 from bcontact.listings import export_dot, serialize_class_text, write_listing
@@ -33,6 +31,7 @@ from helpers import (
     graph_text_reference,
     long_ring,
     record_json_reference,
+    table_jsonl,
     table_rows,
 )
 
@@ -259,7 +258,6 @@ class TestJsonRenderers:
         # A torus listing writes each graph class's fields once for all of
         # its slopes; its lines are still those of the classes one by one.
         rows = enum_torus_rows(7, modulo_swap)
-        slopes = [row_slopes(row, 4) for row in rows]
         classes = enum_torus_classes(7, 4, modulo_swap)
         expected = {
             "json": "".join(json.dumps(class_dict(d)) + "\n" for d in classes),
@@ -267,7 +265,7 @@ class TestJsonRenderers:
         }
         for form, listing in expected.items():
             out = io.StringIO()
-            write_listing(out, rows, form, slopes, modulo_swap)
+            write_listing(out, rows, form, 4, modulo_swap)
             assert out.getvalue() == listing
 
     def test_classification_records(self, tmp_path):
@@ -319,7 +317,7 @@ class TestTables:
 
     def test_jsonl_rows_parse_and_match_csv_order(self):
         records = enumerated_records(S3_T2, 4, 2)
-        text = render_table_jsonl(table_classes(S3_T2, 4, 2))
+        text = table_jsonl(table_classes(S3_T2, 4, 2))
         rows = [json.loads(line) for line in text.splitlines()]
         assert len(rows) == len(records)
         for row, record in zip(rows, records):
@@ -351,7 +349,7 @@ class TestTables:
         ]
         assert any(len(slopes) > 1 for slopes in counted.values())
         assert render_table_csv(hand_built) == render_table_csv(classes)
-        assert render_table_jsonl(hand_built) == render_table_jsonl(classes)
+        assert table_jsonl(hand_built) == table_jsonl(classes)
         assert CountedSlopes.hashes == 0
 
 
@@ -381,7 +379,7 @@ class TestTableRowsFieldByField:
     def test_jsonl(self, manifold, max_curves, max_p, modulo_swap):
         bounds = (max_curves,) if max_p is None else (max_curves, max_p)
         records = enumerated_records(manifold, *bounds, modulo_swap=modulo_swap)
-        text = render_table_jsonl(table_classes(manifold, *bounds, modulo_swap=modulo_swap))
+        text = table_jsonl(table_classes(manifold, *bounds, modulo_swap=modulo_swap))
         assert text == "".join(
             json.dumps(row) + "\n" for row in table_rows(records, modulo_swap)
         )
