@@ -116,13 +116,15 @@ def _parse_json(text: str) -> DividingSetClass:
     _reject_unknown_keys(data, _CLASS_KEYS, "class")
     try:
         surface = _json_surface(data["surface"])
-        vertices = tuple(_json_vertex(v) for v in data["vertices"])
-        edges = tuple(_json_pair(e, "edge") for e in data["edges"])
+        vertices = tuple(_json_vertex(v) for v in _json_list(data["vertices"], "vertices"))
+        edges = tuple(_json_pair(e, "edge") for e in _json_list(data["edges"], "edges"))
         raw_slope = data.get("slope")
         slope = None if raw_slope is None else _json_pair(raw_slope, "slope")
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ParseError(f"malformed JSON class: missing key {exc}") from None
+    except ValueError as exc:
         raise ParseError(f"malformed JSON class: {exc}") from None
     return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
 
@@ -155,8 +157,9 @@ def _json_surface(value) -> Surface:
 
 
 def _json_vertex(v) -> tuple[int, int, int]:
-    if isinstance(v, dict):
-        _reject_unknown_keys(v, _VERTEX_KEYS, "vertex")
+    if not isinstance(v, dict):
+        raise ValueError(f"vertex must be an object, got {_json_echo(v)}")
+    _reject_unknown_keys(v, _VERTEX_KEYS, "vertex")
     return (
         _json_int(v["id"], "vertex id"),
         _json_int(v["sign"], "sign"),
@@ -164,19 +167,26 @@ def _json_vertex(v) -> tuple[int, int, int]:
     )
 
 
+def _json_echo(value) -> str:
+    import json
+
+    return _echo(json.dumps(value))
+
+
 def _json_int(value, what: str) -> int:
     # bool is an int subclass, but true/false is not a number.
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    import json
+    raise ValueError(f"{what} must be an integer, got {_json_echo(value)}")
 
-    raise ValueError(f"{what} must be an integer, got {_echo(json.dumps(value))}")
+
+def _json_list(value, what: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{what} must be a list, got {_json_echo(value)}")
 
 
 def _json_pair(value, what: str) -> tuple[int, int]:
     if not isinstance(value, list) or len(value) != 2:
-        import json
-
-        got = _echo(json.dumps(value))
-        raise ValueError(f"{what} must be a list of two integers, got {got}")
+        raise ValueError(f"{what} must be a list of two integers, got {_json_echo(value)}")
     return _json_int(value[0], what), _json_int(value[1], what)

@@ -174,9 +174,10 @@ class TestListingsMatchLibrary:
         for n in range(1, 8):
             graphs = enum_equicolored_trees(n, modulo_swap)
             args = ["enum-trees", "--n", str(n), *sign_mode]
-            assert run([*args, "--format", fmt]) == (
-                0, referee_listing(graphs, fmt, modulo_swap)
-            ), n
+            listing = (0, referee_listing(graphs, fmt, modulo_swap))
+            assert run([*args, "--format", fmt]) == listing, n
+            if fmt == "text":
+                assert run(args) == listing, n
             assert run([*args, "--count-only"]) == (0, f"{len(graphs)}\n")
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
@@ -570,15 +571,15 @@ class TestArgvReader:
             assert read(argv) == reference_namespace(argv)
 
     def test_reads_every_recorded_command(self, tmp_path, monkeypatch):
-        # The benchmark's listings and table are entries of digests.json
-        # (tests/test_digests.py); its queries are made from a seed.
+        # The benchmark's queries, made from a seed.  Its listings and table
+        # are entries of digests.json (tests/test_digests.py), which
+        # test_ci_spellings_read_as_spelled_out reads.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         queries = importlib.import_module("queries")
-        argvs = RECORDED_ARGVS + [query.argv for query in queries.make_queries(1, 1, tmp_path)]
-        for argv in argvs:
-            args = read(argv)
-            assert args is not None, argv
-            assert args == reference_namespace(argv), argv
+        for query in queries.make_queries(1, 1, tmp_path):
+            args = read(query.argv)
+            assert args is not None, query.argv
+            assert args == reference_namespace(query.argv), query.argv
 
     def test_ci_spellings_read_as_spelled_out(self):
         # An abbreviated flag or a --flag=value reads as the spelled-out
@@ -603,14 +604,17 @@ class TestArithmeticCommands:
         # N(8000, -3, 2) has 4,815 digits, past the 4,300 that CPython's str
         # takes by default; the limit is lifted for the count alone.
         limit = sys.get_int_max_str_digits()
-        status, output = run(["tight-count", "--n", "8000", "--p", "3", "--q", "2",
-                              "--format", fmt])
+        argv = ["tight-count", "--n", "8000", "--p", "3", "--q", "2"]
+        status, output = run([*argv, "--format", fmt])
         assert status == 0 and sys.get_int_max_str_digits() == limit
         if fmt == "json":
             head, _, output = output.partition('"count": ')
             assert head == '{"n": 8000, "p": 3, "q": 2, "r": 2, "s": 1, '
         digits = output.partition(",")[0].strip()
         assert len(digits) == 4815 and digits.isdigit()
+        if fmt == "text":
+            # One line, the same with the format left to its default.
+            assert output == digits + "\n" and run(argv) == (0, output)
         sys.set_int_max_str_digits(0)
         try:
             assert int(digits) == counting.tight_count_solid_torus(8000, 3, 2).count
@@ -769,10 +773,14 @@ class TestGammaCommands:
         status, _ = run(["check", "--gamma", gamma_file(tmp_path, BAD_SYNTAX)])
         assert status == 2
 
-    def test_invalid_graph_exits_one(self, tmp_path):
+    def test_invalid_graph_exits_one(self, tmp_path, monkeypatch, capsys):
         bad = "surface sphere\nv 0 + 0\nv 1 + 0\ne 0 1\n"
-        status, _ = run(["check", "--gamma", gamma_file(tmp_path, bad)])
-        assert status == 1
+        set_stdin(monkeypatch, bad)
+        for gamma in (gamma_file(tmp_path, bad), "-"):
+            assert run(["check", "--gamma", gamma]) == (1, "")
+            assert capsys.readouterr().err == (
+                "error: improper coloring: edge (0,1) joins two like-signed regions\n"
+            )
 
     def test_missing_file_exits_two(self, tmp_path):
         status, _ = run(["check", "--gamma", str(tmp_path / "absent.txt")])
@@ -843,7 +851,7 @@ class TestGammaCommands:
             expected = f"error: line 2: expected an integer vertex id (token {big[:40]!r}...)\n"
         else:
             vertex = f'{{"id": {big}, "sign": 1}}'
-            text = f'{{"surface": "sphere", "vertices": [{vertex}], "edges": []}}'
+            text = f'{{"surface": "sphere", "vertices": [{vertex}], "edges": []}}\n'
             expected = "error: input: JSON integer has too many digits\n"
         if source == "stdin":
             set_stdin(monkeypatch, text)
@@ -855,17 +863,19 @@ class TestGammaCommands:
 
     @pytest.mark.parametrize("source", ["file", "stdin"])
     def test_input_that_is_not_utf8_exits_two(self, tmp_path, monkeypatch, capsys, source):
-        data = EQUATOR.encode() + b"\xff\xfe\n"
-        if source == "stdin":
-            set_stdin(monkeypatch, data)
-            gamma = "-"
-        else:
-            path = tmp_path / "gamma.txt"
-            path.write_bytes(data)
-            gamma = str(path)
-        status, output = run(["check", "--gamma", gamma])
-        assert status == 2 and output == ""
-        assert capsys.readouterr().err == "error: input: not valid UTF-8 (invalid start byte)\n"
+        for data in (EQUATOR.encode() + b"\xff\xfe\n", b"surface sphere\nv 0 + 0\n\xff\xfe\n"):
+            if source == "stdin":
+                set_stdin(monkeypatch, data)
+                gamma = "-"
+            else:
+                path = tmp_path / "gamma.txt"
+                path.write_bytes(data)
+                gamma = str(path)
+            status, output = run(["check", "--gamma", gamma])
+            assert status == 2 and output == ""
+            assert capsys.readouterr().err == (
+                "error: input: not valid UTF-8 (invalid start byte)\n"
+            )
 
     @pytest.mark.parametrize("errors", ["surrogateescape", "replace"])
     def test_stdin_is_decoded_strictly_whatever_its_text_layer(
@@ -1157,6 +1167,40 @@ class TestStrictJsonInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"surface": "sphere", "vertices": 5, "edges": []}', "vertices must be a list, got 5"),
+            ('{"surface": "sphere", "vertices": [], "edges": 7}', "edges must be a list, got 7"),
+            ('{"surface": "sphere", "vertices": {"a": 1}, "edges": []}',
+             'vertices must be a list, got {"a": 1}'),
+            (f'{{"surface": "sphere", "vertices": "{"x" * 100}", "edges": []}}',
+             f'vertices must be a list, got "{"x" * 39}...'),
+            ('{"surface": "sphere", "vertices": ["x"], "edges": []}',
+             'vertex must be an object, got "x"'),
+            ('{"surface": "sphere", "vertices": [[0, 1, 0]], "edges": []}',
+             "vertex must be an object, got [0, 1, 0]"),
+            ('{"surface": "sphere", "vertices": [null], "edges": []}',
+             "vertex must be an object, got null"),
+            ('{"vertices": [], "edges": []}', "missing key 'surface'"),
+            ('{"surface": "sphere", "edges": []}', "missing key 'vertices'"),
+            ('{"surface": "sphere", "vertices": []}', "missing key 'edges'"),
+            ('{"surface": "sphere", "vertices": [{"sign": 1}], "edges": []}', "missing key 'id'"),
+            ('{"surface": "sphere", "vertices": [{"id": 0}], "edges": []}', "missing key 'sign'"),
+        ],
+        ids=["vertices-int", "edges-int", "vertices-object", "vertices-long-string",
+             "vertex-string", "vertex-list", "vertex-null", "no-surface", "no-vertices",
+             "no-edges", "no-id", "no-sign"],
+    )
+    def test_wrong_shape_names_the_field(self, monkeypatch, capsys, text, message):
+        # Not Python's exception text, such as "'int' object is not iterable".
+        set_stdin(monkeypatch, text)
+        assert run(["check", "--gamma", "-"]) == (2, "")
+        err = capsys.readouterr().err
+        assert err == f"error: input: malformed JSON class: {message}\n"
+        for phrase in ("object is not", "indices must", "subscriptable"):
+            assert phrase not in err
+
 
 class TestDeepJson:
     def test_deep_nesting_is_a_parse_error(self, monkeypatch, capsys):
@@ -1373,10 +1417,14 @@ class TestExitPath:
     @pytest.mark.parametrize(
         "argv,status,stdout,diagnostics",
         [
-            (["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, "40\n", 0),
-            (["tight-count", "--n", "0", "--p", "1", "--q", "1"], 1, "", 1),
+            (["tight-count", "--n", "3", "--p", "5", "--q", "2"], 0, "40\n", []),
+            (["tight-count", "--n", "0", "--p", "1", "--q", "1"], 1, "",
+             ["error: the boundary carries 2n curves with n >= 1"]),
             # The usage line, then the error.
-            (["tight-count", "--n", "1"], 2, "", 2),
+            (["tight-count", "--n", "1"], 2, "", [
+                "usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]",
+                "bcontact tight-count: error: the following arguments are required: --p, --q",
+            ]),
         ],
         ids=["answer", "domain-error", "usage-error"],
     )
@@ -1386,8 +1434,7 @@ class TestExitPath:
         )
         assert (proc.returncode, proc.stdout) == (status, stdout)
         *lines, probe = proc.stderr.splitlines()
-        assert len(lines) == diagnostics
-        assert not lines or "error: " in lines[-1]
+        assert lines == diagnostics
         assert probe.startswith("frozen ") and int(probe.split()[1]) > 0
 
     def test_run_cli_leaves_the_collector_alone(self):
@@ -1663,6 +1710,8 @@ class TestImportFootprint:
                 pytest.param(*p.values, LISTING, id=p.id)
                 for p in LISTINGS
             ),
+            pytest.param(["enum-trees", "--n", "6", "--format", "json"], LISTING,
+                         id="enum-trees-6-json"),
             *(pytest.param(*p.values, TABLING, id=p.id) for p in TABLES),
         ],
     )
@@ -1699,6 +1748,7 @@ class TestImportFootprint:
             pytest.param(["classify", "--gamma", "GAMMA", "--format", "json"], 0, id="classify"),
             pytest.param(["enum-trees", "--n", "3", "--count-only", "--no-distinguish-signs"], 0,
                          id="enum-trees"),
+            pytest.param(["enum-trees", "--n", "6", "--format", "json"], 0, id="listing"),
             pytest.param(["table", "--manifold", "s3-t2", "--max-c", "4", "--max-slope=2"], 0,
                          id="table"),
             pytest.param(["--help"], 0, id="program-help"),
