@@ -35,7 +35,10 @@ admissible classes, and keeps the class's slopes in runs sharing (tight,
 mixed, fully overtwisted) regimes.  Classes whose regimes take no slope
 share one run per shape.  The products (r, s) of each slope's expansion
 are taken once per table, and a bare cycle's count at each slope comes
-from them (``counting.solid_torus_count``).
+from them (``counting.solid_torus_count``).  A table's size
+(``table_rows``) comes from the enumerator's recorded class counts, so
+a table too large to write is refused before any class is listed; one
+check (``_table_request``) refuses a request out of range for both.
 """
 
 from __future__ import annotations
@@ -170,6 +173,43 @@ class TableClass(
         return _census(self.vertex_count, self.edge_count)
 
 
+def _table_request(m: Surface, max_curves: int, max_p: int) -> Surface:
+    """The surface of a table of ``max_curves`` curves and slopes up to
+    ``max_p`` on ``m``, or the request's refusal, before any work."""
+    from .enumeration import TREE_CAP, ResourceLimitError, _check_ints, check_torus_request
+
+    m = Surface(m)
+    if m is Surface.TORUS:
+        check_torus_request(max_curves, max_p)
+        return m
+    _check_ints(max_curves=max_curves, max_p=max_p)
+    if max_curves < 1 or max_p < 1:
+        raise ValueError("max_curves and max_p must be >= 1")
+    # Equicolored trees on 2n regions have 2n - 1 curves, so the cap on n
+    # admits up to 2 * TREE_CAP curves.
+    if max_curves > 2 * TREE_CAP:
+        raise ResourceLimitError(
+            f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
+        )
+    return m
+
+
+def table_rows(m: Surface, max_curves: int, max_p: int = 1, modulo_swap: bool = False) -> int:
+    """The number of rows of ``table_classes`` of the same request, one
+    per class and slope, from the recorded class counts, with no class
+    enumerated: on the torus its trees and its rings at each normalized
+    slope up to ``max_p``, on the sphere its trees up to n =
+    (``max_curves`` + 1) // 2."""
+    from .enumeration import _SPHERE_CLASSES, _TORUS_RINGS, _TORUS_TREES, _normalized_slopes
+
+    if _table_request(m, max_curves, max_p) is Surface.SPHERE:
+        return sum(_SPHERE_CLASSES[modulo_swap][:(max_curves + 1) // 2])
+    # Every torus class has an even number of curves.
+    sizes = max_curves // 2
+    trees = sum(_TORUS_TREES[modulo_swap][:sizes])
+    return trees + sum(_TORUS_RINGS[modulo_swap][:sizes]) * len(_normalized_slopes(max_p))
+
+
 def table_classes(
     m: Surface,
     max_curves: int,
@@ -186,31 +226,12 @@ def table_classes(
     (``row_shape``), and a bare cycle's counts come from each slope's
     expansion products, taken once per table.
     """
-    from .enumeration import (
-        TREE_CAP,
-        ResourceLimitError,
-        _check_ints,
-        check_torus_request,
-        enum_torus_rows,
-        enum_tree_rows,
-        row_shape,
-        row_slopes,
-    )
+    from .enumeration import enum_torus_rows, enum_tree_rows, row_shape, row_slopes
 
-    m = Surface(m)
+    m = _table_request(m, max_curves, max_p)
     if m is Surface.TORUS:
-        check_torus_request(max_curves, max_p)
         rows = enum_torus_rows(max_curves, modulo_swap)
     else:
-        _check_ints(max_curves=max_curves, max_p=max_p)
-        if max_curves < 1 or max_p < 1:
-            raise ValueError("max_curves and max_p must be >= 1")
-        # Equicolored trees on 2n regions have 2n - 1 curves, so the cap
-        # on n admits up to 2 * TREE_CAP curves.
-        if max_curves > 2 * TREE_CAP:
-            raise ResourceLimitError(
-                f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
-            )
         rows = [
             row
             for n in range(1, (max_curves + 1) // 2 + 1)

@@ -217,20 +217,12 @@ def _emit(out, text: str) -> None:
 
 
 def _write_rows(out, args, rows, max_p=None) -> int:
-    """Write a listing of enumerated rows in ``args.format``, torus rows
-    at their slopes up to ``max_p``, or with ``--count-only`` its length:
-    a tree is one class, a ring one per slope."""
-    if not args.count_only:
-        from .listings import write_listing
+    """Write a listing of enumerated rows, torus rows at their slopes up
+    to ``max_p``: in ``args.format``, or with ``--count-only`` its size."""
+    from .listings import write_listing
 
-        write_listing(out, rows, args.format, max_p, not args.distinguish_signs)
-    elif max_p is None:
-        _emit(out, str(len(rows)))
-    else:
-        from .enumeration import _normalized_slopes
-
-        rings = sum(row[2] is not None for row in rows)
-        _emit(out, str(len(rows) + rings * (len(_normalized_slopes(max_p)) - 1)))
+    form = "count" if args.count_only else args.format
+    write_listing(out, rows, form, max_p, not args.distinguish_signs)
     return 0
 
 
@@ -358,18 +350,19 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    from .classify import table_classes
+    from .classify import table_classes, table_rows
     from .enumeration import TABLE_ROW_CAP, ResourceLimitError
     from .formats import write_table
     from .surfaces import Surface
 
-    manifold = Surface(_MANIFOLDS[args.manifold])
-    classes = table_classes(manifold, args.max_curves, args.max_slope, not args.distinguish_signs)
-    # A refused table writes no byte: its size is checked first.
-    rows = sum(len(run[0]) for c in classes for run in c.runs)
+    request = Surface(_MANIFOLDS[args.manifold]), args.max_curves, args.max_slope
+    modulo_swap = not args.distinguish_signs
+    # A refused table lists no class and writes no byte: its size is
+    # counted first, from the recorded class counts.
+    rows = table_rows(*request, modulo_swap)
     if rows > TABLE_ROW_CAP:
         raise ResourceLimitError(f"table capped at {TABLE_ROW_CAP} rows, got {rows}")
-    write_table(out, classes, args.format)
+    write_table(out, table_classes(*request, modulo_swap), args.format)
     return 0
 
 

@@ -115,6 +115,24 @@ SLOPE_CAP = 256
 # 2,493,742.
 TABLE_ROW_CAP = 4_000_000
 
+# The classes the enumerators list up to their caps, by sign mode
+# (``modulo_swap``): sphere classes for n = 1..TREE_CAP, and genus-1 torus
+# trees and rings for 2, 4, ..., CURVE_CAP curves, as the Polya-Otter
+# series count them (``tests/polya.py``, which the test suite reruns).  A
+# table's size comes from them before any class is listed.
+_SPHERE_CLASSES = {
+    False: (1, 1, 4, 14, 65, 316, 1742, 10079, 61680, 391473),
+    True: (1, 1, 3, 9, 37, 168, 895, 5097, 30983, 196096),
+}
+_TORUS_TREES = {
+    False: (2, 8, 36, 196, 1152, 7280, 48032, 328400),
+    True: (1, 4, 18, 98, 576, 3640, 24016, 164200),
+}
+_TORUS_RINGS = {
+    False: (1, 4, 18, 102, 616, 4034, 27459, 193761),
+    True: (1, 3, 11, 56, 320, 2049, 13814, 97112),
+}
+
 
 # The slopes of one torus graph class in order: ``(None,)`` for a tree,
 # whose curves are all contractible.

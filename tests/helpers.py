@@ -3,7 +3,7 @@
 ``farey_products`` reads the products r and s of the solid-torus count
 off the Farey graph, with no continued fraction, and must not call
 ``bcontact.counting``, which it referees.
-``enumerated_records`` and ``table_rows`` referee the classification
+``enumerated_records`` and ``record_rows`` referee the classification
 table: the rows of ``classify`` of every enumerated class, built field by
 field, without ``table_classes``.  ``table_jsonl`` is the table's JSON
 lines, as ``formats.write_table`` writes them, in one string.
@@ -194,7 +194,7 @@ def enumerated_records(m, max_curves, max_p=1, modulo_swap=False):
     return [classify(m, d) for d in classes]
 
 
-def table_rows(records, modulo_swap=False):
+def record_rows(records, modulo_swap=False):
     """Table rows built field by field from each record, as dicts."""
     rows = []
     for record in records:

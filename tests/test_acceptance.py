@@ -20,7 +20,7 @@ from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import enumerated_records, farey_products, table_jsonl, table_rows, total_euler
+from helpers import enumerated_records, farey_products, record_rows, table_jsonl, total_euler
 from oracle import oracle_count_trees
 
 PUBLISHED_TREE_COUNTS = [1, 1, 4, 14, 65]
@@ -100,7 +100,7 @@ def test_sphere_classification_fixtures():
         assert (census.leaves_dim3, census.leaves_dim2, census.leaves_dim1) == (2, 2, 1)
         # The table has these records' rows, and no other.
         text = table_jsonl(table_classes(S3_S2, 9))
-        assert [json.loads(line) for line in text.splitlines()] == table_rows(records)
+        assert [json.loads(line) for line in text.splitlines()] == record_rows(records)
 
 
 def test_torus_fixture_two_implementations():

@@ -16,6 +16,7 @@ from bcontact.classify import (
     classify,
     leaf_census,
     table_classes,
+    table_rows,
 )
 from bcontact.cli import run_cli
 from bcontact.counting import expansion_products, solid_torus_count, tight_count_solid_torus
@@ -37,10 +38,10 @@ from helpers import (
     enumerated_records,
     farey_products,
     graph_slopes,
+    record_rows,
     recorded,
     sphere_class,
     table_jsonl,
-    table_rows,
     torus_cycle,
 )
 
@@ -157,7 +158,7 @@ def refereed_rows(m, *bounds, modulo_swap=False):
     text = table_jsonl(table_classes(m, *bounds, modulo_swap=modulo_swap))
     rows = [json.loads(line) for line in text.splitlines()]
     records = enumerated_records(m, *bounds, modulo_swap=modulo_swap)
-    assert rows == table_rows(records, modulo_swap)
+    assert rows == record_rows(records, modulo_swap)
     return rows
 
 
@@ -387,6 +388,23 @@ class TestAdmissibilityOnce:
         assert calls == []
 
 
+class TestTableSize:
+    """``table_rows`` counts a table from the recorded class counts; the
+    enumerated table referees it."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    @pytest.mark.parametrize(
+        "manifold,max_curves,max_p",
+        [(S3_T2, 4, 3), (S3_T2, 8, 16), (S3_S2, 7, 1), (S3_S2, 9, 1), (S3_S2, 15, 1)],
+        ids=["s3-t2-4-3", "s3-t2-8-16", "s3-s2-7", "s3-s2-9", "s3-s2-15"],
+    )
+    def test_rows_are_the_table_runs(self, manifold, max_curves, max_p, modulo_swap):
+        # 30 rows at 4/3; 10,242 at 8/16, or 5,801 with the swap identified.
+        classes = table_classes(manifold, max_curves, max_p, modulo_swap)
+        rows = sum(len(run[0]) for c in classes for run in c.runs)
+        assert table_rows(manifold, max_curves, max_p, modulo_swap) == rows
+
+
 class TestTableArguments:
     @pytest.mark.parametrize("max_curves,max_p", [(0, 2), (4, 0), (4, -3)])
     def test_out_of_range_bounds_are_rejected(self, max_curves, max_p):
@@ -402,3 +420,23 @@ class TestTableArguments:
         monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
         with pytest.raises(ResourceLimitError):
             table_classes(S3_S2, 30)
+
+    @pytest.mark.parametrize(
+        "manifold,request_,message",
+        [
+            (S3_S2, (0, 2), "max_curves and max_p must be >= 1"),
+            (S3_T2, (4, 0), "max_curves and max_p must be >= 1"),
+            (S3_S2, (21, 1), "sphere table capped at --max-curves 20, got 21"),
+            (S3_S2, (4.0, 1), "max_curves=4.0 is not an integer"),
+            (S3_T2, (17, 1), "torus enumeration capped at 16 curves, got 17"),
+            (S3_T2, (4, 257), "slope bound capped at 256, got 257"),
+            (S3_T2, (4, True), "max_p=True is not an integer"),
+        ],
+        ids=["sphere-range", "torus-range", "sphere-curve-cap", "sphere-float",
+             "torus-curve-cap", "slope-cap", "torus-bool"],
+    )
+    def test_size_and_table_refuse_a_request_alike(self, manifold, request_, message):
+        for table in (table_classes, table_rows):
+            with pytest.raises(ValueError) as refusal:
+                table(manifold, *request_)
+            assert str(refusal.value) == message

@@ -195,6 +195,19 @@ class TestListingsMatchLibrary:
             classes = enum_torus_classes(max_curves, max_p, modulo_swap)
             assert run([*args, "--count-only"]) == (0, f"{len(classes)}\n")
 
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_count_is_the_json_listings_length(self, modulo_swap):
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        listings = [["enum-trees", "--n", str(n)] for n in range(1, 8)] + [
+            ["enum-torus", "--max-curves", str(max_curves), "--max-slope", str(max_p)]
+            for max_curves in (1, 4, 9) for max_p in (1, 3)
+        ]
+        for args in listings:
+            status, listing = run([*args, *sign_mode, "--format", "json"])
+            lines = listing.count("\n")
+            assert status == 0
+            assert run([*args, *sign_mode, "--count-only"]) == (0, f"{lines}\n"), args
+
 
 class TestListingLinesMatchClassWriters:
     """A listing's line, or text block, per class is a head per coloring
@@ -1311,6 +1324,16 @@ class TestTableArguments:
         argv = ["table", "--manifold", "s3-t2", "--max-curves", "10", "--max-slope", "256"]
         assert run(argv) == (1, "")
         assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 14782862\n"
+
+    def test_row_cap_refuses_before_enumerating(self, monkeypatch, capsys):
+        # 4,508,533,366 rows, counted from the recorded class counts.
+        def never(*args, **kwargs):
+            raise AssertionError("enumeration ran before the row cap check")
+
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_torus_rows", never)
+        argv = ["table", "--manifold", "s3-t2", "--max-curves", "16", "--max-slope", "256"]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 4508533366\n"
 
     @pytest.mark.parametrize("spare,status", [(0, 0), (-1, 1)], ids=["at-cap", "one-over"])
     def test_row_cap_counts_rows_exactly(self, monkeypatch, capsys, spare, status):

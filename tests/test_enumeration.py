@@ -6,6 +6,11 @@ from bcontact import enumeration, region_graph
 from bcontact.admissibility import euler_pairing, is_admissible
 from bcontact.classify import table_classes
 from bcontact.enumeration import (
+    CURVE_CAP,
+    TREE_CAP,
+    _SPHERE_CLASSES,
+    _TORUS_RINGS,
+    _TORUS_TREES,
     ResourceLimitError,
     _coloring,
     _free_trees,
@@ -193,6 +198,16 @@ class TestTorusClasses:
                 g = d.graph
                 (cycles if g.edge_count == g.vertex_count else trees)[g.edge_count - 1] += 1
             assert (trees, cycles) == torus_counts(10, mode)
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_recorded_counts_are_the_polya_counts(self, modulo_swap):
+        # The counts a table's size is taken from, up to the caps.
+        trees, rings = torus_counts(CURVE_CAP, modulo_swap)
+        assert list(_SPHERE_CLASSES[modulo_swap]) == sphere_counts(TREE_CAP, modulo_swap)
+        assert list(_TORUS_TREES[modulo_swap]) == trees[1::2]
+        assert list(_TORUS_RINGS[modulo_swap]) == rings[1::2]
+        # A torus class has an even number of curves.
+        assert not any(trees[::2] + rings[::2])
 
     def test_resource_guards(self):
         with pytest.raises(ResourceLimitError):

@@ -31,8 +31,8 @@ from helpers import (
     graph_text_reference,
     long_ring,
     record_json_reference,
+    record_rows,
     table_jsonl,
-    table_rows,
 )
 
 EQUATOR = "surface sphere\nv 0 + 0\nv 1 - 0\ne 0 1\n"
@@ -371,7 +371,7 @@ class TestTableRowsFieldByField:
         assert lines[0] == ",".join(TABLE_COLUMNS)
         expected = [
             ",".join("" if row[c] is None else str(row[c]) for c in TABLE_COLUMNS)
-            for row in table_rows(records, modulo_swap)
+            for row in record_rows(records, modulo_swap)
         ]
         assert lines[1:] == expected
 
@@ -381,5 +381,5 @@ class TestTableRowsFieldByField:
         records = enumerated_records(manifold, *bounds, modulo_swap=modulo_swap)
         text = table_jsonl(table_classes(manifold, *bounds, modulo_swap=modulo_swap))
         assert text == "".join(
-            json.dumps(row) + "\n" for row in table_rows(records, modulo_swap)
+            json.dumps(row) + "\n" for row in record_rows(records, modulo_swap)
         )
