@@ -36,9 +36,11 @@ mixed, fully overtwisted) regimes.  Classes whose regimes take no slope
 share one run per shape.  The products (r, s) of each slope's expansion
 are taken once per table, and a bare cycle's count at each slope comes
 from them (``counting.solid_torus_count``).  A table's size
-(``table_rows``) comes from the enumerator's recorded class counts, so
-a table too large to write is refused before any class is listed; one
-check (``_table_request``) refuses a request out of range for both.
+(``table_rows``) is the enumerator's (``enumeration.tree_count``,
+``torus_count``), read off the recorded class counts, so a table too
+large to write is refused before any class is listed; one check
+(``_table_request``, on the torus the enumerator's) refuses a request
+out of range for both, once.
 """
 
 from __future__ import annotations
@@ -196,18 +198,18 @@ def _table_request(m: Surface, max_curves: int, max_p: int) -> Surface:
 
 def table_rows(m: Surface, max_curves: int, max_p: int = 1, modulo_swap: bool = False) -> int:
     """The number of rows of ``table_classes`` of the same request, one
-    per class and slope, from the recorded class counts, with no class
-    enumerated: on the torus its trees and its rings at each normalized
-    slope up to ``max_p``, on the sphere its trees up to n =
-    (``max_curves`` + 1) // 2."""
-    from .enumeration import _SPHERE_CLASSES, _TORUS_RINGS, _TORUS_TREES, _normalized_slopes
+    per class and slope, from the enumerator's sizes, with no class
+    enumerated: on the torus the listing's (``torus_count``), on the
+    sphere those of the trees up to n = (``max_curves`` + 1) // 2
+    (``tree_count``).  The request is refused as ``table_classes``
+    refuses it."""
+    from .enumeration import torus_count, tree_count
 
-    if _table_request(m, max_curves, max_p) is Surface.SPHERE:
-        return sum(_SPHERE_CLASSES[modulo_swap][:(max_curves + 1) // 2])
-    # Every torus class has an even number of curves.
-    sizes = max_curves // 2
-    trees = sum(_TORUS_TREES[modulo_swap][:sizes])
-    return trees + sum(_TORUS_RINGS[modulo_swap][:sizes]) * len(_normalized_slopes(max_p))
+    m = Surface(m)
+    if m is Surface.TORUS:
+        return torus_count(max_curves, max_p, modulo_swap)
+    _table_request(m, max_curves, max_p)
+    return sum(tree_count(n, modulo_swap) for n in range(1, (max_curves + 1) // 2 + 1))
 
 
 def table_classes(

@@ -12,16 +12,21 @@ newline-terminated, and goes to stdout in whole chunks of at least 64
 KiB, whether or not stdout is buffered.  The listings and the table
 hand their lines to those chunks (``_Chunks``, the one buffer) a class
 at a time, so no output is held whole; the torus listing's writer takes
-the slope bound, and each ring's slopes are made once per listing.
+the slope bound, and each ring's slopes are made once per listing.  A
+listing is sized by the enumerator (``tree_count``, ``torus_count``)
+before any class is listed: ``--count-only`` prints that size, and a
+torus listing of more than ``TABLE_ROW_CAP`` rows is refused, as a table
+is.
 
 Each command imports the layers it calls when it runs, so a call loads
 only those (README lists them): ``tight-count`` and ``cf`` load
 ``counting`` alone; the listings and the table, which read their classes
 off the generator's rows, admissible by construction, load neither
-``region_graph``, ``parsing`` nor ``admissibility``, and only
-``export-dot`` of the ``--gamma`` commands loads the writers
-(``listings``).  ``json`` loads only for a one-object JSON answer
-(``_dumps``) or for JSON input.  No listing builds a graph object.
+``region_graph``, ``parsing`` nor ``admissibility``; only ``export-dot``
+of the ``--gamma`` commands, and the listings but for ``--count-only``,
+load the writers (``listings``).  ``json`` loads only for a one-object
+JSON answer (``_dumps``) or for JSON input.  No listing builds a graph
+object.
 
 ``_COMMANDS`` declares each command once: its help line, its handler and
 its flags.  It is the only grammar: ``_read_args`` reads every call off
@@ -216,30 +221,38 @@ def _emit(out, text: str) -> None:
     out.write(text if text.endswith("\n") else text + "\n")
 
 
-def _write_rows(out, args, rows, max_p=None) -> int:
-    """Write a listing of enumerated rows, torus rows at their slopes up
-    to ``max_p``: in ``args.format``, or with ``--count-only`` its size."""
+def _cmd_enum_trees(args, out) -> int:
+    from .enumeration import enum_tree_rows, tree_count
+
+    modulo_swap = not args.distinguish_signs
+    if args.count_only:
+        out.write(f"{tree_count(args.n, modulo_swap)}\n")
+        return 0
     from .listings import write_listing
 
-    form = "count" if args.count_only else args.format
-    write_listing(out, rows, form, max_p, not args.distinguish_signs)
+    # TREE_CAP keeps a sphere listing under the row cap.  Only a listing
+    # that writes each class's edges asks for them.
+    write_listing(out, enum_tree_rows(args.n, modulo_swap, args.format != "csv"), args.format)
     return 0
 
 
-def _cmd_enum_trees(args, out) -> int:
-    from .enumeration import enum_tree_rows
-
-    # Only a listing that writes each class's edges asks for them.
-    edges = not args.count_only and args.format != "csv"
-    return _write_rows(out, args, enum_tree_rows(args.n, not args.distinguish_signs, edges))
-
-
 def _cmd_enum_torus(args, out) -> int:
-    from .enumeration import check_torus_request, enum_torus_rows
+    from .enumeration import TABLE_ROW_CAP, ResourceLimitError, enum_torus_rows, torus_count
 
-    check_torus_request(args.max_curves, args.max_slope)
-    rows = enum_torus_rows(args.max_curves, not args.distinguish_signs)
-    return _write_rows(out, args, rows, args.max_slope)
+    modulo_swap = not args.distinguish_signs
+    # The request is checked and the listing sized before any class is
+    # listed, so a count or a refusal enumerates nothing.
+    size = torus_count(args.max_curves, args.max_slope, modulo_swap)
+    if args.count_only:
+        out.write(f"{size}\n")
+        return 0
+    if size > TABLE_ROW_CAP:
+        raise ResourceLimitError(f"listing capped at {TABLE_ROW_CAP} rows, got {size}")
+    from .listings import write_listing
+
+    rows = enum_torus_rows(args.max_curves, modulo_swap)
+    write_listing(out, rows, args.format, args.max_slope, modulo_swap)
+    return 0
 
 
 def _cmd_check(args, out) -> int:

@@ -90,6 +90,12 @@ order.  A torus listing writes each row once with its ``row_slopes``,
 every normalized slope up to the bound for a ring and none for a tree;
 ``enum_torus_classes`` expands them into one class object per slope.
 
+A listing's size takes no enumeration: ``tree_count`` and ``torus_count``
+read it off the recorded class counts, a tree one class and a ring one
+per normalized slope up to the bound, after the request check of the
+enumerator they size.  The CLI's ``--count-only`` and listing cap and
+``classify.table_rows`` all take their sizes from these two.
+
 All output is ordered by canonical code, so repeated runs are
 byte-identical.
 """
@@ -118,8 +124,9 @@ TABLE_ROW_CAP = 4_000_000
 # The classes the enumerators list up to their caps, by sign mode
 # (``modulo_swap``): sphere classes for n = 1..TREE_CAP, and genus-1 torus
 # trees and rings for 2, 4, ..., CURVE_CAP curves, as the Polya-Otter
-# series count them (``tests/polya.py``, which the test suite reruns).  A
-# table's size comes from them before any class is listed.
+# series count them (``tests/polya.py``, which the test suite reruns).
+# Every listing's and table's size comes from them (``tree_count``,
+# ``torus_count``) before any class is listed.
 _SPHERE_CLASSES = {
     False: (1, 1, 4, 14, 65, 316, 1742, 10079, 61680, 391473),
     True: (1, 1, 3, 9, 37, 168, 895, 5097, 30983, 196096),
@@ -149,6 +156,51 @@ def _check_ints(**sizes: int) -> None:
     for name, size in sizes.items():
         if type(size) is not int:
             raise ValueError(f"{name}={size!r} is not an integer")
+
+
+def check_tree_request(n: int) -> None:
+    """Reject a sphere enumeration of the trees on 2 ``n`` regions out of
+    range, before any work."""
+    _check_ints(n=n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > TREE_CAP:
+        raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
+
+
+def check_torus_request(max_curves: int, max_p: int) -> None:
+    """Reject a torus enumeration of ``max_curves`` curves and slopes up to
+    ``max_p`` out of range, before any work."""
+    _check_ints(max_curves=max_curves, max_p=max_p)
+    if max_curves < 1 or max_p < 1:
+        raise ValueError("max_curves and max_p must be >= 1")
+    if max_curves > CURVE_CAP:
+        raise ResourceLimitError(
+            f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
+        )
+    if max_p > SLOPE_CAP:
+        raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
+
+
+def tree_count(n: int, modulo_swap: bool = False) -> int:
+    """``len(enum_tree_rows(n, modulo_swap))``, the classes of a sphere
+    listing, from the recorded counts: each tree is one class.  The
+    request is checked as the enumerator checks it, and no tree is walked."""
+    check_tree_request(n)
+    return _SPHERE_CLASSES[bool(modulo_swap)][n - 1]
+
+
+def torus_count(max_curves: int, max_p: int, modulo_swap: bool = False) -> int:
+    """The classes of a torus listing of ``max_curves`` curves and slopes up
+    to ``max_p``, from the recorded counts: a tree counts once, and a ring
+    once per normalized slope up to ``max_p`` (``row_slopes``).  The request
+    is checked as ``enum_torus_classes`` checks it, and no tree is walked."""
+    check_torus_request(max_curves, max_p)
+    # Every torus class has an even number of curves.
+    sizes = max_curves // 2
+    trees = sum(_TORUS_TREES[bool(modulo_swap)][:sizes])
+    rings = sum(_TORUS_RINGS[bool(modulo_swap)][:sizes])
+    return trees + rings * len(_normalized_slopes(max_p))
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +602,7 @@ def enum_tree_rows(n: int, modulo_swap: bool = False, edges: bool = False) -> li
     order, with no graph built.  With ``edges`` each row carries a fifth
     field, its skeleton's edges as ``_sphere_trees`` gives them, which the
     listing's writer reads."""
-    _check_ints(n=n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > TREE_CAP:
-        raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
+    check_tree_request(n)
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}
     for layout, codes, ranks in _sphere_trees(2 * n, n, edges):
@@ -614,20 +662,6 @@ def _torus_candidates(
                 for genus_vertex in range(nv):
                     if layout[genus_vertex] & 1 == larger and hi[genus_vertex] == nv:
                         yield layout, None, genus_vertex
-
-
-def check_torus_request(max_curves: int, max_p: int) -> None:
-    """Reject a torus enumeration of ``max_curves`` curves and slopes up to
-    ``max_p`` out of range, before any work."""
-    _check_ints(max_curves=max_curves, max_p=max_p)
-    if max_curves < 1 or max_p < 1:
-        raise ValueError("max_curves and max_p must be >= 1")
-    if max_curves > CURVE_CAP:
-        raise ResourceLimitError(
-            f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
-        )
-    if max_p > SLOPE_CAP:
-        raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
 
 
 def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:

@@ -106,8 +106,7 @@ def write_listing(
     ``serialize_class_text`` of each, or ``json.dumps`` of
     ``formats.class_dict`` of each on a line.  Text blocks are separated
     by blank lines, and an empty text listing is one newline.  The CSV
-    form is ``size,canonical_code,admissible`` once per slope, and the
-    count form the number of classes listed, on one line.
+    form is ``size,canonical_code,admissible`` once per slope.
 
     A row's text is a head, made once per coloring, and a tail, then its
     slope's end: the ends of a tree and of a ring are each made once per
@@ -134,9 +133,6 @@ def write_listing(
     # A ring's slopes: each one up to the bound on a torus listing, and on
     # a listing of graphs one class with no slope.
     ring_slopes = _normalized_slopes(max_p) if torus else (None,)
-    if form == "count":
-        out.write(f"{sum(1 if row[2] is None else len(ring_slopes) for row in rows)}\n")
-        return
     if form == "csv":
         out.write("size,canonical_code,admissible\n")
         for row in rows:

@@ -16,7 +16,7 @@ from bcontact.admissibility import is_admissible
 from bcontact.classify import classify, leaf_census, table_classes
 from bcontact.cli import run_cli
 from bcontact.counting import catalan, negative_continued_fraction, tight_count_solid_torus
-from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes, enum_tree_rows
 from bcontact.region_graph import RegionGraph, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -38,14 +38,19 @@ def criterion(name):
 
 
 def test_tree_counts_via_cli():
-    with criterion("tree counts 1,1,4,14,65 via enum-trees --count-only, each <= 1s"):
+    # --count-only reads the recorded counts, so the enumerator's own rows
+    # are counted too: the published counts referee both.
+    with criterion("tree counts 1,1,4,14,65 via enum-trees --count-only and the "
+                   "enumerator, each <= 1s"):
         for n, expected in enumerate(PUBLISHED_TREE_COUNTS, start=1):
             out = io.StringIO()
             started = time.perf_counter()
             status = run_cli(["enum-trees", "--n", str(n), "--count-only"], out=out)
+            rows = enum_tree_rows(n)
             elapsed = time.perf_counter() - started
             assert status == 0
             assert out.getvalue().strip() == str(expected)
+            assert len(rows) == expected
             assert elapsed <= 1.0, f"n={n} took {elapsed:.2f}s"
 
 

@@ -76,9 +76,12 @@ def gamma_file(tmp_path, text, name="gamma.txt"):
 
 class TestEnumCommands:
     def test_tree_counts(self):
-        for n, expected in ((1, "1"), (3, "4"), (5, "65")):
+        # The count comes from the recorded counts; the published counts
+        # referee the enumerator's rows as well.
+        for n, expected in enumerate((1, 1, 4, 14, 65), start=1):
             status, output = run(["enum-trees", "--n", str(n), "--count-only"])
-            assert status == 0 and output.strip() == expected
+            assert status == 0 and output == f"{expected}\n"
+            assert len(ENUMERATION_MODULE.enum_tree_rows(n)) == expected
 
     def test_tree_counts_with_identified_swap(self):
         status, output = run(
@@ -87,6 +90,7 @@ class TestEnumCommands:
         assert status == 0 and output.strip() == "3"
 
     def test_count_only_matches_listing_length(self):
+        # The recorded count against the enumerated listing.
         status, listing = run(["enum-trees", "--n", "3", "--format", "json"])
         assert status == 0
         status, count = run(["enum-trees", "--n", "3", "--count-only"])
@@ -127,6 +131,7 @@ class TestEnumCommands:
         assert (status, count) == (0, "95260374\n")
 
     def test_enum_torus_count_matches_listing_length(self):
+        # The recorded counts against the enumerated listing.
         for args in (["--max-curves", "6", "--max-slope", "5"],
                      ["--max-curves", "7", "--max-slope", "3", "--no-distinguish-signs"]):
             status, listing = run(["enum-torus", *args, "--format", "json"])
@@ -137,6 +142,69 @@ class TestEnumCommands:
     def test_resource_guard_exit_code(self):
         status, _ = run(["enum-trees", "--n", "99", "--count-only"])
         assert status == 1
+
+
+def never_enumerate(*args, **kwargs):
+    raise AssertionError("a class was enumerated")
+
+
+# Each out-of-range listing request and its one refusal line, the same
+# with or without --count-only.
+REFUSALS = [
+    pytest.param(["enum-trees", "--n", "0"], "error: n must be >= 1\n", id="n-0"),
+    pytest.param(["enum-trees", "--n", "11"], "error: tree enumeration capped at n=10, got 11\n",
+                 id="n-11"),
+    pytest.param(["enum-torus", "--max-curves", "17"],
+                 "error: torus enumeration capped at 16 curves, got 17\n", id="curves-17"),
+    pytest.param(["enum-torus", "--max-slope", "0"], "error: max_curves and max_p must be >= 1\n",
+                 id="slope-0"),
+    pytest.param(["enum-torus", "--max-slope", "257"],
+                 "error: slope bound capped at 256, got 257\n", id="slope-257"),
+]
+
+
+class TestListingSize:
+    """A listing is sized from the recorded class counts before any class
+    is listed: ``--count-only`` prints that size, and a torus listing past
+    ``TABLE_ROW_CAP`` rows is refused, as a table is.  The listings'
+    lengths referee the counts (``TestListingsMatchLibrary``)."""
+
+    @pytest.mark.parametrize("argv,count", [
+        (["enum-trees", "--n", "10"], 391473),
+        (["enum-trees", "--n", "10", "--no-distinguish-signs"], 196096),
+        (["enum-torus", "--max-curves", "16", "--max-slope", "1"], 611101),
+        (["enum-torus", "--max-curves", "16", "--max-slope", "1", "--no-distinguish-signs"],
+         305919),
+        (["enum-torus", "--max-curves", "12", "--max-slope", "256"], 95260374),
+    ], ids=["trees-10", "trees-10-swap", "torus-16-1", "torus-16-1-swap", "torus-12-256"])
+    def test_count_enumerates_nothing(self, monkeypatch, argv, count):
+        for name in ("enum_tree_rows", "enum_torus_rows", "_walk"):
+            monkeypatch.setattr(ENUMERATION_MODULE, name, never_enumerate)
+        assert run([*argv, "--count-only"]) == (0, f"{count}\n")
+
+    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])
+    @pytest.mark.parametrize("argv,refusal", REFUSALS)
+    def test_refusals_are_unchanged(self, capsys, argv, refusal, count_only):
+        assert run([*argv, *count_only]) == (1, "")
+        assert capsys.readouterr().err == refusal
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_row_cap_refuses_before_enumerating(self, monkeypatch, capsys, fmt):
+        # 4,508,533,366 rows, counted from the recorded class counts.
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_torus_rows", never_enumerate)
+        argv = ["enum-torus", "--max-curves", "16", "--max-slope", "256", "--format", fmt]
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == "error: listing capped at 4000000 rows, got 4508533366\n"
+
+    @pytest.mark.parametrize("spare,status", [(0, 0), (-1, 1)], ids=["at-cap", "one-over"])
+    def test_row_cap_counts_rows_exactly(self, monkeypatch, capsys, spare, status):
+        argv = ["enum-torus", "--max-curves", "6", "--max-slope", "3", "--format", "json"]
+        listing = run(argv)[1]
+        rows = listing.count("\n")
+        monkeypatch.setattr(ENUMERATION_MODULE, "TABLE_ROW_CAP", rows + spare)
+        assert run(argv) == (status, listing if status == 0 else "")
+        refusal = f"error: listing capped at {rows - 1} rows, got {rows}\n"
+        assert capsys.readouterr().err == ("" if status == 0 else refusal)
 
 
 def referee_listing(graphs, fmt, modulo_swap, slopes=None):
@@ -197,6 +265,8 @@ class TestListingsMatchLibrary:
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
     def test_count_is_the_json_listings_length(self, modulo_swap):
+        # The count comes from the recorded class counts and the listing
+        # from the enumerator, so each referees the other.
         sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
         listings = [["enum-trees", "--n", str(n)] for n in range(1, 8)] + [
             ["enum-torus", "--max-curves", str(max_curves), "--max-slope", str(max_p)]
@@ -1735,6 +1805,11 @@ class TestImportFootprint:
             ),
             pytest.param(["enum-trees", "--n", "6", "--format", "json"], LISTING,
                          id="enum-trees-6-json"),
+            # A count is read off the recorded class counts: no writer loads.
+            pytest.param(["enum-trees", "--n", "3", "--count-only"], ENUMERATING,
+                         id="enum-trees-count-only"),
+            pytest.param(["enum-torus", "--max-curves", "4", "--max-slope", "2", "--count-only"],
+                         ENUMERATING, id="enum-torus-count-only"),
             *(pytest.param(*p.values, TABLING, id=p.id) for p in TABLES),
         ],
     )

@@ -21,6 +21,8 @@ from bcontact.enumeration import (
     enum_torus_rows,
     enum_tree_rows,
     row_slopes,
+    torus_count,
+    tree_count,
 )
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
@@ -87,10 +89,12 @@ class TestTreeCounts:
         (enum_equicolored_trees, (2.0,)),
         (enum_equicolored_trees, (True,)),
         (enum_tree_rows, ("3",)),
+        (tree_count, ("3",)),
         (enum_torus_graphs, (3.0,)),
         (enum_torus_rows, (True,)),
         (enum_torus_classes, (2, 1.5)),
         (enum_torus_classes, (True, True)),
+        (torus_count, (4, 2.0)),
         (table_classes, (S3_S2, 3.0)),
         (table_classes, (S3_T2, 4, 2.0)),
     ],
