@@ -38,9 +38,8 @@ are taken once per table, and a bare cycle's count at each slope comes
 from them (``counting.solid_torus_count``).  A table's size
 (``table_rows``) is the enumerator's (``enumeration.tree_count``,
 ``torus_count``), read off the recorded class counts, so a table too
-large to write is refused before any class is listed; one check
-(``_table_request``, on the torus the enumerator's) refuses a request
-out of range for both, once.
+large to write is refused before any class is listed.  Both refuse a
+request out of range by ``enumeration``'s checks, and state none here.
 """
 
 from __future__ import annotations
@@ -175,27 +174,6 @@ class TableClass(
         return _census(self.vertex_count, self.edge_count)
 
 
-def _table_request(m: Surface, max_curves: int, max_p: int) -> Surface:
-    """The surface of a table of ``max_curves`` curves and slopes up to
-    ``max_p`` on ``m``, or the request's refusal, before any work."""
-    from .enumeration import TREE_CAP, ResourceLimitError, _check_ints, check_torus_request
-
-    m = Surface(m)
-    if m is Surface.TORUS:
-        check_torus_request(max_curves, max_p)
-        return m
-    _check_ints(max_curves=max_curves, max_p=max_p)
-    if max_curves < 1 or max_p < 1:
-        raise ValueError("max_curves and max_p must be >= 1")
-    # Equicolored trees on 2n regions have 2n - 1 curves, so the cap on n
-    # admits up to 2 * TREE_CAP curves.
-    if max_curves > 2 * TREE_CAP:
-        raise ResourceLimitError(
-            f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
-        )
-    return m
-
-
 def table_rows(m: Surface, max_curves: int, max_p: int = 1, modulo_swap: bool = False) -> int:
     """The number of rows of ``table_classes`` of the same request, one
     per class and slope, from the enumerator's sizes, with no class
@@ -203,13 +181,11 @@ def table_rows(m: Surface, max_curves: int, max_p: int = 1, modulo_swap: bool = 
     sphere those of the trees up to n = (``max_curves`` + 1) // 2
     (``tree_count``).  The request is refused as ``table_classes``
     refuses it."""
-    from .enumeration import torus_count, tree_count
+    from .enumeration import check_sphere_table_request, torus_count, tree_count
 
-    m = Surface(m)
-    if m is Surface.TORUS:
+    if Surface(m) is Surface.TORUS:
         return torus_count(max_curves, max_p, modulo_swap)
-    _table_request(m, max_curves, max_p)
-    return sum(tree_count(n, modulo_swap) for n in range(1, (max_curves + 1) // 2 + 1))
+    return sum(tree_count(n, modulo_swap) for n in check_sphere_table_request(max_curves, max_p))
 
 
 def table_classes(
@@ -228,17 +204,18 @@ def table_classes(
     (``row_shape``), and a bare cycle's counts come from each slope's
     expansion products, taken once per table.
     """
-    from .enumeration import enum_torus_rows, enum_tree_rows, row_shape, row_slopes
+    from .enumeration import (
+        check_sphere_table_request, check_torus_request, enum_torus_rows, enum_tree_rows,
+        row_shape, row_slopes,
+    )
 
-    m = _table_request(m, max_curves, max_p)
+    m = Surface(m)
     if m is Surface.TORUS:
+        check_torus_request(max_curves, max_p)
         rows = enum_torus_rows(max_curves, modulo_swap)
     else:
-        rows = [
-            row
-            for n in range(1, (max_curves + 1) // 2 + 1)
-            for row in enum_tree_rows(n, modulo_swap)
-        ]
+        sizes = check_sphere_table_request(max_curves, max_p)
+        rows = [row for n in sizes for row in enum_tree_rows(n, modulo_swap)]
         rows.sort(key=itemgetter(0))
     # One loop for both surfaces.  A bare ring's runs hold each slope's
     # count; every other class's regimes take no slope, so the classes of

@@ -15,8 +15,8 @@ at a time, so no output is held whole; the torus listing's writer takes
 the slope bound, and each ring's slopes are made once per listing.  A
 listing is sized by the enumerator (``tree_count``, ``torus_count``)
 before any class is listed: ``--count-only`` prints that size, and a
-torus listing of more than ``TABLE_ROW_CAP`` rows is refused, as a table
-is.
+torus listing past the row cap is refused, as a table is, by
+``enumeration``, which states every range and cap the CLI enforces.
 
 Each command imports the layers it calls when it runs, so a call loads
 only those (README lists them): ``tight-count`` and ``cf`` load
@@ -230,14 +230,13 @@ def _cmd_enum_trees(args, out) -> int:
         return 0
     from .listings import write_listing
 
-    # TREE_CAP keeps a sphere listing under the row cap.  Only a listing
-    # that writes each class's edges asks for them.
+    # Only a listing that writes each class's edges asks for them.
     write_listing(out, enum_tree_rows(args.n, modulo_swap, args.format != "csv"), args.format)
     return 0
 
 
 def _cmd_enum_torus(args, out) -> int:
-    from .enumeration import TABLE_ROW_CAP, ResourceLimitError, enum_torus_rows, torus_count
+    from .enumeration import check_row_cap, enum_torus_rows, torus_count
 
     modulo_swap = not args.distinguish_signs
     # The request is checked and the listing sized before any class is
@@ -246,8 +245,7 @@ def _cmd_enum_torus(args, out) -> int:
     if args.count_only:
         out.write(f"{size}\n")
         return 0
-    if size > TABLE_ROW_CAP:
-        raise ResourceLimitError(f"listing capped at {TABLE_ROW_CAP} rows, got {size}")
+    check_row_cap("listing", size)
     from .listings import write_listing
 
     rows = enum_torus_rows(args.max_curves, modulo_swap)
@@ -364,7 +362,7 @@ def _cmd_census(args, out) -> int:
 
 def _cmd_table(args, out) -> int:
     from .classify import table_classes, table_rows
-    from .enumeration import TABLE_ROW_CAP, ResourceLimitError
+    from .enumeration import check_row_cap
     from .formats import write_table
     from .surfaces import Surface
 
@@ -372,9 +370,7 @@ def _cmd_table(args, out) -> int:
     modulo_swap = not args.distinguish_signs
     # A refused table lists no class and writes no byte: its size is
     # counted first, from the recorded class counts.
-    rows = table_rows(*request, modulo_swap)
-    if rows > TABLE_ROW_CAP:
-        raise ResourceLimitError(f"table capped at {TABLE_ROW_CAP} rows, got {rows}")
+    check_row_cap("table", table_rows(*request, modulo_swap))
     write_table(out, table_classes(*request, modulo_swap), args.format)
     return 0
 

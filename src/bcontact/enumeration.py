@@ -93,8 +93,9 @@ every normalized slope up to the bound for a ring and none for a tree;
 A listing's size takes no enumeration: ``tree_count`` and ``torus_count``
 read it off the recorded class counts, a tree one class and a ring one
 per normalized slope up to the bound, after the request check of the
-enumerator they size.  The CLI's ``--count-only`` and listing cap and
-``classify.table_rows`` all take their sizes from these two.
+enumerator they size.  Only this module refuses a listing or table
+request: a range check per request shape, whose tree and curve caps are
+the counts' extents, and a row cap on those sizes (``check_row_cap``).
 
 All output is ordered by canonical code, so repeated runs are
 byte-identical.
@@ -114,13 +115,6 @@ from .codes import _SWAP_SIGNS, _TAGS, _cycle_codes, _tree_codes
 # the listings and the table build no graph, so those modules are imported
 # only where a library caller asks for graphs (``_graphs``) or classes.
 
-TREE_CAP = 10
-CURVE_CAP = 16
-SLOPE_CAP = 256
-# The rows one table may hold: the 8-curve torus table at slope 256 has
-# 2,493,742.
-TABLE_ROW_CAP = 4_000_000
-
 # The classes the enumerators list up to their caps, by sign mode
 # (``modulo_swap``): sphere classes for n = 1..TREE_CAP, and genus-1 torus
 # trees and rings for 2, 4, ..., CURVE_CAP curves, as the Polya-Otter
@@ -139,6 +133,12 @@ _TORUS_RINGS = {
     False: (1, 4, 18, 102, 616, 4034, 27459, 193761),
     True: (1, 3, 11, 56, 320, 2049, 13814, 97112),
 }
+TREE_CAP = len(_SPHERE_CLASSES[False])
+CURVE_CAP = 2 * len(_TORUS_TREES[False])
+SLOPE_CAP = 256  # every torus count builds _normalized_slopes in O(max_p ** 2)
+# The rows one listing or table may hold: the 8-curve torus table at slope
+# 256 has 2,493,742.
+TABLE_ROW_CAP = 4_000_000
 
 
 # The slopes of one torus graph class in order: ``(None,)`` for a tree,
@@ -150,30 +150,41 @@ class ResourceLimitError(ValueError):
     """Raised when an enumeration request exceeds its configured cap."""
 
 
-def _check_ints(**sizes: int) -> None:
-    """Reject a size that is not an ``int``: a ``bool`` is not one, nor is
-    a float, even one equal to an integer."""
+def _check_sizes(**sizes: int) -> None:
+    """Reject a size that is not an ``int`` (a ``bool`` is not one, nor is
+    a float, even one equal to an integer), then sizes not all >= 1."""
     for name, size in sizes.items():
         if type(size) is not int:
             raise ValueError(f"{name}={size!r} is not an integer")
+    if min(sizes.values()) < 1:
+        raise ValueError(f"{' and '.join(sizes)} must be >= 1")
 
 
 def check_tree_request(n: int) -> None:
     """Reject a sphere enumeration of the trees on 2 ``n`` regions out of
     range, before any work."""
-    _check_ints(n=n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_sizes(n=n)
     if n > TREE_CAP:
         raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
+
+
+def check_sphere_table_request(max_curves: int, max_p: int) -> range:
+    """Reject a sphere table of ``max_curves`` curves and slopes up to
+    ``max_p`` out of range, before any work; else the tree sizes n it
+    holds.  Equicolored trees on 2n regions have 2n - 1 curves, so the cap
+    on n admits up to 2 * ``TREE_CAP`` curves; the sphere has no slopes."""
+    _check_sizes(max_curves=max_curves, max_p=max_p)
+    if max_curves > 2 * TREE_CAP:
+        raise ResourceLimitError(
+            f"sphere table capped at --max-curves {2 * TREE_CAP}, got {max_curves}"
+        )
+    return range(1, (max_curves + 1) // 2 + 1)
 
 
 def check_torus_request(max_curves: int, max_p: int) -> None:
     """Reject a torus enumeration of ``max_curves`` curves and slopes up to
     ``max_p`` out of range, before any work."""
-    _check_ints(max_curves=max_curves, max_p=max_p)
-    if max_curves < 1 or max_p < 1:
-        raise ValueError("max_curves and max_p must be >= 1")
+    _check_sizes(max_curves=max_curves, max_p=max_p)
     if max_curves > CURVE_CAP:
         raise ResourceLimitError(
             f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
@@ -201,6 +212,14 @@ def torus_count(max_curves: int, max_p: int, modulo_swap: bool = False) -> int:
     trees = sum(_TORUS_TREES[bool(modulo_swap)][:sizes])
     rings = sum(_TORUS_RINGS[bool(modulo_swap)][:sizes])
     return trees + rings * len(_normalized_slopes(max_p))
+
+
+def check_row_cap(kind: str, rows: int) -> None:
+    """Reject a ``kind`` ("listing" or "table") of more than
+    ``TABLE_ROW_CAP`` rows, sized before any class is listed.  No sphere
+    listing needs it: n = ``TREE_CAP`` has fewer classes."""
+    if rows > TABLE_ROW_CAP:
+        raise ResourceLimitError(f"{kind} capped at {TABLE_ROW_CAP} rows, got {rows}")
 
 
 # ---------------------------------------------------------------------------
@@ -717,11 +736,11 @@ def enum_torus_classes(
 
     Each listed class's graph, built from its row, paired with each of its
     ``row_slopes``, sorted by (canonical code, slope): the classes of one
-    graph share its graph object.
+    graph share its graph object.  A listing past the row cap is refused.
     """
     from .surfaces import DividingSetClass, Surface
 
-    check_torus_request(max_curves, max_p)
+    check_row_cap("listing", torus_count(max_curves, max_p, modulo_swap))
     rows = enum_torus_rows(max_curves, modulo_swap)
     return [
         DividingSetClass(Surface.TORUS, g, slope)

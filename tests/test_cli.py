@@ -20,12 +20,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcontact import admissibility, cli, counting, formats, listings
-from bcontact.classify import table_classes
+from bcontact.classify import table_classes, table_rows
 from bcontact.cli import run_cli
-from bcontact.enumeration import enum_equicolored_trees, enum_torus_classes
+from bcontact.enumeration import (
+    ResourceLimitError,
+    enum_equicolored_trees,
+    enum_torus_classes,
+    enum_torus_rows,
+    enum_tree_rows,
+    torus_count,
+    tree_count,
+)
 from bcontact.listings import serialize_class_text
 from bcontact.region_graph import canonical_code
-from bcontact.surfaces import S3_T2, DividingSetClass, Surface
+from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
 from check_digests import mismatch
 from helpers import (
@@ -176,7 +184,9 @@ class TestListingSize:
         (["enum-torus", "--max-curves", "16", "--max-slope", "1", "--no-distinguish-signs"],
          305919),
         (["enum-torus", "--max-curves", "12", "--max-slope", "256"], 95260374),
-    ], ids=["trees-10", "trees-10-swap", "torus-16-1", "torus-16-1-swap", "torus-12-256"])
+        (["enum-torus", "--max-curves", "16", "--max-slope", "256"], 4508533366),
+    ], ids=["trees-10", "trees-10-swap", "torus-16-1", "torus-16-1-swap", "torus-12-256",
+            "torus-16-256"])
     def test_count_enumerates_nothing(self, monkeypatch, argv, count):
         for name in ("enum_tree_rows", "enum_torus_rows", "_walk"):
             monkeypatch.setattr(ENUMERATION_MODULE, name, never_enumerate)
@@ -205,6 +215,104 @@ class TestListingSize:
         assert run(argv) == (status, listing if status == 0 else "")
         refusal = f"error: listing capped at {rows - 1} rows, got {rows}\n"
         assert capsys.readouterr().err == ("" if status == 0 else refusal)
+
+
+def tree_calls(n):
+    """The library calls of a sphere listing of the trees on 2n regions."""
+    return [(tree_count, (n,)), (enum_tree_rows, (n,)), (enum_equicolored_trees, (n,))]
+
+
+def torus_calls(max_curves, max_p):
+    """The library calls of a torus listing and table."""
+    request = (max_curves, max_p)
+    return [(torus_count, request), (enum_torus_classes, request),
+            (table_rows, (S3_T2, *request)), (table_classes, (S3_T2, *request))]
+
+
+def curve_calls(max_curves):
+    """``torus_calls`` at slope 1, and the row enumerator, which takes no
+    slope bound."""
+    return [*torus_calls(max_curves, 1), (enum_torus_rows, (max_curves,))]
+
+
+def sphere_table_calls(max_curves, max_p):
+    return [(table_rows, (S3_S2, max_curves, max_p)), (table_classes, (S3_S2, max_curves, max_p))]
+
+
+def listing(*argv):
+    return [list(argv), [*argv, "--count-only"]]
+
+
+def table(manifold, *argv):
+    return [["table", "--manifold", manifold, *argv]]
+
+
+RANGE = "max_curves and max_p must be >= 1"
+
+# Each refused listing or table request at every door that takes it: the
+# library calls and the CLI argvs, and the one exception type and message
+# they all give (the CLI writes it after "error: ", exit 1).  The messages
+# are those the library and the CLI gave while the checks were written in
+# three modules, before they moved into ``enumeration``.  The sizes that
+# are no int have no CLI spelling.
+PARITY = [
+    pytest.param(tree_calls(0), listing("enum-trees", "--n", "0"), ValueError,
+                 "n must be >= 1", id="n-0"),
+    pytest.param(tree_calls(11), listing("enum-trees", "--n", "11"), ResourceLimitError,
+                 "tree enumeration capped at n=10, got 11", id="n-11"),
+    pytest.param(tree_calls(True), [], ValueError, "n=True is not an integer", id="n-True"),
+    pytest.param(tree_calls(2.0), [], ValueError, "n=2.0 is not an integer", id="n-2.0"),
+    pytest.param(curve_calls(0) + sphere_table_calls(0, 1),
+                 listing("enum-torus", "--max-curves", "0") + table("s3-t2", "--max-curves", "0")
+                 + table("s3-s2", "--max-curves", "0"), ValueError, RANGE, id="curves-0"),
+    pytest.param(curve_calls(17),
+                 listing("enum-torus", "--max-curves", "17") + table("s3-t2", "--max-curves", "17"),
+                 ResourceLimitError, "torus enumeration capped at 16 curves, got 17",
+                 id="curves-17"),
+    pytest.param(curve_calls(21),
+                 listing("enum-torus", "--max-curves", "21") + table("s3-t2", "--max-curves", "21"),
+                 ResourceLimitError, "torus enumeration capped at 16 curves, got 21",
+                 id="torus-curves-21"),
+    pytest.param(sphere_table_calls(21, 1), table("s3-s2", "--max-curves", "21"),
+                 ResourceLimitError, "sphere table capped at --max-curves 20, got 21",
+                 id="sphere-curves-21"),
+    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0),
+                 listing("enum-torus", "--max-slope", "0") + table("s3-t2", "--max-slope", "0")
+                 + table("s3-s2", "--max-slope", "0"), ValueError, RANGE, id="slope-0"),
+    pytest.param(torus_calls(4, 257),
+                 listing("enum-torus", "--max-slope", "257") + table("s3-t2", "--max-slope", "257"),
+                 ResourceLimitError, "slope bound capped at 256, got 257", id="slope-257"),
+    pytest.param(curve_calls(True) + sphere_table_calls(True, 1), [], ValueError,
+                 "max_curves=True is not an integer", id="curves-True"),
+    pytest.param(curve_calls(2.0) + sphere_table_calls(2.0, 1), [], ValueError,
+                 "max_curves=2.0 is not an integer", id="curves-2.0"),
+    pytest.param(torus_calls(4, True) + sphere_table_calls(4, True), [], ValueError,
+                 "max_p=True is not an integer", id="slope-True"),
+    pytest.param(torus_calls(4, 2.0) + sphere_table_calls(4, 2.0), [], ValueError,
+                 "max_p=2.0 is not an integer", id="slope-2.0"),
+    # The library's listing refuses as the CLI's does; its --count-only
+    # prints the size (TestListingSize).
+    pytest.param([(enum_torus_classes, (16, 256))],
+                 [["enum-torus", "--max-curves", "16", "--max-slope", "256"]],
+                 ResourceLimitError, "listing capped at 4000000 rows, got 4508533366",
+                 id="listing-16-256"),
+    pytest.param([], table("s3-t2", "--max-curves", "16", "--max-slope", "256"),
+                 ResourceLimitError, "table capped at 4000000 rows, got 4508533366",
+                 id="table-16-256"),
+]
+
+
+@pytest.mark.parametrize("calls,argvs,kind,message", PARITY)
+def test_every_door_refuses_alike(monkeypatch, capsys, calls, argvs, kind, message):
+    # A refused request walks no tree.
+    monkeypatch.setattr(ENUMERATION_MODULE, "_walk", never_enumerate)
+    for function, args in calls:
+        with pytest.raises(ValueError) as refusal:
+            function(*args)
+        assert (type(refusal.value), str(refusal.value)) == (kind, message), function.__name__
+    for argv in argvs:
+        assert run(argv) == (1, ""), argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def referee_listing(graphs, fmt, modulo_swap, slopes=None):

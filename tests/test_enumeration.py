@@ -1,5 +1,7 @@
 """Generator output: counts, admissibility, uniqueness, stability."""
 
+import hashlib
+
 import pytest
 
 from bcontact import enumeration, region_graph
@@ -11,6 +13,7 @@ from bcontact.enumeration import (
     _SPHERE_CLASSES,
     _TORUS_RINGS,
     _TORUS_TREES,
+    TABLE_ROW_CAP,
     ResourceLimitError,
     _coloring,
     _free_trees,
@@ -30,6 +33,24 @@ from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 from helpers import all_torus_candidates, enum_torus_graphs, skeleton_edges, twin_image
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
+
+
+# The sha256 of ``repr`` of each order's sorted edge lists, in the
+# generator's order, recorded after checking them against
+# ``networkx.nonisomorphic_trees`` (networkx 3.6.1).
+NETWORKX_TREE_DIGESTS = {
+    2: "262e139c97fa9ad965ee0eaa13a415ec8fa0318f3f68c057eb2e1b495650c873",
+    3: "69eecba2ab685ff82cc0d8952676b9a678881d7804fb50eb22122b2a6bb9437c",
+    4: "80a2633e4aa24567f60f5e512f932d9934ef2bfcab748375a7221547bb2763de",
+    5: "4825ba724c2c0ddb97518445b72ab443ed5b60d5dc7336dc0319e245dba670d1",
+    6: "afa729df39c9c2521469f50706adbf3c32962b4b2a95ee7d9c7da1b554811b67",
+    7: "1cbdec136ed4e25d228643d5bfaa33e6a969a0607f47e71f9a6c338fbcd5ce4a",
+    8: "dc8f0987d52578624e0a2e39e47f001a03b4c72df3cb65ea2359f7263a822e18",
+    9: "cb40eda11b2c2eeb3ba217e79c9e0a46d489e59ce7753b5e1bbee286de6d7aa1",
+    10: "d339c8d5da115221df34900becae5e68587d645fe56965ad9acf05317cd2a4b3",
+    11: "15a450abe35c5cd61bb3a72077caa63446b94064e58c5c2118832d817238d21b",
+    12: "2926eef034a7da0ea9296749c6be7114c21c1823949d6a490043803ed9091cdd",
+}
 
 
 def _colored_graph(layout, edges, positive, genus_vertex=None):
@@ -57,15 +78,22 @@ class TestTreeCounts:
 
     def test_free_trees_number_vertices_like_networkx(self):
         # The first graph per class is the printed representative, so the
-        # skeletons must keep networkx's order and vertex numbering.
-        nx = pytest.importorskip("networkx")
-        for order in range(2, 13):
+        # skeletons must keep networkx's order and vertex numbering: each
+        # order's sorted edge lists hash as networkx 3.6.1's
+        # nonisomorphic_trees did, and match the installed networkx, if any.
+        try:
+            import networkx as nx
+        except ImportError:
+            nx = None
+        for order, digest in NETWORKX_TREE_DIGESTS.items():
             ours = [sorted(_tree_edges(layout)) for layout in _free_trees(order)]
-            theirs = [
-                sorted(tuple(sorted(e)) for e in tree.edges())
-                for tree in nx.nonisomorphic_trees(order)
-            ]
-            assert ours == theirs, order
+            assert hashlib.sha256(repr(ours).encode()).hexdigest() == digest, order
+            if nx is not None:
+                theirs = [
+                    sorted(tuple(sorted(e)) for e in tree.edges())
+                    for tree in nx.nonisomorphic_trees(order)
+                ]
+                assert ours == theirs, order
 
     def test_polya_otter_counts(self):
         # Otter's dissimilarity theorem, and Burnside for the swap.
@@ -220,6 +248,42 @@ class TestTorusClasses:
             enum_torus_classes(2, 10**6)
         with pytest.raises(ValueError):
             enum_torus_classes(0, 1)
+
+
+class TestCaps:
+    """The caps are the recorded counts' extents, and the row cap refuses a
+    library torus listing before any class is made."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_caps_are_the_recorded_extents(self, modulo_swap):
+        assert TREE_CAP == len(_SPHERE_CLASSES[modulo_swap])
+        assert CURVE_CAP == 2 * len(_TORUS_TREES[modulo_swap])
+        assert CURVE_CAP == 2 * len(_TORUS_RINGS[modulo_swap])
+        # So no sphere listing (enum-trees, enum_equicolored_trees) needs a
+        # row check.
+        assert tree_count(TREE_CAP, modulo_swap) <= TABLE_ROW_CAP
+
+    @pytest.mark.parametrize("max_curves,rows", [(10, 14782862), (16, 4508533366)])
+    def test_torus_classes_refuse_past_the_row_cap(self, monkeypatch, max_curves, rows):
+        def never(*args, **kwargs):
+            raise AssertionError("a class was enumerated")
+
+        monkeypatch.setattr(enumeration, "enum_torus_rows", never)
+        with pytest.raises(ResourceLimitError) as refusal:
+            enum_torus_classes(max_curves, 256)
+        assert str(refusal.value) == f"listing capped at 4000000 rows, got {rows}"
+
+    @pytest.mark.parametrize("spare", [0, -1], ids=["at-cap", "one-over"])
+    def test_row_cap_counts_classes_exactly(self, monkeypatch, spare):
+        classes = enum_torus_classes(6, 3)
+        monkeypatch.setattr(enumeration, "TABLE_ROW_CAP", len(classes) + spare)
+        if spare == 0:
+            assert enum_torus_classes(6, 3) == classes
+            return
+        with pytest.raises(ResourceLimitError) as refusal:
+            enum_torus_classes(6, 3)
+        rows = len(classes)
+        assert str(refusal.value) == f"listing capped at {rows - 1} rows, got {rows}"
 
 
 class TestTorusGraphs:
