@@ -7,9 +7,8 @@ written from the generator's rows (``enumeration.Row``), with no graph
 built, in one loop per listing (``write_listing``): each row's text is a
 head made once per coloring and a tail of its edges, of fragments looked
 up in tables indexed by id, sign and genus and by edge rank
-(``_tables``).  A sphere row brings its edges' ranks from the walk, or
-has them read off its level sequence, and goes out with whole other
-rows; a torus row's tail is made once per skeleton, and each torus
+(``_tables``).  A sphere row brings its edges' ranks from the walk and
+goes out with whole other rows; a torus row's tail is made once per skeleton, and each torus
 class's lines go out in one write, at every slope up to the listing's
 bound for a ring, whose slopes' ends are made once per listing.  A listing's
 JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
@@ -115,11 +114,10 @@ def write_listing(
     lines; a JSON line's head runs up to its edges, and its tail from
     them to its slope.  Heads are made first, one per distinct coloring
     (the 10,079 trees on 16 regions have 1,049 colorings).  A sphere
-    row's tail is its edges' fragments by the ranks in its fifth field
-    (``enumeration.enum_tree_rows`` with ``edges``), or, in a listing of
-    rows asked for without them, its level sequence's edges, made for the
-    row and kept by none; ``_BATCH`` rows go out in one write, since a
-    sphere row is one class.
+    row's tail is its edges' fragments by the ranks in its fifth field,
+    so its text and JSON forms need rows asked for with their edges
+    (``enumeration.enum_tree_rows`` with ``edges``); ``_BATCH`` rows go
+    out in one write, since a sphere row is one class.
     A torus tree's skeleton keeps its tail for all of its genus regions;
     a ring has at most one row per coloring, so its tail is kept for its
     other coloring and dropped when that uses it, and not kept at all
@@ -159,16 +157,12 @@ def write_listing(
     # the one before, which the listing's first block drops.
     skip = 0 if json_form else 1
     if not torus:
-        # The rows of one enumerator call all carry their edges or none do.
-        carried = rows and len(rows[0]) > 4
         # A sphere row is one line or one text block, so whole rows go
         # out together, ``_BATCH`` at a time.
         for start in range(0, len(rows), _BATCH):
             parts = []
             for row in rows[start:start + _BATCH]:
-                edges = (join(map(edge_table.__getitem__, row[4])) if carried
-                         else skeleton_edges(row[1], row[2]))
-                parts += heads[row[3]], edges, closing
+                parts += heads[row[3]], join(map(edge_table.__getitem__, row[4])), closing
             out.write("".join(parts)[skip:])
             skip = 0
         return

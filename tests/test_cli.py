@@ -24,6 +24,7 @@ from bcontact.classify import table_classes, table_rows
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
     ResourceLimitError,
+    check_row_cap,
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
@@ -156,65 +157,74 @@ def never_enumerate(*args, **kwargs):
     raise AssertionError("a class was enumerated")
 
 
-# Each out-of-range listing request and its one refusal line, the same
-# with or without --count-only.
-REFUSALS = [
-    pytest.param(["enum-trees", "--n", "0"], "error: n must be >= 1\n", id="n-0"),
-    pytest.param(["enum-trees", "--n", "11"], "error: tree enumeration capped at n=10, got 11\n",
-                 id="n-11"),
-    pytest.param(["enum-torus", "--max-curves", "17"],
-                 "error: torus enumeration capped at 16 curves, got 17\n", id="curves-17"),
-    pytest.param(["enum-torus", "--max-slope", "0"], "error: max_curves and max_p must be >= 1\n",
-                 id="slope-0"),
-    pytest.param(["enum-torus", "--max-slope", "257"],
-                 "error: slope bound capped at 256, got 257\n", id="slope-257"),
-]
+def recorded_in(test):
+    """The entries of digests.json that ``test`` of this module checks, each
+    by the id its name gives."""
+    prefix = f"tests/test_cli.py::{test}["
+    return [
+        pytest.param(entry, id=entry["name"][len(prefix):-1])
+        for entry in DIGESTS if entry["name"].startswith(prefix)
+    ]
+
+
+def assert_answers_as_recorded(monkeypatch, capsys, entry):
+    """Run ``entry`` in process, its gamma text on stdin, and compare its
+    exit status, stdout and stderr with the record.  A refused call (exit
+    status other than 0) walks no tree: it is refused before any work."""
+    set_stdin(monkeypatch, entry.get("gamma", ""))
+    if entry.get("status", 0):
+        monkeypatch.setattr(ENUMERATION_MODULE, "_walk", never_enumerate)
+    status, output = run(entry["argv"])
+    called = capsys.readouterr()
+    assert called.out == ""
+    assert mismatch(entry, output.encode(), status, called.err.encode()) is None
 
 
 class TestListingSize:
-    """A listing is sized from the recorded class counts before any class
-    is listed: ``--count-only`` prints that size, and a torus listing past
-    ``TABLE_ROW_CAP`` rows is refused, as a table is.  The listings'
+    """A listing or table request is sized from the recorded class counts,
+    or refused, before any class is listed: ``--count-only`` prints that
+    size, and a refusal is one error line, exit 1, a torus listing or a
+    table past ``TABLE_ROW_CAP`` rows among them.  Each answer is an entry
+    of digests.json named by the test that checks it; the listings'
     lengths referee the counts (``TestListingsMatchLibrary``)."""
 
-    @pytest.mark.parametrize("argv,count", [
-        (["enum-trees", "--n", "10"], 391473),
-        (["enum-trees", "--n", "10", "--no-distinguish-signs"], 196096),
-        (["enum-torus", "--max-curves", "16", "--max-slope", "1"], 611101),
-        (["enum-torus", "--max-curves", "16", "--max-slope", "1", "--no-distinguish-signs"],
-         305919),
-        (["enum-torus", "--max-curves", "12", "--max-slope", "256"], 95260374),
-        (["enum-torus", "--max-curves", "16", "--max-slope", "256"], 4508533366),
-    ], ids=["trees-10", "trees-10-swap", "torus-16-1", "torus-16-1-swap", "torus-12-256",
-            "torus-16-256"])
-    def test_count_enumerates_nothing(self, monkeypatch, argv, count):
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestListingSize::test_count_enumerates_nothing")
+    )
+    def test_count_enumerates_nothing(self, monkeypatch, capsys, entry):
         for name in ("enum_tree_rows", "enum_torus_rows", "_walk"):
             monkeypatch.setattr(ENUMERATION_MODULE, name, never_enumerate)
-        assert run([*argv, "--count-only"]) == (0, f"{count}\n")
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
-    @pytest.mark.parametrize("count_only", [[], ["--count-only"]], ids=["listing", "count-only"])
-    @pytest.mark.parametrize("argv,refusal", REFUSALS)
-    def test_refusals_are_unchanged(self, capsys, argv, refusal, count_only):
-        assert run([*argv, *count_only]) == (1, "")
-        assert capsys.readouterr().err == refusal
+    @pytest.mark.parametrize("entry", recorded_in("TestListingSize::test_refusals_are_unchanged"))
+    def test_refusals_are_unchanged(self, monkeypatch, capsys, entry):
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_row_cap_refuses_before_enumerating(self, monkeypatch, capsys, fmt):
-        # 4,508,533,366 rows, counted from the recorded class counts.
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestListingSize::test_row_cap_refuses_before_enumerating")
+    )
+    def test_row_cap_refuses_before_enumerating(self, monkeypatch, capsys, entry):
+        # The rows are counted from the recorded class counts.
         monkeypatch.setattr(ENUMERATION_MODULE, "enum_torus_rows", never_enumerate)
-        argv = ["enum-torus", "--max-curves", "16", "--max-slope", "256", "--format", fmt]
-        assert run(argv) == (1, "")
-        assert capsys.readouterr().err == "error: listing capped at 4000000 rows, got 4508533366\n"
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
     @pytest.mark.parametrize("spare,status", [(0, 0), (-1, 1)], ids=["at-cap", "one-over"])
     def test_row_cap_counts_rows_exactly(self, monkeypatch, capsys, spare, status):
+        # A listing's rows are its lines.
         argv = ["enum-torus", "--max-curves", "6", "--max-slope", "3", "--format", "json"]
-        listing = run(argv)[1]
-        rows = listing.count("\n")
-        monkeypatch.setattr(ENUMERATION_MODULE, "TABLE_ROW_CAP", rows + spare)
-        assert run(argv) == (status, listing if status == 0 else "")
-        refusal = f"error: listing capped at {rows - 1} rows, got {rows}\n"
-        assert capsys.readouterr().err == ("" if status == 0 else refusal)
+        assert_row_cap_counts_rows(monkeypatch, capsys, "listing", argv, 0, spare, status)
+
+
+def assert_row_cap_counts_rows(monkeypatch, capsys, kind, argv, header, spare, status):
+    """With ``TABLE_ROW_CAP`` set ``spare`` rows above the rows of the
+    ``kind`` answer of ``argv`` (its lines after ``header`` lines), the
+    answer is as before (``status`` 0) or refused (``status`` 1)."""
+    answer = run(argv)[1]
+    rows = answer.count("\n") - header
+    monkeypatch.setattr(ENUMERATION_MODULE, "TABLE_ROW_CAP", rows + spare)
+    assert run(argv) == (status, answer if status == 0 else "")
+    refusal = f"error: {kind} capped at {rows - 1} rows, got {rows}\n"
+    assert capsys.readouterr().err == ("" if status == 0 else refusal)
 
 
 def tree_calls(n):
@@ -239,80 +249,70 @@ def sphere_table_calls(max_curves, max_p):
     return [(table_rows, (S3_S2, max_curves, max_p)), (table_classes, (S3_S2, max_curves, max_p))]
 
 
-def listing(*argv):
-    return [list(argv), [*argv, "--count-only"]]
+def table_row_cap(m, max_curves, max_p):
+    """The table's row cap as the CLI checks it, on the rows counted before
+    any class is listed."""
+    check_row_cap("table", table_rows(m, max_curves, max_p))
 
 
-def table(manifold, *argv):
-    return [["table", "--manifold", manifold, *argv]]
+def refusal(*argv):
+    """The message of the CLI's recorded refusal of ``argv``, which the
+    library gives as it is (the CLI writes it after "error: ")."""
+    return recorded(list(argv))["stderr"].removeprefix("error: ").removesuffix("\n")
 
 
-RANGE = "max_curves and max_p must be >= 1"
-
-# Each refused listing or table request at every door that takes it: the
-# library calls and the CLI argvs, and the one exception type and message
-# they all give (the CLI writes it after "error: ", exit 1).  The messages
-# are those the library and the CLI gave while the checks were written in
-# three modules, before they moved into ``enumeration``.  The sizes that
-# are no int have no CLI spelling.
+# Each refused listing or table request at every library door that takes
+# it, and the one exception type and message they all give: where the
+# request has a CLI spelling, the message of the CLI's refusal, recorded
+# in digests.json (``TestListingSize``).  The messages are those the
+# library and the CLI gave while the checks were written in three
+# modules, before they moved into ``enumeration``.
 PARITY = [
-    pytest.param(tree_calls(0), listing("enum-trees", "--n", "0"), ValueError,
-                 "n must be >= 1", id="n-0"),
-    pytest.param(tree_calls(11), listing("enum-trees", "--n", "11"), ResourceLimitError,
-                 "tree enumeration capped at n=10, got 11", id="n-11"),
-    pytest.param(tree_calls(True), [], ValueError, "n=True is not an integer", id="n-True"),
-    pytest.param(tree_calls(2.0), [], ValueError, "n=2.0 is not an integer", id="n-2.0"),
-    pytest.param(curve_calls(0) + sphere_table_calls(0, 1),
-                 listing("enum-torus", "--max-curves", "0") + table("s3-t2", "--max-curves", "0")
-                 + table("s3-s2", "--max-curves", "0"), ValueError, RANGE, id="curves-0"),
-    pytest.param(curve_calls(17),
-                 listing("enum-torus", "--max-curves", "17") + table("s3-t2", "--max-curves", "17"),
-                 ResourceLimitError, "torus enumeration capped at 16 curves, got 17",
+    pytest.param(tree_calls(0), ValueError, refusal("enum-trees", "--n", "0"), id="n-0"),
+    pytest.param(tree_calls(11), ResourceLimitError, refusal("enum-trees", "--n", "11"),
+                 id="n-11"),
+    pytest.param(tree_calls(True), ValueError, "n=True is not an integer", id="n-True"),
+    pytest.param(tree_calls(2.0), ValueError, "n=2.0 is not an integer", id="n-2.0"),
+    pytest.param(curve_calls(0) + sphere_table_calls(0, 1), ValueError,
+                 refusal("enum-torus", "--max-curves", "0"), id="curves-0"),
+    pytest.param(curve_calls(17), ResourceLimitError, refusal("enum-torus", "--max-curves", "17"),
                  id="curves-17"),
-    pytest.param(curve_calls(21),
-                 listing("enum-torus", "--max-curves", "21") + table("s3-t2", "--max-curves", "21"),
-                 ResourceLimitError, "torus enumeration capped at 16 curves, got 21",
+    pytest.param(curve_calls(21), ResourceLimitError, refusal("enum-torus", "--max-curves", "21"),
                  id="torus-curves-21"),
-    pytest.param(sphere_table_calls(21, 1), table("s3-s2", "--max-curves", "21"),
-                 ResourceLimitError, "sphere table capped at --max-curves 20, got 21",
+    pytest.param(sphere_table_calls(21, 1), ResourceLimitError,
+                 refusal("table", "--manifold", "s3-s2", "--max-curves", "21"),
                  id="sphere-curves-21"),
-    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0),
-                 listing("enum-torus", "--max-slope", "0") + table("s3-t2", "--max-slope", "0")
-                 + table("s3-s2", "--max-slope", "0"), ValueError, RANGE, id="slope-0"),
-    pytest.param(torus_calls(4, 257),
-                 listing("enum-torus", "--max-slope", "257") + table("s3-t2", "--max-slope", "257"),
-                 ResourceLimitError, "slope bound capped at 256, got 257", id="slope-257"),
-    pytest.param(curve_calls(True) + sphere_table_calls(True, 1), [], ValueError,
+    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0), ValueError,
+                 refusal("enum-torus", "--max-slope", "0"), id="slope-0"),
+    pytest.param(torus_calls(4, 257), ResourceLimitError,
+                 refusal("enum-torus", "--max-slope", "257"), id="slope-257"),
+    pytest.param(curve_calls(True) + sphere_table_calls(True, 1), ValueError,
                  "max_curves=True is not an integer", id="curves-True"),
-    pytest.param(curve_calls(2.0) + sphere_table_calls(2.0, 1), [], ValueError,
+    pytest.param(curve_calls(2.0) + sphere_table_calls(2.0, 1), ValueError,
                  "max_curves=2.0 is not an integer", id="curves-2.0"),
-    pytest.param(torus_calls(4, True) + sphere_table_calls(4, True), [], ValueError,
+    pytest.param(torus_calls(4, True) + sphere_table_calls(4, True), ValueError,
                  "max_p=True is not an integer", id="slope-True"),
-    pytest.param(torus_calls(4, 2.0) + sphere_table_calls(4, 2.0), [], ValueError,
+    pytest.param(torus_calls(4, 2.0) + sphere_table_calls(4, 2.0), ValueError,
                  "max_p=2.0 is not an integer", id="slope-2.0"),
     # The library's listing refuses as the CLI's does; its --count-only
     # prints the size (TestListingSize).
-    pytest.param([(enum_torus_classes, (16, 256))],
-                 [["enum-torus", "--max-curves", "16", "--max-slope", "256"]],
-                 ResourceLimitError, "listing capped at 4000000 rows, got 4508533366",
+    pytest.param([(enum_torus_classes, (16, 256))], ResourceLimitError,
+                 refusal("enum-torus", "--max-curves", "16", "--max-slope", "256"),
                  id="listing-16-256"),
-    pytest.param([], table("s3-t2", "--max-curves", "16", "--max-slope", "256"),
-                 ResourceLimitError, "table capped at 4000000 rows, got 4508533366",
+    pytest.param([(table_row_cap, (S3_T2, 16, 256))], ResourceLimitError,
+                 refusal("table", "--manifold", "s3-t2", "--max-curves", "16", "--max-slope", "256"),
                  id="table-16-256"),
 ]
 
 
-@pytest.mark.parametrize("calls,argvs,kind,message", PARITY)
-def test_every_door_refuses_alike(monkeypatch, capsys, calls, argvs, kind, message):
+@pytest.mark.parametrize("calls,kind,message", PARITY)
+def test_every_door_refuses_alike(monkeypatch, calls, kind, message):
     # A refused request walks no tree.
     monkeypatch.setattr(ENUMERATION_MODULE, "_walk", never_enumerate)
     for function, args in calls:
-        with pytest.raises(ValueError) as refusal:
+        with pytest.raises(ValueError) as raised:
             function(*args)
-        assert (type(refusal.value), str(refusal.value)) == (kind, message), function.__name__
-    for argv in argvs:
-        assert run(argv) == (1, ""), argv
-        assert capsys.readouterr().err == f"error: {message}\n", argv
+        assert (type(raised.value), str(raised.value)) == (kind, message), function.__name__
 
 
 def referee_listing(graphs, fmt, modulo_swap, slopes=None):
@@ -474,20 +474,22 @@ class TestListingWrites:
 
 class TestListingRows:
     """``write_listing`` writes every enumerator's rows as the CLI does:
-    sphere rows with or without the walk's edges, and torus rows at their
-    slopes up to a bound."""
+    sphere rows with the walk's edges, which CSV does not read, so the CLI
+    asks for them in text and JSON alone, and torus rows at their slopes up
+    to a bound."""
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
     @pytest.mark.parametrize("rows,max_p,argv", [
-        (lambda: ENUMERATION_MODULE.enum_tree_rows(5), None, ["enum-trees", "--n", "5"]),
-        (lambda: ENUMERATION_MODULE.enum_tree_rows(5, edges=True), None,
+        (lambda fmt: ENUMERATION_MODULE.enum_tree_rows(5, edges=fmt != "csv"), None,
          ["enum-trees", "--n", "5"]),
-        (lambda: ENUMERATION_MODULE.enum_torus_rows(7), 3,
+        (lambda fmt: ENUMERATION_MODULE.enum_tree_rows(5, edges=True), None,
+         ["enum-trees", "--n", "5"]),
+        (lambda fmt: ENUMERATION_MODULE.enum_torus_rows(7), 3,
          ["enum-torus", "--max-curves", "7", "--max-slope", "3"]),
     ], ids=["trees", "trees-edges", "torus"])
     def test_default_rows_write_the_cli_bytes(self, rows, max_p, argv, fmt):
         out = io.StringIO()
-        listings.write_listing(out, rows(), fmt, max_p)
+        listings.write_listing(out, rows(fmt), fmt, max_p)
         assert (0, out.getvalue()) == run([*argv, "--format", fmt])
 
 
@@ -547,103 +549,25 @@ class TestListingFragments:
             assert bool(made) == (argv[0] == "enum-torus"), (argv, fmt)
 
 
-TIGHT_COUNT_HELP = """\
-usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]
-
-tight count N(n, -p, q) on the solid torus
-
-options:
-  --n N
-  --p P
-  --q Q
-  --format {text,json}
-"""
-# Each usage line, the program's (None) and each command's, on one line.
-USAGE = {
-    None: "usage: bcontact [-h] "
-    "{enum-trees,enum-torus,check,classify,tight-count,cf,census,table,export-dot} ...",
-    "enum-trees": "usage: bcontact enum-trees [-h] --n N [--count-only] "
-    "[--distinguish-signs | --no-distinguish-signs] [--format {text,json,csv}]",
-    "enum-torus": "usage: bcontact enum-torus [-h] [--max-curves MAX_CURVES] "
-    "[--max-slope MAX_SLOPE] [--count-only] [--distinguish-signs | --no-distinguish-signs] "
-    "[--format {text,json,csv}]",
-    "check": "usage: bcontact check [-h] --gamma GAMMA [--format {text,json}]",
-    "classify": "usage: bcontact classify [-h] --gamma GAMMA [--format {text,json}]",
-    "tight-count": "usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]",
-    "cf": "usage: bcontact cf [-h] --p P --q Q [--format {text,json}]",
-    "census": "usage: bcontact census [-h] --gamma GAMMA [--format {text,json}]",
-    "table": "usage: bcontact table [-h] --manifold {s3-s2,s3-t2} [--max-curves MAX_CURVES] "
-    "[--max-slope MAX_SLOPE] [--distinguish-signs | --no-distinguish-signs] "
-    "[--format {csv,json}]",
-    "export-dot": "usage: bcontact export-dot [-h] --gamma GAMMA",
-}
-# The error line's message of each usage error that TestParser pins.
-USAGE_ERRORS = {
-    **{
-        (command, "--bogus"): "the following arguments are required: " + required
-        for command, required in [
-            ("enum-trees", "--n"), ("check", "--gamma"), ("classify", "--gamma"),
-            ("tight-count", "--n, --p, --q"), ("cf", "--p, --q"), ("census", "--gamma"),
-            ("table", "--manifold"), ("export-dot", "--gamma"),
-        ]
-    },
-    ("enum-torus", "--bogus"): "unrecognized arguments: --bogus",
-    ("tight-count", "--n", "1"): "the following arguments are required: --p, --q",
-    ("frobnicate",): "argument command: invalid choice: 'frobnicate' (choose from "
-    + ", ".join(repr(command) for command in cli._COMMANDS) + ")",
-    (): "the following arguments are required: command",
-}
-
-
 class TestParser:
     """Help and usage errors are written from the command table: the help
     on ``out``, exit 0; a usage error as the usage line and an error line
-    on stderr, exit 2.  Both are pinned by their bytes."""
+    on stderr, exit 2.  Each is an entry of digests.json, pinned by its
+    bytes."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--help"],
-        *([command, "--help"] for command in cli._COMMANDS),
-        *([command, "--bogus"] for command in cli._COMMANDS),
-        ["tight-count", "--n", "1"],
-        ["frobnicate"],
-        [],
-    ])
-    def test_help_usage_and_errors_as_with_every_argument(self, capsys, argv):
-        status, out = run(argv)
-        called = capsys.readouterr()
-        if argv[-1:] == ["--help"]:
-            assert (status, called.out, called.err) == (0, "", "")
-            assert mismatch(recorded(argv), out.encode()) is None
-            return
-        assert (status, out, called.out) == (2, "", "")
-        command = argv[0] if argv and argv[0] in cli._COMMANDS else None
-        prog = "bcontact" if command is None else f"bcontact {command}"
-        message = USAGE_ERRORS[tuple(argv)]
-        assert called.err == f"{USAGE[command]}\n{prog}: error: {message}\n"
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestParser::test_help_usage_and_errors_as_with_every_argument")
+    )
+    def test_help_usage_and_errors_as_with_every_argument(self, monkeypatch, capsys, entry):
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
     def test_help_goes_to_out_alone(self, capsys):
         # Written through the same chunked writer as any answer, with nothing
         # on sys.stdout or stderr.
         buf = io.StringIO()
         assert run_cli(["tight-count", "--help"], out=buf) == 0
-        assert (buf.getvalue(), *capsys.readouterr()) == (TIGHT_COUNT_HELP, "", "")
-
-    @pytest.mark.parametrize("argv,message", [
-        (["table", "--manifold", "s3-t2", "--ma", "4"],
-         "ambiguous option: --ma could match --manifold, --max-curves, --max-slope"),
-        (["cf", "--p", "5", "--q"], "argument --q: expected one argument"),
-        (["cf", "--p", "five", "--q", "2"], "argument --p: invalid int value: 'five'"),
-        (["cf", "--p", "5", "--q", "2", "--format", "csv"],
-         "argument --format: invalid choice: 'csv' (choose from 'text', 'json')"),
-        (["enum-trees", "--n", "3", "--count-only=yes"],
-         "argument --count-only: ignored explicit argument 'yes'"),
-        (["cf", "--p", "5", "--q", "2", "extra", "--bogus"],
-         "unrecognized arguments: extra --bogus"),
-    ])
-    def test_each_refusal_names_its_cause(self, capsys, argv, message):
-        assert run(argv) == (2, "")
-        expected = f"{USAGE[argv[0]]}\nbcontact {argv[0]}: error: {message}\n"
-        assert capsys.readouterr().err == expected
+        assert capsys.readouterr() == ("", "")
+        assert mismatch(recorded(["tight-count", "--help"]), buf.getvalue().encode()) is None
 
 
 # What the argv reader meets: every command, every declared flag and its
@@ -692,8 +616,12 @@ def reader_argvs(draw):
     return argv
 
 
-# The argv of every pinned answer, not help, of digests.json.
-RECORDED_ARGVS = [entry["argv"] for entry in DIGESTS if entry["argv"][-1] != "--help"]
+# The argv of every pinned answer of digests.json that is neither help nor
+# a usage error.
+RECORDED_ARGVS = [
+    entry["argv"] for entry in DIGESTS
+    if entry["argv"][-1:] != ["--help"] and entry.get("status", 0) != 2
+]
 
 
 def spelled_out(argv):
@@ -1463,65 +1391,17 @@ class TestCliFuzz:
 
 
 class TestTableArguments:
-    def test_zero_slope_bound_is_an_error(self, capsys):
-        status, output = run(["table", "--manifold", "s3-t2", "--max-slope", "0"])
-        err = capsys.readouterr().err
-        assert status == 1 and output == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_sphere_tree_cap_fires_before_enumeration(self, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("enumeration ran before the cap check")
-
-        monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
-        monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
-        status, _ = run(["table", "--manifold", "s3-s2", "--max-curves", "30"])
-        assert status == 1
-        assert "capped" in capsys.readouterr().err
-
-    def test_sphere_tree_cap_names_the_argument(self, monkeypatch, capsys):
-        # The cap is on --max-curves, as typed, not on the half tree size
-        # it implies; 20 curves, the largest accepted, still list.
-        def never(*args, **kwargs):
-            raise AssertionError("enumeration ran before the cap check")
-
-        monkeypatch.setattr(ENUMERATION_MODULE, "enum_equicolored_trees", never)
-        monkeypatch.setattr(ENUMERATION_MODULE, "enum_tree_rows", never)
-        status, output = run(["table", "--manifold", "s3-s2", "--max-curves", "21"])
-        assert (status, output) == (1, "")
-        assert capsys.readouterr().err == (
-            "error: sphere table capped at --max-curves 20, got 21\n"
-        )
-
-    def test_row_cap_fires_before_rendering(self, monkeypatch, capsys):
-        # 14,782,862 rows, within the curve and slope caps.
-        def never(*args, **kwargs):
-            raise AssertionError("the table was written before the row cap check")
-
-        monkeypatch.setattr(formats, "write_table", never)
-        argv = ["table", "--manifold", "s3-t2", "--max-curves", "10", "--max-slope", "256"]
-        assert run(argv) == (1, "")
-        assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 14782862\n"
-
     def test_row_cap_refuses_before_enumerating(self, monkeypatch, capsys):
         # 4,508,533,366 rows, counted from the recorded class counts.
-        def never(*args, **kwargs):
-            raise AssertionError("enumeration ran before the row cap check")
-
-        monkeypatch.setattr(ENUMERATION_MODULE, "enum_torus_rows", never)
+        monkeypatch.setattr(ENUMERATION_MODULE, "enum_torus_rows", never_enumerate)
         argv = ["table", "--manifold", "s3-t2", "--max-curves", "16", "--max-slope", "256"]
-        assert run(argv) == (1, "")
-        assert capsys.readouterr().err == "error: table capped at 4000000 rows, got 4508533366\n"
+        assert_answers_as_recorded(monkeypatch, capsys, recorded(argv))
 
     @pytest.mark.parametrize("spare,status", [(0, 0), (-1, 1)], ids=["at-cap", "one-over"])
     def test_row_cap_counts_rows_exactly(self, monkeypatch, capsys, spare, status):
+        # A table's rows are its lines after the header.
         argv = ["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "3"]
-        table = run(argv)[1]
-        rows = table.count("\n") - 1
-        monkeypatch.setattr(ENUMERATION_MODULE, "TABLE_ROW_CAP", rows + spare)
-        assert run(argv) == (status, table if status == 0 else "")
-        refusal = f"error: table capped at {rows - 1} rows, got {rows}\n"
-        assert capsys.readouterr().err == ("" if status == 0 else refusal)
+        assert_row_cap_counts_rows(monkeypatch, capsys, "table", argv, 1, spare, status)
 
 
 class TestUsageErrors:
@@ -1535,12 +1415,6 @@ class TestUsageErrors:
         assert err.endswith(
             "\nbcontact tight-count: error: the following arguments are required: --p, --q\n"
         )
-
-    def test_missing_required_flag(self):
-        assert run(["enum-trees"])[0] == 2
-
-    def test_bad_manifold_value(self):
-        assert run(["table", "--manifold", "s3-rp2", "--max-curves", "2"])[0] == 2
 
     @pytest.mark.parametrize("command", ["classify", "census"])
     def test_manifold_option_is_gone(self, tmp_path, command):
@@ -1622,10 +1496,8 @@ class TestExitPath:
             (["tight-count", "--n", "0", "--p", "1", "--q", "1"], 1, "",
              ["error: the boundary carries 2n curves with n >= 1"]),
             # The usage line, then the error.
-            (["tight-count", "--n", "1"], 2, "", [
-                "usage: bcontact tight-count [-h] --n N --p P --q Q [--format {text,json}]",
-                "bcontact tight-count: error: the following arguments are required: --p, --q",
-            ]),
+            (["tight-count", "--n", "1"], 2, "",
+             recorded(["tight-count", "--n", "1"])["stderr"].splitlines()),
         ],
         ids=["answer", "domain-error", "usage-error"],
     )
@@ -1741,25 +1613,6 @@ class TestChunkedWrites:
         assert mismatch(recorded(self.ARGV), bytes(raw.data)) is None
 
 
-def recorded_in(test):
-    """The entries of digests.json that ``TestDeterminism``'s ``test``
-    checks, each by the id its name gives."""
-    prefix = f"tests/test_cli.py::TestDeterminism::{test}["
-    return [
-        pytest.param(entry, id=entry["name"][len(prefix):-1])
-        for entry in DIGESTS if entry["name"].startswith(prefix)
-    ]
-
-
-def assert_runs_as_recorded(monkeypatch, entry):
-    """Run ``entry`` in process, its gamma text on stdin, and compare its
-    stdout with the recorded digest and line count."""
-    set_stdin(monkeypatch, entry.get("gamma", ""))
-    status, output = run(entry["argv"])
-    assert status == 0
-    assert mismatch(entry, output.encode()) is None
-
-
 class TestDeterminism:
     def test_gamma_from_stdin(self, monkeypatch):
         set_stdin(monkeypatch, EQUATOR)
@@ -1772,17 +1625,23 @@ class TestDeterminism:
         args = ["table", "--manifold", "s3-s2", "--max-curves", "5"]
         assert run(args) == run(args)
 
-    @pytest.mark.parametrize("entry", recorded_in("test_table_matches_recorded_digest"))
-    def test_table_matches_recorded_digest(self, monkeypatch, entry):
-        assert_runs_as_recorded(monkeypatch, entry)
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestDeterminism::test_table_matches_recorded_digest")
+    )
+    def test_table_matches_recorded_digest(self, monkeypatch, capsys, entry):
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
-    @pytest.mark.parametrize("entry", recorded_in("test_enumeration_matches_recorded_digest"))
-    def test_enumeration_matches_recorded_digest(self, monkeypatch, entry):
-        assert_runs_as_recorded(monkeypatch, entry)
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestDeterminism::test_enumeration_matches_recorded_digest")
+    )
+    def test_enumeration_matches_recorded_digest(self, monkeypatch, capsys, entry):
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
-    @pytest.mark.parametrize("entry", recorded_in("test_output_matches_recorded_digest"))
-    def test_output_matches_recorded_digest(self, monkeypatch, entry):
-        assert_runs_as_recorded(monkeypatch, entry)
+    @pytest.mark.parametrize(
+        "entry", recorded_in("TestDeterminism::test_output_matches_recorded_digest")
+    )
+    def test_output_matches_recorded_digest(self, monkeypatch, capsys, entry):
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
 
     def test_empty_text_listing_is_one_newline(self):
         # One curve admits no class; the listing is still newline-terminated.
@@ -1984,21 +1843,12 @@ class TestTerminalWidth:
         ["--help"], ["table", "--help"], ["tight-count", "--n", "1"],
     ])
     def test_same_bytes_at_forty_and_two_hundred_columns(self, argv):
-        runs = [
-            subprocess.run(
+        for columns in ("40", "200"):
+            proc = subprocess.run(
                 [sys.executable, "-m", "bcontact", *argv], capture_output=True,
                 env={**os.environ, "COLUMNS": columns},
             )
-            for columns in ("40", "200")
-        ]
-        narrow, wide = ((proc.returncode, proc.stdout, proc.stderr) for proc in runs)
-        assert narrow == wide
-        status, stdout, stderr = narrow
-        if argv[-1] == "--help":
-            assert (status, stderr) == (0, b"")
-            assert mismatch(recorded(argv), stdout) is None
-        else:
-            assert (status, stdout, stderr.count(b"\n")) == (2, b"", 2)
+            assert mismatch(recorded(argv), proc.stdout, proc.returncode, proc.stderr) is None
 
 
 class TestPackageNamespace:
