@@ -40,6 +40,19 @@ from them (``counting.solid_torus_count``).  A table's size
 ``torus_count``), read off the recorded class counts, so a table too
 large to write is refused before any class is listed.  Both refuse a
 request out of range by ``enumeration``'s checks, and state none here.
+
+The table's writer (``write_table``) writes that one form in
+``TABLE_COLUMNS`` order.  It checks nothing, reads no graph, and hands
+its stream one graph class's lines at a time, so the table is never
+held whole.  A row, in CSV or as a JSON line, is the head (code,
+surface, V, E) and tail (census) strings of its graph class, each made
+once per class, the regime string of its run, made once per run, and
+its slope's text, made once per distinct run of slopes; the CSV form
+leaves an absent slope empty and the JSON form writes ``null``.  Every
+value is an ``int`` or an ASCII string of ``T C ( ) + -`` and digits,
+``sphere`` or ``torus``, so nothing needs quoting or escaping: the lines
+are byte-equal to ``csv.writer``'s and to ``json.dumps`` of the row
+dict.
 """
 
 from __future__ import annotations
@@ -250,3 +263,77 @@ def _bare_cycle_runs(n: int, products: list[tuple[Slopes, int, int]]) -> tuple:
         (run, *_regimes(Surface.TORUS, True, solid_torus_count(n, r, s)))
         for run, r, s in products
     ])
+
+
+TABLE_COLUMNS = [
+    "canonical_code",
+    "surface",
+    "V",
+    "E",
+    "slope_p",
+    "slope_q",
+    "tight_count",
+    "mixed_finite",
+    "mixed_rank",
+    "ot_finite",
+    "ot_rank",
+    "leaves_3",
+    "leaves_2",
+    "leaves_1",
+]
+
+
+def write_table(out, classes: list[TableClass], form: str) -> None:
+    """Write the classification table of ``classes`` (``table_classes``)
+    to ``out`` as CSV, header first, or as JSON lines (``form`` "json"),
+    one line per (graph class, slope) in ``TABLE_COLUMNS`` order, and
+    each graph class's lines in one write.
+
+    The code, shape and census columns depend on the graph class alone,
+    so they are written once per class, as a head and a tail string, and
+    the regime columns once per run of slopes sharing them.  The slope
+    columns are formatted once per distinct run of slopes, and a run's
+    rows are its slope texts joined between the head and the regime
+    string.  Every class came from the generator, which makes only
+    admissible ones, so nothing is checked here.  A ``form`` other than
+    "csv" or "json" is refused before a byte is written.
+    """
+    if form not in ("csv", "json"):
+        raise ValueError(f"unknown table form {form!r} (choose from 'csv', 'json')")
+    if form == "json":
+        sep = [f', "{column}": ' for column in TABLE_COLUMNS]
+        sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
+    else:
+        sep = [","] * len(TABLE_COLUMNS)
+        sep[0], quote, null, end = "", "", "", "\n"
+        out.write(",".join(TABLE_COLUMNS) + "\n")
+    q_sep = sep[5]
+    # The slope columns of each run of slopes, formatted once and keyed on
+    # the run's identity, which ``classes`` keeps alive: the classes of one
+    # table share their run objects, and a tuple does not keep its hash, so
+    # keying on its value would hash the run of all slopes again for every
+    # ring class.
+    slope_texts: dict[int, list[str]] = {}
+    for c in classes:
+        census = c.census
+        head = (
+            f"{sep[0]}{quote}{c.code}{quote}"
+            f"{sep[1]}{quote}{c.surface.value}{quote}"
+            f"{sep[2]}{c.vertex_count}{sep[3]}{c.edge_count}{sep[4]}"
+        )
+        tail = (
+            f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
+            f"{sep[13]}{census.leaves_dim1}{end}"
+        )
+        block = []
+        for slopes, t, m, o in c.runs:
+            rest = (
+                f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
+                f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"
+            )
+            texts = slope_texts.get(id(slopes))
+            if texts is None:
+                pairs = ((null, null),) if slopes == (None,) else slopes
+                texts = slope_texts[id(slopes)] = [f"{p}{q_sep}{q}" for p, q in pairs]
+            block += (head, (rest + head).join(texts), rest)
+        out.write("".join(block))

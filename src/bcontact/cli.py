@@ -22,11 +22,11 @@ Each command imports the layers it calls when it runs, so a call loads
 only those (README lists them): ``tight-count`` and ``cf`` load
 ``counting`` alone; the listings and the table, which read their classes
 off the generator's rows, admissible by construction, load neither
-``region_graph``, ``parsing`` nor ``admissibility``; only ``export-dot``
-of the ``--gamma`` commands, and the listings but for ``--count-only``,
-load the writers (``listings``).  ``json`` loads only for a one-object
-JSON answer (``_dumps``) or for JSON input.  No listing builds a graph
-object.
+``region_graph``, ``formats`` nor ``admissibility``, and the table is
+made and written by ``classify``; only ``export-dot`` of the ``--gamma``
+commands, and the listings but for ``--count-only``, load the writers
+(``listings``).  ``json`` loads only for a one-object JSON answer
+(``_dumps``) or for JSON input.  No listing builds a graph object.
 
 ``_COMMANDS`` declares each command once: its help line, its handler and
 its flags.  It is the only grammar: ``_read_args`` reads every call off
@@ -361,9 +361,8 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    from .classify import table_classes, table_rows
+    from .classify import table_classes, table_rows, write_table
     from .enumeration import check_row_cap
-    from .formats import write_table
     from .surfaces import Surface
 
     request = Surface(_MANIFOLDS[args.manifold]), args.max_curves, args.max_slope

@@ -301,11 +301,6 @@ def _walk(order: int, odd: int | None = None) -> Iterator[tuple[bytes, int, int,
             m = layout.find(1, 2) % (order + 1)
 
 
-def _free_trees(order: int) -> Iterator[bytes]:
-    """Level sequences of the free trees on ``order`` vertices (``_walk``)."""
-    return map(itemgetter(0), _walk(order))
-
-
 # Level parities by level, and their complements, as bytes: a vertex's
 # sign index with even, then odd, levels positive, and by the first a 1
 # per vertex on an odd level.  The translations run in C.
@@ -561,19 +556,6 @@ def _ring_codes(layout: bytes, u: int, v: int) -> tuple[str, str]:
     return _cycle_codes(side_x)
 
 
-def _codes(
-    layout: bytes, closing: tuple[int, int] | None, genus_vertex: int | None
-) -> tuple[str, str]:
-    """Canonical codes of a torus skeleton, a level sequence and its
-    closing edge or ``None`` and its genus vertex, with even, then odd,
-    levels positive: the second coloring is the first with every sign
-    negated.  Each is put together from its skeleton's codes
-    (``_skeleton_codes``)."""
-    if closing is not None:
-        return _ring_codes(layout, *closing)
-    return _genus_codes(layout, genus_vertex)
-
-
 # One listed class as the generator has it: (code, level sequence,
 # closing edge or ``None``, coloring).  The code is the class's canonical
 # code in the listing's sign mode, and the coloring is ``_coloring``'s:
@@ -607,7 +589,13 @@ def _class_rows(
     out: dict[str, Row] = {}
     colorings: dict[bytes, bytes] = {}
     for layout, closing, genus_vertex in candidates:
-        codes = _codes(layout, closing, genus_vertex)
+        # Each code is put together from its skeleton's codes
+        # (``_skeleton_codes``), with even, then odd, levels positive: the
+        # second coloring is the first with every sign negated.
+        if closing is None:
+            codes = _genus_codes(layout, genus_vertex)
+        else:
+            codes = _ring_codes(layout, *closing)
         for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
             code = min(codes) if modulo_swap else codes[positive]
             if code not in out:
@@ -652,7 +640,7 @@ def _torus_candidates(
     closing edge or ``None``, genus vertex or ``None``), from one walk of
     the free trees of each order."""
     for nv in range(2, max_curves + 2):
-        for layout in _free_trees(nv):
+        for layout, _, _, _ in _walk(nv):
             odd = layout.translate(_PARITY[0]).count(1)
             if 2 * odd == nv and nv <= max_curves:
                 # One essential cycle, possibly with contractible trees

@@ -1,4 +1,4 @@
-"""The input formats of a dividing-set class, and the classification table.
+"""The input formats of a dividing-set class, and their parsers.
 
 The line format is one item per line with ``#`` comments:
 
@@ -12,45 +12,32 @@ The JSON form mirrors it: ``{"surface": ..., "vertices": [{"id", "sign",
 other key, at the top or in a vertex, is a syntax error, as an unknown
 directive is in the text form.  So is a second ``surface`` or ``slope``
 line, or a key that an object repeats: input that says a thing twice is
-not read as its last word.  An error line echoes at most ``_ECHO``
-characters of a token or value, and then ``...``.
+not read as its last word.  An error line echoes a token or value as a
+broken graph invariant echoes an id: at most ``region_graph._ECHO``
+characters of it, and then ``...`` (``region_graph._echo``).
 A one-class answer is ``json.dumps`` of ``class_dict``; the writers of a
 class's text, its DOT export and the enumerated listings are in
-``listings``.
-
-The classification table is written from its one form, a list of graph
-classes (``classify.table_classes``), each its code, surface, region and
-curve counts and its slopes in runs sharing regimes, read off the
-generator's rows with no graph built; the writer (``write_table``)
-checks nothing and reads no graph, and hands its stream one graph
-class's lines at a time, so the table is never held whole.  A row, in
-CSV or as a JSON line, is the head (code, surface, V, E) and tail
-(census) strings of its graph class, each made once per class, the
-regime string of its run, made once per run, and its slope's text, made
-once per distinct run of slopes; the CSV form leaves an absent slope
-empty and the JSON form writes ``null``.  Every value is an ``int`` or
-an ASCII string of ``T C ( ) + -`` and digits, ``sphere`` or ``torus``,
-so nothing needs quoting or escaping: the lines are byte-equal to
-``csv.writer``'s and to ``json.dumps`` of the row dict.
+``listings``, and the classification table's columns and writer
+(``classify.write_table``) are in ``classify``, which makes the table.
+``render_table_csv`` is the table as one string, for library callers.
 
 A parsed class is a ``DividingSetClass`` of a ``RegionGraph``, each
 checked where it is made (graph invariants, then embeddability), so it
-is always usable downstream; a syntax error is raised before the graph
-is made.  ``parse_dividing_set`` is the reading side's entry, and the
-parsers behind it are in ``parsing``, which it imports on its first
-call, as the parsers import ``region_graph`` to build the graph: the
-table, which parses nothing and builds no graph, compiles neither.
+is always usable downstream.  ``parse_dividing_set`` is the reading
+side's entry: each line or object is checked for syntax, and a
+``ParseError`` raised, before the graph is made.
 """
 
 from __future__ import annotations
 
 import io
 
-# DividingSetClass (surfaces) and TableClass (classify) name types in
-# annotations only, which are never evaluated.
+from .region_graph import _ECHO, RegionGraph, _echo
+from .surfaces import DividingSetClass, Surface
 
-# The most characters of a token or value that an error line echoes.
-_ECHO = 40
+# TableClass (classify) names a type in annotations only, which are never
+# evaluated; json, which only JSON input needs, is imported where it is
+# used.
 
 
 class ParseError(ValueError):
@@ -83,88 +70,192 @@ def parse_dividing_set(text: str) -> DividingSetClass:
     Raises ``ParseError`` for syntax problems (with line and token) and
     ``InvalidRegionGraphError`` naming the violated invariant otherwise.
     """
-    from .parsing import _parse_json, _parse_text
-
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)
     return _parse_text(text)
 
 
-TABLE_COLUMNS = [
-    "canonical_code",
-    "surface",
-    "V",
-    "E",
-    "slope_p",
-    "slope_q",
-    "tight_count",
-    "mixed_finite",
-    "mixed_rank",
-    "ot_finite",
-    "ot_rank",
-    "leaves_3",
-    "leaves_2",
-    "leaves_1",
-]
+def _parse_int(raw: str, line: int, what: str) -> int:
+    # Only ASCII -?[0-9]+: int() alone would also take "1_0", "+1" and
+    # non-ASCII digits.
+    digits = raw[1:] if raw.startswith("-") else raw
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # past the int-to-str digit limit
+            pass
+    raise ParseError(f"expected an integer {what}", line, raw)
 
 
-def write_table(out, classes: list[TableClass], form: str) -> None:
-    """Write the classification table of ``classes`` (``table_classes``)
-    to ``out`` as CSV, header first, or as JSON lines (``form`` "json"),
-    one line per (graph class, slope) in ``TABLE_COLUMNS`` order, and
-    each graph class's lines in one write.
+def _parse_items(text: str) -> tuple[
+    Surface | None, list[tuple[int, int, int]], list[tuple[int, int]], tuple[int, int] | None
+]:
+    """The surface, the vertices as (id, sign, genus), the edges and the
+    slope of the line format, each line checked for syntax alone."""
+    surface: Surface | None = None
+    vertices: list[tuple[int, int, int]] = []
+    edges: list[tuple[int, int]] = []
+    slope: tuple[int, int] | None = None
+    # The line of the surface and of the slope, each given at most once.
+    given: dict[str, int] = {}
 
-    The code, shape and census columns depend on the graph class alone,
-    so they are written once per class, as a head and a tail string, and
-    the regime columns once per run of slopes sharing them.  The slope
-    columns are formatted once per distinct run of slopes, and a run's
-    rows are its slope texts joined between the head and the regime
-    string.  Every class came from the generator, which makes only
-    admissible ones, so nothing is checked here.
-    """
-    if form == "json":
-        sep = [f', "{column}": ' for column in TABLE_COLUMNS]
-        sep[0], quote, null, end = '{"canonical_code": ', '"', "null", "}\n"
-    else:
-        sep = [","] * len(TABLE_COLUMNS)
-        sep[0], quote, null, end = "", "", "", "\n"
-        out.write(",".join(TABLE_COLUMNS) + "\n")
-    q_sep = sep[5]
-    # The slope columns of each run of slopes, formatted once and keyed on
-    # the run's identity, which ``classes`` keeps alive: the classes of one
-    # table share their run objects, and a tuple does not keep its hash, so
-    # keying on its value would hash the run of all slopes again for every
-    # ring class.
-    slope_texts: dict[int, list[str]] = {}
-    for c in classes:
-        census = c.census
-        head = (
-            f"{sep[0]}{quote}{c.code}{quote}"
-            f"{sep[1]}{quote}{c.surface.value}{quote}"
-            f"{sep[2]}{c.vertex_count}{sep[3]}{c.edge_count}{sep[4]}"
-        )
-        tail = (
-            f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
-            f"{sep[13]}{census.leaves_dim1}{end}"
-        )
-        block = []
-        for slopes, t, m, o in c.runs:
-            rest = (
-                f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
-                f"{sep[9]}{o.finite_factor}{sep[10]}{o.free_rank}{tail}"
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind in ("surface", "slope"):
+            if kind in given:
+                raise ParseError(f"second {kind} line (the first is line {given[kind]})", lineno)
+            given[kind] = lineno
+        if kind == "surface":
+            if len(fields) != 2:
+                raise ParseError("surface line takes one value", lineno)
+            try:
+                surface = Surface(fields[1])
+            except ValueError:
+                raise ParseError("surface must be sphere or torus", lineno, fields[1]) from None
+        elif kind == "v":
+            if len(fields) != 4:
+                raise ParseError("vertex line is 'v <id> <+|-> <genus>'", lineno)
+            vid = _parse_int(fields[1], lineno, "vertex id")
+            if fields[2] not in ("+", "-"):
+                raise ParseError("vertex sign must be + or -", lineno, fields[2])
+            genus = _parse_int(fields[3], lineno, "genus")
+            vertices.append((vid, 1 if fields[2] == "+" else -1, genus))
+        elif kind == "e":
+            if len(fields) != 3:
+                raise ParseError("edge line is 'e <id1> <id2>'", lineno)
+            edges.append(
+                (
+                    _parse_int(fields[1], lineno, "vertex id"),
+                    _parse_int(fields[2], lineno, "vertex id"),
+                )
             )
-            texts = slope_texts.get(id(slopes))
-            if texts is None:
-                pairs = ((null, null),) if slopes == (None,) else slopes
-                texts = slope_texts[id(slopes)] = [f"{p}{q_sep}{q}" for p, q in pairs]
-            block += (head, (rest + head).join(texts), rest)
-        out.write("".join(block))
+        elif kind == "slope":
+            if len(fields) != 3:
+                raise ParseError("slope line is 'slope <p> <q>'", lineno)
+            slope = (
+                _parse_int(fields[1], lineno, "slope numerator"),
+                _parse_int(fields[2], lineno, "slope denominator"),
+            )
+        else:
+            raise ParseError("unknown directive", lineno, kind)
+
+    return surface, vertices, edges, slope
+
+
+def _parse_text(text: str) -> DividingSetClass:
+    surface, vertices, edges, slope = _parse_items(text)
+    if surface is None:
+        raise ParseError("missing 'surface sphere|torus' header")
+    return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+_CLASS_KEYS = frozenset({"surface", "vertices", "edges", "slope"})
+_VERTEX_KEYS = frozenset({"id", "sign", "genus"})
+
+
+def _parse_json(text: str) -> DividingSetClass:
+    import json
+
+    # Past its leading blanks the text is "{...": an object or no JSON.
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, exc.lineno) from None
+    except ParseError:
+        raise
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
+    except ValueError:  # an integer past the int-to-str digit limit
+        raise ParseError("JSON integer has too many digits") from None
+    _reject_unknown_keys(data, _CLASS_KEYS, "class")
+    try:
+        surface = _json_surface(data["surface"])
+        vertices = tuple(_json_vertex(v) for v in _json_list(data["vertices"], "vertices"))
+        edges = tuple(_json_pair(e, "edge") for e in _json_list(data["edges"], "edges"))
+        raw_slope = data.get("slope")
+        slope = None if raw_slope is None else _json_pair(raw_slope, "slope")
+    except ParseError:
+        raise
+    except KeyError as exc:
+        raise ParseError(f"malformed JSON class: missing key {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"malformed JSON class: {exc}") from None
+    return DividingSetClass(surface, RegionGraph(vertices, edges), slope)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, unless it repeats a key, which ``json`` alone
+    would keep the last value of."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError("repeated key in JSON object", token=key)
+            seen.add(key)
+    return obj
+
+
+def _reject_unknown_keys(obj: dict, known: frozenset[str], what: str) -> None:
+    # The JSON counterpart of the text form's unknown directive.
+    unknown = sorted(obj.keys() - known)
+    if unknown:
+        raise ParseError(f"unknown key in JSON {what}", token=unknown[0])
+
+
+def _json_surface(value) -> Surface:
+    try:
+        return Surface(value)
+    except ValueError:
+        raise ValueError(f"{_echo(repr(value))} is not a valid Surface") from None
+
+
+def _json_vertex(v) -> tuple[int, int, int]:
+    if not isinstance(v, dict):
+        raise ValueError(f"vertex must be an object, got {_json_echo(v)}")
+    _reject_unknown_keys(v, _VERTEX_KEYS, "vertex")
+    return (
+        _json_int(v["id"], "vertex id"),
+        _json_int(v["sign"], "sign"),
+        _json_int(v.get("genus", 0), "genus"),
+    )
+
+
+def _json_echo(value) -> str:
+    import json
+
+    return _echo(json.dumps(value))
+
+
+def _json_int(value, what: str) -> int:
+    # bool is an int subclass, but true/false is not a number.
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{what} must be an integer, got {_json_echo(value)}")
+
+
+def _json_list(value, what: str) -> list:
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"{what} must be a list, got {_json_echo(value)}")
+
+
+def _json_pair(value, what: str) -> tuple[int, int]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ValueError(f"{what} must be a list of two integers, got {_json_echo(value)}")
+    return _json_int(value[0], what), _json_int(value[1], what)
 
 
 def render_table_csv(classes: list[TableClass]) -> str:
     """The classification table as CSV, header first, from ``table_classes``,
-    as one string."""
+    as one string (``classify.write_table``)."""
+    from .classify import write_table
+
     out = io.StringIO()
     write_table(out, classes, "csv")
     return out.getvalue()

@@ -123,11 +123,20 @@ def write_listing(
     other coloring and dropped when that uses it, and not kept at all
     when the signs are identified.  A torus row is its class at each of
     its slopes, in one write: a batch of rings would hold whole runs of
-    slopes at once.
+    slopes at once.  A ``form`` other than "text", "json" or "csv", or a
+    text or JSON sphere listing of rows without their edges, is refused
+    before a byte is written.
     """
     from .enumeration import _normalized_slopes
 
     torus = max_p is not None
+    if form not in ("text", "json", "csv"):
+        raise ValueError(f"unknown listing form {form!r} (choose from 'text', 'json', 'csv')")
+    if form != "csv" and not torus and rows and len(rows[0]) < 5:
+        raise ValueError(
+            "text and JSON sphere listings need rows with their edges"
+            " (enum_tree_rows(..., edges=True))"
+        )
     # A ring's slopes: each one up to the bound on a torus listing, and on
     # a listing of graphs one class with no slope.
     ring_slopes = _normalized_slopes(max_p) if torus else (None,)

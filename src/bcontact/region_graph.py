@@ -214,12 +214,14 @@ def _non_integer_id(vertices, edges) -> Violation | None:
     return None
 
 
-def _echo(value: object) -> str:
-    """``value`` as an error line shows it: its first ``formats._ECHO``
-    characters, and ``...`` when it is longer, as a syntax error shows a
-    token.  Only an error line loads ``formats``, for the bound."""
-    from .formats import _ECHO
+# The most characters of a token or value that an error line echoes.
+_ECHO = 40
 
+
+def _echo(value: object) -> str:
+    """``value`` as an error line shows it: its first ``_ECHO`` characters,
+    and ``...`` when it is longer, as a syntax error
+    (``formats.ParseError``) shows a token."""
     text = str(value)
     return text if len(text) <= _ECHO else text[:_ECHO] + "..."
 

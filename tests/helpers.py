@@ -6,10 +6,12 @@ off the Farey graph, with no continued fraction, and must not call
 ``enumerated_records`` and ``record_rows`` referee the classification
 table: the rows of ``classify`` of every enumerated class, built field by
 field, without ``table_classes``.  ``table_jsonl`` is the table's JSON
-lines, as ``formats.write_table`` writes them, in one string.
+lines, as ``classify.write_table`` writes them, in one string.
 ``all_torus_candidates`` and ``twin_image`` referee the torus generator's
 twin skip: the candidate stream with no candidate skipped, and the
-earlier candidate a twin swap moves a skipped one to.
+earlier candidate a twin swap moves a skipped one to.  ``free_trees``
+and ``torus_codes`` are the generator's free-tree walk and its coding of
+one torus candidate, as the generator calls them.
 ``enum_torus_graphs`` and ``graph_slopes`` referee the torus listings and
 ``enum_torus_classes``: each listed class's graph, built from its row by
 the checking constructor, and the slopes a graph is paired with, counted
@@ -30,17 +32,18 @@ from functools import cache
 from itertools import groupby
 from math import gcd
 
-from bcontact.classify import classify, leaf_census
+from bcontact.classify import classify, leaf_census, write_table
 from bcontact.cli import _COMMANDS
 from bcontact.enumeration import (
-    _free_trees,
+    _genus_codes,
+    _ring_codes,
     _tree_edges,
     _vertices,
+    _walk,
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
 )
-from bcontact.formats import write_table
 from bcontact.region_graph import RegionGraph, canonical_code
 from bcontact.surfaces import DividingSetClass, Surface, region_euler
 
@@ -252,19 +255,30 @@ def graph_slopes(g, max_p):
     )
 
 
+def free_trees(order):
+    return (layout for layout, _, _, _ in _walk(order))
+
+
+def torus_codes(layout, closing, genus_vertex):
+    """The codes of a torus candidate in both colorings."""
+    if closing is None:
+        return _genus_codes(layout, genus_vertex)
+    return _ring_codes(layout, *closing)
+
+
 def all_torus_candidates(max_curves):
     """Every torus candidate the balance gate admits, in the generator's
     order, with none skipped: (level sequence, closing edge or ``None``,
     genus vertex or ``None``)."""
     for nv in range(2, max_curves + 2):
-        for layout in _free_trees(nv):
+        for layout in free_trees(nv):
             odd = sum(level & 1 for level in layout)
             if abs(nv - 2 * odd) == 1:
                 for g in range(nv):
                     if layout[g] & 1 == int(2 * odd > nv):
                         yield layout, None, g
     for nv in range(2, max_curves + 1):
-        for layout in _free_trees(nv):
+        for layout in free_trees(nv):
             if 2 * sum(level & 1 for level in layout) == nv:
                 for u in range(nv):
                     for v in range(u + 1, nv):

@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcontact import admissibility, cli, counting, formats, listings
-from bcontact.classify import table_classes, table_rows
+from bcontact.classify import TABLE_COLUMNS, table_classes, table_rows, write_table
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
     ResourceLimitError,
@@ -502,9 +502,9 @@ class TestTableWrites:
     def test_each_write_is_one_graph_class(self, fmt, opening):
         classes = table_classes(S3_T2, 5, 256)
         writes = []
-        formats.write_table(SimpleNamespace(write=writes.append), classes, fmt)
+        write_table(SimpleNamespace(write=writes.append), classes, fmt)
         if fmt == "csv":
-            assert writes.pop(0) == ",".join(formats.TABLE_COLUMNS) + "\n"
+            assert writes.pop(0) == ",".join(TABLE_COLUMNS) + "\n"
         assert len(writes) == len(classes)
         total = sum(len(run[0]) for c in classes for run in c.runs)
         for text, c in zip(writes, classes):
@@ -1416,17 +1416,19 @@ class TestUsageErrors:
             "\nbcontact tight-count: error: the following arguments are required: --p, --q\n"
         )
 
-    @pytest.mark.parametrize("command", ["classify", "census"])
-    def test_manifold_option_is_gone(self, tmp_path, command):
-        # The manifold follows from the input's surface.
-        args = [command, "--gamma", gamma_file(tmp_path, EQUATOR), "--manifold", "s3-s2"]
-        assert run(args)[0] == 2
+    # Each usage error below is an entry of digests.json named by its test:
+    # its usage line, its error line and no stdout.
 
-    def test_text_table_format_is_gone(self):
+    @pytest.mark.parametrize("entry", recorded_in("TestUsageErrors::test_manifold_option_is_gone"))
+    def test_manifold_option_is_gone(self, monkeypatch, capsys, entry):
+        # The manifold follows from the input's surface.
+        assert_answers_as_recorded(monkeypatch, capsys, entry)
+
+    def test_text_table_format_is_gone(self, monkeypatch, capsys):
         # It wrote the same bytes as csv, which is now the default.
         args = ["table", "--manifold", "s3-t2", "--max-curves", "4", "--max-slope", "2"]
-        assert run(args + ["--format", "text"])[0] == 2
         assert run(args) == run(args + ["--format", "csv"])
+        assert_answers_as_recorded(monkeypatch, capsys, recorded([*args, "--format", "text"]))
 
 
 def run_with_closed_fd(fd, argv):
@@ -1667,22 +1669,22 @@ except SystemExit as exc:
 
 
 # The bcontact modules a CLI call loads: those of the arithmetic, the
-# surfaces, the reader of a dividing set (its parsers and the region graph
-# they build), the enumerator, a listing's writer and the table's.  The
-# table and the listings read their classes off the generator's rows,
-# build no graph and parse nothing, so they load neither the region graph
-# nor the parsers, and the listings not the formats module either; the
-# table, all of whose classes are admissible by construction, loads no
+# surfaces, the reader of a dividing set (the formats and their parsers,
+# and the region graph they build), the enumerator, a listing's writer
+# and the table's (``classify``).  The table and the listings read their
+# classes off the generator's rows, build no graph and parse nothing, so
+# they load neither the region graph nor the formats module; the table,
+# all of whose classes are admissible by construction, loads no
 # admissibility check.  The listings check no class, so they load no
 # arithmetic, nor the surfaces, which a listing does not name.  The
 # --gamma commands load the listing writers only to write a class's DOT
 # export.
 ARITHMETIC = frozenset({"cli", "counting"})
 SURFACES = ARITHMETIC | {"surfaces"}
-READING = SURFACES | {"codes", "formats", "parsing", "region_graph"}
+READING = SURFACES | {"codes", "formats", "region_graph"}
 ENUMERATING = frozenset({"cli", "codes", "enumeration"})
 LISTING = ENUMERATING | {"listings"}
-TABLING = ENUMERATING | SURFACES | {"classify", "formats"}
+TABLING = ENUMERATING | SURFACES | {"classify"}
 CHECKING = READING | {"admissibility"}
 CLASSIFYING = CHECKING | {"classify"}
 
@@ -1789,8 +1791,7 @@ class TestImportFootprint:
         # built, no input is parsed, and json is not imported.
         status, layers, json_loaded = loaded_modules(tmp_path, argv)
         assert status == 0 and not json_loaded
-        assert not {"region_graph", "parsing"} & layers
-        assert ("formats" in layers) == (argv[0] == "table")
+        assert not {"region_graph", "formats"} & layers
 
     @pytest.mark.parametrize("argv", LISTINGS)
     def test_listings_load_no_arithmetic(self, tmp_path, argv):

@@ -16,7 +16,6 @@ from bcontact.enumeration import (
     TABLE_ROW_CAP,
     ResourceLimitError,
     _coloring,
-    _free_trees,
     _tree_edges,
     _vertices,
     enum_equicolored_trees,
@@ -30,7 +29,14 @@ from bcontact.enumeration import (
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
-from helpers import all_torus_candidates, enum_torus_graphs, skeleton_edges, twin_image
+from helpers import (
+    all_torus_candidates,
+    enum_torus_graphs,
+    free_trees,
+    skeleton_edges,
+    torus_codes,
+    twin_image,
+)
 from oracle import oracle_count_trees
 from polya import sphere_counts, torus_counts
 
@@ -74,7 +80,7 @@ class TestTreeCounts:
     def test_free_tree_skeletons_match_oeis_a000055(self):
         # Unlabeled free trees on 2..14 vertices.
         expected = [1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159]
-        assert [sum(1 for _ in _free_trees(order)) for order in range(2, 15)] == expected
+        assert [sum(1 for _ in free_trees(order)) for order in range(2, 15)] == expected
 
     def test_free_trees_number_vertices_like_networkx(self):
         # The first graph per class is the printed representative, so the
@@ -86,7 +92,7 @@ class TestTreeCounts:
         except ImportError:
             nx = None
         for order, digest in NETWORKX_TREE_DIGESTS.items():
-            ours = [sorted(_tree_edges(layout)) for layout in _free_trees(order)]
+            ours = [sorted(_tree_edges(layout)) for layout in free_trees(order)]
             assert hashlib.sha256(repr(ours).encode()).hexdigest() == digest, order
             if nx is not None:
                 theirs = [
@@ -335,7 +341,7 @@ class TestTorusBalanceGate:
         # that gates enumeration accepts exactly the admissible candidates.
         checked = 0
         for nv in range(2, 10):
-            for layout in _free_trees(nv):
+            for layout in free_trees(nv):
                 odd = sum(level & 1 for level in layout)
                 edges = _tree_edges(layout)
                 for positive in (0, 1):
@@ -371,11 +377,16 @@ class TestArrayCodes:
         # shapes and sign modes: each coloring's array code is the code of
         # the same graph built by the public constructor.
         tried = []
-        real_codes = enumeration._codes
+        real_genus_codes, real_ring_codes = enumeration._genus_codes, enumeration._ring_codes
 
-        def recording(layout, closing, genus_vertex):
-            codes = real_codes(layout, closing, genus_vertex)
-            tried.append((layout, skeleton_edges(layout, closing), genus_vertex, codes))
+        def recording_genus(layout, genus_vertex):
+            codes = real_genus_codes(layout, genus_vertex)
+            tried.append((layout, skeleton_edges(layout, None), genus_vertex, codes))
+            return codes
+
+        def recording_ring(layout, u, v):
+            codes = real_ring_codes(layout, u, v)
+            tried.append((layout, skeleton_edges(layout, (u, v)), None, codes))
             return codes
 
         real_sphere_trees = enumeration._sphere_trees
@@ -385,7 +396,8 @@ class TestArrayCodes:
                 tried.append((layout, skeleton_edges(layout, None), None, codes))
                 yield layout, codes, ranks
 
-        monkeypatch.setattr(enumeration, "_codes", recording)
+        monkeypatch.setattr(enumeration, "_genus_codes", recording_genus)
+        monkeypatch.setattr(enumeration, "_ring_codes", recording_ring)
         monkeypatch.setattr(enumeration, "_sphere_trees", recording_trees)
         emitted = []
         for mode in (False, True):
@@ -434,7 +446,7 @@ class TestRingCodes:
         checked = 0
         for layout, closing, genus_vertex in all_torus_candidates(12):
             if closing is not None:
-                codes = enumeration._codes(layout, closing, None)
+                codes = torus_codes(layout, closing, None)
                 assert codes == _peeled(layout, closing, None), (layout, closing)
                 checked += 1
         assert checked == 7_149
@@ -458,7 +470,7 @@ class TestRingCodes:
             image = twin_image(*candidate)
             # An earlier candidate of the same skeleton, with the same codes.
             assert order[image] < order[candidate], candidate
-            assert enumeration._codes(*image) == enumeration._codes(*candidate), candidate
+            assert torus_codes(*image) == torus_codes(*candidate), candidate
 
     def test_candidate_counts(self):
         # Ring candidates, then genus candidates, after the twin skip.
@@ -475,13 +487,13 @@ class TestRingCodes:
         # One walk of the free trees per order serves both shapes: orders 2
         # to 11 for 10 curves.
         orders = []
-        real_free_trees = enumeration._free_trees
+        real_walk = enumeration._walk
 
-        def counted(order):
+        def counted(order, odd=None):
             orders.append(order)
-            return real_free_trees(order)
+            return real_walk(order, odd)
 
-        monkeypatch.setattr(enumeration, "_free_trees", counted)
+        monkeypatch.setattr(enumeration, "_walk", counted)
         list(enumeration._torus_candidates(10))
         assert orders == list(range(2, 12))
 

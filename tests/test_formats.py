@@ -5,22 +5,22 @@ import json
 
 import pytest
 
-from bcontact.classify import classify, table_classes
+from bcontact.classify import TABLE_COLUMNS, classify, table_classes, write_table
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
+    enum_tree_rows,
 )
 from bcontact.formats import (
     ParseError,
+    _parse_items,
     class_dict,
     parse_dividing_set,
     render_table_csv,
-    TABLE_COLUMNS,
 )
 from bcontact.listings import export_dot, serialize_class_text, write_listing
-from bcontact.parsing import _parse_items
 from bcontact.region_graph import InvalidRegionGraphError, RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -383,3 +383,29 @@ class TestTableRowsFieldByField:
         assert text == "".join(
             json.dumps(row) + "\n" for row in record_rows(records, modulo_swap)
         )
+
+
+class TestWritersRefuse:
+    """A writer asked for what it cannot write raises ``ValueError`` before
+    it writes a byte.  The CLI's ``--format`` choices never ask it."""
+
+    def test_table_refuses_an_unknown_form(self):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="unknown table form 'text'"):
+            write_table(out, table_classes(S3_T2, 4, 2), "text")
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("max_p", [None, 1], ids=["sphere", "torus"])
+    def test_listing_refuses_an_unknown_form(self, max_p):
+        rows = enum_tree_rows(2, edges=True) if max_p is None else enum_torus_rows(2)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="unknown listing form 'xml'"):
+            write_listing(out, rows, "xml", max_p)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_sphere_listing_refuses_rows_without_their_edges(self, form):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=r"enum_tree_rows\(\.\.\., edges=True\)"):
+            write_listing(out, enum_tree_rows(3), form)
+        assert out.getvalue() == ""

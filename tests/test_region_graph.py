@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcontact import enumeration, region_graph
+from bcontact import region_graph
 from bcontact.enumeration import (
     _EDGES,
     _coloring,
-    _free_trees,
     _sphere_trees,
     _tree_edges,
     enum_equicolored_trees,
@@ -29,6 +28,7 @@ from bcontact.region_graph import (
 )
 from bcontact.surfaces import DividingSetClass, Surface
 
+from helpers import free_trees, torus_codes
 from oracle import adjacency, brute_force_isomorphic, by_id
 
 
@@ -374,7 +374,7 @@ def trees_up_to_fourteen():
     return [
         (layout, tree_neighbors(layout))
         for order in range(1, 15)
-        for layout in ([bytes(1)] if order == 1 else _free_trees(order))
+        for layout in ([bytes(1)] if order == 1 else free_trees(order))
     ]
 
 
@@ -414,7 +414,7 @@ class TestSwapByTranslate:
         # graph on up to ten vertices, 2-cycles (doubled edges) included.
         checked = 0
         for order in range(2, 11):
-            for layout in _free_trees(order):
+            for layout in free_trees(order):
                 edges = _tree_edges(layout)
                 for u in range(order):
                     for v in range(u + 1, order):
@@ -437,7 +437,7 @@ class TestLevelCodes:
         if genus_vertex is None:
             assert read == peeled, layout
         else:
-            assert enumeration._codes(layout, None, genus_vertex) == peeled, (
+            assert torus_codes(layout, None, genus_vertex) == peeled, (
                 layout, genus_vertex
             )
 
@@ -494,7 +494,7 @@ class TestSphereRows:
         # the peel, one per coloring unless a sign swap maps it to the other.
         for n in range(1, 9):
             expected = []
-            for layout in _free_trees(2 * n):
+            for layout in free_trees(2 * n):
                 if sum(level & 1 for level in layout) != n:
                     continue
                 codes = codes_of(tree_neighbors(layout), level_tags(layout, 0))
