@@ -249,7 +249,7 @@ def _cmd_enum_torus(args, out) -> int:
     from .listings import write_listing
 
     rows = enum_torus_rows(args.max_curves, modulo_swap)
-    write_listing(out, rows, args.format, args.max_slope, modulo_swap)
+    write_listing(out, rows, args.format, args.max_slope)
     return 0
 
 

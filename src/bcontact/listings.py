@@ -5,10 +5,11 @@ A class's text is the line format that ``formats`` reads
 comments (``export_dot``).  The enumerated listings are bulk output,
 written from the generator's rows (``enumeration.Row``), with no graph
 built, in one loop per listing (``write_listing``): each row's text is a
-head made once per coloring and a tail of its edges, of fragments looked
-up in tables indexed by id, sign and genus and by edge rank
-(``_tables``).  A sphere row brings its edges' ranks from the walk and
-goes out with whole other rows; a torus row's tail is made once per skeleton, and each torus
+head made once per coloring and a tail, of fragments looked up in tables
+indexed by id, sign and genus and by edge rank (``_tables``).  A tail is
+the fragments of its sorted edge ranks: a sphere row's ranks come from
+the walk, and its row goes out with whole other rows; a torus row's come
+from its level sequence plus a ring's closing edge, and each torus
 class's lines go out in one write, at every slope up to the listing's
 bound for a ring, whose slopes' ends are made once per listing.  A listing's
 JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
@@ -25,12 +26,13 @@ their output deterministically.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import namedtuple
 from functools import cache
 from operator import getitem
 
-# DividingSetClass (surfaces), Row (enumeration) and Callable
-# name types in annotations only, which are never evaluated.
+# DividingSetClass (surfaces) and Row (enumeration) name types in
+# annotations only, which are never evaluated.
 
 # The sphere rows in one write: at n = 10, up to 230 KB of JSON.
 _BATCH = 256
@@ -57,28 +59,14 @@ _JSON = _Form(
 
 
 @cache
-def _tables(
-    form: _Form,
-) -> tuple[list[tuple[str, ...]], list[str], Callable[[bytes, tuple | None], str]]:
+def _tables(form: _Form) -> tuple[list[tuple[str, ...]], list[str]]:
     """A form's fragment of every vertex the enumerators make, indexed like
-    ``enumeration._VERTEX_ROWS``, of every edge, indexed by its rank
-    (``enumeration._RANKS``), and its joined edge fragments of a torus
-    skeleton (``enumeration.Row``), in the order a graph keeps them: by
-    their ends, as their ranks sort."""
-    from .enumeration import _EDGES, _RANKS, _VERTEX_ROWS, _edge_ranks
-
-    edge_table = [form.edge(a, b) for a, b in _EDGES]
-    join = form.separator.join
-
-    def skeleton_edges(layout: bytes, closing: tuple[int, int] | None) -> str:
-        ranks = _edge_ranks(layout)
-        if closing is not None:
-            ranks.append(_RANKS[closing[0]][closing[1]])
-        ranks.sort()
-        return join(map(edge_table.__getitem__, ranks))
+    ``enumeration._VERTEX_ROWS``, and of every edge, indexed by its rank
+    (``enumeration._RANKS``)."""
+    from .enumeration import _EDGES, _VERTEX_ROWS
 
     vertex_table = [tuple(form.vertex(*v) for v in row) for row in _VERTEX_ROWS]
-    return vertex_table, edge_table, skeleton_edges
+    return vertex_table, [form.edge(a, b) for a, b in _EDGES]
 
 
 def serialize_class_text(d: DividingSetClass) -> str:
@@ -92,9 +80,7 @@ def serialize_class_text(d: DividingSetClass) -> str:
     ])
 
 
-def write_listing(
-    out, rows: list[Row], form: str, max_p: int | None = None, modulo_swap: bool = False,
-) -> None:
+def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> None:
     """Write a listing of the generator's rows (``enumeration.Row``) to
     ``out`` in ``form``, one class's lines at a time, with no graph built.
 
@@ -113,21 +99,21 @@ def write_listing(
     class's surface line and the ``v`` lines, and its tail the ``e``
     lines; a JSON line's head runs up to its edges, and its tail from
     them to its slope.  Heads are made first, one per distinct coloring
-    (the 10,079 trees on 16 regions have 1,049 colorings).  A sphere
-    row's tail is its edges' fragments by the ranks in its fifth field,
-    so its text and JSON forms need rows asked for with their edges
-    (``enumeration.enum_tree_rows`` with ``edges``); ``_BATCH`` rows go
-    out in one write, since a sphere row is one class.
-    A torus tree's skeleton keeps its tail for all of its genus regions;
-    a ring has at most one row per coloring, so its tail is kept for its
-    other coloring and dropped when that uses it, and not kept at all
-    when the signs are identified.  A torus row is its class at each of
-    its slopes, in one write: a batch of rings would hold whole runs of
-    slopes at once.  A ``form`` other than "text", "json" or "csv", or a
-    text or JSON sphere listing of rows without their edges, is refused
-    before a byte is written.
+    (the 10,079 trees on 16 regions have 1,049 colorings).  A tail is
+    the fragments of its sorted edge ranks.  A sphere row's ranks are
+    its fifth field, from the walk, so its text and JSON forms need rows
+    asked for with their edges (``enumeration.enum_tree_rows`` with
+    ``edges``); ``_BATCH`` rows go out in one write, since a sphere row
+    is one class.  A torus row's ranks are its level sequence's, made
+    once per sequence, plus a ring's closing edge: a tree's sequence
+    keeps its tail text for all of its genus regions and colorings, and
+    a ring's keeps its ranks, into which each row's closing edge is put.
+    A torus row is its class at each of its slopes, in one write: a
+    batch of rings would hold whole runs of slopes at once.  A ``form``
+    other than "text", "json" or "csv", or a text or JSON sphere listing
+    of rows without their edges, is refused before a byte is written.
     """
-    from .enumeration import _normalized_slopes
+    from .enumeration import _RANKS, _edge_ranks, _normalized_slopes
 
     torus = max_p is not None
     if form not in ("text", "json", "csv"):
@@ -152,7 +138,7 @@ def write_listing(
         out.write("\n")
         return
     fragments = _JSON if json_form else _TEXT
-    vertex_table, edge_table, skeleton_edges = _tables(fragments)
+    vertex_table, edge_table = _tables(fragments)
     join = fragments.separator.join
     if json_form:
         fields = '{"surface": "torus", ' if torus else "{"
@@ -175,25 +161,33 @@ def write_listing(
             out.write("".join(parts)[skip:])
             skip = 0
         return
-    tails: dict[bytes | tuple, str] = {}
     # Each class's ends, one before each of its slopes: a tree's one, with
     # no slope, and a ring's one per slope up to ``max_p``.
     tree_ends = ["", fragments.slope(None)]
     ring_ends = ["", *map(fragments.slope, ring_slopes)]
+    # Per level sequence, its edge ranks sorted, made once: a tree's tail
+    # text, or a ring's ranks, which its closing edge joins.  A sequence
+    # carries genus trees or rings, never both: their balance gates,
+    # 2 * odd = V and |V - 2 * odd| = 1, are disjoint.
+    tails: dict[bytes, str | list[int]] = {}
+
+    def tail_text(ranks: list[int]) -> str:
+        return join(map(edge_table.__getitem__, ranks)) + closing
+
     for row in rows:
-        # A tree's skeleton is its level sequence, which the rows hold, so
-        # keying on it makes no key object; a ring's is a pair.
-        tree = row[2] is None
-        skeleton = row[1] if tree else row[1:3]
-        tail = tails.get(skeleton)
+        layout, edge = row[1], row[2]
+        tail = tails.get(layout)
         if tail is None:
-            tail = skeleton_edges(row[1], row[2]) + closing
-            if tree or not modulo_swap:
-                tails[skeleton] = tail
-        elif not tree:
-            del tails[skeleton]
+            ranks = sorted(_edge_ranks(layout))
+            tail = tails[layout] = ranks if edge else tail_text(ranks)
+        if edge is None:
+            ends = tree_ends
+        else:
+            ranks = tail.copy()
+            insort(ranks, _RANKS[edge[0]][edge[1]])
+            tail, ends = tail_text(ranks), ring_ends
         # The class at each slope: its head and tail before each end.
-        out.write((heads[row[3]] + tail).join(tree_ends if tree else ring_ends)[skip:])
+        out.write((heads[row[3]] + tail).join(ends)[skip:])
         skip = 0
 
 

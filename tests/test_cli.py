@@ -517,10 +517,10 @@ class TestTableWrites:
 
 
 class TestListingFragments:
-    """A torus listing makes each skeleton's edge text once: the other
-    coloring of a ring, or another genus region of a tree, reuses it.  A
-    sphere listing makes none from a level sequence: each row brings its
-    edges from the walk."""
+    """A torus listing ranks each level sequence's edges once: a ring's
+    closing edge joins its sequence's ranks, and another genus region or
+    coloring of a tree reuses its sequence's text.  A sphere listing ranks
+    none: each row brings its edges' ranks from the walk."""
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
     @pytest.mark.parametrize("argv", [
@@ -528,25 +528,32 @@ class TestListingFragments:
         ["enum-torus", "--max-curves", "9", "--max-slope", "2"],
     ])
     def test_edge_text_made_once_per_skeleton(self, monkeypatch, argv, modulo_swap):
-        made = []
-        real_tables = listings._tables
+        ranked = []
+        real_edge_ranks = ENUMERATION_MODULE._edge_ranks
 
-        def counting_tables(form):
-            vertex_table, edge_table, skeleton_edges = real_tables(form)
+        def counted(layout):
+            ranked.append(layout)
+            return real_edge_ranks(layout)
 
-            def counted(layout, closing):
-                made.append((layout, closing))
-                return skeleton_edges(layout, closing)
-
-            return vertex_table, edge_table, counted
-
-        monkeypatch.setattr(listings, "_tables", counting_tables)
+        # Each of the torus listing's sequences once, and none on the sphere.
+        torus = argv[0] == "enum-torus"
+        rows = ENUMERATION_MODULE.enum_torus_rows(9, modulo_swap) if torus else []
+        expected = sorted({row[1] for row in rows})
+        monkeypatch.setattr(ENUMERATION_MODULE, "_edge_ranks", counted)
         sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
         for fmt in ("json", "text"):
-            made.clear()
+            ranked.clear()
             assert run([*argv, *sign_mode, "--format", fmt])[0] == 0
-            assert len(made) == len(set(made)), (argv, fmt)
-            assert bool(made) == (argv[0] == "enum-torus"), (argv, fmt)
+            assert sorted(ranked) == expected, (argv, fmt)
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_a_level_sequence_carries_trees_or_rings(self, modulo_swap):
+        # The writer keeps one tail per sequence, text for a tree's and
+        # ranks for a ring's.
+        rows = ENUMERATION_MODULE.enum_torus_rows(12, modulo_swap)
+        trees = {row[1] for row in rows if row[2] is None}
+        rings = {row[1] for row in rows if row[2] is not None}
+        assert trees and rings and not trees & rings
 
 
 class TestParser:
@@ -560,14 +567,6 @@ class TestParser:
     )
     def test_help_usage_and_errors_as_with_every_argument(self, monkeypatch, capsys, entry):
         assert_answers_as_recorded(monkeypatch, capsys, entry)
-
-    def test_help_goes_to_out_alone(self, capsys):
-        # Written through the same chunked writer as any answer, with nothing
-        # on sys.stdout or stderr.
-        buf = io.StringIO()
-        assert run_cli(["tight-count", "--help"], out=buf) == 0
-        assert capsys.readouterr() == ("", "")
-        assert mismatch(recorded(["tight-count", "--help"]), buf.getvalue().encode()) is None
 
 
 # What the argv reader meets: every command, every declared flag and its

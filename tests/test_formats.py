@@ -265,7 +265,7 @@ class TestJsonRenderers:
         }
         for form, listing in expected.items():
             out = io.StringIO()
-            write_listing(out, rows, form, 4, modulo_swap)
+            write_listing(out, rows, form, 4)
             assert out.getvalue() == listing
 
     def test_classification_records(self, tmp_path):
