@@ -39,7 +39,7 @@ from them (``counting.solid_torus_count``).  A table's size
 (``table_rows``) is the enumerator's (``enumeration.tree_count``,
 ``torus_count``), read off the recorded class counts, so a table too
 large to write is refused before any class is listed.  Both refuse a
-request out of range by ``enumeration``'s checks, and state none here.
+request out of range where ``enumeration`` sizes it, and state none here.
 
 The table's writer (``write_table``) writes that one form in
 ``TABLE_COLUMNS`` order.  It checks nothing, reads no graph, and hands
@@ -218,13 +218,14 @@ def table_classes(
     expansion products, taken once per table.
     """
     from .enumeration import (
-        check_sphere_table_request, check_torus_request, enum_torus_rows, enum_tree_rows,
-        row_shape, row_slopes,
+        check_sphere_table_request, enum_torus_rows, enum_tree_rows, row_shape, row_slopes,
+        torus_count,
     )
 
     m = Surface(m)
     if m is Surface.TORUS:
-        check_torus_request(max_curves, max_p)
+        # Sized first, so a request out of range lists no class.
+        torus_count(max_curves, max_p, modulo_swap)
         rows = enum_torus_rows(max_curves, modulo_swap)
     else:
         sizes = check_sphere_table_request(max_curves, max_p)

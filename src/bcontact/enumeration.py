@@ -92,10 +92,10 @@ every normalized slope up to the bound for a ring and none for a tree;
 
 A listing's size takes no enumeration: ``tree_count`` and ``torus_count``
 read it off the recorded class counts, a tree one class and a ring one
-per normalized slope up to the bound, after the request check of the
-enumerator they size.  Only this module refuses a listing or table
-request: a range check per request shape, whose tree and curve caps are
-the counts' extents, and a row cap on those sizes (``check_row_cap``).
+per normalized slope up to the bound.  Only this module refuses a listing
+or table request, each range where its work is sized: in the counts, which
+the enumerators call first, the sphere table's check, the slope maker
+(``_normalized_slopes``) and a row cap (``check_row_cap``).
 
 All output is ordered by canonical code, so repeated runs are
 byte-identical.
@@ -135,7 +135,7 @@ _TORUS_RINGS = {
 }
 TREE_CAP = len(_SPHERE_CLASSES[False])
 CURVE_CAP = 2 * len(_TORUS_TREES[False])
-SLOPE_CAP = 256  # every torus count builds _normalized_slopes in O(max_p ** 2)
+SLOPE_CAP = 256  # refused by _normalized_slopes, which builds O(max_p ** 2)
 # The rows one listing or table may hold: the 8-curve torus table at slope
 # 256 has 2,493,742.
 TABLE_ROW_CAP = 4_000_000
@@ -160,14 +160,6 @@ def _check_sizes(**sizes: int) -> None:
         raise ValueError(f"{' and '.join(sizes)} must be >= 1")
 
 
-def check_tree_request(n: int) -> None:
-    """Reject a sphere enumeration of the trees on 2 ``n`` regions out of
-    range, before any work."""
-    _check_sizes(n=n)
-    if n > TREE_CAP:
-        raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
-
-
 def check_sphere_table_request(max_curves: int, max_p: int) -> range:
     """Reject a sphere table of ``max_curves`` curves and slopes up to
     ``max_p`` out of range, before any work; else the tree sizes n it
@@ -181,32 +173,26 @@ def check_sphere_table_request(max_curves: int, max_p: int) -> range:
     return range(1, (max_curves + 1) // 2 + 1)
 
 
-def check_torus_request(max_curves: int, max_p: int) -> None:
-    """Reject a torus enumeration of ``max_curves`` curves and slopes up to
-    ``max_p`` out of range, before any work."""
-    _check_sizes(max_curves=max_curves, max_p=max_p)
-    if max_curves > CURVE_CAP:
-        raise ResourceLimitError(
-            f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
-        )
-    if max_p > SLOPE_CAP:
-        raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
-
-
 def tree_count(n: int, modulo_swap: bool = False) -> int:
     """``len(enum_tree_rows(n, modulo_swap))``, the classes of a sphere
-    listing, from the recorded counts: each tree is one class.  The
-    request is checked as the enumerator checks it, and no tree is walked."""
-    check_tree_request(n)
+    listing, from the recorded counts: each tree is one class.  It refuses
+    a request out of range, for the enumerator too, and walks no tree."""
+    _check_sizes(n=n)
+    if n > TREE_CAP:
+        raise ResourceLimitError(f"tree enumeration capped at n={TREE_CAP}, got {n}")
     return _SPHERE_CLASSES[bool(modulo_swap)][n - 1]
 
 
 def torus_count(max_curves: int, max_p: int, modulo_swap: bool = False) -> int:
     """The classes of a torus listing of ``max_curves`` curves and slopes up
     to ``max_p``, from the recorded counts: a tree counts once, and a ring
-    once per normalized slope up to ``max_p`` (``row_slopes``).  The request
-    is checked as ``enum_torus_classes`` checks it, and no tree is walked."""
-    check_torus_request(max_curves, max_p)
+    once per normalized slope up to ``max_p`` (``row_slopes``).  It refuses
+    a request out of range, for the enumerators too, and walks no tree."""
+    _check_sizes(max_curves=max_curves, max_p=max_p)
+    if max_curves > CURVE_CAP:
+        raise ResourceLimitError(
+            f"torus enumeration capped at {CURVE_CAP} curves, got {max_curves}"
+        )
     # Every torus class has an even number of curves.
     sizes = max_curves // 2
     trees = sum(_TORUS_TREES[bool(modulo_swap)][:sizes])
@@ -606,10 +592,10 @@ def _class_rows(
 
 def enum_tree_rows(n: int, modulo_swap: bool = False, edges: bool = False) -> list[Row]:
     """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
-    order, with no graph built.  With ``edges`` each row carries a fifth
-    field, its skeleton's edges as ``_sphere_trees`` gives them, which the
-    listing's writer reads."""
-    check_tree_request(n)
+    order, with no graph built, sized first (``tree_count``).  With
+    ``edges`` each row carries a fifth field, its skeleton's edges as
+    ``_sphere_trees`` gives them, which the listing's writer reads."""
+    tree_count(n, modulo_swap)
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}
     for layout, codes, ranks in _sphere_trees(2 * n, n, edges):
@@ -674,13 +660,24 @@ def _torus_candidates(
 def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:
     """The row of every admissible torus class with at most ``max_curves``
     curves, one per isomorphism class, sorted by canonical code, with no
-    graph built; ``row_slopes`` gives each one's slopes."""
-    check_torus_request(max_curves, 1)
+    graph built, sized first; ``row_slopes`` gives each one's slopes."""
+    torus_count(max_curves, 1, modulo_swap)
     return _class_rows(_torus_candidates(max_curves), modulo_swap)
 
 
-@cache  # row_slopes asks for the same bound once per ring
 def _normalized_slopes(max_p: int) -> tuple[tuple[int, int], ...]:
+    """Every slope (p, q), 1 <= q <= p <= ``max_p`` coprime, in order, for
+    every torus count, listing and table.  A bound out of range is refused
+    before the cache is read: a key equal to 1 or 2 would answer ``True``
+    or 2.0."""
+    _check_sizes(max_p=max_p)
+    if max_p > SLOPE_CAP:
+        raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
+    return _slopes_up_to(max_p)
+
+
+@cache  # row_slopes asks for the same bound once per ring
+def _slopes_up_to(max_p: int) -> tuple[tuple[int, int], ...]:
     return tuple([
         (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
     ])

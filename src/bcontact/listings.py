@@ -110,8 +110,9 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     a ring's keeps its ranks, into which each row's closing edge is put.
     A torus row is its class at each of its slopes, in one write: a
     batch of rings would hold whole runs of slopes at once.  A ``form``
-    other than "text", "json" or "csv", or a text or JSON sphere listing
-    of rows without their edges, is refused before a byte is written.
+    other than "text", "json" or "csv", a text or JSON sphere listing of
+    rows without their edges, or a slope bound that ``torus_count`` would
+    refuse, is refused before a byte is written.
     """
     from .enumeration import _RANKS, _edge_ranks, _normalized_slopes
 

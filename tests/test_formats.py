@@ -8,6 +8,7 @@ import pytest
 from bcontact.classify import TABLE_COLUMNS, classify, table_classes, write_table
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
+    ResourceLimitError,
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
@@ -408,4 +409,23 @@ class TestWritersRefuse:
         out = io.StringIO()
         with pytest.raises(ValueError, match=r"enum_tree_rows\(\.\.\., edges=True\)"):
             write_listing(out, enum_tree_rows(3), form)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("form", ["text", "json", "csv"])
+    @pytest.mark.parametrize("max_p,kind,message", [
+        (0, ValueError, "max_p must be >= 1"),
+        (-3, ValueError, "max_p must be >= 1"),
+        (True, ValueError, "max_p=True is not an integer"),
+        (2.0, ValueError, "max_p=2.0 is not an integer"),
+        (257, ResourceLimitError, "slope bound capped at 256, got 257"),
+    ], ids=["0", "-3", "True", "2.0", "257"])
+    def test_torus_listing_refuses_a_slope_bound_out_of_range(self, form, max_p, kind, message):
+        # Enumeration's own messages, with bounds 1 and 2 made first: a
+        # cache keyed by value would take ``True`` and 2.0 for them.
+        rows, out = enum_torus_rows(2), io.StringIO()
+        write_listing(io.StringIO(), rows, form, 1)
+        write_listing(io.StringIO(), rows, form, 2)
+        with pytest.raises(ValueError) as raised:
+            write_listing(out, rows, form, max_p)
+        assert (type(raised.value), str(raised.value)) == (kind, message)
         assert out.getvalue() == ""
