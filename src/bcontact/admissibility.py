@@ -13,6 +13,7 @@ Two tests gate a dividing-set class:
   exception of a connected dividing set on the sphere.  On the sphere
   that leaves exactly the one-edge graph; on the torus it leaves the bare
   cycles of essential curves (any tree edge is a contractible curve).
+  ``is_tight_candidate`` states this rule once, behind admissibility.
 """
 
 from __future__ import annotations
@@ -55,30 +56,19 @@ def is_admissible(m: Surface, d: DividingSetClass) -> Verdict:
     return Verdict(True, "euler pairing balances")
 
 
-def _bare_cycle(d: DividingSetClass) -> bool:
-    g = d.graph
-    return g.edge_count == g.vertex_count and all(
-        deg == 2 for deg in g.degrees.values()
-    )
-
-
 def is_tight_candidate(m: Surface, d: DividingSetClass) -> Verdict:
     """Whether the dividing set is free of contractible curves in the sense
-    that permits a tight b-contact structure.
+    that permits a tight b-contact structure: the one rule of tight
+    candidacy, which ``check``, ``classify`` and the library all call.
 
-    Sphere: only a connected dividing set (one edge) qualifies.  Torus:
-    only bare even cycles qualify; every edge off the cycle is a
-    contractible curve and forces overtwisted disks near the surface.
+    An inadmissible class fails with its admissibility reason.  Sphere:
+    only a connected dividing set (one edge) qualifies.  Torus: only bare
+    even cycles qualify; every edge off the cycle is a contractible curve
+    and forces overtwisted disks near the surface.
     """
     admissible = is_admissible(m, d)
     if not admissible:
-        return Verdict(False, admissible.reason)
-    return tight_shape(d)
-
-
-def tight_shape(d: DividingSetClass) -> Verdict:
-    """The shape half of ``is_tight_candidate``, for a class already known
-    to be admissible: one edge on the sphere, a bare cycle on the torus."""
+        return admissible
     g = d.graph
     if d.surface is Surface.SPHERE:
         if g.edge_count == 1:
@@ -88,7 +78,7 @@ def tight_shape(d: DividingSetClass) -> Verdict:
             f"{g.edge_count} curves on the sphere: all are contractible circles",
         )
 
-    if _bare_cycle(d):
+    if g.edge_count == g.vertex_count and all(deg == 2 for deg in g.degrees.values()):
         return Verdict(True, f"bare cycle of {g.edge_count} essential curves")
     if g.edge_count == g.vertex_count - 1:
         return Verdict(False, "all curves are contractible (no essential cycle)")

@@ -22,24 +22,26 @@ graph: two maximal-dimension leaves (the complement of the critical
 surface), one two-dimensional leaf per region, one one-dimensional leaf
 per curve.
 
-So a class's regimes follow from its surface and shape alone, except a
-bare cycle's, which depend on the slope through its tight count; one
-function (``_regimes``) states them for ``classify`` and for the
-batch table alike.  The table is built per graph class, and that is its
-only form (``table_classes``): one loop over the generator's rows, on
-either surface, reads each class's region and curve counts and whether
-it has the tight shape (``enumeration.row_shape``: the one-curve sphere
-class or a bare cycle) and its slopes (``enumeration.row_slopes``).  It
-builds no graph and checks nothing again, since the generator makes only
-admissible classes, and keeps the class's slopes in runs sharing (tight,
-mixed, fully overtwisted) regimes.  Classes whose regimes take no slope
-share one run per shape.  The products (r, s) of each slope's expansion
-are taken once per table, and a bare cycle's count at each slope comes
-from them (``counting.solid_torus_count``).  A table's size
-(``table_rows``) is the enumerator's (``enumeration.tree_count``,
-``torus_count``), read off the recorded class counts, so a table too
-large to write is refused before any class is listed.  Both refuse a
-request out of range where ``enumeration`` sizes it, and state none here.
+So a class's regimes follow from its surface and whether it is a tight
+candidate (``admissibility.is_tight_candidate``, the one rule, which
+``classify`` calls), except a bare cycle's, which depend on the slope
+through its tight count; one function (``_regimes``) states them for
+``classify`` and for the batch table alike.  The table is built per
+graph class, and that is its only form (``table_classes``): one loop
+over the generator's rows, on either surface, reads each class's region
+and curve counts and whether it has the tight shape
+(``enumeration.row_shape``: the one-curve sphere class or a bare cycle)
+and its slopes (``enumeration.row_slopes``).  It builds no graph and
+checks nothing again, since the generator makes only admissible classes,
+and keeps the class's slopes in runs sharing (tight, mixed, fully
+overtwisted) regimes.  Classes whose regimes take no slope share one run
+per shape.  The products (r, s) of each slope's expansion are taken once
+per table, and a bare cycle's count at each slope comes from them
+(``counting.solid_torus_count``).  A table's size (``table_rows``) is
+the enumerator's (``enumeration.tree_count``, ``torus_count``), read off
+the recorded class counts, so a table too large to write is refused
+before any class is listed.  Both refuse a request out of range where
+``enumeration`` sizes it, and state none here.
 
 The table's writer (``write_table``) writes that one form in
 ``TABLE_COLUMNS`` order.  It checks nothing, reads no graph, and hands
@@ -93,14 +95,10 @@ class RegimeDescriptor(namedtuple("RegimeDescriptor", ["finite_factor", "free_ra
         return self
 
 
-class LeafCensus(namedtuple("LeafCensus", ["leaves_dim3", "leaves_dim2", "leaves_dim1"])):
-    __slots__ = ()
-
-
-class ClassificationRecord(namedtuple("ClassificationRecord", [
+LeafCensus = namedtuple("LeafCensus", ["leaves_dim3", "leaves_dim2", "leaves_dim1"])
+ClassificationRecord = namedtuple("ClassificationRecord", [
     "dividing_set", "tight", "mixed", "fully_overtwisted", "tight_count_detail",
-], defaults=(None,))):
-    __slots__ = ()
+], defaults=(None,))
 
 
 def _require_admissible(m: Surface, d: DividingSetClass) -> None:
@@ -140,10 +138,10 @@ def _regimes(
 
 def classify(m: Surface, d: DividingSetClass) -> ClassificationRecord:
     """Full classification record of b-contact structures inducing ``d``."""
-    from .admissibility import tight_shape
+    from .admissibility import is_tight_candidate
 
     _require_admissible(m, d)
-    tight = bool(tight_shape(d))
+    tight = bool(is_tight_candidate(m, d))
     if tight and d.surface is Surface.TORUS:
         # A bare cycle: the regimes depend on the slope only through the
         # solid-torus tight count.

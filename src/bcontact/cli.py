@@ -27,6 +27,8 @@ made and written by ``classify``; only ``export-dot`` of the ``--gamma``
 commands, and the listings but for ``--count-only``, load the writers
 (``listings``).  ``json`` loads only for a one-object JSON answer
 (``_dumps``) or for JSON input.  No listing builds a graph object.
+``check`` reports both gates of ``admissibility``, ``is_admissible`` and
+``is_tight_candidate``, the one rule of tight candidacy.
 
 ``_COMMANDS`` declares each command once: its help line, its handler and
 its flags.  It is the only grammar: ``_read_args`` reads every call off
@@ -254,13 +256,12 @@ def _cmd_enum_torus(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    from .admissibility import is_admissible, tight_shape
+    from .admissibility import is_admissible, is_tight_candidate
     from .region_graph import canonical_code
 
     d = _read_gamma(args.gamma)
     admissible = is_admissible(d.surface, d)
-    # is_tight_candidate's verdict, with admissibility checked once.
-    tight = tight_shape(d) if admissible else admissible
+    tight = is_tight_candidate(d.surface, d)
     code = canonical_code(d.graph)
     if args.format == "json":
         _emit(out, _dumps({

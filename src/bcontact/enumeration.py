@@ -152,12 +152,13 @@ class ResourceLimitError(ValueError):
 
 def _check_sizes(**sizes: int) -> None:
     """Reject a size that is not an ``int`` (a ``bool`` is not one, nor is
-    a float, even one equal to an integer), then sizes not all >= 1."""
+    a float, even one equal to an integer), then name every size below 1."""
     for name, size in sizes.items():
         if type(size) is not int:
             raise ValueError(f"{name}={size!r} is not an integer")
-    if min(sizes.values()) < 1:
-        raise ValueError(f"{' and '.join(sizes)} must be >= 1")
+    low = [name for name, size in sizes.items() if size < 1]
+    if low:
+        raise ValueError(f"{' and '.join(low)} must be >= 1")
 
 
 def check_sphere_table_request(max_curves: int, max_p: int) -> range:
@@ -695,7 +696,8 @@ def row_slopes(row: Row, max_p: int) -> Slopes:
 
 def row_shape(row: Row) -> tuple[int, int, bool]:
     """A listed class's region count V, its curve count E, and whether it
-    has the tight shape (``admissibility.tight_shape``), from its row.
+    is a tight candidate (``admissibility.is_tight_candidate``, the one
+    rule, which this reads off a row of an admissible class).
 
     A tree has one edge fewer than vertices, a ring as many.  The only
     tight tree listed is the one-curve sphere class, on two regions: no

@@ -8,7 +8,7 @@ from math import comb, gcd
 import pytest
 
 from bcontact import admissibility
-from bcontact.admissibility import is_admissible, is_tight_candidate, tight_shape
+from bcontact.admissibility import is_admissible, is_tight_candidate
 from bcontact.classify import (
     ClassificationRecord,
     InadmissibleError,
@@ -258,7 +258,7 @@ class TestTableFromRows:
         bare = 0
         for row, g in zip(rows, graphs):
             d = DividingSetClass(Surface.TORUS, g, graph_slopes(g, 1)[0])
-            shape = (g.vertex_count, g.edge_count, bool(tight_shape(d)))
+            shape = (g.vertex_count, g.edge_count, bool(is_tight_candidate(d.surface, d)))
             assert row_shape(row) == shape
             bare += shape[2]
         # One bare ring per even curve count, in each sign mode.
@@ -276,7 +276,8 @@ class TestTableFromRows:
             rows = enum_tree_rows(n, modulo_swap)
             for row, g in zip(rows, enum_equicolored_trees(n, modulo_swap), strict=True):
                 d = DividingSetClass(Surface.SPHERE, g)
-                assert row_shape(row) == (g.vertex_count, g.edge_count, bool(tight_shape(d)))
+                tight = bool(is_tight_candidate(d.surface, d))
+                assert row_shape(row) == (g.vertex_count, g.edge_count, tight)
 
     def test_no_graph_no_class_object_no_classify_no_admissibility(self, monkeypatch):
         expected = [
@@ -291,7 +292,7 @@ class TestTableFromRows:
         monkeypatch.setattr(DividingSetClass, "__new__", never)
         monkeypatch.setattr(CLASSIFY_MODULE, "classify", never)
         monkeypatch.setattr(admissibility, "is_admissible", never)
-        monkeypatch.setattr(admissibility, "tight_shape", never)
+        monkeypatch.setattr(admissibility, "is_tight_candidate", never)
         assert [
             run_entries(table_classes(S3_T2, 6, 12)),
             run_entries(table_classes(S3_S2, 9)),
@@ -343,28 +344,29 @@ class TestTableCommandCallCounts:
         assert calls["solid_torus_count"] == len(bare_rings) * len(slopes)
 
 
-class TestAdmissibilityOnce:
-    def test_classify_checks_admissibility_once(self, monkeypatch):
-        calls = []
-
-        def counting_is_admissible(m, d):
-            calls.append(d)
-            return is_admissible(m, d)
-
-        # classify imports the check when it runs, so this is the binding
-        # it calls.
-        monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
+class TestOneTightRule:
+    def test_classify_asks_the_tight_rule_once(self, monkeypatch):
         classes = [(S3_T2, d) for d in enum_torus_classes(4, 2)] + [
             (S3_S2, sphere_class([1, -1], [(0, 1)])),
             (S3_S2, sphere_class([1, -1, 1, -1], [(0, 1), (1, 2), (2, 3)])),
         ]
-        for m, d in classes:
-            before = len(calls)
+        expected = [bool(is_tight_candidate(m, d)) for m, d in classes]
+        # classify imports both checks when it runs, and is_tight_candidate
+        # calls is_admissible through the module, so these are the bindings
+        # they call.
+        calls = {}
+        for name in ("is_admissible", "is_tight_candidate"):
+            real = getattr(admissibility, name)
+            monkeypatch.setattr(admissibility, name, counting_wrapper(calls, name, real))
+        for (m, d), tight in zip(classes, expected):
+            calls.clear()
             record = classify(m, d)
-            assert len(calls) - before == 1
-            # The shape test alone still gives the candidate's verdict.
-            assert (record.tight.finite_factor > 0) == bool(is_tight_candidate(m, d))
+            # The admissibility gate, then the one rule, which asks it again.
+            assert calls == {"is_admissible": 2, "is_tight_candidate": 1}
+            assert (record.tight.finite_factor > 0) == tight
 
+
+class TestAdmissibilityOnce:
     @pytest.mark.parametrize(
         "manifold,max_curves,max_p",
         [(S3_T2, 8, 16), (S3_S2, 9, None)],
@@ -424,8 +426,8 @@ class TestTableArguments:
     @pytest.mark.parametrize(
         "manifold,request_,message",
         [
-            (S3_S2, (0, 2), "max_curves and max_p must be >= 1"),
-            (S3_T2, (4, 0), "max_curves and max_p must be >= 1"),
+            (S3_S2, (0, 2), "max_curves must be >= 1"),
+            (S3_T2, (4, 0), "max_p must be >= 1"),
             (S3_S2, (21, 1), "sphere table capped at --max-curves 20, got 21"),
             (S3_S2, (4.0, 1), "max_curves=4.0 is not an integer"),
             (S3_T2, (17, 1), "torus enumeration capped at 16 curves, got 17"),

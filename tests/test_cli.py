@@ -270,9 +270,8 @@ def refusal(*argv):
 # Each refused listing or table request at every library door that takes
 # it, and the one exception type and message they all give: where the
 # request has a CLI spelling, the message of the CLI's refusal, recorded
-# in digests.json (``TestListingSize``).  The messages are those the
-# library and the CLI gave while the checks were written in three
-# modules, before they moved into ``enumeration``.
+# in digests.json (``TestListingSize``).  A refusal of a size below 1
+# names only the sizes below 1, as the torus listing's writer does.
 PARITY = [
     pytest.param(tree_calls(0), ValueError, refusal("enum-trees", "--n", "0"), id="n-0"),
     pytest.param(tree_calls(11), ResourceLimitError, refusal("enum-trees", "--n", "11"),
@@ -288,7 +287,7 @@ PARITY = [
     pytest.param(sphere_table_calls(21, 1), ResourceLimitError,
                  refusal("table", "--manifold", "s3-s2", "--max-curves", "21"),
                  id="sphere-curves-21"),
-    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0), ValueError,
+    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0) + writer_calls(0), ValueError,
                  refusal("enum-torus", "--max-slope", "0"), id="slope-0"),
     pytest.param(torus_calls(4, 257) + writer_calls(257), ResourceLimitError,
                  refusal("enum-torus", "--max-slope", "257"), id="slope-257"),
@@ -833,18 +832,26 @@ class TestGammaCommands:
     @pytest.mark.parametrize(
         "gamma,status", [(EQUATOR, 0), (GENUS_TREE, 1)], ids=["admissible", "inadmissible"]
     )
-    def test_check_checks_admissibility_once(self, monkeypatch, tmp_path, gamma, status):
+    def test_check_asks_the_tight_rule_once(self, monkeypatch, tmp_path, gamma, status):
         calls = []
-        real = admissibility.is_admissible
 
-        def counting_is_admissible(m, d):
-            calls.append(d)
-            return real(m, d)
+        def counting(name):
+            real = getattr(admissibility, name)
 
-        # check imports the test when it runs, so this is the binding it calls.
-        monkeypatch.setattr(admissibility, "is_admissible", counting_is_admissible)
+            def wrapper(m, d):
+                calls.append(name)
+                return real(m, d)
+
+            return wrapper
+
+        # check imports both tests when it runs, and is_tight_candidate calls
+        # is_admissible through the module, so these are the bindings they
+        # call: admissibility for its report, then the one rule, which asks
+        # it again, whether or not the class is admissible.
+        for name in ("is_admissible", "is_tight_candidate"):
+            monkeypatch.setattr(admissibility, name, counting(name))
         assert run(["check", "--gamma", gamma_file(tmp_path, gamma)])[0] == status
-        assert len(calls) == 1
+        assert calls == ["is_admissible", "is_tight_candidate", "is_admissible"]
 
     def test_classify_text(self, tmp_path):
         status, output = run(["classify", "--gamma", gamma_file(tmp_path, TWO_CYCLE_32)])
