@@ -264,6 +264,9 @@ def _bare_cycle_runs(n: int, products: list[tuple[Slopes, int, int]]) -> tuple:
     ])
 
 
+# The lines a table gathers before a write: 256 one-line sphere classes.
+_BATCH = 256
+
 TABLE_COLUMNS = [
     "canonical_code",
     "surface",
@@ -285,8 +288,10 @@ TABLE_COLUMNS = [
 def write_table(out, classes: list[TableClass], form: str) -> None:
     """Write the classification table of ``classes`` (``table_classes``)
     to ``out`` as CSV, header first, or as JSON lines (``form`` "json"),
-    one line per (graph class, slope) in ``TABLE_COLUMNS`` order, and
-    each graph class's lines in one write.
+    one line per (graph class, slope) in ``TABLE_COLUMNS`` order, whole
+    graph classes' lines in one write: a run of classes, ended by the
+    first that brings it to ``_BATCH`` lines, so a class of many slopes
+    goes out alone and one-line classes ``_BATCH`` at a time.
 
     The code, shape and census columns depend on the graph class alone,
     so they are written once per class, as a head and a tail string, and
@@ -313,6 +318,8 @@ def write_table(out, classes: list[TableClass], form: str) -> None:
     # keying on its value would hash the run of all slopes again for every
     # ring class.
     slope_texts: dict[int, list[str]] = {}
+    block: list[str] = []
+    lines = 0
     for c in classes:
         census = c.census
         head = (
@@ -324,7 +331,6 @@ def write_table(out, classes: list[TableClass], form: str) -> None:
             f"{sep[11]}{census.leaves_dim3}{sep[12]}{census.leaves_dim2}"
             f"{sep[13]}{census.leaves_dim1}{end}"
         )
-        block = []
         for slopes, t, m, o in c.runs:
             rest = (
                 f"{sep[6]}{t.finite_factor}{sep[7]}{m.finite_factor}{sep[8]}{m.free_rank}"
@@ -335,4 +341,9 @@ def write_table(out, classes: list[TableClass], form: str) -> None:
                 pairs = ((null, null),) if slopes == (None,) else slopes
                 texts = slope_texts[id(slopes)] = [f"{p}{q_sep}{q}" for p, q in pairs]
             block += (head, (rest + head).join(texts), rest)
+            lines += len(texts)
+        if lines >= _BATCH:
+            out.write("".join(block))
+            block, lines = [], 0
+    if block:
         out.write("".join(block))

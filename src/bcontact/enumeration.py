@@ -47,6 +47,24 @@ would in this one, and the reading and the edges are those of the tree
 read afresh.  A sphere listing's rows carry the edges, one byte each
 (``_RANKS``), for the writer.
 
+A text or JSON sphere listing prints no code, so its rows carry a key in
+place of one, a ``bytes`` object that sorts as the code does: a sign
+byte, then each level l as the byte 255 - l.  A unicentral tree's key is
+its sequence, with sign byte 0 for even levels positive and 1 for odd
+ones.  A bicentral tree's reads its two sides as a forest, each from a
+root on level 0: the root's side and then vertex 1's, one level up, with
+even levels positive, and the other way round with odd ones, both with
+sign byte 0.  By the lemma, a code is the bracket reading of its key's
+levels, with even levels positive up to a second root and odd ones from
+it on, every sign negated under sign byte 1 (``_key_code``), so equal
+keys have equal codes, and a code gives back its key.  Where two keys
+first differ, so do the readings: the larger level, the smaller byte,
+writes ``(`` where the other writes ``)``.  Every sign-1 code opens
+``T(-`` and every other one ``T(+``, so the sign-1 rows come last, in the
+order of their trees' sign-0 rows: a listing sorts one row per
+unicentral tree and replays it with odd levels positive
+(``enum_tree_rows``).
+
 A torus skeleton is coded once (``_skeleton_codes``): each vertex's
 subtree code, its children already in sorted order by the lemma.  A
 genus tag can order two siblings against their sequences, so a genus-1
@@ -373,43 +391,76 @@ _BRACKETS = [
 ]
 
 
+# A level l as a key's byte 255 - l, and as the byte of level l - 1: a
+# bicentral tree's side of vertex 1 is keyed one level up.
+_KEY = bytes(range(255, -1, -1))
+_KEY_UP = _KEY[-1:] + _KEY[:-1]
+
+
 def _sphere_trees(
     order: int, odd: int | None = None, edges: bool = False
-) -> Iterator[tuple[bytes, tuple[str, str], bytes | None]]:
+) -> Iterator[tuple[bytes, tuple, bytes | None]]:
     """Each free tree on ``order`` vertices with ``odd`` vertices on odd
     levels (any number when None), in ``_walk``'s order: its level
-    sequence, its canonical codes with even, then odd, levels positive,
-    and with ``edges`` its edges' ranks in sorted order (else None).  The
-    reading and the ranks are carried from tree to tree and redone from
-    the lowest vertex changed (the module docstring).
+    sequence, then its canonical codes with even, then odd, levels
+    positive and None, or with ``edges`` its sign-0 keys (the module
+    docstring) and its edges' ranks in sorted order.  The reading, or the
+    ranks, are carried from tree to tree and redone from the lowest
+    vertex changed (the module docstring).
 
     A bicentral tree's core is vertex 1 with its subtree and the root with
     the rest: each vertex writes a 3-character opening and one ")", so
     vertex 1's code is the ``4 (m - 1)`` characters after ``T`` and the
     root's opening, and the root's is the rest.  The core needs no sort:
     the root's code opens ``(+``, before vertex 1's ``(-``, and after it
-    once the signs are negated.
+    once the signs are negated.  Its two keys, with even, then odd, levels
+    positive, read the same sides.  A unicentral tree has one sign-0 key,
+    with even levels positive; with odd ones, it is the same key after
+    sign byte 1.
     """
     # Vertex i's brackets at i, after "T" and vertex 0's opening, and the
     # closing ")"s last; the rank of vertex i's edge to its parent at i - 1.
     reading = ["T" + _OPENINGS[0][0]] * (order + 1)
     ranks = bytearray(order - 1)
     for layout, low, m, bicentral in _walk(order, odd):
-        for i in range(low, order):
-            level = layout[i]
-            reading[i] = _BRACKETS[layout[i - 1]][level]
-            if edges:
+        if edges:
+            for i in range(low, order):
                 # Vertex i's parent is the last vertex before it one level up.
-                ranks[i - 1] = _RANKS[layout.rfind(level - 1, 0, i)][i]
-        reading[order] = ")" * (layout[-1] + 1)
-        code = "".join(reading)
-        if bicentral:
-            end = 4 * m
-            root, first = code[:4] + code[end:], code[4:end]
-            codes = root + first, "T" + (first + root[1:]).translate(_SWAP_SIGNS)
+                ranks[i - 1] = _RANKS[layout.rfind(layout[i] - 1, 0, i)][i]
+            if bicentral:
+                # Each side from its root on level 0, which writes 255.
+                root = b"\xff" + layout[m:].translate(_KEY)
+                first = layout[1:m].translate(_KEY_UP)
+                keys = b"\0" + root + first, b"\0" + first + root
+            else:
+                keys = (b"\0" + layout.translate(_KEY),)
+            yield layout, keys, bytes(sorted(ranks))
         else:
-            codes = code, code.translate(_SWAP_SIGNS)
-        yield layout, codes, bytes(sorted(ranks)) if edges else None
+            for i in range(low, order):
+                reading[i] = _BRACKETS[layout[i - 1]][layout[i]]
+            reading[order] = ")" * (layout[-1] + 1)
+            code = "".join(reading)
+            if bicentral:
+                end = 4 * m
+                root, first = code[:4] + code[end:], code[4:end]
+                codes = root + first, "T" + (first + root[1:]).translate(_SWAP_SIGNS)
+            else:
+                codes = code, code.translate(_SWAP_SIGNS)
+            yield layout, codes, None
+
+
+def _key_code(key: bytes) -> str:
+    """The canonical code of a sphere row's key (the module docstring):
+    the bracket reading of its levels, with even levels positive up to a
+    second root and odd ones from it on, every sign negated under sign
+    byte 1."""
+    levels = key[1:].translate(_KEY)
+    second = levels.find(0, 1) % (len(levels) + 1)  # -1, at one root, is the end
+    reading = [_BRACKETS[a][b] for a, b in zip(levels, levels[1:])]
+    reading.append(")" * (levels[-1] + 1))
+    code = "T" + _OPENINGS[0][0] + "".join(reading[:second - 1])
+    code += "".join(reading[second - 1:]).translate(_SWAP_SIGNS)
+    return code.translate(_SWAP_SIGNS) if key[0] else code
 
 
 @lru_cache(maxsize=1)  # the candidates of one skeleton come in a run
@@ -549,9 +600,10 @@ def _ring_codes(layout: bytes, u: int, v: int) -> tuple[str, str]:
 # vertex i is ``_VERTEX_ROWS[i][coloring[i]]``.  The sequence and the
 # closing edge are the skeleton, whose tree edges ``_tree_edges`` gives;
 # the colorings of one skeleton share its sequence.  The rows of a sphere
-# listing (``enum_tree_rows`` with ``edges``) carry a fifth field, the
-# ranks (``_RANKS``) of their skeleton's edges in sorted order, as bytes.
-Row = tuple[str, bytes, tuple[int, int] | None, bytes]
+# listing (``enum_tree_rows`` with ``edges``) carry the class's key in
+# place of its code, and a fifth field, the ranks (``_RANKS``) of their
+# skeleton's edges in sorted order, as bytes.
+Row = tuple[str | bytes, bytes, tuple[int, int] | None, bytes]
 
 
 def _graphs(rows: list[Row]) -> list[RegionGraph]:
@@ -594,18 +646,43 @@ def _class_rows(
 def enum_tree_rows(n: int, modulo_swap: bool = False, edges: bool = False) -> list[Row]:
     """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
     order, with no graph built, sized first (``tree_count``).  With
-    ``edges`` each row carries a fifth field, its skeleton's edges as
-    ``_sphere_trees`` gives them, which the listing's writer reads."""
+    ``edges`` each row carries its key (the module docstring) in place of
+    its code, which ``_key_code`` reads back, and a fifth field, its
+    skeleton's edges as ``_sphere_trees`` gives them: what the listing's
+    writer reads.  The table and the library callers, which print or hand
+    out codes, ask for rows without edges."""
     tree_count(n, modulo_swap)
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}
-    for layout, codes, ranks in _sphere_trees(2 * n, n, edges):
-        extra = (ranks,) if edges else ()
-        for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
-            coloring = layout.translate(_PARITY[positive])
-            code = min(codes) if modulo_swap else codes[positive]
-            rows.append((code, layout, None, colorings.setdefault(coloring, coloring)) + extra)
+    if not edges:
+        for layout, codes, _ in _sphere_trees(2 * n, n):
+            for positive in (0,) if modulo_swap or codes[0] == codes[1] else (0, 1):
+                coloring = layout.translate(_PARITY[positive])
+                code = min(codes) if modulo_swap else codes[positive]
+                rows.append((code, layout, None, colorings.setdefault(coloring, coloring)))
+        rows.sort(key=itemgetter(0))
+        return rows
+    # A unicentral tree's sign-0 row is sorted in among the bicentral
+    # trees' rows, and its sign-1 row replays it after them all.
+    unicentral: list[Row] = []
+    for layout, keys, ranks in _sphere_trees(2 * n, n, True):
+        even = layout.translate(_PARITY[0])
+        even = colorings.setdefault(even, even)
+        if len(keys) == 1:
+            unicentral.append((keys[0], layout, None, even, ranks))
+        elif modulo_swap or keys[0] == keys[1]:
+            rows.append((min(keys), layout, None, even, ranks))
+        else:
+            odd = layout.translate(_PARITY[1])
+            odd = colorings.setdefault(odd, odd)
+            rows += (keys[0], layout, None, even, ranks), (keys[1], layout, None, odd, ranks)
+    unicentral.sort(key=itemgetter(0))
+    rows += unicentral
     rows.sort(key=itemgetter(0))
+    if not modulo_swap:
+        for key, layout, _, _, ranks in unicentral:
+            odd = layout.translate(_PARITY[1])
+            rows.append((b"\1" + key[1:], layout, None, colorings.setdefault(odd, odd), ranks))
     return rows
 
 

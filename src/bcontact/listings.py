@@ -8,7 +8,8 @@ built, in one loop per listing (``write_listing``): each row's text is a
 head made once per coloring and a tail, of fragments looked up in tables
 indexed by id, sign and genus and by edge rank (``_tables``).  A tail is
 the fragments of its sorted edge ranks: a sphere row's ranks come from
-the walk, and its row goes out with whole other rows; a torus row's come
+the walk, and its row goes out with whole other rows, its fragments
+joined once, with theirs; a torus row's come
 from its level sequence plus a ring's closing edge, and each torus
 class's lines go out in one write, at every slope up to the listing's
 bound for a ring, whose slopes' ends are made once per listing.  A listing's
@@ -103,8 +104,11 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     the fragments of its sorted edge ranks.  A sphere row's ranks are
     its fifth field, from the walk, so its text and JSON forms need rows
     asked for with their edges (``enumeration.enum_tree_rows`` with
-    ``edges``); ``_BATCH`` rows go out in one write, since a sphere row
-    is one class.  A torus row's ranks are its level sequence's, made
+    ``edges``), which carry keys in place of codes (a CSV listing of them
+    reads each key back to its code); ``_BATCH`` rows go out in one
+    write, since a sphere row is one class, and each row's fragments go
+    into that write's one join, with no tail joined on its own.  A
+    torus row's ranks are its level sequence's, made
     once per sequence, plus a ring's closing edge: a tree's sequence
     keeps its tail text for all of its genus regions and colorings, and
     a ring's keeps its ranks, into which each row's closing edge is put.
@@ -114,7 +118,7 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     rows without their edges, or a slope bound that ``torus_count`` would
     refuse, is refused before a byte is written.
     """
-    from .enumeration import _RANKS, _edge_ranks, _normalized_slopes
+    from .enumeration import _RANKS, _edge_ranks, _key_code, _normalized_slopes
 
     torus = max_p is not None
     if form not in ("text", "json", "csv"):
@@ -128,10 +132,13 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     # a listing of graphs one class with no slope.
     ring_slopes = _normalized_slopes(max_p) if torus else (None,)
     if form == "csv":
+        # Sphere rows with their edges carry keys, which read back to codes.
+        keyed = not torus and rows and len(rows[0]) > 4
         out.write("size,canonical_code,admissible\n")
         for row in rows:
             # A tree has one edge fewer than vertices, a ring as many.
-            line = f"{len(row[1]) - (row[2] is None)},{row[0]},true\n"
+            code = _key_code(row[0]) if keyed else row[0]
+            line = f"{len(row[1]) - (row[2] is None)},{code},true\n"
             out.write(line if row[2] is None else line * len(ring_slopes))
         return
     json_form = form == "json"
@@ -154,11 +161,16 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     skip = 0 if json_form else 1
     if not torus:
         # A sphere row is one line or one text block, so whole rows go
-        # out together, ``_BATCH`` at a time.
+        # out together, ``_BATCH`` at a time, in one join: a row's edge
+        # fragments go into it as they are, each after the separator but
+        # the first, edge (0, 1), which every tree has and sorts first.
+        edge = [edge_table[0], *[fragments.separator + e for e in edge_table[1:]]].__getitem__
         for start in range(0, len(rows), _BATCH):
             parts = []
             for row in rows[start:start + _BATCH]:
-                parts += heads[row[3]], join(map(edge_table.__getitem__, row[4])), closing
+                parts.append(heads[row[3]])
+                parts += map(edge, row[4])
+                parts.append(closing)
             out.write("".join(parts)[skip:])
             skip = 0
         return

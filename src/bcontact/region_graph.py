@@ -29,7 +29,8 @@ sequences, and that is AHU's sorted order of their codes: at the first
 difference the deeper subtree writes "(" where the other writes ")",
 and "(" < ")".  So a genus-free tree's code is its sequence read as
 brackets, with no sort, its core too in ``_tree_codes``' order
-(``enumeration._sphere_trees``).  A torus skeleton's subtree codes
+(``enumeration._sphere_trees``); a text or JSON sphere listing sorts its
+trees by keys that order as those readings do, and builds no code.  A torus skeleton's subtree codes
 come from one pass, and each of its genus-1 trees and rings is put
 together from them: the genus region and its ancestors are sorted in
 anew (``enumeration._genus_codes``), or the cycle's vertices are coded

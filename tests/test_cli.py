@@ -49,6 +49,7 @@ from helpers import (
     reference_namespace,
 )
 
+CLASSIFY_MODULE = importlib.import_module("bcontact.classify")
 ENUMERATION_MODULE = importlib.import_module("bcontact.enumeration")
 SURFACES_MODULE = importlib.import_module("bcontact.surfaces")
 
@@ -499,26 +500,44 @@ class TestListingRows:
 
 
 class TestTableWrites:
-    """``write_table`` writes the CSV header, then each graph class's rows
-    in one write, so the table is never held whole; the CLI's chunked
-    stream does the batching."""
+    """``write_table`` writes the CSV header, then runs of whole graph
+    classes, each ended by the class that brings it to
+    ``classify._BATCH`` lines, so the table is never held whole; the
+    CLI's chunked stream does the rest of the batching."""
 
     @pytest.mark.parametrize("fmt,opening", [("csv", ""), ("json", '{"canonical_code": "')])
-    def test_each_write_is_one_graph_class(self, fmt, opening):
-        classes = table_classes(S3_T2, 5, 256)
+    @pytest.mark.parametrize("table,writes_made", [
+        # Five rings of 19,948 lines each alone, then ten one-line genus
+        # trees together.
+        ((S3_T2, 5, 256), 6),
+        # 2,143 one-line classes, 256 a write.
+        ((S3_S2, 13, 1), 9),
+    ], ids=["torus", "sphere"])
+    def test_each_write_is_whole_classes(self, table, writes_made, fmt, opening):
+        classes = table_classes(*table)
         writes = []
         write_table(SimpleNamespace(write=writes.append), classes, fmt)
         if fmt == "csv":
             assert writes.pop(0) == ",".join(TABLE_COLUMNS) + "\n"
-        assert len(writes) == len(classes)
-        total = sum(len(run[0]) for c in classes for run in c.runs)
-        for text, c in zip(writes, classes):
+        assert len(writes) == writes_made
+        sizes = [sum(len(run[0]) for run in c.runs) for c in classes]
+        total = sum(sizes)
+        # Each write is the next classes' lines, all of them, up to the
+        # first class that brings the run to the batch size.
+        start = 0
+        for text in writes:
             lines = text.splitlines()
-            # Every row of the write is one of the class's, and all of them.
-            assert len(lines) == sum(len(run[0]) for run in c.runs), c.code
-            code = opening + c.code + ("," if fmt == "csv" else '"')
-            assert all(line.startswith(code) for line in lines), c.code
             assert len(lines) < total
+            end = start
+            while end < len(classes) and sum(sizes[start:end]) < CLASSIFY_MODULE._BATCH:
+                end += 1
+            assert len(lines) == sum(sizes[start:end])
+            for c, size in zip(classes[start:end], sizes[start:end]):
+                code = opening + c.code + ("," if fmt == "csv" else '"')
+                assert all(line.startswith(code) for line in lines[:size]), c.code
+                lines = lines[size:]
+            start = end
+        assert start == len(classes)
 
 
 class TestListingFragments:

@@ -393,7 +393,13 @@ class TestArrayCodes:
 
         def recording_trees(order, odd=None, edges=False):
             for layout, codes, ranks in real_sphere_trees(order, odd, edges):
-                tried.append((layout, skeleton_edges(layout, None), None, codes))
+                read = codes
+                if edges:
+                    # Keys in place of codes, read back; a unicentral tree's
+                    # key with odd levels positive is its other after sign byte 1.
+                    keys = codes if len(codes) == 2 else (codes[0], b"\1" + codes[0][1:])
+                    read = tuple(map(enumeration._key_code, keys))
+                tried.append((layout, skeleton_edges(layout, None), None, read))
                 yield layout, codes, ranks
 
         monkeypatch.setattr(enumeration, "_genus_codes", recording_genus)
@@ -403,14 +409,16 @@ class TestArrayCodes:
         for mode in (False, True):
             emitted += [g for n in (1, 2, 3, 4) for g in enum_equicolored_trees(n, mode)]
             emitted += [d.graph for d in enum_torus_classes(8, 1, mode)]
+            for n in (1, 2, 3, 4):
+                enumeration.enum_tree_rows(n, mode, edges=True)
         for layout, edges, genus_vertex, codes in tried:
             for positive in (0, 1):
                 g = _colored_graph(layout, edges, positive, genus_vertex)
                 assert codes[positive] == canonical_code(g), (layout, edges, positive)
                 assert min(codes) == canonical_code(g, True), (layout, edges, positive)
-        # Per mode: 1 + 1 + 3 + 9 balanced trees, and the 244 gated torus
-        # skeletons the twin skip leaves of 352.
-        assert len(tried) == 2 * (14 + 244)
+        # Per mode: 1 + 1 + 3 + 9 balanced trees, coded and keyed, and the
+        # 244 gated torus skeletons the twin skip leaves of 352.
+        assert len(tried) == 2 * (2 * 14 + 244)
 
         # Graphs are built only for emitted classes, each by the checking
         # constructor, and a rebuild of one equals it and codes as it does.

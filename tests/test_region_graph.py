@@ -12,6 +12,7 @@ from bcontact import region_graph
 from bcontact.enumeration import (
     _EDGES,
     _coloring,
+    _key_code,
     _sphere_trees,
     _tree_edges,
     enum_equicolored_trees,
@@ -503,13 +504,57 @@ class TestSphereRows:
                     expected.append((code, layout, None, _coloring(layout, positive)))
             expected.sort()
             assert enum_tree_rows(n, modulo_swap) == expected, n
-        # Up to 18 regions, the edges a listing's writer reads off each row
-        # are its skeleton's, in the order a graph keeps them.
+        # Up to 18 regions, the rows a listing's writer reads come in the
+        # same order, each with a key in place of its code, which reads
+        # back to that code, and the edges it reads off each row are its
+        # skeleton's, in the order a graph keeps them.
         for n in range(1, 10):
             rows = enum_tree_rows(n, modulo_swap, edges=True)
-            assert [row[:4] for row in rows] == enum_tree_rows(n, modulo_swap)
+            coded = enum_tree_rows(n, modulo_swap)
+            assert [row[1:4] for row in rows] == [row[1:] for row in coded], n
+            assert [_key_code(row[0]) for row in rows] == [row[0] for row in coded], n
             for layout, ranks in {row[1]: row[4] for row in rows}.items():
                 assert [_EDGES[rank] for rank in ranks] == sorted(_tree_edges(layout)), layout
+
+
+class TestSphereKeys:
+    """A text or JSON sphere listing orders its rows by byte keys, and
+    builds no code (``enumeration._sphere_trees``): the keys sort and
+    split the rows as the codes do, and the sign-1 rows replay the
+    unicentral trees' sign-0 rows."""
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_keyed_rows_are_the_coded_rows(self, modulo_swap):
+        for n in range(1, 10):
+            rows = enum_tree_rows(n, modulo_swap, edges=True)
+            coded = enum_tree_rows(n, modulo_swap)
+            # Row for row the same class, from distinct keys in sorted
+            # order, and no row holds a code.
+            assert [(row[1], row[3]) for row in rows] == [(row[1], row[3]) for row in coded], n
+            keys = [row[0] for row in rows]
+            assert all(type(key) is bytes for key in keys)
+            assert keys == sorted(set(keys)), n
+            for _, layout, _, _, ranks in rows:
+                assert [_EDGES[rank] for rank in ranks] == sorted(_tree_edges(layout)), layout
+            # The sign-1 rows come last, each a unicentral tree's, in the
+            # order of those trees' sign-0 rows.
+            replayed = [row[1] for row in rows if row[0][0]]
+            assert not (modulo_swap and replayed)
+            assert all(row[0][0] for row in rows[len(rows) - len(replayed):])
+            kept = set(replayed)
+            assert [row[1] for row in rows if row[1] in kept and not row[0][0]] == replayed, n
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_a_trees_keys_are_equal_exactly_when_its_codes_are(self, n):
+        order = 2 * n
+        walks = zip(_sphere_trees(order, n), _sphere_trees(order, n, True), strict=True)
+        for (layout, codes, none), (walked, keys, ranks) in walks:
+            assert (walked, none, type(ranks)) == (layout, None, bytes)
+            if len(keys) == 1:
+                # A unicentral tree's key with odd levels positive.
+                keys += (b"\1" + keys[0][1:],)
+            assert (keys[0] == keys[1]) == (codes[0] == codes[1]), layout
+            assert tuple(map(_key_code, keys)) == codes, layout
 
 
 @st.composite
