@@ -39,9 +39,10 @@ per shape.  The products (r, s) of each slope's expansion are taken once
 per table, and a bare cycle's count at each slope comes from them
 (``counting.solid_torus_count``).  A table's size (``table_rows``) is
 the enumerator's (``enumeration.tree_count``, ``torus_count``), read off
-the recorded class counts, so a table too large to write is refused
-before any class is listed.  Both refuse a request out of range where
-``enumeration`` sizes it, and state none here.
+the recorded class counts, and ``table_classes`` holds it to the row
+cap, so a table too large to write is refused before any class is
+listed.  Both refuse a request out of range where ``enumeration`` sizes
+it, and state none here.
 
 The table's writer (``write_table``) writes that one form in
 ``TABLE_COLUMNS`` order.  It checks nothing, reads no graph, and hands
@@ -210,20 +211,21 @@ def table_classes(
     canonical code, each with its slopes up to ``max_p`` (on the torus
     only; the sphere has no slopes).
 
-    Each class is read off the generator's row, with no graph built and
-    no ``classify``: its regimes are ``_regimes`` of its shape
+    The request is sized (``table_rows``) and held to the row cap
+    (``check_row_cap``) first, so a table refused lists no class.  Each
+    class is read off the generator's row, with no graph built and no
+    ``classify``: its regimes are ``_regimes`` of its shape
     (``row_shape``), and a bare cycle's counts come from each slope's
     expansion products, taken once per table.
     """
     from .enumeration import (
-        check_sphere_table_request, enum_torus_rows, enum_tree_rows, row_shape, row_slopes,
-        torus_count,
+        check_row_cap, check_sphere_table_request, enum_torus_rows, enum_tree_rows, row_shape,
+        row_slopes,
     )
 
     m = Surface(m)
+    check_row_cap("table", table_rows(m, max_curves, max_p, modulo_swap))
     if m is Surface.TORUS:
-        # Sized first, so a request out of range lists no class.
-        torus_count(max_curves, max_p, modulo_swap)
         rows = enum_torus_rows(max_curves, modulo_swap)
     else:
         sizes = check_sphere_table_request(max_curves, max_p)

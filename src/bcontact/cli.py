@@ -11,11 +11,12 @@ output ends.  All machine-readable output is deterministic and
 newline-terminated, and goes to stdout in whole chunks of at least 64
 KiB, whether or not stdout is buffered.  The listings and the table
 hand their lines to those chunks (``_Chunks``, the one buffer) a class
-at a time, so no output is held whole; the torus listing's writer takes
-the slope bound, and each ring's slopes are made once per listing.  A
-listing is sized by the enumerator (``tree_count``, ``torus_count``)
-before any class is listed: ``--count-only`` prints that size, and a
-torus listing past the row cap is refused, as a table is, by
+at a time, so no output is held whole.  Each of their commands is one
+call with the request as read (``listings.write_tree_listing``,
+``write_torus_listing``, ``classify.table_classes``), or with
+``--count-only`` the listing's size from the enumerator (``tree_count``,
+``torus_count``).  The callee sizes the request before any class is
+listed, and a torus listing or a table past the row cap is refused by
 ``enumeration``, which states every range and cap the CLI enforces.
 
 Each command imports the layers it calls when it runs, so a call loads
@@ -224,34 +225,28 @@ def _emit(out, text: str) -> None:
 
 
 def _cmd_enum_trees(args, out) -> int:
-    from .enumeration import enum_tree_rows, tree_count
-
     modulo_swap = not args.distinguish_signs
     if args.count_only:
+        from .enumeration import tree_count
+
         out.write(f"{tree_count(args.n, modulo_swap)}\n")
         return 0
-    from .listings import write_listing
+    from .listings import write_tree_listing
 
-    # Only a listing that writes each class's edges asks for them.
-    write_listing(out, enum_tree_rows(args.n, modulo_swap, args.format != "csv"), args.format)
+    write_tree_listing(out, args.n, modulo_swap, args.format)
     return 0
 
 
 def _cmd_enum_torus(args, out) -> int:
-    from .enumeration import check_row_cap, enum_torus_rows, torus_count
-
     modulo_swap = not args.distinguish_signs
-    # The request is checked and the listing sized before any class is
-    # listed, so a count or a refusal enumerates nothing.
-    size = torus_count(args.max_curves, args.max_slope, modulo_swap)
     if args.count_only:
-        out.write(f"{size}\n")
-        return 0
-    check_row_cap("listing", size)
-    from .listings import write_listing
+        from .enumeration import torus_count
 
-    rows = enum_torus_rows(args.max_curves, modulo_swap)
-    write_listing(out, rows, args.format, args.max_slope)
+        out.write(f"{torus_count(args.max_curves, args.max_slope, modulo_swap)}\n")
+        return 0
+    from .listings import write_torus_listing
+
+    write_torus_listing(out, args.max_curves, args.max_slope, modulo_swap, args.format)
     return 0
 
 
@@ -362,16 +357,11 @@ def _cmd_census(args, out) -> int:
 
 
 def _cmd_table(args, out) -> int:
-    from .classify import table_classes, table_rows, write_table
-    from .enumeration import check_row_cap
+    from .classify import table_classes, write_table
     from .surfaces import Surface
 
-    request = Surface(_MANIFOLDS[args.manifold]), args.max_curves, args.max_slope
-    modulo_swap = not args.distinguish_signs
-    # A refused table lists no class and writes no byte: its size is
-    # counted first, from the recorded class counts.
-    check_row_cap("table", table_rows(*request, modulo_swap))
-    write_table(out, table_classes(*request, modulo_swap), args.format)
+    m, modulo_swap = Surface(_MANIFOLDS[args.manifold]), not args.distinguish_signs
+    write_table(out, table_classes(m, args.max_curves, args.max_slope, modulo_swap), args.format)
     return 0
 
 

@@ -56,13 +56,13 @@ root on level 0: the root's side and then vertex 1's, one level up, with
 even levels positive, and the other way round with odd ones, both with
 sign byte 0.  By the lemma, a code is the bracket reading of its key's
 levels, with even levels positive up to a second root and odd ones from
-it on, every sign negated under sign byte 1 (``_key_code``), so equal
-keys have equal codes, and a code gives back its key.  Where two keys
-first differ, so do the readings: the larger level, the smaller byte,
-writes ``(`` where the other writes ``)``.  Every sign-1 code opens
-``T(-`` and every other one ``T(+``, so the sign-1 rows come last, in the
-order of their trees' sign-0 rows: a listing sorts one row per
-unicentral tree and replays it with odd levels positive
+it on, every sign negated under sign byte 1 (the test suite reads keys
+back so), so equal keys have equal codes, and a code gives back its
+key.  Where two keys first differ, so do the readings: the larger level,
+the smaller byte, writes ``(`` where the other writes ``)``.  Every
+sign-1 code opens ``T(-`` and every other one ``T(+``, so the sign-1 rows
+come last, in the order of their trees' sign-0 rows: a listing sorts one
+row per unicentral tree and replays it with odd levels positive
 (``enum_tree_rows``).
 
 A torus skeleton is coded once (``_skeleton_codes``): each vertex's
@@ -449,20 +449,6 @@ def _sphere_trees(
             yield layout, codes, None
 
 
-def _key_code(key: bytes) -> str:
-    """The canonical code of a sphere row's key (the module docstring):
-    the bracket reading of its levels, with even levels positive up to a
-    second root and odd ones from it on, every sign negated under sign
-    byte 1."""
-    levels = key[1:].translate(_KEY)
-    second = levels.find(0, 1) % (len(levels) + 1)  # -1, at one root, is the end
-    reading = [_BRACKETS[a][b] for a, b in zip(levels, levels[1:])]
-    reading.append(")" * (levels[-1] + 1))
-    code = "T" + _OPENINGS[0][0] + "".join(reading[:second - 1])
-    code += "".join(reading[second - 1:]).translate(_SWAP_SIGNS)
-    return code.translate(_SWAP_SIGNS) if key[0] else code
-
-
 @lru_cache(maxsize=1)  # the candidates of one skeleton come in a run
 def _skeleton_codes(layout: bytes):
     """Each vertex's parent (the root's is 0), children, opening and the
@@ -647,10 +633,10 @@ def enum_tree_rows(n: int, modulo_swap: bool = False, edges: bool = False) -> li
     """The rows of ``enum_equicolored_trees(n, modulo_swap)``, in its
     order, with no graph built, sized first (``tree_count``).  With
     ``edges`` each row carries its key (the module docstring) in place of
-    its code, which ``_key_code`` reads back, and a fifth field, its
-    skeleton's edges as ``_sphere_trees`` gives them: what the listing's
-    writer reads.  The table and the library callers, which print or hand
-    out codes, ask for rows without edges."""
+    its code, and a fifth field, its skeleton's edges as ``_sphere_trees``
+    gives them: what the text and JSON listings read.  The CSV listing,
+    the table and the library callers, which print or hand out codes, ask
+    for rows without edges."""
     tree_count(n, modulo_swap)
     rows: list[Row] = []
     colorings: dict[bytes, bytes] = {}

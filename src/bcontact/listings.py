@@ -2,22 +2,25 @@
 
 A class's text is the line format that ``formats`` reads
 (``serialize_class_text``), and its DOT export embeds that text as
-comments (``export_dot``).  The enumerated listings are bulk output,
-written from the generator's rows (``enumeration.Row``), with no graph
-built, in one loop per listing (``write_listing``): each row's text is a
+comments (``export_dot``).  The enumerated listings are bulk output: each
+writer is handed the request, as the CLI reads it, and asks
+``enumeration`` for the rows its form reads (``enumeration.Row``), with
+no graph built, once it has refused what ``enumeration`` refuses
+(``write_tree_listing``, ``write_torus_listing``).  Each row's text is a
 head made once per coloring and a tail, of fragments looked up in tables
 indexed by id, sign and genus and by edge rank (``_tables``).  A tail is
 the fragments of its sorted edge ranks: a sphere row's ranks come from
 the walk, and its row goes out with whole other rows, its fragments
-joined once, with theirs; a torus row's come
-from its level sequence plus a ring's closing edge, and each torus
-class's lines go out in one write, at every slope up to the listing's
-bound for a ring, whose slopes' ends are made once per listing.  A listing's
-JSON line equals ``json.dumps`` of ``formats.class_dict`` of its class
-(of the graph's two fields alone on the sphere) with its default
-separators, because every id, sign, genus and slope is an ``int``: the
-enumerators build them so, a region graph takes no other id, sign or
-genus, and both parsers take no other slope.
+joined once, with theirs; a torus row's come from its level sequence
+plus a ring's closing edge, and each torus class's lines go out in one
+write, at every slope up to the listing's bound for a ring, whose
+slopes' ends are made once per listing.  A listing's JSON line equals
+``json.dumps`` of ``formats.class_dict`` of its class (of the graph's two
+fields alone on the sphere) with its default separators, because every
+id, sign, genus and slope is an ``int``: the enumerators build them so,
+a region graph takes no other id, sign or genus, and both parsers take
+no other slope.  A CSV line names its class by its canonical code, and
+on the torus by its slope too.
 
 This module loads neither ``formats`` and its parsers nor the region
 graph (``region_graph``): a listing writes the generator's rows, and a
@@ -81,103 +84,116 @@ def serialize_class_text(d: DividingSetClass) -> str:
     ])
 
 
-def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> None:
-    """Write a listing of the generator's rows (``enumeration.Row``) to
-    ``out`` in ``form``, one class's lines at a time, with no graph built.
-
-    With no ``max_p`` (the sphere listing) each row is its graph's ``v``
-    and ``e`` lines, or one JSON line of its ``vertices`` and ``edges``.
-    With ``max_p`` (the torus listing) each row is its torus class at
-    each of its slopes (``enumeration.row_slopes``):
-    ``serialize_class_text`` of each, or ``json.dumps`` of
-    ``formats.class_dict`` of each on a line.  Text blocks are separated
-    by blank lines, and an empty text listing is one newline.  The CSV
-    form is ``size,canonical_code,admissible`` once per slope.
-
-    A row's text is a head, made once per coloring, and a tail, then its
-    slope's end: the ends of a tree and of a ring are each made once per
-    listing.  A text block's head is the blank line before it, a torus
-    class's surface line and the ``v`` lines, and its tail the ``e``
-    lines; a JSON line's head runs up to its edges, and its tail from
-    them to its slope.  Heads are made first, one per distinct coloring
-    (the 10,079 trees on 16 regions have 1,049 colorings).  A tail is
-    the fragments of its sorted edge ranks.  A sphere row's ranks are
-    its fifth field, from the walk, so its text and JSON forms need rows
-    asked for with their edges (``enumeration.enum_tree_rows`` with
-    ``edges``), which carry keys in place of codes (a CSV listing of them
-    reads each key back to its code); ``_BATCH`` rows go out in one
-    write, since a sphere row is one class, and each row's fragments go
-    into that write's one join, with no tail joined on its own.  A
-    torus row's ranks are its level sequence's, made
-    once per sequence, plus a ring's closing edge: a tree's sequence
-    keeps its tail text for all of its genus regions and colorings, and
-    a ring's keeps its ranks, into which each row's closing edge is put.
-    A torus row is its class at each of its slopes, in one write: a
-    batch of rings would hold whole runs of slopes at once.  A ``form``
-    other than "text", "json" or "csv", a text or JSON sphere listing of
-    rows without their edges, or a slope bound that ``torus_count`` would
-    refuse, is refused before a byte is written.
-    """
-    from .enumeration import _RANKS, _edge_ranks, _key_code, _normalized_slopes
-
-    torus = max_p is not None
+def _check_form(form: str) -> None:
     if form not in ("text", "json", "csv"):
         raise ValueError(f"unknown listing form {form!r} (choose from 'text', 'json', 'csv')")
-    if form != "csv" and not torus and rows and len(rows[0]) < 5:
-        raise ValueError(
-            "text and JSON sphere listings need rows with their edges"
-            " (enum_tree_rows(..., edges=True))"
-        )
-    # A ring's slopes: each one up to the bound on a torus listing, and on
-    # a listing of graphs one class with no slope.
-    ring_slopes = _normalized_slopes(max_p) if torus else (None,)
-    if form == "csv":
-        # Sphere rows with their edges carry keys, which read back to codes.
-        keyed = not torus and rows and len(rows[0]) > 4
-        out.write("size,canonical_code,admissible\n")
-        for row in rows:
-            # A tree has one edge fewer than vertices, a ring as many.
-            code = _key_code(row[0]) if keyed else row[0]
-            line = f"{len(row[1]) - (row[2] is None)},{code},true\n"
-            out.write(line if row[2] is None else line * len(ring_slopes))
-        return
-    json_form = form == "json"
-    if not (json_form or rows):
-        out.write("\n")
-        return
-    fragments = _JSON if json_form else _TEXT
-    vertex_table, edge_table = _tables(fragments)
-    join = fragments.separator.join
-    if json_form:
+
+
+def _shape(form: str, torus: bool, rows: list[Row]) -> tuple:
+    """A text or JSON listing's fragments, its edge fragments by rank, the
+    head of each coloring of ``rows``, keyed by the coloring, and the
+    string that closes a class's edges."""
+    if form == "json":
+        fragments = _JSON
         fields = '{"surface": "torus", ' if torus else "{"
         opening, middle = fields + '"vertices": [', '], "edges": ['
         closing = '], "slope": ' if torus else "]}\n"
     else:
+        fragments, middle, closing = _TEXT, "", ""
         opening = "\nsurface torus\n" if torus else "\n"
-        middle = closing = ""
+    vertex_table, edge_table = _tables(fragments)
+    join = fragments.separator.join
     heads = {c: opening + join(map(getitem, vertex_table, c)) + middle for c in {row[3] for row in rows}}
-    # Every text block opens with the blank line that separates it from
-    # the one before, which the listing's first block drops.
-    skip = 0 if json_form else 1
-    if not torus:
-        # A sphere row is one line or one text block, so whole rows go
-        # out together, ``_BATCH`` at a time, in one join: a row's edge
-        # fragments go into it as they are, each after the separator but
-        # the first, edge (0, 1), which every tree has and sorts first.
-        edge = [edge_table[0], *[fragments.separator + e for e in edge_table[1:]]].__getitem__
-        for start in range(0, len(rows), _BATCH):
-            parts = []
-            for row in rows[start:start + _BATCH]:
-                parts.append(heads[row[3]])
-                parts += map(edge, row[4])
-                parts.append(closing)
-            out.write("".join(parts)[skip:])
-            skip = 0
+    return fragments, edge_table, heads, closing
+
+
+def write_tree_listing(out, n: int, modulo_swap: bool, form: str) -> None:
+    """Write the sphere listing of the trees on 2n regions to ``out`` in
+    ``form``: each class's ``v`` and ``e`` lines, one JSON line of its
+    ``vertices`` and ``edges``, or ``size,canonical_code,admissible``.
+
+    CSV asks ``enum_tree_rows`` for rows with codes, text and JSON, which
+    print none, for rows with their edges, keyed in place of codes.  A
+    text block or JSON line is the head of its coloring, made once per
+    coloring (the 10,079 trees on 16 regions have 1,049), and the
+    fragments of its edge ranks, from the walk: ``_BATCH`` rows go out in
+    one join and one write, with no tail joined on its own.  An unknown
+    ``form``, or an ``n`` that ``tree_count`` refuses, is refused before
+    a byte is written.
+    """
+    from .enumeration import enum_tree_rows
+
+    _check_form(form)
+    if form == "csv":
+        rows = enum_tree_rows(n, modulo_swap)
+        out.write("size,canonical_code,admissible\n")
+        for code, layout, _, _ in rows:
+            out.write(f"{len(layout) - 1},{code},true\n")
         return
-    # Each class's ends, one before each of its slopes: a tree's one, with
-    # no slope, and a ring's one per slope up to ``max_p``.
+    rows = enum_tree_rows(n, modulo_swap, True)
+    fragments, edge_table, heads, closing = _shape(form, False, rows)
+    # Each edge fragment after the separator but the first, edge (0, 1),
+    # which every tree has and sorts first.  Every text block opens with
+    # the blank line before it, which the listing's first block drops.
+    edge = [edge_table[0], *[fragments.separator + e for e in edge_table[1:]]].__getitem__
+    skip = 0 if form == "json" else 1
+    for start in range(0, len(rows), _BATCH):
+        parts = []
+        for row in rows[start:start + _BATCH]:
+            parts.append(heads[row[3]])
+            parts += map(edge, row[4])
+            parts.append(closing)
+        out.write("".join(parts)[skip:])
+        skip = 0
+
+
+def write_torus_listing(out, max_curves: int, max_p: int, modulo_swap: bool, form: str) -> None:
+    """Write the torus listing of the classes with at most ``max_curves``
+    curves to ``out`` in ``form``, each class at each of its slopes
+    (``enumeration.row_slopes``): ``serialize_class_text`` of each, an
+    empty listing being one newline, ``json.dumps`` of
+    ``formats.class_dict`` of each on a line, or
+    ``size,canonical_code,slope_p,slope_q,admissible``, a tree's slope
+    fields empty.  An unknown ``form``, or a request that ``torus_count``
+    or the row cap (``check_row_cap``) refuses, is refused before any
+    class is listed.
+
+    A row's text is the head of its coloring, its tail, then its slope's
+    end, each end made once per listing.  A text block's head is the
+    blank line before it, the surface line and the ``v`` lines, and its
+    tail the ``e`` lines; a JSON line's head runs up to its edges.  A tail
+    is the fragments of its level sequence's sorted edge ranks, made once
+    per sequence, plus a ring's closing edge.  A class goes out at all of
+    its slopes in one write: a batch of rings would hold whole runs of
+    slopes at once.
+    """
+    from .enumeration import (
+        _RANKS, _edge_ranks, _normalized_slopes, check_row_cap, enum_torus_rows, torus_count,
+    )
+
+    _check_form(form)
+    check_row_cap("listing", torus_count(max_curves, max_p, modulo_swap))
+    rows = enum_torus_rows(max_curves, modulo_swap)
+    slopes = _normalized_slopes(max_p)
+    if form == "csv":
+        out.write("size,canonical_code,slope_p,slope_q,admissible\n")
+        ring_ends = [f"{p},{q},true\n" for p, q in slopes]
+        for code, layout, edge, _ in rows:
+            # A tree has one edge fewer than vertices, a ring as many.
+            if edge is None:
+                out.write(f"{len(layout) - 1},{code},,,true\n")
+            else:
+                head = f"{len(layout)},{code},"
+                out.write(head + head.join(ring_ends))
+        return
+    if form == "text" and not rows:
+        out.write("\n")
+        return
+    fragments, edge_table, heads, closing = _shape(form, True, rows)
+    join = fragments.separator.join
+    # The ends of a class, one before each of its slopes.
     tree_ends = ["", fragments.slope(None)]
-    ring_ends = ["", *map(fragments.slope, ring_slopes)]
+    ring_ends = ["", *map(fragments.slope, slopes)]
     # Per level sequence, its edge ranks sorted, made once: a tree's tail
     # text, or a ring's ranks, which its closing edge joins.  A sequence
     # carries genus trees or rings, never both: their balance gates,
@@ -187,6 +203,7 @@ def write_listing(out, rows: list[Row], form: str, max_p: int | None = None) -> 
     def tail_text(ranks: list[int]) -> str:
         return join(map(edge_table.__getitem__, ranks)) + closing
 
+    skip = 0 if form == "json" else 1
     for row in rows:
         layout, edge = row[1], row[2]
         tail = tails.get(layout)

@@ -11,7 +11,9 @@ lines, as ``classify.write_table`` writes them, in one string.
 twin skip: the candidate stream with no candidate skipped, and the
 earlier candidate a twin swap moves a skipped one to.  ``free_trees``
 and ``torus_codes`` are the generator's free-tree walk and its coding of
-one torus candidate, as the generator calls them.
+one torus candidate, as the generator calls them.  ``key_code`` referees
+the byte keys of the text and JSON sphere listings: a key's code, read
+off its levels with no table of the generator's.
 ``enum_torus_graphs`` and ``graph_slopes`` referee the torus listings and
 ``enum_torus_classes``: each listed class's graph, built from its row by
 the checking constructor, and the slopes a graph is paired with, counted
@@ -257,6 +259,23 @@ def graph_slopes(g, max_p):
 
 def free_trees(order):
     return (layout for layout, _, _, _ in _walk(order))
+
+
+def key_code(key):
+    """The canonical code of a sphere row's key (README, "Codes read off
+    level sequences"): after the sign byte, each level l is the byte
+    255 - l, and the code is the bracket reading of the levels, each
+    vertex writing ``")" * (l[i-1] - l[i] + 1) + "(" + tag``, with even
+    levels positive up to a second root on level 0 and odd ones from it
+    on, every sign negated under sign byte 1."""
+    levels = [255 - byte for byte in key[1:]]
+    second = levels.index(0, 1) if 0 in levels[1:] else len(levels)
+    reading, before = ["T"], -1
+    for i, level in enumerate(levels):
+        positive = (level % 2 == 0) ^ (i >= second) ^ (key[0] == 1)
+        reading.append(")" * (before - level + 1) + ("(+0" if positive else "(-0"))
+        before = level
+    return "".join(reading) + ")" * (before + 1)
 
 
 def torus_codes(layout, closing, genus_vertex):

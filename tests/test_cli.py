@@ -19,12 +19,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bcontact import admissibility, cli, counting, formats, listings
+from bcontact import admissibility, cli, counting, formats
 from bcontact.classify import TABLE_COLUMNS, table_classes, table_rows, write_table
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
     ResourceLimitError,
-    check_row_cap,
     enum_equicolored_trees,
     enum_torus_classes,
     enum_torus_rows,
@@ -32,7 +31,7 @@ from bcontact.enumeration import (
     torus_count,
     tree_count,
 )
-from bcontact.listings import serialize_class_text
+from bcontact.listings import serialize_class_text, write_torus_listing, write_tree_listing
 from bcontact.region_graph import canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -62,6 +61,7 @@ NINES = "9" * 4000
 TWO_CYCLE_32 = "surface torus\nv 0 + 0\nv 1 - 0\ne 0 1\ne 0 1\nslope 3 2\n"
 GENUS_TREE = "surface torus\nv 0 + 1\nv 1 - 0\ne 0 1\n"  # valid, inadmissible
 BAD_SYNTAX = "surface sphere\nv zero + 0\n"
+FORMS = ("text", "json", "csv")
 
 
 def run(argv):
@@ -229,14 +229,21 @@ def assert_row_cap_counts_rows(monkeypatch, capsys, kind, argv, header, spare, s
 
 
 def tree_calls(n):
-    """The library calls of a sphere listing of the trees on 2n regions."""
-    return [(tree_count, (n,)), (enum_tree_rows, (n,)), (enum_equicolored_trees, (n,))]
+    """The library calls of a sphere listing of the trees on 2n regions,
+    its writer's in each form."""
+    return [(tree_count, (n,)), (enum_tree_rows, (n,)), (enum_equicolored_trees, (n,)),
+            *[(write_tree_listing, (io.StringIO(), n, False, fmt)) for fmt in FORMS]]
+
+
+def writer_calls(max_curves, max_p):
+    """The torus listing's writer in each form, each with a stream of its own."""
+    return [(write_torus_listing, (io.StringIO(), max_curves, max_p, False, fmt)) for fmt in FORMS]
 
 
 def torus_calls(max_curves, max_p):
     """The library calls of a torus listing and table."""
     request = (max_curves, max_p)
-    return [(torus_count, request), (enum_torus_classes, request),
+    return [(torus_count, request), (enum_torus_classes, request), *writer_calls(*request),
             (table_rows, (S3_T2, *request)), (table_classes, (S3_T2, *request))]
 
 
@@ -246,20 +253,8 @@ def curve_calls(max_curves):
     return [*torus_calls(max_curves, 1), (enum_torus_rows, (max_curves,))]
 
 
-def writer_calls(max_p):
-    """The torus listing's writer, handed rows listed here, at collection:
-    the test walks no tree."""
-    return [(listings.write_listing, (io.StringIO(), enum_torus_rows(2), "csv", max_p))]
-
-
 def sphere_table_calls(max_curves, max_p):
     return [(table_rows, (S3_S2, max_curves, max_p)), (table_classes, (S3_S2, max_curves, max_p))]
-
-
-def table_row_cap(m, max_curves, max_p):
-    """The table's row cap as the CLI checks it, on the rows counted before
-    any class is listed."""
-    check_row_cap("table", table_rows(m, max_curves, max_p))
 
 
 def refusal(*argv):
@@ -288,24 +283,24 @@ PARITY = [
     pytest.param(sphere_table_calls(21, 1), ResourceLimitError,
                  refusal("table", "--manifold", "s3-s2", "--max-curves", "21"),
                  id="sphere-curves-21"),
-    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0) + writer_calls(0), ValueError,
+    pytest.param(torus_calls(4, 0) + sphere_table_calls(4, 0), ValueError,
                  refusal("enum-torus", "--max-slope", "0"), id="slope-0"),
-    pytest.param(torus_calls(4, 257) + writer_calls(257), ResourceLimitError,
+    pytest.param(torus_calls(4, 257), ResourceLimitError,
                  refusal("enum-torus", "--max-slope", "257"), id="slope-257"),
     pytest.param(curve_calls(True) + sphere_table_calls(True, 1), ValueError,
                  "max_curves=True is not an integer", id="curves-True"),
     pytest.param(curve_calls(2.0) + sphere_table_calls(2.0, 1), ValueError,
                  "max_curves=2.0 is not an integer", id="curves-2.0"),
-    pytest.param(torus_calls(4, True) + sphere_table_calls(4, True) + writer_calls(True),
+    pytest.param(torus_calls(4, True) + sphere_table_calls(4, True),
                  ValueError, "max_p=True is not an integer", id="slope-True"),
-    pytest.param(torus_calls(4, 2.0) + sphere_table_calls(4, 2.0) + writer_calls(2.0),
+    pytest.param(torus_calls(4, 2.0) + sphere_table_calls(4, 2.0),
                  ValueError, "max_p=2.0 is not an integer", id="slope-2.0"),
     # The library's listing refuses as the CLI's does; its --count-only
     # prints the size (TestListingSize).
-    pytest.param([(enum_torus_classes, (16, 256))], ResourceLimitError,
+    pytest.param([(enum_torus_classes, (16, 256)), *writer_calls(16, 256)], ResourceLimitError,
                  refusal("enum-torus", "--max-curves", "16", "--max-slope", "256"),
                  id="listing-16-256"),
-    pytest.param([(table_row_cap, (S3_T2, 16, 256))], ResourceLimitError,
+    pytest.param([(table_classes, (S3_T2, 16, 256))], ResourceLimitError,
                  refusal("table", "--manifold", "s3-t2", "--max-curves", "16", "--max-slope", "256"),
                  id="table-16-256"),
 ]
@@ -313,22 +308,26 @@ PARITY = [
 
 @pytest.mark.parametrize("calls,kind,message", PARITY)
 def test_every_door_refuses_alike(monkeypatch, calls, kind, message):
-    # A refused request walks no tree.
+    # A refused request walks no tree, and a writer writes no byte.
     monkeypatch.setattr(ENUMERATION_MODULE, "_walk", never_enumerate)
     for function, args in calls:
         with pytest.raises(ValueError) as raised:
             function(*args)
         assert (type(raised.value), str(raised.value)) == (kind, message), function.__name__
+        assert all(a.getvalue() == "" for a in args if isinstance(a, io.StringIO)), args
 
 
 def referee_listing(graphs, fmt, modulo_swap, slopes=None):
     """The listing of ``graphs`` built from the graph objects by the
     references, one listed class at a time; with ``slopes``, per graph, a
-    torus listing."""
+    torus listing, whose CSV names each class's slope (a tree's empty)."""
     if slopes is None:
+        if fmt == "csv":
+            return "size,canonical_code,admissible\n" + "".join(
+                f"{g.edge_count},{canonical_code(g, modulo_swap)},true\n" for g in graphs
+            )
         blocks = [graph_text_reference(g) for g in graphs]
         lines = [json.dumps(graph_json_reference(g)) + "\n" for g in graphs]
-        slopes = [(None,)] * len(graphs)
     else:
         classes = [
             DividingSetClass(Surface.TORUS, g, slope) for g, s in zip(graphs, slopes) for slope in s
@@ -339,9 +338,11 @@ def referee_listing(graphs, fmt, modulo_swap, slopes=None):
         return "\n".join(blocks) or "\n"
     if fmt == "json":
         return "".join(lines)
-    return "size,canonical_code,admissible\n" + "".join(
-        f"{g.edge_count},{canonical_code(g, modulo_swap)},true\n" * len(s)
-        for g, s in zip(graphs, slopes)
+    fields = [
+        (g, ("", "") if slope is None else slope) for g, s in zip(graphs, slopes) for slope in s
+    ]
+    return "size,canonical_code,slope_p,slope_q,admissible\n" + "".join(
+        f"{g.edge_count},{canonical_code(g, modulo_swap)},{p},{q},true\n" for g, (p, q) in fields
     )
 
 
@@ -376,6 +377,17 @@ class TestListingsMatchLibrary:
             ), max_curves
             classes = enum_torus_classes(max_curves, max_p, modulo_swap)
             assert run([*args, "--count-only"]) == (0, f"{len(classes)}\n")
+
+    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
+    def test_torus_csv_repeats_no_line(self, modulo_swap):
+        # A ring's line names its slope, so a class listed at each of its
+        # slopes writes a line of its own at each.
+        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
+        for max_curves, max_p in ((2, 2), (8, 3)):
+            status, listing = run(["enum-torus", "--max-curves", str(max_curves),
+                                   "--max-slope", str(max_p), "--format", "csv", *sign_mode])
+            lines = listing.splitlines()
+            assert status == 0 and len(set(lines)) == len(lines) > 2, max_curves
 
     @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
     def test_count_is_the_json_listings_length(self, modulo_swap):
@@ -451,27 +463,26 @@ class _ClassesPerWrite:
 
 
 class TestListingWrites:
-    """``write_listing`` hands each torus class's lines to ``out`` in one
-    write and holds no other row's, so a long run of slopes is never
-    joined to another; the CLI's chunked stream does the batching.  A
-    sphere row is one class at no slope, so whole sphere rows go out in
-    batches of ``listings._BATCH``."""
+    """``write_torus_listing`` hands each torus class's lines to ``out``
+    in one write and holds no other row's, so a long run of slopes is
+    never joined to another; the CLI's chunked stream does the batching.
+    A sphere row is one class at no slope, so ``write_tree_listing``
+    writes whole sphere rows in batches of ``listings._BATCH``."""
 
     @pytest.mark.parametrize("fmt,marker", [("json", '"surface"'), ("text", "surface ")])
     def test_each_write_is_one_class_at_its_slopes(self, fmt, marker):
         rows = ENUMERATION_MODULE.enum_torus_rows(5)
         slopes = [ENUMERATION_MODULE.row_slopes(row, 256) for row in rows]
         stream = _ClassesPerWrite(marker)
-        listings.write_listing(stream, rows, fmt, 256)
+        write_torus_listing(stream, 5, 256, False, fmt)
         # The five rings at 256: 19,948 classes each.
         assert stream.counts == [len(run) for run in slopes]
         assert max(stream.counts) == 19948
 
     @pytest.mark.parametrize("fmt,marker", [("json", '"vertices"'), ("text", "v 0 ")])
     def test_sphere_writes_are_batches_of_whole_rows(self, fmt, marker):
-        rows = ENUMERATION_MODULE.enum_tree_rows(7, False, True)
         writes = []
-        listings.write_listing(SimpleNamespace(write=writes.append), rows, fmt)
+        write_tree_listing(SimpleNamespace(write=writes.append), 7, False, fmt)
         # The 1,742 classes on 14 regions: six full batches and 206, each
         # write ending a line.
         assert [text.count(marker) for text in writes] == [256] * 6 + [206]
@@ -479,23 +490,19 @@ class TestListingWrites:
 
 
 class TestListingRows:
-    """``write_listing`` writes every enumerator's rows as the CLI does:
-    sphere rows with the walk's edges, which CSV does not read, so the CLI
-    asks for them in text and JSON alone, and torus rows at their slopes up
-    to a bound."""
+    """Each listing writer, handed the request, writes the CLI's bytes:
+    the sphere's asks for the rows its form reads, and the torus's writes
+    its rows at their slopes up to a bound."""
 
-    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    @pytest.mark.parametrize("rows,max_p,argv", [
-        (lambda fmt: ENUMERATION_MODULE.enum_tree_rows(5, edges=fmt != "csv"), None,
-         ["enum-trees", "--n", "5"]),
-        (lambda fmt: ENUMERATION_MODULE.enum_tree_rows(5, edges=True), None,
-         ["enum-trees", "--n", "5"]),
-        (lambda fmt: ENUMERATION_MODULE.enum_torus_rows(7), 3,
+    @pytest.mark.parametrize("fmt", FORMS)
+    @pytest.mark.parametrize("write,argv", [
+        (lambda out, fmt: write_tree_listing(out, 5, False, fmt), ["enum-trees", "--n", "5"]),
+        (lambda out, fmt: write_torus_listing(out, 7, 3, False, fmt),
          ["enum-torus", "--max-curves", "7", "--max-slope", "3"]),
-    ], ids=["trees", "trees-edges", "torus"])
-    def test_default_rows_write_the_cli_bytes(self, rows, max_p, argv, fmt):
+    ], ids=["trees", "torus"])
+    def test_default_rows_write_the_cli_bytes(self, write, argv, fmt):
         out = io.StringIO()
-        listings.write_listing(out, rows(fmt), fmt, max_p)
+        write(out, fmt)
         assert (0, out.getvalue()) == run([*argv, "--format", fmt])
 
 

@@ -33,6 +33,7 @@ from helpers import (
     all_torus_candidates,
     enum_torus_graphs,
     free_trees,
+    key_code,
     skeleton_edges,
     torus_codes,
     twin_image,
@@ -398,7 +399,7 @@ class TestArrayCodes:
                     # Keys in place of codes, read back; a unicentral tree's
                     # key with odd levels positive is its other after sign byte 1.
                     keys = codes if len(codes) == 2 else (codes[0], b"\1" + codes[0][1:])
-                    read = tuple(map(enumeration._key_code, keys))
+                    read = tuple(map(key_code, keys))
                 tried.append((layout, skeleton_edges(layout, None), None, read))
                 yield layout, codes, ranks
 

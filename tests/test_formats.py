@@ -11,8 +11,6 @@ from bcontact.enumeration import (
     ResourceLimitError,
     enum_equicolored_trees,
     enum_torus_classes,
-    enum_torus_rows,
-    enum_tree_rows,
 )
 from bcontact.formats import (
     ParseError,
@@ -21,7 +19,12 @@ from bcontact.formats import (
     parse_dividing_set,
     render_table_csv,
 )
-from bcontact.listings import export_dot, serialize_class_text, write_listing
+from bcontact.listings import (
+    export_dot,
+    serialize_class_text,
+    write_torus_listing,
+    write_tree_listing,
+)
 from bcontact.region_graph import InvalidRegionGraphError, RegionGraph, canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -258,7 +261,6 @@ class TestJsonRenderers:
     def test_graph_class_lines_join_the_per_slope_lines(self, modulo_swap):
         # A torus listing writes each graph class's fields once for all of
         # its slopes; its lines are still those of the classes one by one.
-        rows = enum_torus_rows(7, modulo_swap)
         classes = enum_torus_classes(7, 4, modulo_swap)
         expected = {
             "json": "".join(json.dumps(class_dict(d)) + "\n" for d in classes),
@@ -266,7 +268,7 @@ class TestJsonRenderers:
         }
         for form, listing in expected.items():
             out = io.StringIO()
-            write_listing(out, rows, form, 4)
+            write_torus_listing(out, 7, 4, modulo_swap, form)
             assert out.getvalue() == listing
 
     def test_classification_records(self, tmp_path):
@@ -396,19 +398,14 @@ class TestWritersRefuse:
             write_table(out, table_classes(S3_T2, 4, 2), "text")
         assert out.getvalue() == ""
 
-    @pytest.mark.parametrize("max_p", [None, 1], ids=["sphere", "torus"])
-    def test_listing_refuses_an_unknown_form(self, max_p):
-        rows = enum_tree_rows(2, edges=True) if max_p is None else enum_torus_rows(2)
+    @pytest.mark.parametrize("write", [
+        lambda out: write_tree_listing(out, 2, False, "xml"),
+        lambda out: write_torus_listing(out, 2, 1, False, "xml"),
+    ], ids=["sphere", "torus"])
+    def test_listing_refuses_an_unknown_form(self, write):
         out = io.StringIO()
         with pytest.raises(ValueError, match="unknown listing form 'xml'"):
-            write_listing(out, rows, "xml", max_p)
-        assert out.getvalue() == ""
-
-    @pytest.mark.parametrize("form", ["text", "json"])
-    def test_sphere_listing_refuses_rows_without_their_edges(self, form):
-        out = io.StringIO()
-        with pytest.raises(ValueError, match=r"enum_tree_rows\(\.\.\., edges=True\)"):
-            write_listing(out, enum_tree_rows(3), form)
+            write(out)
         assert out.getvalue() == ""
 
     @pytest.mark.parametrize("form", ["text", "json", "csv"])
@@ -422,10 +419,10 @@ class TestWritersRefuse:
     def test_torus_listing_refuses_a_slope_bound_out_of_range(self, form, max_p, kind, message):
         # Enumeration's own messages, with bounds 1 and 2 made first: a
         # cache keyed by value would take ``True`` and 2.0 for them.
-        rows, out = enum_torus_rows(2), io.StringIO()
-        write_listing(io.StringIO(), rows, form, 1)
-        write_listing(io.StringIO(), rows, form, 2)
+        out = io.StringIO()
+        write_torus_listing(io.StringIO(), 2, 1, False, form)
+        write_torus_listing(io.StringIO(), 2, 2, False, form)
         with pytest.raises(ValueError) as raised:
-            write_listing(out, rows, form, max_p)
+            write_torus_listing(out, 2, max_p, False, form)
         assert (type(raised.value), str(raised.value)) == (kind, message)
         assert out.getvalue() == ""

@@ -12,7 +12,6 @@ from bcontact import region_graph
 from bcontact.enumeration import (
     _EDGES,
     _coloring,
-    _key_code,
     _sphere_trees,
     _tree_edges,
     enum_equicolored_trees,
@@ -29,7 +28,7 @@ from bcontact.region_graph import (
 )
 from bcontact.surfaces import DividingSetClass, Surface
 
-from helpers import free_trees, torus_codes
+from helpers import free_trees, key_code, torus_codes
 from oracle import adjacency, brute_force_isomorphic, by_id
 
 
@@ -512,7 +511,7 @@ class TestSphereRows:
             rows = enum_tree_rows(n, modulo_swap, edges=True)
             coded = enum_tree_rows(n, modulo_swap)
             assert [row[1:4] for row in rows] == [row[1:] for row in coded], n
-            assert [_key_code(row[0]) for row in rows] == [row[0] for row in coded], n
+            assert [key_code(row[0]) for row in rows] == [row[0] for row in coded], n
             for layout, ranks in {row[1]: row[4] for row in rows}.items():
                 assert [_EDGES[rank] for rank in ranks] == sorted(_tree_edges(layout)), layout
 
@@ -554,7 +553,7 @@ class TestSphereKeys:
                 # A unicentral tree's key with odd levels positive.
                 keys += (b"\1" + keys[0][1:],)
             assert (keys[0] == keys[1]) == (codes[0] == codes[1]), layout
-            assert tuple(map(_key_code, keys)) == codes, layout
+            assert tuple(map(key_code, keys)) == codes, layout
 
 
 @st.composite
