@@ -31,7 +31,8 @@ graph class, and that is its only form (``table_classes``): one loop
 over the generator's rows, on either surface, reads each class's region
 and curve counts and whether it has the tight shape
 (``enumeration.row_shape``: the one-curve sphere class or a bare cycle)
-and its slopes (``enumeration.row_slopes``).  It builds no graph and
+and its slopes: a ring has the request's, made once per table
+(``enumeration.torus_request``), and a tree none.  It builds no graph and
 checks nothing again, since the generator makes only admissible classes,
 and keeps the class's slopes in runs sharing (tight, mixed, fully
 overtwisted) regimes.  Classes whose regimes take no slope share one run
@@ -193,11 +194,18 @@ def table_rows(m: Surface, max_curves: int, max_p: int = 1, modulo_swap: bool = 
     sphere those of the trees up to n = (``max_curves`` + 1) // 2
     (``tree_count``).  The request is refused as ``table_classes``
     refuses it."""
-    from .enumeration import check_sphere_table_request, torus_count, tree_count
+    return _table_request(Surface(m), max_curves, max_p, modulo_swap)[0]
 
-    if Surface(m) is Surface.TORUS:
-        return torus_count(max_curves, max_p, modulo_swap)
-    return sum(tree_count(n, modulo_swap) for n in check_sphere_table_request(max_curves, max_p))
+
+def _table_request(m: Surface, max_curves: int, max_p: int, modulo_swap: bool) -> tuple:
+    """``table_rows`` and what ``table_classes`` lists by, each checked
+    once: the sphere's tree sizes, or the torus's slopes."""
+    from .enumeration import check_sphere_table_request, torus_request, tree_count
+
+    if m is Surface.TORUS:
+        return torus_request(max_curves, max_p, modulo_swap)
+    sizes = check_sphere_table_request(max_curves, max_p)
+    return sum(tree_count(n, modulo_swap) for n in sizes), sizes
 
 
 def table_classes(
@@ -216,30 +224,27 @@ def table_classes(
     class is read off the generator's row, with no graph built and no
     ``classify``: its regimes are ``_regimes`` of its shape
     (``row_shape``), and a bare cycle's counts come from each slope's
-    expansion products, taken once per table.
+    expansion products, taken once per table, as its slopes are.
     """
-    from .enumeration import (
-        check_row_cap, check_sphere_table_request, enum_torus_rows, enum_tree_rows, row_shape,
-        row_slopes,
-    )
+    from .enumeration import check_row_cap, enum_torus_rows, enum_tree_rows, row_shape
 
     m = Surface(m)
-    check_row_cap("table", table_rows(m, max_curves, max_p, modulo_swap))
+    size, by = _table_request(m, max_curves, max_p, modulo_swap)
+    check_row_cap("table", size)
     if m is Surface.TORUS:
-        rows = enum_torus_rows(max_curves, modulo_swap)
+        rows, slopes = enum_torus_rows(max_curves, modulo_swap), by
     else:
-        sizes = check_sphere_table_request(max_curves, max_p)
-        rows = [row for n in sizes for row in enum_tree_rows(n, modulo_swap)]
+        rows = [row for n in by for row in enum_tree_rows(n, modulo_swap)]
         rows.sort(key=itemgetter(0))
-    # One loop for both surfaces.  A bare ring's runs hold each slope's
-    # count; every other class's regimes take no slope, so the classes of
-    # one shape (tree or ring, tight or not) share one runs tuple.
+    # One loop for both surfaces; only torus rows are rings, so only they
+    # read ``slopes``.  A bare ring's runs hold each slope's count; every
+    # other class's regimes take no slope, so the classes of one shape
+    # (tree or ring, tight or not) share one runs tuple.
     shared: dict[tuple[bool, bool], tuple] = {}
     products = None
     classes = []
     for row in rows:
         v, e, tight = row_shape(row)
-        slopes = row_slopes(row, max_p)
         ring = row[2] is not None
         if ring and tight:
             if products is None:
@@ -250,7 +255,7 @@ def table_classes(
         else:
             runs = shared.get((ring, tight))
             if runs is None:
-                runs = shared[ring, tight] = ((slopes, *_regimes(m, tight)),)
+                runs = shared[ring, tight] = ((slopes if ring else (None,), *_regimes(m, tight)),)
         classes.append(TableClass(row[0], m, v, e, runs))
     return classes
 

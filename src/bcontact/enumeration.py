@@ -104,8 +104,8 @@ and a ring one per closing edge; a coloring is made only for a new code.
 One walk of the free trees of each order gives both shapes
 (``_torus_candidates``), and since genus codes open with ``T`` and ring
 codes with ``C``, the first row per class does not depend on their
-order.  A torus listing writes each row once with its ``row_slopes``,
-every normalized slope up to the bound for a ring and none for a tree;
+order.  A torus listing or table pairs each ring with the one tuple of
+its request's slopes (``torus_request``), and each tree with none;
 ``enum_torus_classes`` expands them into one class object per slope.
 
 A listing's size takes no enumeration: ``tree_count`` and ``torus_count``
@@ -205,8 +205,15 @@ def tree_count(n: int, modulo_swap: bool = False) -> int:
 def torus_count(max_curves: int, max_p: int, modulo_swap: bool = False) -> int:
     """The classes of a torus listing of ``max_curves`` curves and slopes up
     to ``max_p``, from the recorded counts: a tree counts once, and a ring
-    once per normalized slope up to ``max_p`` (``row_slopes``).  It refuses
-    a request out of range, for the enumerators too, and walks no tree."""
+    once per normalized slope up to ``max_p``.  It refuses a request out of
+    range, for the enumerators too, and walks no tree."""
+    return torus_request(max_curves, max_p, modulo_swap)[0]
+
+
+def torus_request(max_curves: int, max_p: int, modulo_swap: bool = False) -> tuple[int, Slopes]:
+    """``torus_count`` and the slopes it counts each ring at, made once: a
+    torus listing or table sizes its request here and pairs every ring with
+    that one tuple, and every tree with ``(None,)``."""
     _check_sizes(max_curves=max_curves, max_p=max_p)
     if max_curves > CURVE_CAP:
         raise ResourceLimitError(
@@ -216,7 +223,8 @@ def torus_count(max_curves: int, max_p: int, modulo_swap: bool = False) -> int:
     sizes = max_curves // 2
     trees = sum(_TORUS_TREES[bool(modulo_swap)][:sizes])
     rings = sum(_TORUS_RINGS[bool(modulo_swap)][:sizes])
-    return trees + rings * len(_normalized_slopes(max_p))
+    slopes = _normalized_slopes(max_p)
+    return trees + rings * len(slopes), slopes
 
 
 def check_row_cap(kind: str, rows: int) -> None:
@@ -724,37 +732,20 @@ def _torus_candidates(
 def enum_torus_rows(max_curves: int, modulo_swap: bool = False) -> list[Row]:
     """The row of every admissible torus class with at most ``max_curves``
     curves, one per isomorphism class, sorted by canonical code, with no
-    graph built, sized first; ``row_slopes`` gives each one's slopes."""
+    graph built, sized first; a ring's slopes are its request's."""
     torus_count(max_curves, 1, modulo_swap)
     return _class_rows(_torus_candidates(max_curves), modulo_swap)
 
 
 def _normalized_slopes(max_p: int) -> tuple[tuple[int, int], ...]:
     """Every slope (p, q), 1 <= q <= p <= ``max_p`` coprime, in order, for
-    every torus count, listing and table.  A bound out of range is refused
-    before the cache is read: a key equal to 1 or 2 would answer ``True``
-    or 2.0."""
+    every torus count, listing and table (``torus_request``)."""
     _check_sizes(max_p=max_p)
     if max_p > SLOPE_CAP:
         raise ResourceLimitError(f"slope bound capped at {SLOPE_CAP}, got {max_p}")
-    return _slopes_up_to(max_p)
-
-
-@cache  # row_slopes asks for the same bound once per ring
-def _slopes_up_to(max_p: int) -> tuple[tuple[int, int], ...]:
     return tuple([
         (p, q) for p in range(1, max_p + 1) for q in range(1, p + 1) if gcd(p, q) == 1
     ])
-
-
-def row_slopes(row: Row, max_p: int) -> Slopes:
-    """The slopes a listed torus class is paired with: every normalized
-    slope (p, q) with p <= ``max_p`` for a ring, whose essential curves
-    carry one; ``(None,)`` for a tree, which has none.
-
-    Admissibility depends on the graph alone, so slopes are paired last.
-    """
-    return (None,) if row[2] is None else _normalized_slopes(max_p)
 
 
 def row_shape(row: Row) -> tuple[int, int, bool]:
@@ -785,15 +776,16 @@ def enum_torus_classes(
     curves and slopes bounded by ``max_p``, one per isomorphism class.
 
     Each listed class's graph, built from its row, paired with each of its
-    ``row_slopes``, sorted by (canonical code, slope): the classes of one
-    graph share its graph object.  A listing past the row cap is refused.
+    slopes, sorted by (canonical code, slope): the classes of one graph
+    share its graph object.  A listing past the row cap is refused.
     """
     from .surfaces import DividingSetClass, Surface
 
-    check_row_cap("listing", torus_count(max_curves, max_p, modulo_swap))
+    count, slopes = torus_request(max_curves, max_p, modulo_swap)
+    check_row_cap("listing", count)
     rows = enum_torus_rows(max_curves, modulo_swap)
     return [
         DividingSetClass(Surface.TORUS, g, slope)
         for row, g in zip(rows, _graphs(rows))
-        for slope in row_slopes(row, max_p)
+        for slope in ((None,) if row[2] is None else slopes)
     ]

@@ -150,7 +150,7 @@ def write_tree_listing(out, n: int, modulo_swap: bool, form: str) -> None:
 def write_torus_listing(out, max_curves: int, max_p: int, modulo_swap: bool, form: str) -> None:
     """Write the torus listing of the classes with at most ``max_curves``
     curves to ``out`` in ``form``, each class at each of its slopes
-    (``enumeration.row_slopes``): ``serialize_class_text`` of each, an
+    (``enumeration.torus_request``): ``serialize_class_text`` of each, an
     empty listing being one newline, ``json.dumps`` of
     ``formats.class_dict`` of each on a line, or
     ``size,canonical_code,slope_p,slope_q,admissible``, a tree's slope
@@ -167,14 +167,12 @@ def write_torus_listing(out, max_curves: int, max_p: int, modulo_swap: bool, for
     its slopes in one write: a batch of rings would hold whole runs of
     slopes at once.
     """
-    from .enumeration import (
-        _RANKS, _edge_ranks, _normalized_slopes, check_row_cap, enum_torus_rows, torus_count,
-    )
+    from .enumeration import _RANKS, _edge_ranks, check_row_cap, enum_torus_rows, torus_request
 
     _check_form(form)
-    check_row_cap("listing", torus_count(max_curves, max_p, modulo_swap))
+    count, slopes = torus_request(max_curves, max_p, modulo_swap)
+    check_row_cap("listing", count)
     rows = enum_torus_rows(max_curves, modulo_swap)
-    slopes = _normalized_slopes(max_p)
     if form == "csv":
         out.write("size,canonical_code,slope_p,slope_q,admissible\n")
         ring_ends = [f"{p},{q},true\n" for p, q in slopes]

@@ -343,6 +343,18 @@ class TestTableCommandCallCounts:
         assert calls["expansion_products"] == len(slopes)
         assert calls["solid_torus_count"] == len(bare_rings) * len(slopes)
 
+    def test_slopes_made_and_sizes_checked_once_per_table(self, monkeypatch):
+        calls = {}
+        for name in ("_normalized_slopes", "check_sphere_table_request"):
+            fn = getattr(ENUMERATION_MODULE, name)
+            monkeypatch.setattr(ENUMERATION_MODULE, name, counting_wrapper(calls, name, fn))
+        # The table's slopes, and slope 1 in the row enumerator's own check.
+        table_classes(S3_T2, 8, 16)
+        assert calls == {"_normalized_slopes": 2}
+        calls.clear()
+        table_classes(S3_S2, 9)
+        assert calls == {"check_sphere_table_request": 1}
+
 
 class TestOneTightRule:
     def test_classify_asks_the_tight_rule_once(self, monkeypatch):

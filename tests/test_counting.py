@@ -51,7 +51,7 @@ class TestNegativeContinuedFraction:
         assert not negative_continued_fraction(2, 1).degenerate
 
     # ("3", 2): an entry that is not an integer is named, not compared.
-    @pytest.mark.parametrize("p,q", [(4, 2), (2, 3), (3, 0), (0, 1), ("3", 2)])
+    @pytest.mark.parametrize("p,q", [(4, 2), (2, 3), (3, 0), (1, 0), (0, 1), ("3", 2)])
     def test_rejects_bad_slopes(self, p, q):
         with pytest.raises(ValueError):
             negative_continued_fraction(p, q)

@@ -22,8 +22,8 @@ from bcontact.enumeration import (
     enum_torus_classes,
     enum_torus_rows,
     enum_tree_rows,
-    row_slopes,
     torus_count,
+    torus_request,
     tree_count,
 )
 from bcontact.region_graph import RegionGraph, canonical_code, codes_of, validate
@@ -314,8 +314,8 @@ class TestTorusGraphs:
         # The two-curve ring and a genus-1 tree on three regions.
         ring, tree = enum_torus_rows(2)[:2]
         assert (ring[0], tree[0]) == ("C2(+0)(-0)", "T(+0(-0)(-1))")
-        assert row_slopes(ring, 3) == ((1, 1), (2, 1), (3, 1), (3, 2))
-        assert row_slopes(tree, 3) == (None,)
+        # Two trees, and the ring at each slope.
+        assert torus_request(2, 3) == (2 + 4, ((1, 1), (2, 1), (3, 1), (3, 2)))
 
     def test_slope_cap_fires_before_enumeration(self, monkeypatch):
         def never(*args, **kwargs):

@@ -92,8 +92,9 @@ class TestValidate:
         assert validate(path([1, -1])) is None
 
     def test_like_signed_edge_is_improper_coloring(self):
-        with pytest.raises(InvalidRegionGraphError, match="^improper coloring: "):
-            path([1, 1])
+        for signs in ([1, 1], [-1, -1]):
+            with pytest.raises(InvalidRegionGraphError, match="^improper coloring: "):
+                path(signs)
 
     def test_two_independent_cycles_break_edge_count(self):
         with pytest.raises(InvalidRegionGraphError, match="^edge count: "):
@@ -503,17 +504,6 @@ class TestSphereRows:
                     expected.append((code, layout, None, _coloring(layout, positive)))
             expected.sort()
             assert enum_tree_rows(n, modulo_swap) == expected, n
-        # Up to 18 regions, the rows a listing's writer reads come in the
-        # same order, each with a key in place of its code, which reads
-        # back to that code, and the edges it reads off each row are its
-        # skeleton's, in the order a graph keeps them.
-        for n in range(1, 10):
-            rows = enum_tree_rows(n, modulo_swap, edges=True)
-            coded = enum_tree_rows(n, modulo_swap)
-            assert [row[1:4] for row in rows] == [row[1:] for row in coded], n
-            assert [key_code(row[0]) for row in rows] == [row[0] for row in coded], n
-            for layout, ranks in {row[1]: row[4] for row in rows}.items():
-                assert [_EDGES[rank] for rank in ranks] == sorted(_tree_edges(layout)), layout
 
 
 class TestSphereKeys:
@@ -528,8 +518,9 @@ class TestSphereKeys:
             rows = enum_tree_rows(n, modulo_swap, edges=True)
             coded = enum_tree_rows(n, modulo_swap)
             # Row for row the same class, from distinct keys in sorted
-            # order, and no row holds a code.
-            assert [(row[1], row[3]) for row in rows] == [(row[1], row[3]) for row in coded], n
+            # order, each reading back to its row's code.
+            assert [row[1:4] for row in rows] == [row[1:] for row in coded], n
+            assert [key_code(row[0]) for row in rows] == [row[0] for row in coded], n
             keys = [row[0] for row in rows]
             assert all(type(key) is bytes for key in keys)
             assert keys == sorted(set(keys)), n
