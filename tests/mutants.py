@@ -49,6 +49,7 @@ RULES = (
     "tight regime", "mixed regime", "fully overtwisted regime", "code tags", "least rotation",
     "sphere balance gate", "torus balance gate", "twin skip", "sphere keys", "recorded counts",
     "strict input parsing", "graph invariants", "exit status 0", "exit status 1", "exit status 2",
+    "listing lines", "table lines",
 )
 
 # One edit of one file of the package: ``old`` occurs there exactly once.
@@ -123,6 +124,20 @@ DEFECTS = tuple(Defect(f"src/bcontact/{file}.py", *edit) for file, *edit in (
     ("cli", "OSError) else 1", "OSError) else 2", "exit status 1"),
     ("cli", "syntax = formats is not None and", "syntax = False and", "exit status 2"),
     ("cli", "if len(matches) > 1:", "if len(matches) > 2:", "exit status 2"),
+    ("listings", '    ", ",', '    ",",', "listing lines"),
+    ("listings", '"[{slope[0]}, {slope[1]}]}}', '"[{slope[1]}, {slope[0]}]}}', "listing lines"),
+    ("listings", 'if form == "text" and not rows:', 'if form == "json" and not rows:',
+     "listing lines"),
+    ("listings", 'out.write("size,canonical_code,admissible\\n")',
+     'out.write("size,code,admissible\\n")', "listing lines"),
+    ("listings", "},{code},,,true", "},{code},,true", "listing lines"),
+    ("listings", 'f"{p},{q},true\\n"', 'f"{q},{p},true\\n"', "listing lines"),
+    ("classify", 'out.write(",".join(TABLE_COLUMNS) + "\\n")',
+     'out.write(",".join(TABLE_COLUMNS[:-1]) + "\\n")', "table lines"),
+    ("classify", 'sep = [","] * len(TABLE_COLUMNS)', 'sep = [", "] * len(TABLE_COLUMNS)',
+     "table lines"),
+    ("classify", '"null", "}\\n"', '"None", "}\\n"', "table lines"),
+    ("classify", "q_sep = sep[5]", "q_sep = sep[4]", "table lines"),
 ))
 
 

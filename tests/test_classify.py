@@ -2,7 +2,6 @@
 
 import importlib
 import io
-import json
 from math import comb, gcd
 
 import pytest
@@ -38,7 +37,6 @@ from helpers import (
     enumerated_records,
     farey_products,
     graph_slopes,
-    record_rows,
     recorded,
     sphere_class,
     table_jsonl,
@@ -152,16 +150,6 @@ class TestLeafCensus:
             assert census.leaves_dim2 - census.leaves_dim1 in {0, 1}
 
 
-def refereed_rows(m, *bounds, modulo_swap=False):
-    """The table's rows, parsed from its JSON lines, after checking them
-    against the rows of ``classify`` of every enumerated class."""
-    text = table_jsonl(table_classes(m, *bounds, modulo_swap=modulo_swap))
-    rows = [json.loads(line) for line in text.splitlines()]
-    records = enumerated_records(m, *bounds, modulo_swap=modulo_swap)
-    assert rows == record_rows(records, modulo_swap)
-    return rows
-
-
 def run_entries(classes):
     """(code, slope, tight, mixed, fully overtwisted) of each row, read off
     the table's regime runs."""
@@ -180,29 +168,6 @@ def record_entries(records, modulo_swap):
          r.tight, r.mixed, r.fully_overtwisted)
         for r in records
     ]
-
-
-class TestClassificationTable:
-    def test_sphere_row_count_up_to_six_regions(self):
-        assert len(refereed_rows(S3_S2, 5)) == 1 + 1 + 4
-
-    def test_exactly_one_tight_row_on_the_sphere(self):
-        tight_rows = [row for row in refereed_rows(S3_S2, 5) if row["tight_count"] > 0]
-        assert len(tight_rows) == 1
-        assert tight_rows[0]["E"] == 1
-
-    def test_torus_two_cycle_rows_cover_requested_slopes(self):
-        rows = refereed_rows(S3_T2, 2, 2)
-        slopes = sorted(
-            (row["slope_p"], row["slope_q"]) for row in rows if row["slope_p"] is not None
-        )
-        assert slopes == [(1, 1), (2, 1)]
-
-    def test_overtwisted_ranks_by_surface(self):
-        for row in refereed_rows(S3_S2, 5):
-            assert (row["ot_finite"], row["ot_rank"]) == (1, 2)
-        for row in refereed_rows(S3_T2, 4, 2):
-            assert (row["ot_finite"], row["ot_rank"]) == (1, 4)
 
 
 def is_bare_ring(g):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bcontact import admissibility, cli, counting, formats
+from bcontact import admissibility, cli, counting
 from bcontact.classify import TABLE_COLUMNS, table_classes, table_rows, write_table
 from bcontact.cli import run_cli
 from bcontact.enumeration import (
@@ -31,7 +31,7 @@ from bcontact.enumeration import (
     torus_count,
     tree_count,
 )
-from bcontact.listings import serialize_class_text, write_torus_listing, write_tree_listing
+from bcontact.listings import write_torus_listing, write_tree_listing
 from bcontact.region_graph import canonical_code
 from bcontact.surfaces import S3_S2, S3_T2, DividingSetClass, Surface
 
@@ -85,12 +85,6 @@ def gamma_file(tmp_path, text, name="gamma.txt"):
 
 
 class TestEnumCommands:
-    def test_tree_counts_with_identified_swap(self):
-        status, output = run(
-            ["enum-trees", "--n", "3", "--count-only", "--no-distinguish-signs"]
-        )
-        assert status == 0 and output.strip() == "3"
-
     def test_enum_torus_builds_no_class_per_slope(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("a class object was built per slope")
@@ -347,68 +341,6 @@ class TestListingsMatchLibrary:
                                    "--max-slope", str(max_p), "--format", "csv", *sign_mode])
             lines = listing.splitlines()
             assert status == 0 and len(set(lines)) == len(lines) > 2, max_curves
-
-    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
-    def test_count_is_the_json_listings_length(self, modulo_swap):
-        # The count comes from the recorded class counts and the listing
-        # from the enumerator, so each referees the other.
-        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
-        listings = [["enum-trees", "--n", str(n)] for n in range(1, 8)] + [
-            ["enum-torus", "--max-curves", str(max_curves), "--max-slope", str(max_p)]
-            for max_curves in (1, 4, 9) for max_p in (1, 3)
-        ]
-        for args in listings:
-            status, listing = run([*args, *sign_mode, "--format", "json"])
-            lines = listing.count("\n")
-            assert status == 0
-            assert run([*args, *sign_mode, "--count-only"]) == (0, f"{lines}\n"), args
-
-
-class TestListingLinesMatchClassWriters:
-    """A listing's line, or text block, per class is a head per coloring
-    and a tail per skeleton put together; the per-class writers, run on
-    the graph the library builds from the same row, referee each one."""
-
-    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_sphere_listings(self, fmt, modulo_swap):
-        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
-        for n in range(1, 8):
-            classes = [
-                DividingSetClass(Surface.SPHERE, g) for g in enum_equicolored_trees(n, modulo_swap)
-            ]
-            status, listing = run(["enum-trees", "--n", str(n), "--format", fmt, *sign_mode])
-            assert status == 0
-            if fmt == "json":
-                # The sphere's line is the graph's two fields alone.
-                expected = [
-                    json.dumps({k: v for k, v in formats.class_dict(d).items()
-                                if k in ("vertices", "edges")})
-                    for d in classes
-                ]
-                assert listing.splitlines() == expected, n
-            else:
-                # The sphere's block has no surface line.
-                blocks = [serialize_class_text(d).split("\n", 1)[1] for d in classes]
-                assert listing == "\n".join(blocks), n
-
-    @pytest.mark.parametrize("modulo_swap", [False, True], ids=["signs", "swap"])
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_torus_listings(self, fmt, modulo_swap):
-        sign_mode = ["--no-distinguish-signs"] if modulo_swap else []
-        for max_curves in range(1, 9):
-            classes = enum_torus_classes(max_curves, 3, modulo_swap)
-            status, listing = run(["enum-torus", "--max-curves", str(max_curves),
-                                   "--max-slope", "3", "--format", fmt, *sign_mode])
-            assert status == 0
-            if fmt == "json":
-                expected = [json.dumps(formats.class_dict(d)) for d in classes]
-                assert listing.splitlines() == expected, max_curves
-            else:
-                # An empty text listing is one newline (one curve lists none).
-                blocks = [serialize_class_text(d) for d in classes]
-                assert listing == ("\n".join(blocks) or "\n"), max_curves
-
 
 class _ClassesPerWrite:
     """A stream that keeps, per write, how many classes it held."""
@@ -1234,26 +1166,6 @@ class TestEmbeddabilityErrors:
 
 
 class TestTable:
-    def test_sphere_table_row_count(self):
-        status, output = run(["table", "--manifold", "s3-s2", "--max-curves", "5"])
-        lines = output.strip().splitlines()
-        assert status == 0 and len(lines) == 1 + 6
-
-    def test_torus_table_slopes(self):
-        status, output = run(
-            ["table", "--manifold", "s3-t2", "--max-curves", "2", "--max-slope", "2"]
-        )
-        assert status == 0
-        assert ",1,1," in output and ",2,1," in output
-
-    def test_json_table(self):
-        status, output = run(
-            ["table", "--manifold", "s3-s2", "--max-curves", "3", "--format", "json"]
-        )
-        rows = [json.loads(line) for line in output.strip().splitlines()]
-        assert status == 0 and len(rows) == 2
-        assert all(row["surface"] == "sphere" for row in rows)
-
     def test_empty_table_is_no_json_line_and_a_csv_header(self):
         # One curve admits no torus class: JSON lines are none at all, not
         # one blank line, and the CSV is its header alone.

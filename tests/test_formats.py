@@ -308,29 +308,6 @@ class TestDot:
 
 
 class TestTables:
-    def test_csv_has_fixed_header_and_row_count(self):
-        records = enumerated_records(S3_S2, 5)
-        text = render_table_csv(table_classes(S3_S2, 5))
-        lines = text.strip().split("\n")
-        assert lines[0] == (
-            "canonical_code,surface,V,E,slope_p,slope_q,tight_count,mixed_finite,"
-            "mixed_rank,ot_finite,ot_rank,leaves_3,leaves_2,leaves_1"
-        )
-        assert len(lines) == 1 + len(records)
-
-    def test_jsonl_rows_parse_and_match_csv_order(self):
-        records = enumerated_records(S3_T2, 4, 2)
-        text = table_jsonl(table_classes(S3_T2, 4, 2))
-        rows = [json.loads(line) for line in text.splitlines()]
-        assert len(rows) == len(records)
-        for row, record in zip(rows, records):
-            assert row["tight_count"] == record.tight.finite_factor
-            assert row["surface"] == "torus"
-
-    def test_rendering_is_deterministic(self):
-        classes = table_classes(S3_T2, 5, 2)
-        assert render_table_csv(classes) == render_table_csv(table_classes(S3_T2, 5, 2))
-
     def test_shared_runs_of_slopes_are_not_hashed(self):
         # A tuple does not keep its hash, so a cache keyed on a run's value
         # would hash the run of all slopes again for every ring class.

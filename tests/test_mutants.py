@@ -9,4 +9,4 @@ def test_each_defect_edits_one_place_and_every_rule_is_seeded():
         text = (ROOT / defect.file).read_text(encoding="utf-8")
         assert text.count(defect.old) == 1 and defect.old != defect.new, defect
     assert sorted({defect.rule for defect in DEFECTS}) == sorted(RULES)
-    assert len(DEFECTS) >= 30
+    assert len(DEFECTS) >= 62
